@@ -21,12 +21,7 @@ int run(int argc, const char** argv) {
   (void)opts.parse(argc, argv);
   const auto side = static_cast<VertexId>(opts.get_int("grid"));
 
-  std::vector<int> rank_list;
-  {
-    std::istringstream iss(opts.get("ranks"));
-    std::string tok;
-    while (std::getline(iss, tok, ',')) rank_list.push_back(std::stoi(tok));
-  }
+  const std::vector<int> rank_list = opts.get_int_list("ranks");
 
   banner("Ablation A1 — message bundling (matching)",
          "bundling cuts the message count by orders of magnitude and with "

@@ -61,17 +61,8 @@ int run(int argc, const char** argv) {
   const auto ranks = static_cast<Rank>(opts.get_int("ranks"));
   const int reps = std::max(1, static_cast<int>(opts.get_int("reps")));
 
-  std::vector<int> thread_list;
-  {
-    std::istringstream iss(opts.get("threads"));
-    std::string tok;
-    while (std::getline(iss, tok, ',')) {
-      const int t = std::stoi(tok);
-      PMC_REQUIRE(t >= 1, "--threads entries must be >= 1, got " << t);
-      thread_list.push_back(t);
-    }
-  }
-  PMC_REQUIRE(!thread_list.empty() && thread_list.front() == 1,
+  const std::vector<int> thread_list = opts.get_int_list("threads");
+  PMC_REQUIRE(thread_list.front() == 1,
               "--threads must start with 1 (the sequential baseline)");
 
   banner("Ablation A7 — execution backend thread sweep",

@@ -22,12 +22,7 @@ int run(int argc, const char** argv) {
   (void)opts.parse(argc, argv);
   const auto n = static_cast<VertexId>(opts.get_int("vertices"));
 
-  std::vector<int> rank_list;
-  {
-    std::istringstream iss(opts.get("ranks"));
-    std::string tok;
-    while (std::getline(iss, tok, ',')) rank_list.push_back(std::stoi(tok));
-  }
+  const std::vector<int> rank_list = opts.get_int_list("ranks");
 
   banner("Extension E2 — distributed distance-2 coloring",
          "speculative framework generalizes to distance-2 (Jacobian "

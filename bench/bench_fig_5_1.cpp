@@ -24,12 +24,7 @@ int run(int argc, const char** argv) {
   (void)opts.parse(argc, argv);
   const auto subgrid = static_cast<VertexId>(opts.get_int("subgrid"));
 
-  std::vector<int> rank_list;
-  {
-    std::istringstream iss(opts.get("ranks"));
-    std::string tok;
-    while (std::getline(iss, tok, ',')) rank_list.push_back(std::stoi(tok));
-  }
+  const std::vector<int> rank_list = opts.get_int_list("ranks");
 
   banner("Fig 5.1 — weak scaling on five-point grid graphs",
          "near-flat compute time as processors and input grow together "

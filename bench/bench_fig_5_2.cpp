@@ -23,12 +23,7 @@ int run(int argc, const char** argv) {
   (void)opts.parse(argc, argv);
   const auto side = static_cast<VertexId>(opts.get_int("grid"));
 
-  std::vector<int> rank_list;
-  {
-    std::istringstream iss(opts.get("ranks"));
-    std::string tok;
-    while (std::getline(iss, tok, ',')) rank_list.push_back(std::stoi(tok));
-  }
+  const std::vector<int> rank_list = opts.get_int_list("ranks");
 
   banner("Fig 5.2 — strong scaling on a five-point grid graph",
          "compute time tracks the ideal 1/p line on a log-log plot from 512 "

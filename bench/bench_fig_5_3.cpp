@@ -25,12 +25,7 @@ int run(int argc, const char** argv) {
   (void)opts.parse(argc, argv);
   const auto rows = static_cast<VertexId>(opts.get_int("rows"));
 
-  std::vector<int> rank_list;
-  {
-    std::istringstream iss(opts.get("ranks"));
-    std::string tok;
-    while (std::getline(iss, tok, ',')) rank_list.push_back(std::stoi(tok));
-  }
+  const std::vector<int> rank_list = opts.get_int_list("ranks");
 
   banner("Fig 5.3 — matching strong scaling, circuit-simulation bipartite "
          "graph (METIS-like partition)",

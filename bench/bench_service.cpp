@@ -74,20 +74,8 @@ int run(int argc, const char** argv) {
   const auto updates = static_cast<std::int64_t>(opts.get_int("updates"));
   const int reps = std::max(1, static_cast<int>(opts.get_int("reps")));
 
-  const auto parse_list = [&](const std::string& name) {
-    std::vector<int> out;
-    std::istringstream iss(opts.get(name));
-    std::string tok;
-    while (std::getline(iss, tok, ',')) {
-      const int v = std::stoi(tok);
-      PMC_REQUIRE(v >= 1, "--" << name << " entries must be >= 1, got " << v);
-      out.push_back(v);
-    }
-    PMC_REQUIRE(!out.empty(), "--" << name << " must be non-empty");
-    return out;
-  };
-  const std::vector<int> windows = parse_list("windows");
-  const std::vector<int> thread_list = parse_list("threads");
+  const std::vector<int> windows = opts.get_int_list("windows");
+  const std::vector<int> thread_list = opts.get_int_list("threads");
   PMC_REQUIRE(thread_list.front() == 1,
               "--threads must start with 1 (the sequential baseline)");
 

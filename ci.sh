@@ -41,17 +41,12 @@ lint() {
   echo "==== lint: pmc-lint determinism rules + clang-tidy ===="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DPMC_HARDENED_WERROR=ON
   cmake --build build -j "$JOBS" --target pmc-lint
-  # pmc-lint exits nonzero on any unsuppressed D1-D10 diagnostic (including
-  # D10 stale suppressions); the JSON report and the SARIF log land next to
-  # the other CI artifacts.
+  # pmc-lint exits nonzero on any unsuppressed diagnostic (including D10
+  # stale suppressions), which fails this stage; the JSON report lands next
+  # to the other CI artifacts.
   ./build/tools/pmc-lint/pmc-lint \
     --compile-commands=build/compile_commands.json --root=. \
-    --json=build/LINT_report.json --sarif=build/pmc-lint.sarif
-  # Both the fresh run's artifacts and the committed pmc-lint.sarif at the
-  # repo root must stay well-formed and free of unsuppressed findings
-  # (check_bench_artifacts.sh-style validation for the lint stage).
-  ./tools/check_lint_artifacts.sh build/pmc-lint.sarif build/LINT_report.json
-  ./tools/check_lint_artifacts.sh
+    --json=build/LINT_report.json
   # clang-tidy is optional tooling (not baked into every image): run the
   # curated .clang-tidy profile when present, skip loudly when not. The
   # profile's WarningsAsErrors makes any bugprone/concurrency/performance
@@ -99,8 +94,8 @@ tsan() {
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-  # test_exec and the determinism suite drive the pool / deferred-lane merge
-  # at explicit thread counts; test_chaos picks up PMC_THREADS=4 through
+  # test_exec and the determinism suite drive the pool / lane merge at
+  # explicit thread counts; test_chaos picks up PMC_THREADS=4 through
   # exec_config_from_env(), so every fault-injection scenario also runs its
   # rank callbacks concurrently under the race detector. The engine suite
   # rides along as the sequential-semantics baseline.

@@ -94,12 +94,7 @@ int main(int argc, const char** argv) {
   if (threads > 1) model = model.with_threads(threads);
   std::cout << "machine: " << model.name << "\n\n";
 
-  std::vector<int> rank_list;
-  {
-    std::istringstream iss(opts.get("ranks"));
-    std::string tok;
-    while (std::getline(iss, tok, ',')) rank_list.push_back(std::stoi(tok));
-  }
+  const std::vector<int> rank_list = opts.get_int_list("ranks");
 
   const bool run_matching =
       opts.get("problem") == "matching" || opts.get("problem") == "both";

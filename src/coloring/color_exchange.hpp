@@ -31,8 +31,7 @@ using LostColorSets = std::vector<std::unordered_set<VertexId>>;
 /// Send callable for color frames from `ctx`: forwards to ctx.send and,
 /// when faults are on, decodes the sender-side copy of every dropped or
 /// corrupted frame into lost[src]. Receipt callbacks fire on the main
-/// thread (immediately under direct execution, at the rank-ordered merge
-/// under deferred execution), so no locking is needed.
+/// thread at the rank-ordered merge, so no locking is needed.
 [[nodiscard]] std::function<void(Rank, std::vector<std::byte>, std::int64_t)>
 lost_tracking_color_sender(LostColorSets& lost, bool faults_on,
                            BspEngine::RankCtx& ctx);

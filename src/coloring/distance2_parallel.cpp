@@ -272,14 +272,14 @@ DistColoringResult color_distance2_distributed_native(
         st.stage.flush(SendPolicy::kCustomizedNeighbors, r, send_from(ctx));
       };
       if (sync_mode) {
-        engine.run_ranks(true, superstep);
+        engine.run_ranks(superstep);
       } else {
         engine.run_ranks_snapshot(superstep);
       }
       ++result.total_supersteps;
       if (sync_mode) {
         engine.barrier();
-        engine.run_ranks(true, [&](BspEngine::RankCtx& ctx) {
+        engine.run_ranks([&](BspEngine::RankCtx& ctx) {
           D2RankState& st = states[static_cast<std::size_t>(ctx.rank())];
           for (const BspMessage& msg : ctx.drain()) d2_apply_records(st, msg);
         });
@@ -287,7 +287,7 @@ DistColoringResult color_distance2_distributed_native(
     }
 
     engine.barrier();
-    engine.run_ranks(true, [&](BspEngine::RankCtx& ctx) {
+    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
       D2RankState& st = states[static_cast<std::size_t>(ctx.rank())];
       for (const BspMessage& msg : ctx.drain()) d2_apply_records(st, msg);
     });
@@ -296,7 +296,7 @@ DistColoringResult color_distance2_distributed_native(
     // per rank and fold in rank order after the parallel region.
     std::vector<EdgeId> recolored(static_cast<std::size_t>(P), 0);
     std::vector<std::int64_t> reentries(static_cast<std::size_t>(P), 0);
-    engine.run_ranks(true, [&](BspEngine::RankCtx& ctx) {
+    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
       const Rank r = ctx.rank();
       D2RankState& st = states[static_cast<std::size_t>(r)];
       const Dist2RankView& view = *st.view;

@@ -68,7 +68,7 @@ JonesPlassmannResult color_jones_plassmann(
                                                          << " rounds");
     // Each JP round is bulk-synchronous (no mid-round polling), so the
     // per-rank callbacks always parallelize.
-    engine.run_ranks(true, [&](BspEngine::RankCtx& ctx) {
+    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
       const Rank r = ctx.rank();
       JpRankState& st = states[static_cast<std::size_t>(r)];
       const LocalGraph& lg = *st.lg;
@@ -122,7 +122,7 @@ JonesPlassmannResult color_jones_plassmann(
     });
     // Round barrier + ghost color application.
     engine.barrier();
-    engine.run_ranks(true, [&](BspEngine::RankCtx& ctx) {
+    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
       JpRankState& st = states[static_cast<std::size_t>(ctx.rank())];
       for (const BspMessage& msg : ctx.drain()) {
         FrameReader reader(msg.payload);

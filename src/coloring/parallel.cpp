@@ -189,7 +189,7 @@ DistColoringResult color_distributed(const DistGraph& dist,
                        lost_tracking_color_sender(lost, faults_on, ctx));
       };
       if (sync_mode) {
-        engine.run_ranks(true, superstep);
+        engine.run_ranks(superstep);
       } else {
         engine.run_ranks_snapshot(superstep);
       }
@@ -217,7 +217,7 @@ DistColoringResult color_distributed(const DistGraph& dist,
     // ---- Conflict detection (no communication needed) ------------------
     std::vector<EdgeId> recolored(static_cast<std::size_t>(P), 0);
     std::vector<std::int64_t> reentries(static_cast<std::size_t>(P), 0);
-    engine.run_ranks(true, [&](BspEngine::RankCtx& ctx) {
+    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
       const Rank r = ctx.rank();
       RankState& st = states[static_cast<std::size_t>(r)];
       const LocalGraph& lg = *st.lg;

@@ -90,8 +90,8 @@ struct DistColoringResult {
   /// Vertices re-entered into repair because their color announcement was
   /// dropped by the fault layer (0 when faults are disabled).
   std::int64_t fault_reentries = 0;
-  /// Asynchronous supersteps that ran deferred (parallel-capable snapshot
-  /// harvest) vs. the sequential live-poll fallback; both 0 in sync mode.
+  /// Asynchronous supersteps harvested up front (parallel-capable) vs. run
+  /// rank by rank (the fallback); both 0 in sync mode.
   /// Pure functions of the modelled clocks, identical at every thread count.
   std::int64_t snapshot_parallel_supersteps = 0;
   std::int64_t snapshot_fallback_supersteps = 0;

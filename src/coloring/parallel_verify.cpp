@@ -25,7 +25,7 @@ DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
   BspEngine engine(P, model, FabricConfig{}, exec);
 
   // Boundary color exchange.
-  engine.run_ranks(true, [&](BspEngine::RankCtx& ctx) {
+  engine.run_ranks([&](BspEngine::RankCtx& ctx) {
     const LocalGraph& lg = dist.local(ctx.rank());
     std::unordered_map<Rank, FrameWriter> out;
     std::vector<Rank> scratch;
@@ -57,7 +57,7 @@ DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
   engine.barrier();
 
   std::vector<std::int64_t> violations(static_cast<std::size_t>(P), 0);
-  engine.run_ranks(true, [&](BspEngine::RankCtx& ctx) {
+  engine.run_ranks([&](BspEngine::RankCtx& ctx) {
     const Rank r = ctx.rank();
     const LocalGraph& lg = dist.local(r);
     std::int64_t& mine = violations[static_cast<std::size_t>(r)];

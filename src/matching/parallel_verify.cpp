@@ -26,7 +26,7 @@ DistVerifyResult verify_matching_distributed(const DistGraph& dist,
 
   // Phase 1: every rank ships (vertex, mate) for its boundary vertices to
   // each neighboring rank — the information receivers need about ghosts.
-  engine.run_ranks(true, [&](BspEngine::RankCtx& ctx) {
+  engine.run_ranks([&](BspEngine::RankCtx& ctx) {
     const LocalGraph& lg = dist.local(ctx.rank());
     std::unordered_map<Rank, FrameWriter> out;
     std::vector<Rank> scratch_ranks;
@@ -61,7 +61,7 @@ DistVerifyResult verify_matching_distributed(const DistGraph& dist,
 
   // Phase 2: verify with local + ghost information only.
   std::vector<std::int64_t> violations(static_cast<std::size_t>(P), 0);
-  engine.run_ranks(true, [&](BspEngine::RankCtx& ctx) {
+  engine.run_ranks([&](BspEngine::RankCtx& ctx) {
     const Rank r = ctx.rank();
     std::int64_t& mine = violations[static_cast<std::size_t>(r)];
     const LocalGraph& lg = dist.local(r);

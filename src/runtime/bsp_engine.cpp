@@ -19,34 +19,6 @@ BspEngine::BspEngine(Rank num_ranks, MachineModel model, FabricConfig config,
   inboxes_.resize(static_cast<std::size_t>(num_ranks));
 }
 
-void BspEngine::charge(Rank r, double work_units) {
-  fabric_.charge(r, work_units);
-}
-
-void BspEngine::charge(Rank r, double work_units, WorkPhase phase) {
-  fabric_.charge(r, work_units, phase);
-}
-
-CommFabric::SendReceipt BspEngine::send(Rank src, Rank dst,
-                                        std::vector<std::byte> payload,
-                                        std::int64_t records) {
-  const auto receipt = fabric_.post_send(src, dst, payload.size(), records);
-  if (receipt.dropped) return receipt;  // lost: never reaches the inbox
-  // A duplicated copy is filtered at the receiver rather than delivered: a
-  // copy straggling into a *later* round would carry a stale color and could
-  // make conflict detection asymmetric. (The event engine's transport does
-  // the same by sequence number; here the round structure stands in for it.)
-  if (receipt.duplicated) fabric_.note_dup_suppressed(dst);
-  if (receipt.corrupted) {
-    // Rejected by the receiver's checksum: discarded like a drop, and the
-    // algorithm recovers the same way (the receipt reports the verdict).
-    reject_corrupted(dst, receipt, std::move(payload));
-    return receipt;
-  }
-  deliver(dst, src, receipt.arrival, records, std::move(payload));
-  return receipt;
-}
-
 void BspEngine::reject_corrupted(Rank dst,
                                  const CommFabric::SendReceipt& receipt,
                                  std::vector<std::byte> payload) {
@@ -114,59 +86,32 @@ std::vector<BspMessage> BspEngine::drain(Rank r) {
 
 void BspEngine::allreduce() { barrier(); }
 
-BspEngine::RankCtx::RankCtx(BspEngine& engine, Rank r, bool deferred)
-    : engine_(&engine), rank_(r), deferred_(deferred) {
-  if (deferred_) lane_ = engine.fabric_.make_lane(r);
-}
+BspEngine::RankCtx::RankCtx(BspEngine& engine, Rank r)
+    : engine_(&engine), rank_(r), lane_(engine.fabric_.make_lane(r)) {}
 
-double BspEngine::RankCtx::now() const {
-  return deferred_ ? lane_.now() : engine_->now(rank_);
-}
+double BspEngine::RankCtx::now() const { return lane_.now(); }
 
 void BspEngine::RankCtx::charge(double work_units) {
   dirty_ = true;
-  if (deferred_) {
-    lane_.charge(work_units);
-  } else {
-    engine_->charge(rank_, work_units);
-  }
+  lane_.charge(work_units);
 }
 
 void BspEngine::RankCtx::charge(double work_units, WorkPhase phase) {
   dirty_ = true;
-  if (deferred_) {
-    lane_.charge(work_units, phase);
-  } else {
-    engine_->charge(rank_, work_units, phase);
-  }
+  lane_.charge(work_units, phase);
 }
 
 void BspEngine::RankCtx::send(Rank dst, std::vector<std::byte> payload,
                               std::int64_t records) {
-  dirty_ = true;
-  if (deferred_) {
-    const double send_time = lane_.begin_send();
-    sends_.push_back(
-        {dst, std::move(payload), records, send_time, ReceiptFn{}});
-  } else {
-    (void)engine_->send(rank_, dst, std::move(payload), records);
-  }
+  send(dst, std::move(payload), records, ReceiptFn{});
 }
 
 void BspEngine::RankCtx::send(Rank dst, std::vector<std::byte> payload,
                               std::int64_t records, ReceiptFn on_receipt) {
   dirty_ = true;
-  if (deferred_) {
-    const double send_time = lane_.begin_send();
-    sends_.push_back(
-        {dst, std::move(payload), records, send_time, std::move(on_receipt)});
-    return;
-  }
-  // The engine consumes the payload on delivery, so keep a copy for the
-  // callback (only sends whose verdict matters take this path).
-  const std::vector<std::byte> kept = payload;
-  const auto receipt = engine_->send(rank_, dst, std::move(payload), records);
-  on_receipt(receipt, std::span<const std::byte>(kept));
+  const double send_time = lane_.begin_send();
+  sends_.push_back(
+      {dst, std::move(payload), records, send_time, std::move(on_receipt)});
 }
 
 std::vector<BspMessage> BspEngine::RankCtx::poll() {
@@ -177,14 +122,13 @@ std::vector<BspMessage> BspEngine::RankCtx::poll() {
               "RankCtx::poll() may be called at most once per superstep "
               "callback");
   // A poll after the clock has advanced could observe pre-existing arrivals
-  // in (entry clock, advanced clock] that the harvested snapshot cannot
-  // contain; forbidding it keeps both execution paths byte-identical.
+  // in (entry clock, advanced clock] that the entry-clock harvest cannot
+  // contain; forbidding it keeps the harvest exact.
   PMC_REQUIRE(!dirty_,
               "RankCtx::poll() must precede every charge and send in the "
               "callback (it is resolved at the superstep-entry clock)");
   polled_ = true;
-  if (deferred_) return std::move(snapshot_);
-  return engine_->poll(rank_);
+  return std::move(snapshot_);
 }
 
 std::vector<BspMessage> BspEngine::RankCtx::drain() {
@@ -194,33 +138,23 @@ std::vector<BspMessage> BspEngine::RankCtx::drain() {
 void BspEngine::exchange(
     const std::function<void(RankCtx&, std::vector<BspMessage>)>& apply) {
   barrier();
-  // Post-barrier drains touch only the rank's own inbox, so the phase is
-  // always parallel-safe.
-  run_ranks(true, [&](RankCtx& ctx) { apply(ctx, ctx.drain()); });
+  // Post-barrier drains touch only the rank's own inbox.
+  run_ranks([&](RankCtx& ctx) { apply(ctx, ctx.drain()); });
 }
 
-void BspEngine::run_ranks(bool allow_parallel,
-                          const std::function<void(RankCtx&)>& body) {
+void BspEngine::run_ranks(const std::function<void(RankCtx&)>& body) {
   const Rank P = num_ranks();
-  if (!allow_parallel || backend_.mode() == ExecMode::kSequential) {
-    for (Rank r = 0; r < P; ++r) {
-      RankCtx ctx(*this, r, /*deferred=*/false);
-      body(ctx);
-    }
-    return;
-  }
   std::vector<RankCtx> ctxs;
   ctxs.reserve(static_cast<std::size_t>(P));
-  for (Rank r = 0; r < P; ++r) {
-    ctxs.push_back(RankCtx(*this, r, /*deferred=*/true));
-  }
-  // Rank callbacks run concurrently against their lanes; the fabric itself
-  // is only read. Per-rank inboxes (drain) are disjoint between callbacks.
+  for (Rank r = 0; r < P; ++r) ctxs.push_back(RankCtx(*this, r));
+  // Rank callbacks run against their lanes (concurrently with a threaded
+  // backend); the fabric itself is only read. Per-rank inboxes (drain) are
+  // disjoint between callbacks.
   backend_.parallel_for(static_cast<std::size_t>(P),
                         [&](std::size_t i) { body(ctxs[i]); });
-  // Merging in ascending rank order restores the sequential global order of
-  // sequence numbers, FIFO channel state, stats and trace output.
-  for (Rank r = 0; r < P; ++r) merge(ctxs[static_cast<std::size_t>(r)]);
+  // Merging in ascending rank order fixes the global order of sequence
+  // numbers, FIFO channel state, stats and trace output.
+  for (RankCtx& ctx : ctxs) merge(ctx);
 }
 
 bool BspEngine::snapshot_parallel_safe() const {
@@ -238,9 +172,9 @@ bool BspEngine::snapshot_parallel_safe() const {
   double prefix_min_bound = std::numeric_limits<double>::infinity();
   for (Rank r = 0; r < P; ++r) {
     const double clock_r = fabric_.now(r);
-    // Rank r's poll could see a same-superstep send from some s < r: the
-    // harvest pass cannot reproduce that, so the whole superstep falls
-    // back to sequential execution (all-or-nothing keeps the decision a
+    // Rank r's poll could see a same-superstep send from some s < r: an
+    // up-front harvest cannot reproduce that, so the whole superstep falls
+    // back to rank-by-rank execution (all-or-nothing keeps the decision a
     // pure function of the entry clocks).
     if (!(clock_r < prefix_min_bound)) return false;
     const double bound_r = (clock_r + m.send_overhead) + m.message_seconds(0.0);
@@ -251,64 +185,67 @@ bool BspEngine::snapshot_parallel_safe() const {
 
 void BspEngine::run_ranks_snapshot(const std::function<void(RankCtx&)>& body) {
   const Rank P = num_ranks();
+  const auto harvested = [&](Rank r) {
+    RankCtx ctx(*this, r);
+    ctx.poll_allowed_ = true;
+    ctx.snapshot_ = poll(r);
+    return ctx;
+  };
   if (!snapshot_parallel_safe()) {
-    // Exact fallback: live polls under the historical rank-ordered
-    // sequential schedule. The safety check reads only rank clocks, so
-    // every thread count reaches this branch for the same supersteps.
+    // Fallback: rank r harvests at its turn, after every s < r has merged,
+    // so its poll sees their same-superstep arrivals. poll() precedes any
+    // charge or send, so the harvest equals a live poll at the entry clock.
+    // The safety check reads only rank clocks, so every thread count
+    // reaches this branch for the same supersteps.
     ++snapshot_fallback_phases_;
     for (Rank r = 0; r < P; ++r) {
-      RankCtx ctx(*this, r, /*deferred=*/false);
-      ctx.poll_allowed_ = true;
+      RankCtx ctx = harvested(r);
       body(ctx);
+      merge(ctx);
     }
     return;
   }
-  // Harvest pass: with no same-superstep arrival able to land at or before
-  // any rank's entry clock, each rank's poll() result is exactly the set of
-  // pre-existing messages already arrived — resolvable before compute runs.
+  // With no same-superstep arrival able to land at or before any rank's
+  // entry clock, each rank's poll() result is exactly the set of
+  // pre-existing messages already arrived — harvestable before compute
+  // runs.
   ++snapshot_parallel_phases_;
   std::vector<RankCtx> ctxs;
   ctxs.reserve(static_cast<std::size_t>(P));
-  for (Rank r = 0; r < P; ++r) {
-    ctxs.push_back(RankCtx(*this, r, /*deferred=*/true));
-    ctxs.back().poll_allowed_ = true;
-    ctxs.back().snapshot_ = poll(r);
-  }
-  // Callbacks touch only their own lane and immutable snapshot inbox; under
-  // a sequential backend parallel_for runs them in rank order on the caller.
+  for (Rank r = 0; r < P; ++r) ctxs.push_back(harvested(r));
+  // Callbacks touch only their own lane and immutable snapshot inbox.
   backend_.parallel_for(static_cast<std::size_t>(P),
                         [&](std::size_t i) { body(ctxs[i]); });
-  for (Rank r = 0; r < P; ++r) {
-    RankCtx& ctx = ctxs[static_cast<std::size_t>(r)];
-    // A callback that never polled leaves its harvested messages pending.
-    // Their arrivals are <= the rank's entry clock, which is below every
-    // arrival still in (or about to enter) the inbox, so re-prepending in
-    // original order preserves the sorted-inbox invariant.
-    if (!ctx.polled_ && !ctx.snapshot_.empty()) {
-      auto& inbox = inboxes_[static_cast<std::size_t>(r)];
-      inbox.insert(inbox.begin(),
-                   std::make_move_iterator(ctx.snapshot_.begin()),
-                   std::make_move_iterator(ctx.snapshot_.end()));
-    }
-    ctx.snapshot_.clear();
-    merge(ctx);
-  }
+  for (RankCtx& ctx : ctxs) merge(ctx);
 }
 
 void BspEngine::merge(RankCtx& ctx) {
+  // A snapshot callback that never polled leaves its harvested messages
+  // pending. Their arrivals are <= the rank's entry clock, which is below
+  // every arrival still in (or about to enter) the inbox, so re-prepending
+  // in original order preserves the sorted-inbox invariant.
+  if (!ctx.polled_ && !ctx.snapshot_.empty()) {
+    auto& inbox = inboxes_[static_cast<std::size_t>(ctx.rank_)];
+    inbox.insert(inbox.begin(), std::make_move_iterator(ctx.snapshot_.begin()),
+                 std::make_move_iterator(ctx.snapshot_.end()));
+  }
   // Absorb the lane before replaying its sends: a send's dup-suppression
   // trace event reads the *receiver's* clock, which must already be final
-  // for lower ranks and still pre-phase for higher ranks — exactly the state
-  // sequential execution would observe at this rank's turn.
+  // for lower ranks and still pre-phase for higher ranks, at every thread
+  // count.
   fabric_.absorb_lane(ctx.lane_);
   for (auto& s : ctx.sends_) {
     const auto receipt = fabric_.post_send_at(ctx.rank_, s.dst,
                                               s.payload.size(), s.records,
                                               s.send_time);
+    // A duplicated copy is filtered at the receiver rather than delivered: a
+    // copy straggling into a *later* round would carry a stale color and
+    // could make conflict detection asymmetric. (The event engine's
+    // transport does the same by sequence number; here the round structure
+    // stands in for it.)
     if (receipt.duplicated) fabric_.note_dup_suppressed(s.dst);
-    // Mirror the direct path's event order (detection precedes the receipt
-    // callback); the callback still sees the *original* bytes, so only a
-    // copy is garbled.
+    // Detection precedes the receipt callback; the callback still sees the
+    // *original* bytes, so only a copy is garbled.
     if (!receipt.dropped && receipt.corrupted) {
       reject_corrupted(s.dst, receipt, s.payload);
     }

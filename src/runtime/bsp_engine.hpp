@@ -2,18 +2,20 @@
 // communication pattern of the parallel coloring framework.
 //
 // Unlike EventEngine (fully asynchronous, message-driven), BspEngine is
-// driven *by* the algorithm: the driver loops over ranks and supersteps,
-// charging work and sending messages. Clocks, per-channel FIFO ordering,
-// alpha-beta costs and accounting live in the shared CommFabric
-// (runtime/fabric.hpp); the engine owns only the per-rank inboxes and the
-// superstep receive primitives that mirror the paper's sync/async modes:
+// driven *by* the algorithm: the driver runs per-rank phases (run_ranks,
+// run_ranks_snapshot) whose callbacks charge work and send messages through
+// a RankCtx. Clocks, per-channel FIFO ordering, alpha-beta costs and
+// accounting live in the shared CommFabric (runtime/fabric.hpp); the engine
+// owns only the per-rank inboxes and the superstep receive primitives that
+// mirror the paper's sync/async modes:
 //
-//   * poll(r)   — deliver only messages whose modelled arrival time is
-//                 <= rank r's current clock (asynchronous supersteps: a rank
-//                 proceeds with whatever color information has arrived);
-//   * barrier() — advance every rank to the global completion time of all
-//                 in-flight messages ("wait until all incoming messages are
-//                 successfully received"), then drain(r) hands them over.
+//   * ctx.poll()  — deliver only messages whose modelled arrival time is
+//                   <= the rank's clock (asynchronous supersteps: a rank
+//                   proceeds with whatever color information has arrived);
+//   * barrier()   — advance every rank to the global completion time of all
+//                   in-flight messages ("wait until all incoming messages
+//                   are successfully received"), then ctx.drain() hands them
+//                   over.
 //
 // allreduce() models the termination check at the end of each coloring round.
 #pragma once
@@ -48,42 +50,26 @@ class BspEngine {
  public:
   BspEngine(Rank num_ranks, MachineModel model, TraceConfig trace = {});
 
-  /// Full-configuration constructor. When config.fault is enabled, send()
-  /// reports drops and duplicates through its receipt: a dropped message is
+  /// Full-configuration constructor. When config.fault is enabled, a send's
+  /// receipt reports drops and duplicates: a dropped message is
   /// never delivered (the *algorithm* recovers — e.g. the coloring re-enters
   /// affected vertices into conflict repair), a duplicated copy is filtered
   /// at the receiver (counted as suppressed) so a straggler cannot carry
   /// stale state into a later superstep.
   ///
-  /// `exec` selects the execution backend for run_ranks(): with
-  /// exec.threads > 1, parallel-safe phases run their rank callbacks on a
-  /// work-stealing pool — bit-identically to sequential execution.
+  /// `exec` selects the execution backend for the rank phases: with
+  /// exec.threads > 1 their callbacks run on a work-stealing pool, with
+  /// exec.threads == 1 inline — bit-identically either way.
   BspEngine(Rank num_ranks, MachineModel model, FabricConfig config,
             ExecConfig exec = {});
 
   [[nodiscard]] Rank num_ranks() const noexcept { return fabric_.num_ranks(); }
-
-  /// Advances rank r's clock by work_units * seconds_per_work; the phase
-  /// overload attributes the work in the trace breakdown.
-  void charge(Rank r, double work_units);
-  void charge(Rank r, double work_units, WorkPhase phase);
-
-  /// Sends payload from src to dst; arrival is modelled with the alpha-beta
-  /// cost and FIFO per-channel ordering. `records` counts algorithm records
-  /// for statistics. The receipt reports fault verdicts (always clean when
-  /// faults are disabled).
-  CommFabric::SendReceipt send(Rank src, Rank dst,
-                               std::vector<std::byte> payload,
-                               std::int64_t records);
 
   /// Whether the fabric injects faults (drives the algorithms' recovery
   /// paths).
   [[nodiscard]] bool faults_enabled() const noexcept {
     return fabric_.config().fault.enabled();
   }
-
-  /// Delivers messages to r whose arrival time has passed r's clock.
-  [[nodiscard]] std::vector<BspMessage> poll(Rank r);
 
   /// Latest modelled arrival among all pending (undelivered) messages, or
   /// 0.0 with nothing in flight. O(P): inboxes are sorted by arrival, so
@@ -94,27 +80,22 @@ class BspEngine {
   /// all clocks and all in-flight arrivals, plus the collective cost.
   void barrier();
 
-  /// Delivers all pending messages for r regardless of time (call after
-  /// barrier()).
-  [[nodiscard]] std::vector<BspMessage> drain(Rank r);
-
   /// Models an allreduce (used for the "any rank still has work" check).
   /// Synchronizes all clocks like barrier() and adds the collective cost.
   void allreduce();
 
-  // ---- per-rank execution (sequential or threaded) ------------------------
+  // ---- per-rank execution ---------------------------------------------------
 
-  /// Callback for RankCtx::send: invoked once the send's receipt is known —
-  /// immediately under direct execution, at the rank-ordered merge under
-  /// deferred execution. The payload span is only valid during the call.
+  /// Callback for RankCtx::send: invoked once the send's receipt is known,
+  /// at the rank-ordered merge. The payload span is only valid during the
+  /// call.
   using ReceiptFn = std::function<void(const CommFabric::SendReceipt&,
                                        std::span<const std::byte>)>;
 
-  /// A rank's handle inside run_ranks(). Under direct execution every call
-  /// forwards to the engine; under deferred (threaded) execution charges go
-  /// to a private fabric lane and sends are recorded with their lane send
-  /// time, then replayed through the fabric in rank order at the merge —
-  /// reproducing the sequential schedule bit-for-bit (see CommFabric::Lane).
+  /// A rank's handle inside a rank phase. Charges go to a private fabric
+  /// lane and sends are recorded with their lane send time, then replayed
+  /// through the fabric in rank order at the merge — so the schedule is the
+  /// same at every thread count (see CommFabric::Lane).
   class RankCtx {
    public:
     [[nodiscard]] Rank rank() const noexcept { return rank_; }
@@ -125,25 +106,22 @@ class BspEngine {
 
     void send(Rank dst, std::vector<std::byte> payload, std::int64_t records);
     /// Send whose fault verdict the algorithm reacts to (e.g. the coloring
-    /// decodes a dropped payload into its repair set). The callback replaces
-    /// inspecting the returned receipt, which deferred execution cannot
-    /// provide until the merge.
+    /// decodes a dropped payload into its repair set). The receipt is only
+    /// known at the merge, so the verdict arrives through the callback.
     void send(Rank dst, std::vector<std::byte> payload, std::int64_t records,
               ReceiptFn on_receipt);
 
     /// Deliver messages already arrived at this rank's clock — the
     /// asynchronous-superstep receive. Only available inside
     /// run_ranks_snapshot() phases, at most once per callback, and before
-    /// any charge or send: the result is resolved at the rank's
-    /// superstep-entry clock (under deferred execution from a pre-harvested
-    /// snapshot; under the sequential fallback from a live poll), and a
-    /// later poll at an advanced clock could observe arrivals the snapshot
-    /// rule cannot reproduce.
+    /// any charge or send: the result is harvested at the rank's
+    /// superstep-entry clock, and a later poll at an advanced clock could
+    /// observe arrivals the harvest cannot reproduce.
     [[nodiscard]] std::vector<BspMessage> poll();
 
     /// Deliver all pending messages (call in a phase that follows a
     /// barrier). Touches only this rank's inbox, so it is safe — and
-    /// deterministic — in both execution modes.
+    /// deterministic — at every thread count.
     [[nodiscard]] std::vector<BspMessage> drain();
 
    private:
@@ -156,61 +134,58 @@ class BspEngine {
       ReceiptFn on_receipt;
     };
 
-    RankCtx(BspEngine& engine, Rank r, bool deferred);
+    RankCtx(BspEngine& engine, Rank r);
 
     BspEngine* engine_ = nullptr;
     Rank rank_ = kNoRank;
-    bool deferred_ = false;
     bool poll_allowed_ = false;  ///< Set only by run_ranks_snapshot().
     bool polled_ = false;        ///< poll() is one-shot per callback.
     bool dirty_ = false;         ///< Any charge/send forbids a later poll().
-    CommFabric::Lane lane_;            // deferred execution only
-    std::vector<DeferredSend> sends_;  // deferred execution only
-    /// Pre-harvested poll() result (deferred snapshot execution only).
+    CommFabric::Lane lane_;
+    std::vector<DeferredSend> sends_;
+    /// Pre-harvested poll() result (run_ranks_snapshot() only).
     std::vector<BspMessage> snapshot_;
   };
 
-  /// Runs body(ctx) once for every rank. `allow_parallel` declares the phase
-  /// free of cross-rank reads (synchronous-superstep compute, post-barrier
-  /// drains, conflict detection): only then — and only with a threaded
-  /// backend — do the callbacks run concurrently, each against a deferred
-  /// RankCtx, merged in rank order afterwards. Phases that poll() mid-
-  /// superstep must use run_ranks_snapshot() instead.
-  void run_ranks(bool allow_parallel,
-                 const std::function<void(RankCtx&)>& body);
+  /// Runs body(ctx) once for every rank (concurrently with a threaded
+  /// backend), each against its own RankCtx, and merges the contexts in
+  /// rank order afterwards. Callbacks see no other rank's effects from the
+  /// same phase (synchronous-superstep compute, post-barrier drains,
+  /// conflict detection). Phases that poll() mid-superstep must use
+  /// run_ranks_snapshot() instead.
+  void run_ranks(const std::function<void(RankCtx&)>& body);
 
   /// The bulk-synchronous exchange that ends a superstep round: barrier(),
-  /// then a parallel-safe phase in which every rank drains its inbox and
-  /// `apply` consumes the messages. Equivalent to the barrier() +
-  /// run_ranks(true, drain...) pattern every BSP driver repeats.
+  /// then a rank phase in which every rank drains its inbox and `apply`
+  /// consumes the messages. Equivalent to the barrier() +
+  /// run_ranks(drain...) pattern every BSP driver repeats.
   void exchange(
       const std::function<void(RankCtx&, std::vector<BspMessage>)>& apply);
 
   /// Runs an asynchronous superstep — a phase whose callbacks may call
-  /// ctx.poll() once, up front — once for every rank, parallelizing when a
-  /// clock-only safety check proves the parallel schedule byte-identical to
-  /// the historical rank-ordered sequential one.
+  /// ctx.poll() once, up front — once for every rank, with the semantics of
+  /// running the ranks one after another in rank order: rank r's poll sees
+  /// (a) pre-existing inbox messages with arrival <= clock_r and (b)
+  /// same-superstep sends from ranks s < r that already arrived.
   ///
-  /// Under sequential execution rank r's poll sees (a) pre-existing inbox
-  /// messages with arrival <= clock_r and (b) same-superstep sends from
-  /// ranks s < r that already arrived. The harvest pass can resolve (a)
-  /// before compute runs; (b) is empty whenever every rank's entry clock
-  /// lies strictly below a floating-point lower bound on the earliest
-  /// message any earlier rank could emit this superstep
+  /// A clock-only safety check decides how. (b) is empty whenever every
+  /// rank's entry clock lies strictly below a floating-point lower bound on
+  /// the earliest message any earlier rank could emit this superstep
   /// ((clock_s + send_overhead) + message_seconds(0), evaluated in the send
   /// path's own op order — every later step only adds nonnegative cost,
   /// takes a max, or rounds a monotone op). When that holds for all ranks,
-  /// poll() results are pre-harvested into per-rank snapshots and the
-  /// callbacks run deferred (concurrently under a threaded backend), merged
-  /// in rank order like run_ranks(true, ...); otherwise the phase falls
-  /// back to direct sequential execution with live polls. The check reads
-  /// only rank clocks, so every thread count takes the same branch — see
-  /// DESIGN.md §5c ("Snapshot-harvested asynchronous supersteps").
+  /// every poll() result is harvested up front and the callbacks run
+  /// together (concurrently under a threaded backend), merged in rank order
+  /// like run_ranks(); otherwise the phase falls back to running rank r
+  /// against its harvest at its turn and merging it before rank r + 1
+  /// starts. The check reads only rank clocks, so every thread count takes
+  /// the same branch — see DESIGN.md §5c ("Snapshot-harvested asynchronous
+  /// supersteps").
   void run_ranks_snapshot(const std::function<void(RankCtx&)>& body);
 
   /// How many run_ranks_snapshot() phases passed the safety check and ran
-  /// deferred (parallel-capable), and how many fell back to direct
-  /// sequential execution. Pure functions of the rank clocks, so both are
+  /// their ranks together (parallel-capable), and how many fell back to
+  /// rank-by-rank execution. Pure functions of the rank clocks, so both are
   /// identical at every thread count — tests use them to assert the
   /// parallel path was really exercised.
   [[nodiscard]] std::int64_t snapshot_parallel_phases() const noexcept {
@@ -246,6 +221,10 @@ class BspEngine {
   [[nodiscard]] const CommFabric& fabric() const noexcept { return fabric_; }
 
  private:
+  /// Delivers messages to r whose arrival time has passed r's clock.
+  [[nodiscard]] std::vector<BspMessage> poll(Rank r);
+  /// Delivers all pending messages for r regardless of time.
+  [[nodiscard]] std::vector<BspMessage> drain(Rank r);
   /// Inserts an already-priced message into dst's inbox (sorted by arrival).
   void deliver(Rank dst, Rank src, double arrival, std::int64_t records,
                std::vector<std::byte> payload);
@@ -258,7 +237,8 @@ class BspEngine {
   /// reaches the inbox; the sender's receipt drives the algorithm's repair.
   void reject_corrupted(Rank dst, const CommFabric::SendReceipt& receipt,
                         std::vector<std::byte> payload);
-  /// Absorbs a deferred rank's lane and replays its recorded sends.
+  /// Absorbs a rank's lane and replays its recorded sends. A snapshot
+  /// phase's unpolled harvest goes back to the inbox first.
   void merge(RankCtx& ctx);
 
   CommFabric fabric_;

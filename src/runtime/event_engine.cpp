@@ -21,115 +21,29 @@ constexpr std::size_t kAckPayloadBytes = 12;
 
 Rank EventContext::num_ranks() const noexcept { return engine_->num_ranks(); }
 
-void EventContext::charge(double work_units) noexcept {
-  if (deferred()) {
-    lane_->charge(work_units);
-  } else {
-    engine_->fabric_.charge(rank_, work_units);
-  }
+EventContext::DeferredOp& EventContext::record(DeferredOp::Kind kind) {
+  DeferredOp& op = ops_->emplace_back();
+  op.kind = kind;
+  op.note_time = lane_->now();
+  return op;
 }
 
 void EventContext::send(Rank dst, std::vector<std::byte> payload,
                         std::int64_t records) {
-  if (!deferred()) {
-    engine_->enqueue(rank_, dst, std::move(payload), records);
-    return;
-  }
   // With the reliable transport, a one-attempt budget makes the very first
-  // transmit the (fault-exempt) reliable tail; the lane must skip the stall
-  // wait exactly as the live begin_send() would for an exempt send.
+  // transmit the (fault-exempt) reliable tail, which skips the stall wait.
   const FaultConfig& F = engine_->fabric_.config().fault;
   const bool exempt_first =
       engine_->transport_ && F.max_attempts == 1 && F.reliable_tail;
-  DeferredOp op;
-  op.kind = DeferredOp::Kind::kSend;
+  DeferredOp& op = record(DeferredOp::Kind::kSend);
   op.peer = dst;
   op.payload = std::move(payload);
   op.records = records;
   op.send_time = lane_->begin_send(exempt_first);
-  ops_.push_back(std::move(op));
-}
-
-double EventContext::now() const noexcept {
-  return deferred() ? lane_->now() : engine_->fabric_.now(rank_);
 }
 
 void EventContext::set_round(int round) {
-  if (deferred()) {
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::kRound;
-    op.round = round;
-    ops_.push_back(std::move(op));
-  } else {
-    engine_->fabric_.set_round(rank_, round);
-  }
-}
-
-void EventContext::set_phase(WorkPhase phase) noexcept {
-  if (deferred()) {
-    lane_->set_phase(phase);
-  } else {
-    engine_->fabric_.set_phase(rank_, phase);
-  }
-}
-
-void EventContext::advance_to(double t) {
-  if (deferred()) {
-    lane_->advance_to(t);
-  } else {
-    engine_->fabric_.advance_to(rank_, t);
-  }
-}
-
-double EventContext::begin_send(bool fault_exempt) {
-  return deferred() ? lane_->begin_send(fault_exempt)
-                    : engine_->fabric_.begin_send(rank_, fault_exempt);
-}
-
-void EventContext::note_backoff(double seconds) {
-  if (deferred()) {
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::kNoteBackoff;
-    op.seconds = seconds;
-    ops_.push_back(std::move(op));
-  } else {
-    engine_->fabric_.note_backoff(rank_, seconds);
-  }
-}
-
-void EventContext::note_retry(Rank peer, int attempt) {
-  if (deferred()) {
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::kNoteRetry;
-    op.peer = peer;
-    op.attempt = attempt;
-    op.note_time = lane_->now();
-    ops_.push_back(std::move(op));
-  } else {
-    engine_->fabric_.note_retry(rank_, peer, attempt);
-  }
-}
-
-void EventContext::note_dup_suppressed() {
-  if (deferred()) {
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::kNoteDupSuppressed;
-    op.note_time = lane_->now();
-    ops_.push_back(std::move(op));
-  } else {
-    engine_->fabric_.note_dup_suppressed(rank_);
-  }
-}
-
-void EventContext::note_corruption_detected() {
-  if (deferred()) {
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::kNoteCorruptDetected;
-    op.note_time = lane_->now();
-    ops_.push_back(std::move(op));
-  } else {
-    engine_->fabric_.note_corruption_detected(rank_);
-  }
+  record(DeferredOp::Kind::kRound).round = round;
 }
 
 EventEngine::EventEngine(MachineModel model, FabricConfig config,
@@ -137,24 +51,21 @@ EventEngine::EventEngine(MachineModel model, FabricConfig config,
     : fabric_(std::move(model), std::move(config)),
       backend_(exec),
       transport_(fabric_.config().fault.enabled()) {
-  if (backend_.mode() == ExecMode::kThreads) {
-    // Minimum spacing between an event and any event its dispatch can
-    // generate: every send pays the software overhead, then either the wire
-    // latency (data/ack arrival) or a full retransmission timeout (retry
-    // timer). Half of that bound is the window span — the margin keeps
-    // floating-point associativity drift (computing horizon as W + span vs
-    // a generated time as ((t + o) + alpha)) from ever pulling a generated
-    // event inside its own window. A degenerate (all-zero) cost model has
-    // no spacing; windowing stays off and dispatch falls back to the
-    // sequential path.
-    const MachineModel& m = fabric_.model();
-    double lookahead = m.latency;
-    if (transport_) {
-      lookahead = std::min(lookahead, fabric_.config().fault.rto_seconds);
-    }
-    lookahead += m.send_overhead;
-    if (lookahead > 0.0) window_seconds_ = 0.5 * lookahead;
+  // Minimum spacing between an event and any event its dispatch can
+  // generate: every send pays the software overhead, then either the wire
+  // latency (data/ack arrival) or a full retransmission timeout (retry
+  // timer). Half of that bound is the window span — the margin keeps
+  // floating-point associativity drift (computing horizon as W + span vs a
+  // generated time as ((t + o) + alpha)) from ever pulling a generated event
+  // inside its own window. A degenerate (all-zero) cost model has no
+  // spacing: its windows hold one event each.
+  const MachineModel& m = fabric_.model();
+  double lookahead = m.latency;
+  if (transport_) {
+    lookahead = std::min(lookahead, fabric_.config().fault.rto_seconds);
   }
+  lookahead += m.send_overhead;
+  window_seconds_ = std::max(0.0, 0.5 * lookahead);
 }
 
 EventEngine::EventEngine(MachineModel model, double jitter_seconds,
@@ -175,39 +86,6 @@ void EventEngine::push_event(Event ev) {
   ev.seq = order_seq_++;
   queue_.push(std::move(ev));
   ++events_posted_;
-}
-
-void EventEngine::enqueue(Rank src, Rank dst, std::vector<std::byte> payload,
-                          std::int64_t records) {
-  if (!transport_) {
-    const double send_time = fabric_.begin_send(src);
-    const auto receipt =
-        fabric_.post_send_at(src, dst, payload.size(), records, send_time);
-    Event ev;
-    ev.time = receipt.arrival;
-    ev.src = src;
-    ev.dst = dst;
-    ev.payload = std::move(payload);
-    push_event(std::move(ev));
-    return;
-  }
-  auto& sender = transport_state_[static_cast<std::size_t>(src)];
-  const std::uint64_t tseq = sender.next_tseq[dst]++;
-  Pending& entry = sender.unacked[dst][tseq];
-  entry.payload = std::move(payload);
-  entry.records = records;
-  entry.attempt = 1;
-  const FaultConfig& F = fabric_.config().fault;
-  const bool final_attempt = entry.attempt >= F.max_attempts;
-  const bool exempt = final_attempt && F.reliable_tail;
-  const double send_time = fabric_.begin_send(src, exempt);
-  transmit_priced(src, dst, tseq, entry.payload, entry.records, entry.attempt,
-                  send_time);
-  // Exempt tail: delivery is guaranteed, drop the retransmission state (a
-  // late ack for an earlier try is ignored harmlessly). Without the tail a
-  // delivered final try just stops retrying; the entry stays until its ack
-  // arrives, or inertly forever if that ack is lost.
-  if (exempt) sender.unacked[dst].erase(tseq);
 }
 
 void EventEngine::enqueue_at(Rank src, Rank dst,
@@ -234,6 +112,10 @@ void EventEngine::enqueue_at(Rank src, Rank dst,
   const bool exempt = entry.attempt >= F.max_attempts && F.reliable_tail;
   transmit_priced(src, dst, tseq, entry.payload, entry.records, entry.attempt,
                   send_time);
+  // Exempt tail: delivery is guaranteed, drop the retransmission state (a
+  // late ack for an earlier try is ignored harmlessly). Without the tail a
+  // delivered final try just stops retrying; the entry stays until its ack
+  // arrives, or inertly forever if that ack is lost.
   if (exempt) sender.unacked[dst].erase(tseq);
 }
 
@@ -290,9 +172,8 @@ void EventEngine::transmit_priced(Rank src, Rank dst, std::uint64_t tseq,
   if (!final_attempt) {
     Event timer;
     timer.kind = EventKind::kTimer;
-    // The clock sits at the send time when the timer is armed (a deferred
-    // replay uses the recorded lane send time for the same reason: the live
-    // clock has already absorbed the whole lane).
+    // The timer is armed at the send time: the recorded lane send time, not
+    // the live clock, which has already absorbed the whole lane.
     timer.time =
         send_time + F.rto_seconds * std::pow(F.rto_backoff, attempt - 1);
     timer.src = dst;  // peer the pending message targets
@@ -328,16 +209,18 @@ void EventEngine::replay_ack(Rank from, Rank to, std::uint64_t tseq,
 }
 
 void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
+  using Kind = EventContext::DeferredOp::Kind;
+  CommFabric::Lane& lane = *ctx.lane_;
   switch (ev.kind) {
     case EventKind::kData: {
-      ctx.advance_to(ev.time);
+      lane.advance_to(ev.time);
       if (ev.corrupted) {
         // Honest detection: the delivered bytes themselves must fail frame
         // validation (empty payloads have nothing to flip and are rejected
         // outright). No ack — the sender's retry timer recovers.
         PMC_CHECK(ev.payload.empty() || !FrameReader(ev.payload).valid(),
                   "garbled frame passed checksum validation");
-        ctx.note_corruption_detected();
+        ctx.record(Kind::kNoteCorruptDetected);
         return;
       }
       if (transport_) {
@@ -345,19 +228,13 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
         const bool fresh = receiver.delivered[ev.src].insert(ev.tseq).second;
         // Always (re-)ack: the sender may be retrying because an earlier
         // ack was lost.
-        const double ack_time = ctx.begin_send(false);
-        if (ctx.deferred()) {
-          EventContext::DeferredOp op;
-          op.kind = EventContext::DeferredOp::Kind::kAck;
-          op.peer = ev.src;
-          op.tseq = ev.tseq;
-          op.send_time = ack_time;
-          ctx.ops_.push_back(std::move(op));
-        } else {
-          replay_ack(ev.dst, ev.src, ev.tseq, ack_time);
-        }
+        const double ack_time = lane.begin_send(false);
+        EventContext::DeferredOp& ack = ctx.record(Kind::kAck);
+        ack.peer = ev.src;
+        ack.tseq = ev.tseq;
+        ack.send_time = ack_time;
         if (!fresh) {
-          ctx.note_dup_suppressed();
+          ctx.record(Kind::kNoteDupSuppressed);
           return;
         }
       }
@@ -366,11 +243,11 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
       return;
     }
     case EventKind::kAck: {
-      ctx.advance_to(ev.time);
+      lane.advance_to(ev.time);
       if (ev.corrupted) {
         // A garbled ack is rejected, not trusted: the pending entry stays
         // and the data message will be retransmitted (then re-acked).
-        ctx.note_corruption_detected();
+        ctx.record(Kind::kNoteCorruptDetected);
         return;
       }
       auto& unacked = transport_state_[static_cast<std::size_t>(ev.dst)].unacked;
@@ -387,34 +264,29 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
       auto it = chan->second.find(ev.tseq);
       if (it == chan->second.end()) return;  // acked meanwhile: timer no-ops
       // Still unacknowledged: the rank sat out the timeout, then retries.
-      const double waited = ev.time - ctx.now();
-      if (waited > 0.0) ctx.note_backoff(waited);
-      ctx.advance_to(ev.time);
+      const double waited = ev.time - lane.now();
+      if (waited > 0.0) ctx.record(Kind::kNoteBackoff).seconds = waited;
+      lane.advance_to(ev.time);
       Pending& entry = it->second;
-      ctx.note_retry(peer, entry.attempt + 1);
       entry.attempt += 1;
+      EventContext::DeferredOp& retry = ctx.record(Kind::kNoteRetry);
+      retry.peer = peer;
+      retry.attempt = entry.attempt;
       const FaultConfig& F = fabric_.config().fault;
       const bool final_attempt = entry.attempt >= F.max_attempts;
       const bool exempt = final_attempt && F.reliable_tail;
-      const double send_time = ctx.begin_send(exempt);
-      if (ctx.deferred()) {
-        // Snapshot the message: a later ack in the same window (processed by
-        // this same shard) may erase the entry before the merge replays the
-        // retransmission.
-        EventContext::DeferredOp op;
-        op.kind = EventContext::DeferredOp::Kind::kRetransmit;
-        op.peer = peer;
-        op.payload = entry.payload;
-        op.records = entry.records;
-        op.attempt = entry.attempt;
-        op.tseq = ev.tseq;
-        op.send_time = send_time;
-        ctx.ops_.push_back(std::move(op));
-      } else {
-        transmit_priced(sender, peer, ev.tseq, entry.payload, entry.records,
-                        entry.attempt, send_time);
-      }
-      // See enqueue(): the exempt tail's delivery is guaranteed, so the
+      const double send_time = lane.begin_send(exempt);
+      // Snapshot the message: a later ack in the same window (processed by
+      // this same shard) may erase the entry before the merge replays the
+      // retransmission.
+      EventContext::DeferredOp& resend = ctx.record(Kind::kRetransmit);
+      resend.peer = peer;
+      resend.payload = entry.payload;
+      resend.records = entry.records;
+      resend.attempt = entry.attempt;
+      resend.tseq = ev.tseq;
+      resend.send_time = send_time;
+      // See enqueue_at(): the exempt tail's delivery is guaranteed, so the
       // retransmission state goes now.
       if (exempt) chan->second.erase(ev.tseq);
       return;
@@ -423,83 +295,63 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
 }
 
 void EventEngine::dispatch_window() {
-  // The events of one window, in (time, seq) pop order — the order the
-  // sequential engine would have dispatched them, restored at merge time.
-  std::vector<Event> window;
+  // The events of one window, in (time, seq) pop order — the order
+  // one-at-a-time dispatch would have applied them, restored at merge time.
+  // The head always opens the window, so a zero span yields one-event
+  // windows.
+  window_.clear();
   const double horizon = queue_.top().time + window_seconds_;
-  while (!queue_.empty() && queue_.top().time < horizon) {
+  do {
     // priority_queue::top is const; the move is safe because the element is
     // popped immediately after.
-    window.push_back(std::move(const_cast<Event&>(queue_.top())));
+    window_.push_back(std::move(const_cast<Event&>(queue_.top())));
     queue_.pop();
-  }
+  } while (!queue_.empty() && queue_.top().time < horizon);
 
   // Shard by destination rank (each event mutates only its destination's
-  // clock, process and transport slot). Shards are ordered by rank so a
-  // multi-shard failure deterministically surfaces the lowest rank's error.
-  std::vector<Rank> shard_ranks;
-  std::vector<std::vector<std::uint32_t>> shard_events;
-  {
-    std::vector<std::int32_t> shard_of(
-        static_cast<std::size_t>(num_ranks()), -1);
-    std::vector<Rank> order;
-    for (const Event& ev : window) {
-      if (shard_of[static_cast<std::size_t>(ev.dst)] < 0) {
-        shard_of[static_cast<std::size_t>(ev.dst)] = 0;
-        order.push_back(ev.dst);
-      }
-    }
-    std::sort(order.begin(), order.end());
-    shard_ranks = std::move(order);
-    for (std::size_t s = 0; s < shard_ranks.size(); ++s) {
-      shard_of[static_cast<std::size_t>(shard_ranks[s])] =
-          static_cast<std::int32_t>(s);
-    }
-    shard_events.resize(shard_ranks.size());
-    for (std::uint32_t i = 0; i < window.size(); ++i) {
-      shard_events[static_cast<std::size_t>(
-                       shard_of[static_cast<std::size_t>(window[i].dst)])]
-          .push_back(i);
+  // clock, process and transport slot): a stable sort of the window by
+  // destination makes each shard a contiguous run, in ascending rank order
+  // (so a multi-shard failure deterministically surfaces the lowest rank's
+  // error) and in pop order within the shard.
+  order_.resize(window_.size());
+  for (std::uint32_t i = 0; i < order_.size(); ++i) order_[i] = i;
+  std::stable_sort(order_.begin(), order_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return window_[a].dst < window_[b].dst;
+                   });
+  shard_begin_.clear();
+  for (std::size_t k = 0; k < order_.size(); ++k) {
+    if (k == 0 || window_[order_[k]].dst != window_[order_[k - 1]].dst) {
+      shard_begin_.push_back(k);
     }
   }
+  const std::size_t shards = shard_begin_.size();
+  shard_begin_.push_back(order_.size());
 
-  if (shard_ranks.size() == 1) {
-    // One destination: nothing to run concurrently, and the direct path is
-    // definitionally the sequential schedule.
-    for (const Event& ev : window) {
-      EventContext ctx(*this, ev.dst);
-      dispatch(ev, ctx);
-    }
-    return;
-  }
-
-  // Run the shards concurrently: each against a private lane, recording
-  // per-event op frames. The shared fabric and other ranks' transport slots
-  // are only read.
-  std::vector<CommFabric::Lane> lanes(shard_ranks.size());
-  std::vector<std::vector<EventContext::DeferredOp>> frames(window.size());
+  // Run the shards (concurrently with a threaded backend): each against a
+  // private lane, recording per-event op frames. The shared fabric and
+  // other ranks' transport slots are only read.
+  std::vector<CommFabric::Lane> lanes(shards);
+  if (frames_.size() < window_.size()) frames_.resize(window_.size());
   auto tasks = backend_.make_window();
-  for (std::size_t s = 0; s < shard_ranks.size(); ++s) {
-    tasks.submit([this, s, &shard_ranks, &shard_events, &window, &lanes,
-                  &frames] {
-      lanes[s] = fabric_.make_lane(shard_ranks[s]);
-      for (const std::uint32_t i : shard_events[s]) {
-        EventContext ctx(*this, shard_ranks[s], &lanes[s]);
-        dispatch(window[i], ctx);
-        frames[i] = std::move(ctx.ops_);
+  for (std::size_t s = 0; s < shards; ++s) {
+    tasks.submit([this, s, &lanes] {
+      lanes[s] = fabric_.make_lane(window_[order_[shard_begin_[s]]].dst);
+      for (std::size_t k = shard_begin_[s]; k < shard_begin_[s + 1]; ++k) {
+        EventContext ctx(*this, lanes[s], frames_[order_[k]]);
+        dispatch(window_[order_[k]], ctx);
       }
     });
   }
   tasks.wait();
 
   // Merge: install the lanes' final accounting, then replay every event's
-  // recorded effects in the window's (time, seq) order — which is exactly
-  // the order the sequential engine would have applied them, so sequence
+  // recorded effects in the window's (time, seq) order — so sequence
   // numbers, jitter and fault verdicts, FIFO channel state and trace output
-  // all land bit-identically.
+  // all land exactly as under one-at-a-time dispatch.
   for (const CommFabric::Lane& lane : lanes) fabric_.absorb_lane(lane);
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    replay_ops(window[i].dst, frames[i]);
+  for (std::size_t i = 0; i < window_.size(); ++i) {
+    replay_ops(window_[i].dst, frames_[i]);
   }
 }
 
@@ -540,37 +392,30 @@ void EventEngine::replay_ops(Rank rank,
 }
 
 void EventEngine::fan_out(const std::vector<Rank>& ranks, FanPhase phase) {
-  const auto invoke = [&](Rank r, EventContext& ctx) {
-    Process& p = *processes_[static_cast<std::size_t>(r)];
-    if (phase == FanPhase::kStart) {
-      p.start(ctx);
-    } else {
-      p.idle(ctx);
-    }
-  };
-  if (backend_.mode() == ExecMode::kSequential) {
-    for (Rank r : ranks) {
-      EventContext ctx(*this, r);
-      invoke(r, ctx);
-    }
-    return;
-  }
   std::vector<CommFabric::Lane> lanes;
   lanes.reserve(ranks.size());
+  if (frames_.size() < ranks.size()) frames_.resize(ranks.size());
   std::vector<EventContext> ctxs;
   ctxs.reserve(ranks.size());
-  for (Rank r : ranks) {
-    lanes.push_back(fabric_.make_lane(r));
-    ctxs.push_back(EventContext(*this, r, &lanes.back()));
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    lanes.push_back(fabric_.make_lane(ranks[i]));
+    ctxs.push_back(EventContext(*this, lanes.back(), frames_[i]));
   }
-  // Callbacks run concurrently against their lanes (the shared fabric is
-  // only read); the rank-ordered merge below restores the sequential global
-  // order of sequence numbers, transport state and trace output.
-  backend_.parallel_for(ctxs.size(),
-                        [&](std::size_t i) { invoke(ranks[i], ctxs[i]); });
+  // Callbacks run against their lanes (concurrently with a threaded
+  // backend; the shared fabric is only read); the rank-ordered merge below
+  // restores the global order of sequence numbers, transport state and
+  // trace output.
+  backend_.parallel_for(ctxs.size(), [&](std::size_t i) {
+    Process& p = *processes_[static_cast<std::size_t>(ranks[i])];
+    if (phase == FanPhase::kStart) {
+      p.start(ctxs[i]);
+    } else {
+      p.idle(ctxs[i]);
+    }
+  });
   for (std::size_t i = 0; i < ctxs.size(); ++i) {
     fabric_.absorb_lane(lanes[i]);
-    replay_ops(ranks[i], ctxs[i].ops_);
+    replay_ops(ranks[i], frames_[i]);
   }
 }
 
@@ -588,19 +433,8 @@ RunResult EventEngine::run() {
     fan_out(all, FanPhase::kStart);
   }
 
-  const bool windowed =
-      backend_.mode() == ExecMode::kThreads && window_seconds_ > 0.0;
   while (true) {
-    while (!queue_.empty()) {
-      if (windowed) {
-        dispatch_window();
-      } else {
-        Event ev = std::move(const_cast<Event&>(queue_.top()));
-        queue_.pop();
-        EventContext ctx(*this, ev.dst);
-        dispatch(ev, ctx);
-      }
-    }
+    while (!queue_.empty()) dispatch_window();
     bool all_done = true;
     for (const auto& p : processes_) {
       if (!p->done()) {

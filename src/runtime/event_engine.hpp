@@ -17,12 +17,13 @@
 //     sensitivity discussed around the paper's Fig 3.1).
 //   * The engine pops events globally in (time, sequence) order and invokes
 //     Process::handle on the destination, after advancing that rank's clock
-//     to at least the arrival time. With a threaded backend, dispatch is
-//     *windowed*: a batch of events closer together than the model's minimum
-//     event-generation lookahead is popped at once, sharded by destination
-//     rank across the thread pool (handlers run against private fabric
-//     lanes), and the recorded effects are merged back in (time, seq) order
-//     — bit-identical to the sequential schedule (DESIGN.md §5c).
+//     to at least the arrival time. Dispatch is *windowed*: a batch of
+//     events closer together than the model's minimum event-generation
+//     lookahead is popped at once, sharded by destination rank (across the
+//     thread pool with a threaded backend; handlers run against private
+//     fabric lanes), and the recorded effects are merged back in
+//     (time, seq) order — bit-identical to one-at-a-time dispatch
+//     (DESIGN.md §5c).
 //   * When the queue drains and some rank reports !done(), the engine calls
 //     Process::idle once per such rank; if that generates no messages and
 //     ranks are still unfinished, the run aborts with a deadlock diagnostic.
@@ -52,34 +53,32 @@ class EventEngine;
 
 /// Per-rank API surface handed to Process callbacks.
 ///
-/// During the engine's parallel phases (the start/idle fan-outs and windowed
-/// event dispatch, with a threaded backend) the context runs *deferred*:
-/// charges go to a private fabric lane (borrowed from the engine — one lane
-/// per rank shard) and every fabric-visible action — sends, round labels,
-/// transport acks/retransmissions, recovery notes — is recorded in program
-/// order, then replayed through the fabric in deterministic order
-/// afterwards, so the event schedule is bit-identical to sequential
-/// execution. With a sequential backend the context is *direct* and every
-/// operation hits the live fabric immediately.
+/// Every callback — start(), idle() and each event's handle() — runs
+/// *deferred*: charges go to a private fabric lane (borrowed from the engine
+/// — one lane per rank shard) and every fabric-visible action — sends, round
+/// labels, transport acks/retransmissions, recovery notes — is recorded in
+/// program order, then replayed through the fabric in deterministic order
+/// afterwards, so the event schedule is the same at every thread count
+/// (DESIGN.md §5c). With a sequential backend the lanes simply run inline.
 class EventContext {
  public:
-  [[nodiscard]] Rank rank() const noexcept { return rank_; }
+  [[nodiscard]] Rank rank() const noexcept { return lane_->rank(); }
   [[nodiscard]] Rank num_ranks() const noexcept;
 
   /// Advances this rank's virtual clock by work_units * seconds_per_work.
-  void charge(double work_units) noexcept;
+  void charge(double work_units) noexcept { lane_->charge(work_units); }
 
   /// Sends a payload to dst; `records` is the number of algorithm-level
   /// records inside (statistics only).
   void send(Rank dst, std::vector<std::byte> payload, std::int64_t records);
 
   /// Current virtual time of this rank.
-  [[nodiscard]] double now() const noexcept;
+  [[nodiscard]] double now() const noexcept { return lane_->now(); }
 
   /// Trace attribution (instrumentation only): the round label this rank's
   /// subsequent sends carry, and the phase its charges count toward.
   void set_round(int round);
-  void set_phase(WorkPhase phase) noexcept;
+  void set_phase(WorkPhase phase) noexcept { lane_->set_phase(phase); }
 
  private:
   friend class EventEngine;
@@ -112,29 +111,20 @@ class EventContext {
     std::uint64_t tseq = 0;  ///< kAck/kRetransmit: transport sequence.
   };
 
-  /// Direct context: operations hit the live fabric immediately.
-  EventContext(EventEngine& engine, Rank rank)
-      : engine_(&engine), rank_(rank) {}
-  /// Deferred context over a borrowed lane (owned by the engine's fan-out or
-  /// window shard; one lane may serve many per-event contexts in sequence).
-  EventContext(EventEngine& engine, Rank rank, CommFabric::Lane* lane)
-      : engine_(&engine), rank_(rank), lane_(lane) {}
+  /// Context over a borrowed lane (owned by the engine's fan-out or window
+  /// shard; one lane may serve many per-event contexts in sequence) that
+  /// records into a borrowed op frame (the engine's, reused across windows).
+  EventContext(EventEngine& engine, CommFabric::Lane& lane,
+               std::vector<DeferredOp>& ops)
+      : engine_(&engine), lane_(&lane), ops_(&ops) {}
 
-  [[nodiscard]] bool deferred() const noexcept { return lane_ != nullptr; }
-
-  // Engine-side dispatch helpers: each is the deferred/direct pair of one
-  // sequential-engine operation (record on the lane vs apply to the fabric).
-  void advance_to(double t);
-  double begin_send(bool fault_exempt);
-  void note_backoff(double seconds);
-  void note_retry(Rank peer, int attempt);
-  void note_dup_suppressed();
-  void note_corruption_detected();
+  /// Appends an op of `kind` stamped with the lane clock (the value a note
+  /// reads); the caller fills in the kind-specific fields.
+  DeferredOp& record(DeferredOp::Kind kind);
 
   EventEngine* engine_;
-  Rank rank_;
-  CommFabric::Lane* lane_ = nullptr;  // deferred execution only (borrowed)
-  std::vector<DeferredOp> ops_;       // deferred execution only
+  CommFabric::Lane* lane_;
+  std::vector<DeferredOp>* ops_;
 };
 
 /// A rank's algorithm state machine.
@@ -174,12 +164,11 @@ class EventEngine {
   /// bit-identical to the pre-fault engine.
   ///
   /// `exec` selects the execution backend: with exec.threads > 1 the
-  /// per-rank start() and idle() fan-outs run on a work-stealing pool, and
-  /// event dispatch runs *windowed*: batches of events within the model's
-  /// minimum event-generation lookahead are sharded by destination rank
-  /// across the pool and their recorded effects merged in (time, seq) order.
-  /// Both paths use deferred contexts over private fabric lanes, so the
-  /// observable run is bit-identical to sequential execution.
+  /// per-rank start() and idle() fan-outs and each dispatch window's rank
+  /// shards run on a work-stealing pool, with exec.threads == 1 inline.
+  /// Either way every callback runs against a deferred context over a
+  /// private fabric lane and the recorded effects merge in a fixed order, so
+  /// the observable run is bit-identical at every thread count.
   EventEngine(MachineModel model, FabricConfig config, ExecConfig exec = {});
 
   /// `jitter_seconds` > 0 adds a deterministic pseudo-random delay in
@@ -255,38 +244,34 @@ class EventEngine {
     std::unordered_map<Rank, std::unordered_set<std::uint64_t>> delivered;
   };
 
-  void enqueue(Rank src, Rank dst, std::vector<std::byte> payload,
-               std::int64_t records);
-  /// Deferred-replay variant of enqueue(): the sender-side clock costs were
-  /// already applied to the rank's lane, `send_time` is the lane's recorded
-  /// value (fabric pricing goes through CommFabric::post_send_at).
+  /// Replays one recorded first transmission: the sender-side clock costs
+  /// were already applied to the rank's lane and `send_time` is the lane's
+  /// recorded value (fabric pricing goes through CommFabric::post_send_at).
   void enqueue_at(Rank src, Rank dst, std::vector<std::byte> payload,
                   std::int64_t records, double send_time);
   void push_event(Event ev);
   /// Prices and schedules one (re)transmission of `payload` whose
   /// sender-side clock costs are already paid (send_time is the priced send
   /// instant), arming the next retry timer unless `attempt` exhausted the
-  /// budget. Shared by the sequential path and the window-merge replay.
+  /// budget. Shared by first transmissions and retransmissions.
   void transmit_priced(Rank src, Rank dst, std::uint64_t tseq,
                        const std::vector<std::byte>& payload,
                        std::int64_t records, int attempt, double send_time);
   /// Prices and schedules one transport ack whose sender-side clock costs
   /// are already paid. Acks ride the same lossy fabric but never retry.
   void replay_ack(Rank from, Rank to, std::uint64_t tseq, double send_time);
-  /// Dispatches one event through `ctx`: direct contexts apply every effect
-  /// to the live fabric (the sequential path), deferred contexts record the
-  /// effects for the window merge.
+  /// Dispatches one event through `ctx`, recording its effects for the
+  /// window merge.
   void dispatch(const Event& ev, EventContext& ctx);
-  /// Pops the next window of events (all within window_seconds_ of the
-  /// queue head), dispatches it sharded by destination rank on the backend,
-  /// then merges: absorbs the shard lanes and replays every event's
-  /// recorded ops in (time, seq) pop order.
+  /// Pops the next window of events (the queue head plus every event within
+  /// window_seconds_ of it), dispatches it sharded by destination rank on
+  /// the backend, then merges: absorbs the shard lanes and replays every
+  /// event's recorded ops in (time, seq) pop order.
   void dispatch_window();
-  /// Replays one deferred context's recorded ops against the live fabric.
+  /// Replays one recorded op frame against the live fabric and empties it.
   void replay_ops(Rank rank, std::vector<EventContext::DeferredOp>& ops);
-  /// Runs start() (phase == kStart) or idle() over `ranks`: inline and in
-  /// order with a sequential backend, concurrently with deferred contexts
-  /// merged in rank order with a threaded one.
+  /// Runs start() (phase == kStart) or idle() over `ranks` on the backend,
+  /// then merges the contexts in rank order.
   enum class FanPhase : std::uint8_t { kStart, kIdle };
   void fan_out(const std::vector<Rank>& ranks, FanPhase phase);
 
@@ -298,10 +283,18 @@ class EventEngine {
   std::uint64_t order_seq_ = 0;
   bool ran_ = false;
 
+  /// Per-window scratch, kept across windows so their storage is reused:
+  /// the popped events, their shard order and shard boundaries, and one op
+  /// frame per event (per rank during a fan-out).
+  std::vector<Event> window_;
+  std::vector<std::uint32_t> order_;
+  std::vector<std::size_t> shard_begin_;
+  std::vector<std::vector<EventContext::DeferredOp>> frames_;
+
   /// Windowed-dispatch lookahead: events closer together than this are safe
   /// to dispatch concurrently because no event can generate a successor
-  /// sooner (DESIGN.md §5c). 0 disables windowing (sequential backend, or a
-  /// degenerate cost model with no minimum event spacing).
+  /// sooner (DESIGN.md §5c). A degenerate cost model with no minimum event
+  /// spacing has 0, and every window holds just the queue head.
   double window_seconds_ = 0.0;
 
   /// Reliable transport state, one slot per rank (unused entries stay empty

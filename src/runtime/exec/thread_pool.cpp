@@ -45,15 +45,13 @@ void ThreadPool::parallel_for(std::size_t n,
   }
   std::lock_guard run_lock(run_m_);
   const auto workers = slots_.size();
-  std::uint64_t job;
-  {
-    std::lock_guard lock(job_m_);
-    job_ = &fn;
-    job = ++job_id_;
-    outstanding_ = n;
-    failure_ = nullptr;
-    failed_index_ = 0;
-  }
+  // Only this thread (holding run_m_) writes job_id_, so the next id can be
+  // read without job_m_. The work is enqueued under that id *before* the id
+  // is published: a worker that observes the new id must find its items
+  // already queued, or it would record the id as seen, go back to sleep on
+  // a satisfied predicate, and miss the notify below (a lost wakeup).
+  // Workers still holding the old id leave the new entries alone.
+  const std::uint64_t job = job_id_ + 1;
   // Contiguous blocks: worker w owns [w*n/W, (w+1)*n/W). Owners pop from the
   // front so blocks execute in index order unless stolen from the back.
   for (std::size_t w = 0; w < workers; ++w) {
@@ -62,6 +60,14 @@ void ThreadPool::parallel_for(std::size_t n,
     if (lo == hi) continue;
     std::lock_guard lock(slots_[w]->m);
     for (std::size_t i = lo; i < hi; ++i) slots_[w]->q.emplace_back(job, i);
+  }
+  {
+    std::lock_guard lock(job_m_);
+    job_ = &fn;
+    job_id_ = job;
+    outstanding_ = n;
+    failure_ = nullptr;
+    failed_index_ = 0;
   }
   job_cv_.notify_all();
   std::exception_ptr failure;

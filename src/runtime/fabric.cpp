@@ -82,46 +82,6 @@ double CommFabric::max_time() const {
   return *std::max_element(clocks_.begin(), clocks_.end());
 }
 
-void CommFabric::advance_to(Rank r, double t) {
-  auto& clock = clocks_[static_cast<std::size_t>(r)];
-  clock = std::max(clock, t);
-}
-
-void CommFabric::charge(Rank r, double work_units) {
-  const double seconds = model_.compute_seconds(work_units);
-  clocks_[static_cast<std::size_t>(r)] += seconds;
-  compute_seconds_[static_cast<std::size_t>(r)] += seconds;
-  trace_.on_compute(r, seconds);
-}
-
-void CommFabric::charge(Rank r, double work_units, WorkPhase phase) {
-  const double seconds = model_.compute_seconds(work_units);
-  clocks_[static_cast<std::size_t>(r)] += seconds;
-  compute_seconds_[static_cast<std::size_t>(r)] += seconds;
-  trace_.on_compute(r, seconds, phase);
-}
-
-double CommFabric::begin_send(Rank src, bool fault_exempt) {
-  if (config_.fault.enabled() && !fault_exempt) {
-    // A stalled sender cannot inject into the network until the window
-    // clears (stalls also cover the exempt path: the rank itself is down,
-    // not just the lossy link).
-    advance_to(src, stall_clear(src, clocks_[static_cast<std::size_t>(src)]));
-  }
-  // Sender pays the per-message software overhead (LogP "o") before the
-  // message enters the network — the cost message bundling amortizes.
-  clocks_[static_cast<std::size_t>(src)] += model_.send_overhead;
-  return clocks_[static_cast<std::size_t>(src)];
-}
-
-CommFabric::SendReceipt CommFabric::post_send(Rank src, Rank dst,
-                                              std::size_t payload_bytes,
-                                              std::int64_t records,
-                                              bool fault_exempt) {
-  return post_send_at(src, dst, payload_bytes, records,
-                      begin_send(src, fault_exempt), fault_exempt);
-}
-
 CommFabric::SendReceipt CommFabric::post_send_at(Rank src, Rank dst,
                                                  std::size_t payload_bytes,
                                                  std::int64_t records,
@@ -242,11 +202,14 @@ void CommFabric::Lane::charge(double work_units, WorkPhase phase) {
 }
 
 double CommFabric::Lane::begin_send(bool fault_exempt) {
-  // Same two clock operations post_send() applies to the live clock, in the
-  // same order, so the replica reproduces the send time bit-for-bit.
+  // A stalled sender cannot inject into the network until the window clears
+  // (stalls also cover the exempt path: the rank itself is down, not just
+  // the lossy link).
   if (fabric_->config_.fault.enabled() && !fault_exempt) {
     clock_ = std::max(clock_, fabric_->stall_clear(rank_, clock_));
   }
+  // Sender pays the per-message software overhead (LogP "o") before the
+  // message enters the network — the cost message bundling amortizes.
   clock_ += fabric_->model_.send_overhead;
   return clock_;
 }

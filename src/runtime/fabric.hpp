@@ -107,7 +107,7 @@ class CommFabric {
  public:
   using Config = FabricConfig;
 
-  /// What post_send() hands back to the engine's scheduler.
+  /// What post_send_at() hands back to the engine's scheduler.
   struct SendReceipt {
     double arrival = 0.0;    ///< Modelled arrival time (FIFO-adjusted).
     std::uint64_t seq = 0;   ///< Global send sequence number (tie-breaker).
@@ -135,49 +135,28 @@ class CommFabric {
     return clocks_[static_cast<std::size_t>(r)];
   }
 
-  /// Modelled parallel time so far (max over rank clocks).
+  /// Modelled parallel time so far (max over rank clocks). Clocks move only
+  /// by absorbing a Lane or completing a collective.
   [[nodiscard]] double max_time() const;
-
-  /// clock(r) = max(clock(r), t) — delivery of an event at time t.
-  void advance_to(Rank r, double t);
-
-  /// Charges work_units of compute to rank r (attributed to r's current
-  /// trace phase, or to an explicit one-shot phase).
-  void charge(Rank r, double work_units);
-  void charge(Rank r, double work_units, WorkPhase phase);
 
   // ---- point-to-point ------------------------------------------------------
 
-  /// Applies the sender-side cost of one message to src's live clock (the
-  /// stall wait unless the send is fault-exempt, then the software overhead)
-  /// and returns the resulting send time — the live-clock mirror of
-  /// Lane::begin_send(). Callers price the message separately through
-  /// post_send_at(), which keeps every engine send on the single replayable
-  /// pricing path (pmc-lint rule D6).
-  double begin_send(Rank src, bool fault_exempt = false);
-
-  /// The shared send path: charges the sender-side software overhead to
-  /// src's clock, prices the message with the alpha-beta model (+ optional
-  /// deterministic jitter), enforces FIFO non-overtaking on the (src, dst)
-  /// channel, and accounts the message in CommStats and the trace. The
-  /// engine schedules delivery at the returned arrival time.
+  /// The shared send path. The sender-side costs (stall wait + software
+  /// overhead) were already applied to a Lane replica of src's clock by
+  /// Lane::begin_send() — `send_time` is the replica's value at the send
+  /// point — so this never reads or moves src's live clock. It prices the
+  /// message with the alpha-beta model (+ optional deterministic jitter),
+  /// enforces FIFO non-overtaking on the (src, dst) channel, and accounts
+  /// the message in CommStats and the trace; the engine schedules delivery
+  /// at the returned arrival time. Replaying a phase's recorded sends in
+  /// rank order therefore fixes sequence numbers, jitter and fault
+  /// verdicts, channel FIFO state and trace events at every thread count.
   ///
   /// When fault injection is configured (config().fault.enabled()) the
-  /// receipt may additionally report the message dropped or duplicated, and
-  /// arrivals are deferred past any stall window covering src (injection)
-  /// or dst (delivery). `fault_exempt` sends (acks' escalation path, the
-  /// reliable tail) bypass the verdicts but still consume a sequence number.
-  SendReceipt post_send(Rank src, Rank dst, std::size_t payload_bytes,
-                        std::int64_t records, bool fault_exempt = false);
-
-  /// Deferred-execution variant of post_send(): prices and accounts a
-  /// message whose sender-side costs (stall wait + software overhead) were
-  /// already applied to a Lane replica of src's clock — `send_time` is the
-  /// replica's value at the send point. Unlike post_send() this never reads
-  /// or moves src's live clock, so replaying a parallel phase's recorded
-  /// sends in rank order reproduces the sequential schedule (sequence
-  /// numbers, jitter and fault verdicts, channel FIFO state, trace events)
-  /// bit-for-bit.
+  /// receipt may additionally report the message dropped, duplicated or
+  /// corrupted, and arrivals are deferred past any stall window covering dst
+  /// (delivery). `fault_exempt` sends (acks' escalation path, the reliable
+  /// tail) bypass the verdicts but still consume a sequence number.
   SendReceipt post_send_at(Rank src, Rank dst, std::size_t payload_bytes,
                            std::int64_t records, double send_time,
                            bool fault_exempt = false);
@@ -193,15 +172,11 @@ class CommFabric {
 
   void set_round(Rank r, int round) { trace_.set_round(r, round); }
   void set_round_all(int round) { trace_.set_round_all(round); }
-  void set_phase(Rank r, WorkPhase phase) noexcept {
-    trace_.set_phase(r, phase);
-  }
 
-  /// Recovery-protocol accounting hooks for the engines' reliable transport
-  /// (the fabric injects faults; the engines recover and report here).
-  void note_retry(Rank src, Rank dst, int attempt) {
-    trace_.on_retry(now(src), src, dst, attempt);
-  }
+  /// Recovery-protocol accounting hooks for the engines (the fabric injects
+  /// faults; the engines recover and report here). The receiver-clock
+  /// variants read dst's live clock — the BSP merge reports at the point
+  /// where that clock is final for lower ranks and pre-phase for higher.
   void note_backoff(Rank src, double seconds) {
     trace_.on_backoff(src, seconds);
   }
@@ -213,10 +188,9 @@ class CommFabric {
     trace_.on_corruption_detected(now(dst), dst);
   }
 
-  /// Time-explicit variants of the recovery hooks, for replaying a parallel
-  /// window's deferred notes: the sequential path reads the rank's clock at
-  /// the moment of the note, so a deferred dispatch records its lane clock
-  /// and the merge reports it here verbatim.
+  /// Time-explicit variants of the recovery hooks, for replaying an event
+  /// window's recorded notes: a dispatch records its lane clock at the
+  /// moment of the note and the merge reports it here verbatim.
   void note_retry_at(double time, Rank src, Rank dst, int attempt) {
     trace_.on_retry(time, src, dst, attempt);
   }
@@ -233,16 +207,14 @@ class CommFabric {
   /// window (identity when no window covers t).
   [[nodiscard]] double stall_clear(Rank r, double t) const;
 
-  // ---- deferred (threaded) execution --------------------------------------
+  // ---- per-rank execution lanes --------------------------------------------
 
-  /// Private per-rank accounting replica for a parallel phase. While rank
-  /// callbacks run concurrently, each rank charges compute and pays
-  /// sender-side message costs against its own Lane — applying the exact
-  /// operation sequence the live fabric would (same additions, same order,
-  /// so floating point agrees bit-for-bit) while only *reading* shared
-  /// fabric state (model, config, stall windows). At the barrier the engine
-  /// absorbs every lane and replays the recorded sends in rank order, which
-  /// restores the sequential global order of the shared counters
+  /// Private per-rank accounting replica for a rank phase. While rank
+  /// callbacks run (concurrently with a threaded backend), each rank charges
+  /// compute and pays sender-side message costs against its own Lane —
+  /// only *reading* shared fabric state (model, config, stall windows). At
+  /// the merge the engine absorbs every lane and replays the recorded sends
+  /// in a fixed order, which fixes the global order of the shared counters
   /// (send_seq_, channel FIFO, CommStats, trace sink).
   class Lane {
    public:
@@ -251,15 +223,16 @@ class CommFabric {
     [[nodiscard]] Rank rank() const noexcept { return rank_; }
     [[nodiscard]] double now() const noexcept { return clock_; }
 
-    /// Mirrors CommFabric::charge(r, work_units[, phase]).
+    /// Charges work_units of compute (attributed to the lane's current
+    /// phase, or to an explicit one-shot phase).
     void charge(double work_units);
     void charge(double work_units, WorkPhase phase);
 
-    /// Mirrors CommFabric::set_phase (absorbed into the trace at merge).
+    /// Sets the phase later charges count toward (absorbed into the trace at
+    /// merge).
     void set_phase(WorkPhase phase) noexcept { phase_ = phase; }
 
-    /// Mirrors CommFabric::advance_to — delivery of an event at time t to
-    /// the replica clock.
+    /// clock = max(clock, t) — delivery of an event at time t.
     void advance_to(double t) noexcept { clock_ = std::max(clock_, t); }
 
     /// Applies the sender-side cost of one message (stall wait unless the
@@ -282,7 +255,7 @@ class CommFabric {
   };
 
   /// Snapshot of rank r's accounting (clock, charged compute, phase timers,
-  /// current phase label) to run a deferred rank callback against.
+  /// current phase label) to run a rank callback against.
   [[nodiscard]] Lane make_lane(Rank r) const { return Lane(*this, r); }
 
   /// Installs a lane's final accounting back into the fabric (assignment,

@@ -53,10 +53,6 @@ void CommTrace::set_round_all(int round) {
   }
 }
 
-void CommTrace::set_phase(Rank r, WorkPhase phase) noexcept {
-  rank_phase_[static_cast<std::size_t>(r)] = phase;
-}
-
 void CommTrace::absorb_rank_compute(Rank r, double interior_seconds,
                                     double boundary_seconds,
                                     double other_seconds,
@@ -66,25 +62,6 @@ void CommTrace::absorb_rank_compute(Rank r, double interior_seconds,
   breakdown_.boundary_seconds[i] = boundary_seconds;
   breakdown_.other_seconds[i] = other_seconds;
   rank_phase_[i] = phase;
-}
-
-void CommTrace::on_compute(Rank r, double seconds) {
-  on_compute(r, seconds, rank_phase_[static_cast<std::size_t>(r)]);
-}
-
-void CommTrace::on_compute(Rank r, double seconds, WorkPhase phase) {
-  const auto i = static_cast<std::size_t>(r);
-  switch (phase) {
-    case WorkPhase::kInterior:
-      breakdown_.interior_seconds[i] += seconds;
-      break;
-    case WorkPhase::kBoundary:
-      breakdown_.boundary_seconds[i] += seconds;
-      break;
-    case WorkPhase::kOther:
-      breakdown_.other_seconds[i] += seconds;
-      break;
-  }
 }
 
 CommStats& CommTrace::round_slot(int round) {

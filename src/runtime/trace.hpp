@@ -57,9 +57,6 @@ class CommTrace {
   /// Sets every rank's round label (BSP-style global rounds).
   void set_round_all(int round);
 
-  /// Sets the phase future charges on rank r are attributed to.
-  void set_phase(Rank r, WorkPhase phase) noexcept;
-
   [[nodiscard]] int round(Rank r) const noexcept {
     return rank_round_[static_cast<std::size_t>(r)];
   }
@@ -68,16 +65,12 @@ class CommTrace {
     return rank_phase_[static_cast<std::size_t>(r)];
   }
 
-  /// Installs rank r's phase timers and phase label from a deferred lane
-  /// (assignment — the lane carried the snapshot baseline forward).
+  /// Installs rank r's phase timers and phase label from a fabric lane
+  /// (assignment — the lane carried the snapshot baseline forward). Charged
+  /// compute reaches the trace only this way.
   void absorb_rank_compute(Rank r, double interior_seconds,
                            double boundary_seconds, double other_seconds,
                            WorkPhase phase) noexcept;
-
-  /// Charged compute on rank r, attributed to r's current phase.
-  void on_compute(Rank r, double seconds);
-  /// Charged compute with an explicit one-shot phase.
-  void on_compute(Rank r, double seconds, WorkPhase phase);
 
   /// One point-to-point message; `total_bytes` includes the envelope,
   /// `payload_bytes` is the encoded payload alone.

@@ -160,7 +160,7 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
     const VertexId steps =
         (max_todo + options.superstep_size - 1) / options.superstep_size;
     for (VertexId k = 0; k < steps; ++k) {
-      engine.run_ranks(true, [&](BspEngine::RankCtx& ctx) {
+      engine.run_ranks([&](BspEngine::RankCtx& ctx) {
         const Rank r = ctx.rank();
         CanonState& st = states[static_cast<std::size_t>(r)];
         const LocalGraph& lg = *st.lg;
@@ -200,7 +200,7 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
     }
 
     // ---- Re-entry detection (local) -----------------------------------
-    engine.run_ranks(true, [&](BspEngine::RankCtx& ctx) {
+    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
       const Rank r = ctx.rank();
       CanonState& st = states[static_cast<std::size_t>(r)];
       const LocalGraph& lg = *st.lg;

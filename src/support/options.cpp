@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <thread>
@@ -69,10 +70,9 @@ std::string_view strip_plus(std::string_view s) noexcept {
   return s;
 }
 
-}  // namespace
-
-std::int64_t Options::get_int(const std::string& name) const {
-  const std::string& s = get(name);
+/// Strict integer parse of `s`, one value of option --name: the whole text
+/// must be the number.
+std::int64_t parse_int(const std::string& name, std::string_view s) {
   const std::string_view sv = strip_plus(s);
   std::int64_t out = 0;
   const auto [ptr, ec] = std::from_chars(sv.data(), sv.data() + sv.size(), out);
@@ -80,6 +80,35 @@ std::int64_t Options::get_int(const std::string& name) const {
               "option --" << name << " is out of range: '" << s << "'");
   PMC_REQUIRE(ec == std::errc{} && ptr == sv.data() + sv.size(),
               "option --" << name << " expects an integer, got '" << s << "'");
+  return out;
+}
+
+}  // namespace
+
+std::int64_t Options::get_int(const std::string& name) const {
+  return parse_int(name, get(name));
+}
+
+std::vector<int> Options::get_int_list(const std::string& name) const {
+  const std::string& s = get(name);
+  PMC_REQUIRE(!s.empty(), "option --" << name
+                              << " expects a comma-separated list of "
+                                 "positive integers, got ''");
+  std::vector<int> out;
+  std::string_view rest = s;
+  while (true) {
+    const std::size_t comma = rest.find(',');
+    const std::string_view entry = rest.substr(0, comma);
+    const std::int64_t v = parse_int(name, entry);
+    PMC_REQUIRE(v >= 1, "option --" << name
+                            << " entries must be positive, got '" << entry
+                            << "'");
+    PMC_REQUIRE(v <= std::numeric_limits<int>::max(),
+                "option --" << name << " is out of range: '" << entry << "'");
+    out.push_back(static_cast<int>(v));
+    if (comma == std::string_view::npos) break;
+    rest.remove_prefix(comma + 1);
+  }
   return out;
 }
 

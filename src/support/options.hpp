@@ -28,6 +28,10 @@ class Options {
 
   [[nodiscard]] const std::string& get(const std::string& name) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
+  /// A comma-separated list of positive integers ("--ranks=2,8,32"). Every
+  /// entry gets get_int's strict parsing; trailing garbage, entries <= 0 or
+  /// beyond int, and an empty list are errors naming the option.
+  [[nodiscard]] std::vector<int> get_int_list(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
 

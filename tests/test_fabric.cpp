@@ -21,12 +21,24 @@ namespace {
 
 // ---- CommFabric: clocks, sends, collectives --------------------------------
 
-TEST(CommFabric, PostSendChargesOverheadAndPricesMessage) {
+/// One send the way the engines make it: the sender's lane pays the software
+/// overhead (and any stall wait), its clock is installed back, and the fabric
+/// prices the message at the lane's send time.
+CommFabric::SendReceipt send_via_lane(CommFabric& fabric, Rank src, Rank dst,
+                                      std::size_t payload_bytes,
+                                      std::int64_t records) {
+  CommFabric::Lane lane = fabric.make_lane(src);
+  const double send_time = lane.begin_send();
+  fabric.absorb_lane(lane);
+  return fabric.post_send_at(src, dst, payload_bytes, records, send_time);
+}
+
+TEST(CommFabric, LaneSendChargesOverheadAndPricesMessage) {
   const MachineModel m = MachineModel::blue_gene_p();
   CommFabric fabric(m);
   fabric.add_rank();
   fabric.add_rank();
-  const auto receipt = fabric.post_send(0, 1, 100, 3);
+  const auto receipt = send_via_lane(fabric, 0, 1, 100, 3);
   // The sender pays the LogP software overhead; the arrival adds the
   // alpha-beta transfer cost on top.
   EXPECT_DOUBLE_EQ(fabric.now(0), m.send_overhead);
@@ -42,16 +54,16 @@ TEST(CommFabric, RejectsInvalidSends) {
   CommFabric fabric(MachineModel::zero_cost());
   fabric.add_rank();
   fabric.add_rank();
-  EXPECT_THROW((void)fabric.post_send(0, 0, 0, 0), Error);
-  EXPECT_THROW((void)fabric.post_send(0, 7, 0, 0), Error);
+  EXPECT_THROW((void)send_via_lane(fabric, 0, 0, 0, 0), Error);
+  EXPECT_THROW((void)send_via_lane(fabric, 0, 7, 0, 0), Error);
 }
 
 TEST(CommFabric, FifoNonOvertakingWithinChannel) {
   CommFabric fabric(MachineModel::blue_gene_p());
   fabric.add_rank();
   fabric.add_rank();
-  const auto big = fabric.post_send(0, 1, 100000, 1);
-  const auto small = fabric.post_send(0, 1, 4, 1);
+  const auto big = send_via_lane(fabric, 0, 1, 100000, 1);
+  const auto small = send_via_lane(fabric, 0, 1, 4, 1);
   // The small message is cheaper but may not overtake the big one.
   EXPECT_GE(small.arrival, big.arrival);
 }
@@ -70,7 +82,7 @@ TEST(CommFabric, FifoNonOvertakingHoldsUnderJitter) {
     const Rank dst = static_cast<Rank>((i + 1 + i % 2) % 3);
     if (src == dst) continue;
     const std::size_t bytes = static_cast<std::size_t>((i * 37) % 5000);
-    const auto receipt = fabric.post_send(src, dst, bytes, 1);
+    const auto receipt = send_via_lane(fabric, src, dst, bytes, 1);
     const auto key = std::make_pair(src, dst);
     const auto it = last_arrival.find(key);
     if (it != last_arrival.end()) {
@@ -86,7 +98,9 @@ TEST(CommFabric, CollectiveAdvancesEveryClockToCommonHorizon) {
   const MachineModel m = MachineModel::blue_gene_p();
   CommFabric fabric(m);
   for (int r = 0; r < 4; ++r) fabric.add_rank();
-  fabric.charge(2, 1000.0);
+  CommFabric::Lane lane = fabric.make_lane(2);
+  lane.charge(1000.0);
+  fabric.absorb_lane(lane);
   const double horizon = fabric.max_time();
   fabric.complete_collective(horizon);
   const double expected = horizon + m.collective_seconds(4);
@@ -100,10 +114,17 @@ TEST(CommFabric, ChargeAttributesPhasesInBreakdown) {
   CommFabric fabric(m);
   fabric.add_rank();
   fabric.add_rank();
-  fabric.charge(0, 2.0, WorkPhase::kInterior);
-  fabric.charge(0, 3.0, WorkPhase::kBoundary);
-  fabric.set_phase(1, WorkPhase::kBoundary);
-  fabric.charge(1, 5.0);  // attributed to the rank's sticky phase
+  CommFabric::Lane lane0 = fabric.make_lane(0);
+  lane0.charge(2.0, WorkPhase::kInterior);
+  lane0.charge(3.0, WorkPhase::kBoundary);
+  fabric.absorb_lane(lane0);
+  CommFabric::Lane lane1 = fabric.make_lane(1);
+  lane1.set_phase(WorkPhase::kBoundary);
+  fabric.absorb_lane(lane1);
+  // The phase label sticks across lanes: the next lane of rank 1 inherits it.
+  lane1 = fabric.make_lane(1);
+  lane1.charge(5.0);
+  fabric.absorb_lane(lane1);
   const CommBreakdown& b = fabric.breakdown();
   ASSERT_EQ(b.interior_seconds.size(), 2u);
   EXPECT_DOUBLE_EQ(b.interior_seconds[0], 2.0);
@@ -117,9 +138,9 @@ TEST(CommFabric, BreakdownAttributesSendsToRankAndRound) {
   fabric.add_rank();
   fabric.add_rank();
   fabric.set_round(0, 0);
-  (void)fabric.post_send(0, 1, 8, 2);
+  (void)send_via_lane(fabric, 0, 1, 8, 2);
   fabric.set_round(0, 3);
-  (void)fabric.post_send(0, 1, 8, 1);
+  (void)send_via_lane(fabric, 0, 1, 8, 1);
   const CommBreakdown& b = fabric.breakdown();
   ASSERT_EQ(b.per_rank.size(), 2u);
   EXPECT_EQ(b.per_rank[0].messages, 2);
@@ -178,8 +199,8 @@ TEST(FaultInjection, DisabledConfigIsInert) {
   plain.add_rank();
   with_cfg.add_rank();
   with_cfg.add_rank();
-  const auto a = plain.post_send(0, 1, 64, 1);
-  const auto b = with_cfg.post_send(0, 1, 64, 1);
+  const auto a = send_via_lane(plain, 0, 1, 64, 1);
+  const auto b = send_via_lane(with_cfg, 0, 1, 64, 1);
   EXPECT_EQ(a.arrival, b.arrival);
   EXPECT_FALSE(b.dropped);
   EXPECT_FALSE(b.duplicated);
@@ -206,7 +227,7 @@ TEST(FaultInjection, CertainDropLosesEveryMessageAndCountsIt) {
   fabric.add_rank();
   fabric.add_rank();
   for (int i = 0; i < 10; ++i) {
-    const auto receipt = fabric.post_send(0, 1, 32, 1);
+    const auto receipt = send_via_lane(fabric, 0, 1, 32, 1);
     EXPECT_TRUE(receipt.dropped);
     EXPECT_FALSE(receipt.duplicated);  // dropped messages never duplicate
   }
@@ -226,7 +247,7 @@ TEST(FaultInjection, CertainDuplicationDeliversASecondCopyNoEarlier) {
   fabric.add_rank();
   fabric.add_rank();
   for (int i = 0; i < 10; ++i) {
-    const auto receipt = fabric.post_send(0, 1, 32, 1);
+    const auto receipt = send_via_lane(fabric, 0, 1, 32, 1);
     EXPECT_FALSE(receipt.dropped);
     EXPECT_TRUE(receipt.duplicated);
     EXPECT_GE(receipt.duplicate_arrival, receipt.arrival);
@@ -239,7 +260,7 @@ TEST(FaultInjection, InjectedDelayOnlyDefersArrival) {
   CommFabric fabric(m, fault_config(0.0, 0.0, 1.0));
   fabric.add_rank();
   fabric.add_rank();
-  const auto receipt = fabric.post_send(0, 1, 64, 1);
+  const auto receipt = send_via_lane(fabric, 0, 1, 64, 1);
   const double undelayed = m.send_overhead + m.message_seconds(64.0);
   EXPECT_FALSE(receipt.dropped);
   EXPECT_GE(receipt.arrival, undelayed);
@@ -254,7 +275,7 @@ TEST(FaultInjection, VerdictsAreDeterministicInTheSeed) {
     fabric.add_rank();
     std::vector<int> out;
     for (int i = 0; i < 64; ++i) {
-      const auto receipt = fabric.post_send(0, 1, 32, 1);
+      const auto receipt = send_via_lane(fabric, 0, 1, 32, 1);
       out.push_back(receipt.dropped ? 2 : (receipt.duplicated ? 1 : 0));
     }
     return out;
@@ -276,11 +297,11 @@ TEST(FaultInjection, StallWindowDefersInjectionAndDelivery) {
   fabric.add_rank();
   EXPECT_TRUE(fabric.config().fault.enabled());
   // Sender rank 0 is stalled at t=0: its send waits for the window to end.
-  const auto from_stalled = fabric.post_send(0, 1, 8, 1);
+  const auto from_stalled = send_via_lane(fabric, 0, 1, 8, 1);
   EXPECT_GE(from_stalled.arrival, 1e-3);
   EXPECT_GE(fabric.now(0), 1e-3);
   // A delivery *to* rank 0 inside the window is deferred past it.
-  const auto to_stalled = fabric.post_send(1, 0, 8, 1);
+  const auto to_stalled = send_via_lane(fabric, 1, 0, 8, 1);
   EXPECT_GE(to_stalled.arrival, 1e-3);
   EXPECT_LT(fabric.now(1), 1e-3);  // the unstalled sender is not delayed
 }
@@ -303,7 +324,7 @@ TEST(FaultInjection, RecoveryHooksChargeTheBreakdown) {
   CommFabric fabric(MachineModel::blue_gene_p(), fault_config(0.5, 0.0));
   fabric.add_rank();
   fabric.add_rank();
-  fabric.note_retry(0, 1, 2);
+  fabric.note_retry_at(fabric.now(0), 0, 1, 2);
   fabric.note_backoff(0, 1e-4);
   fabric.note_dup_suppressed(1);
   const CommBreakdown& b = fabric.breakdown();
@@ -520,7 +541,7 @@ TEST(CommTrace, JsonlSinkRecordsSendsAndCollectives) {
     fabric.add_rank();
     fabric.add_rank();
     fabric.set_round(0, 1);
-    (void)fabric.post_send(0, 1, 16, 2);
+    (void)send_via_lane(fabric, 0, 1, 16, 2);
     fabric.complete_collective(fabric.max_time());
   }  // closes the sink
   std::ifstream in(config.trace.jsonl_path);

@@ -1,5 +1,5 @@
 // Fixture suite for pmc-lint (tools/pmc-lint): every determinism rule
-// D1–D7 must both fire on its violation fixture and stay silent on the
+// D1–D5 must both fire on its violation fixture and stay silent on the
 // conforming one, the allow() suppression path must work (and demand a
 // justification), and the path-based rule scoping must carve out the
 // sanctioned homes (rng/timer for entropy, serialize for raw bytes).
@@ -7,16 +7,14 @@
 // The v2 whole-program analysis gets the same treatment: the cross-TU
 // schema rule D8 (encoder/decoder symmetry per message kind or schema()
 // binding), the cost-accounting rule D9, the D10 stale-suppression audit,
-// D1–D7 propagation through one level of helper indirection, and the
-// SARIF / baseline-ratchet report plumbing.
+// D1–D5 propagation through one level of helper indirection, and the JSON
+// report plumbing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -133,91 +131,6 @@ TEST(LintD5, SilentOnIntegerFoldsAndSortedSnapshots) {
   EXPECT_TRUE(with_rule(lint_fixture("d5_clean.cpp"), "D5").empty());
 }
 
-// ---- D6: direct post_send in event-path code --------------------------------
-
-TEST(LintD6, FiresOnDirectPostSendInHandlerCode) {
-  const auto d6 = with_rule(lint_fixture("d6_violation.cpp"), "D6");
-  ASSERT_EQ(d6.size(), 1u);
-  EXPECT_FALSE(d6[0].suppressed);
-  EXPECT_EQ(d6[0].line, 22);
-  EXPECT_NE(d6[0].message.find("EventContext::send"), std::string::npos);
-}
-
-TEST(LintD6, SilentOnDeferredSendAndExplicitTimePricing) {
-  // ctx.send + begin_send/post_send_at are the sanctioned routes.
-  EXPECT_TRUE(with_rule(lint_fixture("d6_clean.cpp"), "D6").empty());
-}
-
-TEST(LintD6, SilentWhenTheFileNeverMentionsEventContext) {
-  // The BSP engine's direct superstep path may call post_send: the content
-  // gate keeps files with no EventContext involvement out of scope even
-  // when the path predicate matches.
-  std::ifstream in(fixture("d6_violation.cpp"), std::ios::binary);
-  ASSERT_TRUE(in.good());
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  std::string::size_type pos;
-  while ((pos = text.find("EventContext")) != std::string::npos) {
-    text.replace(pos, std::strlen("EventContext"), "SuperstepSlot");
-  }
-  const auto diags =
-      pmc_lint::analyze_source("src/matching/x.cpp", text,
-                               pmc_lint::scope_for_path("src/matching/x.cpp"));
-  EXPECT_TRUE(with_rule(diags, "D6").empty());
-}
-
-TEST(LintD6, SuppressionNeedsAJustification) {
-  const auto d6 = with_rule(lint_fixture("d6_suppressed.cpp"), "D6");
-  ASSERT_EQ(d6.size(), 2u);
-  EXPECT_TRUE(d6[0].suppressed);
-  EXPECT_EQ(d6[0].justification,
-            "sequential-only debug harness, never run windowed");
-  EXPECT_FALSE(d6[1].suppressed);
-}
-
-// ---- D7: raw mid-superstep poll in BSP driver code --------------------------
-
-TEST(LintD7, FiresOnRawPollInSuperstepBody) {
-  const auto d7 = with_rule(lint_fixture("d7_violation.cpp"), "D7");
-  ASSERT_EQ(d7.size(), 1u);
-  EXPECT_FALSE(d7[0].suppressed);
-  EXPECT_EQ(d7[0].line, 23);
-  EXPECT_NE(d7[0].message.find("RankCtx::poll()"), std::string::npos);
-}
-
-TEST(LintD7, SilentOnSnapshotGatedPollAndDrain) {
-  // ctx.poll() with no arguments is the sanctioned harvest; drain() is a
-  // barrier-phase API and out of D7's sights entirely.
-  EXPECT_TRUE(with_rule(lint_fixture("d7_clean.cpp"), "D7").empty());
-}
-
-TEST(LintD7, SilentWhenTheFileNeverMentionsRankCtx) {
-  // Non-driver code (the event engine, the fabric) may own member poll()
-  // calls: the content gate keeps files with no RankCtx involvement out of
-  // scope even when the path predicate matches.
-  std::ifstream in(fixture("d7_violation.cpp"), std::ios::binary);
-  ASSERT_TRUE(in.good());
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  std::string::size_type pos;
-  while ((pos = text.find("RankCtx")) != std::string::npos) {
-    text.replace(pos, std::strlen("RankCtx"), "SlotCtx");
-  }
-  const auto diags =
-      pmc_lint::analyze_source("src/coloring/x.cpp", text,
-                               pmc_lint::scope_for_path("src/coloring/x.cpp"));
-  EXPECT_TRUE(with_rule(diags, "D7").empty());
-}
-
-TEST(LintD7, SuppressionNeedsAJustification) {
-  const auto d7 = with_rule(lint_fixture("d7_suppressed.cpp"), "D7");
-  ASSERT_EQ(d7.size(), 2u);
-  EXPECT_TRUE(d7[0].suppressed);
-  EXPECT_EQ(d7[0].justification,
-            "sequential-only diagnostics dump, never parallel");
-  EXPECT_FALSE(d7[1].suppressed);
-}
-
 // ---- rule scoping ----------------------------------------------------------
 
 TEST(LintScope, SanctionedHomesAreExempt) {
@@ -242,27 +155,6 @@ TEST(LintScope, D1BindsToMessageProducingDirectories) {
   // Absolute build paths normalize to the repo-relative form.
   EXPECT_TRUE(
       pmc_lint::scope_for_path("/root/repo/src/matching/parallel.cpp").d1);
-}
-
-TEST(LintScope, D6BindsToTheEventPath) {
-  EXPECT_TRUE(pmc_lint::scope_for_path("src/runtime/event_engine.cpp").d6);
-  EXPECT_TRUE(pmc_lint::scope_for_path("src/runtime/event_engine.hpp").d6);
-  EXPECT_TRUE(pmc_lint::scope_for_path("src/matching/parallel.cpp").d6);
-  EXPECT_TRUE(pmc_lint::scope_for_path("src/coloring/parallel.cpp").d6);
-  // The BSP engine and the fabric itself legitimately own post_send.
-  EXPECT_FALSE(pmc_lint::scope_for_path("src/runtime/bsp_engine.cpp").d6);
-  EXPECT_FALSE(pmc_lint::scope_for_path("src/runtime/fabric.cpp").d6);
-}
-
-TEST(LintScope, D7BindsToBspDriverCodeButNotTheEngine) {
-  EXPECT_TRUE(pmc_lint::scope_for_path("src/coloring/parallel.cpp").d7);
-  EXPECT_TRUE(pmc_lint::scope_for_path("src/matching/parallel.cpp").d7);
-  EXPECT_TRUE(pmc_lint::scope_for_path("src/runtime/event_engine.cpp").d7);
-  // The engine's own files implement the snapshot harvest — they own the
-  // raw inbox read.
-  EXPECT_FALSE(pmc_lint::scope_for_path("src/runtime/bsp_engine.cpp").d7);
-  EXPECT_FALSE(pmc_lint::scope_for_path("src/runtime/bsp_engine.hpp").d7);
-  EXPECT_FALSE(pmc_lint::scope_for_path("src/graph/algorithms.cpp").d7);
 }
 
 TEST(LintScope, PathScopingChangesTheFindings) {
@@ -467,7 +359,7 @@ TEST(LintD10, AuditCanBeTurnedOff) {
   EXPECT_TRUE(with_rule(report.diagnostics, "D10").empty());
 }
 
-// ---- D1-D7 propagation through helper indirection ---------------------------
+// ---- D1-D5 propagation through helper indirection ---------------------------
 
 TEST(LintPropagation, ScopeHiddenHelperTaintsLiveCallSitesOnly) {
   // The helper's own file (src/graph) is outside D1's scope, so the hash-
@@ -505,92 +397,6 @@ TEST(LintPropagation, ScopeHiddenHelperTaintsLiveCallSitesOnly) {
   EXPECT_EQ(d1[0].file, "src/matching/ship_totals.cpp");
   EXPECT_NE(d1[0].message.find("bucket_sum"), std::string::npos);
   EXPECT_NE(d1[0].message.find("scope hides"), std::string::npos);
-}
-
-TEST(LintPropagation, EventPathHelperTaintsEventHandlingCallers) {
-  // post_send hides in a file D6 does not police; the handler file that
-  // calls the helper (and really touches EventContext) inherits the hit.
-  const std::vector<pmc_lint::SourceFile> srcs = {
-      {"src/runtime/fabric_util.cpp",
-       "struct CommFabric { void post_send(int, int, long); };\n"
-       "namespace pmc {\n"
-       "void blast(CommFabric& fabric, int dst, long bytes) {\n"
-       "  fabric.post_send(0, dst, bytes);\n"
-       "}\n"
-       "}  // namespace pmc\n"},
-      {"src/matching/handler.cpp",
-       "struct CommFabric;\n"
-       "struct EventContext { int rank; };\n"
-       "namespace pmc {\n"
-       "void on_msg(EventContext& ctx, CommFabric& fab, int dst, long n) {\n"
-       "  blast(fab, dst, n);\n"
-       "}\n"
-       "}  // namespace pmc\n"}};
-  const auto report = pmc_lint::analyze_program(srcs, {});
-  const auto d6 = with_rule(report.diagnostics, "D6");
-  ASSERT_EQ(d6.size(), 1u);
-  EXPECT_EQ(d6[0].file, "src/matching/handler.cpp");
-  EXPECT_NE(d6[0].message.find("blast"), std::string::npos);
-  EXPECT_NE(d6[0].message.find("D6 violation"), std::string::npos);
-}
-
-// ---- SARIF ------------------------------------------------------------------
-
-TEST(LintSarif, WellFormedRunWithRulesSuppressionsAndLevels) {
-  const auto report = program_fixture({"d1_suppressed.cpp"});
-  const std::string sarif = pmc_lint::to_sarif(report);
-  EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"name\": \"pmc-lint\""), std::string::npos);
-  for (const char* id :
-       {"D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9", "D10"}) {
-    EXPECT_NE(sarif.find(std::string("{\"id\": \"") + id + "\""),
-              std::string::npos)
-        << "rule " << id << " missing from the driver";
-  }
-  // One justified suppression (note) and one unsuppressed finding (error).
-  EXPECT_NE(sarif.find("\"kind\": \"inSource\""), std::string::npos);
-  EXPECT_NE(sarif.find("order-independent integer sum"), std::string::npos);
-  EXPECT_NE(sarif.find("\"level\": \"note\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"level\": \"error\""), std::string::npos);
-}
-
-TEST(LintSarif, BaselinedFindingsCarryBaselineState) {
-  auto report = program_fixture({"d9_violation.cpp"});
-  std::set<std::string> baseline;
-  for (const auto& d : report.diagnostics) {
-    baseline.insert(pmc_lint::fingerprint(d));
-  }
-  pmc_lint::apply_baseline(report, baseline);
-  const std::string sarif = pmc_lint::to_sarif(report);
-  EXPECT_NE(sarif.find("\"baselineState\": \"unchanged\""),
-            std::string::npos);
-  EXPECT_EQ(sarif.find("\"level\": \"error\""), std::string::npos);
-}
-
-// ---- baseline ratchet -------------------------------------------------------
-
-TEST(LintBaseline, WriteLoadRoundTripRatchetsTheRun) {
-  auto report = program_fixture({"d9_violation.cpp"});
-  ASSERT_EQ(pmc_lint::failing_count(report), 3u);
-  const std::string path = testing::TempDir() + "pmc_lint_baseline.txt";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << pmc_lint::write_baseline(report);
-  }
-  const auto baseline = pmc_lint::load_baseline(path);
-  EXPECT_EQ(baseline.size(), 3u);
-  pmc_lint::apply_baseline(report, baseline);
-  EXPECT_EQ(pmc_lint::failing_count(report), 0u);
-  for (const auto& d : report.diagnostics) EXPECT_TRUE(d.baselined);
-  std::remove(path.c_str());
-}
-
-TEST(LintBaseline, FingerprintNormalizesAbsoluteBuildPaths) {
-  Diagnostic d;
-  d.rule = "D9";
-  d.file = "/root/repo/src/matching/x.cpp";
-  d.line = 7;
-  EXPECT_EQ(pmc_lint::fingerprint(d), "D9|src/matching/x.cpp|7");
 }
 
 // ---- drivers ---------------------------------------------------------------

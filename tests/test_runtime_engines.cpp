@@ -2,6 +2,10 @@
 // asynchronous EventEngine and the superstep BspEngine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
 #include "runtime/bsp_engine.hpp"
 #include "runtime/event_engine.hpp"
 #include "runtime/machine_model.hpp"
@@ -266,16 +270,41 @@ TEST(EventEngine, SelfSendRejected) {
 
 // ---- bsp engine -----------------------------------------------------------------
 
+// Rank work reaches the engine only through rank phases; these helpers run a
+// phase in which a single rank acts.
+using RankCtx = BspEngine::RankCtx;
+
+void on_rank(BspEngine& engine, Rank r,
+             const std::function<void(RankCtx&)>& body) {
+  engine.run_ranks([&](RankCtx& ctx) {
+    if (ctx.rank() == r) body(ctx);
+  });
+}
+
+std::vector<BspMessage> drain_rank(BspEngine& engine, Rank r) {
+  std::vector<BspMessage> out;
+  on_rank(engine, r, [&](RankCtx& ctx) { out = ctx.drain(); });
+  return out;
+}
+
+std::vector<BspMessage> poll_rank(BspEngine& engine, Rank r) {
+  std::vector<BspMessage> out;
+  engine.run_ranks_snapshot([&](RankCtx& ctx) {
+    if (ctx.rank() == r) out = ctx.poll();
+  });
+  return out;
+}
+
 TEST(BspEngine, PollRespectsArrivalTimes) {
   BspEngine engine(2, MachineModel::blue_gene_p());
   ByteWriter w;
   w.put<int>(42);
-  engine.send(0, 1, w.take(), 1);
+  on_rank(engine, 0, [&](RankCtx& ctx) { ctx.send(1, w.take(), 1); });
   // Rank 1's clock is still 0 — the message has not "arrived" yet.
-  EXPECT_TRUE(engine.poll(1).empty());
+  EXPECT_TRUE(poll_rank(engine, 1).empty());
   // Advance rank 1 beyond the arrival time.
-  engine.charge(1, 1e9);
-  const auto msgs = engine.poll(1);
+  on_rank(engine, 1, [](RankCtx& ctx) { ctx.charge(1e9); });
+  const auto msgs = poll_rank(engine, 1);
   ASSERT_EQ(msgs.size(), 1u);
   ByteReader r(msgs[0].payload);
   EXPECT_EQ(r.get<int>(), 42);
@@ -283,10 +312,11 @@ TEST(BspEngine, PollRespectsArrivalTimes) {
 
 TEST(BspEngine, BarrierDeliversEverything) {
   BspEngine engine(3, MachineModel::blue_gene_p());
-  engine.send(0, 2, std::vector<std::byte>(8), 1);
-  engine.send(1, 2, std::vector<std::byte>(8), 1);
+  engine.run_ranks([](RankCtx& ctx) {
+    if (ctx.rank() != 2) ctx.send(2, std::vector<std::byte>(8), 1);
+  });
   engine.barrier();
-  EXPECT_EQ(engine.drain(2).size(), 2u);
+  EXPECT_EQ(drain_rank(engine, 2).size(), 2u);
   EXPECT_EQ(engine.comm().collectives, 1);
   // All clocks equal after a barrier.
   EXPECT_DOUBLE_EQ(engine.now(0), engine.now(1));
@@ -295,8 +325,10 @@ TEST(BspEngine, BarrierDeliversEverything) {
 
 TEST(BspEngine, BarrierAdvancesPastInFlightArrivals) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  engine.charge(0, 1000.0);
-  engine.send(0, 1, std::vector<std::byte>(100), 1);
+  on_rank(engine, 0, [](RankCtx& ctx) {
+    ctx.charge(1000.0);
+    ctx.send(1, std::vector<std::byte>(100), 1);
+  });
   const double sender_time = engine.now(0);
   engine.barrier();
   EXPECT_GT(engine.now(1), sender_time);
@@ -306,17 +338,19 @@ TEST(BspEngine, ChargeAccumulatesWork) {
   MachineModel m = MachineModel::zero_cost();
   m.seconds_per_work = 2.0;
   BspEngine engine(1, m);
-  engine.charge(0, 3.0);
+  engine.run_ranks([](RankCtx& ctx) { ctx.charge(3.0); });
   EXPECT_DOUBLE_EQ(engine.now(0), 6.0);
   EXPECT_DOUBLE_EQ(engine.time(), 6.0);
 }
 
 TEST(BspEngine, FifoWithinChannel) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  engine.send(0, 1, std::vector<std::byte>(10000), 1);
-  engine.send(0, 1, std::vector<std::byte>(2), 1);
+  on_rank(engine, 0, [](RankCtx& ctx) {
+    ctx.send(1, std::vector<std::byte>(10000), 1);
+    ctx.send(1, std::vector<std::byte>(2), 1);
+  });
   engine.barrier();
-  const auto msgs = engine.drain(1);
+  const auto msgs = drain_rank(engine, 1);
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_EQ(msgs[0].payload.size(), 10000u);
   EXPECT_LE(msgs[0].arrival, msgs[1].arrival);
@@ -324,8 +358,13 @@ TEST(BspEngine, FifoWithinChannel) {
 
 TEST(BspEngine, CommStatsCount) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  engine.send(0, 1, std::vector<std::byte>(10), 3);
-  engine.send(1, 0, std::vector<std::byte>(20), 2);
+  engine.run_ranks([](RankCtx& ctx) {
+    if (ctx.rank() == 0) {
+      ctx.send(1, std::vector<std::byte>(10), 3);
+    } else {
+      ctx.send(0, std::vector<std::byte>(20), 2);
+    }
+  });
   EXPECT_EQ(engine.comm().messages, 2);
   EXPECT_EQ(engine.comm().records, 5);
   EXPECT_GT(engine.comm().bytes, 30);
@@ -335,9 +374,10 @@ TEST(BspEngine, LoadStatsTrackChargedCompute) {
   MachineModel m = MachineModel::zero_cost();
   m.seconds_per_work = 1.0;
   BspEngine engine(3, m);
-  engine.charge(0, 1.0);
-  engine.charge(1, 2.0);
-  engine.charge(2, 6.0);
+  engine.run_ranks([](RankCtx& ctx) {
+    const double work[] = {1.0, 2.0, 6.0};
+    ctx.charge(work[ctx.rank()]);
+  });
   const LoadStats load = engine.load_stats();
   EXPECT_DOUBLE_EQ(load.min_seconds, 1.0);
   EXPECT_DOUBLE_EQ(load.max_seconds, 6.0);
@@ -347,7 +387,7 @@ TEST(BspEngine, LoadStatsTrackChargedCompute) {
 
 TEST(BspEngine, LoadStatsUnaffectedByBarriers) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  engine.charge(0, 100.0);
+  on_rank(engine, 0, [](RankCtx& ctx) { ctx.charge(100.0); });
   engine.barrier();  // synchronizes clocks, not charged compute
   const LoadStats load = engine.load_stats();
   EXPECT_GT(load.max_seconds, 0.0);
@@ -356,16 +396,20 @@ TEST(BspEngine, LoadStatsUnaffectedByBarriers) {
 
 TEST(BspEngine, RejectsInvalidSends) {
   BspEngine engine(2, MachineModel::zero_cost());
-  EXPECT_THROW(engine.send(0, 0, {}, 0), Error);
-  EXPECT_THROW(engine.send(0, 5, {}, 0), Error);
+  EXPECT_THROW(on_rank(engine, 0, [](RankCtx& ctx) { ctx.send(0, {}, 0); }),
+               Error);
+  EXPECT_THROW(on_rank(engine, 0, [](RankCtx& ctx) { ctx.send(5, {}, 0); }),
+               Error);
 }
 
 TEST(BspEngine, MessagesCarryRecordCounts) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  engine.send(0, 1, std::vector<std::byte>(10), 3);
-  engine.send(0, 1, std::vector<std::byte>(20), 7);
+  on_rank(engine, 0, [](RankCtx& ctx) {
+    ctx.send(1, std::vector<std::byte>(10), 3);
+    ctx.send(1, std::vector<std::byte>(20), 7);
+  });
   engine.barrier();
-  const auto msgs = engine.drain(1);
+  const auto msgs = drain_rank(engine, 1);
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_EQ(msgs[0].records, 3);
   EXPECT_EQ(msgs[1].records, 7);
@@ -378,17 +422,27 @@ TEST(BspEngine, PendingHorizonMatchesBruteForceScan) {
   BspEngine engine(4, MachineModel::blue_gene_p(),
                    FabricConfig{2e-6, 9, FaultConfig{}, TraceConfig{}});
   for (int i = 0; i < 6; ++i) {
-    engine.charge(i % 4, 50.0 * (i + 1));
-    engine.send(i % 4, (i + 1) % 4, std::vector<std::byte>(17 * (i + 1)), 1);
-    engine.send((i + 2) % 4, (i + 3) % 4, std::vector<std::byte>(5), 1);
+    engine.run_ranks([i](RankCtx& ctx) {
+      if (ctx.rank() == i % 4) {
+        ctx.charge(50.0 * (i + 1));
+        ctx.send((i + 1) % 4,
+                 std::vector<std::byte>(static_cast<std::size_t>(17 * (i + 1))),
+                 1);
+      }
+      if (ctx.rank() == (i + 2) % 4) {
+        ctx.send((i + 3) % 4, std::vector<std::byte>(5), 1);
+      }
+    });
   }
   const double horizon = engine.pending_horizon();
-  double brute = 0.0;
-  for (Rank r = 0; r < 4; ++r) {
-    for (const BspMessage& msg : engine.drain(r)) {
-      brute = std::max(brute, msg.arrival);
+  std::vector<double> latest(4, 0.0);
+  engine.run_ranks([&](RankCtx& ctx) {
+    for (const BspMessage& msg : ctx.drain()) {
+      latest[static_cast<std::size_t>(ctx.rank())] =
+          std::max(latest[static_cast<std::size_t>(ctx.rank())], msg.arrival);
     }
-  }
+  });
+  const double brute = *std::max_element(latest.begin(), latest.end());
   EXPECT_GT(brute, 0.0);
   EXPECT_EQ(horizon, brute);
   EXPECT_EQ(engine.pending_horizon(), 0.0);
@@ -396,9 +450,14 @@ TEST(BspEngine, PendingHorizonMatchesBruteForceScan) {
 
 TEST(BspEngine, BarrierUsesThePendingHorizon) {
   BspEngine engine(3, MachineModel::blue_gene_p());
-  engine.charge(0, 1000.0);
-  engine.send(0, 2, std::vector<std::byte>(100), 1);
-  engine.send(1, 2, std::vector<std::byte>(8), 1);
+  engine.run_ranks([](RankCtx& ctx) {
+    if (ctx.rank() == 0) {
+      ctx.charge(1000.0);
+      ctx.send(2, std::vector<std::byte>(100), 1);
+    } else if (ctx.rank() == 1) {
+      ctx.send(2, std::vector<std::byte>(8), 1);
+    }
+  });
   const double expected =
       std::max(engine.time(), engine.pending_horizon()) +
       engine.model().collective_seconds(3);
@@ -410,23 +469,19 @@ TEST(BspEngine, BarrierUsesThePendingHorizon) {
 TEST(BspEngine, PollRequiresASnapshotPhase) {
   BspEngine engine(2, MachineModel::blue_gene_p());
   // Mid-superstep polling outside run_ranks_snapshot() is a contract
-  // violation in both run_ranks flavors.
-  EXPECT_THROW(engine.run_ranks(
-                   false, [](BspEngine::RankCtx& ctx) { (void)ctx.poll(); }),
-               Error);
-  EXPECT_THROW(engine.run_ranks(
-                   true, [](BspEngine::RankCtx& ctx) { (void)ctx.poll(); }),
-               Error);
+  // violation.
+  EXPECT_THROW(
+      engine.run_ranks([](RankCtx& ctx) { (void)ctx.poll(); }), Error);
 }
 
 TEST(BspEngine, SnapshotPollIsOneShotAndBeforeWork) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  EXPECT_THROW(engine.run_ranks_snapshot([](BspEngine::RankCtx& ctx) {
+  EXPECT_THROW(engine.run_ranks_snapshot([](RankCtx& ctx) {
     (void)ctx.poll();
     (void)ctx.poll();  // at most once per callback
   }),
                Error);
-  EXPECT_THROW(engine.run_ranks_snapshot([](BspEngine::RankCtx& ctx) {
+  EXPECT_THROW(engine.run_ranks_snapshot([](RankCtx& ctx) {
     ctx.charge(1.0);
     (void)ctx.poll();  // must precede any charge or send
   }),
@@ -435,46 +490,51 @@ TEST(BspEngine, SnapshotPollIsOneShotAndBeforeWork) {
 
 TEST(BspEngine, SnapshotPhaseDeliversArrivedMessages) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  engine.send(0, 1, std::vector<std::byte>(16), 2);
+  on_rank(engine, 0, [](RankCtx& ctx) {
+    ctx.send(1, std::vector<std::byte>(16), 2);
+  });
   engine.barrier();  // equal clocks past the arrival; inbox still pending
   std::size_t seen = 0;
   std::int64_t records = 0;
-  engine.run_ranks_snapshot([&](BspEngine::RankCtx& ctx) {
+  engine.run_ranks_snapshot([&](RankCtx& ctx) {
     for (const BspMessage& msg : ctx.poll()) {
       ++seen;
       records += msg.records;
     }
   });
-  // Equalized clocks always pass the safety check, so this ran deferred.
+  // Equalized clocks always pass the safety check, so this harvested every
+  // rank up front.
   EXPECT_EQ(engine.snapshot_parallel_phases(), 1);
   EXPECT_EQ(engine.snapshot_fallback_phases(), 0);
   EXPECT_EQ(seen, 1u);
   EXPECT_EQ(records, 2);
-  EXPECT_TRUE(engine.drain(1).empty());
+  EXPECT_TRUE(drain_rank(engine, 1).empty());
 }
 
 TEST(BspEngine, SnapshotPhaseRestoresUnconsumedMessages) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  engine.send(0, 1, std::vector<std::byte>(16), 2);
+  on_rank(engine, 0, [](RankCtx& ctx) {
+    ctx.send(1, std::vector<std::byte>(16), 2);
+  });
   engine.barrier();
   // The harvest pass pre-polls rank 1's inbox, but the callback never asks
   // for it — the message must go back to pending, not be lost.
-  engine.run_ranks_snapshot([](BspEngine::RankCtx& ctx) { ctx.charge(1.0); });
+  engine.run_ranks_snapshot([](RankCtx& ctx) { ctx.charge(1.0); });
   EXPECT_EQ(engine.snapshot_parallel_phases(), 1);
-  const auto msgs = engine.drain(1);
+  const auto msgs = drain_rank(engine, 1);
   ASSERT_EQ(msgs.size(), 1u);
   EXPECT_EQ(msgs[0].records, 2);
 }
 
 TEST(BspEngine, SnapshotFallbackSeesSameSuperstepSends) {
   // Rank 1's clock is far ahead of rank 0's bound, so the safety check must
-  // refuse to parallelize — and the sequential fallback must preserve the
-  // historical semantics where rank 1's live poll sees rank 0's send from
-  // the *same* superstep.
+  // refuse the up-front harvest — and the rank-by-rank fallback must keep
+  // the sequential semantics where rank 1's poll sees rank 0's send from the
+  // *same* superstep.
   BspEngine engine(2, MachineModel::blue_gene_p());
-  engine.charge(1, 1e6);
+  on_rank(engine, 1, [](RankCtx& ctx) { ctx.charge(1e6); });
   std::size_t rank1_saw = 0;
-  engine.run_ranks_snapshot([&](BspEngine::RankCtx& ctx) {
+  engine.run_ranks_snapshot([&](RankCtx& ctx) {
     if (ctx.rank() == 0) {
       (void)ctx.poll();
       ctx.send(1, std::vector<std::byte>(8), 1);

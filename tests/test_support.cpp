@@ -7,6 +7,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "runtime/exec/backend.hpp"
 #include "support/csv.hpp"
@@ -292,6 +293,27 @@ TEST(Options, DoubleReportsOutOfRangeDistinctly) {
     FAIL() << "expected pmc::Error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos);
+  }
+}
+
+TEST(Options, IntListParsesPositiveEntries) {
+  EXPECT_EQ(opts_with("2,8,32").get_int_list("x"),
+            (std::vector<int>{2, 8, 32}));
+  EXPECT_EQ(opts_with("+4").get_int_list("x"), (std::vector<int>{4}));
+}
+
+TEST(Options, IntListRejectsGarbageNonPositiveAndEmpty) {
+  // Each failure names the flag (the bare std::stoi loop it replaces
+  // silently ran "2x,8junk" as 2 and 8).
+  for (const char* bad : {"2x,8junk", "2,8junk", "1.5", "2,,8", "2,", ",2",
+                          "0", "4,-1", "", "2147483648"}) {
+    try {
+      (void)opts_with(bad).get_int_list("x");
+      FAIL() << "expected pmc::Error for '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("option --x"), std::string::npos)
+          << bad;
+    }
   }
 }
 

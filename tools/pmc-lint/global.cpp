@@ -6,17 +6,14 @@
 //   D9  cost-accounting completeness — begin_send results must be recorded
 //       or forwarded, and post_send_at must be priced at a begin_send-
 //       derived time, so no send is invisible to CommStats / the α–β model.
-//   D1-D7 helper propagation — a helper whose own file hides a banned core
+//   D1-D5 helper propagation — a helper whose own file hides a banned core
 //       pattern from the rule's scope taints every call site where the
 //       rule is live (one level deep).
 //   D10 stale-suppression audit — allow()/schema() comments that match
 //       nothing fail the build.
 #include <algorithm>
-#include <cstdio>
-#include <iterator>
 #include <map>
 #include <set>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -420,7 +417,6 @@ struct GlobalPass {
   const ProgramOptions& opts;
   std::vector<Diagnostic>& diags;
   std::vector<RuleScope> scopes;
-  std::vector<bool> mentions_ec, mentions_rc;
   /// (file path, line) of schema() comments that bound a live function.
   std::set<std::pair<std::string, int>> used_schemas;
 
@@ -428,16 +424,9 @@ struct GlobalPass {
              std::vector<Diagnostic>& d)
       : index(idx), opts(o), diags(d) {
     scopes.reserve(index.files.size());
-    mentions_ec.resize(index.files.size(), false);
-    mentions_rc.resize(index.files.size(), false);
     for (std::size_t f = 0; f < index.files.size(); ++f) {
       scopes.push_back(opts.all_rules ? all_rules()
                                       : scope_for_path(index.files[f].path));
-      for (const Token& t : index.files[f].tokens) {
-        if (!t.is_ident) continue;
-        if (t.text == "EventContext") mentions_ec[f] = true;
-        if (t.text == "RankCtx") mentions_rc[f] = true;
-      }
     }
   }
 
@@ -679,12 +668,12 @@ struct GlobalPass {
     }
   }
 
-  // ---- D1-D7 helper propagation -------------------------------------------
+  // ---- D1-D5 helper propagation -------------------------------------------
 
   void propagate_file_rules(const std::set<std::string>& direct_keys) {
     // Taints: unsuppressed core-pattern hits that the helper's own file
-    // scope (path predicate or content gate) hides. D4 is scope-global and
-    // decode-local, so it never taints.
+    // scope (path predicate) hides. D4 is scope-global and decode-local, so
+    // it never taints.
     struct Taint {
       std::set<std::string> rules;
       std::map<std::string, std::pair<int, std::string>> exemplar;
@@ -692,12 +681,11 @@ struct GlobalPass {
     std::map<const FunctionInfo*, Taint> taints;
     RuleScope everything;
     everything.d1 = everything.d2 = everything.d3 = everything.d5 = true;
-    everything.d6 = everything.d7 = true;
     everything.d4 = false;
     for (std::size_t f = 0; f < index.files.size(); ++f) {
       const FileIndex& fi = index.files[f];
-      const std::vector<Diagnostic> potential = file_rules(
-          fi.path, fi.view, fi.tokens, everything, /*content_gates=*/false);
+      const std::vector<Diagnostic> potential =
+          file_rules(fi.path, fi.view, fi.tokens, everything);
       for (const Diagnostic& d : potential) {
         if (d.suppressed) continue;
         const std::string key =
@@ -721,8 +709,6 @@ struct GlobalPass {
       if (r == "D2") return s.d2;
       if (r == "D3") return s.d3;
       if (r == "D5") return s.d5;
-      if (r == "D6") return s.d6 && mentions_ec[f];
-      if (r == "D7") return s.d7 && mentions_rc[f];
       return false;
     };
 
@@ -826,8 +812,8 @@ ProgramReport analyze_program(const std::vector<SourceFile>& sources,
     const internal::FileIndex& fi = index.files[f];
     const RuleScope scope =
         opts.all_rules ? all_rules() : scope_for_path(fi.path);
-    std::vector<Diagnostic> diags = internal::file_rules(
-        fi.path, fi.view, fi.tokens, scope, /*content_gates=*/true);
+    std::vector<Diagnostic> diags =
+        internal::file_rules(fi.path, fi.view, fi.tokens, scope);
     for (Diagnostic& d : diags) {
       report.diagnostics.push_back(std::move(d));
     }
@@ -840,104 +826,6 @@ ProgramReport analyze_program(const std::vector<SourceFile>& sources,
               return a.rule < b.rule;
             });
   return report;
-}
-
-namespace {
-
-std::string sarif_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-struct SarifRule {
-  const char* id;
-  const char* text;
-};
-
-constexpr SarifRule kSarifRules[] = {
-    {"D1", "No unordered-container range-iteration in message-producing "
-           "code; snapshot with sorted_keys()/sorted_items()."},
-    {"D2", "No hidden entropy; randomness flows through pmc::Rng, wall time "
-           "through WallTimer."},
-    {"D3", "No raw memcpy/reinterpret_cast serialization outside the frame "
-           "codec."},
-    {"D4", "Every FrameReader/ByteReader decode loop must check done()."},
-    {"D5", "No floating-point accumulation under an unordered-container "
-           "iteration."},
-    {"D6", "No direct post_send in event-path code; use EventContext::send "
-           "or begin_send()+post_send_at()."},
-    {"D7", "No raw mid-superstep poll(rank) in BSP driver code; use "
-           "RankCtx::poll() in a snapshot phase."},
-    {"D8", "Encoder put_* and decoder read_* sequences must mirror each "
-           "other per message kind (cross-TU)."},
-    {"D9", "Every send must be priced at a begin_send-derived time so the "
-           "alpha-beta cost model sees it."},
-    {"D10", "allow()/schema() comments that no longer match anything are "
-            "stale and fail the build."},
-};
-
-}  // namespace
-
-std::string to_sarif(const ProgramReport& report) {
-  std::ostringstream os;
-  os << "{\n"
-     << "  \"$schema\": "
-        "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-     << "  \"version\": \"2.1.0\",\n"
-     << "  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n"
-     << "          \"name\": \"pmc-lint\",\n"
-     << "          \"version\": \"2.0.0\",\n"
-     << "          \"informationUri\": "
-        "\"https://example.invalid/pmc-lint\",\n"
-     << "          \"rules\": [\n";
-  for (std::size_t i = 0; i < std::size(kSarifRules); ++i) {
-    os << "            {\"id\": \"" << kSarifRules[i].id
-       << "\", \"shortDescription\": {\"text\": \""
-       << sarif_escape(kSarifRules[i].text) << "\"}}"
-       << (i + 1 < std::size(kSarifRules) ? "," : "") << "\n";
-  }
-  os << "          ]\n        }\n      },\n"
-     << "      \"results\": [";
-  for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
-    const Diagnostic& d = report.diagnostics[i];
-    os << (i == 0 ? "" : ",") << "\n        {\n"
-       << "          \"ruleId\": \"" << sarif_escape(d.rule) << "\",\n"
-       << "          \"level\": "
-       << (d.suppressed || d.baselined ? "\"note\"" : "\"error\"") << ",\n"
-       << "          \"message\": {\"text\": \"" << sarif_escape(d.message)
-       << "\"},\n"
-       << "          \"locations\": [{\"physicalLocation\": "
-          "{\"artifactLocation\": {\"uri\": \""
-       << sarif_escape(internal::normalize_path(d.file))
-       << "\"}, \"region\": {\"startLine\": " << d.line << "}}}]";
-    if (d.suppressed) {
-      os << ",\n          \"suppressions\": [{\"kind\": \"inSource\", "
-            "\"justification\": \""
-         << sarif_escape(d.justification) << "\"}]";
-    }
-    if (d.baselined) {
-      os << ",\n          \"baselineState\": \"unchanged\"";
-    }
-    os << "\n        }";
-  }
-  os << "\n      ]\n    }\n  ]\n}\n";
-  return os.str();
 }
 
 }  // namespace pmc_lint

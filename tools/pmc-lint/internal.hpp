@@ -49,15 +49,11 @@ struct Token {
 
 // ---- per-file rule pass ----------------------------------------------------
 
-/// Runs the single-file rules D1-D7 over a pre-stripped, pre-tokenized view.
-/// With `content_gates` false the D6/D7 "file mentions EventContext/RankCtx"
-/// gates are ignored — the taint pass uses this to see the banned core
-/// patterns a helper file hides from its own (gated) scope.
+/// Runs the single-file rules D1-D5 over a pre-stripped, pre-tokenized view.
 [[nodiscard]] std::vector<Diagnostic> file_rules(const std::string& path,
                                                  const SourceView& view,
                                                  const std::vector<Token>& toks,
-                                                 const RuleScope& scope,
-                                                 bool content_gates);
+                                                 const RuleScope& scope);
 
 /// Applies the file's allow() comments to one diagnostic (the same matching
 /// the per-file rules use: the diagnostic's line or the line above, rule
@@ -112,7 +108,7 @@ struct ProgramIndex {
 [[nodiscard]] ProgramIndex build_index(const std::vector<SourceFile>& sources);
 
 /// Pass 2: the cross-TU rules (D8 schema symmetry, D9 cost-accounting
-/// completeness, helper-indirection propagation for D1-D7) plus the D10
+/// completeness, helper-indirection propagation for D1-D5) plus the D10
 /// stale-suppression audit over `diags` (every diagnostic already produced,
 /// including the per-file pass — allow consumption is read off allow_line).
 /// Appends its findings to `diags`.

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -241,26 +240,14 @@ namespace {
 class Analyzer {
  public:
   Analyzer(std::string path, const SourceView& view,
-           const std::vector<Token>& tokens, const RuleScope& scope,
-           bool content_gates)
+           const std::vector<Token>& tokens, const RuleScope& scope)
       : path_(std::move(path)),
         scope_(scope),
-        content_gates_(content_gates),
         allows_(view.allows),
         tokens_(tokens) {}
 
   std::vector<Diagnostic> run() {
     collect_declared_vars();
-    for (const Token& t : tokens_) {
-      if (!t.is_ident) continue;
-      if (t.text == "EventContext") mentions_event_context_ = true;
-      if (t.text == "RankCtx") mentions_rank_ctx_ = true;
-      if (mentions_event_context_ && mentions_rank_ctx_) break;
-    }
-    if (!content_gates_) {
-      mentions_event_context_ = true;
-      mentions_rank_ctx_ = true;
-    }
     check_banned_calls();
     check_range_loops();
     check_decoder_scopes();
@@ -328,8 +315,7 @@ class Analyzer {
     }
   }
 
-  /// D2 (hidden entropy), D3 (raw serialization), D6 (live-clock sends in
-  /// event-path code), D7 (raw inbox harvest in BSP driver code).
+  /// D2 (hidden entropy), D3 (raw serialization).
   void check_banned_calls() {
     for (std::size_t i = 0; i < tokens_.size(); ++i) {
       const Token& t = tokens_[i];
@@ -362,34 +348,6 @@ class Analyzer {
                        "' — nondeterministic source; use pmc::Rng / "
                        "WallTimer (steady_clock) instead");
           }
-        }
-      }
-      if (scope_.d6 && mentions_event_context_) {
-        // post_send_at tokenizes as its own identifier, so the replayable
-        // pricing path never matches. Requiring a member call ('.'/'->')
-        // keeps declarations and stub prototypes out; every real send in
-        // the event path goes through a fabric object.
-        if (t.text == "post_send" && tok(i + 1).text == "(" && member) {
-          report("D6", t.line,
-                 "direct post_send in event-path code — the live-clock send "
-                 "path cannot be replayed by windowed dispatch; route "
-                 "handler sends through EventContext::send (lane deferred "
-                 "API) and engine sends through begin_send() + "
-                 "post_send_at()");
-        }
-      }
-      if (scope_.d7 && mentions_rank_ctx_) {
-        // RankCtx::poll() takes no arguments, so the sanctioned snapshot
-        // harvest never matches; BspEngine::poll(rank) — the raw live-inbox
-        // read — always passes an argument. Requiring a member call keeps
-        // declarations and stub prototypes out of scope.
-        if (t.text == "poll" && tok(i + 1).text == "(" &&
-            tok(i + 2).text != ")" && member) {
-          report("D7", t.line,
-                 "raw mid-superstep poll(rank) in BSP driver code — the live "
-                 "inbox read cannot be replayed by the snapshot-harvest "
-                 "parallel path; harvest arrivals through RankCtx::poll() "
-                 "inside a run_ranks_snapshot phase");
         }
       }
       if (scope_.d3) {
@@ -550,15 +508,10 @@ class Analyzer {
 
   std::string path_;
   RuleScope scope_;
-  bool content_gates_;
   const std::unordered_map<int, Allow>& allows_;
   const std::vector<Token>& tokens_;
   std::unordered_set<std::string> unordered_vars_;
   std::unordered_set<std::string> float_vars_;
-  /// D6/D7 content gates: each rule only polices files that actually touch
-  /// its dispatch API (declared handlers, superstep bodies).
-  bool mentions_event_context_ = false;
-  bool mentions_rank_ctx_ = false;
   std::vector<Diagnostic> diags_;
 };
 
@@ -567,9 +520,8 @@ class Analyzer {
 std::vector<Diagnostic> file_rules(const std::string& path,
                                    const SourceView& view,
                                    const std::vector<Token>& toks,
-                                   const RuleScope& scope,
-                                   bool content_gates) {
-  return Analyzer(path, view, toks, scope, content_gates).run();
+                                   const RuleScope& scope) {
+  return Analyzer(path, view, toks, scope).run();
 }
 
 }  // namespace internal
@@ -593,15 +545,6 @@ RuleScope scope_for_path(const std::string& path) {
   scope.d1 = starts_with(p, "src/matching/") ||
              starts_with(p, "src/coloring/") ||
              starts_with(p, "src/runtime/");
-  scope.d6 = starts_with(p, "src/runtime/event_engine.") ||
-             starts_with(p, "src/matching/") ||
-             starts_with(p, "src/coloring/");
-  // The engine itself owns the raw inbox; everything that drives it must go
-  // through the snapshot-gated RankCtx::poll().
-  scope.d7 = (starts_with(p, "src/matching/") ||
-              starts_with(p, "src/coloring/") ||
-              starts_with(p, "src/runtime/")) &&
-             !starts_with(p, "src/runtime/bsp_engine.");
   // The codec implements the accessors; the fabric implements the pricing.
   // Each is the one place its rule's banned pattern is the point.
   scope.d8 = !starts_with(p, "src/runtime/serialize.");
@@ -610,7 +553,7 @@ RuleScope scope_for_path(const std::string& path) {
 }
 
 RuleScope all_rules() {
-  return RuleScope{true, true, true, true, true, true, true, true, true};
+  return RuleScope{true, true, true, true, true, true, true};
 }
 
 std::vector<Diagnostic> analyze_source(const std::string& path,
@@ -618,7 +561,7 @@ std::vector<Diagnostic> analyze_source(const std::string& path,
                                        const RuleScope& scope) {
   const internal::SourceView view = internal::strip(contents);
   const std::vector<internal::Token> toks = internal::tokenize(view.code);
-  return internal::file_rules(path, view, toks, scope, /*content_gates=*/true);
+  return internal::file_rules(path, view, toks, scope);
 }
 
 namespace {
@@ -767,27 +710,21 @@ std::string json_escape(const std::string& s) {
 
 std::string to_json(const std::vector<Diagnostic>& diags,
                     std::size_t files_scanned) {
-  std::size_t suppressed = 0, baselined = 0;
-  for (const auto& d : diags) {
-    suppressed += d.suppressed ? 1 : 0;
-    baselined += (!d.suppressed && d.baselined) ? 1 : 0;
-  }
+  std::size_t suppressed = 0;
+  for (const auto& d : diags) suppressed += d.suppressed ? 1 : 0;
   std::ostringstream os;
   os << "{\n  \"tool\": \"pmc-lint\",\n  \"version\": 2,\n"
      << "  \"files_scanned\": " << files_scanned << ",\n"
      << "  \"total\": " << diags.size() << ",\n"
      << "  \"suppressed\": " << suppressed << ",\n"
-     << "  \"baselined\": " << baselined << ",\n"
-     << "  \"unsuppressed\": " << diags.size() - suppressed - baselined
-     << ",\n"
+     << "  \"unsuppressed\": " << diags.size() - suppressed << ",\n"
      << "  \"diagnostics\": [";
   for (std::size_t i = 0; i < diags.size(); ++i) {
     const Diagnostic& d = diags[i];
     os << (i == 0 ? "" : ",") << "\n    {\"rule\": \"" << json_escape(d.rule)
        << "\", \"file\": \"" << json_escape(d.file)
        << "\", \"line\": " << d.line << ", \"suppressed\": "
-       << (d.suppressed ? "true" : "false") << ", \"baselined\": "
-       << (d.baselined ? "true" : "false") << ", \"justification\": \""
+       << (d.suppressed ? "true" : "false") << ", \"justification\": \""
        << json_escape(d.justification) << "\", \"message\": \""
        << json_escape(d.message) << "\"}";
   }
@@ -795,52 +732,10 @@ std::string to_json(const std::vector<Diagnostic>& diags,
   return os.str();
 }
 
-std::string fingerprint(const Diagnostic& d) {
-  std::ostringstream os;
-  os << d.rule << '|' << internal::normalize_path(d.file) << '|' << d.line;
-  return os.str();
-}
-
-std::set<std::string> load_baseline(const std::string& path) {
-  std::istringstream in(slurp(path));
-  std::set<std::string> out;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    std::size_t b = 0, e = line.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(line[b]))) ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(line[e - 1]))) --e;
-    if (e > b) out.insert(line.substr(b, e - b));
-  }
-  return out;
-}
-
-std::string write_baseline(const ProgramReport& report) {
-  std::set<std::string> fps;
-  for (const Diagnostic& d : report.diagnostics) {
-    if (!d.suppressed) fps.insert(fingerprint(d));
-  }
-  std::ostringstream os;
-  os << "# pmc-lint baseline: known findings tolerated by --baseline runs.\n"
-     << "# Regenerate with --write-baseline after burning entries down.\n";
-  for (const std::string& fp : fps) os << fp << '\n';
-  return os.str();
-}
-
-void apply_baseline(ProgramReport& report,
-                    const std::set<std::string>& baseline) {
-  for (Diagnostic& d : report.diagnostics) {
-    if (!d.suppressed && baseline.count(fingerprint(d)) != 0) {
-      d.baselined = true;
-    }
-  }
-}
-
 std::size_t failing_count(const ProgramReport& report) {
   std::size_t n = 0;
   for (const Diagnostic& d : report.diagnostics) {
-    if (!d.suppressed && !d.baselined) ++n;
+    if (!d.suppressed) ++n;
   }
   return n;
 }

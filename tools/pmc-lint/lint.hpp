@@ -13,8 +13,8 @@
 //
 // v2 runs in two passes. Pass 1 indexes every function definition in the
 // scanned sources (name, file:line, calls made, typed-accessor sequences,
-// message-kind constants). Pass 2 runs the per-file rules D1-D7, then the
-// whole-program rules D8-D10 over the index, and finally lets D1-D7
+// message-kind constants). Pass 2 runs the per-file rules D1-D5, then the
+// whole-program rules D8-D10 over the index, and finally lets D1-D5
 // propagate through one level of helper indirection via the call graph
 // (a helper whose own file hides a banned pattern from its scope taints
 // every call site where the rule is live).
@@ -37,22 +37,6 @@
 //   D5  no float/double accumulation inside an unordered-container
 //       range-iteration anywhere in src/ — FP addition is order-sensitive,
 //       so a hash-order reduction is silently nondeterministic.
-//   D6  no direct CommFabric::post_send in event-path code (the event
-//       engine and any file handling an EventContext: src/matching,
-//       src/coloring). post_send reads and advances the live sender clock,
-//       which a windowed parallel dispatch cannot replay — sends must route
-//       through EventContext::send / the Lane deferred API, or through
-//       begin_send() + post_send_at() on the merge path. Files that never
-//       mention EventContext (the BSP engine's direct superstep path) are
-//       out of scope.
-//   D7  no raw mid-superstep inbox harvest in BSP driver code (src/matching,
-//       src/coloring, src/runtime, excluding the engine itself): calling
-//       BspEngine::poll(rank) — any member poll() with arguments — from a
-//       superstep body reads the live inbox, which the snapshot-harvest
-//       parallel path cannot replay. Drivers must use RankCtx::poll() (no
-//       arguments) inside a run_ranks_snapshot phase, where the engine
-//       resolves deliveries sequentially before compute fans out. Files
-//       that never mention RankCtx are out of scope.
 //   D8  encode/decode schema symmetry (cross-TU, src/ minus serialize.*):
 //       for each message kind, every decoder's typed read_* sequence must
 //       mirror every encoder's put_* sequence in type and order. Message
@@ -74,7 +58,6 @@
 //       suppression ledger honest.
 #pragma once
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -93,9 +76,6 @@ struct Diagnostic {
   /// when rejected for a missing justification); 0 when none did. The D10
   /// audit reads consumption off this field.
   int allow_line = 0;
-  /// True when a --baseline file lists this finding (ratchet mode): it is
-  /// reported but does not fail the run.
-  bool baselined = false;
 };
 
 /// Which rule families apply to a file, derived from its path. D10 is a
@@ -106,8 +86,6 @@ struct RuleScope {
   bool d3 = false;  ///< Everything except serialize.*.
   bool d4 = true;   ///< Decoder hygiene applies everywhere.
   bool d5 = false;  ///< All of src/.
-  bool d6 = false;  ///< Event-path code (event engine, matching, coloring).
-  bool d7 = false;  ///< BSP driver code (matching/coloring/runtime sans engine).
   bool d8 = false;  ///< Protocol schema symmetry (src/ sans serialize.*).
   bool d9 = false;  ///< Cost-accounting completeness (src/ sans fabric.*).
 };
@@ -120,7 +98,7 @@ struct RuleScope {
 /// can be exercised regardless of where the fixture file lives.
 [[nodiscard]] RuleScope all_rules();
 
-/// Runs every in-scope *per-file* rule (D1-D7) over one file's contents.
+/// Runs every in-scope *per-file* rule (D1-D5) over one file's contents.
 /// `path` is used for diagnostics only; scoping is the caller's job
 /// (scope_for_path). The cross-TU rules D8-D10 and helper propagation need
 /// the whole-program view: use analyze_program.
@@ -159,7 +137,7 @@ struct ProgramReport {
 
 /// The two-pass analysis: per-file rules, then the cross-TU rules over the
 /// whole-program index (D8 schema symmetry, D9 cost accounting, one-level
-/// helper propagation for D1-D7), then the D10 suppression audit.
+/// helper propagation for D1-D5), then the D10 suppression audit.
 [[nodiscard]] ProgramReport analyze_program(
     const std::vector<SourceFile>& sources, const ProgramOptions& opts);
 
@@ -184,35 +162,13 @@ struct ProgramReport {
 [[nodiscard]] std::vector<std::string> compile_commands_sources(
     const std::vector<std::string>& json_paths);
 
-// ---- reports & baseline ----------------------------------------------------
+// ---- reports ---------------------------------------------------------------
 
 /// Serializes a run's findings as the machine-readable JSON report.
 [[nodiscard]] std::string to_json(const std::vector<Diagnostic>& diags,
                                   std::size_t files_scanned);
 
-/// Serializes a run as a SARIF 2.1.0 log (one run, tool driver "pmc-lint",
-/// suppressed findings carry an inSource suppression object, baselined ones
-/// baselineState "unchanged").
-[[nodiscard]] std::string to_sarif(const ProgramReport& report);
-
-/// Stable identity of a finding for the --baseline ratchet:
-/// "rule|normalized-file|line".
-[[nodiscard]] std::string fingerprint(const Diagnostic& d);
-
-/// One fingerprint per line; '#' comments and blank lines ignored. Throws
-/// on unreadable input.
-[[nodiscard]] std::set<std::string> load_baseline(const std::string& path);
-
-/// The baseline file content for a report: the fingerprints of its
-/// unsuppressed findings, sorted, one per line.
-[[nodiscard]] std::string write_baseline(const ProgramReport& report);
-
-/// Marks every unsuppressed diagnostic whose fingerprint the baseline lists
-/// as `baselined` (reported, but not a failure).
-void apply_baseline(ProgramReport& report,
-                    const std::set<std::string>& baseline);
-
-/// Unsuppressed, non-baselined findings — the run fails when nonzero.
+/// Unsuppressed findings — the run fails when nonzero.
 [[nodiscard]] std::size_t failing_count(const ProgramReport& report);
 
 }  // namespace pmc_lint

@@ -2,8 +2,7 @@
 //
 //   pmc-lint --compile-commands=build/compile_commands.json
 //            [--compile-commands=build-asan/compile_commands.json ...]
-//            [--json[=PATH]] [--sarif[=PATH]]
-//            [--baseline=PATH | --write-baseline=PATH]
+//            [--json[=PATH]]
 //   pmc-lint [--all-rules] file.cpp [file2.cpp ...]
 //
 // With --compile-commands the tool lints every src/ translation unit the
@@ -16,12 +15,10 @@
 //
 // Every run is whole-program: the cross-TU rules D8/D9 and the D10
 // stale-suppression audit see all inputs at once (--no-suppression-audit
-// turns D10 off). --baseline ratchets: findings listed in the baseline
-// file are reported but do not fail the run; --write-baseline freezes the
-// current findings into such a file.
+// turns D10 off).
 //
-// Exit status: 0 = clean (suppressed/baselined findings are fine), 1 = at
-// least one failing diagnostic, 2 = usage or I/O error.
+// Exit status: 0 = clean (suppressed findings are fine), 1 = at least one
+// failing diagnostic, 2 = usage or I/O error.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -35,9 +32,8 @@ namespace {
 
 int usage() {
   std::cerr << "usage: pmc-lint [--compile-commands=PATH ...] [--root=DIR] "
-               "[--json[=PATH]] [--sarif[=PATH]] [--baseline=PATH] "
-               "[--write-baseline=PATH] [--no-suppression-audit] "
-               "[--all-rules] [files...]\n";
+               "[--json[=PATH]] [--no-suppression-audit] [--all-rules] "
+               "[files...]\n";
   return 2;
 }
 
@@ -72,8 +68,8 @@ bool write_file(const std::string& path, const std::string& content) {
 int main(int argc, char** argv) {
   std::vector<std::string> compile_commands;
   std::string root = ".";
-  std::string json_path, sarif_path, baseline_path, write_baseline_path;
-  bool json = false, sarif = false;
+  std::string json_path;
+  bool json = false;
   bool all_rules = false;
   bool audit = true;
   std::vector<std::string> files;
@@ -89,15 +85,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--json=", 0) == 0) {
       json = true;
       json_path = arg.substr(7);
-    } else if (arg == "--sarif") {
-      sarif = true;
-    } else if (arg.rfind("--sarif=", 0) == 0) {
-      sarif = true;
-      sarif_path = arg.substr(8);
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-    } else if (arg.rfind("--write-baseline=", 0) == 0) {
-      write_baseline_path = arg.substr(17);
     } else if (arg == "--no-suppression-audit") {
       audit = false;
     } else if (arg == "--all-rules") {
@@ -133,28 +120,13 @@ int main(int argc, char** argv) {
     pmc_lint::ProgramOptions opts;
     opts.all_rules = all_rules;
     opts.audit_suppressions = audit;
-    pmc_lint::ProgramReport report =
+    const pmc_lint::ProgramReport report =
         pmc_lint::analyze_program_paths(files, opts);
 
-    if (!baseline_path.empty()) {
-      pmc_lint::apply_baseline(report,
-                               pmc_lint::load_baseline(baseline_path));
-    }
-    if (!write_baseline_path.empty()) {
-      if (!write_file(write_baseline_path,
-                      pmc_lint::write_baseline(report))) {
-        return 2;
-      }
-    }
-
-    std::size_t suppressed = 0, baselined = 0;
+    std::size_t suppressed = 0;
     for (const auto& d : report.diagnostics) {
       if (d.suppressed) {
         ++suppressed;
-        continue;
-      }
-      if (d.baselined) {
-        ++baselined;
         continue;
       }
       std::cout << d.file << ":" << d.line << ": [" << d.rule << "] "
@@ -171,18 +143,10 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    if (sarif) {
-      const std::string text = pmc_lint::to_sarif(report);
-      if (sarif_path.empty()) {
-        std::cout << text;
-      } else if (!write_file(sarif_path, text)) {
-        return 2;
-      }
-    }
 
     std::cout << "pmc-lint: " << report.files_scanned << " files, "
-              << failing << " failing, " << baselined << " baselined, "
-              << suppressed << " suppressed diagnostic(s)\n";
+              << failing << " failing, " << suppressed
+              << " suppressed diagnostic(s)\n";
     return failing == 0 ? 0 : 1;
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
