@@ -3,36 +3,24 @@
 #include <span>
 #include <utility>
 
-#include "runtime/serialize.hpp"
-#include "support/error.hpp"
+#include "runtime/fabric.hpp"
 
 namespace pmc {
 
-// pmc-lint: schema(ColorRecord)
 void apply_color_records(const LocalGraph& lg, std::vector<Color>& color,
                          const BspMessage& msg,
                          std::vector<VertexId>* changed) {
-  // FIAC sends (possibly empty) messages to every rank; an empty message
-  // carries no frame at all.
-  if (msg.payload.empty()) return;
-  FrameReader reader(msg.payload);
-  PMC_CHECK(reader.valid(), "undetected bad frame reached the coloring: "
-                                << reader.error());
-  for (std::int64_t i = 0; i < reader.records(); ++i) {
-    const VertexId global = reader.read_id();
-    const Color c = reader.read_color();
+  for_each_color_record(msg.payload, [&](VertexId global, Color c) {
     const VertexId local = lg.local_id(global);
     // Broadcast modes deliver records for vertices this rank has never heard
     // of; that waste is exactly what the customized modes eliminate.
-    if (local == kNoVertex) continue;
+    if (local == kNoVertex) return;
     auto& slot = color[static_cast<std::size_t>(local)];
     if (changed != nullptr && slot != c) changed->push_back(local);
     slot = c;
-  }
-  PMC_CHECK(reader.done(), "trailing garbage after the last color record");
+  });
 }
 
-// pmc-lint: schema(ColorRecord)
 std::function<void(Rank, std::vector<std::byte>, std::int64_t)>
 lost_tracking_color_sender(LostColorSets& lost, bool faults_on,
                            BspEngine::RankCtx& ctx) {
@@ -47,24 +35,15 @@ lost_tracking_color_sender(LostColorSets& lost, bool faults_on,
              [&lost, src](const CommFabric::SendReceipt& receipt,
                           std::span<const std::byte> bytes) {
                if (!receipt.dropped && !receipt.corrupted) return;
-               if (bytes.empty()) return;
                // The receiver never sees these colors (lost outright, or
                // rejected by its checksum), so conflict detection there
                // cannot be symmetric; the sender re-enters the vertices
                // instead. The callback always gets the original bytes, so
                // decoding the kept copy is safe even for corrupted sends.
-               FrameReader reader(bytes);
-               PMC_CHECK(reader.valid(),
-                         "sender-side copy of a lost frame is invalid: "
-                             << reader.error());
-               for (std::int64_t i = 0; i < reader.records(); ++i) {
-                 const VertexId global = reader.read_id();
-                 (void)reader.read_color();
-                 lost[static_cast<std::size_t>(src)].insert(global);
-               }
-               PMC_CHECK(reader.done(),
-                         "trailing garbage after the last lost-color "
-                         "record");
+               auto& lost_src = lost[static_cast<std::size_t>(src)];
+               for_each_color_record(bytes, [&](VertexId global, Color) {
+                 lost_src.insert(global);
+               });
              });
   };
 }

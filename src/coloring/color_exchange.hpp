@@ -1,8 +1,8 @@
-// Shared pieces of the BSP coloring drivers: decoding boundary-color
-// frames, the fault-repair lost-announcement tracking (PR 2's re-entry
-// machinery), and the deterministic priority comparator. Factored out of
-// coloring/parallel.cpp so the service-mode incremental re-coloring reuses
-// the exact same wire handling and repair semantics.
+// Shared pieces of the BSP coloring drivers: applying boundary-color
+// frames, the fault-repair lost-announcement tracking (the re-entry
+// machinery), and the deterministic priority comparator. The distance-1,
+// distance-2 and service-mode incremental drivers all use them, so they
+// share the exact same wire handling and repair semantics.
 #pragma once
 
 #include <cstdint>

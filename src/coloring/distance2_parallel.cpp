@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
 
+#include "coloring/color_exchange.hpp"
 #include "runtime/bsp_engine.hpp"
 #include "runtime/fabric.hpp"
-#include "runtime/serialize.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
 
@@ -120,22 +119,13 @@ struct D2RankState {
   FanoutStage stage{0};
 };
 
-// pmc-lint: schema(ColorRecord)
 void d2_apply_records(D2RankState& st, const BspMessage& msg) {
-  if (msg.payload.empty()) return;
-  FrameReader reader(msg.payload);
-  PMC_CHECK(reader.valid(),
-            "undetected bad frame reached the distance-2 coloring: "
-                << reader.error());
-  for (std::int64_t i = 0; i < reader.records(); ++i) {
-    const VertexId global = reader.read_id();
-    const Color c = reader.read_color();
+  for_each_color_record(msg.payload, [&](VertexId global, Color c) {
     const auto it = st.view->global_to_local.find(global);
     PMC_CHECK(it != st.view->global_to_local.end(),
               "distance-2 record for vertex outside the view");
     st.color[static_cast<std::size_t>(it->second)] = c;
-  }
-  PMC_CHECK(reader.done(), "trailing garbage after the last color record");
+  });
 }
 
 /// First-fit over the distance-2 neighborhood; returns arcs touched.
@@ -159,7 +149,6 @@ double d2_color_vertex(D2RankState& st, VertexId v, Color* chosen) {
 
 }  // namespace
 
-// pmc-lint: schema(ColorRecord)
 DistColoringResult color_distance2_distributed_native(
     const Graph& g, const Partition& p, const DistColoringOptions& options) {
   PMC_REQUIRE(options.superstep_size >= 1, "superstep size must be >= 1");
@@ -189,36 +178,12 @@ DistColoringResult color_distance2_distributed_native(
   DistColoringResult result;
   // Global ids whose color announcement was dropped this round, per sending
   // rank; the conflict phase resets and re-enters them (same recovery as the
-  // distance-1 coloring). Receipt callbacks fire on the main thread in both
-  // execution modes, so no locking is needed.
-  std::vector<std::unordered_set<VertexId>> lost(static_cast<std::size_t>(P));
-  const auto send_from = [&lost, faults_on](BspEngine::RankCtx& ctx) {
-    return [&lost, faults_on, &ctx](Rank dst, std::vector<std::byte> payload,
-                                    std::int64_t records) {
-      if (!faults_on) {
-        ctx.send(dst, std::move(payload), records);
-        return;
-      }
-      const Rank src = ctx.rank();
-      ctx.send(dst, std::move(payload), records,
-               [&lost, src](const CommFabric::SendReceipt& receipt,
-                            std::span<const std::byte> bytes) {
-                 if (!receipt.dropped && !receipt.corrupted) return;
-                 if (bytes.empty()) return;
-                 FrameReader reader(bytes);
-                 PMC_CHECK(reader.valid(),
-                           "sender-side copy of a lost frame is invalid: "
-                               << reader.error());
-                 for (std::int64_t i = 0; i < reader.records(); ++i) {
-                   const VertexId global = reader.read_id();
-                   (void)reader.read_color();
-                   lost[static_cast<std::size_t>(src)].insert(global);
-                 }
-                 PMC_CHECK(reader.done(),
-                           "trailing garbage after the last lost-color "
-                           "record");
-               });
-    };
+  // distance-1 coloring).
+  LostColorSets lost(static_cast<std::size_t>(P));
+  const auto apply_exchange = [&](BspEngine::RankCtx& ctx,
+                                  std::vector<BspMessage> msgs) {
+    D2RankState& st = states[static_cast<std::size_t>(ctx.rank())];
+    for (const BspMessage& msg : msgs) d2_apply_records(st, msg);
   };
 
   while (true) {
@@ -269,7 +234,8 @@ DistColoringResult color_distance2_distributed_native(
             st.stage.stage(dst, global, chosen);
           }
         }
-        st.stage.flush(SendPolicy::kCustomizedNeighbors, r, send_from(ctx));
+        st.stage.flush(SendPolicy::kCustomizedNeighbors, r,
+                       lost_tracking_color_sender(lost, faults_on, ctx));
       };
       if (sync_mode) {
         engine.run_ranks(superstep);
@@ -277,20 +243,10 @@ DistColoringResult color_distance2_distributed_native(
         engine.run_ranks_snapshot(superstep);
       }
       ++result.total_supersteps;
-      if (sync_mode) {
-        engine.barrier();
-        engine.run_ranks([&](BspEngine::RankCtx& ctx) {
-          D2RankState& st = states[static_cast<std::size_t>(ctx.rank())];
-          for (const BspMessage& msg : ctx.drain()) d2_apply_records(st, msg);
-        });
-      }
+      if (sync_mode) engine.exchange(apply_exchange);
     }
 
-    engine.barrier();
-    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
-      D2RankState& st = states[static_cast<std::size_t>(ctx.rank())];
-      for (const BspMessage& msg : ctx.drain()) d2_apply_records(st, msg);
-    });
+    engine.exchange(apply_exchange);
 
     // Conflict detection over distance-2 neighborhoods. Counters accumulate
     // per rank and fold in rank order after the parallel region.
@@ -351,7 +307,7 @@ DistColoringResult color_distance2_distributed_native(
     }
     result.conflicts_per_round.push_back(recolored_total);
     ++result.rounds;
-    engine.allreduce();
+    engine.barrier();
   }
 
   result.coloring.color.assign(

@@ -1,11 +1,11 @@
 #include "coloring/jones_plassmann.hpp"
 
-#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "coloring/sequential.hpp"
 #include "runtime/bsp_engine.hpp"
-#include "runtime/serialize.hpp"
+#include "runtime/fabric.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
 
@@ -17,15 +17,11 @@ struct JpRankState {
   const LocalGraph* lg = nullptr;
   std::vector<Color> color;          // owned + ghost, local ids
   std::vector<VertexId> uncolored;   // owned, shrinking frontier
-  std::vector<std::vector<Rank>> adj_ranks;  // per boundary vertex
   ColorChooser chooser{ColorStrategy::kFirstFit};
-  // Per-rank send scratch (isolated so rank callbacks can run concurrently).
-  std::vector<FrameWriter> dest_payload;
 };
 
 }  // namespace
 
-// pmc-lint: schema(ColorRecord)
 JonesPlassmannResult color_jones_plassmann(
     const DistGraph& dist, const JonesPlassmannOptions& options) {
   WallTimer wall;
@@ -37,21 +33,10 @@ JonesPlassmannResult color_jones_plassmann(
     JpRankState& st = states[static_cast<std::size_t>(r)];
     const LocalGraph& lg = dist.local(r);
     st.lg = &lg;
-    st.dest_payload.assign(static_cast<std::size_t>(P),
-                           FrameWriter(options.codec));
     st.color.assign(static_cast<std::size_t>(lg.num_local()), kNoColor);
     st.uncolored.resize(static_cast<std::size_t>(lg.num_owned()));
     for (VertexId v = 0; v < lg.num_owned(); ++v) {
       st.uncolored[static_cast<std::size_t>(v)] = v;
-    }
-    st.adj_ranks.assign(static_cast<std::size_t>(lg.num_owned()), {});
-    for (VertexId v : lg.boundary_vertices()) {
-      auto& ranks = st.adj_ranks[static_cast<std::size_t>(v)];
-      for (VertexId u : lg.neighbors(v)) {
-        if (lg.is_ghost(u)) ranks.push_back(lg.ghost_owner(u));
-      }
-      std::sort(ranks.begin(), ranks.end());
-      ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
     }
   }
 
@@ -72,8 +57,11 @@ JonesPlassmannResult color_jones_plassmann(
       const Rank r = ctx.rank();
       JpRankState& st = states[static_cast<std::size_t>(r)];
       const LocalGraph& lg = *st.lg;
-      auto& dest_payload = st.dest_payload;
-      std::vector<Rank> touched;
+      const auto send = [&ctx](Rank dst, std::vector<std::byte> payload,
+                               std::int64_t records) {
+        ctx.send(dst, std::move(payload), records);
+      };
+      Bundler out(BundleMode::kBundled, 0, options.codec);
       std::vector<VertexId> still_uncolored;
       still_uncolored.reserve(st.uncolored.size());
       for (const VertexId v : st.uncolored) {
@@ -100,42 +88,24 @@ JonesPlassmannResult color_jones_plassmann(
         }
         const Color c = st.chooser.choose(nullptr);
         st.color[static_cast<std::size_t>(v)] = c;
-        if (lg.is_boundary(v)) {
-          for (Rank dst : st.adj_ranks[static_cast<std::size_t>(v)]) {
-            auto& w = dest_payload[static_cast<std::size_t>(dst)];
-            if (w.empty()) touched.push_back(dst);
-            w.begin_record();
-            w.put_id(gv);
-            w.put_color(c);
-          }
+        for (const Rank dst : lg.boundary_ranks(v)) {
+          out.add(dst, [&](FrameWriter& w) { put_color_record(w, gv, c); },
+                  send);
         }
       }
       st.uncolored = std::move(still_uncolored);
-      std::sort(touched.begin(), touched.end());
-      touched.erase(std::unique(touched.begin(), touched.end()),
-                    touched.end());
-      for (Rank dst : touched) {
-        auto& w = dest_payload[static_cast<std::size_t>(dst)];
-        const std::int64_t records = w.records();
-        ctx.send(dst, w.take(), records);
-      }
+      out.flush(send);
     });
     // Round barrier + ghost color application.
-    engine.barrier();
-    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
+    engine.exchange([&](BspEngine::RankCtx& ctx,
+                        std::vector<BspMessage> msgs) {
       JpRankState& st = states[static_cast<std::size_t>(ctx.rank())];
-      for (const BspMessage& msg : ctx.drain()) {
-        FrameReader reader(msg.payload);
-        PMC_CHECK(reader.valid(), "undetected bad frame reached JP: "
-                                      << reader.error());
-        for (std::int64_t i = 0; i < reader.records(); ++i) {
-          const VertexId global = reader.read_id();
-          const Color c = reader.read_color();
+      for (const BspMessage& msg : msgs) {
+        for_each_color_record(msg.payload, [&](VertexId global, Color c) {
           const VertexId local = st.lg->local_id(global);
           PMC_CHECK(local != kNoVertex, "JP record for unknown vertex");
           st.color[static_cast<std::size_t>(local)] = c;
-        }
-        PMC_CHECK(reader.done(), "trailing garbage after the last JP record");
+        });
       }
     });
     ++result.rounds;

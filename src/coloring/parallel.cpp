@@ -44,8 +44,6 @@ struct RankState {
   std::vector<VertexId> to_color;
   /// Boundary vertices colored in the current round (for conflict detection).
   std::vector<VertexId> colored_boundary;
-  /// For each owned boundary vertex, the sorted ranks owning its neighbors.
-  std::vector<std::vector<Rank>> adj_ranks;
   ColorChooser chooser{ColorStrategy::kFirstFit};
   std::vector<std::int64_t> usage;  // for kLeastUsed
   /// Per-destination staging for this rank's current superstep, flushed
@@ -96,32 +94,17 @@ DistColoringResult color_distributed(const DistGraph& dist,
     if (options.strategy == ColorStrategy::kLeastUsed) {
       st.usage.assign(1, 0);
     }
-    // Initial coloring order within the rank.
-    switch (options.local_order) {
-      case LocalOrder::kInteriorFirst:
-        st.to_color = lg.interior_vertices();
-        st.to_color.insert(st.to_color.end(), lg.boundary_vertices().begin(),
-                           lg.boundary_vertices().end());
-        break;
-      case LocalOrder::kBoundaryFirst:
-        st.to_color = lg.boundary_vertices();
-        st.to_color.insert(st.to_color.end(), lg.interior_vertices().begin(),
-                           lg.interior_vertices().end());
-        break;
-      case LocalOrder::kNatural:
-        st.to_color.resize(static_cast<std::size_t>(lg.num_owned()));
-        std::iota(st.to_color.begin(), st.to_color.end(), VertexId{0});
-        break;
-    }
-    // Ranks adjacent to each boundary vertex (for customized messages).
-    st.adj_ranks.assign(static_cast<std::size_t>(lg.num_owned()), {});
-    for (VertexId v : lg.boundary_vertices()) {
-      std::vector<Rank>& ranks = st.adj_ranks[static_cast<std::size_t>(v)];
-      for (VertexId u : lg.neighbors(v)) {
-        if (lg.is_ghost(u)) ranks.push_back(lg.ghost_owner(u));
-      }
-      std::sort(ranks.begin(), ranks.end());
-      ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+    // Initial coloring order within the rank: local-id order, with the
+    // interior or the boundary vertices moved to the front. The partition is
+    // stable, so each class keeps local-id order.
+    st.to_color.resize(static_cast<std::size_t>(lg.num_owned()));
+    std::iota(st.to_color.begin(), st.to_color.end(), VertexId{0});
+    if (options.local_order != LocalOrder::kNatural) {
+      const bool boundary_first =
+          options.local_order == LocalOrder::kBoundaryFirst;
+      std::stable_partition(
+          st.to_color.begin(), st.to_color.end(),
+          [&](VertexId v) { return lg.is_boundary(v) == boundary_first; });
     }
   }
 
@@ -132,6 +115,14 @@ DistColoringResult color_distributed(const DistGraph& dist,
   // rank; the conflict phase resets and re-enters them (PR 2's repair
   // re-entry, shared with the incremental driver via color_exchange).
   LostColorSets lost(static_cast<std::size_t>(P));
+
+  const auto apply_exchange = [&](BspEngine::RankCtx& ctx,
+                                  std::vector<BspMessage> msgs) {
+    RankState& st = states[static_cast<std::size_t>(ctx.rank())];
+    for (const BspMessage& msg : msgs) {
+      apply_color_records(*st.lg, st.color, msg);
+    }
+  };
 
   while (true) {
     // ---- Tentative coloring phase -------------------------------------
@@ -179,7 +170,7 @@ DistColoringResult color_distributed(const DistGraph& dist,
           if (options.comm_mode == CommMode::kBroadcastUnion) {
             st.stage.stage_union(global, chosen);
           } else {
-            for (Rank dst : st.adj_ranks[static_cast<std::size_t>(v)]) {
+            for (Rank dst : lg.boundary_ranks(v)) {
               st.stage.stage(dst, global, chosen);
             }
           }
@@ -194,25 +185,11 @@ DistColoringResult color_distributed(const DistGraph& dist,
         engine.run_ranks_snapshot(superstep);
       }
       ++result.total_supersteps;
-      if (sync_mode) {
-        engine.exchange([&](BspEngine::RankCtx& ctx,
-                            std::vector<BspMessage> msgs) {
-          RankState& st = states[static_cast<std::size_t>(ctx.rank())];
-          for (const BspMessage& msg : msgs) {
-            apply_color_records(*st.lg, st.color, msg);
-          }
-        });
-      }
+      if (sync_mode) engine.exchange(apply_exchange);
     }
 
     // ---- "Wait until all incoming messages are received" ---------------
-    engine.exchange([&](BspEngine::RankCtx& ctx,
-                        std::vector<BspMessage> msgs) {
-      RankState& st = states[static_cast<std::size_t>(ctx.rank())];
-      for (const BspMessage& msg : msgs) {
-        apply_color_records(*st.lg, st.color, msg);
-      }
-    });
+    engine.exchange(apply_exchange);
 
     // ---- Conflict detection (no communication needed) ------------------
     std::vector<EdgeId> recolored(static_cast<std::size_t>(P), 0);
@@ -267,7 +244,7 @@ DistColoringResult color_distributed(const DistGraph& dist,
     ++result.rounds;
 
     // ---- Termination check ("while exists j with U_j nonempty") --------
-    engine.allreduce();
+    engine.barrier();
   }
 
   // Assemble the global coloring.

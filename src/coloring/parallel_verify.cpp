@@ -1,18 +1,16 @@
 #include "coloring/parallel_verify.hpp"
 
-#include <algorithm>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "runtime/bsp_engine.hpp"
-#include "runtime/serialize.hpp"
+#include "runtime/fabric.hpp"
 #include "support/error.hpp"
-#include "support/sorted.hpp"
 #include "support/timer.hpp"
 
 namespace pmc {
 
-// pmc-lint: schema(ColorRecord)
 DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
                                              const Coloring& c,
                                              const MachineModel& model,
@@ -27,54 +25,33 @@ DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
   // Boundary color exchange.
   engine.run_ranks([&](BspEngine::RankCtx& ctx) {
     const LocalGraph& lg = dist.local(ctx.rank());
-    std::unordered_map<Rank, FrameWriter> out;
-    std::vector<Rank> scratch;
+    const auto send = [&ctx](Rank dst, std::vector<std::byte> payload,
+                             std::int64_t records) {
+      ctx.send(dst, std::move(payload), records);
+    };
+    Bundler out(BundleMode::kBundled, 0, codec);
     for (const VertexId v : lg.boundary_vertices()) {
       const VertexId gv = lg.global_id(v);
+      const Color cv = c.color[static_cast<std::size_t>(gv)];
       ctx.charge(static_cast<double>(lg.degree(v)));
-      scratch.clear();
-      for (VertexId u : lg.neighbors(v)) {
-        if (lg.is_ghost(u)) scratch.push_back(lg.ghost_owner(u));
-      }
-      std::sort(scratch.begin(), scratch.end());
-      scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                    scratch.end());
-      for (Rank dst : scratch) {
-        auto& w = out.try_emplace(dst, FrameWriter(codec)).first->second;
-        w.begin_record();
-        w.put_id(gv);
-        w.put_color(c.color[static_cast<std::size_t>(gv)]);
+      for (const Rank dst : lg.boundary_ranks(v)) {
+        out.add(dst, [&](FrameWriter& w) { put_color_record(w, gv, cv); },
+                send);
       }
     }
-    // Ship in ascending destination order (D1): hash-order sends would tie
-    // the message sequence to the unordered map's bucket layout.
-    for (const Rank dst : sorted_keys(out)) {
-      FrameWriter& writer = out.at(dst);
-      const std::int64_t records = writer.records();
-      ctx.send(dst, writer.take(), records);
-    }
+    out.flush(send);
   });
-  engine.barrier();
 
   std::vector<std::int64_t> violations(static_cast<std::size_t>(P), 0);
-  engine.run_ranks([&](BspEngine::RankCtx& ctx) {
+  engine.exchange([&](BspEngine::RankCtx& ctx, std::vector<BspMessage> msgs) {
     const Rank r = ctx.rank();
     const LocalGraph& lg = dist.local(r);
     std::int64_t& mine = violations[static_cast<std::size_t>(r)];
     std::unordered_map<VertexId, Color> ghost_color;
-    for (const BspMessage& msg : ctx.drain()) {
-      if (msg.payload.empty()) continue;
-      FrameReader reader(msg.payload);
-      PMC_CHECK(reader.valid(),
-                "undetected bad frame reached the coloring verifier: "
-                    << reader.error());
-      for (std::int64_t i = 0; i < reader.records(); ++i) {
-        const VertexId gv = reader.read_id();
-        const Color color = reader.read_color();
+    for (const BspMessage& msg : msgs) {
+      for_each_color_record(msg.payload, [&](VertexId gv, Color color) {
         ghost_color[gv] = color;
-      }
-      PMC_CHECK(reader.done(),
-                "trailing garbage after the last boundary-color record");
+      });
     }
     for (VertexId v = 0; v < lg.num_owned(); ++v) {
       ctx.charge(static_cast<double>(lg.degree(v)) + 1.0);
@@ -100,7 +77,7 @@ DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
       }
     }
   });
-  engine.allreduce();
+  engine.barrier();
 
   DistVerifyResult result;
   for (Rank r = 0; r < P; ++r) {

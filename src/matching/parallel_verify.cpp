@@ -1,13 +1,12 @@
 #include "matching/parallel_verify.hpp"
 
-#include <algorithm>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "runtime/bsp_engine.hpp"
-#include "runtime/serialize.hpp"
+#include "runtime/fabric.hpp"
 #include "support/error.hpp"
-#include "support/sorted.hpp"
 #include "support/timer.hpp"
 
 namespace pmc {
@@ -28,46 +27,37 @@ DistVerifyResult verify_matching_distributed(const DistGraph& dist,
   // each neighboring rank — the information receivers need about ghosts.
   engine.run_ranks([&](BspEngine::RankCtx& ctx) {
     const LocalGraph& lg = dist.local(ctx.rank());
-    std::unordered_map<Rank, FrameWriter> out;
-    std::vector<Rank> scratch_ranks;
+    const auto send = [&ctx](Rank dst, std::vector<std::byte> payload,
+                             std::int64_t records) {
+      ctx.send(dst, std::move(payload), records);
+    };
+    Bundler out(BundleMode::kBundled, 0, codec);
     for (const VertexId v : lg.boundary_vertices()) {
       const VertexId gv = lg.global_id(v);
       const VertexId mate = m.mate[static_cast<std::size_t>(gv)];
       ctx.charge(static_cast<double>(lg.degree(v)));
-      scratch_ranks.clear();
-      for (VertexId u : lg.neighbors(v)) {
-        if (lg.is_ghost(u)) scratch_ranks.push_back(lg.ghost_owner(u));
-      }
-      std::sort(scratch_ranks.begin(), scratch_ranks.end());
-      scratch_ranks.erase(
-          std::unique(scratch_ranks.begin(), scratch_ranks.end()),
-          scratch_ranks.end());
-      for (Rank dst : scratch_ranks) {
-        auto& w = out.try_emplace(dst, FrameWriter(codec)).first->second;
-        w.begin_record();
-        w.put_id(gv);
-        w.put_id_rel(mate);
+      for (const Rank dst : lg.boundary_ranks(v)) {
+        out.add(dst,
+                [&](FrameWriter& w) {
+                  w.begin_record();
+                  w.put_id(gv);
+                  w.put_id_rel(mate);
+                },
+                send);
       }
     }
-    // Ship in ascending destination order (D1): hash-order sends would tie
-    // the message sequence to the unordered map's bucket layout.
-    for (const Rank dst : sorted_keys(out)) {
-      FrameWriter& writer = out.at(dst);
-      const std::int64_t records = writer.records();
-      ctx.send(dst, writer.take(), records);
-    }
+    out.flush(send);
   });
-  engine.barrier();
 
   // Phase 2: verify with local + ghost information only.
   std::vector<std::int64_t> violations(static_cast<std::size_t>(P), 0);
-  engine.run_ranks([&](BspEngine::RankCtx& ctx) {
+  engine.exchange([&](BspEngine::RankCtx& ctx, std::vector<BspMessage> msgs) {
     const Rank r = ctx.rank();
     std::int64_t& mine = violations[static_cast<std::size_t>(r)];
     const LocalGraph& lg = dist.local(r);
     // Ghost mate table from the received records.
     std::unordered_map<VertexId, VertexId> ghost_mate;
-    for (const BspMessage& msg : ctx.drain()) {
+    for (const BspMessage& msg : msgs) {
       if (msg.payload.empty()) continue;
       FrameReader reader(msg.payload);
       PMC_CHECK(reader.valid(),
@@ -129,7 +119,7 @@ DistVerifyResult verify_matching_distributed(const DistGraph& dist,
       }
     }
   });
-  engine.allreduce();
+  engine.barrier();
 
   DistVerifyResult result;
   for (Rank r = 0; r < P; ++r) {

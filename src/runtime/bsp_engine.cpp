@@ -84,10 +84,8 @@ std::vector<BspMessage> BspEngine::drain(Rank r) {
   return out;
 }
 
-void BspEngine::allreduce() { barrier(); }
-
 BspEngine::RankCtx::RankCtx(BspEngine& engine, Rank r)
-    : engine_(&engine), rank_(r), lane_(engine.fabric_.make_lane(r)) {}
+    : rank_(r), lane_(engine.fabric_.make_lane(r)) {}
 
 double BspEngine::RankCtx::now() const { return lane_.now(); }
 
@@ -131,15 +129,11 @@ std::vector<BspMessage> BspEngine::RankCtx::poll() {
   return std::move(snapshot_);
 }
 
-std::vector<BspMessage> BspEngine::RankCtx::drain() {
-  return engine_->drain(rank_);
-}
-
 void BspEngine::exchange(
     const std::function<void(RankCtx&, std::vector<BspMessage>)>& apply) {
   barrier();
   // Post-barrier drains touch only the rank's own inbox.
-  run_ranks([&](RankCtx& ctx) { apply(ctx, ctx.drain()); });
+  run_ranks([&](RankCtx& ctx) { apply(ctx, drain(ctx.rank())); });
 }
 
 void BspEngine::run_ranks(const std::function<void(RankCtx&)>& body) {
@@ -148,8 +142,8 @@ void BspEngine::run_ranks(const std::function<void(RankCtx&)>& body) {
   ctxs.reserve(static_cast<std::size_t>(P));
   for (Rank r = 0; r < P; ++r) ctxs.push_back(RankCtx(*this, r));
   // Rank callbacks run against their lanes (concurrently with a threaded
-  // backend); the fabric itself is only read. Per-rank inboxes (drain) are
-  // disjoint between callbacks.
+  // backend); the fabric itself is only read. Per-rank inboxes (exchange()
+  // drains) are disjoint between callbacks.
   backend_.parallel_for(static_cast<std::size_t>(P),
                         [&](std::size_t i) { body(ctxs[i]); });
   // Merging in ascending rank order fixes the global order of sequence

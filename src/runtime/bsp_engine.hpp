@@ -12,12 +12,14 @@
 //   * ctx.poll()  — deliver only messages whose modelled arrival time is
 //                   <= the rank's clock (asynchronous supersteps: a rank
 //                   proceeds with whatever color information has arrived);
-//   * barrier()   — advance every rank to the global completion time of all
-//                   in-flight messages ("wait until all incoming messages
-//                   are successfully received"), then ctx.drain() hands them
-//                   over.
+//   * exchange()  — barrier(), i.e. advance every rank to the global
+//                   completion time of all in-flight messages ("wait until
+//                   all incoming messages are successfully received"), then
+//                   hand every rank its whole inbox. It is the only way to
+//                   drain an inbox, so a drain always follows a barrier.
 //
-// allreduce() models the termination check at the end of each coloring round.
+// A bare barrier() also models the collective (allreduce) termination check
+// at the end of each coloring round.
 #pragma once
 
 #include <cstdint>
@@ -77,12 +79,9 @@ class BspEngine {
   [[nodiscard]] double pending_horizon() const;
 
   /// Global synchronization: every rank's clock advances to the maximum of
-  /// all clocks and all in-flight arrivals, plus the collective cost.
+  /// all clocks and all in-flight arrivals, plus the collective cost. Also
+  /// models an allreduce (the "any rank still has work" check).
   void barrier();
-
-  /// Models an allreduce (used for the "any rank still has work" check).
-  /// Synchronizes all clocks like barrier() and adds the collective cost.
-  void allreduce();
 
   // ---- per-rank execution ---------------------------------------------------
 
@@ -119,11 +118,6 @@ class BspEngine {
     /// observe arrivals the harvest cannot reproduce.
     [[nodiscard]] std::vector<BspMessage> poll();
 
-    /// Deliver all pending messages (call in a phase that follows a
-    /// barrier). Touches only this rank's inbox, so it is safe — and
-    /// deterministic — at every thread count.
-    [[nodiscard]] std::vector<BspMessage> drain();
-
    private:
     friend class BspEngine;
     struct DeferredSend {
@@ -136,7 +130,6 @@ class BspEngine {
 
     RankCtx(BspEngine& engine, Rank r);
 
-    BspEngine* engine_ = nullptr;
     Rank rank_ = kNoRank;
     bool poll_allowed_ = false;  ///< Set only by run_ranks_snapshot().
     bool polled_ = false;        ///< poll() is one-shot per callback.
@@ -150,15 +143,14 @@ class BspEngine {
   /// Runs body(ctx) once for every rank (concurrently with a threaded
   /// backend), each against its own RankCtx, and merges the contexts in
   /// rank order afterwards. Callbacks see no other rank's effects from the
-  /// same phase (synchronous-superstep compute, post-barrier drains,
-  /// conflict detection). Phases that poll() mid-superstep must use
-  /// run_ranks_snapshot() instead.
+  /// same phase (synchronous-superstep compute, conflict detection). Phases
+  /// that poll() mid-superstep must use run_ranks_snapshot() instead.
   void run_ranks(const std::function<void(RankCtx&)>& body);
 
   /// The bulk-synchronous exchange that ends a superstep round: barrier(),
-  /// then a rank phase in which every rank drains its inbox and `apply`
-  /// consumes the messages. Equivalent to the barrier() +
-  /// run_ranks(drain...) pattern every BSP driver repeats.
+  /// then a run_ranks() phase in which `apply` consumes every message
+  /// pending for the rank. Each rank touches only its own inbox, so the
+  /// phase is deterministic at every thread count.
   void exchange(
       const std::function<void(RankCtx&, std::vector<BspMessage>)>& apply);
 
@@ -193,10 +185,6 @@ class BspEngine {
   }
   [[nodiscard]] std::int64_t snapshot_fallback_phases() const noexcept {
     return snapshot_fallback_phases_;
-  }
-
-  [[nodiscard]] const ExecutionBackend& backend() const noexcept {
-    return backend_;
   }
 
   /// Current virtual time of rank r.

@@ -32,7 +32,7 @@ DistGraph DistGraph::build(const Graph& g, const Partition& p) {
   // Pass 2: build per-rank CSR over owned vertices, discovering ghosts.
   for (auto& lg : dist.locals_) {
     lg.offsets_.assign(static_cast<std::size_t>(lg.num_owned_) + 1, 0);
-    lg.is_boundary_.assign(static_cast<std::size_t>(lg.num_owned_), false);
+    lg.rank_offsets_.assign(static_cast<std::size_t>(lg.num_owned_) + 1, 0);
   }
   // Degree counting.
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -48,7 +48,10 @@ DistGraph DistGraph::build(const Graph& g, const Partition& p) {
     if (g.has_weights()) lg.weights_.resize(lg.adj_.size());
   }
 
-  // Fill adjacency; create ghosts on demand.
+  // Fill adjacency; create ghosts on demand. A rank's owned vertices come up
+  // in local-id order, so each one's sorted, unique ghost owners append to
+  // the boundary-rank CSR in place.
+  std::vector<Rank> ranks;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     const Rank rv = p.owner(v);
     auto& lg = dist.locals_[static_cast<std::size_t>(rv)];
@@ -57,6 +60,7 @@ DistGraph DistGraph::build(const Graph& g, const Partition& p) {
         lg.offsets_[static_cast<std::size_t>(lv)]);
     const auto nbrs = g.neighbors(v);
     const auto ws = g.weights(v);
+    ranks.clear();
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const VertexId u = nbrs[i];
       const Rank ru = p.owner(u);
@@ -73,13 +77,21 @@ DistGraph DistGraph::build(const Graph& g, const Partition& p) {
           lg.global_to_local_.emplace(u, lu);
           lg.ghost_owner_.push_back(ru);
         }
-        lg.is_boundary_[static_cast<std::size_t>(lv)] = true;
+        ranks.push_back(ru);
         ++lg.cross_edges_;
       }
       lg.adj_[cursor] = lu;
       if (g.has_weights()) lg.weights_[cursor] = ws[i];
       ++cursor;
     }
+    std::sort(ranks.begin(), ranks.end());
+    ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+    lg.boundary_ranks_.insert(lg.boundary_ranks_.end(), ranks.begin(),
+                              ranks.end());
+    PMC_CHECK(lg.boundary_ranks_.size() <= UINT32_MAX,
+              "rank " << rv << " has too many boundary ranks to index");
+    lg.rank_offsets_[static_cast<std::size_t>(lv) + 1] =
+        static_cast<std::uint32_t>(lg.boundary_ranks_.size());
   }
 
   // Pass 3: derived structures.
@@ -89,11 +101,7 @@ DistGraph DistGraph::build(const Graph& g, const Partition& p) {
     nbr.erase(std::unique(nbr.begin(), nbr.end()), nbr.end());
     lg.neighbor_ranks_ = std::move(nbr);
     for (VertexId lv = 0; lv < lg.num_owned_; ++lv) {
-      if (lg.is_boundary_[static_cast<std::size_t>(lv)]) {
-        lg.boundary_.push_back(lv);
-      } else {
-        lg.interior_.push_back(lv);
-      }
+      if (lg.is_boundary(lv)) lg.boundary_.push_back(lv);
     }
   }
   return dist;

@@ -10,8 +10,9 @@
 //     CSR form referring to local ids;
 //   * ghost vertices (local ids [num_owned, num_local)) with their global id
 //     and owning rank but no adjacency;
-//   * the interior/boundary classification of owned vertices and the sorted
-//     list of neighboring ranks.
+//   * the interior/boundary classification of owned vertices, each boundary
+//     vertex's sorted neighboring ranks, and the rank-wide sorted list of
+//     neighboring ranks.
 #pragma once
 
 #include <unordered_map>
@@ -56,7 +57,17 @@ class LocalGraph {
 
   /// True iff owned vertex `local` has a neighbor on another rank.
   [[nodiscard]] bool is_boundary(VertexId local) const {
-    return is_boundary_[static_cast<std::size_t>(local)];
+    return rank_offsets_[static_cast<std::size_t>(local) + 1] !=
+           rank_offsets_[static_cast<std::size_t>(local)];
+  }
+
+  /// Owners of owned vertex `local`'s ghost neighbors (sorted, unique) — the
+  /// ranks a boundary update of `local` must reach. Empty for interior
+  /// vertices.
+  [[nodiscard]] std::span<const Rank> boundary_ranks(VertexId local) const {
+    const auto b = static_cast<std::size_t>(rank_offsets_[static_cast<std::size_t>(local)]);
+    const auto e = static_cast<std::size_t>(rank_offsets_[static_cast<std::size_t>(local) + 1]);
+    return {boundary_ranks_.data() + b, e - b};
   }
 
   [[nodiscard]] EdgeId degree(VertexId local) const {
@@ -97,10 +108,6 @@ class LocalGraph {
     return neighbor_ranks_;
   }
 
-  /// Owned interior vertices (no cross edges), in local-id order.
-  [[nodiscard]] const std::vector<VertexId>& interior_vertices() const noexcept {
-    return interior_;
-  }
   /// Owned boundary vertices, in local-id order.
   [[nodiscard]] const std::vector<VertexId>& boundary_vertices() const noexcept {
     return boundary_;
@@ -119,9 +126,9 @@ class LocalGraph {
   std::vector<VertexId> adj_;     // local ids (owned or ghost)
   std::vector<Weight> weights_;
   std::vector<Rank> ghost_owner_;
-  std::vector<bool> is_boundary_;
+  std::vector<std::uint32_t> rank_offsets_;  // CSR over owned vertices
+  std::vector<Rank> boundary_ranks_;
   std::vector<Rank> neighbor_ranks_;
-  std::vector<VertexId> interior_;
   std::vector<VertexId> boundary_;
   EdgeId cross_edges_ = 0;
 };

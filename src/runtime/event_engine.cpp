@@ -333,17 +333,13 @@ void EventEngine::dispatch_window() {
   // other ranks' transport slots are only read.
   std::vector<CommFabric::Lane> lanes(shards);
   if (frames_.size() < window_.size()) frames_.resize(window_.size());
-  auto tasks = backend_.make_window();
-  for (std::size_t s = 0; s < shards; ++s) {
-    tasks.submit([this, s, &lanes] {
-      lanes[s] = fabric_.make_lane(window_[order_[shard_begin_[s]]].dst);
-      for (std::size_t k = shard_begin_[s]; k < shard_begin_[s + 1]; ++k) {
-        EventContext ctx(*this, lanes[s], frames_[order_[k]]);
-        dispatch(window_[order_[k]], ctx);
-      }
-    });
-  }
-  tasks.wait();
+  backend_.parallel_for(shards, [this, &lanes](std::size_t s) {
+    lanes[s] = fabric_.make_lane(window_[order_[shard_begin_[s]]].dst);
+    for (std::size_t k = shard_begin_[s]; k < shard_begin_[s + 1]; ++k) {
+      EventContext ctx(*this, lanes[s], frames_[order_[k]]);
+      dispatch(window_[order_[k]], ctx);
+    }
+  });
 
   // Merge: install the lanes' final accounting, then replay every event's
   // recorded effects in the window's (time, seq) order — so sequence

@@ -33,18 +33,4 @@ void ExecutionBackend::parallel_for(
   for (std::size_t i = 0; i < n; ++i) fn(i);
 }
 
-void ExecutionBackend::TaskWindow::wait() {
-  if (tasks_.empty()) return;
-  try {
-    backend_->parallel_for(tasks_.size(),
-                           [this](std::size_t i) { tasks_[i](); });
-  } catch (...) {
-    // Drain even on failure so the window stays reusable; the lowest-index
-    // exception still propagates to the caller.
-    tasks_.clear();
-    throw;
-  }
-  tasks_.clear();
-}
-
 }  // namespace pmc

@@ -18,6 +18,9 @@
 //     one of the coloring paper's §4.2 send policies: kBroadcastUnion
 //     (FIAB), kCustomizedAll (FIAC), or kCustomizedNeighbors (NEW).
 //
+// put_color_record / for_each_color_record are the one ColorRecord codec
+// that FanoutStage, the coloring drivers and the coloring verifier share.
+//
 // All modelled-time semantics (send overhead, latency + inverse-bandwidth
 // cost, FIFO channels, deterministic jitter) are bit-identical to the
 // pre-fabric engines; tests/test_determinism_regression.cpp pins this.
@@ -371,6 +374,34 @@ class Bundler {
   std::unordered_map<Rank, FrameWriter> out_;
 };
 
+/// Appends one ColorRecord — a boundary vertex's (global id, color) — to w.
+/// The one encoder behind every coloring driver's and verifier's boundary
+/// exchange.
+// pmc-lint: schema(ColorRecord)
+inline void put_color_record(FrameWriter& w, VertexId global, Color c) {
+  w.begin_record();
+  w.put_id(global);
+  w.put_color(c);
+}
+
+/// Calls fn(global, color) for every ColorRecord of a frame, in order — the
+/// one decoder for put_color_record. An empty payload (FIAC's zero-byte
+/// messages) holds no records; an invalid frame or trailing bytes after the
+/// last record raise pmc::Error.
+// pmc-lint: schema(ColorRecord)
+template <typename Fn>
+void for_each_color_record(std::span<const std::byte> payload, Fn&& fn) {
+  if (payload.empty()) return;
+  FrameReader reader(payload);
+  PMC_CHECK(reader.valid(), "bad ColorRecord frame: " << reader.error());
+  for (std::int64_t i = 0; i < reader.records(); ++i) {
+    const VertexId global = reader.read_id();
+    const Color c = reader.read_color();
+    fn(global, c);
+  }
+  PMC_CHECK(reader.done(), "trailing garbage after the last ColorRecord");
+}
+
 /// Per-source staging of one superstep's boundary records, flushed under a
 /// SendPolicy — the coloring paper's FIAB / FIAC / NEW comparison expressed
 /// as a fabric-level primitive.
@@ -380,24 +411,16 @@ class FanoutStage {
       : dest_payload_(static_cast<std::size_t>(num_ranks), FrameWriter(codec)),
         union_payload_(codec) {}
 
-  /// Stages one customized (vertex, color) record for dst
-  /// (kCustomizedNeighbors / -All).
-  // pmc-lint: schema(ColorRecord)
+  /// Stages one customized ColorRecord for dst (kCustomizedNeighbors / -All).
   void stage(Rank dst, VertexId global, Color c) {
     auto& w = dest_payload_[static_cast<std::size_t>(dst)];
     if (w.empty()) touched_.push_back(dst);
-    w.begin_record();
-    w.put_id(global);
-    w.put_color(c);
+    put_color_record(w, global, c);
   }
 
-  /// Stages one (vertex, color) record of the shared union payload
-  /// (kBroadcastUnion).
-  // pmc-lint: schema(ColorRecord)
+  /// Stages one ColorRecord of the shared union payload (kBroadcastUnion).
   void stage_union(VertexId global, Color c) {
-    union_payload_.begin_record();
-    union_payload_.put_id(global);
-    union_payload_.put_color(c);
+    put_color_record(union_payload_, global, c);
   }
 
   /// Sends the staged records from src under `policy` and resets the stage.

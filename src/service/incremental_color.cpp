@@ -51,8 +51,6 @@ struct CanonState {
   /// Boundary vertices announced this round, in announcement order — the
   /// deterministic scan list for the lost-announcement repair.
   std::vector<VertexId> announced;
-  /// For each owned boundary vertex, the sorted ranks owning its neighbors.
-  std::vector<std::vector<Rank>> adj_ranks;
   /// For each ghost, the owned vertices adjacent to it (the re-check
   /// frontier when the ghost's color changes).
   std::vector<std::vector<VertexId>> ghost_incidence;
@@ -111,15 +109,6 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
     } else {
       st.to_color.resize(static_cast<std::size_t>(lg.num_owned()));
       std::iota(st.to_color.begin(), st.to_color.end(), VertexId{0});
-    }
-    st.adj_ranks.assign(static_cast<std::size_t>(lg.num_owned()), {});
-    for (const VertexId v : lg.boundary_vertices()) {
-      std::vector<Rank>& ranks = st.adj_ranks[static_cast<std::size_t>(v)];
-      for (const VertexId u : lg.neighbors(v)) {
-        if (lg.is_ghost(u)) ranks.push_back(lg.ghost_owner(u));
-      }
-      std::sort(ranks.begin(), ranks.end());
-      ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
     }
     st.ghost_incidence.assign(static_cast<std::size_t>(lg.num_ghosts()), {});
     for (VertexId v = 0; v < lg.num_owned(); ++v) {
@@ -187,7 +176,7 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
           if (options.comm_mode == CommMode::kBroadcastUnion) {
             st.stage.stage_union(global, fit);
           } else {
-            for (const Rank dst : st.adj_ranks[static_cast<std::size_t>(v)]) {
+            for (const Rank dst : lg.boundary_ranks(v)) {
               st.stage.stage(dst, global, fit);
             }
           }
@@ -259,7 +248,7 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
     ++result.rounds;
 
     // ---- Termination check --------------------------------------------
-    engine.allreduce();
+    engine.barrier();
   }
 
   result.coloring.color.assign(

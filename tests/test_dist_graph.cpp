@@ -1,8 +1,10 @@
 // Tests for the distributed graph view (ghost construction, interior/
-// boundary classification, invariants).
+// boundary classification, per-vertex boundary ranks, invariants).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -25,7 +27,7 @@ TEST(DistGraph, PathAcrossTwoRanks) {
   EXPECT_EQ(l0.num_ghosts(), 1);  // vertex 2 as ghost
   EXPECT_EQ(l0.num_cross_edges(), 1);
   EXPECT_EQ(l0.neighbor_ranks(), (std::vector<Rank>{1}));
-  EXPECT_EQ(l0.interior_vertices().size(), 1u);
+  EXPECT_FALSE(l0.is_boundary(l0.local_id(0)));
   EXPECT_EQ(l0.boundary_vertices().size(), 1u);
 
   // Vertex 1 (local id 1 on rank 0) is boundary; its ghost neighbor is
@@ -108,6 +110,56 @@ TEST(DistGraph, LocalIdLookupForUnknownVertex) {
   EXPECT_EQ(dist.local(0).local_id(3), kNoVertex);  // 3 not visible on rank 0
 }
 
+/// boundary_ranks(v) against a brute-force sorted-unique scan of v's ghost
+/// owners, for every owned vertex of every rank. Returns the largest
+/// per-vertex rank count seen.
+std::size_t expect_boundary_ranks_match_scan(const DistGraph& dist) {
+  std::size_t widest = 0;
+  for (Rank r = 0; r < dist.num_ranks(); ++r) {
+    const LocalGraph& lg = dist.local(r);
+    for (VertexId v = 0; v < lg.num_owned(); ++v) {
+      std::vector<Rank> expected;
+      for (const VertexId u : lg.neighbors(v)) {
+        if (!lg.is_ghost(u)) continue;
+        const Rank owner = lg.ghost_owner(u);
+        if (std::find(expected.begin(), expected.end(), owner) ==
+            expected.end()) {
+          expected.push_back(owner);
+        }
+      }
+      std::sort(expected.begin(), expected.end());
+      const auto got = lg.boundary_ranks(v);
+      EXPECT_EQ(std::vector<Rank>(got.begin(), got.end()), expected)
+          << "rank " << r << " local " << v;
+      EXPECT_EQ(got.empty(), !lg.is_boundary(v))
+          << "rank " << r << " local " << v;
+      widest = std::max(widest, got.size());
+    }
+  }
+  return widest;
+}
+
+TEST(DistGraph, BoundaryRanksOnGridBlocks) {
+  // 4x4 blocks of a 12x12 grid: every interior block corner touches two
+  // other blocks (right and below), so its vertex has two boundary ranks.
+  const Graph g = grid_2d(12, 12);
+  const Partition p = grid_2d_partition(12, 12, 3, 3);
+  const DistGraph dist = DistGraph::build(g, p);
+  EXPECT_EQ(expect_boundary_ranks_match_scan(dist), 2u);
+  const LocalGraph& center = dist.local(4);  // middle block
+  const VertexId corner = center.local_id(7 * 12 + 7);  // its last vertex
+  ASSERT_NE(corner, kNoVertex);
+  EXPECT_EQ(center.boundary_ranks(corner).size(), 2u);
+}
+
+TEST(DistGraph, BoundaryRanksOnMultilevelPartition) {
+  const Graph g = erdos_renyi(400, 2000, WeightKind::kUniformRandom, 6);
+  const Partition p =
+      multilevel_partition(g, 9, MultilevelConfig::metis_like(3));
+  const DistGraph dist = DistGraph::build(g, p);
+  EXPECT_GE(expect_boundary_ranks_match_scan(dist), 2u);
+}
+
 class DistGraphSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -126,6 +178,7 @@ TEST_P(DistGraphSweep, InvariantsAcrossGraphsAndParts) {
                            MultilevelConfig::metis_like(5));
   const DistGraph dist = DistGraph::build(g, p);
   dist.validate(g, p);
+  (void)expect_boundary_ranks_match_scan(dist);
 }
 
 INSTANTIATE_TEST_SUITE_P(GraphsTimesParts, DistGraphSweep,

@@ -142,7 +142,6 @@ TEST(ThreadPool, NestedParallelForRunsInlineOnWorker) {
 
 TEST(ExecutionBackend, SequentialRunsInOrderOnCaller) {
   const ExecutionBackend backend;  // default: sequential
-  EXPECT_EQ(backend.mode(), ExecMode::kSequential);
   EXPECT_EQ(backend.threads(), 1);
   std::vector<std::size_t> order;
   backend.parallel_for(5, [&](std::size_t i) { order.push_back(i); });
@@ -151,53 +150,10 @@ TEST(ExecutionBackend, SequentialRunsInOrderOnCaller) {
 
 TEST(ExecutionBackend, ThreadedModeSelectsPool) {
   const ExecutionBackend backend(ExecConfig{3});
-  EXPECT_EQ(backend.mode(), ExecMode::kThreads);
   EXPECT_EQ(backend.threads(), 3);
   std::atomic<int> count{0};
   backend.parallel_for(100, [&](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ExecutionBackend, TaskWindowRunsEveryTaskAndIsReusable) {
-  const ExecutionBackend backend(ExecConfig{2});
-  auto window = backend.make_window();
-  window.wait();  // zero-task barrier is a no-op
-  std::atomic<int> count{0};
-  for (int i = 0; i < 7; ++i) {
-    window.submit([&] { ++count; });
-  }
-  EXPECT_EQ(window.size(), 7u);
-  window.wait();
-  EXPECT_EQ(count.load(), 7);
-  EXPECT_EQ(window.size(), 0u);
-  // Reusable: a second batch through the same window.
-  window.submit([&] { count += 10; });
-  window.wait();
-  EXPECT_EQ(count.load(), 17);
-}
-
-TEST(ExecutionBackend, TaskWindowRethrowsLowestIndexFailure) {
-  const ExecutionBackend backend(ExecConfig{4});
-  auto window = backend.make_window();
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 6; ++i) {
-    window.submit([&ran, i] {
-      ++ran;
-      if (i == 2) throw std::runtime_error("task two");
-      if (i == 4) throw std::runtime_error("task four");
-    });
-  }
-  try {
-    window.wait();
-    FAIL() << "wait() must rethrow a task failure";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "task two");
-  }
-  EXPECT_EQ(ran.load(), 6);  // every task still ran to completion
-  // The window is drained and usable again after a failed batch.
-  window.submit([&ran] { ++ran; });
-  window.wait();
-  EXPECT_EQ(ran.load(), 7);
 }
 
 // ---------------------------------------------------------------------------
@@ -247,14 +203,13 @@ RunResult run_bsp_scenario(int threads, std::int64_t* dropped_seen) {
       }
       ctx.charge(2.0, WorkPhase::kBoundary);
     });
-    engine.barrier();
-    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
-      for (const BspMessage& msg : ctx.drain()) {
+    engine.exchange([](BspEngine::RankCtx& ctx, std::vector<BspMessage> msgs) {
+      for (const BspMessage& msg : msgs) {
         ctx.charge(static_cast<double>(msg.payload.size()));
       }
     });
   }
-  engine.allreduce();
+  engine.barrier();
   RunResult out;
   engine.fabric().export_into(out);
   if (dropped_seen != nullptr) *dropped_seen = drops;
@@ -314,8 +269,8 @@ SnapshotProbe run_bsp_snapshot_scenario(int threads) {
         }
         // Rank-skewed compute: clocks diverge within the round, so later
         // supersteps trip the safety check and take the fallback, while the
-        // superstep right after each allreduce starts from equal clocks and
-        // is harvested up front.
+        // superstep right after each round's barrier starts from equal
+        // clocks and is harvested up front.
         ctx.charge(40.0 * static_cast<double>(r + 1), WorkPhase::kInterior);
         for (Rank hop = 1; hop <= 2; ++hop) {
           std::vector<std::byte> payload(static_cast<std::size_t>(8 + r));
@@ -328,13 +283,12 @@ SnapshotProbe run_bsp_snapshot_scenario(int threads) {
       });
     }
     // Round boundary: collect stragglers and re-equalize the clocks.
-    engine.barrier();
-    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
-      for (const BspMessage& msg : ctx.drain()) {
+    engine.exchange([](BspEngine::RankCtx& ctx, std::vector<BspMessage> msgs) {
+      for (const BspMessage& msg : msgs) {
         ctx.charge(static_cast<double>(msg.records), WorkPhase::kBoundary);
       }
     });
-    engine.allreduce();
+    engine.barrier();
   }
   engine.fabric().export_into(probe.run);
   for (const std::int64_t records : polled) probe.polled_records += records;

@@ -281,9 +281,13 @@ void on_rank(BspEngine& engine, Rank r,
   });
 }
 
-std::vector<BspMessage> drain_rank(BspEngine& engine, Rank r) {
+/// Runs an exchange() (barrier, then every rank drains its inbox) and
+/// returns what rank r received.
+std::vector<BspMessage> exchange_to(BspEngine& engine, Rank r) {
   std::vector<BspMessage> out;
-  on_rank(engine, r, [&](RankCtx& ctx) { out = ctx.drain(); });
+  engine.exchange([&](RankCtx& ctx, std::vector<BspMessage> msgs) {
+    if (ctx.rank() == r) out = std::move(msgs);
+  });
   return out;
 }
 
@@ -310,13 +314,12 @@ TEST(BspEngine, PollRespectsArrivalTimes) {
   EXPECT_EQ(r.get<int>(), 42);
 }
 
-TEST(BspEngine, BarrierDeliversEverything) {
+TEST(BspEngine, ExchangeDeliversEverything) {
   BspEngine engine(3, MachineModel::blue_gene_p());
   engine.run_ranks([](RankCtx& ctx) {
     if (ctx.rank() != 2) ctx.send(2, std::vector<std::byte>(8), 1);
   });
-  engine.barrier();
-  EXPECT_EQ(drain_rank(engine, 2).size(), 2u);
+  EXPECT_EQ(exchange_to(engine, 2).size(), 2u);
   EXPECT_EQ(engine.comm().collectives, 1);
   // All clocks equal after a barrier.
   EXPECT_DOUBLE_EQ(engine.now(0), engine.now(1));
@@ -349,8 +352,7 @@ TEST(BspEngine, FifoWithinChannel) {
     ctx.send(1, std::vector<std::byte>(10000), 1);
     ctx.send(1, std::vector<std::byte>(2), 1);
   });
-  engine.barrier();
-  const auto msgs = drain_rank(engine, 1);
+  const auto msgs = exchange_to(engine, 1);
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_EQ(msgs[0].payload.size(), 10000u);
   EXPECT_LE(msgs[0].arrival, msgs[1].arrival);
@@ -408,8 +410,7 @@ TEST(BspEngine, MessagesCarryRecordCounts) {
     ctx.send(1, std::vector<std::byte>(10), 3);
     ctx.send(1, std::vector<std::byte>(20), 7);
   });
-  engine.barrier();
-  const auto msgs = drain_rank(engine, 1);
+  const auto msgs = exchange_to(engine, 1);
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_EQ(msgs[0].records, 3);
   EXPECT_EQ(msgs[1].records, 7);
@@ -436,8 +437,8 @@ TEST(BspEngine, PendingHorizonMatchesBruteForceScan) {
   }
   const double horizon = engine.pending_horizon();
   std::vector<double> latest(4, 0.0);
-  engine.run_ranks([&](RankCtx& ctx) {
-    for (const BspMessage& msg : ctx.drain()) {
+  engine.exchange([&](RankCtx& ctx, std::vector<BspMessage> msgs) {
+    for (const BspMessage& msg : msgs) {
       latest[static_cast<std::size_t>(ctx.rank())] =
           std::max(latest[static_cast<std::size_t>(ctx.rank())], msg.arrival);
     }
@@ -508,7 +509,7 @@ TEST(BspEngine, SnapshotPhaseDeliversArrivedMessages) {
   EXPECT_EQ(engine.snapshot_fallback_phases(), 0);
   EXPECT_EQ(seen, 1u);
   EXPECT_EQ(records, 2);
-  EXPECT_TRUE(drain_rank(engine, 1).empty());
+  EXPECT_TRUE(exchange_to(engine, 1).empty());
 }
 
 TEST(BspEngine, SnapshotPhaseRestoresUnconsumedMessages) {
@@ -521,7 +522,7 @@ TEST(BspEngine, SnapshotPhaseRestoresUnconsumedMessages) {
   // for it — the message must go back to pending, not be lost.
   engine.run_ranks_snapshot([](RankCtx& ctx) { ctx.charge(1.0); });
   EXPECT_EQ(engine.snapshot_parallel_phases(), 1);
-  const auto msgs = drain_rank(engine, 1);
+  const auto msgs = exchange_to(engine, 1);
   ASSERT_EQ(msgs.size(), 1u);
   EXPECT_EQ(msgs[0].records, 2);
 }

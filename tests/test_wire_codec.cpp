@@ -2,14 +2,17 @@
 // primitives, frame round-trips under both codecs, and — the property the
 // fault layer leans on — that every single-bit flip and every truncation of
 // a frame is detected by the header/checksum validation rather than decoded
-// into garbage.
+// into garbage. The ColorRecord codec every coloring exchange shares
+// (runtime/fabric.hpp) rides the same round-trip and rejection checks.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "runtime/fabric.hpp"
 #include "runtime/serialize.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -175,6 +178,77 @@ TEST(FrameCodec, CompactBeatsFixedOnClusteredIds) {
   const auto cbytes = compact.take();
   const auto fbytes = fixed.take();
   EXPECT_LT(cbytes.size(), fbytes.size() / 2);
+}
+
+// ---- ColorRecord codec --------------------------------------------------------
+
+/// Encodes (a, c) of every record as ColorRecords through put_color_record.
+std::vector<std::byte> encode_color_records(const std::vector<Record>& records,
+                                            WireCodec codec) {
+  FrameWriter w(codec);
+  for (const Record& r : records) put_color_record(w, r.a, r.c);
+  return w.take();
+}
+
+std::vector<std::pair<VertexId, Color>> decode_color_records(
+    const std::vector<std::byte>& frame) {
+  std::vector<std::pair<VertexId, Color>> out;
+  for_each_color_record(frame, [&](VertexId global, Color c) {
+    out.emplace_back(global, c);
+  });
+  return out;
+}
+
+TEST(ColorRecordCodec, RoundTripsUnderBothCodecs) {
+  Rng rng(31);
+  for (int trial = 0; trial < 100; ++trial) {
+    const auto records =
+        random_records(rng, static_cast<int>(rng.uniform_int(1, 60)));
+    std::vector<std::pair<VertexId, Color>> expected;
+    for (const Record& r : records) expected.emplace_back(r.a, r.c);
+    for (const WireCodec codec : kBothCodecs) {
+      const auto frame = encode_color_records(records, codec);
+      EXPECT_EQ(FrameReader(frame).records(),
+                static_cast<std::int64_t>(records.size()));
+      EXPECT_EQ(decode_color_records(frame), expected) << to_string(codec);
+    }
+  }
+}
+
+TEST(ColorRecordCodec, EmptyPayloadDecodesAsNoRecords) {
+  // FIAC sends a (possibly empty) message to every rank; a writer with no
+  // records takes to zero bytes, and zero bytes decode to zero records.
+  for (const WireCodec codec : kBothCodecs) {
+    const auto frame = encode_color_records({}, codec);
+    EXPECT_TRUE(frame.empty());
+    EXPECT_TRUE(decode_color_records(frame).empty());
+  }
+}
+
+TEST(ColorRecordCodec, GarbledFrameThrows) {
+  Rng rng(32);
+  const auto records = random_records(rng, 12);
+  for (const WireCodec codec : kBothCodecs) {
+    auto frame = encode_color_records(records, codec);
+    corrupt_one_bit(frame, 7);
+    EXPECT_THROW((void)decode_color_records(frame), Error) << to_string(codec);
+    const auto whole = encode_color_records(records, codec);
+    const std::vector<std::byte> cut(whole.begin(), whole.end() - 1);
+    EXPECT_THROW((void)decode_color_records(cut), Error) << to_string(codec);
+  }
+}
+
+TEST(ColorRecordCodec, TrailingGarbageThrows) {
+  // A well-formed, correctly checksummed frame whose payload holds one byte
+  // more than its declared records: only the done() check can catch it.
+  for (const WireCodec codec : kBothCodecs) {
+    FrameWriter w(codec);
+    put_color_record(w, 42, 3);
+    w.put_u8(0x7F);
+    const auto frame = w.take();
+    ASSERT_TRUE(FrameReader(frame).valid());
+    EXPECT_THROW((void)decode_color_records(frame), Error) << to_string(codec);
+  }
 }
 
 // ---- corruption and truncation detection ------------------------------------
