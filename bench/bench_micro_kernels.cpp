@@ -74,6 +74,27 @@ void BM_DistGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_DistGraphBuild)->Unit(benchmark::kMillisecond);
 
+// Service mode's per-batch distribution upkeep: apply one 16-update batch,
+// fold it into the CSR and refresh the ranks owning a touched vertex.
+void BM_DistGraphRefresh(benchmark::State& state) {
+  const Graph& g = shared_grid();
+  const Partition p = grid_2d_partition(256, 256, 8, 8);
+  DynamicGraph dyn(g);
+  DistGraph dist = DistGraph::build(dyn.folded(), p);
+  UpdateStreamConfig cfg;
+  cfg.seed = 73;
+  UpdateStreamGenerator gen(g, cfg);
+  for (auto _ : state) {
+    state.PauseTiming();
+    const std::vector<EdgeUpdate> batch = gen.next_batch(16);
+    state.ResumeTiming();
+    for (const EdgeUpdate& u : batch) dyn.apply(u);
+    dist.refresh(dyn.snapshot(), p, touched_vertices(batch));
+    benchmark::DoNotOptimize(dist);
+  }
+}
+BENCHMARK(BM_DistGraphRefresh)->Unit(benchmark::kMillisecond);
+
 void BM_DistributedMatchingSim(benchmark::State& state) {
   const Graph& g = shared_grid();
   const Partition p = grid_2d_partition(256, 256, 8, 8);

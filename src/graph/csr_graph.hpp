@@ -83,6 +83,22 @@ class Graph {
                             : weights_[static_cast<std::size_t>(e)];
   }
 
+  /// Neighbors stored at arc indices [begin, end) — consecutive rows
+  /// [u, v) are [offset_begin(u), offset_begin(v)), with v <= num_vertices().
+  [[nodiscard]] std::span<const VertexId> arc_targets(EdgeId begin,
+                                                      EdgeId end) const {
+    return std::span<const VertexId>(adj_).subspan(
+        static_cast<std::size_t>(begin), static_cast<std::size_t>(end - begin));
+  }
+
+  /// Weights aligned with arc_targets(begin, end). Only valid when
+  /// has_weights().
+  [[nodiscard]] std::span<const Weight> arc_weights(EdgeId begin,
+                                                    EdgeId end) const {
+    return std::span<const Weight>(weights_).subspan(
+        static_cast<std::size_t>(begin), static_cast<std::size_t>(end - begin));
+  }
+
   /// Weight of edge (u, v); throws if the edge does not exist.
   [[nodiscard]] Weight edge_weight(VertexId u, VertexId v) const;
 

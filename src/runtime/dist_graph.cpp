@@ -6,6 +6,79 @@
 
 namespace pmc {
 
+void LocalGraph::fill(const Graph& g, const Partition& p) {
+  // Forget the previous fill's ghosts; the owned ids stay.
+  for (std::size_t i = static_cast<std::size_t>(num_owned_);
+       i < global_ids_.size(); ++i) {
+    global_to_local_.erase(global_ids_[i]);
+  }
+  global_ids_.resize(static_cast<std::size_t>(num_owned_));
+  ghost_owner_.clear();
+  boundary_ranks_.clear();
+  boundary_.clear();
+  cross_edges_ = 0;
+
+  const auto owned = static_cast<std::size_t>(num_owned_);
+  offsets_.assign(owned + 1, 0);
+  rank_offsets_.assign(owned + 1, 0);
+  for (std::size_t lv = 0; lv < owned; ++lv) {
+    offsets_[lv + 1] = offsets_[lv] + g.degree(global_ids_[lv]);
+  }
+  adj_.resize(static_cast<std::size_t>(offsets_.back()));
+  weights_.resize(g.has_weights() ? adj_.size() : 0);
+
+  // Fill adjacency; create ghosts on demand. Owned vertices come up in
+  // local-id order, so each one's sorted, unique ghost owners append to the
+  // boundary-rank CSR in place.
+  std::vector<Rank> ranks;
+  for (std::size_t lv = 0; lv < owned; ++lv) {
+    const VertexId v = global_ids_[lv];
+    auto cursor = static_cast<std::size_t>(offsets_[lv]);
+    const auto nbrs = g.neighbors(v);
+    const auto ws = g.weights(v);
+    ranks.clear();
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const VertexId u = nbrs[i];
+      const Rank ru = p.owner(u);
+      VertexId lu;
+      if (ru == rank_) {
+        lu = global_to_local_.at(u);
+      } else {
+        const auto it = global_to_local_.find(u);
+        if (it != global_to_local_.end()) {
+          lu = it->second;
+        } else {
+          lu = static_cast<VertexId>(global_ids_.size());
+          global_ids_.push_back(u);
+          global_to_local_.emplace(u, lu);
+          ghost_owner_.push_back(ru);
+        }
+        ranks.push_back(ru);
+        ++cross_edges_;
+      }
+      adj_[cursor] = lu;
+      if (g.has_weights()) weights_[cursor] = ws[i];
+      ++cursor;
+    }
+    std::sort(ranks.begin(), ranks.end());
+    ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+    boundary_ranks_.insert(boundary_ranks_.end(), ranks.begin(), ranks.end());
+    PMC_CHECK(boundary_ranks_.size() <= UINT32_MAX,
+              "rank " << rank_ << " has too many boundary ranks to index");
+    rank_offsets_[lv + 1] = static_cast<std::uint32_t>(boundary_ranks_.size());
+  }
+
+  // Derived structures.
+  neighbor_ranks_.assign(ghost_owner_.begin(), ghost_owner_.end());
+  std::sort(neighbor_ranks_.begin(), neighbor_ranks_.end());
+  neighbor_ranks_.erase(
+      std::unique(neighbor_ranks_.begin(), neighbor_ranks_.end()),
+      neighbor_ranks_.end());
+  for (VertexId lv = 0; lv < num_owned_; ++lv) {
+    if (is_boundary(lv)) boundary_.push_back(lv);
+  }
+}
+
 DistGraph DistGraph::build(const Graph& g, const Partition& p) {
   PMC_REQUIRE(p.num_vertices() == g.num_vertices(),
               "graph/partition size mismatch: " << g.num_vertices() << " vs "
@@ -15,7 +88,7 @@ DistGraph DistGraph::build(const Graph& g, const Partition& p) {
   const Rank parts = p.num_parts();
   dist.locals_.resize(static_cast<std::size_t>(parts));
 
-  // Pass 1: assign owned local ids in global-id order per rank.
+  // Owned ids: each rank numbers its vertices in global-id order.
   for (Rank r = 0; r < parts; ++r) {
     dist.locals_[static_cast<std::size_t>(r)].rank_ = r;
   }
@@ -27,84 +100,31 @@ DistGraph DistGraph::build(const Graph& g, const Partition& p) {
   }
   for (auto& lg : dist.locals_) {
     lg.num_owned_ = static_cast<VertexId>(lg.global_ids_.size());
-  }
-
-  // Pass 2: build per-rank CSR over owned vertices, discovering ghosts.
-  for (auto& lg : dist.locals_) {
-    lg.offsets_.assign(static_cast<std::size_t>(lg.num_owned_) + 1, 0);
-    lg.rank_offsets_.assign(static_cast<std::size_t>(lg.num_owned_) + 1, 0);
-  }
-  // Degree counting.
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    auto& lg = dist.locals_[static_cast<std::size_t>(p.owner(v))];
-    const VertexId lv = lg.global_to_local_.at(v);
-    lg.offsets_[static_cast<std::size_t>(lv) + 1] = g.degree(v);
-  }
-  for (auto& lg : dist.locals_) {
-    for (std::size_t i = 1; i < lg.offsets_.size(); ++i) {
-      lg.offsets_[i] += lg.offsets_[i - 1];
-    }
-    lg.adj_.resize(static_cast<std::size_t>(lg.offsets_.back()));
-    if (g.has_weights()) lg.weights_.resize(lg.adj_.size());
-  }
-
-  // Fill adjacency; create ghosts on demand. A rank's owned vertices come up
-  // in local-id order, so each one's sorted, unique ghost owners append to
-  // the boundary-rank CSR in place.
-  std::vector<Rank> ranks;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const Rank rv = p.owner(v);
-    auto& lg = dist.locals_[static_cast<std::size_t>(rv)];
-    const VertexId lv = lg.global_to_local_.at(v);
-    auto cursor = static_cast<std::size_t>(
-        lg.offsets_[static_cast<std::size_t>(lv)]);
-    const auto nbrs = g.neighbors(v);
-    const auto ws = g.weights(v);
-    ranks.clear();
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId u = nbrs[i];
-      const Rank ru = p.owner(u);
-      VertexId lu;
-      if (ru == rv) {
-        lu = lg.global_to_local_.at(u);
-      } else {
-        const auto it = lg.global_to_local_.find(u);
-        if (it != lg.global_to_local_.end()) {
-          lu = it->second;
-        } else {
-          lu = static_cast<VertexId>(lg.global_ids_.size());
-          lg.global_ids_.push_back(u);
-          lg.global_to_local_.emplace(u, lu);
-          lg.ghost_owner_.push_back(ru);
-        }
-        ranks.push_back(ru);
-        ++lg.cross_edges_;
-      }
-      lg.adj_[cursor] = lu;
-      if (g.has_weights()) lg.weights_[cursor] = ws[i];
-      ++cursor;
-    }
-    std::sort(ranks.begin(), ranks.end());
-    ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
-    lg.boundary_ranks_.insert(lg.boundary_ranks_.end(), ranks.begin(),
-                              ranks.end());
-    PMC_CHECK(lg.boundary_ranks_.size() <= UINT32_MAX,
-              "rank " << rv << " has too many boundary ranks to index");
-    lg.rank_offsets_[static_cast<std::size_t>(lv) + 1] =
-        static_cast<std::uint32_t>(lg.boundary_ranks_.size());
-  }
-
-  // Pass 3: derived structures.
-  for (auto& lg : dist.locals_) {
-    std::vector<Rank> nbr(lg.ghost_owner_.begin(), lg.ghost_owner_.end());
-    std::sort(nbr.begin(), nbr.end());
-    nbr.erase(std::unique(nbr.begin(), nbr.end()), nbr.end());
-    lg.neighbor_ranks_ = std::move(nbr);
-    for (VertexId lv = 0; lv < lg.num_owned_; ++lv) {
-      if (lg.is_boundary(lv)) lg.boundary_.push_back(lv);
-    }
+    lg.fill(g, p);
   }
   return dist;
+}
+
+void DistGraph::refresh(const Graph& g, const Partition& p,
+                        std::span<const VertexId> touched) {
+  PMC_REQUIRE(g.num_vertices() == num_global_vertices_ &&
+                  p.num_vertices() == num_global_vertices_ &&
+                  p.num_parts() == num_ranks(),
+              "refresh of a " << num_global_vertices_ << "-vertex, "
+                              << num_ranks() << "-rank distribution with a "
+                              << g.num_vertices() << "-vertex graph and a "
+                              << p.num_parts() << "-part partition");
+  std::vector<bool> stale(static_cast<std::size_t>(num_ranks()), false);
+  for (const VertexId v : touched) {
+    PMC_REQUIRE(v >= 0 && v < num_global_vertices_,
+                "touched vertex " << v << " out of range");
+    stale[static_cast<std::size_t>(p.owner(v))] = true;
+  }
+  for (Rank r = 0; r < num_ranks(); ++r) {
+    if (stale[static_cast<std::size_t>(r)]) {
+      locals_[static_cast<std::size_t>(r)].fill(g, p);
+    }
+  }
 }
 
 void DistGraph::validate(const Graph& g, const Partition& p) const {

@@ -13,8 +13,15 @@
 //   * the interior/boundary classification of owned vertices, each boundary
 //     vertex's sorted neighboring ranks, and the rank-wide sorted list of
 //     neighboring ranks.
+//
+// A rank's view is a function of its owned rows alone, so construction is
+// two passes: DistGraph::build numbers every rank's owned vertices, then
+// fills each LocalGraph from its owned rows. When only some rows of the
+// graph change (service mode's edge-update batches), DistGraph::refresh
+// re-runs that same fill for the owners of the changed rows only.
 #pragma once
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -118,6 +125,12 @@ class LocalGraph {
 
  private:
   friend class DistGraph;
+
+  /// (Re)builds everything but the owned ids from this rank's owned rows
+  /// of `g`: drops the previous ghosts, then rebuilds the CSR, ghosts,
+  /// boundary ranks and derived lists.
+  void fill(const Graph& g, const Partition& p);
+
   Rank rank_ = 0;
   VertexId num_owned_ = 0;
   std::vector<VertexId> global_ids_;
@@ -139,6 +152,14 @@ class DistGraph {
   /// Splits `g` according to `p`. The graph and partition must agree on the
   /// vertex count.
   static DistGraph build(const Graph& g, const Partition& p);
+
+  /// Brings the distribution up to date with `g` by re-filling only the
+  /// ranks that own a vertex of `touched`. Precondition: `g` differs from
+  /// the graph this distribution was last built or refreshed from only in
+  /// the rows of `touched`, and `p` is the partition it was built with.
+  /// The result equals build(g, p).
+  void refresh(const Graph& g, const Partition& p,
+               std::span<const VertexId> touched);
 
   [[nodiscard]] Rank num_ranks() const noexcept {
     return static_cast<Rank>(locals_.size());

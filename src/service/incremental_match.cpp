@@ -89,23 +89,16 @@ void IncrementalMatchProcess::invalidate(EventContext& ctx, VertexId v) {
     closure_queue_.push_back(old_mate);
   }
 
-  // Announce the revival to every rank holding a ghost copy of v, and run
-  // the closure checks on v's local neighbors.
-  scratch_ranks_.clear();
+  // Run the closure checks on v's local neighbors, and announce the revival
+  // to every rank holding a ghost copy of v.
   for (EdgeId a = lg_.offset_begin(v); a < lg_.offset_end(v); ++a) {
     ctx.charge(1.0);
     const VertexId t = lg_.arc_target(a);
-    if (lg_.is_ghost(t)) {
-      scratch_ranks_.push_back(lg_.ghost_owner(t));
-    } else if (closure_pulls(t, v, lg_.arc_weight(a))) {
+    if (!lg_.is_ghost(t) && closure_pulls(t, v, lg_.arc_weight(a))) {
       closure_queue_.push_back(t);
     }
   }
-  std::sort(scratch_ranks_.begin(), scratch_ranks_.end());
-  scratch_ranks_.erase(
-      std::unique(scratch_ranks_.begin(), scratch_ranks_.end()),
-      scratch_ranks_.end());
-  for (const Rank r : scratch_ranks_) {
+  for (const Rank r : lg_.boundary_ranks(v)) {
     enqueue_invalidate(ctx, r, lg_.global_id(v));
   }
 }

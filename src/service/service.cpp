@@ -10,24 +10,24 @@ GraphService::GraphService(const Graph& initial, Partition partition,
                            ServiceOptions options)
     : options_(options),
       partition_(std::move(partition)),
-      dynamic_(initial),
-      graph_(initial) {
+      dynamic_(initial) {
   PMC_REQUIRE(partition_.num_vertices() == initial.num_vertices(),
               "partition covers " << partition_.num_vertices()
                                   << " vertices, graph has "
                                   << initial.num_vertices());
   PMC_REQUIRE(options_.batch_window >= 0,
               "negative batch_window " << options_.batch_window);
-  const DistGraph dist = DistGraph::build(graph_, partition_);
-  DistMatchingResult m = match_distributed(dist, options_.matching);
+  dist_ = DistGraph::build(dynamic_.folded(), partition_);
+  DistMatchingResult m = match_distributed(dist_, options_.matching);
   matching_ = std::move(m.matching);
   initial_match_sim_ = m.run.sim_seconds;
-  IncrementalColorResult c = color_canonical(dist, options_.coloring);
+  IncrementalColorResult c = color_canonical(dist_, options_.coloring);
   coloring_ = std::move(c.coloring);
   initial_color_sim_ = c.run.sim_seconds;
 }
 
 std::optional<BatchReport> GraphService::push(const EdgeUpdate& update) {
+  dynamic_.apply(update);
   buffer_.push_back(update);
   if (options_.batch_window > 0 &&
       static_cast<std::int64_t>(buffer_.size()) >= options_.batch_window) {
@@ -38,16 +38,14 @@ std::optional<BatchReport> GraphService::push(const EdgeUpdate& update) {
 
 BatchReport GraphService::refresh() {
   PMC_REQUIRE(!buffer_.empty(), "refresh() with no buffered updates");
-  for (const EdgeUpdate& update : buffer_) dynamic_.apply(update);
   const std::vector<VertexId> touched = touched_vertices(buffer_);
-
-  graph_ = dynamic_.snapshot();
-  const DistGraph dist = DistGraph::build(graph_, partition_);
+  const Graph& graph = dynamic_.snapshot();
+  dist_.refresh(graph, partition_, touched);
 
   IncrementalMatchResult im =
-      match_incremental(dist, matching_, touched, options_.matching);
+      match_incremental(dist_, matching_, touched, options_.matching);
   IncrementalColorResult ic =
-      color_incremental(dist, coloring_, touched, options_.coloring);
+      color_incremental(dist_, coloring_, touched, options_.coloring);
 
   BatchReport report;
   report.batch = static_cast<std::int64_t>(history_.size());
@@ -59,12 +57,12 @@ BatchReport GraphService::refresh() {
   report.color_sim_seconds = ic.run.sim_seconds;
 
   if (options_.verify_batches) {
-    const DistMatchingResult fm = match_distributed(dist, options_.matching);
+    const DistMatchingResult fm = match_distributed(dist_, options_.matching);
     PMC_CHECK(fm.matching.mate == im.matching.mate,
               "incremental matching diverged from the full recompute on "
               "batch "
                   << report.batch);
-    const IncrementalColorResult fc = color_canonical(dist, options_.coloring);
+    const IncrementalColorResult fc = color_canonical(dist_, options_.coloring);
     PMC_CHECK(fc.coloring.color == ic.coloring.color,
               "incremental coloring diverged from the full recompute on "
               "batch "
@@ -75,7 +73,7 @@ BatchReport GraphService::refresh() {
 
   matching_ = std::move(im.matching);
   coloring_ = std::move(ic.coloring);
-  report.matching_weight = matching_weight(graph_, matching_);
+  report.matching_weight = matching_weight(graph, matching_);
   report.num_colors = coloring_.num_colors();
   history_.push_back(report);
   buffer_.clear();

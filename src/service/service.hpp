@@ -2,16 +2,19 @@
 // keeps its matching and coloring repaired incrementally.
 //
 // GraphService owns the dynamic graph, a fixed partition (ownership does
-// not migrate — the paper's data distribution with a static p(v)), and the
-// current matching + canonical coloring. Updates are pushed one at a time
-// and coalesced by a batching front-end: once `batch_window` updates are
-// buffered (or refresh() is called), the service applies the batch,
-// rebuilds the distribution, and repairs both solutions via the
-// incremental drivers (service/incremental_match.hpp,
-// service/incremental_color.hpp). Each batch yields a BatchReport with the
-// modelled repair times; with `verify_batches` the service also runs full
-// recomputes and asserts byte-identical agreement — the service's
-// self-check, on by default in tests and the bench.
+// not migrate — the paper's data distribution with a static p(v)), the
+// distribution of the graph over that partition, and the current matching
+// + canonical coloring. push() validates each update and applies it to the
+// dynamic graph at once, so an invalid update throws at its own push and
+// changes nothing. Updates are coalesced by a batching front-end: once
+// `batch_window` updates are buffered (or refresh() is called), the service
+// folds the batch into the CSR, refreshes the distribution of the ranks
+// owning a touched vertex, and repairs both solutions via the incremental
+// drivers (service/incremental_match.hpp, service/incremental_color.hpp).
+// Each batch yields a BatchReport with the modelled repair times; with
+// `verify_batches` the service also runs full recomputes and asserts
+// byte-identical agreement — the service's self-check, on by default in
+// tests and the bench.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +25,7 @@
 #include "graph/csr_graph.hpp"
 #include "matching/parallel.hpp"
 #include "partition/partition.hpp"
+#include "runtime/dist_graph.hpp"
 #include "service/incremental_color.hpp"
 #include "service/incremental_match.hpp"
 #include "service/update_stream.hpp"
@@ -71,20 +75,24 @@ class GraphService {
   GraphService(const Graph& initial, Partition partition,
                ServiceOptions options = {});
 
-  /// Buffers one update; refreshes automatically when the buffer reaches
-  /// batch_window. Returns the batch report when a refresh happened.
+  /// Applies one update to the dynamic graph and buffers it; refreshes
+  /// automatically when the buffer reaches batch_window. Returns the batch
+  /// report when a refresh happened. Throws pmc::Error on an update that is
+  /// invalid against the current edge set, leaving the service unchanged.
   std::optional<BatchReport> push(const EdgeUpdate& update);
 
-  /// Applies all buffered updates as one batch and repairs the solutions.
-  /// Requires a non-empty buffer.
+  /// Repairs the solutions for all buffered updates as one batch. Requires
+  /// a non-empty buffer.
   BatchReport refresh();
 
   [[nodiscard]] std::int64_t pending_updates() const noexcept {
     return static_cast<std::int64_t>(buffer_.size());
   }
 
-  /// Current graph snapshot (rebuilt at every refresh).
-  [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
+  /// The graph as of the last refresh (buffered updates not included).
+  [[nodiscard]] const Graph& graph() const noexcept {
+    return dynamic_.folded();
+  }
   [[nodiscard]] const Matching& matching() const noexcept { return matching_; }
   [[nodiscard]] const Coloring& coloring() const noexcept { return coloring_; }
   /// Reports of all completed batches, in order.
@@ -103,7 +111,7 @@ class GraphService {
   ServiceOptions options_;
   Partition partition_;
   DynamicGraph dynamic_;
-  Graph graph_;
+  DistGraph dist_;
   Matching matching_;
   Coloring coloring_;
   std::vector<EdgeUpdate> buffer_;

@@ -6,8 +6,8 @@
 #include <sstream>
 #include <utility>
 
-#include "graph/builder.hpp"
 #include "support/error.hpp"
+#include "support/sorted.hpp"
 
 namespace pmc {
 
@@ -22,83 +22,140 @@ const char* to_string(UpdateOp op) {
 
 // ---- DynamicGraph ---------------------------------------------------------
 
+namespace {
+
+/// First arc of a sorted row whose neighbor is not below v.
+auto find_arc(auto& arcs, VertexId v) {
+  return std::ranges::lower_bound(arcs, v, {},
+                                  &std::pair<VertexId, Weight>::first);
+}
+
+}  // namespace
+
 DynamicGraph::DynamicGraph(const Graph& initial)
-    : n_(initial.num_vertices()),
-      m_(initial.num_edges()),
-      adj_(static_cast<std::size_t>(initial.num_vertices())) {
-  for (VertexId u = 0; u < n_; ++u) {
-    const auto nbrs = initial.neighbors(u);
-    const auto wts = initial.weights(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      adj_[static_cast<std::size_t>(u)].emplace(
-          nbrs[i], initial.has_weights() ? wts[i] : Weight{1});
-    }
+    : graph_(initial.has_weights() ? initial
+                                   : reweight(initial, WeightKind::kUnit, 0)),
+      m_(initial.num_edges()) {}
+
+std::optional<Weight> DynamicGraph::find_edge(VertexId u, VertexId v) const {
+  if (const auto row = pending_.find(u); row != pending_.end()) {
+    const auto it = find_arc(row->second, v);
+    if (it == row->second.end() || it->first != v) return std::nullopt;
+    return it->second;
   }
+  if (!graph_.has_edge(u, v)) return std::nullopt;
+  return graph_.edge_weight(u, v);
 }
 
 bool DynamicGraph::has_edge(VertexId u, VertexId v) const {
-  if (u < 0 || u >= n_ || v < 0 || v >= n_) return false;
-  return adj_[static_cast<std::size_t>(u)].contains(v);
+  const VertexId n = num_vertices();
+  if (u < 0 || u >= n || v < 0 || v >= n) return false;
+  return find_edge(u, v).has_value();
 }
 
 Weight DynamicGraph::edge_weight(VertexId u, VertexId v) const {
-  PMC_REQUIRE(u >= 0 && u < n_ && v >= 0 && v < n_,
+  const VertexId n = num_vertices();
+  PMC_REQUIRE(u >= 0 && u < n && v >= 0 && v < n,
               "edge_weight endpoint out of range: (" << u << ", " << v << ")");
-  const auto it = adj_[static_cast<std::size_t>(u)].find(v);
-  PMC_REQUIRE(it != adj_[static_cast<std::size_t>(u)].end(),
-              "edge (" << u << ", " << v << ") does not exist");
-  return it->second;
+  const std::optional<Weight> w = find_edge(u, v);
+  PMC_REQUIRE(w.has_value(), "edge (" << u << ", " << v << ") does not exist");
+  return *w;
 }
 
 void DynamicGraph::require_valid_endpoints(const EdgeUpdate& update) const {
-  PMC_REQUIRE(update.u >= 0 && update.u < n_ && update.v >= 0 && update.v < n_,
+  const VertexId n = num_vertices();
+  PMC_REQUIRE(update.u >= 0 && update.u < n && update.v >= 0 && update.v < n,
               to_string(update.op) << " endpoint out of range: (" << update.u
-                                   << ", " << update.v << "), n = " << n_);
+                                   << ", " << update.v << "), n = " << n);
   PMC_REQUIRE(update.u != update.v, to_string(update.op)
                                         << " is a self-loop on " << update.u);
 }
 
 void DynamicGraph::apply(const EdgeUpdate& update) {
   require_valid_endpoints(update);
-  auto& au = adj_[static_cast<std::size_t>(update.u)];
-  auto& av = adj_[static_cast<std::size_t>(update.v)];
+  // Validate before touching any row, so a rejected update changes nothing.
+  const bool present = find_edge(update.u, update.v).has_value();
   switch (update.op) {
-    case UpdateOp::kInsert: {
-      const bool inserted = au.emplace(update.v, update.w).second;
-      PMC_REQUIRE(inserted, "insert of existing edge (" << update.u << ", "
-                                                        << update.v << ")");
-      av.emplace(update.u, update.w);
+    case UpdateOp::kInsert:
+      PMC_REQUIRE(!present, "insert of existing edge (" << update.u << ", "
+                                                         << update.v << ")");
       ++m_;
-      return;
-    }
-    case UpdateOp::kDelete: {
-      PMC_REQUIRE(au.erase(update.v) == 1, "delete of absent edge ("
-                                               << update.u << ", " << update.v
-                                               << ")");
-      av.erase(update.u);
+      break;
+    case UpdateOp::kDelete:
+      PMC_REQUIRE(present, "delete of absent edge (" << update.u << ", "
+                                                     << update.v << ")");
       --m_;
-      return;
-    }
-    case UpdateOp::kReweight: {
-      const auto it = au.find(update.v);
-      PMC_REQUIRE(it != au.end(), "reweight of absent edge ("
-                                      << update.u << ", " << update.v << ")");
-      it->second = update.w;
-      av.find(update.u)->second = update.w;
-      return;
-    }
+      break;
+    case UpdateOp::kReweight:
+      PMC_REQUIRE(present, "reweight of absent edge (" << update.u << ", "
+                                                       << update.v << ")");
+      break;
+    default:
+      PMC_FAIL("invalid UpdateOp " << static_cast<int>(update.op));
   }
-  PMC_FAIL("invalid UpdateOp " << static_cast<int>(update.op));
+  edit_row(update.u, update.v, update);
+  edit_row(update.v, update.u, update);
 }
 
-Graph DynamicGraph::snapshot() const {
-  GraphBuilder builder(n_, /*weighted=*/true);
-  for (VertexId u = 0; u < n_; ++u) {
-    for (const auto& [v, w] : adj_[static_cast<std::size_t>(u)]) {
-      if (u < v) builder.add_edge(u, v, w);
+void DynamicGraph::edit_row(VertexId a, VertexId b, const EdgeUpdate& update) {
+  const auto [pos, first_touch] = pending_.try_emplace(a);
+  Row& row = pos->second;
+  if (first_touch) {
+    const auto nbrs = graph_.neighbors(a);
+    const auto ws = graph_.weights(a);
+    row.reserve(nbrs.size() + 1);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      row.emplace_back(nbrs[i], ws[i]);
     }
   }
-  return std::move(builder).build();
+  const auto it = find_arc(row, b);
+  switch (update.op) {
+    case UpdateOp::kInsert: row.emplace(it, b, update.w); return;
+    case UpdateOp::kDelete: row.erase(it); return;
+    case UpdateOp::kReweight: it->second = update.w; return;
+  }
+}
+
+const Graph& DynamicGraph::snapshot() {
+  if (pending_.empty()) return graph_;
+  const VertexId n = num_vertices();
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1);
+  std::vector<VertexId> adj(static_cast<std::size_t>(2 * m_));
+  std::vector<Weight> weights(adj.size());
+  EdgeId out = 0;       // next arc slot of the folded CSR
+  VertexId next = 0;    // first row not yet folded
+  // Untouched rows [next, end) move as one block, shifted by a constant.
+  const auto copy_rows = [&](VertexId end) {
+    const EdgeId begin_arc = graph_.offset_begin(next);
+    const EdgeId end_arc = graph_.offset_begin(end);
+    const EdgeId shift = out - begin_arc;
+    for (VertexId v = next; v < end; ++v) {
+      offsets[static_cast<std::size_t>(v)] = graph_.offset_begin(v) + shift;
+    }
+    const auto targets = graph_.arc_targets(begin_arc, end_arc);
+    const auto ws = graph_.arc_weights(begin_arc, end_arc);
+    std::copy(targets.begin(), targets.end(),
+              adj.begin() + static_cast<std::ptrdiff_t>(out));
+    std::copy(ws.begin(), ws.end(),
+              weights.begin() + static_cast<std::ptrdiff_t>(out));
+    out += end_arc - begin_arc;
+  };
+  // Only the touched row ids are sorted, never the edges.
+  for (const VertexId v : sorted_keys(pending_)) {
+    copy_rows(v);
+    offsets[static_cast<std::size_t>(v)] = out;
+    for (const auto& [u, w] : pending_.at(v)) {
+      adj[static_cast<std::size_t>(out)] = u;
+      weights[static_cast<std::size_t>(out)] = w;
+      ++out;
+    }
+    next = v + 1;
+  }
+  copy_rows(n);
+  offsets.back() = out;
+  graph_ = Graph(std::move(offsets), std::move(adj), std::move(weights));
+  pending_.clear();
+  return graph_;
 }
 
 // ---- UpdateStreamGenerator ------------------------------------------------

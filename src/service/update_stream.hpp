@@ -5,8 +5,9 @@
 // batch. This header provides the three stream-side pieces:
 //
 //   * EdgeUpdate / UpdateOp — one insert / delete / reweight operation;
-//   * DynamicGraph — a mutable adjacency-map mirror of a pmc::Graph that
-//     applies updates and snapshots back to CSR form;
+//   * DynamicGraph — a CSR pmc::Graph plus the rows touched since the last
+//     fold: it applies updates to private copies of the touched rows and
+//     snapshot() folds them back, copying untouched row ranges wholesale;
 //   * UpdateStreamGenerator — a seeded, replayable random stream of valid
 //     updates against the evolving graph;
 //   * JSONL serialization — write_update_log / read_update_log, so a stream
@@ -20,7 +21,10 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -49,14 +53,20 @@ struct EdgeUpdate {
   [[nodiscard]] bool operator==(const EdgeUpdate&) const = default;
 };
 
-/// Mutable mirror of an undirected weighted graph: per-vertex sorted
-/// adjacency maps, kept symmetric. The vertex set is fixed at construction;
-/// only edges change. snapshot() rebuilds an immutable CSR Graph.
+/// A mutable undirected weighted graph over a fixed vertex set: a CSR
+/// Graph plus the rows touched since the last fold. apply() edits a private,
+/// sorted copy of each endpoint's row; snapshot() folds those rows back into
+/// the CSR, copying every untouched row range wholesale. A batch therefore
+/// costs O(touched rows), a sort of the touched row ids and one bulk copy of
+/// the CSR; edges are never sorted.
+/// Weights are always stored: an unweighted initial graph gets unit weights.
 class DynamicGraph {
  public:
   explicit DynamicGraph(const Graph& initial);
 
-  [[nodiscard]] VertexId num_vertices() const noexcept { return n_; }
+  [[nodiscard]] VertexId num_vertices() const noexcept {
+    return graph_.num_vertices();
+  }
   [[nodiscard]] EdgeId num_edges() const noexcept { return m_; }
   [[nodiscard]] bool has_edge(VertexId u, VertexId v) const;
   /// Weight of existing edge (u, v); throws if absent.
@@ -64,18 +74,34 @@ class DynamicGraph {
 
   /// Applies one update; throws pmc::Error when the update is invalid
   /// against the current edge set (inserting a present edge, deleting or
-  /// reweighting an absent one, self-loop, out-of-range endpoint).
+  /// reweighting an absent one, self-loop, out-of-range endpoint). A
+  /// rejected update changes nothing.
   void apply(const EdgeUpdate& update);
 
-  /// Freezes the current edge set into a CSR Graph.
-  [[nodiscard]] Graph snapshot() const;
+  /// Folds the rows touched since the last fold into the CSR and returns
+  /// the CSR. Its contents change at the next snapshot() with rows to fold.
+  const Graph& snapshot();
+
+  /// The CSR as of the last snapshot() (before the first, the initial
+  /// graph with unit weights if it had none); updates applied since then
+  /// are pending.
+  [[nodiscard]] const Graph& folded() const noexcept { return graph_; }
 
  private:
-  void require_valid_endpoints(const EdgeUpdate& update) const;
+  /// Current adjacency of a row touched since the last fold, sorted by
+  /// neighbor.
+  using Row = std::vector<std::pair<VertexId, Weight>>;
 
-  VertexId n_ = 0;
+  void require_valid_endpoints(const EdgeUpdate& update) const;
+  /// Weight of edge (u, v) in the current edge set, or nullopt if absent.
+  [[nodiscard]] std::optional<Weight> find_edge(VertexId u, VertexId v) const;
+  /// Applies `update`'s change to the row of `a` (whose other endpoint is
+  /// `b`), copying the row out of the CSR on its first touch.
+  void edit_row(VertexId a, VertexId b, const EdgeUpdate& update);
+
+  Graph graph_;
   EdgeId m_ = 0;
-  std::vector<std::map<VertexId, Weight>> adj_;
+  std::unordered_map<VertexId, Row> pending_;  // rows touched, by vertex
 };
 
 /// Configuration of the random update stream.

@@ -1,8 +1,10 @@
 // Tests for the distributed graph view (ghost construction, interior/
-// boundary classification, per-vertex boundary ranks, invariants).
+// boundary classification, per-vertex boundary ranks, invariants, and
+// refresh() after edge-update batches against a fresh build).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -11,6 +13,8 @@
 #include "partition/multilevel.hpp"
 #include "partition/simple.hpp"
 #include "runtime/dist_graph.hpp"
+#include "service/incremental_match.hpp"
+#include "service/update_stream.hpp"
 #include "support/error.hpp"
 
 namespace pmc {
@@ -160,6 +164,72 @@ TEST(DistGraph, BoundaryRanksOnMultilevelPartition) {
   EXPECT_GE(expect_boundary_ranks_match_scan(dist), 2u);
 }
 
+/// Every field of every rank of `got` equals `want`'s, and local_id agrees
+/// on every global id (a stale ghost left in the lookup table shows here).
+void expect_same_distribution(const DistGraph& got, const DistGraph& want) {
+  ASSERT_EQ(got.num_ranks(), want.num_ranks());
+  ASSERT_EQ(got.num_global_vertices(), want.num_global_vertices());
+  for (Rank r = 0; r < got.num_ranks(); ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const LocalGraph& a = got.local(r);
+    const LocalGraph& b = want.local(r);
+    ASSERT_EQ(a.num_owned(), b.num_owned());
+    ASSERT_EQ(a.num_local(), b.num_local());
+    ASSERT_EQ(a.has_weights(), b.has_weights());
+    for (VertexId l = 0; l < a.num_local(); ++l) {
+      EXPECT_EQ(a.global_id(l), b.global_id(l)) << "local " << l;
+      if (a.is_ghost(l)) {
+        EXPECT_EQ(a.ghost_owner(l), b.ghost_owner(l)) << "local " << l;
+      }
+    }
+    for (VertexId l = 0; l < a.num_owned(); ++l) {
+      EXPECT_TRUE(std::ranges::equal(a.neighbors(l), b.neighbors(l)))
+          << "local " << l;
+      if (a.has_weights()) {
+        EXPECT_TRUE(std::ranges::equal(a.weights(l), b.weights(l)))
+            << "local " << l;
+      }
+      EXPECT_TRUE(std::ranges::equal(a.boundary_ranks(l), b.boundary_ranks(l)))
+          << "local " << l;
+    }
+    EXPECT_EQ(a.neighbor_ranks(), b.neighbor_ranks());
+    EXPECT_EQ(a.boundary_vertices(), b.boundary_vertices());
+    EXPECT_EQ(a.num_cross_edges(), b.num_cross_edges());
+    for (VertexId gv = 0; gv < got.num_global_vertices(); ++gv) {
+      EXPECT_EQ(a.local_id(gv), b.local_id(gv)) << "global " << gv;
+    }
+  }
+}
+
+TEST(DistGraph, RefreshDropsLastCrossEdgeAndLinksNewRanks) {
+  // Path 0-1-2-3-4-5 on ranks {0,0,1,1,2,2}: ranks 0 and 2 are not
+  // neighbours. One batch deletes (1,2), the last cross edge of 1 and of 2,
+  // and inserts (0,5), linking ranks 0 and 2.
+  const Graph before = path(6);
+  const Partition p(3, {0, 0, 1, 1, 2, 2});
+  DistGraph dist = DistGraph::build(before, p);
+  ASSERT_EQ(dist.local(0).local_id(2), 2);  // rank 0's ghost of vertex 2
+
+  DynamicGraph dyn(before);
+  const std::vector<EdgeUpdate> batch = {
+      {UpdateOp::kDelete, 1, 2, Weight{1}},
+      {UpdateOp::kInsert, 0, 5, Weight{3}},
+  };
+  for (const EdgeUpdate& u : batch) dyn.apply(u);
+  const Graph& after = dyn.snapshot();
+  dist.refresh(after, p, touched_vertices(batch));
+  dist.validate(after, p);
+  expect_same_distribution(dist, DistGraph::build(after, p));
+
+  EXPECT_EQ(dist.local(0).local_id(2), kNoVertex);
+  EXPECT_EQ(dist.local(1).local_id(1), kNoVertex);
+  EXPECT_EQ(dist.local(0).global_id(dist.local(0).local_id(5)), 5);
+  EXPECT_EQ(dist.local(0).neighbor_ranks(), (std::vector<Rank>{2}));
+  EXPECT_EQ(dist.local(1).neighbor_ranks(), (std::vector<Rank>{2}));
+  EXPECT_EQ(dist.local(2).neighbor_ranks(), (std::vector<Rank>{0, 1}));
+  EXPECT_FALSE(dist.local(0).is_boundary(dist.local(0).local_id(1)));
+}
+
 class DistGraphSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -179,6 +249,22 @@ TEST_P(DistGraphSweep, InvariantsAcrossGraphsAndParts) {
   const DistGraph dist = DistGraph::build(g, p);
   dist.validate(g, p);
   (void)expect_boundary_ranks_match_scan(dist);
+
+  // refresh() after each update batch equals a fresh build, field by field.
+  DynamicGraph dyn(g);
+  DistGraph live = DistGraph::build(dyn.folded(), p);
+  UpdateStreamConfig cfg;
+  cfg.seed = static_cast<std::uint64_t>(10 * graph_kind + parts);
+  UpdateStreamGenerator gen(g, cfg);
+  for (int batch = 0; batch < 4; ++batch) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    const std::vector<EdgeUpdate> updates = gen.next_batch(16);
+    for (const EdgeUpdate& u : updates) dyn.apply(u);
+    const Graph& current = dyn.snapshot();
+    live.refresh(current, p, touched_vertices(updates));
+    live.validate(current, p);
+    expect_same_distribution(live, DistGraph::build(current, p));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(GraphsTimesParts, DistGraphSweep,

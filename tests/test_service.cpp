@@ -16,8 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pmc.hpp"
@@ -101,6 +103,129 @@ TEST(DynamicGraphTest, RejectsInvalidUpdates) {
   // The failed applies must not have mutated the mirror.
   EXPECT_EQ(dyn.num_edges(), 1);
   EXPECT_EQ(dyn.edge_weight(0, 1), 1.0);
+}
+
+/// Reference edge set for the folded snapshot: normalized (u, v) -> weight,
+/// frozen through GraphBuilder.
+class EdgeSetMirror {
+ public:
+  explicit EdgeSetMirror(const Graph& g) : n_(g.num_vertices()) {
+    for (VertexId u = 0; u < n_; ++u) {
+      for (const VertexId v : g.neighbors(u)) {
+        if (u < v) edges_[{u, v}] = g.edge_weight(u, v);
+      }
+    }
+  }
+
+  void apply(const EdgeUpdate& e) {
+    if (e.op == UpdateOp::kDelete) {
+      edges_.erase({e.u, e.v});
+    } else {
+      edges_[{e.u, e.v}] = e.w;
+    }
+  }
+
+  [[nodiscard]] Graph build() const {
+    GraphBuilder b(n_);
+    for (const auto& [e, w] : edges_) b.add_edge(e.first, e.second, w);
+    return std::move(b).build();
+  }
+
+ private:
+  VertexId n_;
+  std::map<std::pair<VertexId, VertexId>, Weight> edges_;
+};
+
+/// Same offsets, neighbors and (bit-identical) weights.
+void expect_same_csr(const Graph& got, const Graph& want) {
+  ASSERT_EQ(got.num_vertices(), want.num_vertices());
+  ASSERT_EQ(got.num_arcs(), want.num_arcs());
+  ASSERT_TRUE(got.has_weights());
+  ASSERT_TRUE(want.has_weights());
+  for (VertexId v = 0; v <= got.num_vertices(); ++v) {
+    ASSERT_EQ(got.offset_begin(v), want.offset_begin(v)) << "row " << v;
+  }
+  const EdgeId arcs = got.num_arcs();
+  EXPECT_TRUE(std::ranges::equal(got.arc_targets(0, arcs),
+                                 want.arc_targets(0, arcs)));
+  EXPECT_TRUE(std::ranges::equal(got.arc_weights(0, arcs),
+                                 want.arc_weights(0, arcs)));
+}
+
+TEST(DynamicGraphTest, SnapshotEqualsBuilderGraphAfterEveryBatch) {
+  // A weighted grid, and an unweighted one whose snapshots still carry unit
+  // weights.
+  const Graph weighted = grid_2d(10, 10, WeightKind::kUniformRandom, 4);
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+  for (VertexId u = 0; u < weighted.num_vertices(); ++u) {
+    for (const VertexId v : weighted.neighbors(u)) {
+      if (u < v) pairs.emplace_back(u, v);
+    }
+  }
+  const Graph unweighted = graph_from_edges(weighted.num_vertices(), pairs);
+  ASSERT_FALSE(unweighted.has_weights());
+
+  for (const Graph* initial : {&weighted, &unweighted}) {
+    SCOPED_TRACE(initial->has_weights() ? "weighted" : "unweighted");
+    DynamicGraph dyn(*initial);
+    EdgeSetMirror mirror(*initial);
+    expect_same_csr(dyn.snapshot(), mirror.build());
+
+    UpdateStreamConfig cfg;
+    cfg.seed = 31;
+    UpdateStreamGenerator gen(*initial, cfg);
+    for (int batch = 0; batch < 6; ++batch) {
+      SCOPED_TRACE("batch " + std::to_string(batch));
+      for (const EdgeUpdate& u : gen.next_batch(16)) {
+        dyn.apply(u);
+        mirror.apply(u);
+      }
+      const Graph& folded = dyn.snapshot();
+      expect_same_csr(folded, mirror.build());
+      EXPECT_EQ(dyn.num_edges(), folded.num_edges());
+      // Nothing pending: the second snapshot is the same graph, unchanged.
+      EXPECT_EQ(&dyn.snapshot(), &folded);
+      expect_same_csr(dyn.snapshot(), mirror.build());
+    }
+  }
+}
+
+TEST(DynamicGraphTest, SnapshotFoldsEdgeCaseBatches) {
+  // Path 0-1-2-3-4-5: updates at the first and last rows leave empty
+  // bulk-copy ranges at both ends.
+  const Graph g = [] {
+    GraphBuilder b(6);
+    for (VertexId v = 0; v + 1 < 6; ++v) {
+      b.add_edge(v, v + 1, static_cast<Weight>(v + 1));
+    }
+    return std::move(b).build();
+  }();
+  const std::vector<std::vector<EdgeUpdate>> batches = {
+      // Insert and delete the same edge in one batch, at rows 0 and n-1.
+      {insert(0, 5, 9.0), reweight(2, 3, 0.5), erase(0, 5)},
+      // Vertex 0 loses its last edge.
+      {erase(0, 1)},
+      // Row n-1 swaps its only edge for one to row 0.
+      {insert(0, 5, 4.0), erase(4, 5)},
+      // Both end rows lose their last edge; an interior edge appears.
+      {erase(0, 5), insert(1, 4, 2.5)},
+  };
+  DynamicGraph dyn(g);
+  EdgeSetMirror mirror(g);
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    SCOPED_TRACE("batch " + std::to_string(i));
+    for (const EdgeUpdate& u : batches[i]) {
+      dyn.apply(u);
+      mirror.apply(u);
+    }
+    const Graph& folded = dyn.snapshot();
+    expect_same_csr(folded, mirror.build());
+    EXPECT_NO_THROW(folded.validate());
+    expect_same_csr(dyn.snapshot(), mirror.build());
+  }
+  EXPECT_EQ(dyn.snapshot().degree(0), 0);
+  EXPECT_EQ(dyn.snapshot().degree(5), 0);
+  EXPECT_EQ(dyn.edge_weight(3, 2), 0.5);
 }
 
 // ---- UpdateStreamGenerator --------------------------------------------------
@@ -248,7 +373,9 @@ TEST_F(IncrementalDriversTest, MatchRepairEqualsRecomputeEveryBatch) {
   DistMatchingOptions opt;
   opt.exec = exec_config_from_env();
   DynamicGraph dyn(g_);
-  Matching current = match_distributed(DistGraph::build(g_, p_), opt).matching;
+  // Carried across batches with refresh(), as GraphService does.
+  DistGraph carried = DistGraph::build(dyn.folded(), p_);
+  Matching current = match_distributed(carried, opt).matching;
 
   UpdateStreamConfig cfg;
   cfg.seed = 21;
@@ -257,13 +384,19 @@ TEST_F(IncrementalDriversTest, MatchRepairEqualsRecomputeEveryBatch) {
     SCOPED_TRACE("batch " + std::to_string(batch));
     const std::vector<EdgeUpdate> updates = gen.next_batch(16);
     for (const EdgeUpdate& u : updates) dyn.apply(u);
-    const Graph g = dyn.snapshot();
+    const Graph& g = dyn.snapshot();
+    const std::vector<VertexId> touched = touched_vertices(updates);
+    carried.refresh(g, p_, touched);
     const DistGraph dist = DistGraph::build(g, p_);
 
     const IncrementalMatchResult inc =
-        match_incremental(dist, current, touched_vertices(updates), opt);
+        match_incremental(dist, current, touched, opt);
+    const IncrementalMatchResult on_carried =
+        match_incremental(carried, current, touched, opt);
     const DistMatchingResult full = match_distributed(dist, opt);
     ASSERT_EQ(inc.matching.mate, full.matching.mate);
+    ASSERT_EQ(on_carried.matching.mate, full.matching.mate);
+    EXPECT_EQ(on_carried.run.sim_seconds, inc.run.sim_seconds);
 
     std::string why;
     EXPECT_TRUE(is_valid_matching(g, inc.matching, &why)) << why;
@@ -279,7 +412,9 @@ TEST_F(IncrementalDriversTest, ColorRepairEqualsRecomputeEveryBatch) {
   DistColoringOptions opt;
   opt.exec = exec_config_from_env();
   DynamicGraph dyn(g_);
-  Coloring current = color_canonical(DistGraph::build(g_, p_), opt).coloring;
+  // Carried across batches with refresh(), as GraphService does.
+  DistGraph carried = DistGraph::build(dyn.folded(), p_);
+  Coloring current = color_canonical(carried, opt).coloring;
 
   UpdateStreamConfig cfg;
   cfg.seed = 22;
@@ -288,13 +423,19 @@ TEST_F(IncrementalDriversTest, ColorRepairEqualsRecomputeEveryBatch) {
     SCOPED_TRACE("batch " + std::to_string(batch));
     const std::vector<EdgeUpdate> updates = gen.next_batch(16);
     for (const EdgeUpdate& u : updates) dyn.apply(u);
-    const Graph g = dyn.snapshot();
+    const Graph& g = dyn.snapshot();
+    const std::vector<VertexId> touched = touched_vertices(updates);
+    carried.refresh(g, p_, touched);
     const DistGraph dist = DistGraph::build(g, p_);
 
     const IncrementalColorResult inc =
-        color_incremental(dist, current, touched_vertices(updates), opt);
+        color_incremental(dist, current, touched, opt);
+    const IncrementalColorResult on_carried =
+        color_incremental(carried, current, touched, opt);
     const IncrementalColorResult full = color_canonical(dist, opt);
     ASSERT_EQ(inc.coloring.color, full.coloring.color);
+    ASSERT_EQ(on_carried.coloring.color, full.coloring.color);
+    EXPECT_EQ(on_carried.run.sim_seconds, inc.run.sim_seconds);
 
     std::string why;
     EXPECT_TRUE(is_proper_coloring(g, inc.coloring, &why)) << why;
@@ -407,6 +548,47 @@ TEST(ServiceTest, PinnedFinalState) {
   std::ostringstream os;
   os << std::hexfloat << run.final_weight << '|' << run.final_colors;
   EXPECT_EQ(os.str(), kPinnedServiceFinal) << "actual: " << os.str();
+}
+
+TEST(ServiceTest, InvalidUpdateLeavesServiceUsable) {
+  const Graph g = grid_2d(6, 6, WeightKind::kUniformRandom, 2);
+  const Partition p = grid_2d_partition(6, 6, 2, 1);
+  ServiceOptions so;
+  so.batch_window = 2;
+  so.verify_batches = true;
+  GraphService service(g, p, so);
+  const Matching cold_matching = service.matching();
+  const Coloring cold_coloring = service.coloring();
+
+  EXPECT_FALSE(service.push(insert(0, 10, 0.5)).has_value());
+  // Each rejected update throws at its own push and changes nothing.
+  EXPECT_THROW((void)service.push(insert(0, 1, 0.25)), Error);  // present
+  EXPECT_THROW((void)service.push(erase(0, 2)), Error);         // absent
+  EXPECT_THROW((void)service.push(reweight(3, 5, 1.0)), Error); // absent
+  EXPECT_THROW((void)service.push(insert(4, 4, 1.0)), Error);   // self-loop
+  EXPECT_THROW((void)service.push(insert(0, 36, 1.0)), Error);  // range
+  EXPECT_EQ(service.pending_updates(), 1);
+  EXPECT_TRUE(service.history().empty());
+  EXPECT_EQ(service.graph().num_edges(), g.num_edges());
+  EXPECT_EQ(service.matching().mate, cold_matching.mate);
+  EXPECT_EQ(service.coloring().color, cold_coloring.color);
+
+  // The next valid push completes the batch; later batches keep working.
+  const auto report = service.push(insert(2, 9, 0.75));
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->updates, 2);
+  EXPECT_FALSE(service.push(erase(0, 1)).has_value());
+  EXPECT_TRUE(service.push(reweight(0, 10, 0.125)).has_value());
+  EXPECT_EQ(service.history().size(), 2u);
+  EXPECT_EQ(service.pending_updates(), 0);
+  EXPECT_EQ(service.graph().num_edges(), g.num_edges() + 1);
+  EXPECT_EQ(service.graph().edge_weight(0, 10), 0.125);
+
+  const DistGraph dist = DistGraph::build(service.graph(), p);
+  EXPECT_EQ(service.matching().mate,
+            match_distributed(dist, so.matching).matching.mate);
+  EXPECT_EQ(service.coloring().color,
+            color_canonical(dist, so.coloring).coloring.color);
 }
 
 TEST(ServiceTest, BatchWindowCoalesces) {
