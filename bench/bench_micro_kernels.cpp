@@ -105,16 +105,23 @@ void BM_DistributedMatchingSim(benchmark::State& state) {
 }
 BENCHMARK(BM_DistributedMatchingSim)->Unit(benchmark::kMillisecond);
 
+/// Argument: ranks per side of the processor grid. 64 puts 4,096 ranks of
+/// 4x4 vertices on the grid, where per-rank staging state dominates.
 void BM_DistributedColoringSim(benchmark::State& state) {
   const Graph& g = shared_grid();
-  const Partition p = grid_2d_partition(256, 256, 8, 8);
+  const auto side = static_cast<Rank>(state.range(0));
+  const Partition p = grid_2d_partition(256, 256, side, side);
   const DistGraph dist = DistGraph::build(g, p);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         color_distributed(dist, DistColoringOptions::improved()));
   }
 }
-BENCHMARK(BM_DistributedColoringSim)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DistributedColoringSim)
+    ->Arg(8)
+    ->Arg(64)
+    ->ArgName("ranks_per_side")
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ExactBipartiteMatching(benchmark::State& state) {
   BipartiteInfo info;

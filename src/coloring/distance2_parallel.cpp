@@ -82,7 +82,7 @@ std::vector<Dist2RankView> build_dist2_views(const Graph& g,
   }
 
   // Recipients: ranks owning any vertex within distance <= 2 of each owned
-  // vertex; d2-boundary classification.
+  // vertex, and their union; d2-boundary classification.
   for (auto& view : views) {
     view.recipients.assign(static_cast<std::size_t>(view.num_owned), {});
     std::vector<Rank> scratch;
@@ -101,8 +101,14 @@ std::vector<Dist2RankView> build_dist2_views(const Graph& g,
       if (!scratch.empty()) {
         view.d2_boundary.push_back(v);
         view.recipients[static_cast<std::size_t>(v)] = scratch;
+        view.recipient_ranks.insert(view.recipient_ranks.end(),
+                                    scratch.begin(), scratch.end());
       }
     }
+    std::sort(view.recipient_ranks.begin(), view.recipient_ranks.end());
+    view.recipient_ranks.erase(std::unique(view.recipient_ranks.begin(),
+                                           view.recipient_ranks.end()),
+                               view.recipient_ranks.end());
   }
   return views;
 }
@@ -116,7 +122,7 @@ struct D2RankState {
   std::vector<VertexId> colored_d2_boundary;
   ColorChooser chooser{ColorStrategy::kFirstFit};
   /// Per-rank staging (isolated so rank callbacks can run concurrently).
-  FanoutStage stage{0};
+  FanoutStage stage;
 };
 
 void d2_apply_records(D2RankState& st, const BspMessage& msg) {
@@ -172,7 +178,7 @@ DistColoringResult color_distance2_distributed_native(
     // Two-hop recipients are precomputed per vertex, so the distance-2
     // flush always uses the neighbor-customized policy (the paper's NEW
     // mode).
-    st.stage = FanoutStage(P, options.codec);
+    st.stage = FanoutStage(P, st.view->recipient_ranks, options.codec);
   }
 
   DistColoringResult result;

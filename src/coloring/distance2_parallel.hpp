@@ -40,6 +40,8 @@ struct Dist2RankView {
   /// For each owned vertex (indexed by local id), the sorted ranks owning a
   /// vertex within distance <= 2 (empty for distance-2-interior vertices).
   std::vector<std::vector<Rank>> recipients;
+  /// The sorted union of recipients: every rank this rank ever sends to.
+  std::vector<Rank> recipient_ranks;
 
   [[nodiscard]] VertexId num_local() const noexcept {
     return static_cast<VertexId>(global_ids.size());

@@ -61,7 +61,8 @@ JonesPlassmannResult color_jones_plassmann(
                                std::int64_t records) {
         ctx.send(dst, std::move(payload), records);
       };
-      Bundler out(BundleMode::kBundled, 0, options.codec);
+      Bundler out(BundleMode::kBundled, lg.neighbor_ranks(), 0,
+                  options.codec);
       std::vector<VertexId> still_uncolored;
       still_uncolored.reserve(st.uncolored.size());
       for (const VertexId v : st.uncolored) {

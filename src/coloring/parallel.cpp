@@ -49,7 +49,7 @@ struct RankState {
   /// Per-destination staging for this rank's current superstep, flushed
   /// under the configured fabric send policy. Per rank (not shared) so
   /// concurrent rank callbacks stay isolated.
-  FanoutStage stage{0};
+  FanoutStage stage;
 };
 
 /// Colors one owned vertex first-fit (or per strategy) against the colors
@@ -90,7 +90,7 @@ DistColoringResult color_distributed(const DistGraph& dist,
     st.color.assign(static_cast<std::size_t>(lg.num_local()), kNoColor);
     st.chooser = ColorChooser(options.strategy,
                               /*stagger_base=*/static_cast<Color>(r));
-    st.stage = FanoutStage(P, options.codec);
+    st.stage = FanoutStage(P, lg.neighbor_ranks(), options.codec);
     if (options.strategy == ColorStrategy::kLeastUsed) {
       st.usage.assign(1, 0);
     }

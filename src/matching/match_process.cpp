@@ -11,7 +11,8 @@ MatchProcess::MatchProcess(const LocalGraph& lg,
                            const DistMatchingOptions& options)
     : lg_(lg),
       bundler_(options.bundled ? BundleMode::kBundled : BundleMode::kEager,
-               options.bundle_flush_bytes, options.codec) {}
+               lg.neighbor_ranks(), options.bundle_flush_bytes,
+               options.codec) {}
 
 void MatchProcess::sort_arcs(EventContext& ctx, VertexId v) {
   const EdgeId b = lg_.offset_begin(v);

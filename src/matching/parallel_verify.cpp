@@ -31,7 +31,7 @@ DistVerifyResult verify_matching_distributed(const DistGraph& dist,
                              std::int64_t records) {
       ctx.send(dst, std::move(payload), records);
     };
-    Bundler out(BundleMode::kBundled, 0, codec);
+    Bundler out(BundleMode::kBundled, lg.neighbor_ranks(), 0, codec);
     for (const VertexId v : lg.boundary_vertices()) {
       const VertexId gv = lg.global_id(v);
       const VertexId mate = m.mate[static_cast<std::size_t>(gv)];

@@ -8,7 +8,9 @@
 // vs per-rank inboxes) and compose the fabric.
 //
 // The fabric also owns the two record-aggregation helpers the paper's
-// algorithms share:
+// algorithms share, both staging through one Outbox — a FrameWriter slot
+// per rank on the sender's sorted destination list, never one per rank of
+// the machine:
 //
 //   * Bundler — per-destination record aggregation (the matching paper's
 //     §3.3 "aggressive message bundling") with eager, bundled, and
@@ -29,13 +31,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "runtime/comm_stats.hpp"
 #include "runtime/machine_model.hpp"
 #include "runtime/serialize.hpp"
 #include "runtime/trace.hpp"
-#include "support/sorted.hpp"
+#include "support/error.hpp"
 #include "support/types.hpp"
 
 namespace pmc {
@@ -293,6 +296,93 @@ class CommFabric {
   CommTrace trace_;
 };
 
+/// One rank's outgoing-record staging: a FrameWriter slot per destination
+/// on a sorted list fixed at construction — the ranks the sender can reach,
+/// which its caller already knows (LocalGraph::neighbor_ranks(), or the
+/// distance-2 recipient union). Staging therefore costs O(neighbours), not
+/// O(ranks). Bundler and FanoutStage both stage through it; its three flush
+/// walks fix the send order, which feeds FIFO channels, jitter and fault
+/// verdicts downstream.
+class Outbox {
+ public:
+  Outbox() = default;
+  /// Sorts and deduplicates `destinations`.
+  Outbox(std::vector<Rank> destinations, WireCodec codec)
+      : destinations_(std::move(destinations)) {
+    std::sort(destinations_.begin(), destinations_.end());
+    destinations_.erase(
+        std::unique(destinations_.begin(), destinations_.end()),
+        destinations_.end());
+    slots_.assign(destinations_.size(), FrameWriter(codec));
+  }
+
+  /// The writer staging records for dst, which must be on the list.
+  FrameWriter& slot(Rank dst) {
+    const auto it =
+        std::lower_bound(destinations_.begin(), destinations_.end(), dst);
+    PMC_CHECK(it != destinations_.end() && *it == dst,
+              "staging to rank " << dst << ", which is not a destination");
+    const auto i = static_cast<std::size_t>(it - destinations_.begin());
+    if (slots_[i].empty()) touched_.push_back(i);
+    return slots_[i];
+  }
+
+  /// Sends every staged slot in ascending destination order.
+  template <typename SendFn>
+  void flush_ascending(SendFn&& send) {
+    for (std::size_t i = 0; i < slots_.size(); ++i) send_staged(i, send);
+    touched_.clear();
+  }
+
+  /// Sends every staged slot in the order it was first staged into.
+  template <typename SendFn>
+  void flush_first_touched(SendFn&& send) {
+    for (const std::size_t i : touched_) send_staged(i, send);
+    touched_.clear();
+  }
+
+  /// Sends one frame to every rank in [0, num_ranks) but src, ascending:
+  /// the slot's frame for a destination (empty when nothing is staged),
+  /// an empty frame for any other rank.
+  template <typename SendFn>
+  void flush_every_rank(Rank num_ranks, Rank src, SendFn&& send) {
+    std::size_t i = 0;
+    for (Rank dst = 0; dst < num_ranks; ++dst) {
+      const bool listed = i < destinations_.size() && destinations_[i] == dst;
+      if (dst != src) {
+        const std::int64_t records = listed ? slots_[i].records() : 0;
+        send(dst, listed ? slots_[i].take() : std::vector<std::byte>{},
+             records);
+      }
+      if (listed) ++i;
+    }
+    touched_.clear();
+  }
+
+  /// Records currently staged across all destinations.
+  [[nodiscard]] std::int64_t staged_records() const noexcept {
+    std::int64_t total = 0;
+    for (const FrameWriter& w : slots_) total += w.records();
+    return total;
+  }
+
+ private:
+  /// Sends slot i's frame and resets the slot, unless nothing is staged.
+  template <typename SendFn>
+  void send_staged(std::size_t i, SendFn& send) {
+    FrameWriter& w = slots_[i];
+    if (w.empty()) return;
+    const std::int64_t records = w.records();
+    send(destinations_[i], w.take(), records);
+  }
+
+  std::vector<Rank> destinations_;
+  std::vector<FrameWriter> slots_;  ///< Parallel to destinations_.
+  /// Slot indices in the order they went from empty to staged (a slot a
+  /// threshold send emptied may appear again; send_staged skips repeats).
+  std::vector<std::size_t> touched_;
+};
+
 /// How a Bundler treats appended records.
 enum class BundleMode {
   kEager,    ///< Each record is sent immediately as its own message.
@@ -306,19 +396,22 @@ enum class BundleMode {
 /// Records are appended through an encode callback writing into the staged
 /// FrameWriter (the callback is responsible for begin_record()); the send
 /// callback receives (dst, framed payload, record_count) and forwards to
-/// the engine. With a non-zero flush threshold, a destination's bundle is
-/// sent as soon as its staged *payload* (pre-frame encoded bytes) reaches
-/// the threshold (bounding message size without changing record order).
+/// the engine. Bundled records stage in an Outbox over `destinations`
+/// (eager mode stages nothing and holds no slots). With a non-zero flush
+/// threshold, a destination's bundle is sent as soon as its staged
+/// *payload* (pre-frame encoded bytes) reaches the threshold (bounding
+/// message size without changing record order).
 class Bundler {
  public:
-  explicit Bundler(BundleMode mode, std::size_t flush_threshold_bytes = 0,
-                   WireCodec codec = WireCodec::kCompact)
+  Bundler(BundleMode mode, std::vector<Rank> destinations,
+          std::size_t flush_threshold_bytes = 0,
+          WireCodec codec = WireCodec::kCompact)
       : mode_(mode),
         flush_threshold_bytes_(flush_threshold_bytes),
-        codec_(codec) {}
-
-  [[nodiscard]] BundleMode mode() const noexcept { return mode_; }
-  [[nodiscard]] WireCodec codec() const noexcept { return codec_; }
+        codec_(codec),
+        out_(mode == BundleMode::kEager
+                 ? Outbox()
+                 : Outbox(std::move(destinations), codec)) {}
 
   /// Appends one record for dst. EncodeFn is void(FrameWriter&); SendFn is
   /// void(Rank, std::vector<std::byte>, std::int64_t records).
@@ -331,11 +424,7 @@ class Bundler {
       send(dst, w.take(), records);
       return;
     }
-    auto it = out_.find(dst);
-    if (it == out_.end()) {
-      it = out_.try_emplace(dst, FrameWriter(codec_)).first;
-    }
-    FrameWriter& w = it->second;
+    FrameWriter& w = out_.slot(dst);
     encode(w);
     if (flush_threshold_bytes_ != 0 &&
         w.payload_size() >= flush_threshold_bytes_) {
@@ -345,33 +434,23 @@ class Bundler {
   }
 
   /// Sends every non-empty staged bundle in ascending destination order
-  /// (bundled mode; no-op when eager). Staging uses an unordered map, but
-  /// the flush order must never depend on its bucket layout: the send
-  /// sequence feeds FIFO channels, jitter and fault verdicts downstream.
+  /// (bundled mode; no-op when eager).
   template <typename SendFn>
   void flush(SendFn&& send) {
     if (mode_ == BundleMode::kEager) return;
-    for (const Rank dst : sorted_keys(out_)) {
-      FrameWriter& w = out_.at(dst);
-      if (w.empty()) continue;
-      const std::int64_t records = w.records();
-      send(dst, w.take(), records);
-    }
+    out_.flush_ascending(send);
   }
 
   /// Records currently staged across all destinations.
   [[nodiscard]] std::int64_t staged_records() const noexcept {
-    std::int64_t total = 0;
-    // pmc-lint: allow(D1): order-independent integer sum, no sends
-    for (const auto& [dst, w] : out_) total += w.records();
-    return total;
+    return out_.staged_records();
   }
 
  private:
   BundleMode mode_;
   std::size_t flush_threshold_bytes_;
   WireCodec codec_;
-  std::unordered_map<Rank, FrameWriter> out_;
+  Outbox out_;
 };
 
 /// Appends one ColorRecord — a boundary vertex's (global id, color) — to w.
@@ -404,18 +483,20 @@ void for_each_color_record(std::span<const std::byte> payload, Fn&& fn) {
 
 /// Per-source staging of one superstep's boundary records, flushed under a
 /// SendPolicy — the coloring paper's FIAB / FIAC / NEW comparison expressed
-/// as a fabric-level primitive.
+/// as a fabric-level primitive. Customized records stage in an Outbox over
+/// `destinations`; only FIAC's empty frames reach the other ranks.
 class FanoutStage {
  public:
-  explicit FanoutStage(Rank num_ranks, WireCodec codec = WireCodec::kCompact)
-      : dest_payload_(static_cast<std::size_t>(num_ranks), FrameWriter(codec)),
+  FanoutStage() = default;
+  FanoutStage(Rank num_ranks, std::vector<Rank> destinations,
+              WireCodec codec = WireCodec::kCompact)
+      : num_ranks_(num_ranks),
+        out_(std::move(destinations), codec),
         union_payload_(codec) {}
 
   /// Stages one customized ColorRecord for dst (kCustomizedNeighbors / -All).
   void stage(Rank dst, VertexId global, Color c) {
-    auto& w = dest_payload_[static_cast<std::size_t>(dst)];
-    if (w.empty()) touched_.push_back(dst);
-    put_color_record(w, global, c);
+    put_color_record(out_.slot(dst), global, c);
   }
 
   /// Stages one ColorRecord of the shared union payload (kBroadcastUnion).
@@ -427,41 +508,30 @@ class FanoutStage {
   /// SendFn is void(Rank dst, std::vector<std::byte>, std::int64_t records).
   template <typename SendFn>
   void flush(SendPolicy policy, Rank src, SendFn&& send) {
-    const Rank P = static_cast<Rank>(dest_payload_.size());
     switch (policy) {
       case SendPolicy::kCustomizedNeighbors:
-        for (Rank dst : touched_) {
-          auto& w = dest_payload_[static_cast<std::size_t>(dst)];
-          const std::int64_t records = w.records();
-          send(dst, w.take(), records);
-        }
+        out_.flush_first_touched(send);
         break;
       case SendPolicy::kCustomizedAll:
         // Customized content, but a message goes to *every* other rank —
         // empty for non-neighbors. Same count as FIAB, lower volume.
-        for (Rank dst = 0; dst < P; ++dst) {
-          if (dst == src) continue;
-          auto& w = dest_payload_[static_cast<std::size_t>(dst)];
-          const std::int64_t records = w.records();
-          send(dst, w.take(), records);
-        }
+        out_.flush_every_rank(num_ranks_, src, send);
         break;
       case SendPolicy::kBroadcastUnion: {
         const std::int64_t records = union_payload_.records();
         const auto bytes = union_payload_.take();
-        for (Rank dst = 0; dst < P; ++dst) {
+        for (Rank dst = 0; dst < num_ranks_; ++dst) {
           if (dst == src) continue;
           send(dst, bytes, records);
         }
         break;
       }
     }
-    touched_.clear();
   }
 
  private:
-  std::vector<FrameWriter> dest_payload_;
-  std::vector<Rank> touched_;
+  Rank num_ranks_ = 0;
+  Outbox out_;
   FrameWriter union_payload_;
 };
 

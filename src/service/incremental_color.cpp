@@ -55,7 +55,7 @@ struct CanonState {
   /// frontier when the ghost's color changes).
   std::vector<std::vector<VertexId>> ghost_incidence;
   ColorChooser chooser{ColorStrategy::kFirstFit};
-  FanoutStage stage{0};
+  FanoutStage stage;
 };
 
 /// Canonical first-fit for owned vertex v: forbids only the known colors of
@@ -92,7 +92,7 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
     CanonState& st = states[static_cast<std::size_t>(r)];
     const LocalGraph& lg = dist.local(r);
     st.lg = &lg;
-    st.stage = FanoutStage(P, options.codec);
+    st.stage = FanoutStage(P, lg.neighbor_ranks(), options.codec);
     st.color.assign(static_cast<std::size_t>(lg.num_local()), kNoColor);
     if (previous != nullptr) {
       // Warm start: owned and ghost colors from the previous coloring —

@@ -113,6 +113,24 @@ TEST(DeterminismRegression, DistributedMatchingScenarios) {
   EXPECT_EQ(rb.matching.mate, rj.matching.mate);
 }
 
+// Threshold bundling: a 64-byte cap sends a destination's bundle mid-
+// activation (52 messages against plain bundling's 42), and each flush then
+// walks the remaining bundles in ascending destination order. Pinning the
+// modelled time and traffic holds both send orders fixed.
+TEST(DeterminismRegression, ThresholdBundledMatchingScenario) {
+  const Graph g = grid_2d(48, 48, WeightKind::kUniformRandom, 61);
+  Rank pr = 0, pc = 0;
+  factor_processor_grid(8, pr, pc);
+  const Partition p = grid_2d_partition(48, 48, pr, pc);
+  const DistGraph dist = DistGraph::build(g, p);
+
+  DistMatchingOptions capped;
+  capped.bundle_flush_bytes = 64;
+  const auto r = match_distributed(dist, capped);
+  expect_pinned(r.run, r.max_activations,
+                {7.0492200000003106e-05, 52, 3295, 370, 0, 10});
+}
+
 TEST(DeterminismRegression, DistributedColoringScenarios) {
   const Graph g = circuit_like(2000, 4000, 6, WeightKind::kUnit, 62);
   const Partition p =

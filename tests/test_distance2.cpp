@@ -1,6 +1,9 @@
 // Tests for the distance-2 coloring extension.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "coloring/distance2.hpp"
 #include "coloring/distance2_parallel.hpp"
 #include "graph/algorithms.hpp"
@@ -122,6 +125,13 @@ TEST(Dist2View, TwoHopClosureOnPath) {
   const auto& v2 = views[2];
   ASSERT_EQ(v2.recipients[0].size(), 1u);
   EXPECT_EQ(v2.recipients[0][0], 1);
+  // Each view's recipient_ranks is the sorted union of its recipients.
+  for (const auto& view : views) {
+    std::set<Rank> all;
+    for (const auto& r : view.recipients) all.insert(r.begin(), r.end());
+    EXPECT_EQ(view.recipient_ranks, std::vector<Rank>(all.begin(), all.end()))
+        << "rank " << view.rank;
+  }
 }
 
 TEST(Dist2Native, ProperAcrossRankCountsAndModes) {

@@ -1,7 +1,8 @@
 // Tests for the shared communication fabric (runtime/fabric.hpp): clocks and
 // cost charging, the per-channel FIFO non-overtaking invariant (with and
-// without jitter), the Bundler and FanoutStage aggregation helpers, and the
-// per-rank / per-round instrumentation breakdowns.
+// without jitter), the Bundler and FanoutStage aggregation helpers and the
+// Outbox they stage through, and the per-rank / per-round instrumentation
+// breakdowns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -381,7 +382,7 @@ struct SendLog {
 std::vector<int> bundler_round_trip(BundleMode mode, std::size_t threshold,
                                     int num_records, SendLog& log,
                                     WireCodec codec = WireCodec::kCompact) {
-  Bundler bundler(mode, threshold, codec);
+  Bundler bundler(mode, {0, 1, 2}, threshold, codec);
   std::vector<int> staged;
   for (int i = 0; i < num_records; ++i) {
     const Rank dst = static_cast<Rank>(i % 3);
@@ -419,15 +420,13 @@ TEST(Bundler, BundledFlushLosesAndDuplicatesNothing) {
 }
 
 TEST(Bundler, FlushEmitsBundlesInAscendingDestinationOrder) {
-  // Determinism pin for the D1 lint migration: flush order must be the
-  // sorted destination order, never the staging map's bucket order — the
-  // send sequence feeds FIFO channels, jitter and fault verdicts. Stage
-  // destinations deliberately out of order and at a size that forces the
-  // unordered_map through at least one rehash.
+  // Determinism pin: flush order must be the sorted destination order,
+  // never the staging order — the send sequence feeds FIFO channels, jitter
+  // and fault verdicts. Stage destinations deliberately out of order.
   SendLog log;
-  Bundler bundler(BundleMode::kBundled);
   const Rank dsts[] = {41, 3, 29, 7, 101, 0, 57, 19, 83, 11,
                        67, 5, 97, 23, 31, 2,  89, 13, 71, 47};
+  Bundler bundler(BundleMode::kBundled, {std::begin(dsts), std::end(dsts)});
   for (const Rank dst : dsts) {
     bundler.add(
         dst,
@@ -446,7 +445,7 @@ TEST(Bundler, FlushEmitsBundlesInAscendingDestinationOrder) {
 
 TEST(Bundler, SecondFlushSendsNothing) {
   SendLog log;
-  Bundler bundler(BundleMode::kBundled);
+  Bundler bundler(BundleMode::kBundled, {1});
   bundler.add(
       1,
       [](FrameWriter& w) {
@@ -480,7 +479,7 @@ TEST(Bundler, ThresholdFlushBoundsStagedBytesWithoutLoss) {
 // ---- FanoutStage ------------------------------------------------------------
 
 TEST(FanoutStage, CustomizedNeighborsSendsOnlyToTouchedRanks) {
-  FanoutStage stage(4);
+  FanoutStage stage(4, {1, 2, 3});
   SendLog log;
   stage.stage(1, VertexId{10}, Color{2});
   stage.stage(3, VertexId{11}, Color{4});
@@ -494,7 +493,7 @@ TEST(FanoutStage, CustomizedNeighborsSendsOnlyToTouchedRanks) {
 }
 
 TEST(FanoutStage, CustomizedAllSendsPossiblyEmptyMessageToEveryOtherRank) {
-  FanoutStage stage(4);
+  FanoutStage stage(4, {1, 3});
   SendLog log;
   stage.stage(1, VertexId{10}, Color{2});
   stage.flush(SendPolicy::kCustomizedAll, 2, log.sink());
@@ -509,7 +508,7 @@ TEST(FanoutStage, CustomizedAllSendsPossiblyEmptyMessageToEveryOtherRank) {
 }
 
 TEST(FanoutStage, BroadcastUnionCopiesTheUnionToEveryOtherRank) {
-  FanoutStage stage(4);
+  FanoutStage stage(4, {0, 2});
   SendLog log;
   stage.stage_union(VertexId{10}, Color{2});
   stage.stage_union(VertexId{11}, Color{3});
@@ -523,12 +522,68 @@ TEST(FanoutStage, BroadcastUnionCopiesTheUnionToEveryOtherRank) {
 }
 
 TEST(FanoutStage, FlushResetsStateBetweenSupersteps) {
-  FanoutStage stage(3);
+  FanoutStage stage(3, {1, 2});
   SendLog log;
   stage.stage(1, VertexId{10}, Color{0});
   stage.flush(SendPolicy::kCustomizedNeighbors, 0, log.sink());
   stage.flush(SendPolicy::kCustomizedNeighbors, 0, log.sink());
   EXPECT_EQ(log.sent.size(), 1u);  // nothing staged for the second flush
+}
+
+TEST(FanoutStage, CustomizedNeighborsKeepsFirstTouchOrder) {
+  // NEW sends in the order destinations were first staged, not ascending.
+  FanoutStage stage(4, {1, 3});
+  SendLog log;
+  stage.stage(3, VertexId{10}, Color{2});
+  stage.stage(1, VertexId{11}, Color{4});
+  stage.stage(3, VertexId{12}, Color{1});
+  stage.flush(SendPolicy::kCustomizedNeighbors, 0, log.sink());
+  ASSERT_EQ(log.sent.size(), 2u);
+  EXPECT_EQ(log.sent[0].dst, 3);
+  EXPECT_EQ(log.sent[0].records, 2);
+  EXPECT_EQ(log.sent[1].dst, 1);
+  EXPECT_EQ(log.sent[1].records, 1);
+}
+
+TEST(FanoutStage, CustomizedAllReachesEveryRankFromTwoDestinations) {
+  // FIAC at the paper's 16,384-rank point: one frame per other rank, in
+  // ascending order, although only the two listed destinations hold a slot.
+  constexpr Rank kRanks = 16384;
+  constexpr Rank kSrc = 100;
+  FanoutStage stage(kRanks, {7, 9000});
+  SendLog log;
+  stage.stage(9000, VertexId{10}, Color{2});
+  stage.stage(7, VertexId{11}, Color{3});
+  stage.flush(SendPolicy::kCustomizedAll, kSrc, log.sink());
+  ASSERT_EQ(log.sent.size(), static_cast<std::size_t>(kRanks - 1));
+  std::vector<Rank> nonempty;
+  for (std::size_t i = 0; i < log.sent.size(); ++i) {
+    const Rank expected = static_cast<Rank>(i) + (static_cast<Rank>(i) >= kSrc);
+    EXPECT_EQ(log.sent[i].dst, expected);
+    if (!log.sent[i].payload.empty()) {
+      EXPECT_EQ(log.sent[i].records, 1);
+      nonempty.push_back(log.sent[i].dst);
+    } else {
+      EXPECT_EQ(log.sent[i].records, 0);
+    }
+  }
+  EXPECT_EQ(nonempty, (std::vector<Rank>{7, 9000}));
+}
+
+TEST(Outbox, StagingToAnUnlistedRankThrows) {
+  SendLog log;
+  Bundler bundler(BundleMode::kBundled, {1, 3});
+  EXPECT_THROW(bundler.add(
+                   2,
+                   [](FrameWriter& w) {
+                     w.begin_record();
+                     w.put_id(7);
+                   },
+                   log.sink()),
+               Error);
+  FanoutStage stage(4, {1, 3});
+  EXPECT_THROW(stage.stage(2, VertexId{10}, Color{0}), Error);
+  EXPECT_TRUE(log.sent.empty());
 }
 
 // ---- JSONL sink -------------------------------------------------------------
