@@ -105,6 +105,27 @@ void BM_DistributedMatchingSim(benchmark::State& state) {
 }
 BENCHMARK(BM_DistributedMatchingSim)->Unit(benchmark::kMillisecond);
 
+/// Eager (one message per record) matching under the eager-faults workload's
+/// fault mix — drops, duplicates, corruption and jitter — on 256 ranks: the
+/// event queue and the reliable transport's per-channel state dominate.
+void BM_EventEngineEagerFaults(benchmark::State& state) {
+  const Graph& g = shared_grid();
+  const Partition p = grid_2d_partition(256, 256, 16, 16);
+  const DistGraph dist = DistGraph::build(g, p);
+  DistMatchingOptions opts;
+  opts.bundled = false;
+  opts.jitter_seconds = 2e-6;
+  opts.jitter_seed = 5;
+  opts.faults.drop_rate = 0.05;
+  opts.faults.duplicate_rate = 0.02;
+  opts.faults.corrupt_rate = 0.01;
+  opts.faults.seed = 5;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(match_distributed(dist, opts));
+  }
+}
+BENCHMARK(BM_EventEngineEagerFaults)->Unit(benchmark::kMillisecond);
+
 /// Argument: ranks per side of the processor grid. 64 puts 4,096 ranks of
 /// 4x4 vertices on the grid, where per-rank staging state dominates.
 void BM_DistributedColoringSim(benchmark::State& state) {

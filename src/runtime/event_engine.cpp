@@ -1,8 +1,10 @@
 #include "runtime/event_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "support/error.hpp"
 #include "support/timer.hpp"
@@ -54,11 +56,11 @@ EventEngine::EventEngine(MachineModel model, FabricConfig config,
   // Minimum spacing between an event and any event its dispatch can
   // generate: every send pays the software overhead, then either the wire
   // latency (data/ack arrival) or a full retransmission timeout (retry
-  // timer). Half of that bound is the window span — the margin keeps
-  // floating-point associativity drift (computing horizon as W + span vs a
-  // generated time as ((t + o) + alpha)) from ever pulling a generated event
-  // inside its own window. A degenerate (all-zero) cost model has no
-  // spacing: its windows hold one event each.
+  // timer). Half of that bound is the bucket width, so a successor of any
+  // event in bucket k lands at least a whole bucket past bucket k's end —
+  // a margin no floating-point drift in ((t + o) + alpha) can close. A
+  // degenerate (all-zero) cost model has no spacing: its buckets hold one
+  // instant each.
   const MachineModel& m = fabric_.model();
   double lookahead = m.latency;
   if (transport_) {
@@ -78,14 +80,72 @@ Rank EventEngine::add_process(std::unique_ptr<Process> process) {
   PMC_REQUIRE(process != nullptr, "null process");
   PMC_REQUIRE(!ran_, "cannot add processes after run()");
   processes_.push_back(std::move(process));
-  transport_state_.emplace_back();
+  channels_.emplace_back();
   return fabric_.add_rank();
 }
 
-void EventEngine::push_event(Event ev) {
-  ev.seq = order_seq_++;
-  queue_.push(std::move(ev));
+void EventEngine::push_event(EventKind kind, double time, Rank src, Rank dst,
+                             std::uint64_t tseq,
+                             std::vector<std::byte> payload, bool corrupted) {
+  // Event times are never negative, so truncation is floor; and with a zero
+  // window the bit pattern orders like the value (+ 0.0 folds -0.0 into 0).
+  const std::int64_t key =
+      window_seconds_ > 0.0
+          ? static_cast<std::int64_t>(time / window_seconds_)
+          : std::bit_cast<std::int64_t>(time + 0.0);
+  buckets_[key].push_back(
+      Event{time, tseq, std::move(payload), src, dst, kind, corrupted});
   ++events_posted_;
+}
+
+EventEngine::Pending* EventEngine::Channel::pending(
+    std::uint64_t tseq) noexcept {
+  if (tseq < base || tseq - base >= unacked.size()) return nullptr;
+  Pending& entry = unacked[tseq - base];
+  return entry.gone ? nullptr : &entry;
+}
+
+void EventEngine::Channel::retire(std::uint64_t tseq) noexcept {
+  Pending* entry = pending(tseq);
+  if (entry == nullptr) return;
+  entry->gone = true;
+  // The entry may wait behind an older one; its bytes need not.
+  entry->payload = {};
+  while (!unacked.empty() && unacked.front().gone) {
+    unacked.pop_front();
+    ++base;
+  }
+}
+
+bool EventEngine::Channel::deliver(std::uint64_t tseq) {
+  if (tseq < floor) return false;
+  const auto it = std::lower_bound(above.begin(), above.end(), tseq);
+  if (it != above.end() && *it == tseq) return false;
+  if (tseq != floor) {
+    above.insert(it, tseq);
+    return true;
+  }
+  // The floor itself arrived: advance over the run of tseqs it now joins.
+  ++floor;
+  auto run = above.begin();
+  while (run != above.end() && *run == floor) {
+    ++run;
+    ++floor;
+  }
+  above.erase(above.begin(), run);
+  return true;
+}
+
+EventEngine::Channel& EventEngine::channel(Rank rank, Rank peer) {
+  std::vector<Channel>& list = channels_[static_cast<std::size_t>(rank)];
+  auto it = std::lower_bound(
+      list.begin(), list.end(), peer,
+      [](const Channel& c, Rank p) { return c.peer < p; });
+  if (it == list.end() || it->peer != peer) {
+    it = list.insert(it, Channel{});
+    it->peer = peer;
+  }
+  return *it;
 }
 
 void EventEngine::enqueue_at(Rank src, Rank dst,
@@ -94,29 +154,21 @@ void EventEngine::enqueue_at(Rank src, Rank dst,
   if (!transport_) {
     const auto receipt =
         fabric_.post_send_at(src, dst, payload.size(), records, send_time);
-    Event ev;
-    ev.time = receipt.arrival;
-    ev.src = src;
-    ev.dst = dst;
-    ev.payload = std::move(payload);
-    push_event(std::move(ev));
+    push_event(EventKind::kData, receipt.arrival, src, dst, 0,
+               std::move(payload));
     return;
   }
-  auto& sender = transport_state_[static_cast<std::size_t>(src)];
-  const std::uint64_t tseq = sender.next_tseq[dst]++;
-  Pending& entry = sender.unacked[dst][tseq];
+  Channel& chan = channel(src, dst);
+  const std::uint64_t tseq = chan.next_tseq();
+  Pending& entry = chan.unacked.emplace_back();
   entry.payload = std::move(payload);
   entry.records = records;
   entry.attempt = 1;
-  const FaultConfig& F = fabric_.config().fault;
-  const bool exempt = entry.attempt >= F.max_attempts && F.reliable_tail;
   transmit_priced(src, dst, tseq, entry.payload, entry.records, entry.attempt,
                   send_time);
-  // Exempt tail: delivery is guaranteed, drop the retransmission state (a
-  // late ack for an earlier try is ignored harmlessly). Without the tail a
-  // delivered final try just stops retrying; the entry stays until its ack
-  // arrives, or inertly forever if that ack is lost.
-  if (exempt) sender.unacked[dst].erase(tseq);
+  // A final try arms no timer, so nothing reads its entry again: the
+  // retransmission state goes now (a late ack finds it gone harmlessly).
+  if (entry.attempt >= fabric_.config().fault.max_attempts) chan.retire(tseq);
 }
 
 void EventEngine::transmit_priced(Rank src, Rank dst, std::uint64_t tseq,
@@ -146,40 +198,26 @@ void EventEngine::transmit_priced(Rank src, Rank dst, std::uint64_t tseq,
                << " tseq " << tseq << " garbled after " << attempt
                << " attempts");
     }
-    Event ev;
-    ev.time = receipt.arrival;
-    ev.src = src;
-    ev.dst = dst;
-    ev.payload = payload;  // keep the original for retransmission
-    ev.tseq = tseq;
-    ev.corrupted = receipt.corrupted;
+    std::vector<std::byte> delivered = payload;  // keep the original
     // Physically garble the delivered copy (never the retransmission
     // source) so the receiver's checksum check rejects it honestly.
-    if (ev.corrupted && !ev.payload.empty()) {
-      corrupt_one_bit(ev.payload, receipt.seq);
+    if (receipt.corrupted && !delivered.empty()) {
+      corrupt_one_bit(delivered, receipt.seq);
     }
-    push_event(std::move(ev));
+    push_event(EventKind::kData, receipt.arrival, src, dst, tseq,
+               std::move(delivered), receipt.corrupted);
     if (receipt.duplicated) {
-      Event dup;
-      dup.time = receipt.duplicate_arrival;
-      dup.src = src;
-      dup.dst = dst;
-      dup.payload = payload;
-      dup.tseq = tseq;
-      push_event(std::move(dup));
+      push_event(EventKind::kData, receipt.duplicate_arrival, src, dst, tseq,
+                 payload);
     }
   }
   if (!final_attempt) {
-    Event timer;
-    timer.kind = EventKind::kTimer;
     // The timer is armed at the send time: the recorded lane send time, not
-    // the live clock, which has already absorbed the whole lane.
-    timer.time =
-        send_time + F.rto_seconds * std::pow(F.rto_backoff, attempt - 1);
-    timer.src = dst;  // peer the pending message targets
-    timer.dst = src;  // rank whose timer fires
-    timer.tseq = tseq;
-    push_event(std::move(timer));
+    // the live clock, which has already absorbed the whole lane. It fires
+    // at the sender (dst = src) and names the peer the message targets.
+    push_event(EventKind::kTimer,
+               send_time + F.rto_seconds * std::pow(F.rto_backoff, attempt - 1),
+               /*src=*/dst, /*dst=*/src, tseq);
   }
 }
 
@@ -190,21 +228,12 @@ void EventEngine::replay_ack(Rank from, Rank to, std::uint64_t tseq,
   const auto receipt =
       fabric_.post_send_at(from, to, kAckPayloadBytes, 0, send_time);
   if (receipt.dropped) return;
-  Event ev;
-  ev.kind = EventKind::kAck;
-  ev.time = receipt.arrival;
-  ev.src = from;
-  ev.dst = to;
-  ev.tseq = tseq;
   // An ack's payload is modelled-only (no bytes to flip): the corrupted
   // flag alone marks it for rejection at the sender.
-  ev.corrupted = receipt.corrupted;
-  push_event(std::move(ev));
+  push_event(EventKind::kAck, receipt.arrival, from, to, tseq, {},
+             receipt.corrupted);
   if (receipt.duplicated) {
-    Event dup = ev;
-    dup.time = receipt.duplicate_arrival;
-    dup.payload.clear();
-    push_event(std::move(dup));
+    push_event(EventKind::kAck, receipt.duplicate_arrival, from, to, tseq);
   }
 }
 
@@ -224,8 +253,7 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
         return;
       }
       if (transport_) {
-        auto& receiver = transport_state_[static_cast<std::size_t>(ev.dst)];
-        const bool fresh = receiver.delivered[ev.src].insert(ev.tseq).second;
+        const bool fresh = channel(ev.dst, ev.src).deliver(ev.tseq);
         // Always (re-)ack: the sender may be retrying because an earlier
         // ack was lost.
         const double ack_time = lane.begin_send(false);
@@ -250,30 +278,25 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
         ctx.record(Kind::kNoteCorruptDetected);
         return;
       }
-      auto& unacked = transport_state_[static_cast<std::size_t>(ev.dst)].unacked;
-      auto chan = unacked.find(ev.src);
-      if (chan != unacked.end()) chan->second.erase(ev.tseq);
+      channel(ev.dst, ev.src).retire(ev.tseq);
       return;
     }
     case EventKind::kTimer: {
       const Rank sender = ev.dst;
       const Rank peer = ev.src;
-      auto& unacked = transport_state_[static_cast<std::size_t>(sender)].unacked;
-      auto chan = unacked.find(peer);
-      if (chan == unacked.end()) return;
-      auto it = chan->second.find(ev.tseq);
-      if (it == chan->second.end()) return;  // acked meanwhile: timer no-ops
+      Channel& chan = channel(sender, peer);
+      Pending* entry = chan.pending(ev.tseq);
+      if (entry == nullptr) return;  // acked meanwhile: timer no-ops
       // Still unacknowledged: the rank sat out the timeout, then retries.
       const double waited = ev.time - lane.now();
       if (waited > 0.0) ctx.record(Kind::kNoteBackoff).seconds = waited;
       lane.advance_to(ev.time);
-      Pending& entry = it->second;
-      entry.attempt += 1;
+      entry->attempt += 1;
       EventContext::DeferredOp& retry = ctx.record(Kind::kNoteRetry);
       retry.peer = peer;
-      retry.attempt = entry.attempt;
+      retry.attempt = entry->attempt;
       const FaultConfig& F = fabric_.config().fault;
-      const bool final_attempt = entry.attempt >= F.max_attempts;
+      const bool final_attempt = entry->attempt >= F.max_attempts;
       const bool exempt = final_attempt && F.reliable_tail;
       const double send_time = lane.begin_send(exempt);
       // Snapshot the message: a later ack in the same window (processed by
@@ -281,63 +304,78 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
       // retransmission.
       EventContext::DeferredOp& resend = ctx.record(Kind::kRetransmit);
       resend.peer = peer;
-      resend.payload = entry.payload;
-      resend.records = entry.records;
-      resend.attempt = entry.attempt;
+      resend.payload = entry->payload;
+      resend.records = entry->records;
+      resend.attempt = entry->attempt;
       resend.tseq = ev.tseq;
       resend.send_time = send_time;
-      // See enqueue_at(): the exempt tail's delivery is guaranteed, so the
-      // retransmission state goes now.
-      if (exempt) chan->second.erase(ev.tseq);
+      // See enqueue_at(): after the final try the entry goes now.
+      if (final_attempt) chan.retire(ev.tseq);
       return;
     }
   }
 }
 
 void EventEngine::dispatch_window() {
-  // The events of one window, in (time, seq) pop order — the order
-  // one-at-a-time dispatch would have applied them, restored at merge time.
-  // The head always opens the window, so a zero span yields one-event
-  // windows.
-  window_.clear();
-  const double horizon = queue_.top().time + window_seconds_;
-  do {
-    // priority_queue::top is const; the move is safe because the element is
-    // popped immediately after.
-    window_.push_back(std::move(const_cast<Event&>(queue_.top())));
-    queue_.pop();
-  } while (!queue_.empty() && queue_.top().time < horizon);
+  // The lowest bucket is the window. Bucket keys grow with time, so its
+  // events precede every other queued event in (time, seq) order; and none
+  // of their successors can join it (DESIGN.md §5c): a successor lands in a
+  // later bucket or — with a zero window — in a fresh bucket for the same
+  // instant, which is then the lowest one.
+  const auto lowest = buckets_.begin();
+  window_ = std::move(lowest->second);
+  buckets_.erase(lowest);
+  const auto n = static_cast<std::uint32_t>(window_.size());
+
+  // Replay order: (time, seq). A bucket fills in push order, so an event's
+  // index in it ranks its seq.
+  replay_order_.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    replay_order_[i] = {window_[i].time, i};
+  }
+  std::sort(replay_order_.begin(), replay_order_.end(),
+            [](const TimeKey& a, const TimeKey& b) {
+              return a.time < b.time || (a.time == b.time && a.index < b.index);
+            });
 
   // Shard by destination rank (each event mutates only its destination's
-  // clock, process and transport slot): a stable sort of the window by
-  // destination makes each shard a contiguous run, in ascending rank order
-  // (so a multi-shard failure deterministically surfaces the lowest rank's
-  // error) and in pop order within the shard.
-  order_.resize(window_.size());
-  for (std::uint32_t i = 0; i < order_.size(); ++i) order_[i] = i;
-  std::stable_sort(order_.begin(), order_.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return window_[a].dst < window_[b].dst;
-                   });
-  shard_begin_.clear();
-  for (std::size_t k = 0; k < order_.size(); ++k) {
-    if (k == 0 || window_[order_[k]].dst != window_[order_[k - 1]].dst) {
-      shard_begin_.push_back(k);
-    }
+  // clock, process and transport channels): a counting sort of the replay
+  // positions by destination is stable, so each shard is a contiguous run,
+  // in ascending rank order (so a multi-shard failure deterministically
+  // surfaces the lowest rank's error) and in replay order within the shard.
+  shard_fill_.assign(static_cast<std::size_t>(num_ranks()), 0);
+  for (const Event& ev : window_) {
+    ++shard_fill_[static_cast<std::size_t>(ev.dst)];
   }
-  const std::size_t shards = shard_begin_.size();
-  shard_begin_.push_back(order_.size());
+  shard_rank_.clear();
+  shard_begin_.clear();
+  std::uint32_t filled = 0;
+  for (Rank r = 0; r < num_ranks(); ++r) {
+    std::uint32_t& fill = shard_fill_[static_cast<std::size_t>(r)];
+    if (fill == 0) continue;
+    shard_rank_.push_back(r);
+    shard_begin_.push_back(filled);
+    filled += std::exchange(fill, filled);
+  }
+  const std::size_t shards = shard_rank_.size();
+  shard_begin_.push_back(n);
+  by_shard_.resize(n);
+  for (std::uint32_t k = 0; k < n; ++k) {
+    const Rank dst = window_[replay_order_[k].index].dst;
+    by_shard_[shard_fill_[static_cast<std::size_t>(dst)]++] = k;
+  }
 
   // Run the shards (concurrently with a threaded backend): each against a
-  // private lane, recording per-event op frames. The shared fabric and
-  // other ranks' transport slots are only read.
+  // private lane, recording one op frame per event, indexed by replay
+  // position. The shared fabric and other ranks' channels are only read.
   std::vector<CommFabric::Lane> lanes(shards);
-  if (frames_.size() < window_.size()) frames_.resize(window_.size());
+  if (frames_.size() < n) frames_.resize(n);
   backend_.parallel_for(shards, [this, &lanes](std::size_t s) {
-    lanes[s] = fabric_.make_lane(window_[order_[shard_begin_[s]]].dst);
+    lanes[s] = fabric_.make_lane(shard_rank_[s]);
     for (std::size_t k = shard_begin_[s]; k < shard_begin_[s + 1]; ++k) {
-      EventContext ctx(*this, lanes[s], frames_[order_[k]]);
-      dispatch(window_[order_[k]], ctx);
+      const std::uint32_t pos = by_shard_[k];
+      EventContext ctx(*this, lanes[s], frames_[pos]);
+      dispatch(window_[replay_order_[pos].index], ctx);
     }
   });
 
@@ -346,8 +384,8 @@ void EventEngine::dispatch_window() {
   // numbers, jitter and fault verdicts, FIFO channel state and trace output
   // all land exactly as under one-at-a-time dispatch.
   for (const CommFabric::Lane& lane : lanes) fabric_.absorb_lane(lane);
-  for (std::size_t i = 0; i < window_.size(); ++i) {
-    replay_ops(window_[i].dst, frames_[i]);
+  for (std::uint32_t k = 0; k < n; ++k) {
+    replay_ops(window_[replay_order_[k].index].dst, frames_[k]);
   }
 }
 
@@ -430,7 +468,7 @@ RunResult EventEngine::run() {
   }
 
   while (true) {
-    while (!queue_.empty()) dispatch_window();
+    while (!buckets_.empty()) dispatch_window();
     bool all_done = true;
     for (const auto& p : processes_) {
       if (!p->done()) {
@@ -456,7 +494,7 @@ RunResult EventEngine::run() {
     for (const auto& p : processes_) {
       if (p->done()) ++done_after;
     }
-    if (queue_.empty() && events_posted_ == posted_before &&
+    if (buckets_.empty() && events_posted_ == posted_before &&
         done_after == done_before) {
       std::ostringstream oss;
       oss << "distributed computation deadlocked; unfinished ranks:";

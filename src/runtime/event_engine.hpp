@@ -15,15 +15,16 @@
 //     guarantee. An optional deterministic jitter perturbs cross-channel
 //     delivery order (used by tests to exercise the arrival-order
 //     sensitivity discussed around the paper's Fig 3.1).
-//   * The engine pops events globally in (time, sequence) order and invokes
-//     Process::handle on the destination, after advancing that rank's clock
-//     to at least the arrival time. Dispatch is *windowed*: a batch of
-//     events closer together than the model's minimum event-generation
-//     lookahead is popped at once, sharded by destination rank (across the
-//     thread pool with a threaded backend; handlers run against private
-//     fabric lanes), and the recorded effects are merged back in
-//     (time, seq) order — bit-identical to one-at-a-time dispatch
-//     (DESIGN.md §5c).
+//   * The engine dispatches events globally in (time, sequence) order and
+//     invokes Process::handle on the destination, after advancing that
+//     rank's clock to at least the arrival time. Dispatch is *windowed*:
+//     the queue is a calendar of buckets, each half the model's minimum
+//     event-generation lookahead wide, so no event's successor can land in
+//     its own bucket. The lowest bucket is popped whole, sharded by
+//     destination rank (across the thread pool with a threaded backend;
+//     handlers run against private fabric lanes), and the recorded effects
+//     are merged back in (time, seq) order — bit-identical to one-at-a-time
+//     dispatch (DESIGN.md §5c).
 //   * When the queue drains and some rank reports !done(), the engine calls
 //     Process::idle once per such rank; if that generates no messages and
 //     ranks are still unfinished, the run aborts with a deadlock diagnostic.
@@ -33,12 +34,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <memory>
-#include <queue>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "runtime/comm_stats.hpp"
@@ -208,40 +208,52 @@ class EventEngine {
 
   struct Event {
     double time = 0.0;
-    std::uint64_t seq = 0;  ///< Engine-local push order (tie-breaker).
+    std::uint64_t tseq = 0;  ///< Transport sequence on the (src,dst) channel.
+    std::vector<std::byte> payload;
     Rank src = kNoRank;
     Rank dst = kNoRank;
-    std::vector<std::byte> payload;
     EventKind kind = EventKind::kData;
-    std::uint64_t tseq = 0;  ///< Transport sequence on the (src,dst) channel.
     /// The fabric garbled this copy in flight: the payload carries a flipped
     /// bit and the receiver's checksum validation must reject it.
     bool corrupted = false;
-  };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;  // min-heap on time
-      return a.seq > b.seq;
-    }
   };
 
   /// An unacknowledged data message kept for retransmission.
   struct Pending {
     std::vector<std::byte> payload;
     std::int64_t records = 0;
-    int attempt = 0;  ///< Tries made so far.
+    int attempt = 0;    ///< Tries made so far.
+    bool gone = false;  ///< Acked, or its final try is out: never read again.
   };
 
-  /// Per-rank reliable-transport bookkeeping. Indexed by rank id so the
-  /// concurrent shards of a dispatch window touch disjoint slots: a rank's
-  /// sender-side state (next_tseq, unacked) is keyed by destination peer and
-  /// only its own timer/ack events mutate it, its receiver-side dedup set
-  /// (delivered) is keyed by source peer and only its own data events do.
-  struct RankTransport {
-    std::unordered_map<Rank, std::uint64_t> next_tseq;
-    std::unordered_map<Rank, std::unordered_map<std::uint64_t, Pending>>
-        unacked;
-    std::unordered_map<Rank, std::unordered_set<std::uint64_t>> delivered;
+  /// One rank's reliable-transport state toward one peer, both directions.
+  /// Transport sequence numbers (tseqs) are dense per (src, dst) channel and
+  /// start at 0, so both sides keep a floor plus a short tail instead of a
+  /// set: the state is O(messages in flight), not O(messages sent). A
+  /// rank's channels change only through its own events (data on the
+  /// receiver side; acks and timers on the sender side) and the sequential
+  /// replay of its sends, so concurrent shards of a window touch disjoint
+  /// ranks' channels.
+  struct Channel {
+    Rank peer = kNoRank;
+    /// Sender side (this rank -> peer): unacked[i] is tseq base + i, from
+    /// the oldest entry not yet gone to the last tseq issued.
+    std::uint64_t base = 0;
+    std::deque<Pending> unacked;
+    /// Receiver side (peer -> this rank): every tseq below `floor` was
+    /// delivered, and so were the ones in `above` (sorted, all > floor).
+    std::uint64_t floor = 0;
+    std::vector<std::uint64_t> above;
+
+    [[nodiscard]] std::uint64_t next_tseq() const noexcept {
+      return base + unacked.size();
+    }
+    /// tseq's retransmission entry, or nullptr once it is gone.
+    [[nodiscard]] Pending* pending(std::uint64_t tseq) noexcept;
+    /// Marks tseq's entry gone and drops gone entries off the front.
+    void retire(std::uint64_t tseq) noexcept;
+    /// Records a delivery of tseq; false if it was delivered before.
+    bool deliver(std::uint64_t tseq);
   };
 
   /// Replays one recorded first transmission: the sender-side clock costs
@@ -249,7 +261,12 @@ class EventEngine {
   /// recorded value (fabric pricing goes through CommFabric::post_send_at).
   void enqueue_at(Rank src, Rank dst, std::vector<std::byte> payload,
                   std::int64_t records, double send_time);
-  void push_event(Event ev);
+  /// Queues an event in the bucket its time falls in.
+  void push_event(EventKind kind, double time, Rank src, Rank dst,
+                  std::uint64_t tseq, std::vector<std::byte> payload = {},
+                  bool corrupted = false);
+  /// `rank`'s transport channel to `peer`, opened on first use.
+  Channel& channel(Rank rank, Rank peer);
   /// Prices and schedules one (re)transmission of `payload` whose
   /// sender-side clock costs are already paid (send_time is the priced send
   /// instant), arming the next retry timer unless `attempt` exhausted the
@@ -263,10 +280,9 @@ class EventEngine {
   /// Dispatches one event through `ctx`, recording its effects for the
   /// window merge.
   void dispatch(const Event& ev, EventContext& ctx);
-  /// Pops the next window of events (the queue head plus every event within
-  /// window_seconds_ of it), dispatches it sharded by destination rank on
-  /// the backend, then merges: absorbs the shard lanes and replays every
-  /// event's recorded ops in (time, seq) pop order.
+  /// Pops the lowest bucket as one window, dispatches it sharded by
+  /// destination rank on the backend, then merges: absorbs the shard lanes
+  /// and replays every event's recorded ops in (time, seq) order.
   void dispatch_window();
   /// Replays one recorded op frame against the live fabric and empties it.
   void replay_ops(Rank rank, std::vector<EventContext::DeferredOp>& ops);
@@ -278,29 +294,44 @@ class EventEngine {
   CommFabric fabric_;
   ExecutionBackend backend_;
   std::vector<std::unique_ptr<Process>> processes_;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  /// The event queue: bucket k holds the events with
+  /// floor(time / window_seconds_) == k, in push order — which is seq order,
+  /// the tie-breaker among equal times. With a zero window the key is the
+  /// time's bit pattern instead (one bucket per instant). The map is ordered
+  /// because start() and idle kicks can fill a bucket below the last one
+  /// dispatched.
+  std::map<std::int64_t, std::vector<Event>> buckets_;
   std::uint64_t events_posted_ = 0;
-  std::uint64_t order_seq_ = 0;
   bool ran_ = false;
 
-  /// Per-window scratch, kept across windows so their storage is reused:
-  /// the popped events, their shard order and shard boundaries, and one op
-  /// frame per event (per rank during a fan-out).
+  /// Per-window scratch, kept across windows so its storage is reused: the
+  /// window's (time, index) replay order; its shards — each one's rank,
+  /// first slot in by_shard_ (replay positions grouped by rank), and the
+  /// per-rank counters that place them; and one op frame per event in
+  /// replay order (per rank during a fan-out). The window's events
+  /// themselves are the popped bucket, freed with the next one.
+  struct TimeKey {
+    double time = 0.0;
+    std::uint32_t index = 0;
+  };
   std::vector<Event> window_;
-  std::vector<std::uint32_t> order_;
-  std::vector<std::size_t> shard_begin_;
+  std::vector<TimeKey> replay_order_;
+  std::vector<Rank> shard_rank_;
+  std::vector<std::uint32_t> shard_begin_;
+  std::vector<std::uint32_t> shard_fill_;
+  std::vector<std::uint32_t> by_shard_;
   std::vector<std::vector<EventContext::DeferredOp>> frames_;
 
-  /// Windowed-dispatch lookahead: events closer together than this are safe
-  /// to dispatch concurrently because no event can generate a successor
-  /// sooner (DESIGN.md §5c). A degenerate cost model with no minimum event
-  /// spacing has 0, and every window holds just the queue head.
+  /// Windowed-dispatch bucket width: half the minimum spacing between an
+  /// event and any successor it generates, so a successor always lands in a
+  /// later bucket (DESIGN.md §5c). A degenerate cost model with no minimum
+  /// event spacing has 0, and each bucket holds the events of one instant.
   double window_seconds_ = 0.0;
 
-  /// Reliable transport state, one slot per rank (unused entries stay empty
-  /// unless faults are enabled).
+  /// Reliable transport state: one channel list per rank, sorted by peer
+  /// (empty unless faults are enabled).
   bool transport_ = false;
-  std::vector<RankTransport> transport_state_;
+  std::vector<std::vector<Channel>> channels_;
 };
 
 }  // namespace pmc

@@ -15,6 +15,24 @@ constexpr std::uint32_t kFnvPrime = 0x01000193u;
 /// Longest LEB128 encoding of a 64-bit value.
 constexpr std::size_t kMaxVarintBytes = 10;
 
+enum class VarintStatus : std::uint8_t { kOk, kTruncated, kOverlong };
+
+/// Decodes the LEB128 varint at bytes[pos], advancing pos. A tenth byte
+/// carries bit 63 alone, so any value above 1 there — a continuation or
+/// bits past 2^64 — is overlong rather than silently truncated.
+VarintStatus decode_uvarint(std::span<const std::byte> bytes,
+                            std::size_t& pos, std::uint64_t& out) noexcept {
+  out = 0;
+  for (std::size_t i = 0; i < kMaxVarintBytes; ++i) {
+    if (pos >= bytes.size()) return VarintStatus::kTruncated;
+    const auto b = static_cast<std::uint8_t>(bytes[pos++]);
+    if (i + 1 == kMaxVarintBytes && b > 1) return VarintStatus::kOverlong;
+    out |= static_cast<std::uint64_t>(b & 0x7F) << (7 * i);
+    if ((b & 0x80) == 0) return VarintStatus::kOk;
+  }
+  return VarintStatus::kOverlong;  // unreachable: the tenth byte returned
+}
+
 }  // namespace
 
 const char* to_string(WireCodec codec) noexcept {
@@ -72,25 +90,12 @@ void FrameReader::parse(std::span<const std::byte> frame) noexcept {
   // never as an assertion or out-of-range read.
   const std::size_t n = frame.size();
   std::size_t pos = 0;
-  const auto u8_at = [&](std::size_t i) {
-    return static_cast<std::uint8_t>(frame[i]);
-  };
-  const auto take_uvarint = [&](std::uint64_t& out) {
-    out = 0;
-    for (std::size_t i = 0; i < kMaxVarintBytes; ++i) {
-      if (pos >= n) return false;
-      const std::uint8_t b = u8_at(pos++);
-      out |= static_cast<std::uint64_t>(b & 0x7F) << (7 * i);
-      if ((b & 0x80) == 0) return true;
-    }
-    return false;  // varint longer than any 64-bit value
-  };
 
   if (n < 1 + 1 + 1 + kFrameChecksumBytes) {
     error_ = "frame too short";
     return;
   }
-  const std::uint8_t tag = u8_at(pos++);
+  const auto tag = static_cast<std::uint8_t>(frame[pos++]);
   if ((tag >> 4) != kWireFormatVersion) {
     error_ = "unknown wire format version";
     return;
@@ -102,8 +107,14 @@ void FrameReader::parse(std::span<const std::byte> frame) noexcept {
   }
   std::uint64_t records = 0;
   std::uint64_t payload_len = 0;
-  if (!take_uvarint(records) || !take_uvarint(payload_len)) {
-    error_ = "truncated frame header";
+  VarintStatus status = decode_uvarint(frame, pos, records);
+  if (status == VarintStatus::kOk) {
+    status = decode_uvarint(frame, pos, payload_len);
+  }
+  if (status != VarintStatus::kOk) {
+    error_ = status == VarintStatus::kTruncated
+                 ? "truncated frame header"
+                 : "overlong varint in frame header";
     return;
   }
   if (records > static_cast<std::uint64_t>(INT64_MAX)) {
@@ -129,14 +140,12 @@ void FrameReader::parse(std::span<const std::byte> frame) noexcept {
 
 std::uint64_t FrameReader::read_uvarint() {
   std::uint64_t out = 0;
-  for (std::size_t i = 0; i < kMaxVarintBytes; ++i) {
-    PMC_CHECK(pos_ < payload_.size(),
-              "frame payload underflow reading varint at offset " << pos_);
-    const auto b = static_cast<std::uint8_t>(payload_[pos_++]);
-    out |= static_cast<std::uint64_t>(b & 0x7F) << (7 * i);
-    if ((b & 0x80) == 0) return out;
-  }
-  PMC_FAIL("overlong varint in frame payload");
+  const VarintStatus status = decode_uvarint(payload_, pos_, out);
+  PMC_CHECK(status != VarintStatus::kTruncated,
+            "frame payload underflow reading varint at offset " << pos_);
+  PMC_CHECK(status != VarintStatus::kOverlong,
+            "overlong varint in frame payload");
+  return out;
 }
 
 std::uint8_t FrameReader::read_u8() {

@@ -203,6 +203,45 @@ TEST(DeterminismRegression, FaultInjectedMatchingScenarios) {
   EXPECT_EQ(rj.matching.mate, clean.matching.mate);
 }
 
+// Heavy reordering under the reliable transport: half the messages are
+// delayed by up to ~3 latencies, a fifth are duplicated and a tenth dropped,
+// so the receiver sees data above its delivered floor (a retransmission
+// overtaken by later sends), and duplicates long after the floor passed
+// them. Every FaultStats field is pinned, including the suppressions.
+TEST(DeterminismRegression, HeavyReorderingEagerMatchingScenario) {
+  const Graph g = grid_2d(32, 32, WeightKind::kUniformRandom, 64);
+  Rank pr = 0, pc = 0;
+  factor_processor_grid(8, pr, pc);
+  const Partition p = grid_2d_partition(32, 32, pr, pc);
+  const DistGraph dist = DistGraph::build(g, p);
+
+  DistMatchingOptions reorder;
+  reorder.bundled = false;
+  reorder.faults.delay_rate = 0.5;
+  reorder.faults.duplicate_rate = 0.2;
+  reorder.faults.drop_rate = 0.1;
+  reorder.faults.max_extra_delay_seconds = 1e-5;
+  reorder.faults.seed = 23;
+  const auto clean = match_distributed(dist, DistMatchingOptions{});
+  for (const int threads : kThreadSweep) {
+    reorder.exec.threads = threads;
+    const auto r = match_distributed(dist, reorder);
+    const FaultStats f = r.run.breakdown.total_faults();
+    EXPECT_EQ(r.run.sim_seconds, 0.00038074730000000066)
+        << "threads=" << threads;
+    EXPECT_EQ(r.run.comm.messages, 1128) << "threads=" << threads;
+    EXPECT_EQ(f.drops, 109) << "threads=" << threads;
+    EXPECT_EQ(f.duplicates, 234) << "threads=" << threads;
+    EXPECT_EQ(f.dup_suppressed, 337) << "threads=" << threads;
+    EXPECT_EQ(f.corruptions, 0) << "threads=" << threads;
+    EXPECT_EQ(f.corruptions_detected, 0) << "threads=" << threads;
+    EXPECT_EQ(f.retries, 291) << "threads=" << threads;
+    EXPECT_EQ(f.backoff_seconds, 6.7794175042172687e-05)
+        << "threads=" << threads;
+    EXPECT_EQ(r.matching.mate, clean.matching.mate) << "threads=" << threads;
+  }
+}
+
 TEST(DeterminismRegression, FaultInjectedColoringScenario) {
   const Graph g = circuit_like(2000, 4000, 6, WeightKind::kUnit, 62);
   const Partition p =

@@ -3,6 +3,7 @@
 // guarantee (the runtime/exec design invariant).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
@@ -13,6 +14,7 @@
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -354,15 +356,11 @@ class GossipProcess final : public Process {
   std::int64_t received_ = 0;
 };
 
-RunResult run_gossip_scenario(int threads, std::int64_t* received_total) {
+RunResult run_gossip(int threads, const MachineModel& model,
+                     const FabricConfig& config,
+                     std::int64_t* received_total) {
   constexpr Rank kRanks = 8;
-  FabricConfig config;
-  config.jitter_seconds = 1e-6;
-  config.jitter_seed = 11;
-  config.fault.drop_rate = 0.25;
-  config.fault.duplicate_rate = 0.05;
-  config.fault.seed = 3;
-  EventEngine engine(MachineModel::blue_gene_p(), config, ExecConfig{threads});
+  EventEngine engine(model, config, ExecConfig{threads});
   std::vector<const GossipProcess*> procs;
   for (Rank r = 0; r < kRanks; ++r) {
     auto p = std::make_unique<GossipProcess>(r, kRanks);
@@ -377,6 +375,17 @@ RunResult run_gossip_scenario(int threads, std::int64_t* received_total) {
   return out;
 }
 
+RunResult run_gossip_scenario(int threads, std::int64_t* received_total) {
+  FabricConfig config;
+  config.jitter_seconds = 1e-6;
+  config.jitter_seed = 11;
+  config.fault.drop_rate = 0.25;
+  config.fault.duplicate_rate = 0.05;
+  config.fault.seed = 3;
+  return run_gossip(threads, MachineModel::blue_gene_p(), config,
+                    received_total);
+}
+
 TEST(ExecEquivalence, EventWindowedDispatchMatchesSequential) {
   // Drops (84) force the reliable transport's retry timers (83 retries) to
   // fire mid-run, so windows have to replay timer events and backoff too.
@@ -389,6 +398,128 @@ TEST(ExecEquivalence, EventWindowedDispatchMatchesSequential) {
     const RunResult run = run_gossip_scenario(threads, &received);
     EXPECT_EQ(fabric_fingerprint(run), kSequential) << "threads=" << threads;
     EXPECT_EQ(received, 144) << "threads=" << threads;
+  }
+}
+
+// A cost model with no minimum event spacing has a zero lookahead: every
+// window holds the events of one instant, and a successor generated at that
+// same instant must still dispatch after all of them. Without jitter or
+// extra delay, zero-cost gossip puts every delivery at t = 0 and every
+// retransmission at a multiple of the timeout, so instants are crowded.
+TEST(ExecEquivalence, ZeroLookaheadDispatchMatchesSequential) {
+  FabricConfig config;
+  config.fault.drop_rate = 0.25;
+  config.fault.duplicate_rate = 0.1;
+  config.fault.seed = 17;
+  const std::string kSequential =
+      "0x1.ff2e48e8a71dep-11|456|9482|245|0|0x0p+0|0x0p+0|0x0p+0|108|29|101|"
+      "0x1.26e978d4fdf3bp-9";
+  for (const int threads : {1, 2, 4}) {
+    std::int64_t received = 0;
+    const RunResult run =
+        run_gossip(threads, MachineModel::zero_cost(), config, &received);
+    EXPECT_EQ(fabric_fingerprint(run), kSequential) << "threads=" << threads;
+    EXPECT_EQ(received, 144) << "threads=" << threads;
+  }
+}
+
+/// Ranks 0 and 1 rally a growing message back and forth while ranks 2.. sit
+/// silent with their clocks at 0. When the rally drains the queue, the idle
+/// fan-out has each silent rank kick its successor among the silent ranks;
+/// those sends carry the lagging clocks, so they arrive long before the
+/// rally's last window. A kicked rank answers, and a silent rank is done
+/// once its own kick is answered. Silent ranks log every delivery.
+class IdleKickProcess final : public Process {
+ public:
+  static constexpr std::size_t kRallyBytes = 40;
+
+  IdleKickProcess(Rank rank, Rank ranks) : rank_(rank), ranks_(ranks) {}
+
+  void start(EventContext& ctx) override {
+    if (rank_ == 0) ctx.send(1, std::vector<std::byte>(4), 1);
+  }
+
+  void handle(EventContext& ctx, Rank src,
+              std::span<const std::byte> payload) override {
+    ctx.charge(2.0);
+    last_delivery_ = ctx.now();
+    if (rank_ < 2) {
+      if (payload.size() < kRallyBytes) {
+        ctx.send(src, std::vector<std::byte>(payload.size() + 1), 1);
+      }
+      return;
+    }
+    std::ostringstream entry;
+    entry << std::hexfloat << src << '@' << ctx.now() << ' ';
+    log_ += entry.str();
+    if (payload.size() == 1) {
+      answered_ = true;
+    } else {
+      ctx.send(src, std::vector<std::byte>(1), 1);
+    }
+  }
+
+  void idle(EventContext& ctx) override {
+    if (kicked_) return;
+    kicked_ = true;
+    ctx.send(2 + (rank_ - 1) % (ranks_ - 2), std::vector<std::byte>(2), 1);
+  }
+
+  [[nodiscard]] bool done() const override { return rank_ < 2 || answered_; }
+
+  [[nodiscard]] const std::string& log() const { return log_; }
+  [[nodiscard]] double last_delivery() const { return last_delivery_; }
+
+ private:
+  Rank rank_;
+  Rank ranks_;
+  bool kicked_ = false;
+  bool answered_ = false;
+  double last_delivery_ = 0.0;
+  std::string log_;
+};
+
+TEST(ExecEquivalence, LaggingIdleKickDispatchesBeforeLastWindow) {
+  constexpr Rank kRanks = 6;
+  FabricConfig config;
+  config.jitter_seconds = 1e-6;
+  config.jitter_seed = 4;
+  config.fault.drop_rate = 0.2;
+  config.fault.duplicate_rate = 0.1;
+  config.fault.seed = 8;
+  const std::string kSequential =
+      "0x1.34b7003d8e43ap-11|130|6877|69|0|0x1.5798ee2308c3ap-24|"
+      "0x1.98059ac99a687p-21|0x1.421f5f40d8379p-22|25|7|24|"
+      "0x1.ec3f84923a9c6p-12";
+  // Per silent rank 2..5: "src@arrival" in delivery order.
+  const std::string kDeliveries =
+      "5@0x1.d7ba798ba01ep-18 3@0x1.dc35a170731fep-17 | "
+      "2@0x1.c541be36177b1p-18 4@0x1.5b292d8441946p-15 | "
+      "5@0x1.f68a635c232e2p-17 3@0x1.1c4ece1213aa9p-15 | "
+      "4@0x1.f13e005e8e09ap-18 2@0x1.d377150551104p-17 | ";
+  for (const int threads : {1, 2, 4}) {
+    EventEngine engine(MachineModel::blue_gene_p(), config,
+                       ExecConfig{threads});
+    std::vector<const IdleKickProcess*> procs;
+    for (Rank r = 0; r < kRanks; ++r) {
+      auto p = std::make_unique<IdleKickProcess>(r, kRanks);
+      procs.push_back(p.get());
+      engine.add_process(std::move(p));
+    }
+    const RunResult run = engine.run();
+    std::string deliveries;
+    double silent_last = 0.0;
+    for (Rank r = 2; r < kRanks; ++r) {
+      deliveries += procs[static_cast<std::size_t>(r)]->log() + "| ";
+      silent_last = std::max(
+          silent_last, procs[static_cast<std::size_t>(r)]->last_delivery());
+    }
+    // The kicks really did land before the rally's last delivery.
+    EXPECT_LT(silent_last,
+              std::max(procs[0]->last_delivery(), procs[1]->last_delivery()))
+        << "threads=" << threads;
+    EXPECT_EQ(fabric_fingerprint(run), kSequential) << "threads=" << threads;
+    EXPECT_EQ(deliveries, kDeliveries) << "threads=" << threads;
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -323,6 +324,48 @@ TEST(FrameCodec, ReaderErrorsNameTheProblem) {
     EXPECT_FALSE(reader.valid());
     EXPECT_NE(std::string(reader.error()).find("version"), std::string::npos);
   }
+}
+
+/// Hand-built frame: `bytes` (tag, header varints, payload) followed by a
+/// valid checksum over them.
+std::vector<std::byte> sealed_frame(std::initializer_list<std::uint8_t> bytes) {
+  std::vector<std::byte> frame;
+  for (const std::uint8_t b : bytes) frame.push_back(std::byte{b});
+  const std::uint32_t sum = fnv1a32(frame);
+  for (std::size_t i = 0; i < kFrameChecksumBytes; ++i) {
+    frame.push_back(static_cast<std::byte>(sum >> (8 * i)));
+  }
+  return frame;
+}
+
+constexpr std::uint8_t kCompactTag =
+    (kWireFormatVersion << 4) | static_cast<std::uint8_t>(WireCodec::kCompact);
+
+// A varint's tenth byte holds bit 63 only. Nine continuation bytes and then
+// 0x7E would set bits above 2^64; decoding must reject it rather than drop
+// those bits, which would read this id as 0 and this record count as 0.
+TEST(FrameCodec, OverlongPayloadVarintThrows) {
+  const auto frame = sealed_frame({kCompactTag, 1, 10, 0x80, 0x80, 0x80, 0x80,
+                                   0x80, 0x80, 0x80, 0x80, 0x80, 0x7E});
+  FrameReader reader(frame);
+  ASSERT_TRUE(reader.valid()) << reader.error();
+  EXPECT_THROW((void)reader.read_id(), Error);
+}
+
+TEST(FrameCodec, OverlongHeaderVarintIsInvalid) {
+  const auto frame = sealed_frame({kCompactTag, 0x80, 0x80, 0x80, 0x80, 0x80,
+                                   0x80, 0x80, 0x80, 0x80, 0x7E, 0});
+  const FrameReader overlong(frame);
+  EXPECT_FALSE(overlong.valid());
+  EXPECT_NE(std::string(overlong.error()).find("overlong"), std::string::npos);
+  // The largest legal tenth byte still decodes: UINT64_MAX as the record
+  // count reaches the plausibility check instead.
+  const auto max_count =
+      sealed_frame({kCompactTag, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                    0xFF, 0xFF, 0x01, 0});
+  const FrameReader reader(max_count);
+  EXPECT_FALSE(reader.valid());
+  EXPECT_NE(std::string(reader.error()).find("implausible"), std::string::npos);
 }
 
 // Decoding past the last record or through a mismatched reader is a
