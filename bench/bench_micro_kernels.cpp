@@ -2,6 +2,12 @@
 // building blocks whose costs calibrate the simulated machine model.
 #include <benchmark/benchmark.h>
 
+#include <iomanip>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "core/pmc.hpp"
 
 namespace pmc {
@@ -161,6 +167,62 @@ void BM_Grid2DGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Grid2DGeneration)->Unit(benchmark::kMillisecond);
+
+// ≈100k weighted entries, written with 17 significant digits as the
+// circuit workload's matrix is.
+const std::string& shared_matrix_text() {
+  static const std::string text = [] {
+    BipartiteInfo info;
+    const Graph g = random_bipartite(20000, 20000, 100000,
+                                     info, WeightKind::kUniformRandom, 75);
+    std::ostringstream out;
+    out << std::setprecision(17);
+    write_matrix_market(out, bipartite_to_matrix(g, info));
+    return out.str();
+  }();
+  return text;
+}
+
+void BM_ReadMatrixMarket(benchmark::State& state) {
+  const std::string& text = shared_matrix_text();
+  for (auto _ : state) {
+    std::istringstream in(text);
+    benchmark::DoNotOptimize(read_matrix_market(in));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ReadMatrixMarket)->Unit(benchmark::kMillisecond);
+
+// A 512x512 grid's edges in shuffled order: add_edge plus build, the way a
+// reader or generator feeds the builder.
+void BM_GraphBuilderBuild(benchmark::State& state) {
+  static const auto edges = [] {
+    const Graph g = grid_2d(512, 512, WeightKind::kUniformRandom, 76);
+    std::vector<std::tuple<VertexId, VertexId, Weight>> out;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      const auto nbrs = g.neighbors(v);
+      const auto ws = g.weights(v);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        if (nbrs[i] > v) out.emplace_back(v, nbrs[i], ws[i]);
+      }
+    }
+    Rng rng(77);
+    for (std::size_t i = out.size(); i > 1; --i) {
+      std::swap(out[i - 1], out[static_cast<std::size_t>(rng.uniform_int(
+                                0, static_cast<std::int64_t>(i) - 1))]);
+    }
+    return out;
+  }();
+  for (auto _ : state) {
+    GraphBuilder builder(512 * 512, /*weighted=*/true);
+    for (const auto& [u, v, w] : edges) builder.add_edge(u, v, w);
+    benchmark::DoNotOptimize(std::move(builder).build());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(edges.size()));
+}
+BENCHMARK(BM_GraphBuilderBuild)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace pmc

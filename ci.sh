@@ -69,7 +69,16 @@ asan() {
   # test_wire_codec exercises the codec round-trip plus the corruption and
   # truncation detection sweeps; test_chaos drives the fault-injection +
   # ack/retry paths, which touch serialized payloads the most aggressively.
+  # The text readers walk raw input bytes by pointer, and the graph builder
+  # and the coarsening scatter into CSR rows by computed offsets:
+  # test_reader_fuzz feeds the readers thousands of mutated inputs.
   local tests=(
+    test_graph
+    test_matrix_market
+    test_metis_io
+    test_partition_io
+    test_multilevel
+    test_reader_fuzz
     test_wire_codec
     test_fabric
     test_exec

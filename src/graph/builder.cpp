@@ -23,83 +23,116 @@ void GraphBuilder::add_edge(VertexId u, VertexId v, Weight w) {
   edges_.push_back(RawEdge{u, v, w});
 }
 
-Graph GraphBuilder::build() && {
-  std::sort(edges_.begin(), edges_.end(),
-            [](const RawEdge& a, const RawEdge& b) {
-              return std::tie(a.u, a.v) < std::tie(b.u, b.v);
-            });
+namespace {
 
-  // Deduplicate in place according to the policy.
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    if (out > 0 && edges_[out - 1].u == edges_[i].u &&
-        edges_[out - 1].v == edges_[i].v) {
-      switch (policy_) {
-        case DuplicatePolicy::kError:
-          PMC_FAIL("duplicate edge (" << edges_[i].u << ", " << edges_[i].v
-                                      << ")");
-        case DuplicatePolicy::kKeepFirst:
-          break;
-        case DuplicatePolicy::kKeepMax:
-          edges_[out - 1].w = std::max(edges_[out - 1].w, edges_[i].w);
-          break;
+/// Rows up to this long are sorted by insertion, in place.
+constexpr std::size_t kInsertionSortMax = 16;
+
+}  // namespace
+
+void sort_row(VertexId* adj, Weight* weights, std::size_t len,
+              std::vector<RowSortKey>& scratch) {
+  if (len <= kInsertionSortMax) {
+    for (std::size_t i = 1; i < len; ++i) {
+      const VertexId key = adj[i];
+      const Weight w = weights != nullptr ? weights[i] : Weight{0};
+      std::size_t j = i;
+      for (; j > 0 && adj[j - 1] > key; --j) {
+        adj[j] = adj[j - 1];
+        if (weights != nullptr) weights[j] = weights[j - 1];
       }
-      continue;
+      adj[j] = key;
+      if (weights != nullptr) weights[j] = w;
     }
-    edges_[out++] = edges_[i];
+  } else if (weights == nullptr) {
+    std::sort(adj, adj + len);  // equal neighbours are indistinguishable
+  } else {
+    scratch.resize(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      scratch[i] = RowSortKey{adj[i], i, weights[i]};
+    }
+    std::sort(scratch.begin(), scratch.end(),
+              [](const RowSortKey& a, const RowSortKey& b) {
+                return std::tie(a.neighbor, a.position) <
+                       std::tie(b.neighbor, b.position);
+              });
+    for (std::size_t i = 0; i < len; ++i) {
+      adj[i] = scratch[i].neighbor;
+      weights[i] = scratch[i].weight;
+    }
   }
-  edges_.resize(out);
+}
 
-  // Count degrees (both directions).
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(num_vertices_) + 1, 0);
+Graph GraphBuilder::build() && {
+  const auto n = static_cast<std::size_t>(num_vertices_);
+  // Count both endpoints of every edge, duplicates included.
+  std::vector<EdgeId> offsets(n + 1, 0);
   for (const RawEdge& e : edges_) {
     ++offsets[static_cast<std::size_t>(e.u) + 1];
     ++offsets[static_cast<std::size_t>(e.v) + 1];
   }
-  for (std::size_t i = 1; i < offsets.size(); ++i) {
-    offsets[i] += offsets[i - 1];
-  }
+  for (std::size_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
 
-  std::vector<VertexId> adj(static_cast<std::size_t>(offsets.back()));
-  std::vector<Weight> weights;
-  if (weighted_) weights.resize(adj.size());
-
-  std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
-  // Edges are sorted by (u, v); writing u->v then v->u in this order leaves
-  // every adjacency list sorted except the v->u back-arcs, so sort each list
-  // afterwards. To keep weights aligned we sort index pairs per vertex.
-  for (const RawEdge& e : edges_) {
-    const auto cu = static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.u)]++);
-    adj[cu] = e.v;
-    if (weighted_) weights[cu] = e.w;
-    const auto cv = static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.v)]++);
-    adj[cv] = e.u;
-    if (weighted_) weights[cv] = e.w;
-  }
-
-  for (VertexId v = 0; v < num_vertices_; ++v) {
-    const auto begin = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v)]);
-    const auto end = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v) + 1]);
-    if (weighted_) {
-      // Sort (neighbor, weight) pairs together.
-      std::vector<std::pair<VertexId, Weight>> tmp;
-      tmp.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        tmp.emplace_back(adj[i], weights[i]);
+  // Scatter both arcs of every edge into their rows in insertion order.
+  std::vector<VertexId> adj(static_cast<std::size_t>(offsets[n]));
+  std::vector<Weight> weights(weighted_ ? adj.size() : 0);
+  {
+    std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
+    for (const RawEdge& e : edges_) {
+      const auto cu =
+          static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.u)]++);
+      const auto cv =
+          static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.v)]++);
+      adj[cu] = e.v;
+      adj[cv] = e.u;
+      if (weighted_) {
+        weights[cu] = e.w;
+        weights[cv] = e.w;
       }
-      std::sort(tmp.begin(), tmp.end());
-      for (std::size_t i = begin; i < end; ++i) {
-        adj[i] = tmp[i - begin].first;
-        weights[i] = tmp[i - begin].second;
-      }
-    } else {
-      std::sort(adj.begin() + static_cast<std::ptrdiff_t>(begin),
-                adj.begin() + static_cast<std::ptrdiff_t>(end));
     }
   }
+  std::vector<RawEdge>().swap(edges_);
 
-  edges_.clear();
-  edges_.shrink_to_fit();
+  // Sort each row, fold its duplicates by policy and compact it leftwards:
+  // row v moves from [begin, offsets[v + 1]) to [offsets[v], out).
+  std::vector<RowSortKey> scratch;
+  Weight* const w = weighted_ ? weights.data() : nullptr;
+  std::size_t out = 0;
+  std::size_t begin = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto end = static_cast<std::size_t>(offsets[v + 1]);
+    sort_row(adj.data() + begin, w != nullptr ? w + begin : nullptr,
+             end - begin, scratch);
+    const std::size_t row = out;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (out > row && adj[out - 1] == adj[i]) {
+        switch (policy_) {
+          case DuplicatePolicy::kError:
+            PMC_FAIL("duplicate edge ("
+                     << std::min(static_cast<VertexId>(v), adj[i]) << ", "
+                     << std::max(static_cast<VertexId>(v), adj[i]) << ")");
+          case DuplicatePolicy::kKeepFirst:
+            break;
+          case DuplicatePolicy::kKeepMax:
+            if (w != nullptr) w[out - 1] = std::max(w[out - 1], w[i]);
+            break;
+        }
+        continue;
+      }
+      adj[out] = adj[i];
+      if (w != nullptr) w[out] = w[i];
+      ++out;
+    }
+    offsets[v] = static_cast<EdgeId>(row);
+    begin = end;
+  }
+  offsets[n] = static_cast<EdgeId>(out);
+  adj.resize(out);
+  adj.shrink_to_fit();
+  if (weighted_) {
+    weights.resize(out);
+    weights.shrink_to_fit();
+  }
   return Graph(std::move(offsets), std::move(adj), std::move(weights));
 }
 

@@ -3,36 +3,51 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <fstream>
-#include <sstream>
+#include <limits>
+#include <ostream>
+#include <string_view>
 
 #include "graph/builder.hpp"
 #include "support/error.hpp"
+#include "support/text.hpp"
 
 namespace pmc {
 
 namespace {
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
+std::string lower(std::string_view s) {
+  std::string out(s);
+  std::transform(out.begin(), out.end(), out.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
+  return out;
 }
 
-}  // namespace
+/// Parses the next field of entry k's line into `out`.
+template <typename T>
+void read_field(std::string_view& line, T& out, EdgeId k, EdgeId nnz,
+                const char* name) {
+  PMC_REQUIRE(take_number(line, out) == std::errc{},
+              "entry " << k + 1 << " of " << nnz << ": "
+                       << (is_blank(line) ? "missing " : "malformed ") << name
+                       << " '" << peek_token(line) << "'");
+}
 
-SparseMatrix read_matrix_market(std::istream& in) {
-  std::string line;
-  PMC_REQUIRE(static_cast<bool>(std::getline(in, line)), "empty input");
-  std::istringstream header(line);
-  std::string banner, object, format, field, symmetry;
-  header >> banner >> object >> format >> field >> symmetry;
+SparseMatrix parse_matrix_market(std::string_view text) {
+  std::string_view line;
+  PMC_REQUIRE(next_line(text, line), "empty input");
+  // Banner: %%MatrixMarket object format field symmetry. A missing word
+  // reads as empty and fails its check below.
+  std::string_view words[5];
+  for (std::string_view& word : words) (void)next_token(line, word);
+  const std::string_view banner = words[0];
+  const std::string object = lower(words[1]);
+  const std::string field = lower(words[3]);
+  const std::string symmetry = lower(words[4]);
   PMC_REQUIRE(banner == "%%MatrixMarket", "missing MatrixMarket banner");
-  PMC_REQUIRE(lower(object) == "matrix", "unsupported object '" << object << "'");
-  PMC_REQUIRE(lower(format) == "coordinate",
-              "only coordinate format is supported, got '" << format << "'");
-  field = lower(field);
-  symmetry = lower(symmetry);
+  PMC_REQUIRE(object == "matrix", "unsupported object '" << words[1] << "'");
+  PMC_REQUIRE(lower(words[2]) == "coordinate",
+              "only coordinate format is supported, got '" << words[2]
+                                                           << "'");
   PMC_REQUIRE(field == "real" || field == "integer" || field == "pattern",
               "unsupported field '" << field << "'");
   PMC_REQUIRE(symmetry == "general" || symmetry == "symmetric",
@@ -40,47 +55,76 @@ SparseMatrix read_matrix_market(std::istream& in) {
 
   // Skip comments and blank lines. A line of only whitespace (or a bare \r
   // from a CRLF file) is blank, not the size line.
-  while (std::getline(in, line)) {
-    const auto first = line.find_first_not_of(" \t\r\n\v\f");
-    if (first == std::string::npos) continue;  // blank
-    if (line[first] == '%') continue;          // comment
-    break;
-  }
-  std::istringstream sizes(line);
+  std::string_view rest;
+  do {
+    PMC_REQUIRE(next_line(text, line), "missing size line");
+    rest = skip_space(line);
+  } while (rest.empty() || rest.front() == '%');
+
   SparseMatrix m;
   EdgeId nnz = 0;
-  sizes >> m.rows >> m.cols >> nnz;
-  PMC_REQUIRE(!sizes.fail() && m.rows > 0 && m.cols > 0 && nnz >= 0,
+  PMC_REQUIRE(take_number(rest, m.rows) == std::errc{} &&
+                  take_number(rest, m.cols) == std::errc{} &&
+                  take_number(rest, nnz) == std::errc{} && is_blank(rest) &&
+                  m.rows > 0 && m.cols > 0 && nnz >= 0,
               "malformed size line '" << line << "'");
+  // matrix_to_bipartite numbers rows and columns in one vertex range.
+  PMC_REQUIRE(m.rows <= std::numeric_limits<VertexId>::max() - m.cols,
+              "matrix dimensions " << m.rows << " x " << m.cols
+                                   << " overflow the vertex id range");
   m.pattern = (field == "pattern");
   m.symmetric = (symmetry == "symmetric");
   PMC_REQUIRE(!m.symmetric || m.rows == m.cols,
               "symmetric matrix must be square");
 
+  // Every entry takes at least one byte per field and a separator after
+  // each, so the rest of the input bounds the declared count (and the
+  // reservation below).
+  const int fields = m.pattern ? 2 : 3;
+  const auto room = static_cast<EdgeId>((text.size() + 1) / (2 * fields));
+  PMC_REQUIRE(nnz <= room, "size line declares " << nnz
+                               << " entries but the " << text.size()
+                               << " bytes after it hold at most " << room);
   m.row_index.reserve(static_cast<std::size_t>(nnz));
   m.col_index.reserve(static_cast<std::size_t>(nnz));
   if (!m.pattern) m.values.reserve(static_cast<std::size_t>(nnz));
 
-  for (EdgeId k = 0; k < nnz; ++k) {
+  // One entry per non-blank line: row, column and, unless pattern, value.
+  EdgeId k = 0;
+  while (next_line(text, line)) {
+    rest = skip_space(line);
+    if (rest.empty()) continue;
+    PMC_REQUIRE(k < nnz, "line after the " << nnz << " declared entries: '"
+                                           << line << "'");
     VertexId r = 0;
     VertexId c = 0;
     double v = 1.0;
-    in >> r >> c;
-    if (!m.pattern) in >> v;
-    PMC_REQUIRE(!in.fail(), "malformed entry " << k + 1 << " of " << nnz);
+    read_field(rest, r, k, nnz, "row index");
+    read_field(rest, c, k, nnz, "column index");
+    if (!m.pattern) read_field(rest, v, k, nnz, "value");
+    PMC_REQUIRE(is_blank(rest), "entry " << k + 1 << " of " << nnz
+                                         << " has more than " << fields
+                                         << " fields: '" << line << "'");
     PMC_REQUIRE(r >= 1 && r <= m.rows && c >= 1 && c <= m.cols,
                 "entry (" << r << ", " << c << ") out of bounds");
     m.row_index.push_back(r - 1);
     m.col_index.push_back(c - 1);
     if (!m.pattern) m.values.push_back(v);
+    ++k;
   }
+  PMC_REQUIRE(k == nnz, "truncated input: " << k << " of " << nnz
+                                            << " declared entries");
   return m;
 }
 
+}  // namespace
+
+SparseMatrix read_matrix_market(std::istream& in) {
+  return parse_matrix_market(read_text(in));
+}
+
 SparseMatrix read_matrix_market_file(const std::string& path) {
-  std::ifstream in(path);
-  PMC_REQUIRE(in.is_open(), "cannot open matrix file '" << path << "'");
-  return read_matrix_market(in);
+  return parse_matrix_market(read_text_file(path, "matrix file"));
 }
 
 void write_matrix_market(std::ostream& out, const SparseMatrix& m) {

@@ -1,43 +1,40 @@
 #include "graph/metis_io.hpp"
 
-#include <fstream>
-#include <sstream>
+#include <ostream>
+#include <string_view>
 
 #include "graph/builder.hpp"
 #include "support/error.hpp"
+#include "support/text.hpp"
 
 namespace pmc {
 
 namespace {
 
-/// Reads the next non-comment, non-empty line; returns false at EOF.
-bool next_content_line(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '%') return true;
-  }
-  return false;
-}
+/// A parsed METIS file before its graph is built: the edges and the
+/// declared edge count.
+struct MetisEdges {
+  GraphBuilder builder;
+  EdgeId declared_edges = 0;
+};
 
-/// Reads the next non-comment line, keeping empty lines (an isolated
-/// vertex's adjacency line is legitimately empty); false at EOF.
-bool next_adjacency_line(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] != '%') return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-Graph read_metis_graph(std::istream& in) {
-  std::string line;
-  PMC_REQUIRE(next_content_line(in, line), "empty METIS graph file");
-  std::istringstream header(line);
+MetisEdges parse_metis_graph(std::string_view text) {
+  // Header: the first line that is neither empty nor a comment.
+  std::string_view line;
+  do {
+    PMC_REQUIRE(next_line(text, line), "empty METIS graph file");
+  } while (line.empty() || line.front() == '%');
   VertexId n = 0;
   EdgeId m = 0;
-  std::string fmt;
-  header >> n >> m >> fmt;
-  PMC_REQUIRE(n >= 0 && m >= 0, "malformed METIS header '" << line << "'");
+  std::string_view fmt;
+  {
+    // <n> <m> [fmt] and nothing after.
+    std::string_view rest = line;
+    PMC_REQUIRE(take_number(rest, n) == std::errc{} &&
+                    take_number(rest, m) == std::errc{} && n >= 0 && m >= 0 &&
+                    (!next_token(rest, fmt) || is_blank(rest)),
+                "malformed METIS header '" << line << "'");
+  }
   PMC_REQUIRE(fmt != "10" && fmt != "11",
               "METIS fmt '" << fmt
                             << "' requests vertex weights, which this reader "
@@ -46,45 +43,65 @@ Graph read_metis_graph(std::istream& in) {
               "unsupported METIS fmt '" << fmt << "'");
   const bool edge_weights = (fmt == "1" || fmt == "01");
 
-  GraphBuilder builder(n, edge_weights, DuplicatePolicy::kKeepFirst);
+  MetisEdges out{GraphBuilder(n, edge_weights, DuplicatePolicy::kKeepFirst),
+                 m};
   EdgeId arcs_seen = 0;
   for (VertexId v = 0; v < n; ++v) {
-    if (!next_adjacency_line(in, line)) {
-      PMC_FAIL("missing adjacency line for vertex " << v + 1);
-    }
-    std::istringstream row(line);
-    VertexId u = 0;
-    while (row >> u) {
+    // Comment lines do not count; an empty line is an isolated vertex.
+    do {
+      PMC_REQUIRE(next_line(text, line),
+                  "missing adjacency line for vertex " << v + 1);
+    } while (!line.empty() && line.front() == '%');
+    for (line = skip_space(line); !line.empty(); line = skip_space(line)) {
+      VertexId u = 0;
+      PMC_REQUIRE(take_number(line, u) == std::errc{},
+                  "malformed neighbor '" << peek_token(line) << "' of vertex "
+                                         << v + 1);
       PMC_REQUIRE(u >= 1 && u <= n, "neighbor " << u << " of vertex " << v + 1
                                                 << " out of range");
       Weight w = 1;
       if (edge_weights) {
-        PMC_REQUIRE(static_cast<bool>(row >> w),
+        PMC_REQUIRE(!is_blank(line),
                     "missing edge weight for vertex " << v + 1);
+        PMC_REQUIRE(take_number(line, w) == std::errc{},
+                    "malformed edge weight '" << peek_token(line)
+                                              << "' of vertex " << v + 1);
       }
       PMC_REQUIRE(u - 1 != v, "self-loop at vertex " << v + 1);
       ++arcs_seen;
       if (u - 1 > v) {  // each undirected edge appears twice; keep one
-        builder.add_edge(v, u - 1, w);
+        out.builder.add_edge(v, u - 1, w);
       }
     }
   }
-  PMC_REQUIRE(arcs_seen == 2 * m,
+  // Compared without forming 2 * m, which a huge header would overflow.
+  PMC_REQUIRE(arcs_seen % 2 == 0 && arcs_seen / 2 == m,
               "edge count mismatch: header declares " << m << " edges but "
                                                       << arcs_seen
                                                       << " arcs listed");
-  Graph g = std::move(builder).build();
-  PMC_REQUIRE(g.num_edges() == m,
+  return out;
+}
+
+/// Builds the graph of `text` once `text` itself is freed.
+Graph build_metis_graph(std::string text) {
+  MetisEdges parsed = parse_metis_graph(text);
+  std::string().swap(text);
+  Graph g = std::move(parsed.builder).build();
+  PMC_REQUIRE(g.num_edges() == parsed.declared_edges,
               "adjacency not symmetric: " << g.num_edges()
                                           << " distinct edges vs declared "
-                                          << m);
+                                          << parsed.declared_edges);
   return g;
 }
 
+}  // namespace
+
+Graph read_metis_graph(std::istream& in) {
+  return build_metis_graph(read_text(in));
+}
+
 Graph read_metis_graph_file(const std::string& path) {
-  std::ifstream in(path);
-  PMC_REQUIRE(in.is_open(), "cannot open METIS graph file '" << path << "'");
-  return read_metis_graph(in);
+  return build_metis_graph(read_text_file(path, "METIS graph file"));
 }
 
 void write_metis_graph(std::ostream& out, const Graph& g) {

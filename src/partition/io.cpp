@@ -1,12 +1,15 @@
 #include "partition/io.hpp"
 
-#include <fstream>
-#include <sstream>
+#include <algorithm>
+#include <cstdint>
+#include <ostream>
+#include <string_view>
 #include <vector>
 
 #include "graph/algorithms.hpp"
 #include "partition/simple.hpp"
 #include "support/error.hpp"
+#include "support/text.hpp"
 
 namespace pmc {
 
@@ -16,15 +19,18 @@ void write_partition(std::ostream& out, const Partition& p) {
   }
 }
 
-Partition read_partition(std::istream& in, Rank num_parts) {
+namespace {
+
+Partition parse_partition(std::string_view text, Rank num_parts) {
   std::vector<Rank> owner;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '%') continue;
-    std::istringstream row(line);
-    long long id = -1;
-    row >> id;
-    PMC_REQUIRE(!row.fail(), "malformed partition line '" << line << "'");
+  std::string_view line;
+  while (next_line(text, line)) {
+    if (line.empty() || line.front() == '%') continue;
+    // Exactly one part id per line.
+    std::string_view rest = line;
+    std::int64_t id = -1;
+    PMC_REQUIRE(take_number(rest, id) == std::errc{} && is_blank(rest),
+                "malformed partition line '" << line << "'");
     PMC_REQUIRE(id >= 0 && id < (1LL << 30),
                 "part id " << id << " out of range");
     owner.push_back(static_cast<Rank>(id));
@@ -39,10 +45,14 @@ Partition read_partition(std::istream& in, Rank num_parts) {
   return Partition(parts, std::move(owner));
 }
 
+}  // namespace
+
+Partition read_partition(std::istream& in, Rank num_parts) {
+  return parse_partition(read_text(in), num_parts);
+}
+
 Partition read_partition_file(const std::string& path, Rank num_parts) {
-  std::ifstream in(path);
-  PMC_REQUIRE(in.is_open(), "cannot open partition file '" << path << "'");
-  return read_partition(in, num_parts);
+  return parse_partition(read_text_file(path, "partition file"), num_parts);
 }
 
 Partition rcm_block_partition(const Graph& g, Rank parts) {

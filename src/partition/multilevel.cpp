@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <deque>
 #include <numeric>
-#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "graph/builder.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -86,67 +86,73 @@ VertexId heavy_edge_matching(const Level& lvl, Rng& rng,
   return next_coarse;
 }
 
-/// Contracts lvl according to coarse_map into a new Level.
+/// Contracts lvl according to coarse_map into a new Level, in linear
+/// passes. A counting pass groups the fine arcs by the coarse id of their
+/// tail, each head already mapped to its coarse id. Each coarse row then
+/// folds its group in place: it drops self arcs, sums the weights of arcs to
+/// the same coarse neighbour through `slot`, sorts by neighbour and moves
+/// left. The weights are sums of whole numbers, so the order of summation
+/// does not matter.
 Level contract(const Level& lvl, const std::vector<VertexId>& coarse_map,
                VertexId coarse_n) {
+  const auto n = static_cast<std::size_t>(lvl.n());
+  const auto cn = static_cast<std::size_t>(coarse_n);
   Level out;
-  out.vertex_w.assign(static_cast<std::size_t>(coarse_n), 0);
-  for (VertexId v = 0; v < lvl.n(); ++v) {
-    out.vertex_w[static_cast<std::size_t>(coarse_map[static_cast<std::size_t>(v)])] +=
-        lvl.vertex_w[static_cast<std::size_t>(v)];
+  out.vertex_w.assign(cn, 0);
+  out.offsets.assign(cn + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto c = static_cast<std::size_t>(coarse_map[v]);
+    out.offsets[c + 1] += lvl.offsets[v + 1] - lvl.offsets[v];
+    out.vertex_w[c] += lvl.vertex_w[v];
   }
-  // Gather coarse edges (cu, cv, w) with cu != cv, then aggregate.
-  std::vector<std::tuple<VertexId, VertexId, double>> edges;
-  edges.reserve(lvl.adj.size() / 2);
-  for (VertexId v = 0; v < lvl.n(); ++v) {
-    const VertexId cv = coarse_map[static_cast<std::size_t>(v)];
-    for (EdgeId e = lvl.offsets[static_cast<std::size_t>(v)];
-         e < lvl.offsets[static_cast<std::size_t>(v) + 1]; ++e) {
-      const VertexId u = lvl.adj[static_cast<std::size_t>(e)];
-      if (u <= v) continue;  // each undirected fine edge once
-      const VertexId cu = coarse_map[static_cast<std::size_t>(u)];
-      if (cu == cv) continue;
-      edges.emplace_back(std::min(cu, cv), std::max(cu, cv),
-                         lvl.edge_w[static_cast<std::size_t>(e)]);
+  for (std::size_t c = 1; c <= cn; ++c) out.offsets[c] += out.offsets[c - 1];
+  out.adj.resize(lvl.adj.size());
+  out.edge_w.resize(lvl.adj.size());
+  {
+    std::vector<EdgeId> cursor(out.offsets.begin(), out.offsets.end() - 1);
+    for (std::size_t v = 0; v < n; ++v) {
+      auto at = static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(coarse_map[v])]);
+      for (auto e = static_cast<std::size_t>(lvl.offsets[v]);
+           e < static_cast<std::size_t>(lvl.offsets[v + 1]); ++e, ++at) {
+        out.adj[at] = coarse_map[static_cast<std::size_t>(lvl.adj[e])];
+        out.edge_w[at] = lvl.edge_w[e];
+      }
+      cursor[static_cast<std::size_t>(coarse_map[v])] =
+          static_cast<EdgeId>(at);
     }
   }
-  std::sort(edges.begin(), edges.end(),
-            [](const auto& a, const auto& b) {
-              return std::tie(std::get<0>(a), std::get<1>(a)) <
-                     std::tie(std::get<0>(b), std::get<1>(b));
-            });
-  // Aggregate parallel edges.
-  std::size_t w_idx = 0;
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    if (w_idx > 0 && std::get<0>(edges[w_idx - 1]) == std::get<0>(edges[i]) &&
-        std::get<1>(edges[w_idx - 1]) == std::get<1>(edges[i])) {
-      std::get<2>(edges[w_idx - 1]) += std::get<2>(edges[i]);
-    } else {
-      edges[w_idx++] = edges[i];
-    }
-  }
-  edges.resize(w_idx);
 
-  out.offsets.assign(static_cast<std::size_t>(coarse_n) + 1, 0);
-  for (const auto& [a, b, w] : edges) {
-    (void)w;
-    ++out.offsets[static_cast<std::size_t>(a) + 1];
-    ++out.offsets[static_cast<std::size_t>(b) + 1];
+  // slot[c] is one past where neighbour c sits in the output: in the row
+  // being folded iff it is past that row's start.
+  std::vector<std::size_t> slot(cn, 0);
+  std::vector<RowSortKey> scratch;
+  std::size_t end = 0;
+  std::size_t begin = 0;
+  for (std::size_t c = 0; c < cn; ++c) {
+    const auto group_end = static_cast<std::size_t>(out.offsets[c + 1]);
+    const std::size_t row = end;
+    for (std::size_t i = begin; i < group_end; ++i) {
+      const auto cu = static_cast<std::size_t>(out.adj[i]);
+      if (cu == c) continue;
+      if (slot[cu] > row) {
+        out.edge_w[slot[cu] - 1] += out.edge_w[i];
+      } else {
+        out.adj[end] = out.adj[i];
+        out.edge_w[end] = out.edge_w[i];
+        slot[cu] = ++end;
+      }
+    }
+    sort_row(out.adj.data() + row, out.edge_w.data() + row, end - row,
+             scratch);
+    out.offsets[c] = static_cast<EdgeId>(row);
+    begin = group_end;
   }
-  for (std::size_t i = 1; i < out.offsets.size(); ++i) {
-    out.offsets[i] += out.offsets[i - 1];
-  }
-  out.adj.resize(static_cast<std::size_t>(out.offsets.back()));
-  out.edge_w.resize(out.adj.size());
-  std::vector<EdgeId> cursor(out.offsets.begin(), out.offsets.end() - 1);
-  for (const auto& [a, b, w] : edges) {
-    auto ca = static_cast<std::size_t>(cursor[static_cast<std::size_t>(a)]++);
-    out.adj[ca] = b;
-    out.edge_w[ca] = w;
-    auto cb = static_cast<std::size_t>(cursor[static_cast<std::size_t>(b)]++);
-    out.adj[cb] = a;
-    out.edge_w[cb] = w;
-  }
+  out.offsets[cn] = static_cast<EdgeId>(end);
+  out.adj.resize(end);
+  out.adj.shrink_to_fit();
+  out.edge_w.resize(end);
+  out.edge_w.shrink_to_fit();
   return out;
 }
 
@@ -306,8 +312,8 @@ Partition multilevel_partition(const Graph& g, Rank parts,
     if (static_cast<double>(coarse_n) > 0.95 * static_cast<double>(cur.n())) {
       break;
     }
-    cur.coarse_map = coarse_map;
-    levels.push_back(contract(cur, coarse_map, coarse_n));
+    cur.coarse_map = std::move(coarse_map);
+    levels.push_back(contract(cur, cur.coarse_map, coarse_n));
   }
 
   // ---- Phase 2: initial partition on the coarsest level ----
@@ -340,7 +346,7 @@ Partition multilevel_partition(const Graph& g, Rank parts,
     }
   }
 
-  // Guarantee no empty parts: region growing (and the perturbation below)
+  // Guarantee no empty parts: the BFS bands (and the perturbation below)
   // can starve a part on graphs much smaller than parts * coarsen_to.
   auto fill_empty_parts = [&part, parts]() {
     std::vector<VertexId> counts(static_cast<std::size_t>(parts), 0);

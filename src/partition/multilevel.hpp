@@ -2,15 +2,18 @@
 //
 // Classic three-phase scheme (Karypis & Kumar):
 //   1. coarsening by heavy-edge matching (HEM) until the graph is small,
-//   2. initial partition by greedy BFS region growing on the coarsest graph,
-//   3. uncoarsening with boundary FM-style greedy refinement at every level.
+//      each level contracted by per-coarse-vertex aggregation;
+//   2. initial partition of the coarsest graph by BFS bands: one
+//      breadth-first order sliced into weight-balanced chunks;
+//   3. uncoarsening with greedy boundary refinement at every level.
 //
 // The paper's circuit-graph experiments depend only on partition *quality*:
 // METIS produced a ~6 % edge cut and ParMETIS a ~40 % cut at 4,096 parts,
-// and the scaling curves degrade accordingly. The `Quality` presets below
-// reproduce those two operating points: kHigh runs the full pipeline; kLow
-// coarsens less, skips refinement and randomly perturbs a fraction of
-// boundary assignments, emulating the weaker parallel partitioner.
+// and the scaling curves degrade accordingly. The two MultilevelConfig
+// presets below reproduce those operating points: metis_like runs the full
+// pipeline; parmetis_like coarsens less, skips refinement (refine_passes is
+// 0) and moves a random fraction of boundary vertices to uniformly random
+// parts, emulating the weaker parallel partitioner.
 #pragma once
 
 #include <cstdint>
@@ -29,17 +32,17 @@ struct MultilevelConfig {
   int refine_passes = 4;
   /// Allowed max-part/average-part ratio during refinement moves.
   double max_imbalance = 1.10;
-  /// Fraction of boundary vertices randomly reassigned to a neighboring part
+  /// Fraction of boundary vertices reassigned to a uniformly random part
   /// after partitioning (0 = none). Used to emulate lower-quality parallel
   /// partitioners (ParMETIS-like operating point).
   double perturb_fraction = 0.0;
-  /// RNG seed (tie-breaking, region-growing seeds, perturbation).
+  /// RNG seed (matching visit order, BFS start vertex, perturbation).
   std::uint64_t seed = 0;
 
   /// METIS-like: full multilevel pipeline, low cut.
   [[nodiscard]] static MultilevelConfig metis_like(std::uint64_t seed = 0);
 
-  /// ParMETIS-like: shallow coarsening, one refinement pass, perturbation —
+  /// ParMETIS-like: shallow coarsening, no refinement, perturbation —
   /// produces substantially higher cuts at large part counts.
   [[nodiscard]] static MultilevelConfig parmetis_like(std::uint64_t seed = 0);
 };

@@ -1,6 +1,5 @@
 #include "support/options.hpp"
 
-#include <charconv>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
@@ -8,6 +7,7 @@
 #include <thread>
 
 #include "support/error.hpp"
+#include "support/text.hpp"
 
 namespace pmc {
 
@@ -63,22 +63,14 @@ const std::string& Options::get(const std::string& name) const {
 
 namespace {
 
-/// std::from_chars rejects an explicit leading '+' that the strtol-family
-/// parsers accepted; keep accepting it for both numeric getters.
-std::string_view strip_plus(std::string_view s) noexcept {
-  if (!s.empty() && s.front() == '+') s.remove_prefix(1);
-  return s;
-}
-
 /// Strict integer parse of `s`, one value of option --name: the whole text
 /// must be the number.
 std::int64_t parse_int(const std::string& name, std::string_view s) {
-  const std::string_view sv = strip_plus(s);
   std::int64_t out = 0;
-  const auto [ptr, ec] = std::from_chars(sv.data(), sv.data() + sv.size(), out);
+  const std::errc ec = parse_number(s, out);
   PMC_REQUIRE(ec != std::errc::result_out_of_range,
               "option --" << name << " is out of range: '" << s << "'");
-  PMC_REQUIRE(ec == std::errc{} && ptr == sv.data() + sv.size(),
+  PMC_REQUIRE(ec == std::errc{},
               "option --" << name << " expects an integer, got '" << s << "'");
   return out;
 }
@@ -114,15 +106,14 @@ std::vector<int> Options::get_int_list(const std::string& name) const {
 
 double Options::get_double(const std::string& name) const {
   const std::string& s = get(name);
-  const std::string_view sv = strip_plus(s);
   double out = 0.0;
-  const auto [ptr, ec] = std::from_chars(sv.data(), sv.data() + sv.size(), out);
+  const std::errc ec = parse_number(s, out);
   // Distinguish magnitude problems ("1e999") from junk ("1.5x", "", "nope"):
   // the old std::stod path caught both as std::logic_error and misreported
   // overflow as "expects a number".
   PMC_REQUIRE(ec != std::errc::result_out_of_range,
               "option --" << name << " is out of range: '" << s << "'");
-  PMC_REQUIRE(ec == std::errc{} && ptr == sv.data() + sv.size(),
+  PMC_REQUIRE(ec == std::errc{},
               "option --" << name << " expects a number, got '" << s << "'");
   return out;
 }
@@ -137,12 +128,11 @@ int max_thread_count() noexcept {
 }
 
 int parse_thread_count(const std::string& text, const std::string& what) {
-  const std::string_view sv = strip_plus(text);
   int out = 0;
-  const auto [ptr, ec] = std::from_chars(sv.data(), sv.data() + sv.size(), out);
+  const std::errc ec = parse_number(text, out);
   PMC_REQUIRE(ec != std::errc::result_out_of_range,
               what << " is out of range: '" << text << "'");
-  PMC_REQUIRE(ec == std::errc{} && ptr == sv.data() + sv.size(),
+  PMC_REQUIRE(ec == std::errc{},
               what << " expects an integer, got '" << text << "'");
   PMC_REQUIRE(out >= 1,
               what << " must be at least 1 thread, got '" << text << "'");

@@ -30,7 +30,10 @@
 // small-superstep boundary-first schedule where polls do deliver.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -697,6 +700,103 @@ void expect_same_work(const DistColoringResult& a,
   // The codecs must still genuinely differ on the wire for the comparison
   // to mean anything.
   EXPECT_NE(a.run.comm.bytes, b.run.comm.bytes);
+}
+
+/// 64-bit FNV-1a over 64-bit words fed little-endian, so a fingerprint
+/// names the same values on any host.
+class Fnv64 {
+ public:
+  void add(std::uint64_t word) noexcept {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Offsets, adjacency and weight bits of g's CSR.
+std::uint64_t csr_fingerprint(const Graph& g) {
+  Fnv64 h;
+  h.add(static_cast<std::uint64_t>(g.num_vertices()));
+  for (VertexId v = 0; v <= g.num_vertices(); ++v) {
+    h.add(static_cast<std::uint64_t>(
+        v < g.num_vertices() ? g.offset_begin(v) : g.num_arcs()));
+  }
+  for (EdgeId e = 0; e < g.num_arcs(); ++e) {
+    h.add(static_cast<std::uint64_t>(g.arc_target(e)));
+  }
+  if (g.has_weights()) {
+    for (EdgeId e = 0; e < g.num_arcs(); ++e) {
+      h.add(std::bit_cast<std::uint64_t>(g.arc_weight(e)));
+    }
+  }
+  return h.value();
+}
+
+std::uint64_t owner_fingerprint(const Partition& p) {
+  Fnv64 h;
+  h.add(static_cast<std::uint64_t>(p.num_parts()));
+  for (const Rank r : p.owners()) h.add(static_cast<std::uint64_t>(r));
+  return h.value();
+}
+
+// The graph builder's CSR and both multilevel presets' owner vectors, pinned
+// so that a rewrite of the builder, the readers or the coarsening keeps
+// every byte: rmat inserts duplicate edges, the double cover mixes hashed and
+// random weights, and the matrix round trip goes through the Matrix Market
+// reader and matrix_to_bipartite's kKeepMax policy.
+TEST(DeterminismRegression, GraphBuilderCsrFingerprints) {
+  EXPECT_EQ(csr_fingerprint(grid_2d(64, 64, WeightKind::kUniformRandom, 61)),
+            0xe4f8c026f8c3e6e9ULL);
+  EXPECT_EQ(csr_fingerprint(rmat(10, 8)), 0xe9e3f40fd14e99f4ULL);
+  BipartiteInfo info;
+  const Graph cover = bipartite_double_cover(
+      circuit_like(1500, 3000, 6, WeightKind::kUniformRandom, 63), info,
+      /*with_diagonal=*/true, 63);
+  EXPECT_EQ(csr_fingerprint(cover), 0x02e4dbdacc31a18fULL);
+
+  std::stringstream text;
+  text << std::setprecision(17);
+  write_matrix_market(text, bipartite_to_matrix(cover, info));
+  BipartiteInfo read_info;
+  EXPECT_EQ(csr_fingerprint(
+                matrix_to_bipartite(read_matrix_market(text), read_info)),
+            csr_fingerprint(cover));
+}
+
+TEST(DeterminismRegression, MultilevelPartitionFingerprints) {
+  struct Case {
+    const char* name;
+    Graph graph;
+    Rank parts;
+    std::uint64_t metis;
+    std::uint64_t parmetis;
+  };
+  BipartiteInfo info;
+  const Case cases[] = {
+      {"circuit", circuit_like(2000, 4000, 6, WeightKind::kUnit, 62), 8,
+       0x56d25017ea40706aULL, 0xe34b2c20833eeccfULL},
+      {"double-cover",
+       bipartite_double_cover(
+           circuit_like(1500, 3000, 6, WeightKind::kUniformRandom, 63), info,
+           /*with_diagonal=*/true, 63),
+       8, 0x63984bb8a65a922dULL, 0xabdc1d170786cc0cULL},
+      {"grid", grid_2d(64, 64), 16, 0x93b0ac552d2ffb74ULL,
+       0x1792c89e42ffc65dULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(owner_fingerprint(multilevel_partition(
+                  c.graph, c.parts, MultilevelConfig::metis_like(7))),
+              c.metis);
+    EXPECT_EQ(owner_fingerprint(multilevel_partition(
+                  c.graph, c.parts, MultilevelConfig::parmetis_like(7))),
+              c.parmetis);
+  }
 }
 
 TEST(DeterminismRegression, ReceiveChargesAreCodecInvariant) {

@@ -77,6 +77,45 @@ TEST(GraphBuilder, KeepFirstPolicy) {
   EXPECT_DOUBLE_EQ(g.edge_weight(0, 1), 7.0);
 }
 
+TEST(GraphBuilder, KeepFirstPolicyKeepsTheFirstOfManyDuplicates) {
+  // Only an insertion-order-stable build keeps the first of many
+  // duplicates; with two, an unstable sort can keep it by luck.
+  GraphBuilder b(3, true, DuplicatePolicy::kKeepFirst);
+  b.add_edge(1, 2, 0.5);
+  for (int w = 1; w <= 100; ++w) {
+    if (w % 2 == 0) {
+      b.add_edge(1, 0, static_cast<Weight>(w));
+    } else {
+      b.add_edge(0, 1, static_cast<Weight>(w));
+    }
+  }
+  const Graph g = std::move(b).build();
+  g.validate();
+  EXPECT_EQ(g.num_edges(), 2);
+  EXPECT_EQ(g.edge_weight(0, 1), 1.0);
+  EXPECT_EQ(g.edge_weight(1, 0), 1.0);
+  EXPECT_EQ(g.edge_weight(1, 2), 0.5);
+}
+
+TEST(GraphBuilder, SortsLongRowsAndKeepsFirstDuplicates) {
+  // A hub row long enough to leave the insertion sort, filled in reverse
+  // order with every edge inserted twice.
+  GraphBuilder b(60, true, DuplicatePolicy::kKeepFirst);
+  for (VertexId v = 59; v >= 1; --v) {
+    b.add_edge(0, v, static_cast<Weight>(v));
+    b.add_edge(v, 0, -1.0);
+  }
+  const Graph g = std::move(b).build();
+  g.validate();
+  ASSERT_EQ(g.degree(0), 59);
+  const auto nbrs = g.neighbors(0);
+  const auto ws = g.weights(0);
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    EXPECT_EQ(nbrs[i], static_cast<VertexId>(i) + 1);
+    EXPECT_EQ(ws[i], static_cast<Weight>(i) + 1);
+  }
+}
+
 TEST(GraphBuilder, KeepMaxPolicy) {
   GraphBuilder b(2, true, DuplicatePolicy::kKeepMax);
   b.add_edge(0, 1, 7.0);

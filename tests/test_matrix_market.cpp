@@ -128,6 +128,65 @@ TEST(MatrixMarket, RejectsMalformedInput) {
   }
 }
 
+// Every entry line has exactly its fields, each one whole number.
+TEST(MatrixMarket, RejectsMalformedEntryLines) {
+  const std::string banner = "%%MatrixMarket matrix coordinate real general\n";
+  for (const char* body : {
+           "2 2 1\n2 2 3.0xyz\n",          // junk after the last value
+           "2 2 2\n1 1 1.0 2\n2 2 3.0\n",  // an extra column
+           "2 2 2\n1 1\n1.0\n2 2 3.0\n",  // an entry split over lines
+           "2 2 1 junk\n1 1 1.0\n",        // extra size-line field
+           "2 2 1\n1 1 1.0\n2 2 2.0\n",    // line after the entries
+           "2 2 1\n1 1 1.0\n% late\n",     // comment after the entries
+           "2 2 1\n1 1 inf\n",             // not a finite value
+           "2 2 1\n1 1 1e999\n",           // overflow
+           "2 2 1\n1.5 1 1.0\n",           // fractional index
+       }) {
+    std::istringstream in(banner + body);
+    EXPECT_THROW((void)read_matrix_market(in), Error) << body;
+  }
+}
+
+TEST(MatrixMarket, RejectsSizesThatCannotBeBuilt) {
+  const std::string banner = "%%MatrixMarket matrix coordinate real general\n";
+  {
+    // A count the input cannot hold fails before anything is reserved.
+    std::istringstream in(banner + "2 2 4000000000000000000\n1 1 1.0\n");
+    EXPECT_THROW((void)read_matrix_market(in), Error);
+  }
+  {
+    // rows + cols overflows the vertex id range of matrix_to_bipartite.
+    std::istringstream in(banner +
+                          "5000000000000000000 5000000000000000000 0\n");
+    EXPECT_THROW((void)read_matrix_market(in), Error);
+  }
+}
+
+TEST(MatrixMarket, KeepsAcceptingSignsTabsCrlfAndBlankLines) {
+  std::istringstream in(
+      "%%MatrixMarket matrix coordinate real general\r\n"
+      "% comment\r\n"
+      "+2\t2 +3\r\n"
+      "\r\n"
+      "+1 1 +1.5e0\r\n"
+      "  \t\n"
+      "2\t2\t-0.5\n"
+      "1 2 1e-400\r\n"
+      "\n");
+  const SparseMatrix m = read_matrix_market(in);
+  EXPECT_EQ(m.rows, 2);
+  EXPECT_EQ(m.cols, 2);
+  ASSERT_EQ(m.num_entries(), 3);
+  EXPECT_EQ(m.values[0], 1.5);
+  EXPECT_EQ(m.values[1], -0.5);
+  EXPECT_EQ(m.values[2], 0.0);  // underflow reads as zero, as istream did
+  EXPECT_EQ(m.col_index[2], 1);
+}
+
+TEST(MatrixMarket, DirectoryIsAnError) {
+  EXPECT_THROW((void)read_matrix_market_file(::testing::TempDir()), Error);
+}
+
 TEST(MatrixMarket, WriteReadRoundTrip) {
   std::istringstream in(kGeneral);
   const SparseMatrix m = read_matrix_market(in);

@@ -87,6 +87,47 @@ TEST(MetisIo, RejectsMalformedInputs) {
   }
 }
 
+// A header needs both counts, and every token is one whole number: a
+// header of "abc" is not an empty graph, and "3abc" is not 3.
+TEST(MetisIo, RejectsJunkTokens) {
+  for (const char* text : {
+           "abc\n",                        // header without counts
+           "3\n\n\n\n",                    // header without an edge count
+           "3 2 0 zz\n2 3\n1\n1\n",        // header trailing junk
+           "3 2\n2 3abc\n1\n1\n",          // neighbour with junk
+           "3 2 1\n2 5x 3 7\n1 5\n1 7\n",  // weight with junk
+           "2 1\n2.0\n1\n",                // fractional neighbour
+       }) {
+    std::istringstream in(text);
+    EXPECT_THROW((void)read_metis_graph(in), Error) << text;
+  }
+}
+
+TEST(MetisIo, HugeEdgeCountIsAnError) {
+  // The arc-count check must not form 2 * m.
+  std::istringstream in("2 5000000000000000000\n2\n1\n");
+  EXPECT_THROW((void)read_metis_graph(in), Error);
+}
+
+TEST(MetisIo, KeepsAcceptingSignsTabsCrlfAndEmptyLines) {
+  std::istringstream in(
+      "% comment\r\n"
+      "\n"
+      "+4 +1\t1\r\n"
+      "2\t+5.5\r\n"
+      "1 5.5\r\n"
+      "% isolated vertex 3 next\n"
+      "\r\n"
+      "\n");
+  const Graph g = read_metis_graph(in);
+  g.validate();
+  EXPECT_EQ(g.num_vertices(), 4);
+  EXPECT_EQ(g.num_edges(), 1);
+  EXPECT_EQ(g.edge_weight(0, 1), 5.5);
+  EXPECT_EQ(g.degree(2), 0);
+  EXPECT_EQ(g.degree(3), 0);
+}
+
 TEST(MetisIo, VertexWeightFmtGetsASpecificError) {
   // fmt "10" and "11" are valid METIS (vertex weights), which this reader
   // deliberately does not support — the error must say so rather than fall

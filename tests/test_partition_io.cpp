@@ -50,6 +50,21 @@ TEST(PartitionIo, SkipsCommentsAndRejectsGarbage) {
   }
 }
 
+TEST(PartitionIo, RejectsTrailingJunkAndExtraFields) {
+  // One whole part id per line.
+  for (const char* text : {"0\n3abc\n", "0\n1 2\n", "0\n1.0\n"}) {
+    std::istringstream in(text);
+    EXPECT_THROW((void)read_partition(in), Error) << text;
+  }
+}
+
+TEST(PartitionIo, KeepsAcceptingSignsTabsAndCrlf) {
+  std::istringstream in("+1\r\n\t2\n% comment\n\n0\r\n");
+  const Partition p = read_partition(in);
+  EXPECT_EQ(p.owners(), (std::vector<Rank>{1, 2, 0}));
+  EXPECT_EQ(p.num_parts(), 3);
+}
+
 TEST(PartitionIo, FileNotFoundThrows) {
   EXPECT_THROW((void)read_partition_file("/nonexistent.part"), Error);
 }

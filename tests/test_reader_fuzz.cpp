@@ -1,0 +1,219 @@
+// Seeded mutation fuzzing of the three text readers: Matrix Market, METIS
+// .graph and METIS .part files.
+//
+// Small generated texts are mutated a few bytes at a time: a byte flipped,
+// deleted or duplicated; whitespace, '%', '+', 'e' or junk inserted; the text
+// truncated; a number inflated to 20 digits. Every mutant must end in a value
+// or a pmc::Error, never another exception or a crash (the ASan stage runs
+// this suite), and every value must write and re-read to itself. The budget
+// is fixed, so the suite needs no external fuzzer and stays fast.
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <iomanip>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "graph/generators.hpp"
+#include "graph/matrix_market.hpp"
+#include "graph/metis_io.hpp"
+#include "partition/io.hpp"
+#include "support/error.hpp"
+#include "support/rng.hpp"
+
+namespace pmc {
+namespace {
+
+constexpr int kMutantsPerReader = 3000;
+
+std::string matrix_text(const SparseMatrix& m) {
+  std::ostringstream out;
+  out << std::setprecision(17);
+  write_matrix_market(out, m);
+  return out.str();
+}
+
+std::string metis_text(const Graph& g) {
+  std::ostringstream out;
+  out << std::setprecision(17);
+  write_metis_graph(out, g);
+  return out.str();
+}
+
+/// The part count is not written: it reads back as the largest id plus one,
+/// which is what read_partition inferred the first time too.
+std::string partition_text(const Partition& p) {
+  std::ostringstream out;
+  write_partition(out, p);
+  return out.str();
+}
+
+std::vector<std::string> matrix_market_seeds() {
+  std::vector<std::string> seeds;
+  BipartiteInfo info;
+  SparseMatrix real =
+      bipartite_to_matrix(random_bipartite(4, 5, 9, info), info);
+  seeds.push_back(matrix_text(real));
+  real.symmetric = true;
+  real.cols = real.rows = 5;
+  seeds.push_back(matrix_text(real));
+  SparseMatrix pattern = bipartite_to_matrix(
+      random_bipartite(3, 3, 5, info, WeightKind::kUnit), info);
+  pattern.pattern = true;
+  pattern.values.clear();
+  seeds.push_back(matrix_text(pattern));
+  seeds.push_back(
+      "%%MatrixMarket matrix coordinate integer general\r\n"
+      "% a comment\r\n"
+      "\r\n"
+      "3 3 4\r\n"
+      "1 1 +7\r\n"
+      "\t2 3 -2\r\n"
+      "3 1 1e2\r\n"
+      "3 3 0.5\r\n");
+  return seeds;
+}
+
+std::vector<std::string> metis_seeds() {
+  std::vector<std::string> seeds;
+  seeds.push_back(metis_text(erdos_renyi(7, 9, WeightKind::kIntegral, 3)));
+  seeds.push_back(metis_text(erdos_renyi(6, 7, WeightKind::kUniformRandom, 4)));
+  seeds.push_back(
+      "% a comment\n"
+      "5 4\n"
+      "2 3\n"
+      "1 3\n"
+      "1 2 4\n"
+      "% vertex 4 next\n"
+      "3\n"
+      "\n");
+  seeds.push_back("3 2 1\r\n2 +5 3 7\r\n1 5\r\n1\t7\r\n");
+  return seeds;
+}
+
+std::vector<std::string> partition_seeds() {
+  return {"0\n2\n1\n1\n0\n3\n", "% owners\n+1\r\n\t0\n\n2\r\n"};
+}
+
+/// `text` with one random mutation applied.
+std::string mutate(std::string text, Rng& rng) {
+  auto pos = [&](std::size_t extra) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(text.size() + extra) - 1));
+  };
+  static constexpr std::string_view kInserts(" \t\r\n%+e-.x0\x7f\0", 13);
+  switch (text.empty() ? 3 : rng.uniform_int(0, 6)) {
+    case 0: {  // flip one bit of a byte
+      const std::size_t at = pos(0);
+      text[at] = static_cast<char>(text[at] ^ (1 << rng.uniform_int(0, 7)));
+      break;
+    }
+    case 1:
+      text.erase(pos(0), 1);
+      break;
+    case 2: {
+      const std::size_t at = pos(0);
+      text.insert(at, 1, text[at]);
+      break;
+    }
+    case 3:
+    case 4:
+      text.insert(pos(1), 1,
+                  kInserts[static_cast<std::size_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(kInserts.size()) - 1))]);
+      break;
+    case 5:
+      text.resize(pos(1));
+      break;
+    default: {  // inflate the number around a digit to 20 digits
+      const std::size_t at = text.find_first_of("0123456789", pos(0));
+      if (at == std::string::npos) break;
+      std::size_t end = at;
+      while (end < text.size() && text[end] >= '0' && text[end] <= '9') ++end;
+      std::string digits(20, '0');
+      for (char& d : digits) d = static_cast<char>('0' + rng.uniform_int(0, 9));
+      digits[0] = static_cast<char>('1' + rng.uniform_int(0, 8));
+      text.replace(at, end - at, digits);
+      break;
+    }
+  }
+  return text;
+}
+
+/// Calls visit(mutant) for the reader's fixed, seeded mutant budget: every
+/// seed unmutated, then mutants of one to three mutations each.
+void for_each_mutant(const std::vector<std::string>& seeds, std::uint64_t seed,
+                     const std::function<void(const std::string&)>& visit) {
+  for (const std::string& s : seeds) visit(s);
+  Rng rng(seed);
+  for (int i = 0; i < kMutantsPerReader; ++i) {
+    std::string text =
+        seeds[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(seeds.size()) - 1))];
+    const std::int64_t mutations = rng.uniform_int(1, 3);
+    for (std::int64_t k = 0; k < mutations; ++k) text = mutate(text, rng);
+    visit(text);
+  }
+}
+
+/// Parses `text` with `read` and returns its canonical text, or "" when the
+/// reader throws pmc::Error. Any other exception escapes and fails the test.
+template <typename Read, typename Write>
+std::string parse_or_reject(const std::string& text, Read read, Write write) {
+  std::istringstream in(text);
+  try {
+    return write(read(in));
+  } catch (const Error&) {
+    return "";
+  }
+}
+
+/// Fuzzes one reader: every accepted mutant re-reads to itself.
+template <typename Read, typename Write>
+void fuzz_reader(const std::vector<std::string>& seeds, std::uint64_t seed,
+                 Read read, Write write) {
+  int accepted = 0;
+  int rejected = 0;
+  for_each_mutant(seeds, seed, [&](const std::string& text) {
+    const std::string canonical = parse_or_reject(text, read, write);
+    if (canonical.empty()) {
+      ++rejected;
+      return;
+    }
+    ++accepted;
+    EXPECT_EQ(parse_or_reject(canonical, read, write), canonical)
+        << "mutant:\n" << text;
+  });
+  // The budget must exercise both outcomes to mean anything.
+  EXPECT_GT(accepted, kMutantsPerReader / 20);
+  EXPECT_GT(rejected, kMutantsPerReader / 5);
+}
+
+TEST(ReaderFuzz, MatrixMarket) {
+  fuzz_reader(
+      matrix_market_seeds(), 0x3A7,
+      [](std::istream& in) { return read_matrix_market(in); },
+      matrix_text);
+}
+
+TEST(ReaderFuzz, Metis) {
+  fuzz_reader(
+      metis_seeds(), 0x3E7,
+      [](std::istream& in) {
+        Graph g = read_metis_graph(in);
+        g.validate();
+        return g;
+      },
+      metis_text);
+}
+
+TEST(ReaderFuzz, Partition) {
+  fuzz_reader(
+      partition_seeds(), 0x9A7,
+      [](std::istream& in) { return read_partition(in); }, partition_text);
+}
+
+}  // namespace
+}  // namespace pmc

@@ -2,6 +2,7 @@
 // options.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <optional>
@@ -16,6 +17,7 @@
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
+#include "support/text.hpp"
 
 namespace pmc {
 namespace {
@@ -203,6 +205,93 @@ TEST(Csv, WritesRowsToFile) {
 }
 
 // ---- options -------------------------------------------------------------------
+
+// ---- number parsing and text splitting -------------------------------------
+
+TEST(ParseNumber, AcceptsWhatIstreamAccepted) {
+  std::int64_t i = 0;
+  EXPECT_EQ(parse_number("+7", i), std::errc{});
+  EXPECT_EQ(i, 7);
+  EXPECT_EQ(parse_number("-0042", i), std::errc{});
+  EXPECT_EQ(i, -42);
+  double d = 0.0;
+  EXPECT_EQ(parse_number("+2.5e1", d), std::errc{});
+  EXPECT_EQ(d, 25.0);
+  EXPECT_EQ(parse_number(".5", d), std::errc{});
+  EXPECT_EQ(d, 0.5);
+  EXPECT_EQ(parse_number("1e-310", d), std::errc{});  // subnormal
+  EXPECT_GT(d, 0.0);
+}
+
+TEST(ParseNumber, ReadsUnderflowAsSignedZero) {
+  double d = 1.0;
+  EXPECT_EQ(parse_number("1e-400", d), std::errc{});
+  EXPECT_EQ(d, 0.0);
+  EXPECT_FALSE(std::signbit(d));
+  EXPECT_EQ(parse_number("-0.0000000000000000000000000000000000000000000"
+                         "000000000000000000000000000000000000000000000"
+                         "000000000000000000000000000000000000000000000"
+                         "000000000000000000000000000000000000000000000"
+                         "000000000000000000000000000000000000000000000"
+                         "000000000000000000000000000000000000000000000"
+                         "000000000000000000000000000000000000000000000"
+                         "000000000000000000000000000000000000000000000"
+                         "1",
+                         d),
+            std::errc{});
+  EXPECT_EQ(d, 0.0);
+  EXPECT_TRUE(std::signbit(d));
+}
+
+TEST(ParseNumber, RejectsOverflowInfinityNanAndJunk) {
+  double d = 3.0;
+  EXPECT_EQ(parse_number("1e999", d), std::errc::result_out_of_range);
+  EXPECT_EQ(parse_number("-1e999", d), std::errc::result_out_of_range);
+  EXPECT_EQ(parse_number(std::string(400, '9'), d),
+            std::errc::result_out_of_range);
+  for (const char* bad : {"inf", "-inf", "nan", "infinity", "", "+", "-",
+                          "+-1", "++1", "1.5x", " 1", "1 ", "0x10", "1e"}) {
+    EXPECT_EQ(parse_number(bad, d), std::errc::invalid_argument) << bad;
+  }
+  EXPECT_EQ(d, 3.0);  // untouched on error
+  std::int64_t i = 5;
+  EXPECT_EQ(parse_number("99999999999999999999", i),
+            std::errc::result_out_of_range);
+  EXPECT_EQ(parse_number("3abc", i), std::errc::invalid_argument);
+  EXPECT_EQ(parse_number("1.0", i), std::errc::invalid_argument);
+  EXPECT_EQ(i, 5);
+  int small = 0;
+  EXPECT_EQ(parse_number("2147483648", small), std::errc::result_out_of_range);
+}
+
+TEST(ParseNumber, TakeNumberSplitsAtWhitespaceOnly) {
+  std::string_view line = " \t12 +3.5\r";
+  std::int64_t i = 0;
+  double d = 0.0;
+  EXPECT_EQ(take_number(line, i), std::errc{});
+  EXPECT_EQ(i, 12);
+  EXPECT_EQ(take_number(line, d), std::errc{});
+  EXPECT_EQ(d, 3.5);
+  EXPECT_TRUE(is_blank(line));
+  EXPECT_EQ(take_number(line, d), std::errc::invalid_argument);  // no token
+
+  std::string_view junk = "3.0xyz 4";
+  EXPECT_EQ(take_number(junk, d), std::errc::invalid_argument);
+  EXPECT_EQ(junk, "3.0xyz 4");  // untouched on error
+  EXPECT_EQ(peek_token(junk), "3.0xyz");
+}
+
+TEST(ParseNumber, NextLineKeepsEmptyLinesAndCarriageReturns) {
+  std::string_view text = "a\r\n\nb";
+  std::string_view line;
+  ASSERT_TRUE(next_line(text, line));
+  EXPECT_EQ(line, "a\r");
+  ASSERT_TRUE(next_line(text, line));
+  EXPECT_EQ(line, "");
+  ASSERT_TRUE(next_line(text, line));
+  EXPECT_EQ(line, "b");
+  EXPECT_FALSE(next_line(text, line));
+}
 
 TEST(Options, ParsesAllForms) {
   Options opts;
