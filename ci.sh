@@ -18,7 +18,8 @@ STAGE="${1:-all}"
 tier1() {
   echo "==== tier-1: build + full test suite ===="
   # PMC_HARDENED_WERROR promotes -Wconversion/-Wdouble-promotion/
-  # -Wimplicit-fallthrough to errors in CI; the tree must stay clean.
+  # -Wimplicit-fallthrough/-Wunused-result/-Wunused-but-set-variable to
+  # errors in CI; the tree must stay clean.
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DPMC_HARDENED_WERROR=ON
   cmake --build build -j "$JOBS"
   # --timeout is a backstop for tests predating the per-test TIMEOUT

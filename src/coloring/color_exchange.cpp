@@ -10,14 +10,14 @@ namespace pmc {
 void apply_color_records(const LocalGraph& lg, std::vector<Color>& color,
                          const BspMessage& msg,
                          std::vector<VertexId>* changed) {
-  for_each_color_record(msg.payload, [&](VertexId global, Color c) {
-    const VertexId local = lg.local_id(global);
+  for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
+    const VertexId local = lg.local_id(rec.id);
     // Broadcast modes deliver records for vertices this rank has never heard
     // of; that waste is exactly what the customized modes eliminate.
     if (local == kNoVertex) return;
     auto& slot = color[static_cast<std::size_t>(local)];
-    if (changed != nullptr && slot != c) changed->push_back(local);
-    slot = c;
+    if (changed != nullptr && slot != rec.color) changed->push_back(local);
+    slot = rec.color;
   });
 }
 
@@ -41,9 +41,10 @@ lost_tracking_color_sender(LostColorSets& lost, bool faults_on,
                // instead. The callback always gets the original bytes, so
                // decoding the kept copy is safe even for corrupted sends.
                auto& lost_src = lost[static_cast<std::size_t>(src)];
-               for_each_color_record(bytes, [&](VertexId global, Color) {
-                 lost_src.insert(global);
-               });
+               for_each_record<ColorRecord>(
+                   bytes, [&](const ColorRecord& rec) {
+                     lost_src.insert(rec.id);
+                   });
              });
   };
 }

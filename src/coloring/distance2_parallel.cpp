@@ -126,11 +126,11 @@ struct D2RankState {
 };
 
 void d2_apply_records(D2RankState& st, const BspMessage& msg) {
-  for_each_color_record(msg.payload, [&](VertexId global, Color c) {
-    const auto it = st.view->global_to_local.find(global);
+  for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
+    const auto it = st.view->global_to_local.find(rec.id);
     PMC_CHECK(it != st.view->global_to_local.end(),
               "distance-2 record for vertex outside the view");
-    st.color[static_cast<std::size_t>(it->second)] = c;
+    st.color[static_cast<std::size_t>(it->second)] = rec.color;
   });
 }
 

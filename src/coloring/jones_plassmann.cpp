@@ -90,8 +90,7 @@ JonesPlassmannResult color_jones_plassmann(
         const Color c = st.chooser.choose(nullptr);
         st.color[static_cast<std::size_t>(v)] = c;
         for (const Rank dst : lg.boundary_ranks(v)) {
-          out.add(dst, [&](FrameWriter& w) { put_color_record(w, gv, c); },
-                  send);
+          out.add(dst, ColorRecord{gv, c}, send);
         }
       }
       st.uncolored = std::move(still_uncolored);
@@ -102,10 +101,10 @@ JonesPlassmannResult color_jones_plassmann(
                         std::vector<BspMessage> msgs) {
       JpRankState& st = states[static_cast<std::size_t>(ctx.rank())];
       for (const BspMessage& msg : msgs) {
-        for_each_color_record(msg.payload, [&](VertexId global, Color c) {
-          const VertexId local = st.lg->local_id(global);
+        for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
+          const VertexId local = st.lg->local_id(rec.id);
           PMC_CHECK(local != kNoVertex, "JP record for unknown vertex");
-          st.color[static_cast<std::size_t>(local)] = c;
+          st.color[static_cast<std::size_t>(local)] = rec.color;
         });
       }
     });

@@ -35,8 +35,7 @@ DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
       const Color cv = c.color[static_cast<std::size_t>(gv)];
       ctx.charge(static_cast<double>(lg.degree(v)));
       for (const Rank dst : lg.boundary_ranks(v)) {
-        out.add(dst, [&](FrameWriter& w) { put_color_record(w, gv, cv); },
-                send);
+        out.add(dst, ColorRecord{gv, cv}, send);
       }
     }
     out.flush(send);
@@ -49,8 +48,8 @@ DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
     std::int64_t& mine = violations[static_cast<std::size_t>(r)];
     std::unordered_map<VertexId, Color> ghost_color;
     for (const BspMessage& msg : msgs) {
-      for_each_color_record(msg.payload, [&](VertexId gv, Color color) {
-        ghost_color[gv] = color;
+      for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
+        ghost_color[rec.id] = rec.color;
       });
     }
     for (VertexId v = 0; v < lg.num_owned(); ++v) {

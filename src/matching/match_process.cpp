@@ -88,49 +88,8 @@ void MatchProcess::start(EventContext& ctx) {
 void MatchProcess::handle(EventContext& ctx, Rank src,
                           std::span<const std::byte> payload) {
   (void)src;
-  ++activations_;
-  // Trace attribution: this rank's sends now belong to its activation
-  // depth (the matching analogue of a round), and record handling plus
-  // the cascades it triggers count as boundary work.
-  ctx.set_round(activations_);
-  ctx.set_phase(WorkPhase::kBoundary);
-  FrameReader reader(payload);
-  PMC_CHECK(reader.valid(), "undetected bad frame reached the matching: "
-                                << reader.error());
-  for (std::int64_t i = 0; i < reader.records(); ++i) {
-    const std::uint8_t type = reader.read_u8();
-    ctx.charge(1.0);
-    handle_record(ctx, reader, type);
-    process_pending(ctx);
-  }
-  PMC_CHECK(reader.done(), "trailing garbage after the last matching record");
-  flush(ctx);
-}
-
-void MatchProcess::handle_record(EventContext& ctx, FrameReader& reader,
-                                 std::uint8_t type) {
-  switch (static_cast<RecordType>(type)) {
-    case RecordType::kRequest: {
-      const VertexId u_global = reader.read_id();
-      const VertexId v_global = reader.read_id_rel();
-      handle_request(ctx, u_global, v_global);
-      break;
-    }
-    case RecordType::kSucceeded: {
-      const VertexId x_global = reader.read_id();
-      const VertexId mate_global = reader.read_id_rel();
-      handle_succeeded(ctx, x_global, mate_global);
-      break;
-    }
-    case RecordType::kFailed: {
-      const VertexId x_global = reader.read_id();
-      handle_failed(ctx, x_global);
-      break;
-    }
-    default:
-      PMC_FAIL("unknown matching record type "
-               << static_cast<int>(type) << " on rank " << lg_.rank());
-  }
+  handle_records<Request, Succeeded, Failed>(
+      ctx, payload, [&](const auto& record) { on_record(ctx, record); });
 }
 
 bool MatchProcess::done() const { return undecided_ == 0; }
@@ -188,8 +147,8 @@ void MatchProcess::recompute_candidate(EventContext& ctx, VertexId v) {
   }
   // Cross candidate: signal the matching preference (paper §3.2), then
   // complete immediately if the other side already requested us (R-set).
-  enqueue_record(ctx, lg_.ghost_owner(c), RecordType::kRequest,
-                 lg_.global_id(v), lg_.global_id(c));
+  enqueue_record(ctx, lg_.ghost_owner(c),
+                 Request{lg_.global_id(v), lg_.global_id(c)});
   if (arc_requested_[static_cast<std::size_t>(arc)]) {
     match_cross(ctx, v, c);
   }
@@ -201,7 +160,7 @@ void MatchProcess::fail_vertex(EventContext& ctx, VertexId v) {
   state_[static_cast<std::size_t>(v)] = VState::kFailed;
   cand_[static_cast<std::size_t>(v)] = kNoVertex;
   --undecided_;
-  notify_decided(ctx, v, RecordType::kFailed, kNoVertex, kNoRank);
+  notify_decided(ctx, v, Failed{lg_.global_id(v)}, kNoRank);
 }
 
 void MatchProcess::match_local(EventContext& ctx, VertexId a, VertexId b) {
@@ -210,8 +169,10 @@ void MatchProcess::match_local(EventContext& ctx, VertexId a, VertexId b) {
   mate_[static_cast<std::size_t>(a)] = b;
   mate_[static_cast<std::size_t>(b)] = a;
   undecided_ -= 2;
-  notify_decided(ctx, a, RecordType::kSucceeded, lg_.global_id(b), kNoRank);
-  notify_decided(ctx, b, RecordType::kSucceeded, lg_.global_id(a), kNoRank);
+  notify_decided(ctx, a, Succeeded{lg_.global_id(a), lg_.global_id(b)},
+                 kNoRank);
+  notify_decided(ctx, b, Succeeded{lg_.global_id(b), lg_.global_id(a)},
+                 kNoRank);
 }
 
 void MatchProcess::match_cross(EventContext& ctx, VertexId v, VertexId ghost) {
@@ -222,13 +183,13 @@ void MatchProcess::match_cross(EventContext& ctx, VertexId v, VertexId ghost) {
   // vertex. Its owner reaches the same conclusion from our REQUEST, so no
   // SUCCEEDED needs to travel to the mate's rank.
   ghost_died(ghost, /*skip=*/v);
-  notify_decided(ctx, v, RecordType::kSucceeded, lg_.global_id(ghost),
+  notify_decided(ctx, v, Succeeded{lg_.global_id(v), lg_.global_id(ghost)},
                  lg_.ghost_owner(ghost));
 }
 
+template <typename R>
 void MatchProcess::notify_decided(EventContext& ctx, VertexId x,
-                                  RecordType type, VertexId mate_global,
-                                  Rank exclude_rank) {
+                                  const R& record, Rank exclude_rank) {
   scratch_ranks_.clear();
   for (EdgeId a = lg_.offset_begin(x); a < lg_.offset_end(x); ++a) {
     ctx.charge(1.0);
@@ -250,7 +211,7 @@ void MatchProcess::notify_decided(EventContext& ctx, VertexId x,
       std::unique(scratch_ranks_.begin(), scratch_ranks_.end()),
       scratch_ranks_.end());
   for (Rank r : scratch_ranks_) {
-    enqueue_record(ctx, r, type, lg_.global_id(x), mate_global);
+    enqueue_record(ctx, r, record);
   }
 }
 
@@ -285,14 +246,13 @@ void MatchProcess::process_pending(EventContext& ctx) {
 
 // ---- message handling ---------------------------------------------------
 
-void MatchProcess::handle_request(EventContext& ctx, VertexId u_global,
-                                  VertexId v_global) {
-  const VertexId gu = lg_.local_id(u_global);
-  const VertexId v = lg_.local_id(v_global);
+void MatchProcess::on_record(EventContext& ctx, const Request& request) {
+  const VertexId gu = lg_.local_id(request.from);
+  const VertexId v = lg_.local_id(request.to);
   PMC_CHECK(gu != kNoVertex && lg_.is_ghost(gu),
-            "REQUEST names unknown ghost " << u_global);
+            "REQUEST names unknown ghost " << request.from);
   PMC_CHECK(v != kNoVertex && !lg_.is_ghost(v),
-            "REQUEST targets non-owned vertex " << v_global);
+            "REQUEST targets non-owned vertex " << request.to);
   // Record the incoming preference on the (v, gu) arc — the R(v) set.
   const EdgeId arc = find_arc(v, gu);
   arc_requested_[static_cast<std::size_t>(arc)] = true;
@@ -306,25 +266,24 @@ void MatchProcess::handle_request(EventContext& ctx, VertexId u_global,
   }
 }
 
-void MatchProcess::handle_succeeded(EventContext& ctx, VertexId x_global,
-                                    VertexId mate_global) {
+void MatchProcess::on_record(EventContext& ctx, const Succeeded& succeeded) {
   (void)ctx;
-  const VertexId gx = lg_.local_id(x_global);
+  const VertexId gx = lg_.local_id(succeeded.vertex);
   PMC_CHECK(gx != kNoVertex && lg_.is_ghost(gx),
-            "SUCCEEDED names unknown ghost " << x_global);
-  const VertexId mate_local = lg_.local_id(mate_global);
+            "SUCCEEDED names unknown ghost " << succeeded.vertex);
+  const VertexId mate_local = lg_.local_id(succeeded.mate);
   // The mate can never be one of our owned vertices: the owner excludes
   // the mate's rank from SUCCEEDED (the handshake covers it).
   PMC_CHECK(mate_local == kNoVertex || lg_.is_ghost(mate_local),
-            "unexpected SUCCEEDED for handshake mate " << mate_global);
+            "unexpected SUCCEEDED for handshake mate " << succeeded.mate);
   ghost_died(gx, kNoVertex);
 }
 
-void MatchProcess::handle_failed(EventContext& ctx, VertexId x_global) {
+void MatchProcess::on_record(EventContext& ctx, const Failed& failed) {
   (void)ctx;
-  const VertexId gx = lg_.local_id(x_global);
+  const VertexId gx = lg_.local_id(failed.vertex);
   PMC_CHECK(gx != kNoVertex && lg_.is_ghost(gx),
-            "FAILED names unknown ghost " << x_global);
+            "FAILED names unknown ghost " << failed.vertex);
   ghost_died(gx, kNoVertex);
 }
 
@@ -341,35 +300,6 @@ EdgeId MatchProcess::find_arc(VertexId v, VertexId t) const {
 // per destination until flush() (one message per neighbor rank per
 // activation, the paper's §3.3 bundling); eager mode sends each record on
 // its own (the unbundled ablation).
-
-void MatchProcess::enqueue_record(EventContext& ctx, Rank dst, RecordType type,
-                                  VertexId a, VertexId b) {
-  bundler_.add(
-      dst, [&](FrameWriter& w) { encode(w, type, a, b); },
-      [&](Rank d, std::vector<std::byte> payload, std::int64_t records) {
-        ctx.send(d, std::move(payload), records);
-      });
-}
-
-void MatchProcess::encode(FrameWriter& w, RecordType type, VertexId a,
-                          VertexId b) {
-  w.begin_record();
-  w.put_u8(static_cast<std::uint8_t>(type));
-  // Spelled out per kind so each record layout is checkable against its
-  // decoder in handle_record; kFailed carries no partner id.
-  switch (type) {
-    case RecordType::kRequest:
-    case RecordType::kSucceeded:
-      w.put_id(a);
-      // b is a graph neighbor of a (REQUEST target / mate), so the relative
-      // encoding stays short under the compact codec.
-      w.put_id_rel(b);
-      break;
-    case RecordType::kFailed:
-      w.put_id(a);
-      break;
-  }
-}
 
 void MatchProcess::flush(EventContext& ctx) {
   bundler_.flush(

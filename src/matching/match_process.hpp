@@ -5,16 +5,18 @@
 // The base class implements the one-shot protocol exactly: REQUEST /
 // SUCCEEDED / FAILED records, bundled or eager, over the event engine.
 // Derived classes (e.g. the service-mode incremental re-matcher) add record
-// types by overriding handle_record() and reuse the candidate/cascade
-// machinery through the protected surface. The base behavior is
-// byte-identical to the pre-refactor implementation — the determinism pins
-// in tests/test_determinism_regression.cpp hold across the move.
+// kinds by overriding handle() around handle_records() and reuse the
+// candidate/cascade machinery through the protected surface. The base
+// behavior is byte-identical to the pre-refactor implementation — the
+// determinism pins in tests/test_determinism_regression.cpp hold across the
+// move.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -43,25 +45,57 @@ class MatchProcess : public Process {
 
   [[nodiscard]] int activations() const noexcept { return activations_; }
 
- protected:
-  enum class RecordType : std::uint8_t {
-    kRequest = 1,    // (sender vertex, target vertex)
-    kSucceeded = 2,  // (matched vertex, its mate)
-    kFailed = 3,     // (failed vertex)
+  // ---- wire records (paper §3.2) ------------------------------------------
+
+  /// REQUEST: `from` (a ghost of the receiver) prefers the receiver's `to`.
+  struct Request {
+    static constexpr std::uint8_t kTag = 1;
+    VertexId from = kNoVertex;
+    VertexId to = kNoVertex;
+    static constexpr std::tuple kFields{IdField{&Request::from},
+                                        RelIdField{&Request::to}};
+  };
+  /// SUCCEEDED: `vertex` matched `mate`.
+  struct Succeeded {
+    static constexpr std::uint8_t kTag = 2;
+    VertexId vertex = kNoVertex;
+    VertexId mate = kNoVertex;
+    static constexpr std::tuple kFields{IdField{&Succeeded::vertex},
+                                        RelIdField{&Succeeded::mate}};
+  };
+  /// FAILED: `vertex` has no live neighbor left.
+  struct Failed {
+    static constexpr std::uint8_t kTag = 3;
+    VertexId vertex = kNoVertex;
+    static constexpr std::tuple kFields{IdField{&Failed::vertex}};
   };
 
+ protected:
   enum class VState : std::uint8_t {
     kUndecided = 0,
     kMatched = 1,
     kFailed = 2
   };
 
-  /// Decodes and dispatches one record (the reader is positioned just past
-  /// the type byte). The base implementation handles the three one-shot
-  /// record types and fails on anything else; derived classes intercept
-  /// their own types and delegate the rest here.
-  virtual void handle_record(EventContext& ctx, FrameReader& reader,
-                             std::uint8_t type);
+  /// One activation: decodes the payload's records of kinds R..., and for
+  /// each charges one unit, calls on_record(record), then drains the
+  /// cascades it queued; finally flushes the outgoing records.
+  template <typename... R, typename Fn>
+  void handle_records(EventContext& ctx, std::span<const std::byte> payload,
+                      Fn&& on_record) {
+    ++activations_;
+    // Trace attribution: this rank's sends now belong to its activation
+    // depth (the matching analogue of a round), and record handling plus
+    // the cascades it triggers count as boundary work.
+    ctx.set_round(activations_);
+    ctx.set_phase(WorkPhase::kBoundary);
+    for_each_record<R...>(payload, [&](const auto& record) {
+      ctx.charge(1.0);
+      on_record(record);
+      process_pending(ctx);
+    });
+    flush(ctx);
+  }
 
   // ---- candidate maintenance ---------------------------------------------
 
@@ -73,24 +107,31 @@ class MatchProcess : public Process {
   void fail_vertex(EventContext& ctx, VertexId v);
   void match_local(EventContext& ctx, VertexId a, VertexId b);
   void match_cross(EventContext& ctx, VertexId v, VertexId ghost);
-  void notify_decided(EventContext& ctx, VertexId x, RecordType type,
-                      VertexId mate_global, Rank exclude_rank);
+  /// Sends `record` (x's SUCCEEDED or FAILED) to every rank holding a live
+  /// ghost of x except `exclude_rank`, and queues x's waiting neighbors.
+  template <typename R>
+  void notify_decided(EventContext& ctx, VertexId x, const R& record,
+                      Rank exclude_rank);
   void ghost_died(VertexId ghost, VertexId skip);
   void process_pending(EventContext& ctx);
 
   // ---- message handling ---------------------------------------------------
 
-  void handle_request(EventContext& ctx, VertexId u_global, VertexId v_global);
-  void handle_succeeded(EventContext& ctx, VertexId x_global,
-                        VertexId mate_global);
-  void handle_failed(EventContext& ctx, VertexId x_global);
+  void on_record(EventContext& ctx, const Request& request);
+  void on_record(EventContext& ctx, const Succeeded& succeeded);
+  void on_record(EventContext& ctx, const Failed& failed);
   [[nodiscard]] EdgeId find_arc(VertexId v, VertexId t) const;
 
   // ---- outgoing records ---------------------------------------------------
 
-  void enqueue_record(EventContext& ctx, Rank dst, RecordType type, VertexId a,
-                      VertexId b);
-  static void encode(FrameWriter& w, RecordType type, VertexId a, VertexId b);
+  template <typename R>
+  void enqueue_record(EventContext& ctx, Rank dst, const R& record) {
+    bundler_.add(dst, record,
+                 [&](Rank d, std::vector<std::byte> payload,
+                     std::int64_t records) {
+                   ctx.send(d, std::move(payload), records);
+                 });
+  }
   void flush(EventContext& ctx);
 
   /// Sorts vertex v's arcs by (weight desc, neighbor global id asc) — the

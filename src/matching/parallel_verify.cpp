@@ -11,7 +11,6 @@
 
 namespace pmc {
 
-// pmc-lint: schema(MateRecord)
 DistVerifyResult verify_matching_distributed(const DistGraph& dist,
                                              const Matching& m,
                                              const MachineModel& model,
@@ -37,13 +36,7 @@ DistVerifyResult verify_matching_distributed(const DistGraph& dist,
       const VertexId mate = m.mate[static_cast<std::size_t>(gv)];
       ctx.charge(static_cast<double>(lg.degree(v)));
       for (const Rank dst : lg.boundary_ranks(v)) {
-        out.add(dst,
-                [&](FrameWriter& w) {
-                  w.begin_record();
-                  w.put_id(gv);
-                  w.put_id_rel(mate);
-                },
-                send);
+        out.add(dst, MateRecord{gv, mate}, send);
       }
     }
     out.flush(send);
@@ -58,18 +51,9 @@ DistVerifyResult verify_matching_distributed(const DistGraph& dist,
     // Ghost mate table from the received records.
     std::unordered_map<VertexId, VertexId> ghost_mate;
     for (const BspMessage& msg : msgs) {
-      if (msg.payload.empty()) continue;
-      FrameReader reader(msg.payload);
-      PMC_CHECK(reader.valid(),
-                "undetected bad frame reached the matching verifier: "
-                    << reader.error());
-      for (std::int64_t i = 0; i < reader.records(); ++i) {
-        const VertexId gv = reader.read_id();
-        const VertexId mate = reader.read_id_rel();
-        ghost_mate[gv] = mate;
-      }
-      PMC_CHECK(reader.done(),
-                "trailing garbage after the last boundary-mate record");
+      for_each_record<MateRecord>(msg.payload, [&](const MateRecord& rec) {
+        ghost_mate[rec.id] = rec.mate;
+      });
     }
     auto mate_of_local = [&](VertexId local) {
       const VertexId global = lg.global_id(local);

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 
 #include "matching/matching.hpp"
 #include "runtime/comm_stats.hpp"
@@ -19,6 +20,15 @@
 #include "runtime/serialize.hpp"
 
 namespace pmc {
+
+/// A boundary vertex's mate (kNoVertex when unmatched) — the record of the
+/// verifier's boundary exchange.
+struct MateRecord {
+  VertexId id = kNoVertex;
+  VertexId mate = kNoVertex;
+  static constexpr std::tuple kFields{IdField{&MateRecord::id},
+                                      RelIdField{&MateRecord::mate}};
+};
 
 /// Outcome of a distributed matching verification.
 struct DistVerifyResult {

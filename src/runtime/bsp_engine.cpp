@@ -107,9 +107,8 @@ void BspEngine::RankCtx::send(Rank dst, std::vector<std::byte> payload,
 void BspEngine::RankCtx::send(Rank dst, std::vector<std::byte> payload,
                               std::int64_t records, ReceiptFn on_receipt) {
   dirty_ = true;
-  const double send_time = lane_.begin_send();
-  sends_.push_back(
-      {dst, std::move(payload), records, send_time, std::move(on_receipt)});
+  sends_.push_back({dst, std::move(payload), records, lane_.begin_send(),
+                    std::move(on_receipt)});
 }
 
 std::vector<BspMessage> BspEngine::RankCtx::poll() {

@@ -124,7 +124,7 @@ class BspEngine {
       Rank dst = kNoRank;
       std::vector<std::byte> payload;
       std::int64_t records = 0;
-      double send_time = 0.0;
+      CommFabric::SendTime send_time;
       ReceiptFn on_receipt;
     };
 

@@ -26,7 +26,7 @@ Rank EventContext::num_ranks() const noexcept { return engine_->num_ranks(); }
 EventContext::DeferredOp& EventContext::record(DeferredOp::Kind kind) {
   DeferredOp& op = ops_->emplace_back();
   op.kind = kind;
-  op.note_time = lane_->now();
+  op.time = lane_->now();
   return op;
 }
 
@@ -41,7 +41,7 @@ void EventContext::send(Rank dst, std::vector<std::byte> payload,
   op.peer = dst;
   op.payload = std::move(payload);
   op.records = records;
-  op.send_time = lane_->begin_send(exempt_first);
+  op.time = lane_->begin_send(exempt_first);
 }
 
 void EventContext::set_round(int round) {
@@ -150,7 +150,8 @@ EventEngine::Channel& EventEngine::channel(Rank rank, Rank peer) {
 
 void EventEngine::enqueue_at(Rank src, Rank dst,
                              std::vector<std::byte> payload,
-                             std::int64_t records, double send_time) {
+                             std::int64_t records,
+                             CommFabric::SendTime send_time) {
   if (!transport_) {
     const auto receipt =
         fabric_.post_send_at(src, dst, payload.size(), records, send_time);
@@ -174,7 +175,7 @@ void EventEngine::enqueue_at(Rank src, Rank dst,
 void EventEngine::transmit_priced(Rank src, Rank dst, std::uint64_t tseq,
                                   const std::vector<std::byte>& payload,
                                   std::int64_t records, int attempt,
-                                  double send_time) {
+                                  CommFabric::SendTime send_time) {
   const FaultConfig& F = fabric_.config().fault;
   const bool final_attempt = attempt >= F.max_attempts;
   const bool exempt = final_attempt && F.reliable_tail;
@@ -216,13 +217,14 @@ void EventEngine::transmit_priced(Rank src, Rank dst, std::uint64_t tseq,
     // the live clock, which has already absorbed the whole lane. It fires
     // at the sender (dst = src) and names the peer the message targets.
     push_event(EventKind::kTimer,
-               send_time + F.rto_seconds * std::pow(F.rto_backoff, attempt - 1),
+               send_time.seconds() +
+                   F.rto_seconds * std::pow(F.rto_backoff, attempt - 1),
                /*src=*/dst, /*dst=*/src, tseq);
   }
 }
 
 void EventEngine::replay_ack(Rank from, Rank to, std::uint64_t tseq,
-                             double send_time) {
+                             CommFabric::SendTime send_time) {
   // Acks ride the same lossy fabric (a lost ack is what makes duplicate
   // suppression necessary) but are never themselves retried.
   const auto receipt =
@@ -256,11 +258,11 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
         const bool fresh = channel(ev.dst, ev.src).deliver(ev.tseq);
         // Always (re-)ack: the sender may be retrying because an earlier
         // ack was lost.
-        const double ack_time = lane.begin_send(false);
+        const CommFabric::SendTime ack_time = lane.begin_send(false);
         EventContext::DeferredOp& ack = ctx.record(Kind::kAck);
         ack.peer = ev.src;
         ack.tseq = ev.tseq;
-        ack.send_time = ack_time;
+        ack.time = ack_time;
         if (!fresh) {
           ctx.record(Kind::kNoteDupSuppressed);
           return;
@@ -298,7 +300,7 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
       const FaultConfig& F = fabric_.config().fault;
       const bool final_attempt = entry->attempt >= F.max_attempts;
       const bool exempt = final_attempt && F.reliable_tail;
-      const double send_time = lane.begin_send(exempt);
+      const CommFabric::SendTime send_time = lane.begin_send(exempt);
       // Snapshot the message: a later ack in the same window (processed by
       // this same shard) may erase the entry before the merge replays the
       // retransmission.
@@ -308,7 +310,7 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
       resend.records = entry->records;
       resend.attempt = entry->attempt;
       resend.tseq = ev.tseq;
-      resend.send_time = send_time;
+      resend.time = send_time;
       // See enqueue_at(): after the final try the entry goes now.
       if (final_attempt) chan.retire(ev.tseq);
       return;
@@ -392,33 +394,35 @@ void EventEngine::dispatch_window() {
 void EventEngine::replay_ops(Rank rank,
                              std::vector<EventContext::DeferredOp>& ops) {
   using Kind = EventContext::DeferredOp::Kind;
+  using SendTime = CommFabric::SendTime;
   for (EventContext::DeferredOp& op : ops) {
     switch (op.kind) {
       case Kind::kSend:
         enqueue_at(rank, op.peer, std::move(op.payload), op.records,
-                   op.send_time);
+                   std::get<SendTime>(op.time));
         break;
       case Kind::kRound:
         fabric_.set_round(rank, op.round);
         break;
       case Kind::kAck:
-        replay_ack(rank, op.peer, op.tseq, op.send_time);
+        replay_ack(rank, op.peer, op.tseq, std::get<SendTime>(op.time));
         break;
       case Kind::kRetransmit:
         transmit_priced(rank, op.peer, op.tseq, op.payload, op.records,
-                        op.attempt, op.send_time);
+                        op.attempt, std::get<SendTime>(op.time));
         break;
       case Kind::kNoteBackoff:
         fabric_.note_backoff(rank, op.seconds);
         break;
       case Kind::kNoteRetry:
-        fabric_.note_retry_at(op.note_time, rank, op.peer, op.attempt);
+        fabric_.note_retry_at(std::get<double>(op.time), rank, op.peer,
+                              op.attempt);
         break;
       case Kind::kNoteDupSuppressed:
-        fabric_.note_dup_suppressed_at(op.note_time, rank);
+        fabric_.note_dup_suppressed_at(std::get<double>(op.time), rank);
         break;
       case Kind::kNoteCorruptDetected:
-        fabric_.note_corruption_detected_at(op.note_time, rank);
+        fabric_.note_corruption_detected_at(std::get<double>(op.time), rank);
         break;
     }
   }

@@ -39,6 +39,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "runtime/comm_stats.hpp"
@@ -103,8 +104,9 @@ class EventContext {
     Rank peer = kNoRank;             ///< Send/ack target or retry peer.
     std::vector<std::byte> payload;  ///< kSend; kRetransmit (snapshot).
     std::int64_t records = 0;
-    double send_time = 0.0;  ///< kSend/kAck/kRetransmit: lane-priced time.
-    double note_time = 0.0;  ///< kNote*: the clock value the note reads.
+    /// kNote*: the clock value the note reads; kSend/kAck/kRetransmit: the
+    /// lane-priced send time.
+    std::variant<double, CommFabric::SendTime> time;
     double seconds = 0.0;    ///< kNoteBackoff: waited seconds.
     int round = 0;           ///< kRound label.
     int attempt = 0;         ///< kRetransmit/kNoteRetry: attempt number.
@@ -257,10 +259,9 @@ class EventEngine {
   };
 
   /// Replays one recorded first transmission: the sender-side clock costs
-  /// were already applied to the rank's lane and `send_time` is the lane's
-  /// recorded value (fabric pricing goes through CommFabric::post_send_at).
+  /// were already applied to the rank's lane, which priced `send_time`.
   void enqueue_at(Rank src, Rank dst, std::vector<std::byte> payload,
-                  std::int64_t records, double send_time);
+                  std::int64_t records, CommFabric::SendTime send_time);
   /// Queues an event in the bucket its time falls in.
   void push_event(EventKind kind, double time, Rank src, Rank dst,
                   std::uint64_t tseq, std::vector<std::byte> payload = {},
@@ -273,10 +274,12 @@ class EventEngine {
   /// budget. Shared by first transmissions and retransmissions.
   void transmit_priced(Rank src, Rank dst, std::uint64_t tseq,
                        const std::vector<std::byte>& payload,
-                       std::int64_t records, int attempt, double send_time);
+                       std::int64_t records, int attempt,
+                       CommFabric::SendTime send_time);
   /// Prices and schedules one transport ack whose sender-side clock costs
   /// are already paid. Acks ride the same lossy fabric but never retry.
-  void replay_ack(Rank from, Rank to, std::uint64_t tseq, double send_time);
+  void replay_ack(Rank from, Rank to, std::uint64_t tseq,
+                  CommFabric::SendTime send_time);
   /// Dispatches one event through `ctx`, recording its effects for the
   /// window merge.
   void dispatch(const Event& ev, EventContext& ctx);

@@ -85,10 +85,11 @@ double CommFabric::max_time() const {
 CommFabric::SendReceipt CommFabric::post_send_at(Rank src, Rank dst,
                                                  std::size_t payload_bytes,
                                                  std::int64_t records,
-                                                 double send_time,
+                                                 SendTime send,
                                                  bool fault_exempt) {
   PMC_REQUIRE(dst >= 0 && dst < num_ranks(), "send to invalid rank " << dst);
   PMC_REQUIRE(dst != src, "send to self (rank " << src << ")");
+  const double send_time = send.seconds();
   const FaultConfig& F = config_.fault;
   const bool faulty = F.enabled() && !fault_exempt;
   double arrival =
@@ -201,7 +202,7 @@ void CommFabric::Lane::charge(double work_units, WorkPhase phase) {
   }
 }
 
-double CommFabric::Lane::begin_send(bool fault_exempt) {
+CommFabric::SendTime CommFabric::Lane::begin_send(bool fault_exempt) {
   // A stalled sender cannot inject into the network until the window clears
   // (stalls also cover the exempt path: the rank itself is down, not just
   // the lossy link).
@@ -211,7 +212,7 @@ double CommFabric::Lane::begin_send(bool fault_exempt) {
   // Sender pays the per-message software overhead (LogP "o") before the
   // message enters the network — the cost message bundling amortizes.
   clock_ += fabric_->model_.send_overhead;
-  return clock_;
+  return SendTime(clock_);
 }
 
 void CommFabric::absorb_lane(const Lane& lane) {

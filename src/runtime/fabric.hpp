@@ -20,8 +20,8 @@
 //     one of the coloring paper's §4.2 send policies: kBroadcastUnion
 //     (FIAB), kCustomizedAll (FIAC), or kCustomizedNeighbors (NEW).
 //
-// put_color_record / for_each_color_record are the one ColorRecord codec
-// that FanoutStage, the coloring drivers and the coloring verifier share.
+// ColorRecord is the one record kind that FanoutStage, the coloring
+// drivers and the coloring verifier share.
 //
 // All modelled-time semantics (send overhead, latency + inverse-bandwidth
 // cost, FIFO channels, deterministic jitter) are bit-identical to the
@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -113,6 +114,22 @@ class CommFabric {
  public:
   using Config = FabricConfig;
 
+  class Lane;
+
+  /// The instant a send enters the network, priced by Lane::begin_send()
+  /// and required by post_send_at(). Only a Lane can make one, so every
+  /// posted message has paid its sender-side costs, and a send cannot be
+  /// priced at a constant or a live clock read.
+  class SendTime {
+   public:
+    [[nodiscard]] double seconds() const noexcept { return seconds_; }
+
+   private:
+    friend class Lane;
+    explicit SendTime(double seconds) noexcept : seconds_(seconds) {}
+    double seconds_;
+  };
+
   /// What post_send_at() hands back to the engine's scheduler.
   struct SendReceipt {
     double arrival = 0.0;    ///< Modelled arrival time (FIFO-adjusted).
@@ -149,14 +166,14 @@ class CommFabric {
 
   /// The shared send path. The sender-side costs (stall wait + software
   /// overhead) were already applied to a Lane replica of src's clock by
-  /// Lane::begin_send() — `send_time` is the replica's value at the send
-  /// point — so this never reads or moves src's live clock. It prices the
-  /// message with the alpha-beta model (+ optional deterministic jitter),
-  /// enforces FIFO non-overtaking on the (src, dst) channel, and accounts
-  /// the message in CommStats and the trace; the engine schedules delivery
-  /// at the returned arrival time. Replaying a phase's recorded sends in
-  /// rank order therefore fixes sequence numbers, jitter and fault
-  /// verdicts, channel FIFO state and trace events at every thread count.
+  /// Lane::begin_send(), which priced `send_time` — so this never reads or
+  /// moves src's live clock. It prices the message with the alpha-beta
+  /// model (+ optional deterministic jitter), enforces FIFO non-overtaking
+  /// on the (src, dst) channel, and accounts the message in CommStats and
+  /// the trace; the engine schedules delivery at the returned arrival time.
+  /// Replaying a phase's recorded sends in rank order therefore fixes
+  /// sequence numbers, jitter and fault verdicts, channel FIFO state and
+  /// trace events at every thread count.
   ///
   /// When fault injection is configured (config().fault.enabled()) the
   /// receipt may additionally report the message dropped, duplicated or
@@ -164,7 +181,7 @@ class CommFabric {
   /// (delivery). `fault_exempt` sends (acks' escalation path, the reliable
   /// tail) bypass the verdicts but still consume a sequence number.
   SendReceipt post_send_at(Rank src, Rank dst, std::size_t payload_bytes,
-                           std::int64_t records, double send_time,
+                           std::int64_t records, SendTime send_time,
                            bool fault_exempt = false);
 
   // ---- collectives ---------------------------------------------------------
@@ -244,7 +261,7 @@ class CommFabric {
     /// Applies the sender-side cost of one message (stall wait unless the
     /// send is fault-exempt, then the software overhead) to the replica
     /// clock and returns the send time to record for post_send_at().
-    double begin_send(bool fault_exempt = false);
+    [[nodiscard]] SendTime begin_send(bool fault_exempt = false);
 
    private:
     friend class CommFabric;
@@ -393,10 +410,9 @@ enum class BundleMode {
 /// promoted from the matching algorithm into the runtime so every algorithm
 /// (and the unbundled ablation) shares one implementation.
 ///
-/// Records are appended through an encode callback writing into the staged
-/// FrameWriter (the callback is responsible for begin_record()); the send
-/// callback receives (dst, framed payload, record_count) and forwards to
-/// the engine. Bundled records stage in an Outbox over `destinations`
+/// Records are appended whole (FrameWriter::put); the send callback
+/// receives (dst, framed payload, record_count) and forwards to the
+/// engine. Bundled records stage in an Outbox over `destinations`
 /// (eager mode stages nothing and holds no slots). With a non-zero flush
 /// threshold, a destination's bundle is sent as soon as its staged
 /// *payload* (pre-frame encoded bytes) reaches the threshold (bounding
@@ -413,19 +429,19 @@ class Bundler {
                  ? Outbox()
                  : Outbox(std::move(destinations), codec)) {}
 
-  /// Appends one record for dst. EncodeFn is void(FrameWriter&); SendFn is
-  /// void(Rank, std::vector<std::byte>, std::int64_t records).
-  template <typename EncodeFn, typename SendFn>
-  void add(Rank dst, EncodeFn&& encode, SendFn&& send) {
+  /// Appends one record for dst. SendFn is void(Rank,
+  /// std::vector<std::byte>, std::int64_t records).
+  template <typename R, typename SendFn>
+  void add(Rank dst, const R& record, SendFn&& send) {
     if (mode_ == BundleMode::kEager) {
       FrameWriter w(codec_);
-      encode(w);
+      w.put(record);
       const std::int64_t records = w.records();
       send(dst, w.take(), records);
       return;
     }
     FrameWriter& w = out_.slot(dst);
-    encode(w);
+    w.put(record);
     if (flush_threshold_bytes_ != 0 &&
         w.payload_size() >= flush_threshold_bytes_) {
       const std::int64_t records = w.records();
@@ -453,33 +469,14 @@ class Bundler {
   Outbox out_;
 };
 
-/// Appends one ColorRecord — a boundary vertex's (global id, color) — to w.
-/// The one encoder behind every coloring driver's and verifier's boundary
-/// exchange.
-// pmc-lint: schema(ColorRecord)
-inline void put_color_record(FrameWriter& w, VertexId global, Color c) {
-  w.begin_record();
-  w.put_id(global);
-  w.put_color(c);
-}
-
-/// Calls fn(global, color) for every ColorRecord of a frame, in order — the
-/// one decoder for put_color_record. An empty payload (FIAC's zero-byte
-/// messages) holds no records; an invalid frame or trailing bytes after the
-/// last record raise pmc::Error.
-// pmc-lint: schema(ColorRecord)
-template <typename Fn>
-void for_each_color_record(std::span<const std::byte> payload, Fn&& fn) {
-  if (payload.empty()) return;
-  FrameReader reader(payload);
-  PMC_CHECK(reader.valid(), "bad ColorRecord frame: " << reader.error());
-  for (std::int64_t i = 0; i < reader.records(); ++i) {
-    const VertexId global = reader.read_id();
-    const Color c = reader.read_color();
-    fn(global, c);
-  }
-  PMC_CHECK(reader.done(), "trailing garbage after the last ColorRecord");
-}
+/// A boundary vertex's color — the record of every coloring driver's and
+/// verifier's boundary exchange.
+struct ColorRecord {
+  VertexId id = kNoVertex;
+  Color color = kNoColor;
+  static constexpr std::tuple kFields{IdField{&ColorRecord::id},
+                                      ColorField{&ColorRecord::color}};
+};
 
 /// Per-source staging of one superstep's boundary records, flushed under a
 /// SendPolicy — the coloring paper's FIAB / FIAC / NEW comparison expressed
@@ -496,12 +493,12 @@ class FanoutStage {
 
   /// Stages one customized ColorRecord for dst (kCustomizedNeighbors / -All).
   void stage(Rank dst, VertexId global, Color c) {
-    put_color_record(out_.slot(dst), global, c);
+    out_.slot(dst).put(ColorRecord{global, c});
   }
 
   /// Stages one ColorRecord of the shared union payload (kBroadcastUnion).
   void stage_union(VertexId global, Color c) {
-    put_color_record(union_payload_, global, c);
+    union_payload_.put(ColorRecord{global, c});
   }
 
   /// Sends the staged records from src under `policy` and resets the stage.

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "support/rng.hpp"
 
@@ -148,28 +149,31 @@ std::uint64_t FrameReader::read_uvarint() {
   return out;
 }
 
-std::uint8_t FrameReader::read_u8() {
-  PMC_CHECK(valid(), "reading from an invalid frame: " << error_);
-  return read_raw<std::uint8_t>();
+VertexId FrameReader::chained(std::int64_t delta) const {
+  VertexId id = 0;
+  PMC_CHECK(!__builtin_add_overflow(last_id_, delta, &id),
+            "vertex id delta " << delta << " overflows the chain at "
+                               << last_id_);
+  return id;
 }
 
 VertexId FrameReader::read_id() {
-  PMC_CHECK(valid(), "reading from an invalid frame: " << error_);
   if (codec_ == WireCodec::kFixed) return read_raw<VertexId>();
-  last_id_ += read_svarint();
+  last_id_ = chained(read_svarint());
   return last_id_;
 }
 
 VertexId FrameReader::read_id_rel() {
-  PMC_CHECK(valid(), "reading from an invalid frame: " << error_);
   if (codec_ == WireCodec::kFixed) return read_raw<VertexId>();
-  return last_id_ + read_svarint();
+  return chained(read_svarint());
 }
 
 Color FrameReader::read_color() {
-  PMC_CHECK(valid(), "reading from an invalid frame: " << error_);
   if (codec_ == WireCodec::kFixed) return read_raw<Color>();
   const std::int64_t c = read_svarint();
+  PMC_CHECK(c >= std::numeric_limits<Color>::min() &&
+                c <= std::numeric_limits<Color>::max(),
+            "color " << c << " out of range");
   return static_cast<Color>(c);
 }
 

@@ -31,17 +31,20 @@
 // is reported through FrameReader::valid() — never a crash — so the
 // engines' retry/repair machinery can treat it as a detected corruption.
 //
-// ByteWriter/ByteReader remain as the low-level fixed-width primitive (the
-// frame internals and a few tests use them directly). The encoding is
-// native-endian throughout: messages never leave the process — the runtime
-// is a simulation.
+// Each record kind (ColorRecord, the matching protocol's records, ...) is a
+// struct with one field list, kFields; FrameWriter::put writes it and
+// for_each_record reads it, so an encoder and a decoder cannot disagree on
+// a layout. The fixed-width encoding is native-endian: messages never leave
+// the process — the runtime is a simulation.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -49,65 +52,6 @@
 #include "support/types.hpp"
 
 namespace pmc {
-
-/// Appends trivially copyable values to a growing byte buffer.
-class ByteWriter {
- public:
-  template <typename T>
-  void put(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "ByteWriter only supports trivially copyable types");
-    const auto old = bytes_.size();
-    bytes_.resize(old + sizeof(T));
-    std::memcpy(bytes_.data() + old, &value, sizeof(T));
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return bytes_.empty(); }
-
-  /// Releases the buffer (writer becomes empty). The moved-from vector is
-  /// cleared explicitly: the standard only leaves it in a valid unspecified
-  /// state, and the writer is documented to be reusable after take().
-  [[nodiscard]] std::vector<std::byte> take() noexcept {
-    std::vector<std::byte> out = std::move(bytes_);
-    bytes_.clear();
-    return out;
-  }
-
-  void clear() noexcept { bytes_.clear(); }
-
- private:
-  std::vector<std::byte> bytes_;
-};
-
-/// Sequentially decodes values from a byte payload.
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::byte> bytes) noexcept
-      : bytes_(bytes) {}
-
-  template <typename T>
-  [[nodiscard]] T get() {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "ByteReader only supports trivially copyable types");
-    PMC_CHECK(pos_ + sizeof(T) <= bytes_.size(),
-              "message underflow: need " << sizeof(T) << " bytes at offset "
-                                         << pos_ << " of " << bytes_.size());
-    T value;
-    std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return value;
-  }
-
-  [[nodiscard]] bool done() const noexcept { return pos_ == bytes_.size(); }
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return bytes_.size() - pos_;
-  }
-
- private:
-  std::span<const std::byte> bytes_;
-  std::size_t pos_ = 0;
-};
 
 // ---- wire codec -----------------------------------------------------------
 
@@ -185,14 +129,38 @@ class VarintWriter {
   std::vector<std::byte> bytes_;
 };
 
-/// Encodes one outgoing message: records appended through the typed put_*
-/// API, sealed into a checksummed frame by take(). Under kFixed the payload
-/// bytes are identical to the legacy fixed-width encoding; under kCompact
-/// ids are delta-chained varints (put_id advances the chain, put_id_rel
-/// encodes relative to the last put_id without advancing it) and colors are
-/// zigzag varints. take() of a writer with no records returns an empty
-/// vector — empty messages (the FIAC mode's non-neighbor sends) stay
-/// zero-byte on the wire.
+/// How one field of a record kind travels. A record kind is a struct whose
+/// `static constexpr std::tuple kFields` lists these in wire order. Under
+/// kCompact an IdField is a varint delta on the frame's id chain and
+/// advances it; a RelIdField is a varint relative to the last IdField and
+/// leaves the chain alone (mates and request targets are graph neighbors of
+/// the record's primary id, so the difference is small); a ColorField is a
+/// zigzag varint. Under kFixed they are 8, 8 and 4 raw bytes.
+template <typename R>
+struct IdField {
+  VertexId R::*member;
+};
+template <typename R>
+struct RelIdField {
+  VertexId R::*member;
+};
+template <typename R>
+struct ColorField {
+  Color R::*member;
+};
+
+/// A kind with a `static constexpr std::uint8_t kTag` writes that byte
+/// before its fields, so several kinds can share a frame.
+template <typename R>
+concept TaggedRecord = requires {
+  { R::kTag } -> std::convertible_to<std::uint8_t>;
+};
+
+/// Encodes one outgoing message: records appended by put(), sealed into a
+/// checksummed frame by take(). Under kFixed the payload bytes are
+/// identical to the legacy fixed-width encoding. take() of a writer with
+/// no records returns an empty vector — empty messages (the FIAC mode's
+/// non-neighbor sends) stay zero-byte on the wire.
 class FrameWriter {
  public:
   explicit FrameWriter(WireCodec codec = WireCodec::kCompact) noexcept
@@ -200,38 +168,13 @@ class FrameWriter {
 
   [[nodiscard]] WireCodec codec() const noexcept { return codec_; }
 
-  /// Starts one record (advances the frame's record count).
-  void begin_record() noexcept { ++records_; }
-
-  void put_u8(std::uint8_t b) { payload_.put_u8(b); }
-
-  /// Appends a vertex id on the frame's delta chain.
-  void put_id(VertexId id) {
-    if (codec_ == WireCodec::kFixed) {
-      payload_.put_raw(id);
-      return;
-    }
-    payload_.put_svarint(id - last_id_);
-    last_id_ = id;
-  }
-
-  /// Appends a vertex id relative to the last put_id (mates and request
-  /// targets are graph neighbors of the primary id, so the difference is
-  /// small); does not advance the delta chain.
-  void put_id_rel(VertexId id) {
-    if (codec_ == WireCodec::kFixed) {
-      payload_.put_raw(id);
-      return;
-    }
-    payload_.put_svarint(id - last_id_);
-  }
-
-  void put_color(Color c) {
-    if (codec_ == WireCodec::kFixed) {
-      payload_.put_raw(c);
-      return;
-    }
-    payload_.put_svarint(c);
+  /// Appends one record: its tag byte if R has one, then R::kFields.
+  template <typename R>
+  void put(const R& record) {
+    ++records_;
+    if constexpr (TaggedRecord<R>) payload_.put_u8(R::kTag);
+    std::apply([&](auto... field) { (put_field(record, field), ...); },
+               R::kFields);
   }
 
   [[nodiscard]] std::int64_t records() const noexcept { return records_; }
@@ -245,19 +188,45 @@ class FrameWriter {
   [[nodiscard]] std::vector<std::byte> take();
 
  private:
+  template <typename R>
+  void put_field(const R& record, IdField<R> field) {
+    const VertexId id = record.*field.member;
+    if (codec_ == WireCodec::kFixed) {
+      payload_.put_raw(id);
+      return;
+    }
+    payload_.put_svarint(id - last_id_);
+    last_id_ = id;
+  }
+  template <typename R>
+  void put_field(const R& record, RelIdField<R> field) {
+    const VertexId id = record.*field.member;
+    if (codec_ == WireCodec::kFixed) {
+      payload_.put_raw(id);
+      return;
+    }
+    payload_.put_svarint(id - last_id_);
+  }
+  template <typename R>
+  void put_field(const R& record, ColorField<R> field) {
+    const Color c = record.*field.member;
+    if (codec_ == WireCodec::kFixed) {
+      payload_.put_raw(c);
+      return;
+    }
+    payload_.put_svarint(c);
+  }
+
   WireCodec codec_;
   VarintWriter payload_;
   std::int64_t records_ = 0;
   VertexId last_id_ = 0;
 };
 
-/// Parses and validates one frame, then decodes its payload. Construction
-/// never throws on garbage input: header, length and checksum problems are
-/// reported through valid()/error() so the caller can route the failure
-/// into recovery instead of dying. The read_* cursor API mirrors
-/// FrameWriter and PMC_CHECKs against overruns (using it on an invalid
-/// frame is a programming error); decode loops should iterate records() and
-/// assert done() afterwards so trailing garbage is rejected.
+/// Parses and validates one frame. Construction never throws on garbage
+/// input: header, length and checksum problems are reported through
+/// valid()/error() so the engines can route a garbled frame into recovery
+/// instead of dying. Records are decoded only by for_each_record.
 class FrameReader {
  public:
   explicit FrameReader(std::span<const std::byte> frame) noexcept;
@@ -269,17 +238,41 @@ class FrameReader {
   [[nodiscard]] WireCodec codec() const noexcept { return codec_; }
   [[nodiscard]] std::int64_t records() const noexcept { return records_; }
 
-  [[nodiscard]] std::uint8_t read_u8();
+ private:
+  template <typename... R, typename Fn>
+  friend void for_each_record(std::span<const std::byte> payload, Fn&& fn);
+
+  template <typename R>
+  [[nodiscard]] R read_record() {
+    R record;
+    std::apply([&](auto... field) { (read_field(record, field), ...); },
+               R::kFields);
+    return record;
+  }
+  template <typename R>
+  void read_field(R& record, IdField<R> field) {
+    record.*field.member = read_id();
+  }
+  template <typename R>
+  void read_field(R& record, RelIdField<R> field) {
+    record.*field.member = read_id_rel();
+  }
+  template <typename R>
+  void read_field(R& record, ColorField<R> field) {
+    record.*field.member = read_color();
+  }
+
+  [[nodiscard]] std::uint8_t read_u8() { return read_raw<std::uint8_t>(); }
   /// Next vertex id on the frame's delta chain.
   [[nodiscard]] VertexId read_id();
   /// Vertex id relative to the last read_id (does not advance the chain).
   [[nodiscard]] VertexId read_id_rel();
   [[nodiscard]] Color read_color();
-
+  /// The id `delta` past the chain's last id; pmc::Error if it overflows.
+  [[nodiscard]] VertexId chained(std::int64_t delta) const;
   /// True once the payload cursor is exhausted.
   [[nodiscard]] bool done() const noexcept { return pos_ == payload_.size(); }
 
- private:
   void parse(std::span<const std::byte> frame) noexcept;
   [[nodiscard]] std::uint64_t read_uvarint();
   [[nodiscard]] std::int64_t read_svarint() {
@@ -304,6 +297,34 @@ class FrameReader {
   VertexId last_id_ = 0;
   const char* error_ = nullptr;
 };
+
+/// The one decode loop: calls fn(const R&) for every record of a frame, in
+/// order. With one kind every record is an R; with several, each record's
+/// tag byte picks its kind, and an unknown tag raises pmc::Error naming it.
+/// An empty payload (FIAC's zero-byte messages) holds no records. An
+/// invalid frame, a field that does not decode, or bytes left over after
+/// the last record raise pmc::Error.
+template <typename... R, typename Fn>
+void for_each_record(std::span<const std::byte> payload, Fn&& fn) {
+  static_assert(sizeof...(R) == 1 || (TaggedRecord<R> && ...),
+                "several kinds can share a frame only through their tags");
+  if (payload.empty()) return;
+  FrameReader reader(payload);
+  PMC_CHECK(reader.valid(), "bad frame: " << reader.error());
+  for (std::int64_t i = 0; i < reader.records(); ++i) {
+    if constexpr ((TaggedRecord<R> && ...)) {
+      // The kind whose tag matches decodes the record and hands it to fn.
+      const std::uint8_t tag = reader.read_u8();
+      const bool known =
+          ((tag == R::kTag && (fn(reader.template read_record<R>()), true)) ||
+           ...);
+      PMC_CHECK(known, "unknown record tag " << static_cast<int>(tag));
+    } else {
+      fn(reader.template read_record<R...>());
+    }
+  }
+  PMC_CHECK(reader.done(), "trailing bytes after the last record");
+}
 
 /// Flips one deterministically chosen bit of a non-empty buffer — the
 /// engines' physical model of an in-flight corruption (the fabric issues

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "runtime/event_engine.hpp"
@@ -99,7 +100,7 @@ void IncrementalMatchProcess::invalidate(EventContext& ctx, VertexId v) {
     }
   }
   for (const Rank r : lg_.boundary_ranks(v)) {
-    enqueue_invalidate(ctx, r, lg_.global_id(v));
+    enqueue_record(ctx, r, Invalidate{lg_.global_id(v)});
   }
 }
 
@@ -139,32 +140,24 @@ void IncrementalMatchProcess::drain_closure(EventContext& ctx) {
   }
 }
 
-void IncrementalMatchProcess::enqueue_invalidate(EventContext& ctx, Rank dst,
-                                                 VertexId v_global) {
-  bundler_.add(
-      dst,
-      [&](FrameWriter& w) {
-        w.begin_record();
-        w.put_u8(kInvalidateRecord);
-        w.put_id(v_global);
-      },
-      [&](Rank d, std::vector<std::byte> payload, std::int64_t records) {
-        ctx.send(d, std::move(payload), records);
+void IncrementalMatchProcess::handle(EventContext& ctx, Rank src,
+                                     std::span<const std::byte> payload) {
+  (void)src;
+  handle_records<Request, Succeeded, Failed, Invalidate>(
+      ctx, payload, [&](const auto& record) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(record)>,
+                                     Invalidate>) {
+          PMC_CHECK(phase_ == Phase::kClosure,
+                    "INVALIDATE after the closure phase on rank "
+                        << lg_.rank());
+          handle_invalidate(ctx, record.vertex);
+        } else {
+          PMC_CHECK(phase_ == Phase::kMatch,
+                    "matching record during the closure phase on rank "
+                        << lg_.rank());
+          on_record(ctx, record);
+        }
       });
-}
-
-void IncrementalMatchProcess::handle_record(EventContext& ctx,
-                                            FrameReader& reader,
-                                            std::uint8_t type) {
-  if (type == kInvalidateRecord) {
-    PMC_CHECK(phase_ == Phase::kClosure,
-              "INVALIDATE after the closure phase on rank " << lg_.rank());
-    handle_invalidate(ctx, reader.read_id());
-    return;
-  }
-  PMC_CHECK(phase_ == Phase::kMatch,
-            "matching record during the closure phase on rank " << lg_.rank());
-  MatchProcess::handle_record(ctx, reader, type);
 }
 
 void IncrementalMatchProcess::handle_invalidate(EventContext& ctx,

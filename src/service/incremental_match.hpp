@@ -36,6 +36,8 @@
 //   plus the re-negotiated part equals the full matching of the new graph.
 #pragma once
 
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "matching/match_process.hpp"
@@ -79,6 +81,8 @@ class IncrementalMatchProcess : public MatchProcess {
                           const std::vector<VertexId>& touched);
 
   void start(EventContext& ctx) override;
+  void handle(EventContext& ctx, Rank src,
+              std::span<const std::byte> payload) override;
   void idle(EventContext& ctx) override;
   [[nodiscard]] bool done() const override;
   [[nodiscard]] std::string debug_state() const override;
@@ -87,15 +91,17 @@ class IncrementalMatchProcess : public MatchProcess {
     return invalidated_count_;
   }
 
+  /// INVALIDATE: the closure phase's cross-rank record — `vertex` was
+  /// invalidated, so its ghost copies revive (REQUEST/SUCCEEDED/FAILED keep
+  /// their base meaning in the re-match phase).
+  struct Invalidate {
+    static constexpr std::uint8_t kTag = 4;
+    VertexId vertex = kNoVertex;
+    static constexpr std::tuple kFields{IdField{&Invalidate::vertex}};
+  };
+
  protected:
-  /// The closure phase's cross-rank record (kRequest/kSucceeded/kFailed
-  /// keep their base meaning in the re-match phase).
-  static constexpr std::uint8_t kInvalidateRecord = 4;
-
   enum class Phase : std::uint8_t { kClosure, kMatch };
-
-  void handle_record(EventContext& ctx, FrameReader& reader,
-                     std::uint8_t type) override;
 
   /// Marks owned vertex v invalidated: dissolves its pair, announces the
   /// revival to every rank holding a ghost copy, and queues the closure
@@ -108,7 +114,6 @@ class IncrementalMatchProcess : public MatchProcess {
   /// Drains the closure worklist (invalidate() feeds it).
   void drain_closure(EventContext& ctx);
   void handle_invalidate(EventContext& ctx, VertexId v_global);
-  void enqueue_invalidate(EventContext& ctx, Rank dst, VertexId v_global);
 
   const std::vector<VertexId>& prev_mate_;
   const std::vector<VertexId>& touched_;

@@ -11,16 +11,31 @@
 #include <map>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/pmc.hpp"
 #include "runtime/fabric.hpp"
 #include "support/error.hpp"
+#include "test_util.hpp"
 
 namespace pmc {
 namespace {
 
 // ---- CommFabric: clocks, sends, collectives --------------------------------
+
+// Every send is priced by the sender's lane: only Lane::begin_send() makes a
+// SendTime, and post_send_at() takes nothing else — not a constant, not a
+// live clock read.
+using SendTime = CommFabric::SendTime;
+static_assert(!std::is_constructible_v<SendTime, double>);
+static_assert(!std::is_default_constructible_v<SendTime>);
+static_assert(std::is_trivially_copyable_v<SendTime>);
+template <typename F>
+concept PricesAtADouble = requires(F& fabric, double t) {
+  fabric.post_send_at(Rank{0}, Rank{1}, std::size_t{0}, std::int64_t{0}, t);
+};
+static_assert(!PricesAtADouble<CommFabric>);
 
 /// One send the way the engines make it: the sender's lane pays the software
 /// overhead (and any stall wait), its clock is installed back, and the fabric
@@ -29,7 +44,7 @@ CommFabric::SendReceipt send_via_lane(CommFabric& fabric, Rank src, Rank dst,
                                       std::size_t payload_bytes,
                                       std::int64_t records) {
   CommFabric::Lane lane = fabric.make_lane(src);
-  const double send_time = lane.begin_send();
+  const SendTime send_time = lane.begin_send();
   fabric.absorb_lane(lane);
   return fabric.post_send_at(src, dst, payload_bytes, records, send_time);
 }
@@ -366,14 +381,11 @@ struct SendLog {
         EXPECT_EQ(s.records, 0) << "empty frame claimed records";
         continue;
       }
-      FrameReader r(s.payload);
-      EXPECT_TRUE(r.valid()) << r.error();
-      EXPECT_EQ(r.records(), s.records)
+      EXPECT_EQ(FrameReader(s.payload).records(), s.records)
           << "record count disagrees with payload";
-      for (std::int64_t i = 0; i < r.records(); ++i) {
-        ids.push_back(static_cast<int>(r.read_id()));
-      }
-      EXPECT_TRUE(r.done()) << "trailing bytes after the last record";
+      for_each_record<test::IdRecord>(s.payload, [&](const test::IdRecord& r) {
+        ids.push_back(static_cast<int>(r.id));
+      });
     }
     return ids;
   }
@@ -386,13 +398,7 @@ std::vector<int> bundler_round_trip(BundleMode mode, std::size_t threshold,
   std::vector<int> staged;
   for (int i = 0; i < num_records; ++i) {
     const Rank dst = static_cast<Rank>(i % 3);
-    bundler.add(
-        dst,
-        [i](FrameWriter& w) {
-          w.begin_record();
-          w.put_id(i);
-        },
-        log.sink());
+    bundler.add(dst, test::IdRecord{i}, log.sink());
     staged.push_back(i);
   }
   bundler.flush(log.sink());
@@ -428,13 +434,7 @@ TEST(Bundler, FlushEmitsBundlesInAscendingDestinationOrder) {
                        67, 5, 97, 23, 31, 2,  89, 13, 71, 47};
   Bundler bundler(BundleMode::kBundled, {std::begin(dsts), std::end(dsts)});
   for (const Rank dst : dsts) {
-    bundler.add(
-        dst,
-        [dst](FrameWriter& w) {
-          w.begin_record();
-          w.put_id(dst);
-        },
-        log.sink());
+    bundler.add(dst, test::IdRecord{dst}, log.sink());
   }
   bundler.flush(log.sink());
   ASSERT_EQ(log.sent.size(), std::size(dsts));
@@ -446,13 +446,7 @@ TEST(Bundler, FlushEmitsBundlesInAscendingDestinationOrder) {
 TEST(Bundler, SecondFlushSendsNothing) {
   SendLog log;
   Bundler bundler(BundleMode::kBundled, {1});
-  bundler.add(
-      1,
-      [](FrameWriter& w) {
-        w.begin_record();
-        w.put_id(7);
-      },
-      log.sink());
+  bundler.add(1, test::IdRecord{7}, log.sink());
   bundler.flush(log.sink());
   const std::size_t after_first = log.sent.size();
   bundler.flush(log.sink());
@@ -573,14 +567,7 @@ TEST(FanoutStage, CustomizedAllReachesEveryRankFromTwoDestinations) {
 TEST(Outbox, StagingToAnUnlistedRankThrows) {
   SendLog log;
   Bundler bundler(BundleMode::kBundled, {1, 3});
-  EXPECT_THROW(bundler.add(
-                   2,
-                   [](FrameWriter& w) {
-                     w.begin_record();
-                     w.put_id(7);
-                   },
-                   log.sink()),
-               Error);
+  EXPECT_THROW(bundler.add(2, test::IdRecord{7}, log.sink()), Error);
   FanoutStage stage(4, {1, 3});
   EXPECT_THROW(stage.stage(2, VertexId{10}, Color{0}), Error);
   EXPECT_TRUE(log.sent.empty());

@@ -1,32 +1,45 @@
-// Seeded mutation fuzzing of the three text readers: Matrix Market, METIS
-// .graph and METIS .part files.
+// Seeded mutation fuzzing of the three text readers (Matrix Market, METIS
+// .graph and METIS .part files) and of the wire-frame decode loop.
 //
 // Small generated texts are mutated a few bytes at a time: a byte flipped,
 // deleted or duplicated; whitespace, '%', '+', 'e' or junk inserted; the text
-// truncated; a number inflated to 20 digits. Every mutant must end in a value
-// or a pmc::Error, never another exception or a crash (the ASan stage runs
-// this suite), and every value must write and re-read to itself. The budget
-// is fixed, so the suite needs no external fuzzer and stays fast.
+// truncated; a number inflated to 20 digits. Frames of every record kind,
+// under both codecs, get their payload mutated the same way (a byte flipped,
+// deleted or duplicated; a 0x80 or 0xFF continuation byte inserted; the
+// payload truncated) or their record count bumped, and are then re-sealed
+// with a valid length and checksum so the mutant reaches the decode loop.
+// Every mutant must end in a value or a pmc::Error, never another exception
+// or a crash (the ASan stage runs this suite), and every value must write
+// and re-read to itself. The budget is fixed, so the suite needs no external
+// fuzzer and stays fast.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <iomanip>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/matrix_market.hpp"
 #include "graph/metis_io.hpp"
+#include "matching/match_process.hpp"
+#include "matching/parallel_verify.hpp"
 #include "partition/io.hpp"
+#include "runtime/fabric.hpp"
+#include "runtime/serialize.hpp"
+#include "service/incremental_match.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "test_util.hpp"
 
 namespace pmc {
 namespace {
 
 constexpr int kMutantsPerReader = 3000;
+constexpr int kMutantsPerDecoder = 3000;
 
 std::string matrix_text(const SparseMatrix& m) {
   std::ostringstream out;
@@ -142,19 +155,19 @@ std::string mutate(std::string text, Rng& rng) {
   return text;
 }
 
-/// Calls visit(mutant) for the reader's fixed, seeded mutant budget: every
-/// seed unmutated, then mutants of one to three mutations each.
-void for_each_mutant(const std::vector<std::string>& seeds, std::uint64_t seed,
-                     const std::function<void(const std::string&)>& visit) {
-  for (const std::string& s : seeds) visit(s);
+/// Calls visit(mutant) for a fixed, seeded budget: every seed unmutated,
+/// then `budget` mutants of one to three mutations each.
+template <typename T, typename Mutate, typename Visit>
+void for_each_mutant(const std::vector<T>& seeds, std::uint64_t seed,
+                     int budget, Mutate mutate, Visit visit) {
+  for (const T& s : seeds) visit(s);
   Rng rng(seed);
-  for (int i = 0; i < kMutantsPerReader; ++i) {
-    std::string text =
-        seeds[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(seeds.size()) - 1))];
+  for (int i = 0; i < budget; ++i) {
+    T item = seeds[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(seeds.size()) - 1))];
     const std::int64_t mutations = rng.uniform_int(1, 3);
-    for (std::int64_t k = 0; k < mutations; ++k) text = mutate(text, rng);
-    visit(text);
+    for (std::int64_t k = 0; k < mutations; ++k) item = mutate(item, rng);
+    visit(item);
   }
 }
 
@@ -176,7 +189,8 @@ void fuzz_reader(const std::vector<std::string>& seeds, std::uint64_t seed,
                  Read read, Write write) {
   int accepted = 0;
   int rejected = 0;
-  for_each_mutant(seeds, seed, [&](const std::string& text) {
+  for_each_mutant(seeds, seed, kMutantsPerReader, mutate,
+                  [&](const std::string& text) {
     const std::string canonical = parse_or_reject(text, read, write);
     if (canonical.empty()) {
       ++rejected;
@@ -213,6 +227,154 @@ TEST(ReaderFuzz, Partition) {
   fuzz_reader(
       partition_seeds(), 0x9A7,
       [](std::istream& in) { return read_partition(in); }, partition_text);
+}
+
+// ---- wire frames ------------------------------------------------------------
+
+using Request = MatchProcess::Request;
+using Succeeded = MatchProcess::Succeeded;
+using Failed = MatchProcess::Failed;
+using Invalidate = IncrementalMatchProcess::Invalidate;
+
+/// `parts` with one random payload mutation, or its record count bumped.
+test::FrameParts mutate_frame(test::FrameParts parts, Rng& rng) {
+  std::vector<std::byte>& p = parts.payload;
+  auto pos = [&](std::size_t extra) {
+    return static_cast<std::ptrdiff_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(p.size() + extra) - 1));
+  };
+  switch (p.empty() ? 3 : rng.uniform_int(0, 6)) {
+    case 0: {  // flip one bit of a byte
+      const auto at = static_cast<std::size_t>(pos(0));
+      p[at] ^= std::byte{1} << rng.uniform_int(0, 7);
+      break;
+    }
+    case 1:
+      p.erase(p.begin() + pos(0));
+      break;
+    case 2: {
+      const auto at = p.begin() + pos(0);
+      const std::byte copy = *at;
+      p.insert(at, copy);
+      break;
+    }
+    case 3:
+    case 4:  // a continuation byte: no data (0x80) or all-ones data (0xFF)
+      p.insert(p.begin() + pos(1),
+               rng.uniform_int(0, 1) == 0 ? std::byte{0x80} : std::byte{0xFF});
+      break;
+    case 5:
+      p.resize(static_cast<std::size_t>(pos(1)));
+      break;
+    default:
+      if (parts.records == 0 || rng.uniform_int(0, 1) == 0) {
+        ++parts.records;
+      } else {
+        --parts.records;
+      }
+      break;
+  }
+  return parts;
+}
+
+/// Seed frames of the kinds R... under both codecs: `sets` lists each
+/// frame's records.
+template <typename... R>
+std::vector<test::FrameParts> frame_seeds(
+    const std::vector<std::vector<std::variant<R...>>>& sets) {
+  std::vector<test::FrameParts> seeds;
+  for (const WireCodec codec : {WireCodec::kFixed, WireCodec::kCompact}) {
+    for (const auto& records : sets) {
+      FrameWriter w(codec);
+      for (const auto& r : records) {
+        std::visit([&](const auto& record) { w.put(record); }, r);
+      }
+      seeds.push_back(test::take_parts(w));
+    }
+  }
+  return seeds;
+}
+
+/// Decodes a frame's records of kinds R..., or throws pmc::Error.
+template <typename... R>
+std::vector<std::variant<R...>> decode_frame(std::span<const std::byte> frame) {
+  std::vector<std::variant<R...>> out;
+  for_each_record<R...>(frame,
+                        [&](const auto& record) { out.emplace_back(record); });
+  return out;
+}
+
+template <typename... R>
+bool same_records(const std::vector<std::variant<R...>>& a,
+                  const std::vector<std::variant<R...>>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].index() != b[i].index()) return false;
+    const bool same = std::visit(
+        [&](const auto& x) {
+          using Kind = std::decay_t<decltype(x)>;
+          return test::same_record(x, std::get<Kind>(b[i]));
+        },
+        a[i]);
+    if (!same) return false;
+  }
+  return true;
+}
+
+/// Fuzzes the decode loop over kinds R...: every accepted mutant's records
+/// re-encode and decode back to themselves.
+template <typename... R>
+void fuzz_frames(const std::vector<test::FrameParts>& seeds,
+                 std::uint64_t seed) {
+  int accepted = 0;
+  int rejected = 0;
+  for_each_mutant(
+      seeds, seed, kMutantsPerDecoder, mutate_frame,
+      [&](const test::FrameParts& parts) {
+        std::vector<std::variant<R...>> records;
+        try {
+          records = decode_frame<R...>(test::seal_frame(parts));
+        } catch (const Error&) {
+          ++rejected;
+          return;
+        }
+        ++accepted;
+        FrameWriter w(parts.codec);
+        for (const auto& r : records) {
+          std::visit([&](const auto& record) { w.put(record); }, r);
+        }
+        EXPECT_TRUE(same_records(decode_frame<R...>(w.take()), records));
+      });
+  testing::Test::RecordProperty("accepted", accepted);
+  testing::Test::RecordProperty("rejected", rejected);
+  EXPECT_GT(accepted, kMutantsPerDecoder / 20);
+  EXPECT_GT(rejected, kMutantsPerDecoder / 5);
+}
+
+TEST(FrameFuzz, ColorRecord) {
+  fuzz_frames<ColorRecord>(
+      frame_seeds<ColorRecord>({{ColorRecord{1000, 3},
+                                 ColorRecord{998, kNoColor},
+                                 ColorRecord{kNoVertex, 17}},
+                                {ColorRecord{5, 0}, ColorRecord{6, 4000}}}),
+      0xC01);
+}
+
+TEST(FrameFuzz, MateRecord) {
+  fuzz_frames<MateRecord>(
+      frame_seeds<MateRecord>({{MateRecord{42, 43}, MateRecord{40, kNoVertex},
+                                MateRecord{5000000000, 4999999999}},
+                               {MateRecord{7, 3}}}),
+      0x3A7E);
+}
+
+TEST(FrameFuzz, MatchingRecords) {
+  fuzz_frames<Request, Succeeded, Failed, Invalidate>(
+      frame_seeds<Request, Succeeded, Failed, Invalidate>(
+          {{Request{7, 12}, Succeeded{9, 8}, Failed{100}, Invalidate{5}},
+           {Request{3, 1}, Request{kNoVertex, 2}},
+           {Succeeded{2, 1000000}, Failed{kNoVertex}, Invalidate{12}}}),
+      0x3A7C);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Tests for the simulated runtime: machine model, serialization, the
-// asynchronous EventEngine and the superstep BspEngine.
+// Tests for the simulated runtime: machine model, the asynchronous
+// EventEngine and the superstep BspEngine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include "runtime/machine_model.hpp"
 #include "runtime/serialize.hpp"
 #include "support/error.hpp"
+#include "test_util.hpp"
 
 namespace pmc {
 namespace {
@@ -40,30 +41,6 @@ TEST(MachineModel, ZeroCostReallyIsFree) {
   EXPECT_DOUBLE_EQ(m.collective_seconds(4096), 0.0);
 }
 
-// ---- serialization -----------------------------------------------------------
-
-TEST(Serialize, RoundTripsMixedTypes) {
-  ByteWriter w;
-  w.put<std::uint8_t>(7);
-  w.put<std::int64_t>(-123456789);
-  w.put<double>(3.25);
-  const auto bytes = std::vector<std::byte>(w.take());
-  ByteReader r(bytes);
-  EXPECT_EQ(r.get<std::uint8_t>(), 7);
-  EXPECT_EQ(r.get<std::int64_t>(), -123456789);
-  EXPECT_DOUBLE_EQ(r.get<double>(), 3.25);
-  EXPECT_TRUE(r.done());
-}
-
-TEST(Serialize, UnderflowThrows) {
-  ByteWriter w;
-  w.put<std::uint8_t>(1);
-  const auto bytes = w.take();
-  ByteReader r(bytes);
-  (void)r.get<std::uint8_t>();
-  EXPECT_THROW((void)r.get<std::int64_t>(), Error);
-}
-
 // ---- event engine -------------------------------------------------------------
 
 /// Ping-pong process: rank 0 sends `rounds` pings; rank 1 echoes.
@@ -82,8 +59,7 @@ class PingPong final : public Process {
   void handle(EventContext& ctx, Rank src,
               std::span<const std::byte> payload) override {
     EXPECT_EQ(src, peer_);
-    ByteReader r(payload);
-    const int hop = r.get<int>();
+    const auto hop = static_cast<int>(test::read_id_frame(payload));
     ++received_;
     if (hop + 1 < 2 * rounds_) {
       ctx.charge(1.0);
@@ -102,9 +78,7 @@ class PingPong final : public Process {
 
  private:
   static std::vector<std::byte> make_payload(int hop) {
-    ByteWriter w;
-    w.put(hop);
-    return w.take();
+    return test::id_frame(hop);
   }
   Rank peer_;
   bool initiator_;
@@ -206,16 +180,13 @@ TEST(EventEngine, RunTwiceIsRejected) {
   EXPECT_THROW((void)engine.run(), Error);
 }
 
-/// Failure injection: a sender emits a truncated record; the receiving
-/// process's decoder must fail loudly (ByteReader underflow), and the error
-/// must propagate out of run() rather than being swallowed.
+/// Failure injection: a sender emits a record shorter than the one its
+/// peer decodes; the receiving process's decoder must fail loudly (payload
+/// underflow), and the error must propagate out of run() rather than being
+/// swallowed.
 class TruncatedSender final : public Process {
  public:
-  void start(EventContext& ctx) override {
-    ByteWriter w;
-    w.put<std::uint8_t>(1);  // record type, but the required body is missing
-    ctx.send(1, w.take(), 1);
-  }
+  void start(EventContext& ctx) override { ctx.send(1, test::id_frame(1), 1); }
   void handle(EventContext&, Rank, std::span<const std::byte>) override {}
   [[nodiscard]] bool done() const override { return true; }
 };
@@ -224,9 +195,8 @@ class StrictReceiver final : public Process {
  public:
   void start(EventContext&) override {}
   void handle(EventContext&, Rank, std::span<const std::byte> payload) override {
-    ByteReader r(payload);
-    (void)r.get<std::uint8_t>();
-    (void)r.get<std::int64_t>();  // underflow -> pmc::Error
+    // An id and a color, but the frame holds only the id: underflow.
+    for_each_record<ColorRecord>(payload, [](const ColorRecord&) {});
   }
   [[nodiscard]] bool done() const override { return true; }
 };
@@ -301,17 +271,15 @@ std::vector<BspMessage> poll_rank(BspEngine& engine, Rank r) {
 
 TEST(BspEngine, PollRespectsArrivalTimes) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  ByteWriter w;
-  w.put<int>(42);
-  on_rank(engine, 0, [&](RankCtx& ctx) { ctx.send(1, w.take(), 1); });
+  on_rank(engine, 0,
+          [](RankCtx& ctx) { ctx.send(1, test::id_frame(42), 1); });
   // Rank 1's clock is still 0 — the message has not "arrived" yet.
   EXPECT_TRUE(poll_rank(engine, 1).empty());
   // Advance rank 1 beyond the arrival time.
   on_rank(engine, 1, [](RankCtx& ctx) { ctx.charge(1e9); });
   const auto msgs = poll_rank(engine, 1);
   ASSERT_EQ(msgs.size(), 1u);
-  ByteReader r(msgs[0].payload);
-  EXPECT_EQ(r.get<int>(), 42);
+  EXPECT_EQ(test::read_id_frame(msgs[0].payload), 42);
 }
 
 TEST(BspEngine, ExchangeDeliversEverything) {

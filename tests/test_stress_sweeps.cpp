@@ -16,6 +16,7 @@
 #include "partition/simple.hpp"
 #include "runtime/event_engine.hpp"
 #include "runtime/serialize.hpp"
+#include "test_util.hpp"
 
 namespace pmc {
 namespace {
@@ -132,21 +133,14 @@ class RingRelay final : public Process {
   RingRelay(Rank self, Rank n) : self_(self), n_(n) {}
   void start(EventContext& ctx) override {
     if (self_ == 0) {
-      ByteWriter w;
-      w.put<std::int32_t>(0);
-      ctx.send(1 % n_, w.take(), 1);
+      ctx.send(1 % n_, test::id_frame(0), 1);
       if (n_ == 1) done_ = true;
     }
   }
   void handle(EventContext& ctx, Rank, std::span<const std::byte> payload) override {
-    ByteReader r(payload);
-    const auto hops = r.get<std::int32_t>();
+    const auto hops = static_cast<std::int32_t>(test::read_id_frame(payload));
     done_ = true;
-    if (self_ + 1 < n_) {
-      ByteWriter w;
-      w.put<std::int32_t>(hops + 1);
-      ctx.send(self_ + 1, w.take(), 1);
-    }
+    if (self_ + 1 < n_) ctx.send(self_ + 1, test::id_frame(hops + 1), 1);
     last_hops_ = hops;
   }
   [[nodiscard]] bool done() const override { return self_ == 0 || done_; }

@@ -1,6 +1,5 @@
-// Fixture: D10 must fire twice — an allow() that no longer matches any
-// diagnostic and a schema() annotation bound to a function with no typed
-// accessor calls. Scan fodder for the lint fixture suite, not compiled.
+// Fixture: D10 must fire once — an allow() that no longer matches any
+// diagnostic. Scan fodder for the lint fixture suite, not compiled.
 #include <cstdint>
 
 // pmc-lint: allow(D1): was load-bearing before the sorted-snapshot refactor
@@ -9,6 +8,3 @@ std::int64_t plain_sum(const std::int64_t* xs, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) total += xs[i];
   return total;
 }
-
-// pmc-lint: schema(GhostRecord)
-std::int64_t not_a_codec(std::int64_t v) { return plain_sum(&v, 1); }

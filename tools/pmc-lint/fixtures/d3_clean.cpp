@@ -1,19 +1,20 @@
 // Fixture: D3 must stay silent — wire traffic goes through the frame codec's
-// typed put/read API; no raw byte copies of structs in sight.
+// typed record API; no raw byte copies of structs in sight.
 #include <cstdint>
 #include <vector>
 
+struct ColorRecord {
+  std::int64_t id;
+  std::int32_t color;
+};
+
 struct FrameWriter {
-  void begin_record() {}
-  void put_id(std::int64_t) {}
-  void put_color(std::int32_t) {}
+  void put(const ColorRecord&) {}
   std::vector<std::byte> take() { return {}; }
 };
 
 std::vector<std::byte> encode(std::int64_t vertex, std::int32_t color) {
   FrameWriter w;
-  w.begin_record();
-  w.put_id(vertex);
-  w.put_color(color);
+  w.put(ColorRecord{vertex, color});
   return w.take();
 }

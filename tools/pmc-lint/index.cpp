@@ -1,6 +1,5 @@
 // pmc-lint pass 1: the whole-program index. Walks every source's token
-// stream and records function definitions (with parameter names and body
-// token ranges), message-kind constants, and schema() comment bindings.
+// stream and records function definitions (name, lines, body token range).
 // The cross-TU rules in global.cpp consume this; nothing here reports.
 #include <algorithm>
 #include <unordered_set>
@@ -50,44 +49,6 @@ std::size_t match_brace(const Cursor& c, std::size_t open) {
     if (t == "}" && --depth == 0) return i;
   }
   return c.toks.size();
-}
-
-/// Parameter names out of the list spanning (open, close): the last
-/// identifier of each top-level comma segment, default arguments excluded.
-std::vector<std::string> param_names(const Cursor& c, std::size_t open,
-                                     std::size_t close) {
-  std::vector<std::string> names;
-  int paren = 0, angle = 0, brace = 0;
-  std::string last_ident;
-  bool in_default = false;
-  for (std::size_t i = open + 1; i < close; ++i) {
-    const Token& t = c.toks[i];
-    if (t.text == "(") ++paren;
-    if (t.text == ")") --paren;
-    if (t.text == "<") ++angle;
-    if (t.text == ">") --angle;
-    if (t.text == "{") ++brace;
-    if (t.text == "}") --brace;
-    if (paren == 0 && angle == 0 && brace == 0) {
-      if (t.text == ",") {
-        names.push_back(last_ident);
-        last_ident.clear();
-        in_default = false;
-        continue;
-      }
-      if (t.text == "=") {
-        in_default = true;
-        continue;
-      }
-    }
-    if (t.is_ident && !in_default) last_ident = t.text;
-  }
-  if (!last_ident.empty() || !names.empty()) names.push_back(last_ident);
-  // An empty or `void` list has no names worth keeping.
-  while (!names.empty() && (names.back().empty() || names.back() == "void")) {
-    names.pop_back();
-  }
-  return names;
 }
 
 /// After the parameter list of a would-be definition: skips qualifiers,
@@ -141,62 +102,6 @@ std::size_t find_body_open(const Cursor& c, std::size_t i) {
   return 0;
 }
 
-/// Records the enumerators of `enum [class] Name ... { ... }` when Name
-/// looks like a message-kind enum, and constexpr k*Record/k*Tag/k*Msg
-/// constants.
-void collect_kinds(const Cursor& c, const std::string& path,
-                   ProgramIndex& index) {
-  auto kindish = [](const std::string& name) {
-    return name.find("Record") != std::string::npos ||
-           name.find("Kind") != std::string::npos ||
-           name.find("Tag") != std::string::npos ||
-           name.find("Msg") != std::string::npos;
-  };
-  for (std::size_t i = 0; i < c.toks.size(); ++i) {
-    const Token& t = c.toks[i];
-    if (!t.is_ident) continue;
-    if (t.text == "enum") {
-      std::size_t j = i + 1;
-      if (c.at(j).text == "class" || c.at(j).text == "struct") ++j;
-      if (!c.at(j).is_ident) continue;
-      const std::string enum_name = c.at(j).text;
-      if (!kindish(enum_name)) continue;
-      ++j;
-      while (j < c.toks.size() && c.at(j).text != "{" && c.at(j).text != ";") {
-        ++j;  // underlying type
-      }
-      if (c.at(j).text != "{") continue;
-      const std::size_t end = match_brace(c, j);
-      // Enumerators: identifiers at the start of each comma segment.
-      bool expect_name = true;
-      for (std::size_t k = j + 1; k < end; ++k) {
-        const Token& u = c.toks[k];
-        if (u.text == ",") {
-          expect_name = true;
-          continue;
-        }
-        if (expect_name && u.is_ident) {
-          index.kinds.emplace(u.text,
-                              KindInfo{u.text, enum_name, path, u.line});
-          expect_name = false;
-        }
-      }
-      i = end;
-    } else if (t.text == "constexpr") {
-      // constexpr ... kSomethingRecord = value;
-      for (std::size_t k = i + 1; k < c.toks.size(); ++k) {
-        const std::string& u = c.at(k).text;
-        if (u == ";" || u == "(" || u == "{") break;
-        if (c.toks[k].is_ident && c.at(k + 1).text == "=" &&
-            u.size() > 1 && u[0] == 'k' && kindish(u)) {
-          index.kinds.emplace(u, KindInfo{u, "", path, c.toks[k].line});
-          break;
-        }
-      }
-    }
-  }
-}
-
 void collect_functions(const Cursor& c, FileIndex& fi) {
   const std::unordered_set<std::string>& skip = non_function_words();
   for (std::size_t i = 0; i < c.toks.size(); ++i) {
@@ -224,33 +129,8 @@ void collect_functions(const Cursor& c, FileIndex& fi) {
     fn.header_begin = i;
     fn.body_begin = body_open + 1;
     fn.body_end = body_close;
-    fn.params = param_names(c, i + 1, after_params - 1);
     fi.functions.push_back(std::move(fn));
     i = body_close;  // lambdas and local classes belong to this function
-  }
-}
-
-/// Binds each schema(Name) comment to the function containing its line, or
-/// to the next function below it (the annotate-above-the-header idiom).
-void bind_schemas(FileIndex& fi) {
-  for (const auto& [line, name] : fi.view.schemas) {
-    FunctionInfo* containing = nullptr;
-    FunctionInfo* next_below = nullptr;
-    for (FunctionInfo& fn : fi.functions) {
-      if (fn.line <= line && line <= fn.end_line) {
-        containing = &fn;
-        break;
-      }
-      if (fn.line > line && (next_below == nullptr ||
-                             fn.line < next_below->line)) {
-        next_below = &fn;
-      }
-    }
-    FunctionInfo* best = containing != nullptr ? containing : next_below;
-    if (best != nullptr && best->schema.empty()) {
-      best->schema = name;
-      best->schema_line = line;
-    }
   }
 }
 
@@ -265,9 +145,7 @@ ProgramIndex build_index(const std::vector<SourceFile>& sources) {
     fi.view = strip(s.contents);
     fi.tokens = tokenize(fi.view.code);
     const Cursor c{fi.tokens};
-    collect_kinds(c, s.path, index);
     collect_functions(c, fi);
-    bind_schemas(fi);
     index.files.push_back(std::move(fi));
   }
   for (std::size_t f = 0; f < index.files.size(); ++f) {

@@ -22,14 +22,11 @@ struct Allow {
 };
 
 /// The comment/string-stripped view of a translation unit plus the
-/// pmc-lint comments (allow() suppressions, schema() bindings) found while
-/// stripping.
+/// allow() suppressions found while stripping.
 struct SourceView {
   std::string code;  ///< Same length/lines as the input; literals blanked.
   /// Suppressions keyed by the line their comment starts on (1-based).
   std::unordered_map<int, Allow> allows;
-  /// schema(Name) bindings keyed by comment line (1-based).
-  std::unordered_map<int, std::string> schemas;
 };
 
 [[nodiscard]] SourceView strip(const std::string& text);
@@ -67,25 +64,13 @@ void apply_allows(Diagnostic& d,
 /// One indexed function definition. Lambdas and local classes inside a body
 /// belong to the enclosing function; the token range covers the body only.
 struct FunctionInfo {
-  std::string name;       ///< Unqualified name ("encode").
-  std::string qualified;  ///< As written ("MatchProcess::encode").
+  std::string name;       ///< Unqualified name ("flush").
+  std::string qualified;  ///< As written ("MatchProcess::flush").
   int line = 0;           ///< Line of the name token.
   int end_line = 0;       ///< Line of the body's closing brace.
   std::size_t header_begin = 0;  ///< Token index of the name.
   std::size_t body_begin = 0;    ///< Token index just past the opening '{'.
   std::size_t body_end = 0;      ///< Token index of the closing '}'.
-  std::vector<std::string> params;  ///< Parameter names, in order.
-  std::string schema;  ///< schema(Name) binding, empty when unbound.
-  int schema_line = 0;
-};
-
-/// A message-kind constant: an enumerator of an enum whose name mentions
-/// Record/Kind/Tag/Msg, or a constexpr constant named like one.
-struct KindInfo {
-  std::string name;       ///< Enumerator / constant name ("kRequest").
-  std::string enum_name;  ///< Owning enum, empty for bare constants.
-  std::string file;
-  int line = 0;
 };
 
 struct FileIndex {
@@ -97,9 +82,6 @@ struct FileIndex {
 
 struct ProgramIndex {
   std::vector<FileIndex> files;
-  /// Kind constants by bare name. A name declared twice with different
-  /// owners keeps the first declaration (usage must still qualify-match).
-  std::map<std::string, KindInfo> kinds;
   /// Function name -> (file index, function index) of every definition.
   std::map<std::string, std::vector<std::pair<std::size_t, std::size_t>>>
       by_name;
@@ -107,8 +89,7 @@ struct ProgramIndex {
 
 [[nodiscard]] ProgramIndex build_index(const std::vector<SourceFile>& sources);
 
-/// Pass 2: the cross-TU rules (D8 schema symmetry, D9 cost-accounting
-/// completeness, helper-indirection propagation for D1-D5) plus the D10
+/// Pass 2: helper-indirection propagation for D1-D5 plus the D10
 /// stale-suppression audit over `diags` (every diagnostic already produced,
 /// including the per-file pass — allow consumption is read off allow_line).
 /// Appends its findings to `diags`.

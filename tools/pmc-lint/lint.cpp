@@ -22,37 +22,26 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-/// Parses "pmc-lint: allow(D1,D2): reason" or "pmc-lint: schema(Name)" out
-/// of one comment's text.
+/// Parses "pmc-lint: allow(D1,D2): reason" out of one comment's text.
 void parse_marker(const std::string& comment, int line, SourceView& view) {
   const std::size_t tag = comment.find("pmc-lint:");
   if (tag == std::string::npos) return;
   std::size_t p = comment.find("allow(", tag);
-  if (p != std::string::npos) {
-    p += 6;
-    const std::size_t close = comment.find(')', p);
-    if (close == std::string::npos) return;
-    Allow allow;
-    std::stringstream rules(comment.substr(p, close - p));
-    std::string rule;
-    while (std::getline(rules, rule, ',')) {
-      rule = trim(rule);
-      if (!rule.empty()) allow.rules.insert(rule);
-    }
-    std::string rest = trim(comment.substr(close + 1));
-    if (!rest.empty() && rest.front() == ':') rest = trim(rest.substr(1));
-    allow.justification = rest;
-    if (!allow.rules.empty()) view.allows[line] = allow;
-    return;
+  if (p == std::string::npos) return;
+  p += 6;
+  const std::size_t close = comment.find(')', p);
+  if (close == std::string::npos) return;
+  Allow allow;
+  std::stringstream rules(comment.substr(p, close - p));
+  std::string rule;
+  while (std::getline(rules, rule, ',')) {
+    rule = trim(rule);
+    if (!rule.empty()) allow.rules.insert(rule);
   }
-  p = comment.find("schema(", tag);
-  if (p != std::string::npos) {
-    p += 7;
-    const std::size_t close = comment.find(')', p);
-    if (close == std::string::npos) return;
-    const std::string name = trim(comment.substr(p, close - p));
-    if (!name.empty()) view.schemas[line] = name;
-  }
+  std::string rest = trim(comment.substr(close + 1));
+  if (!rest.empty() && rest.front() == ':') rest = trim(rest.substr(1));
+  allow.justification = rest;
+  if (!allow.rules.empty()) view.allows[line] = allow;
 }
 
 bool ident_start(char c) {
@@ -65,7 +54,7 @@ bool ident_char(char c) {
 }  // namespace
 
 /// Blanks comments and string/char literals (preserving newlines so line
-/// numbers survive) and records pmc-lint allow()/schema() comments.
+/// numbers survive) and records pmc-lint allow() comments.
 SourceView strip(const std::string& text) {
   SourceView view;
   view.code.reserve(text.size());
@@ -250,7 +239,6 @@ class Analyzer {
     collect_declared_vars();
     check_banned_calls();
     check_range_loops();
-    check_decoder_scopes();
     std::sort(diags_.begin(), diags_.end(),
               [](const Diagnostic& a, const Diagnostic& b) {
                 if (a.line != b.line) return a.line < b.line;
@@ -449,63 +437,6 @@ class Analyzer {
     }
   }
 
-  /// D4: every FrameReader/ByteReader that decodes records must check
-  /// done() before its scope ends.
-  void check_decoder_scopes() {
-    struct Decoder {
-      std::string var;
-      int decl_line = 0;
-      int depth = 0;
-      bool reads = false;
-      bool done_checked = false;
-    };
-    std::vector<Decoder> open;
-    int depth = 0;
-    auto close_deeper_than = [&](int d) {
-      for (auto it = open.begin(); it != open.end();) {
-        if (it->depth > d) {
-          if (it->reads && !it->done_checked) {
-            report("D4", it->decl_line,
-                   "decoder '" + it->var +
-                       "' reads records but never checks done() — trailing "
-                       "garbage would pass silently; end every decode loop "
-                       "with PMC_CHECK(reader.done(), ...)");
-          }
-          it = open.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    };
-    for (std::size_t i = 0; i < tokens_.size(); ++i) {
-      const Token& t = tokens_[i];
-      if (t.text == "{") ++depth;
-      if (t.text == "}") {
-        --depth;
-        close_deeper_than(depth);
-      }
-      if (!t.is_ident) continue;
-      if ((t.text == "FrameReader" || t.text == "ByteReader") &&
-          tok(i + 1).is_ident && tok(i + 2).text == "(") {
-        open.push_back({tok(i + 1).text, tok(i + 1).line, depth, false,
-                        false});
-        continue;
-      }
-      // reader.read_id() / reader.get<T>() / reader.done()
-      if ((tok(i + 1).text == "." || tok(i + 1).text == "->") &&
-          tok(i + 2).is_ident) {
-        for (auto it = open.rbegin(); it != open.rend(); ++it) {
-          if (it->var != t.text) continue;
-          const std::string& m = tok(i + 2).text;
-          if (m.rfind("read_", 0) == 0 || m == "get") it->reads = true;
-          if (m == "done") it->done_checked = true;
-          break;
-        }
-      }
-    }
-    close_deeper_than(-1);
-  }
-
   std::string path_;
   RuleScope scope_;
   const std::unordered_map<int, Allow>& allows_;
@@ -536,7 +467,7 @@ bool starts_with(const std::string& s, const std::string& prefix) {
 
 RuleScope scope_for_path(const std::string& path) {
   const std::string p = internal::normalize_path(path);
-  RuleScope scope;  // d4 defaults on everywhere
+  RuleScope scope;
   if (!starts_with(p, "src/")) return scope;
   scope.d5 = true;
   scope.d2 = !(starts_with(p, "src/support/rng.") ||
@@ -545,15 +476,11 @@ RuleScope scope_for_path(const std::string& path) {
   scope.d1 = starts_with(p, "src/matching/") ||
              starts_with(p, "src/coloring/") ||
              starts_with(p, "src/runtime/");
-  // The codec implements the accessors; the fabric implements the pricing.
-  // Each is the one place its rule's banned pattern is the point.
-  scope.d8 = !starts_with(p, "src/runtime/serialize.");
-  scope.d9 = !starts_with(p, "src/runtime/fabric.");
   return scope;
 }
 
 RuleScope all_rules() {
-  return RuleScope{true, true, true, true, true, true, true};
+  return RuleScope{true, true, true, true};
 }
 
 std::vector<Diagnostic> analyze_source(const std::string& path,

@@ -12,12 +12,16 @@
 // without a justification text does not count.
 //
 // v2 runs in two passes. Pass 1 indexes every function definition in the
-// scanned sources (name, file:line, calls made, typed-accessor sequences,
-// message-kind constants). Pass 2 runs the per-file rules D1-D5, then the
-// whole-program rules D8-D10 over the index, and finally lets D1-D5
-// propagate through one level of helper indirection via the call graph
-// (a helper whose own file hides a banned pattern from its scope taints
-// every call site where the rule is live).
+// scanned sources (name, file:line, body). Pass 2 runs the per-file rules
+// D1-D3 and D5, lets them propagate through one level of helper
+// indirection via the call graph (a helper whose own file hides a banned
+// pattern from its scope taints every call site where the rule is live),
+// and finally runs the D10 audit over everything reported.
+//
+// Three former rules are enforced by types instead: wire records have one
+// field list that FrameWriter::put and for_each_record both walk, the one
+// decode loop checks done() itself, and post_send_at() takes only a
+// CommFabric::SendTime, which only Lane::begin_send() can make.
 //
 // Rules (scopes are path predicates relative to the repo root):
 //
@@ -32,29 +36,11 @@
 //   D3  no raw memcpy / reinterpret_cast serialization outside
 //       src/runtime/serialize.* — wire traffic goes through the versioned,
 //       checksummed frame codec.
-//   D4  every FrameReader/ByteReader decode loop must end with a done()
-//       check, so trailing garbage is rejected instead of silently ignored.
 //   D5  no float/double accumulation inside an unordered-container
 //       range-iteration anywhere in src/ — FP addition is order-sensitive,
 //       so a hash-order reduction is silently nondeterministic.
-//   D8  encode/decode schema symmetry (cross-TU, src/ minus serialize.*):
-//       for each message kind, every decoder's typed read_* sequence must
-//       mirror every encoder's put_* sequence in type and order. Message
-//       kinds are enumerators of enums named *Record*/*Kind*/*Tag*/*Msg*
-//       and constexpr constants named k*Record/k*Tag/k*Msg; functions whose
-//       accessor sequences are not tied to a kind bind to a named schema
-//       with `// pmc-lint: schema(Name)` and are checked against every
-//       other function bound to the same name.
-//   D9  cost-accounting completeness (src/ minus runtime/fabric.*, the
-//       sanctioned charging layer): a begin_send() result must be returned,
-//       recorded in a field, passed on, or reach a later use — and every
-//       post_send_at() must be priced at a begin_send-derived time (a
-//       recorded *time* field/parameter), never at a live now() read or a
-//       constant. Violations are sends the CommStats/α–β cost model never
-//       sees.
 //   D10 stale-suppression audit (whole run): an allow() comment that no
-//       longer suppresses any diagnostic — and a schema() annotation bound
-//       to a function with no accessor calls — fails the build, keeping the
+//       longer suppresses any diagnostic fails the build, keeping the
 //       suppression ledger honest.
 #pragma once
 
@@ -66,7 +52,7 @@ namespace pmc_lint {
 /// One finding. `suppressed` is true when a well-formed allow() comment with
 /// a justification covers the line.
 struct Diagnostic {
-  std::string rule;     ///< "D1".."D10".
+  std::string rule;     ///< "D1".."D5", "D10".
   std::string file;     ///< Path as given to analyze_file.
   int line = 0;         ///< 1-based.
   std::string message;  ///< Human-readable explanation.
@@ -84,10 +70,7 @@ struct RuleScope {
   bool d1 = false;  ///< Message-producing code (matching/coloring/runtime).
   bool d2 = false;  ///< Everything except the entropy allowlist.
   bool d3 = false;  ///< Everything except serialize.*.
-  bool d4 = true;   ///< Decoder hygiene applies everywhere.
   bool d5 = false;  ///< All of src/.
-  bool d8 = false;  ///< Protocol schema symmetry (src/ sans serialize.*).
-  bool d9 = false;  ///< Cost-accounting completeness (src/ sans fabric.*).
 };
 
 /// Scope for a path as the CI lint run uses it: `path` is normalized to the
@@ -98,10 +81,10 @@ struct RuleScope {
 /// can be exercised regardless of where the fixture file lives.
 [[nodiscard]] RuleScope all_rules();
 
-/// Runs every in-scope *per-file* rule (D1-D5) over one file's contents.
-/// `path` is used for diagnostics only; scoping is the caller's job
-/// (scope_for_path). The cross-TU rules D8-D10 and helper propagation need
-/// the whole-program view: use analyze_program.
+/// Runs every in-scope *per-file* rule (D1-D3, D5) over one file's
+/// contents. `path` is used for diagnostics only; scoping is the caller's
+/// job (scope_for_path). Helper propagation and the D10 audit need the
+/// whole-program view: use analyze_program.
 [[nodiscard]] std::vector<Diagnostic> analyze_source(
     const std::string& path, const std::string& contents,
     const RuleScope& scope);
@@ -135,9 +118,9 @@ struct ProgramReport {
   std::size_t files_scanned = 0;
 };
 
-/// The two-pass analysis: per-file rules, then the cross-TU rules over the
-/// whole-program index (D8 schema symmetry, D9 cost accounting, one-level
-/// helper propagation for D1-D5), then the D10 suppression audit.
+/// The two-pass analysis: per-file rules, then one-level helper
+/// propagation over the whole-program index, then the D10 suppression
+/// audit.
 [[nodiscard]] ProgramReport analyze_program(
     const std::vector<SourceFile>& sources, const ProgramOptions& opts);
 

@@ -13,7 +13,7 @@
 // are linted as given; --all-rules overrides the path-based scoping (the
 // fixture suite's mode).
 //
-// Every run is whole-program: the cross-TU rules D8/D9 and the D10
+// Every run is whole-program: helper propagation and the D10
 // stale-suppression audit see all inputs at once (--no-suppression-audit
 // turns D10 off).
 //
