@@ -1,15 +1,14 @@
 // Extension E2 — distributed distance-2 coloring (the Jacobian/Hessian
 // compression variant the paper's introduction motivates).
 //
-// Compares the native two-hop-view implementation against the squared-graph
-// formulation (distance-1 framework on G²) across processor counts: both
-// must produce proper distance-2 colorings; the native version ships color
-// records only to two-hop neighbor ranks.
+// Compares the native implementation (the speculative driver on a halo-2
+// distribution) against the squared-graph formulation (distance-1 framework
+// on G²) across processor counts: both must produce proper distance-2
+// colorings; the native version ships color records only to two-hop
+// neighbor ranks.
 #include "bench_common.hpp"
 
 #include <iostream>
-
-#include "coloring/distance2_parallel.hpp"
 
 namespace pmc::bench {
 namespace {

@@ -36,6 +36,19 @@ tier1() {
   # modelled-time regression against the committed BENCH_service.json.
   ./build/bench/bench_service --json=build/BENCH_service.json
   ./tools/check_bench_artifacts.sh --compare-baseline build/BENCH_service.json
+  # The same gate for the three thread sweeps (their distance-2 rows run the
+  # halo-2 coloring), regenerated at their committed settings: 64 ranks,
+  # grid 128 for the sync and event-engine sweeps, grid 192 for the
+  # async-superstep coloring sweep.
+  ./build/bench/bench_ablation_threads --grid=128 --ranks=64 --threads=1,2,4 \
+    --reps=3 --json=build/BENCH_threads.json \
+    --async-json=build/BENCH_threads_async.json --coloring-async-json=
+  ./build/bench/bench_ablation_threads --grid=192 --ranks=64 \
+    --threads=1,2,4,8 --reps=2 --json= --async-json= \
+    --coloring-async-json=build/BENCH_threads_coloring_async.json
+  ./tools/check_bench_artifacts.sh --compare-baseline \
+    build/BENCH_threads.json build/BENCH_threads_async.json \
+    build/BENCH_threads_coloring_async.json
 }
 
 lint() {

@@ -1,8 +1,9 @@
 // Shared pieces of the BSP coloring drivers: applying boundary-color
 // frames, the fault-repair lost-announcement tracking (the re-entry
-// machinery), and the deterministic priority comparator. The distance-1,
-// distance-2 and service-mode incremental drivers all use them, so they
-// share the exact same wire handling and repair semantics.
+// machinery), and the deterministic priority comparator. The speculative
+// driver (at distance 1 and 2), the service-mode incremental driver and
+// Jones–Plassmann all use them, so they share the exact same wire handling
+// and repair semantics.
 #pragma once
 
 #include <cstdint>
@@ -13,15 +14,20 @@
 #include "coloring/coloring.hpp"
 #include "runtime/bsp_engine.hpp"
 #include "runtime/dist_graph.hpp"
+#include "runtime/fabric.hpp"
 #include "support/types.hpp"
 
 namespace pmc {
 
-/// Applies one boundary-color message to `color` (indexed by local id).
-/// When `changed` is non-null, appends the local ids whose stored color
-/// actually changed — the incremental driver's re-check frontier.
+/// Applies one boundary-color message, sent under `policy`, to `color`
+/// (indexed by local id). A record for a vertex `lg` does not hold is the
+/// broadcast's waste under kBroadcastUnion and skipped; under the
+/// customized policies the sender chose this rank for it, so it is a
+/// pmc::Error. When `changed` is non-null, appends the local ids whose
+/// stored color actually changed — the incremental driver's re-check
+/// frontier.
 void apply_color_records(const LocalGraph& lg, std::vector<Color>& color,
-                         const BspMessage& msg,
+                         const BspMessage& msg, SendPolicy policy,
                          std::vector<VertexId>* changed = nullptr);
 
 /// Global ids whose color announcement was dropped or corrupted in flight,

@@ -33,6 +33,14 @@ DistColoringResult color_distance2_distributed(
   return color_distributed(squared, p, options);
 }
 
+DistColoringResult color_distance2_distributed_native(
+    const Graph& g, const Partition& p, const DistColoringOptions& options) {
+  DistColoringOptions native = options;
+  native.local_order = LocalOrder::kNatural;
+  native.comm_mode = CommMode::kCustomizedNeighbors;
+  return color_distributed(DistGraph::build(g, p, 2), native);
+}
+
 bool is_proper_distance2_coloring(const Graph& g, const Coloring& c,
                                   std::string* why) {
   if (!is_proper_coloring(g, c, why)) return false;

@@ -4,7 +4,13 @@
 // colors. Greedy first-fit uses at most Δ² + 1 colors.
 //
 // Provided as the library's extension beyond the paper's distance-1
-// experiments: a sequential greedy algorithm plus verification.
+// experiments: a sequential greedy algorithm, verification, and two
+// distributed colorings. The native one is the paper's speculative
+// framework itself run at distance 2, the design Zoltan's distributed
+// distance-2 colorer builds on: color_distributed on a halo-2 distribution,
+// where each rank also holds its distance-1 ghosts' rows and tells every
+// rank within two hops. The squared-graph one materializes G² and runs the
+// distance-1 framework on it; it stays as the reference.
 #pragma once
 
 #include "coloring/coloring.hpp"
@@ -32,6 +38,14 @@ namespace pmc {
 /// perform. Production systems avoid materializing G²; for the simulated
 /// reproduction the semantics are identical.
 [[nodiscard]] DistColoringResult color_distance2_distributed(
+    const Graph& g, const Partition& p,
+    const DistColoringOptions& options = DistColoringOptions::improved());
+
+/// Native distributed distance-2 coloring: color_distributed on
+/// DistGraph::build(g, p, 2). It colors each rank's vertices in local-id
+/// order and sends neighbor-customized messages (the paper's NEW mode),
+/// whatever options.local_order and options.comm_mode say.
+[[nodiscard]] DistColoringResult color_distance2_distributed_native(
     const Graph& g, const Partition& p,
     const DistColoringOptions& options = DistColoringOptions::improved());
 

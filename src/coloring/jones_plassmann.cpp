@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "coloring/color_exchange.hpp"
 #include "coloring/sequential.hpp"
 #include "runtime/bsp_engine.hpp"
 #include "runtime/fabric.hpp"
@@ -101,11 +102,8 @@ JonesPlassmannResult color_jones_plassmann(
                         std::vector<BspMessage> msgs) {
       JpRankState& st = states[static_cast<std::size_t>(ctx.rank())];
       for (const BspMessage& msg : msgs) {
-        for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
-          const VertexId local = st.lg->local_id(rec.id);
-          PMC_CHECK(local != kNoVertex, "JP record for unknown vertex");
-          st.color[static_cast<std::size_t>(local)] = rec.color;
-        });
+        apply_color_records(*st.lg, st.color, msg,
+                            SendPolicy::kCustomizedNeighbors);
       }
     });
     ++result.rounds;

@@ -52,17 +52,63 @@ struct RankState {
   FanoutStage stage;
 };
 
-/// Colors one owned vertex first-fit (or per strategy) against the colors
-/// currently known; returns the number of arcs touched (work).
-double color_vertex(RankState& state, VertexId v, Color chosen_out[1]) {
+/// Colors owned vertex v per the strategy against the known colors of every
+/// vertex within D hops of it, and returns the work charged: one per vertex
+/// looked at, plus one.
+template <int D>
+double color_vertex(RankState& state, VertexId v, Color* chosen) {
   const LocalGraph& lg = *state.lg;
-  for (VertexId u : lg.neighbors(v)) {
+  const auto forbid = [&](VertexId u) {
     const Color cu = state.color[static_cast<std::size_t>(u)];
     if (cu != kNoColor) state.chooser.forbid(cu);
+  };
+  double work = 1.0;
+  for (VertexId u : lg.neighbors(v)) {
+    forbid(u);
+    if constexpr (D == 2) {
+      work += 1.0;
+      for (VertexId w : lg.neighbors(u)) {
+        if (w == v) continue;
+        forbid(w);
+        work += 1.0;
+      }
+    }
   }
+  if constexpr (D == 1) work += static_cast<double>(lg.degree(v));
   auto* usage = state.usage.empty() ? nullptr : &state.usage;
-  chosen_out[0] = state.chooser.choose(usage);
-  return static_cast<double>(lg.degree(v)) + 1.0;
+  *chosen = state.chooser.choose(usage);
+  return work;
+}
+
+/// True iff boundary vertex v must recolor: a vertex within D hops that it
+/// could not see while coloring holds its color and wins the priority
+/// comparison. At distance 1 that is a ghost neighbor (owned neighbors were
+/// visible); at distance 2 every vertex is compared, and *checks counts the
+/// comparisons made until the first loss.
+template <int D>
+bool loses_conflict(const RankState& state, VertexId v, std::uint64_t seed,
+                    double* checks) {
+  const LocalGraph& lg = *state.lg;
+  const Color cv = state.color[static_cast<std::size_t>(v)];
+  const VertexId gv = lg.global_id(v);
+  // Exactly one endpoint of a conflict recolors; both ranks evaluate the
+  // same deterministic comparison.
+  const auto loses_to = [&](VertexId u) {
+    if constexpr (D == 2) *checks += 1.0;
+    return state.color[static_cast<std::size_t>(u)] == cv &&
+           wins_priority(lg.global_id(u), gv, seed);
+  };
+  for (VertexId u : lg.neighbors(v)) {
+    if constexpr (D == 1) {
+      if (lg.is_ghost(u) && loses_to(u)) return true;
+    } else {
+      if (loses_to(u)) return true;
+      for (VertexId w : lg.neighbors(u)) {
+        if (w != v && loses_to(w)) return true;
+      }
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -81,6 +127,11 @@ DistColoringResult color_distributed(const DistGraph& dist,
   // result and parallelizes whenever the clock-only safety check proves the
   // schedule byte-identical to sequential execution.
   const bool sync_mode = options.superstep_mode == SuperstepMode::kSync;
+  // The coloring distance is the distribution's halo. The walks are picked
+  // once per call: testing the halo per neighbour slows distance 1.
+  const bool two_hop = dist.local(0).halo() == 2;
+  const auto color_one = two_hop ? &color_vertex<2> : &color_vertex<1>;
+  const auto loses = two_hop ? &loses_conflict<2> : &loses_conflict<1>;
 
   std::vector<RankState> states(static_cast<std::size_t>(P));
   for (Rank r = 0; r < P; ++r) {
@@ -120,7 +171,7 @@ DistColoringResult color_distributed(const DistGraph& dist,
                                   std::vector<BspMessage> msgs) {
     RankState& st = states[static_cast<std::size_t>(ctx.rank())];
     for (const BspMessage& msg : msgs) {
-      apply_color_records(*st.lg, st.color, msg);
+      apply_color_records(*st.lg, st.color, msg, options.comm_mode);
     }
   };
 
@@ -148,7 +199,7 @@ DistColoringResult color_distributed(const DistGraph& dist,
         // is invariant under the wire codec.
         if (!sync_mode) {
           for (const BspMessage& msg : ctx.poll()) {
-            apply_color_records(lg, st.color, msg);
+            apply_color_records(lg, st.color, msg, options.comm_mode);
             ctx.charge(static_cast<double>(msg.records), WorkPhase::kBoundary);
           }
         }
@@ -161,7 +212,7 @@ DistColoringResult color_distributed(const DistGraph& dist,
           const VertexId v = st.to_color[i];
           const bool boundary = lg.is_boundary(v);
           Color chosen;
-          ctx.charge(color_vertex(st, v, &chosen),
+          ctx.charge(color_one(st, v, &chosen),
                      boundary ? WorkPhase::kBoundary : WorkPhase::kInterior);
           st.color[static_cast<std::size_t>(v)] = chosen;
           if (!boundary) continue;
@@ -201,31 +252,23 @@ DistColoringResult color_distributed(const DistGraph& dist,
       auto& lost_r = lost[static_cast<std::size_t>(r)];
       st.to_color.clear();
       for (const VertexId v : st.colored_boundary) {
-        ctx.charge(static_cast<double>(lg.degree(v)), WorkPhase::kBoundary);
-        const Color cv = st.color[static_cast<std::size_t>(v)];
-        const VertexId gv = lg.global_id(v);
-        if (faults_on && lost_r.count(gv) != 0) {
-          // Some receiver never learned cv; re-enter unconditionally (it
-          // will recolor — and re-announce — next round).
+        // Both distances' charges are pinned, and they differ: distance 1
+        // charges v's whole row up front, distance 2 the comparisons made
+        // until the first loss and nothing for a re-entered vertex.
+        if (!two_hop) {
+          ctx.charge(static_cast<double>(lg.degree(v)), WorkPhase::kBoundary);
+        }
+        if (faults_on && lost_r.count(lg.global_id(v)) != 0) {
+          // Some receiver never learned v's color; re-enter unconditionally
+          // (it will recolor — and re-announce — next round).
           st.color[static_cast<std::size_t>(v)] = kNoColor;
           st.to_color.push_back(v);
           ++reentries[static_cast<std::size_t>(r)];
           continue;
         }
-        bool lose = false;
-        for (VertexId u : lg.neighbors(v)) {
-          if (!lg.is_ghost(u)) continue;
-          if (st.color[static_cast<std::size_t>(u)] != cv) continue;
-          const VertexId gu = lg.global_id(u);
-          const std::uint64_t rv = vertex_priority(gv, seed);
-          const std::uint64_t ru = vertex_priority(gu, seed);
-          // Exactly one endpoint of a conflict edge recolors; both ranks
-          // evaluate the same deterministic comparison.
-          if (rv < ru || (rv == ru && gv < gu)) {
-            lose = true;
-            break;
-          }
-        }
+        double checks = 0.0;
+        const bool lose = loses(st, v, seed, &checks);
+        if (two_hop) ctx.charge(1.0 + checks, WorkPhase::kBoundary);
         if (lose) {
           st.color[static_cast<std::size_t>(v)] = kNoColor;
           st.to_color.push_back(v);

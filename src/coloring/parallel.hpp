@@ -6,7 +6,16 @@
 // owned vertices with the information available, then exchange boundary
 // colors) and a conflict-detection phase (local; the loser of each conflict
 // edge — chosen by deterministic per-vertex random priorities — is recolored
-// next round). Three communication modes reproduce the paper's comparison:
+// next round).
+//
+// The coloring distance is the distribution's halo (DistGraph::build): at
+// halo 1 a proper distance-1 coloring, at halo 2 a distance-2 one, where a
+// vertex avoids and is checked against every color within two hops and its
+// color goes to every rank owning a vertex there. Nothing else differs.
+// color_distance2_distributed_native (coloring/distance2.hpp) is the
+// distance-2 entry point.
+//
+// Three communication modes reproduce the paper's comparison:
 //
 //   * kBroadcastUnion      (FIAB) — every rank sends the union of its
 //     superstep's boundary colors to every other rank;
@@ -64,11 +73,12 @@ struct DistColoringOptions {
   FaultConfig faults;
   /// Instrumentation options (optional JSONL trace sink).
   TraceConfig trace;
-  /// Execution backend: with exec.threads > 1 the parallel-safe phases
-  /// (synchronous-superstep compute, post-barrier drains, conflict
-  /// detection) run the rank callbacks on a thread pool, bit-identically to
-  /// sequential execution. Asynchronous supersteps poll mid-superstep and
-  /// always run sequentially.
+  /// Execution backend: with exec.threads > 1 the rank callbacks run on a
+  /// thread pool, bit-identically to sequential execution, in synchronous
+  /// supersteps, post-barrier drains and conflict detection, and in every
+  /// asynchronous superstep whose mid-superstep polls the snapshot harvest
+  /// can settle up front (the rest run rank by rank; see
+  /// DistColoringResult's snapshot counters).
   ExecConfig exec;
 
   /// FIAB preset: broadcast-based, superstep ~100 (paper: best for
@@ -97,11 +107,12 @@ struct DistColoringResult {
   std::int64_t snapshot_fallback_supersteps = 0;
 };
 
-/// Runs the distributed coloring on a pre-built distribution.
+/// Runs the distributed coloring on a pre-built distribution, at distance
+/// dist's halo.
 [[nodiscard]] DistColoringResult color_distributed(
     const DistGraph& dist, const DistColoringOptions& options = {});
 
-/// Convenience overload: builds the distribution from (g, p) first.
+/// Convenience overload: builds the halo-1 distribution from (g, p) first.
 [[nodiscard]] DistColoringResult color_distributed(
     const Graph& g, const Partition& p, const DistColoringOptions& options = {});
 

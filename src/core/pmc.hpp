@@ -20,7 +20,6 @@
 
 #include "coloring/coloring.hpp"        // IWYU pragma: export
 #include "coloring/distance2.hpp"       // IWYU pragma: export
-#include "coloring/distance2_parallel.hpp" // IWYU pragma: export
 #include "coloring/jones_plassmann.hpp" // IWYU pragma: export
 #include "coloring/parallel.hpp"        // IWYU pragma: export
 #include "coloring/parallel_verify.hpp" // IWYU pragma: export

@@ -27,16 +27,26 @@ void LocalGraph::fill(const Graph& g, const Partition& p) {
   adj_.resize(static_cast<std::size_t>(offsets_.back()));
   weights_.resize(g.has_weights() ? adj_.size() : 0);
 
-  // Fill adjacency; create ghosts on demand. Owned vertices come up in
-  // local-id order, so each one's sorted, unique ghost owners append to the
-  // boundary-rank CSR in place.
+  // Appends owned vertex lv's boundary ranks, sorted and unique, to the CSR.
   std::vector<Rank> ranks;
+  const auto close_ranks = [&](std::size_t lv) {
+    std::sort(ranks.begin(), ranks.end());
+    ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+    boundary_ranks_.insert(boundary_ranks_.end(), ranks.begin(), ranks.end());
+    PMC_CHECK(boundary_ranks_.size() <= UINT32_MAX,
+              "rank " << rank_ << " has too many boundary ranks to index");
+    rank_offsets_[lv + 1] = static_cast<std::uint32_t>(boundary_ranks_.size());
+    ranks.clear();
+  };
+
+  // Fill adjacency; create ghosts on demand. Owned vertices come up in
+  // local-id order, so each one's ghost owners append to the boundary-rank
+  // CSR in place.
   for (std::size_t lv = 0; lv < owned; ++lv) {
     const VertexId v = global_ids_[lv];
     auto cursor = static_cast<std::size_t>(offsets_[lv]);
     const auto nbrs = g.neighbors(v);
     const auto ws = g.weights(v);
-    ranks.clear();
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const VertexId u = nbrs[i];
       const Rank ru = p.owner(u);
@@ -60,12 +70,41 @@ void LocalGraph::fill(const Graph& g, const Partition& p) {
       if (g.has_weights()) weights_[cursor] = ws[i];
       ++cursor;
     }
-    std::sort(ranks.begin(), ranks.end());
-    ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
-    boundary_ranks_.insert(boundary_ranks_.end(), ranks.begin(), ranks.end());
-    PMC_CHECK(boundary_ranks_.size() <= UINT32_MAX,
-              "rank " << rank_ << " has too many boundary ranks to index");
-    rank_offsets_[lv + 1] = static_cast<std::uint32_t>(boundary_ranks_.size());
+    close_ranks(lv);
+  }
+
+  if (halo_ == 2) {
+    // The distance-1 ghosts' rows, whose unseen targets become the
+    // distance-2 ghosts (owned targets are already numbered); then each
+    // owned vertex's ranks again, two hops out.
+    const std::size_t rows = global_ids_.size();
+    for (std::size_t lu = owned; lu < rows; ++lu) {
+      const VertexId u = global_ids_[lu];
+      const auto nbrs = g.neighbors(u);
+      const auto ws = g.weights(u);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        const VertexId w = nbrs[i];
+        const auto [it, first_sight] = global_to_local_.try_emplace(
+            w, static_cast<VertexId>(global_ids_.size()));
+        if (first_sight) {
+          global_ids_.push_back(w);
+          ghost_owner_.push_back(p.owner(w));
+        }
+        adj_.push_back(it->second);
+        if (g.has_weights()) weights_.push_back(ws[i]);
+      }
+      offsets_.push_back(static_cast<EdgeId>(adj_.size()));
+    }
+    boundary_ranks_.clear();
+    for (std::size_t lv = 0; lv < owned; ++lv) {
+      for (const VertexId u : neighbors(static_cast<VertexId>(lv))) {
+        if (is_ghost(u)) ranks.push_back(ghost_owner(u));
+        for (const VertexId w : neighbors(u)) {
+          if (is_ghost(w)) ranks.push_back(ghost_owner(w));
+        }
+      }
+      close_ranks(lv);
+    }
   }
 
   // Derived structures.
@@ -79,10 +118,11 @@ void LocalGraph::fill(const Graph& g, const Partition& p) {
   }
 }
 
-DistGraph DistGraph::build(const Graph& g, const Partition& p) {
+DistGraph DistGraph::build(const Graph& g, const Partition& p, int halo) {
   PMC_REQUIRE(p.num_vertices() == g.num_vertices(),
               "graph/partition size mismatch: " << g.num_vertices() << " vs "
                                                 << p.num_vertices());
+  PMC_REQUIRE(halo == 1 || halo == 2, "halo must be 1 or 2, got " << halo);
   DistGraph dist;
   dist.num_global_vertices_ = g.num_vertices();
   const Rank parts = p.num_parts();
@@ -91,6 +131,7 @@ DistGraph DistGraph::build(const Graph& g, const Partition& p) {
   // Owned ids: each rank numbers its vertices in global-id order.
   for (Rank r = 0; r < parts; ++r) {
     dist.locals_[static_cast<std::size_t>(r)].rank_ = r;
+    dist.locals_[static_cast<std::size_t>(r)].halo_ = halo;
   }
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     auto& lg = dist.locals_[static_cast<std::size_t>(p.owner(v))];
@@ -114,6 +155,8 @@ void DistGraph::refresh(const Graph& g, const Partition& p,
                               << num_ranks() << "-rank distribution with a "
                               << g.num_vertices() << "-vertex graph and a "
                               << p.num_parts() << "-part partition");
+  PMC_REQUIRE(local(0).halo() == 1, "refresh of a halo-"
+                                        << local(0).halo() << " distribution");
   std::vector<bool> stale(static_cast<std::size_t>(num_ranks()), false);
   for (const VertexId v : touched) {
     PMC_REQUIRE(v >= 0 && v < num_global_vertices_,
@@ -137,15 +180,30 @@ void DistGraph::validate(const Graph& g, const Partition& p) const {
     owned_total += lg.num_owned();
     for (VertexId lv = 0; lv < lg.num_owned(); ++lv) {
       arcs_total += lg.degree(lv);
-      const bool flagged = lg.is_boundary(lv);
+      // A vertex of another rank within the halo: a ghost neighbor, or at
+      // halo 2 a ghost in a neighbor's row (every ghost neighbor has one).
       bool has_cross = false;
       for (VertexId lu : lg.neighbors(lv)) {
         if (lg.is_ghost(lu)) has_cross = true;
+        if (lg.halo() == 1) continue;
+        PMC_CHECK(lu < lg.num_rows(), "distance-1 ghost without a row at rank "
+                                          << r << " local " << lu);
+        for (VertexId lw : lg.neighbors(lu)) {
+          if (lg.is_ghost(lw)) has_cross = true;
+        }
       }
-      PMC_CHECK(flagged == has_cross,
+      PMC_CHECK(lg.is_boundary(lv) == has_cross,
                 "boundary flag mismatch at rank " << r << " local " << lv);
       PMC_CHECK(p.owner(lg.global_id(lv)) == r,
                 "ownership mismatch at rank " << r << " local " << lv);
+    }
+    // Each ghost row is g's row of that vertex, in g's order.
+    for (VertexId lu = lg.num_owned(); lu < lg.num_rows(); ++lu) {
+      const auto want = g.neighbors(lg.global_id(lu));
+      const auto got = lg.neighbors(lu);
+      PMC_CHECK(std::ranges::equal(got, want, {},
+                                   [&](VertexId l) { return lg.global_id(l); }),
+                "ghost row mismatch at rank " << r << " local " << lu);
     }
     cross_total += lg.num_cross_edges();
     for (VertexId gi = lg.num_owned(); gi < lg.num_local(); ++gi) {

@@ -9,16 +9,24 @@
 //   * the owned vertices (local ids [0, num_owned)), with full adjacency in
 //     CSR form referring to local ids;
 //   * ghost vertices (local ids [num_owned, num_local)) with their global id
-//     and owning rank but no adjacency;
+//     and owning rank;
 //   * the interior/boundary classification of owned vertices, each boundary
-//     vertex's sorted neighboring ranks, and the rank-wide sorted list of
+//     vertex's sorted boundary ranks, and the rank-wide sorted list of
 //     neighboring ranks.
 //
-// A rank's view is a function of its owned rows alone, so construction is
-// two passes: DistGraph::build numbers every rank's owned vertices, then
-// fills each LocalGraph from its owned rows. When only some rows of the
-// graph change (service mode's edge-update batches), DistGraph::refresh
-// re-runs that same fill for the owners of the changed rows only.
+// The halo is how far a rank sees. At halo 1 the ghosts are the owned
+// vertices' neighbors and carry no adjacency. At halo 2 the distance-1
+// ghosts also carry their rows (local ids [num_owned, num_rows)), whose
+// targets add the distance-2 ghosts, and a vertex's boundary ranks are every
+// other rank owning a vertex within two hops of it — what a distance-2
+// coloring must see and tell.
+//
+// A rank's view is a function of its owned rows alone (and, at halo 2, its
+// distance-1 ghosts' rows), so construction is two passes: DistGraph::build
+// numbers every rank's owned vertices, then fills each LocalGraph. When only
+// some rows of the graph change (service mode's edge-update batches),
+// DistGraph::refresh re-runs that same fill for the owners of the changed
+// rows only; it serves halo 1.
 #pragma once
 
 #include <span>
@@ -35,12 +43,19 @@ namespace pmc {
 class LocalGraph {
  public:
   [[nodiscard]] Rank rank() const noexcept { return rank_; }
+  /// How many hops this view reaches: 1 or 2 (see the file comment).
+  [[nodiscard]] int halo() const noexcept { return halo_; }
   [[nodiscard]] VertexId num_owned() const noexcept { return num_owned_; }
   [[nodiscard]] VertexId num_ghosts() const noexcept {
     return static_cast<VertexId>(global_ids_.size()) - num_owned_;
   }
   [[nodiscard]] VertexId num_local() const noexcept {
     return static_cast<VertexId>(global_ids_.size());
+  }
+  /// Local ids with adjacency: the owned vertices, then at halo 2 the
+  /// distance-1 ghosts.
+  [[nodiscard]] VertexId num_rows() const noexcept {
+    return static_cast<VertexId>(offsets_.size()) - 1;
   }
 
   [[nodiscard]] bool is_ghost(VertexId local) const noexcept {
@@ -62,15 +77,16 @@ class LocalGraph {
     return ghost_owner_[static_cast<std::size_t>(local - num_owned_)];
   }
 
-  /// True iff owned vertex `local` has a neighbor on another rank.
+  /// True iff owned vertex `local` has a vertex of another rank within
+  /// halo() hops.
   [[nodiscard]] bool is_boundary(VertexId local) const {
     return rank_offsets_[static_cast<std::size_t>(local) + 1] !=
            rank_offsets_[static_cast<std::size_t>(local)];
   }
 
-  /// Owners of owned vertex `local`'s ghost neighbors (sorted, unique) — the
-  /// ranks a boundary update of `local` must reach. Empty for interior
-  /// vertices.
+  /// Owners of the ghosts within halo() hops of owned vertex `local`
+  /// (sorted, unique) — the ranks a boundary update of `local` must reach.
+  /// Empty for interior vertices.
   [[nodiscard]] std::span<const Rank> boundary_ranks(VertexId local) const {
     const auto b = static_cast<std::size_t>(rank_offsets_[static_cast<std::size_t>(local)]);
     const auto e = static_cast<std::size_t>(rank_offsets_[static_cast<std::size_t>(local) + 1]);
@@ -82,7 +98,7 @@ class LocalGraph {
            offsets_[static_cast<std::size_t>(local)];
   }
 
-  /// Neighbors (as local ids) of an owned vertex.
+  /// Neighbors (as local ids) of a vertex with a row (local < num_rows()).
   [[nodiscard]] std::span<const VertexId> neighbors(VertexId local) const {
     const auto b = static_cast<std::size_t>(offsets_[static_cast<std::size_t>(local)]);
     const auto e = static_cast<std::size_t>(offsets_[static_cast<std::size_t>(local) + 1]);
@@ -110,7 +126,8 @@ class LocalGraph {
   }
   [[nodiscard]] bool has_weights() const noexcept { return !weights_.empty(); }
 
-  /// Ranks owning at least one ghost (sorted, unique).
+  /// Ranks owning at least one ghost (sorted, unique): the union of the
+  /// boundary ranks.
   [[nodiscard]] const std::vector<Rank>& neighbor_ranks() const noexcept {
     return neighbor_ranks_;
   }
@@ -120,22 +137,25 @@ class LocalGraph {
     return boundary_;
   }
 
-  /// Number of cross edges incident to this rank's owned vertices.
+  /// Number of cross edges incident to this rank's owned vertices (ghost
+  /// rows are not counted).
   [[nodiscard]] EdgeId num_cross_edges() const noexcept { return cross_edges_; }
 
  private:
   friend class DistGraph;
 
   /// (Re)builds everything but the owned ids from this rank's owned rows
-  /// of `g`: drops the previous ghosts, then rebuilds the CSR, ghosts,
-  /// boundary ranks and derived lists.
+  /// of `g` (and its distance-1 ghosts' rows at halo 2): drops the previous
+  /// ghosts, then rebuilds the CSR, ghosts, boundary ranks and derived
+  /// lists.
   void fill(const Graph& g, const Partition& p);
 
   Rank rank_ = 0;
+  int halo_ = 1;
   VertexId num_owned_ = 0;
   std::vector<VertexId> global_ids_;
   std::unordered_map<VertexId, VertexId> global_to_local_;
-  std::vector<EdgeId> offsets_;   // over owned vertices only
+  std::vector<EdgeId> offsets_;   // over the rows: [0, num_rows())
   std::vector<VertexId> adj_;     // local ids (owned or ghost)
   std::vector<Weight> weights_;
   std::vector<Rank> ghost_owner_;
@@ -149,14 +169,14 @@ class LocalGraph {
 /// The complete distributed graph: all ranks' local views.
 class DistGraph {
  public:
-  /// Splits `g` according to `p`. The graph and partition must agree on the
-  /// vertex count.
-  static DistGraph build(const Graph& g, const Partition& p);
+  /// Splits `g` according to `p` with every rank seeing `halo` (1 or 2)
+  /// hops. The graph and partition must agree on the vertex count.
+  static DistGraph build(const Graph& g, const Partition& p, int halo = 1);
 
-  /// Brings the distribution up to date with `g` by re-filling only the
-  /// ranks that own a vertex of `touched`. Precondition: `g` differs from
-  /// the graph this distribution was last built or refreshed from only in
-  /// the rows of `touched`, and `p` is the partition it was built with.
+  /// Brings a halo-1 distribution up to date with `g` by re-filling only
+  /// the ranks that own a vertex of `touched`. Precondition: `g` differs
+  /// from the graph this distribution was last built or refreshed from only
+  /// in the rows of `touched`, and `p` is the partition it was built with.
   /// The result equals build(g, p).
   void refresh(const Graph& g, const Partition& p,
                std::span<const VertexId> touched);
@@ -174,7 +194,8 @@ class DistGraph {
   }
 
   /// Re-checks the distribution invariants (ghost symmetry, edge
-  /// conservation, ownership consistency) against the original inputs.
+  /// conservation, ownership consistency, boundary flags at the halo, and
+  /// at halo 2 the ghost rows) against the original inputs.
   void validate(const Graph& g, const Partition& p) const;
 
  private:

@@ -315,9 +315,8 @@ class CommFabric {
 
 /// One rank's outgoing-record staging: a FrameWriter slot per destination
 /// on a sorted list fixed at construction — the ranks the sender can reach,
-/// which its caller already knows (LocalGraph::neighbor_ranks(), or the
-/// distance-2 recipient union). Staging therefore costs O(neighbours), not
-/// O(ranks). Bundler and FanoutStage both stage through it; its three flush
+/// which its caller already knows (LocalGraph::neighbor_ranks(), at either
+/// halo). Staging therefore costs O(neighbours), not O(ranks). Bundler and FanoutStage both stage through it; its three flush
 /// walks fix the send order, which feeds FIFO channels, jitter and fault
 /// verdicts downstream.
 class Outbox {

@@ -130,7 +130,8 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
                                   std::vector<BspMessage> msgs) {
     CanonState& st = states[static_cast<std::size_t>(ctx.rank())];
     for (const BspMessage& msg : msgs) {
-      apply_color_records(*st.lg, st.color, msg, &st.ghost_changed);
+      apply_color_records(*st.lg, st.color, msg, options.comm_mode,
+                          &st.ghost_changed);
     }
   };
 

@@ -1,13 +1,16 @@
 #include "service/update_stream.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "support/error.hpp"
 #include "support/sorted.hpp"
+#include "support/text.hpp"
 
 namespace pmc {
 
@@ -73,6 +76,10 @@ void DynamicGraph::require_valid_endpoints(const EdgeUpdate& update) const {
 
 void DynamicGraph::apply(const EdgeUpdate& update) {
   require_valid_endpoints(update);
+  PMC_REQUIRE(update.op == UpdateOp::kDelete || std::isfinite(update.w),
+              to_string(update.op) << " of (" << update.u << ", " << update.v
+                                   << ") with non-finite weight "
+                                   << update.w);
   // Validate before touching any row, so a rejected update changes nothing.
   const bool present = find_edge(update.u, update.v).has_value();
   switch (update.op) {
@@ -324,7 +331,8 @@ namespace {
 
 /// Minimal strict parser for the fixed JSONL schema written above. Not a
 /// general JSON parser: fields must appear in order, no extra whitespace
-/// handling beyond leading spaces per token.
+/// handling beyond spaces around tokens, and numbers go through the one
+/// strict number parser the other readers share.
 class LogLineParser {
  public:
   LogLineParser(const std::string& line, std::int64_t lineno)
@@ -344,12 +352,12 @@ class LogLineParser {
       fail("unknown op '" + op + "'");
     }
     expect(',');
-    update.u = int_field("u");
+    update.u = number_field<VertexId>("u");
     expect(',');
-    update.v = int_field("v");
+    update.v = number_field<VertexId>("v");
     if (update.op != UpdateOp::kDelete) {
       expect(',');
-      update.w = double_field("w");
+      update.w = number_field<Weight>("w");
     }
     expect('}');
     skip_spaces();
@@ -396,31 +404,21 @@ class LogLineParser {
     return value;
   }
 
-  [[nodiscard]] VertexId int_field(const char* name) {
+  /// The number after key `name`: every character up to the next ',', '}'
+  /// or space, read whole by parse_number. JSON has no leading '+', and
+  /// parse_number rejects the rest (NaN, infinities, hex, whitespace).
+  template <typename T>
+  [[nodiscard]] T number_field(const char* name) {
     key(name);
     skip_spaces();
-    std::size_t used = 0;
-    VertexId value = 0;
-    try {
-      value = std::stoll(line_.substr(pos_), &used);
-    } catch (const std::exception&) {
-      fail(std::string("bad integer for \"") + name + "\"");
-    }
-    pos_ += used;
-    return value;
-  }
-
-  [[nodiscard]] double double_field(const char* name) {
-    key(name);
-    skip_spaces();
-    std::size_t used = 0;
-    double value = 0;
-    try {
-      value = std::stod(line_.substr(pos_), &used);
-    } catch (const std::exception&) {
+    const std::size_t end =
+        std::min(line_.find_first_of(",} ", pos_), line_.size());
+    const std::string_view token(line_.data() + pos_, end - pos_);
+    T value{};
+    if (token.starts_with('+') || parse_number(token, value) != std::errc{}) {
       fail(std::string("bad number for \"") + name + "\"");
     }
-    pos_ += used;
+    pos_ = end;
     return value;
   }
 

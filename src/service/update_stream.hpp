@@ -74,8 +74,9 @@ class DynamicGraph {
 
   /// Applies one update; throws pmc::Error when the update is invalid
   /// against the current edge set (inserting a present edge, deleting or
-  /// reweighting an absent one, self-loop, out-of-range endpoint). A
-  /// rejected update changes nothing.
+  /// reweighting an absent one, self-loop, out-of-range endpoint) or
+  /// inserts or reweights with a NaN or infinite weight. A rejected update
+  /// changes nothing.
   void apply(const EdgeUpdate& update);
 
   /// Folds the rows touched since the last fold into the CSR and returns
@@ -154,7 +155,8 @@ void write_update_log(const std::string& path,
                       const std::vector<EdgeUpdate>& updates);
 
 /// Reads a JSONL update log written by write_update_log. Throws pmc::Error
-/// on malformed lines (strict field set, no trailing garbage).
+/// naming the line on a malformed one (strict field set, no trailing
+/// garbage, numbers as parse_number reads them with no leading '+').
 [[nodiscard]] std::vector<EdgeUpdate> read_update_log(std::istream& in);
 [[nodiscard]] std::vector<EdgeUpdate> read_update_log(const std::string& path);
 

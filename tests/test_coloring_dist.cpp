@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
+#include "coloring/color_exchange.hpp"
 #include "coloring/parallel.hpp"
 #include "coloring/sequential.hpp"
 #include "graph/generators.hpp"
@@ -168,6 +170,26 @@ TEST(DistColoring, RejectsBadOptions) {
   auto opts = zero_cost();
   opts.superstep_size = 0;
   EXPECT_THROW((void)color_distributed(g, p, opts), Error);
+}
+
+TEST(DistColoring, RecordForUnheldVertexIsOnlyBroadcastWaste) {
+  // Path 0-1-2-3 on ranks {0,0,1,1}: rank 0 holds 0, 1 and ghost 2 only.
+  const Graph g = path(4);
+  const Partition p(2, {0, 0, 1, 1});
+  const DistGraph dist = DistGraph::build(g, p);
+  FrameWriter w(WireCodec::kCompact);
+  w.put(ColorRecord{2, 5});
+  w.put(ColorRecord{3, 7});
+  const BspMessage msg{1, 0.0, 2, w.take()};
+  std::vector<Color> color(
+      static_cast<std::size_t>(dist.local(0).num_local()), kNoColor);
+  apply_color_records(dist.local(0), color, msg, SendPolicy::kBroadcastUnion);
+  EXPECT_EQ(color[static_cast<std::size_t>(dist.local(0).local_id(2))], 5);
+  for (const SendPolicy customized :
+       {SendPolicy::kCustomizedAll, SendPolicy::kCustomizedNeighbors}) {
+    EXPECT_THROW(apply_color_records(dist.local(0), color, msg, customized),
+                 Error);
+  }
 }
 
 /// The central property sweep: every variant combination colors properly.

@@ -37,6 +37,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/pmc.hpp"
 #include "partition/simple.hpp"
@@ -171,6 +172,46 @@ void expect_pinned_faults(const RunResult& run, const PinnedFaults& pin) {
   EXPECT_EQ(f.backoff_seconds, pin.backoff_seconds);
 }
 
+/// 64-bit FNV-1a over 64-bit words fed little-endian, so a fingerprint
+/// names the same values on any host.
+class Fnv64 {
+ public:
+  void add(std::uint64_t word) noexcept {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// What a coloring run decides beyond its traffic: the colors, how many
+// vertices each round recolored or re-entered, and how each rank's charged
+// compute splits between interior and boundary work (the split follows the
+// driver's boundary classification, so a change to it shows here even when
+// the totals hold).
+struct PinnedColoring {
+  std::uint64_t colors;  ///< Fnv64 of the color vector.
+  std::vector<EdgeId> conflicts_per_round;
+  std::int64_t fault_reentries;
+  std::vector<double> interior_seconds;
+  std::vector<double> boundary_seconds;
+};
+
+void expect_pinned_coloring(const DistColoringResult& r,
+                            const PinnedColoring& pin) {
+  Fnv64 h;
+  for (const Color c : r.coloring.color) h.add(static_cast<std::uint64_t>(c));
+  EXPECT_EQ(h.value(), pin.colors);
+  EXPECT_EQ(r.conflicts_per_round, pin.conflicts_per_round);
+  EXPECT_EQ(r.fault_reentries, pin.fault_reentries);
+  EXPECT_EQ(r.run.breakdown.interior_seconds, pin.interior_seconds);
+  EXPECT_EQ(r.run.breakdown.boundary_seconds, pin.boundary_seconds);
+}
+
 TEST(DeterminismRegression, FaultInjectedMatchingScenarios) {
   const Graph g = grid_2d(48, 48, WeightKind::kUniformRandom, 61);
   Rank pr = 0, pc = 0;
@@ -273,6 +314,14 @@ TEST(DeterminismRegression, FaultInjectedDistance2Scenario) {
   expect_pinned(r.run, r.rounds,
                 {0.0001641873999999995, 34, 1909, 276, 8, 4});
   expect_pinned_faults(r.run, {5, 1, 0, 0.0});
+  expect_pinned_coloring(
+      r, {0x6a9e39ff753febebULL,
+          {25, 2, 0, 0},
+          62,
+          {0x1.48298f7075defp-16, 0x1.48298f7075defp-16,
+           0x1.48298f7075df2p-16, 0x1.48298f7075df2p-16},
+          {0x1.c4fc1df3300e2p-16, 0x1.ff08b42e9b494p-16,
+           0x1.7dd974a5ef3d7p-15, 0x1.9454b63aba106p-16}});
 }
 
 TEST(DeterminismRegression, Distance2ColoringScenario) {
@@ -281,6 +330,27 @@ TEST(DeterminismRegression, Distance2ColoringScenario) {
   const auto rd = color_distance2_distributed_native(g, p, {});
   expect_pinned(rd.run, rd.rounds,
                 {0.00011569199999999996, 25, 1410, 206, 6, 3});
+  expect_pinned_coloring(
+      rd, {0x71558dec33242b87ULL,
+           {31, 2, 0},
+           0,
+           {0x1.48298f7075defp-16, 0x1.48298f7075defp-16,
+            0x1.48298f7075df2p-16, 0x1.48298f7075df2p-16},
+           {0x1.bf9dba3aa3eb1p-16, 0x1.ff08b42e9b494p-16,
+            0x1.ceb732b1ae0dbp-16, 0x1.a36e2eb1c432fp-16}});
+
+  // 16-vertex supersteps: several per round, so mid-round polls deliver.
+  DistColoringOptions small;
+  small.superstep_size = 16;
+  const auto rs = color_distance2_distributed_native(g, p, small);
+  expect_pinned_coloring(
+      rs, {0xa58e4a56f3cc2fa6ULL,
+           {14, 0},
+           0,
+           {0x1.48298f7075defp-16, 0x1.48298f7075defp-16,
+            0x1.48298f7075df2p-16, 0x1.48298f7075df2p-16},
+           {0x1.add50fe753b6fp-16, 0x1.b333739fdfd9fp-16,
+            0x1.afd8754c88441p-16, 0x1.aacff7cf84e33p-16}});
 }
 
 // Pins for the snapshot-harvest asynchronous supersteps where mid-round
@@ -318,6 +388,18 @@ TEST(DeterminismRegression, SnapshotAsyncColoringScenarios) {
   expect_pinned_faults(rf.run, {4, 2, 0, 0.0});
   EXPECT_EQ(rf.fault_reentries, 6);
   EXPECT_GT(rf.snapshot_fallback_supersteps, 0);
+  expect_pinned_coloring(
+      rf, {0xab1b35c1912b5367ULL,
+           {61, 1, 0},
+           6,
+           {0x1.335bcd0556d66p-16, 0x1.7d838e6a6679fp-16,
+            0x1.56973b706e7c2p-16, 0x1.32b0008e4551dp-16,
+            0x1.4b2ea78844b1cp-16, 0x1.421f5f40d836bp-16,
+            0x1.6255b5942109p-16, 0x1.5fa683b7daf75p-16},
+           {0x1.09c0482f18c75p-17, 0x1.376297cfbff15p-17,
+            0x1.4376f82efb402p-17, 0x1.6255b5942109fp-17,
+            0x1.6255b59421096p-17, 0x1.c04986b1b56f5p-17,
+            0x1.3305e6c9ce144p-16, 0x1.2ca5d05ea7ab3p-17}});
 }
 
 // Pins for the two verifier boundary exchanges fixed by the D1 lint
@@ -701,22 +783,6 @@ void expect_same_work(const DistColoringResult& a,
   // to mean anything.
   EXPECT_NE(a.run.comm.bytes, b.run.comm.bytes);
 }
-
-/// 64-bit FNV-1a over 64-bit words fed little-endian, so a fingerprint
-/// names the same values on any host.
-class Fnv64 {
- public:
-  void add(std::uint64_t word) noexcept {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (word >> (8 * byte)) & 0xffU;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 /// Offsets, adjacency and weight bits of g's CSR.
 std::uint64_t csr_fingerprint(const Graph& g) {

@@ -1,6 +1,7 @@
 // Tests for the distributed graph view (ghost construction, interior/
-// boundary classification, per-vertex boundary ranks, invariants, and
-// refresh() after edge-update batches against a fresh build).
+// boundary classification, per-vertex boundary ranks at halo 1 and 2,
+// invariants, and refresh() after edge-update batches against a fresh
+// build).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -114,24 +115,30 @@ TEST(DistGraph, LocalIdLookupForUnknownVertex) {
   EXPECT_EQ(dist.local(0).local_id(3), kNoVertex);  // 3 not visible on rank 0
 }
 
-/// boundary_ranks(v) against a brute-force sorted-unique scan of v's ghost
-/// owners, for every owned vertex of every rank. Returns the largest
+/// boundary_ranks(v) against a brute-force sorted-unique scan of g and p:
+/// the owners other than v's of the vertices within the distribution's halo
+/// of v, for every owned vertex of every rank. Returns the largest
 /// per-vertex rank count seen.
-std::size_t expect_boundary_ranks_match_scan(const DistGraph& dist) {
+std::size_t expect_boundary_ranks_match_scan(const Graph& g,
+                                             const Partition& p,
+                                             const DistGraph& dist) {
   std::size_t widest = 0;
   for (Rank r = 0; r < dist.num_ranks(); ++r) {
     const LocalGraph& lg = dist.local(r);
     for (VertexId v = 0; v < lg.num_owned(); ++v) {
+      const VertexId gv = lg.global_id(v);
       std::vector<Rank> expected;
-      for (const VertexId u : lg.neighbors(v)) {
-        if (!lg.is_ghost(u)) continue;
-        const Rank owner = lg.ghost_owner(u);
-        if (std::find(expected.begin(), expected.end(), owner) ==
-            expected.end()) {
-          expected.push_back(owner);
-        }
+      const auto see = [&](VertexId u) {
+        if (p.owner(u) != r) expected.push_back(p.owner(u));
+      };
+      for (const VertexId u : g.neighbors(gv)) {
+        see(u);
+        if (lg.halo() == 1) continue;
+        for (const VertexId w : g.neighbors(u)) see(w);
       }
       std::sort(expected.begin(), expected.end());
+      expected.erase(std::unique(expected.begin(), expected.end()),
+                     expected.end());
       const auto got = lg.boundary_ranks(v);
       EXPECT_EQ(std::vector<Rank>(got.begin(), got.end()), expected)
           << "rank " << r << " local " << v;
@@ -149,7 +156,7 @@ TEST(DistGraph, BoundaryRanksOnGridBlocks) {
   const Graph g = grid_2d(12, 12);
   const Partition p = grid_2d_partition(12, 12, 3, 3);
   const DistGraph dist = DistGraph::build(g, p);
-  EXPECT_EQ(expect_boundary_ranks_match_scan(dist), 2u);
+  EXPECT_EQ(expect_boundary_ranks_match_scan(g, p, dist), 2u);
   const LocalGraph& center = dist.local(4);  // middle block
   const VertexId corner = center.local_id(7 * 12 + 7);  // its last vertex
   ASSERT_NE(corner, kNoVertex);
@@ -161,7 +168,7 @@ TEST(DistGraph, BoundaryRanksOnMultilevelPartition) {
   const Partition p =
       multilevel_partition(g, 9, MultilevelConfig::metis_like(3));
   const DistGraph dist = DistGraph::build(g, p);
-  EXPECT_GE(expect_boundary_ranks_match_scan(dist), 2u);
+  EXPECT_GE(expect_boundary_ranks_match_scan(g, p, dist), 2u);
 }
 
 /// Every field of every rank of `got` equals `want`'s, and local_id agrees
@@ -230,6 +237,23 @@ TEST(DistGraph, RefreshDropsLastCrossEdgeAndLinksNewRanks) {
   EXPECT_FALSE(dist.local(0).is_boundary(dist.local(0).local_id(1)));
 }
 
+TEST(DistGraph, RefreshOfHalo2Throws) {
+  // A halo-2 refresh would need the old graph's rows around the touched
+  // vertices; refresh serves halo 1 only.
+  const Graph g = path(6);
+  const Partition p(3, {0, 0, 1, 1, 2, 2});
+  DistGraph dist = DistGraph::build(g, p, 2);
+  const std::vector<VertexId> touched{2};
+  EXPECT_THROW(dist.refresh(g, p, touched), Error);
+}
+
+TEST(DistGraph, HaloMustBeOneOrTwo) {
+  const Graph g = path(4);
+  const Partition p(2, {0, 0, 1, 1});
+  EXPECT_THROW((void)DistGraph::build(g, p, 0), Error);
+  EXPECT_THROW((void)DistGraph::build(g, p, 3), Error);
+}
+
 class DistGraphSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -246,9 +270,12 @@ TEST_P(DistGraphSweep, InvariantsAcrossGraphsAndParts) {
   const Partition p =
       multilevel_partition(g, static_cast<Rank>(parts),
                            MultilevelConfig::metis_like(5));
-  const DistGraph dist = DistGraph::build(g, p);
-  dist.validate(g, p);
-  (void)expect_boundary_ranks_match_scan(dist);
+  for (const int halo : {1, 2}) {
+    SCOPED_TRACE("halo " + std::to_string(halo));
+    const DistGraph dist = DistGraph::build(g, p, halo);
+    dist.validate(g, p);
+    (void)expect_boundary_ranks_match_scan(g, p, dist);
+  }
 
   // refresh() after each update batch equals a fresh build, field by field.
   DynamicGraph dyn(g);

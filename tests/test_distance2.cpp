@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "coloring/distance2.hpp"
-#include "coloring/distance2_parallel.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -105,32 +104,46 @@ TEST(Distance2Distributed, CommunicationReflectsTwoHopExchange) {
   EXPECT_GT(d2.run.comm.bytes, d1.run.comm.bytes);
 }
 
-// ---- native two-hop-view implementation ------------------------------
+// ---- native implementation: the speculative driver at halo 2 -----------
 
 TEST(Dist2View, TwoHopClosureOnPath) {
   // Path 0-1-2-3-4 split as {0,1} | {2,3} | {4}.
   const Graph g = path(5);
   const Partition p(3, {0, 0, 1, 1, 2});
-  const auto views = build_dist2_views(g, p);
-  ASSERT_EQ(views.size(), 3u);
-  // Rank 0 owns {0,1}; sees 2 (distance 1) and 3 (distance 2), not 4.
-  const auto& v0 = views[0];
-  EXPECT_EQ(v0.num_owned, 2);
-  EXPECT_EQ(v0.num_local(), 4);
-  EXPECT_TRUE(v0.global_to_local.contains(3));
-  EXPECT_FALSE(v0.global_to_local.contains(4));
-  // Vertex 0 is d2-interior? No: vertex 2 (other rank) is at distance 2.
-  EXPECT_EQ(v0.d2_boundary.size(), 2u);
-  // Rank 2 owns {4}: recipients of 4's color = rank 1 (owns 3 at d1, 2 at d2).
-  const auto& v2 = views[2];
-  ASSERT_EQ(v2.recipients[0].size(), 1u);
-  EXPECT_EQ(v2.recipients[0][0], 1);
-  // Each view's recipient_ranks is the sorted union of its recipients.
-  for (const auto& view : views) {
+  const DistGraph dist = DistGraph::build(g, p, 2);
+  dist.validate(g, p);
+  ASSERT_EQ(dist.num_ranks(), 3);
+  // Rank 0 owns {0,1}; sees 2 (distance 1, with its row) and 3 (distance
+  // 2), not 4.
+  const LocalGraph& l0 = dist.local(0);
+  EXPECT_EQ(l0.halo(), 2);
+  EXPECT_EQ(l0.num_owned(), 2);
+  EXPECT_EQ(l0.num_rows(), 3);
+  EXPECT_EQ(l0.num_local(), 4);
+  EXPECT_NE(l0.local_id(3), kNoVertex);
+  EXPECT_EQ(l0.local_id(4), kNoVertex);
+  const VertexId ghost2 = l0.local_id(2);
+  ASSERT_LT(ghost2, l0.num_rows());
+  std::vector<VertexId> row;
+  for (const VertexId u : l0.neighbors(ghost2)) row.push_back(l0.global_id(u));
+  EXPECT_EQ(row, (std::vector<VertexId>{1, 3}));
+  // Vertex 0 is distance-2 boundary too: vertex 2 (rank 1) is two hops out.
+  EXPECT_EQ(l0.boundary_vertices().size(), 2u);
+  // Rank 2 owns {4}: its color must reach rank 1 (owns 3 at distance 1 and
+  // 2 at distance 2).
+  const LocalGraph& l2 = dist.local(2);
+  EXPECT_EQ(std::vector<Rank>(l2.boundary_ranks(0).begin(),
+                              l2.boundary_ranks(0).end()),
+            (std::vector<Rank>{1}));
+  // Each rank's neighbor_ranks is the sorted union of its boundary ranks.
+  for (Rank r = 0; r < dist.num_ranks(); ++r) {
+    const LocalGraph& lg = dist.local(r);
     std::set<Rank> all;
-    for (const auto& r : view.recipients) all.insert(r.begin(), r.end());
-    EXPECT_EQ(view.recipient_ranks, std::vector<Rank>(all.begin(), all.end()))
-        << "rank " << view.rank;
+    for (VertexId v = 0; v < lg.num_owned(); ++v) {
+      all.insert(lg.boundary_ranks(v).begin(), lg.boundary_ranks(v).end());
+    }
+    EXPECT_EQ(lg.neighbor_ranks(), std::vector<Rank>(all.begin(), all.end()))
+        << "rank " << r;
   }
 }
 
@@ -149,6 +162,58 @@ TEST(Dist2Native, ProperAcrossRankCountsAndModes) {
       EXPECT_TRUE(is_proper_distance2_coloring(g, result.coloring, &why))
           << "ranks=" << ranks << ": " << why;
       EXPECT_EQ(result.conflicts_per_round.back(), 0);
+    }
+    // The shared driver on a halo-2 distribution, under the options the
+    // native wrapper pins: every comm mode and both non-natural orders.
+    const DistGraph dist = DistGraph::build(g, p, 2);
+    for (CommMode comm : {CommMode::kBroadcastUnion, CommMode::kCustomizedAll,
+                          CommMode::kCustomizedNeighbors}) {
+      for (LocalOrder order :
+           {LocalOrder::kInteriorFirst, LocalOrder::kBoundaryFirst}) {
+        DistColoringOptions opts;
+        opts.comm_mode = comm;
+        opts.local_order = order;
+        opts.superstep_size = 16;
+        const auto result = color_distributed(dist, opts);
+        std::string why;
+        EXPECT_TRUE(is_proper_distance2_coloring(g, result.coloring, &why))
+            << "ranks=" << ranks << " comm=" << static_cast<int>(comm)
+            << " order=" << static_cast<int>(order) << ": " << why;
+      }
+    }
+  }
+}
+
+TEST(Dist2Native, LeastUsedStrategy) {
+  // The usage table exists at both distances: kLeastUsed colors properly
+  // and identically at any thread count.
+  struct Case {
+    const char* name;
+    Graph g;
+    Partition p;
+  };
+  const Graph circuit = circuit_like(600, 1300, 6, WeightKind::kUnit, 7);
+  const Case cases[] = {
+      {"grid", grid_2d(16, 16), grid_2d_partition(16, 16, 2, 2)},
+      {"circuit", circuit,
+       multilevel_partition(circuit, 6, MultilevelConfig::metis_like(3))},
+  };
+  for (const Case& c : cases) {
+    DistColoringOptions opts;
+    opts.strategy = ColorStrategy::kLeastUsed;
+    opts.superstep_size = 32;
+    std::vector<Color> first;
+    for (const int threads : {1, 3}) {
+      opts.exec.threads = threads;
+      const auto result = color_distance2_distributed_native(c.g, c.p, opts);
+      std::string why;
+      EXPECT_TRUE(is_proper_distance2_coloring(c.g, result.coloring, &why))
+          << c.name << " threads=" << threads << ": " << why;
+      if (threads == 1) {
+        first = result.coloring.color;
+      } else {
+        EXPECT_EQ(result.coloring.color, first) << c.name;
+      }
     }
   }
 }

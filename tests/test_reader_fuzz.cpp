@@ -1,5 +1,6 @@
-// Seeded mutation fuzzing of the three text readers (Matrix Market, METIS
-// .graph and METIS .part files) and of the wire-frame decode loop.
+// Seeded mutation fuzzing of the text readers (Matrix Market, METIS .graph
+// and METIS .part files, JSONL update logs, and command lines through
+// Options) and of the wire-frame decode loop.
 //
 // Small generated texts are mutated a few bytes at a time: a byte flipped,
 // deleted or duplicated; whitespace, '%', '+', 'e' or junk inserted; the text
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <iomanip>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -31,7 +33,9 @@
 #include "runtime/fabric.hpp"
 #include "runtime/serialize.hpp"
 #include "service/incremental_match.hpp"
+#include "service/update_stream.hpp"
 #include "support/error.hpp"
+#include "support/options.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
 
@@ -171,15 +175,17 @@ void for_each_mutant(const std::vector<T>& seeds, std::uint64_t seed,
   }
 }
 
-/// Parses `text` with `read` and returns its canonical text, or "" when the
-/// reader throws pmc::Error. Any other exception escapes and fails the test.
+/// Parses `text` with `read` and returns its canonical text, or nullopt
+/// when the reader throws pmc::Error. Any other exception escapes and fails
+/// the test.
 template <typename Read, typename Write>
-std::string parse_or_reject(const std::string& text, Read read, Write write) {
+std::optional<std::string> parse_or_reject(const std::string& text, Read read,
+                                           Write write) {
   std::istringstream in(text);
   try {
     return write(read(in));
   } catch (const Error&) {
-    return "";
+    return std::nullopt;
   }
 }
 
@@ -191,15 +197,18 @@ void fuzz_reader(const std::vector<std::string>& seeds, std::uint64_t seed,
   int rejected = 0;
   for_each_mutant(seeds, seed, kMutantsPerReader, mutate,
                   [&](const std::string& text) {
-    const std::string canonical = parse_or_reject(text, read, write);
-    if (canonical.empty()) {
+    const std::optional<std::string> canonical =
+        parse_or_reject(text, read, write);
+    if (!canonical) {
       ++rejected;
       return;
     }
     ++accepted;
-    EXPECT_EQ(parse_or_reject(canonical, read, write), canonical)
+    EXPECT_EQ(parse_or_reject(*canonical, read, write), canonical)
         << "mutant:\n" << text;
   });
+  testing::Test::RecordProperty("accepted", accepted);
+  testing::Test::RecordProperty("rejected", rejected);
   // The budget must exercise both outcomes to mean anything.
   EXPECT_GT(accepted, kMutantsPerReader / 20);
   EXPECT_GT(rejected, kMutantsPerReader / 5);
@@ -227,6 +236,91 @@ TEST(ReaderFuzz, Partition) {
   fuzz_reader(
       partition_seeds(), 0x9A7,
       [](std::istream& in) { return read_partition(in); }, partition_text);
+}
+
+std::string update_log_text(const std::vector<EdgeUpdate>& updates) {
+  std::ostringstream out;
+  write_update_log(out, updates);
+  return out.str();
+}
+
+std::vector<std::string> update_log_seeds() {
+  UpdateStreamConfig mixed;
+  mixed.seed = 5;
+  UpdateStreamConfig integral;
+  integral.weights = WeightKind::kIntegral;
+  integral.seed = 6;
+  const Graph g = erdos_renyi(12, 20, WeightKind::kUniformRandom, 7);
+  return {update_log_text(UpdateStreamGenerator(g, mixed).next_batch(6)),
+          update_log_text(UpdateStreamGenerator(g, integral).next_batch(4)),
+          "\n" R"({"op":"reweight", "u": 3 ,"v":-0,"w":1e-400})" "\n\n"};
+}
+
+TEST(ReaderFuzz, UpdateLog) {
+  fuzz_reader(
+      update_log_seeds(), 0x1D6,
+      [](std::istream& in) { return read_update_log(in); }, update_log_text);
+}
+
+// A command line is fuzzed as text with one argument per line, so the byte
+// mutations also split, merge and drop arguments. Its value is what every
+// getter kind reads from a fixed option set, written back as a command
+// line that names each option explicitly.
+struct ParsedOptions {
+  std::vector<std::string> positional;
+  std::vector<int> ranks;
+  std::int64_t seed = 0;
+  double drop = 0.0;
+  std::string name;
+  bool verbose = false;
+  int threads = 0;
+};
+
+ParsedOptions read_options(std::istream& in) {
+  std::vector<std::string> args{"fuzz"};
+  for (std::string arg; std::getline(in, arg);) args.push_back(arg);
+  std::vector<const char*> argv;
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  Options opts;
+  opts.add("ranks", "2,8", "int list");
+  opts.add("seed", "1", "int");
+  opts.add("drop", "0.05", "double");
+  opts.add("name", "grid", "string");
+  opts.add_flag("verbose", "flag");
+  opts.add("threads", "1", "thread count");
+  ParsedOptions parsed;
+  parsed.positional = opts.parse(static_cast<int>(argv.size()), argv.data());
+  parsed.ranks = opts.get_int_list("ranks");
+  parsed.seed = opts.get_int("seed");
+  parsed.drop = opts.get_double("drop");
+  parsed.name = opts.get("name");
+  parsed.verbose = opts.get_flag("verbose");
+  parsed.threads = opts.get_threads();
+  return parsed;
+}
+
+std::string options_text(const ParsedOptions& parsed) {
+  std::ostringstream out;
+  out << std::setprecision(17);
+  for (const std::string& arg : parsed.positional) out << arg << '\n';
+  out << "--ranks=";
+  for (std::size_t i = 0; i < parsed.ranks.size(); ++i) {
+    out << (i == 0 ? "" : ",") << parsed.ranks[i];
+  }
+  out << "\n--seed=" << parsed.seed << "\n--drop=" << parsed.drop
+      << "\n--name=" << parsed.name
+      << "\n--verbose=" << (parsed.verbose ? "true" : "false")
+      << "\n--threads=" << parsed.threads << '\n';
+  return out.str();
+}
+
+TEST(ReaderFuzz, Options) {
+  fuzz_reader(
+      {"--ranks=2,8,32\n--seed\n7\n--drop=0.05\n--name=grid\n--verbose\n"
+       "--threads=1\ninput.mtx\n",
+       "--ranks\n+4\n--drop\n1e-3\n--verbose=false\n--seed=-3\n",
+       "input.mtx\n\n--name=\n--threads\n1\n--drop=-0\n"},
+      0x0B7, read_options, options_text);
 }
 
 // ---- wire frames ------------------------------------------------------------

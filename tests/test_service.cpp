@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -100,6 +101,11 @@ TEST(DynamicGraphTest, RejectsInvalidUpdates) {
   EXPECT_THROW(dyn.apply(insert(1, 1, 1.0)), Error);   // self-loop
   EXPECT_THROW(dyn.apply(insert(0, 3, 1.0)), Error);   // out of range
   EXPECT_THROW(dyn.apply(insert(-1, 0, 1.0)), Error);  // out of range
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(dyn.apply(insert(0, 2, nan)), Error);    // non-finite weight
+  EXPECT_THROW(dyn.apply(insert(1, 2, -inf)), Error);
+  EXPECT_THROW(dyn.apply(reweight(0, 1, inf)), Error);
   // The failed applies must not have mutated the mirror.
   EXPECT_EQ(dyn.num_edges(), 1);
   EXPECT_EQ(dyn.edge_weight(0, 1), 1.0);
@@ -340,6 +346,29 @@ TEST(UpdateLogTest, RejectsMalformedLines) {
   EXPECT_EQ(parse("\n\n").size(), 0u);
 }
 
+TEST(UpdateLogTest, RejectsNumbersTheOtherReadersReject) {
+  // Each spelling in each number field, on the second line: the error must
+  // name that line.
+  const std::string good = R"({"op":"insert","u":1,"v":2,"w":0.5})";
+  const std::string fields[] = {R"("u":)", R"("v":)", R"("w":)"};
+  const std::string values[] = {"1", "2", "0.5"};
+  for (const char* bad : {"nan", "inf", "-inf", "0x1p3", "+0", "\t1"}) {
+    for (std::size_t f = 0; f < 3; ++f) {
+      std::string line = good;
+      const std::size_t at = line.find(fields[f]) + fields[f].size();
+      line.replace(at, values[f].size(), bad);
+      std::istringstream in(good + "\n" + line + "\n");
+      try {
+        (void)read_update_log(in);
+        ADD_FAILURE() << "accepted: " << line;
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 // ---- canonical coloring -----------------------------------------------------
 
 TEST(CanonicalColoringTest, SequentialEqualsDistributedColdStart) {
@@ -567,6 +596,12 @@ TEST(ServiceTest, InvalidUpdateLeavesServiceUsable) {
   EXPECT_THROW((void)service.push(reweight(3, 5, 1.0)), Error); // absent
   EXPECT_THROW((void)service.push(insert(4, 4, 1.0)), Error);   // self-loop
   EXPECT_THROW((void)service.push(insert(0, 36, 1.0)), Error);  // range
+  EXPECT_THROW(
+      (void)service.push(insert(0, 3, std::numeric_limits<double>::quiet_NaN())),
+      Error);  // non-finite weight
+  EXPECT_THROW(
+      (void)service.push(reweight(0, 1, std::numeric_limits<double>::infinity())),
+      Error);
   EXPECT_EQ(service.pending_updates(), 1);
   EXPECT_TRUE(service.history().empty());
   EXPECT_EQ(service.graph().num_edges(), g.num_edges());
