@@ -33,6 +33,41 @@ void BM_LocallyDominantMatching(benchmark::State& state) {
 }
 BENCHMARK(BM_LocallyDominantMatching)->Unit(benchmark::kMillisecond);
 
+// The checks a verified run pays after solving, on the shared grid.
+void BM_IsValidMatching(benchmark::State& state) {
+  const Graph& g = shared_grid();
+  const Matching m = locally_dominant_matching(g);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(is_valid_matching(g, m));
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_vertices());
+}
+BENCHMARK(BM_IsValidMatching)->Unit(benchmark::kMillisecond);
+
+void BM_VerifyMatchingDistributed(benchmark::State& state) {
+  const Graph& g = shared_grid();
+  const DistGraph dist =
+      DistGraph::build(g, grid_2d_partition(256, 256, 16, 16));
+  const Matching m = locally_dominant_matching(g);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        verify_matching_distributed(dist, m, MachineModel::blue_gene_p()));
+  }
+}
+BENCHMARK(BM_VerifyMatchingDistributed)->Unit(benchmark::kMillisecond);
+
+void BM_VerifyColoringDistributed(benchmark::State& state) {
+  const Graph& g = shared_grid();
+  const DistGraph dist =
+      DistGraph::build(g, grid_2d_partition(256, 256, 16, 16));
+  const Coloring c = greedy_coloring(g);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        verify_coloring_distributed(dist, c, MachineModel::blue_gene_p()));
+  }
+}
+BENCHMARK(BM_VerifyColoringDistributed)->Unit(benchmark::kMillisecond);
+
 void BM_GreedyMatching(benchmark::State& state) {
   const Graph& g = shared_er();
   for (auto _ : state) {

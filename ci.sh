@@ -85,7 +85,11 @@ asan() {
   # ack/retry paths, which touch serialized payloads the most aggressively.
   # The text readers walk raw input bytes by pointer, and the graph builder
   # and the coarsening scatter into CSR rows by computed offsets:
-  # test_reader_fuzz feeds the readers thousands of mutated inputs.
+  # test_reader_fuzz feeds the readers thousands of mutated inputs. The
+  # validators and the sequential reference walk row-relative positions by
+  # pointer, and the distributed verifiers index dense ghost tables by
+  # `local - num_owned`: test_matching_seq, test_coloring_seq and
+  # test_dist_verify feed them malformed and corrupted results.
   local tests=(
     test_graph
     test_matrix_market
@@ -100,6 +104,9 @@ asan() {
     test_determinism_regression
     test_runtime_engines
     test_dist_graph
+    test_matching_seq
+    test_coloring_seq
+    test_dist_verify
     test_matching_dist
     test_coloring_dist
     test_distance2

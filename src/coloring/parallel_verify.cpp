@@ -1,6 +1,5 @@
 #include "coloring/parallel_verify.hpp"
 
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -46,10 +45,20 @@ DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
     const Rank r = ctx.rank();
     const LocalGraph& lg = dist.local(r);
     std::int64_t& mine = violations[static_cast<std::size_t>(r)];
-    std::unordered_map<VertexId, Color> ghost_color;
+    // Ghost colors indexed by ghost local id; `heard` is kept apart because
+    // a record may carry any color, kNoColor included.
+    const auto num_owned = static_cast<std::size_t>(lg.num_owned());
+    std::vector<Color> ghost_color(static_cast<std::size_t>(lg.num_ghosts()));
+    std::vector<char> heard(ghost_color.size(), 0);
     for (const BspMessage& msg : msgs) {
       for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
-        ghost_color[rec.id] = rec.color;
+        const VertexId local = lg.local_id(rec.id);
+        PMC_CHECK(local != kNoVertex && lg.is_ghost(local),
+                  "boundary record for " << rec.id
+                                         << ", not a ghost of rank " << r);
+        const std::size_t slot = static_cast<std::size_t>(local) - num_owned;
+        ghost_color[slot] = rec.color;
+        heard[slot] = 1;
       });
     }
     for (VertexId v = 0; v < lg.num_owned(); ++v) {
@@ -65,10 +74,9 @@ DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
         if (gv >= gu) continue;  // count each edge once
         Color cu;
         if (lg.is_ghost(u)) {
-          const auto it = ghost_color.find(gu);
-          PMC_CHECK(it != ghost_color.end(),
-                    "boundary exchange missed ghost " << gu);
-          cu = it->second;
+          const std::size_t slot = static_cast<std::size_t>(u) - num_owned;
+          PMC_CHECK(heard[slot] != 0, "boundary exchange missed ghost " << gu);
+          cu = ghost_color[slot];
         } else {
           cu = c.color[static_cast<std::size_t>(gu)];
         }

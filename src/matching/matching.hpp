@@ -32,21 +32,25 @@ struct Matching {
 
 /// True iff `m` is structurally consistent with g: mates are symmetric
 /// (mate(mate(v)) == v), distinct from self, and every matched pair is an
-/// actual edge of g.
+/// actual edge of g. Each predicate below that takes `why` stores the first
+/// failure's reason there and builds no message on success.
 [[nodiscard]] bool is_valid_matching(const Graph& g, const Matching& m,
                                      std::string* why = nullptr);
 
 /// Total weight of the matching (each matched edge counted once).
 [[nodiscard]] Weight matching_weight(const Graph& g, const Matching& m);
 
-/// True iff no edge can be added to the matching (every edge has a matched
-/// endpoint). Locally-dominant matchings are always maximal.
-[[nodiscard]] bool is_maximal_matching(const Graph& g, const Matching& m);
+/// True iff `m` has one entry per vertex and no edge can be added to the
+/// matching (every edge has a matched endpoint). Locally-dominant matchings
+/// are always maximal.
+[[nodiscard]] bool is_maximal_matching(const Graph& g, const Matching& m,
+                                       std::string* why = nullptr);
 
 /// Certificate of the half-approximation guarantee: every non-matching edge
 /// must be adjacent to a matched edge of weight >= its own. Holds for any
 /// matching produced by the locally-dominant process; implies
-/// w(M) >= w(M*)/2.
+/// w(M) >= w(M*)/2. False, with a reason, when `m` has the wrong size or a
+/// mate that is out of range or not a neighbour.
 [[nodiscard]] bool has_dominance_certificate(const Graph& g, const Matching& m,
                                              std::string* why = nullptr);
 

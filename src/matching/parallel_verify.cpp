@@ -1,6 +1,5 @@
 #include "matching/parallel_verify.hpp"
 
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -48,22 +47,31 @@ DistVerifyResult verify_matching_distributed(const DistGraph& dist,
     const Rank r = ctx.rank();
     std::int64_t& mine = violations[static_cast<std::size_t>(r)];
     const LocalGraph& lg = dist.local(r);
-    // Ghost mate table from the received records.
-    std::unordered_map<VertexId, VertexId> ghost_mate;
+    // Ghost mate table from the received records, indexed by ghost local
+    // id. `heard` is kept apart from the mates because a record may carry
+    // any mate, kNoVertex and out-of-range values included.
+    const auto num_owned = static_cast<std::size_t>(lg.num_owned());
+    std::vector<VertexId> ghost_mate(static_cast<std::size_t>(lg.num_ghosts()));
+    std::vector<char> heard(ghost_mate.size(), 0);
     for (const BspMessage& msg : msgs) {
       for_each_record<MateRecord>(msg.payload, [&](const MateRecord& rec) {
-        ghost_mate[rec.id] = rec.mate;
+        const VertexId local = lg.local_id(rec.id);
+        PMC_CHECK(local != kNoVertex && lg.is_ghost(local),
+                  "boundary record for " << rec.id
+                                         << ", not a ghost of rank " << r);
+        const std::size_t slot = static_cast<std::size_t>(local) - num_owned;
+        ghost_mate[slot] = rec.mate;
+        heard[slot] = 1;
       });
     }
     auto mate_of_local = [&](VertexId local) {
-      const VertexId global = lg.global_id(local);
       if (!lg.is_ghost(local)) {
-        return m.mate[static_cast<std::size_t>(global)];
+        return m.mate[static_cast<std::size_t>(lg.global_id(local))];
       }
-      const auto it = ghost_mate.find(global);
-      PMC_CHECK(it != ghost_mate.end(),
-                "boundary exchange missed ghost " << global);
-      return it->second;
+      const std::size_t slot = static_cast<std::size_t>(local) - num_owned;
+      PMC_CHECK(heard[slot] != 0,
+                "boundary exchange missed ghost " << lg.global_id(local));
+      return ghost_mate[slot];
     };
 
     for (VertexId v = 0; v < lg.num_owned(); ++v) {
@@ -73,21 +81,17 @@ DistVerifyResult verify_matching_distributed(const DistGraph& dist,
       if (mate != kNoVertex) {
         // The mate must be a neighbor (locally checkable: all of v's edges
         // are stored on v's owner) and must point back.
-        const VertexId mate_local = lg.local_id(mate);
-        bool is_neighbor = false;
-        if (mate_local != kNoVertex) {
-          for (VertexId u : lg.neighbors(v)) {
-            if (u == mate_local) {
-              is_neighbor = true;
-              break;
-            }
+        VertexId mate_local = kNoVertex;
+        for (VertexId u : lg.neighbors(v)) {
+          if (lg.global_id(u) == mate) {
+            mate_local = u;
+            break;
           }
         }
-        if (!is_neighbor) {
+        if (mate_local == kNoVertex) {
           ++mine;  // matched to a non-edge (count at the owner)
         } else if (mate_of_local(mate_local) != gv) {
-          // Symmetry violation: count once, at the smaller global id.
-          if (gv < mate) ++mine;
+          ++mine;  // asymmetric: only v sees that its mate points elsewhere
         }
       } else {
         // Maximality: an unmatched owned vertex may not have an unmatched

@@ -37,8 +37,9 @@ struct DistVerifyResult {
 };
 
 /// Verifies symmetry, edge-validity and maximality of `m` across the
-/// distribution. Violations on cross edges are counted once (by the
-/// endpoint with the smaller global id). Both phases are bulk-synchronous,
+/// distribution. A mate that is not a neighbour or does not point back is
+/// counted at its vertex; a free-free edge is counted once, by the endpoint
+/// with the smaller global id. Both phases are bulk-synchronous,
 /// so `exec.threads > 1` runs the per-rank callbacks on a thread pool
 /// (bit-identical result and cost model).
 [[nodiscard]] DistVerifyResult verify_matching_distributed(

@@ -1,7 +1,8 @@
 #include "matching/sequential.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <tuple>
 #include <vector>
@@ -51,24 +52,26 @@ Matching locally_dominant_impl(const Graph& g, SequentialMatchingStats* stats) {
   Matching m;
   m.mate.assign(static_cast<std::size_t>(n), kNoVertex);
   if (n == 0) return m;
+  PMC_REQUIRE(g.max_degree() <= std::numeric_limits<std::uint32_t>::max(),
+              "locally_dominant_matching: a degree exceeds 2^32 - 1");
 
-  // Per-vertex arc order: by weight descending, ties by smallest neighbor
-  // label (the paper's tie-breaking rule).
-  std::vector<EdgeId> arc_order(static_cast<std::size_t>(g.num_arcs()));
-  std::iota(arc_order.begin(), arc_order.end(), EdgeId{0});
+  // Per-vertex arc order as row-relative positions: by weight descending,
+  // ties by position, which is the paper's smallest-label rule because rows
+  // are sorted by neighbour. An unweighted graph keeps every row as it is.
+  std::vector<std::uint32_t> order(static_cast<std::size_t>(g.num_arcs()));
   for (VertexId v = 0; v < n; ++v) {
-    const auto b = g.offset_begin(v);
-    const auto e = g.offset_end(v);
-    std::sort(arc_order.begin() + b, arc_order.begin() + e,
-              [&g](EdgeId x, EdgeId y) {
-                const Weight wx = g.arc_weight(x);
-                const Weight wy = g.arc_weight(y);
-                if (wx != wy) return wx > wy;
-                return g.arc_target(x) < g.arc_target(y);
-              });
+    const auto first = order.begin() + g.offset_begin(v);
+    const auto last = order.begin() + g.offset_end(v);
+    std::iota(first, last, std::uint32_t{0});
+    if (!g.has_weights()) continue;
+    const auto ws = g.weights(v);
+    std::sort(first, last, [ws](std::uint32_t x, std::uint32_t y) {
+      if (ws[x] != ws[y]) return ws[x] > ws[y];
+      return x < y;
+    });
   }
 
-  std::vector<EdgeId> ptr(static_cast<std::size_t>(n), 0);
+  std::vector<std::uint32_t> ptr(static_cast<std::size_t>(n), 0);
   std::vector<VertexId> cand(static_cast<std::size_t>(n), kNoVertex);
 
   auto alive = [&m](VertexId u) {
@@ -77,28 +80,45 @@ Matching locally_dominant_impl(const Graph& g, SequentialMatchingStats* stats) {
   // Advances v's pointer past dead candidates and returns the new candidate
   // (kNoVertex when exhausted).
   auto recompute = [&](VertexId v) {
-    const auto deg = g.degree(v);
-    auto& p = ptr[static_cast<std::size_t>(v)];
-    while (p < deg) {
-      const VertexId u = g.arc_target(
-          arc_order[static_cast<std::size_t>(g.offset_begin(v) + p)]);
-      if (alive(u)) break;
+    const auto nbrs = g.neighbors(v);
+    const std::uint32_t* row = order.data() + g.offset_begin(v);
+    const auto deg = static_cast<std::uint32_t>(nbrs.size());
+    std::uint32_t p = ptr[static_cast<std::size_t>(v)];
+    while (p < deg && !alive(nbrs[row[p]])) {
       ++p;
       if (stats != nullptr) ++stats->pointer_advances;
     }
-    cand[static_cast<std::size_t>(v)] =
-        p < deg ? g.arc_target(arc_order[static_cast<std::size_t>(
-                      g.offset_begin(v) + p)])
-                : kNoVertex;
-    return cand[static_cast<std::size_t>(v)];
+    ptr[static_cast<std::size_t>(v)] = p;
+    const VertexId c = p < deg ? nbrs[row[p]] : kNoVertex;
+    cand[static_cast<std::size_t>(v)] = c;
+    return c;
   };
 
-  std::deque<VertexId> matched_queue;
+  // Matched vertices whose neighbours still have to drop them, drained
+  // after each match the scan below makes, so the stack holds one cascade
+  // at a time. The order is free: with a total order on edges every
+  // reciprocal-candidate edge is matched whatever order they are found in
+  // (DESIGN.md §3b).
+  std::vector<VertexId> matched;
   auto match = [&](VertexId a, VertexId b) {
     m.mate[static_cast<std::size_t>(a)] = b;
     m.mate[static_cast<std::size_t>(b)] = a;
-    matched_queue.push_back(a);
-    matched_queue.push_back(b);
+    matched.push_back(a);
+    matched.push_back(b);
+  };
+  auto drain = [&] {
+    while (!matched.empty()) {
+      const VertexId x = matched.back();
+      matched.pop_back();
+      for (VertexId u : g.neighbors(x)) {
+        if (stats != nullptr) ++stats->arc_touches;
+        if (!alive(u) || cand[static_cast<std::size_t>(u)] != x) continue;
+        const VertexId c = recompute(u);
+        if (c != kNoVertex && cand[static_cast<std::size_t>(c)] == u) {
+          match(u, c);
+        }
+      }
+    }
   };
 
   for (VertexId v = 0; v < n; ++v) {
@@ -109,19 +129,7 @@ Matching locally_dominant_impl(const Graph& g, SequentialMatchingStats* stats) {
     if (c != kNoVertex && alive(v) && alive(c) &&
         cand[static_cast<std::size_t>(c)] == v && c > v) {
       match(v, c);  // locally dominant edge (reciprocal candidates)
-    }
-  }
-
-  while (!matched_queue.empty()) {
-    const VertexId x = matched_queue.front();
-    matched_queue.pop_front();
-    for (VertexId u : g.neighbors(x)) {
-      if (stats != nullptr) ++stats->arc_touches;
-      if (!alive(u) || cand[static_cast<std::size_t>(u)] != x) continue;
-      const VertexId c = recompute(u);
-      if (c != kNoVertex && alive(c) && cand[static_cast<std::size_t>(c)] == u) {
-        match(u, c);
-      }
+      drain();
     }
   }
   return m;

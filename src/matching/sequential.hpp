@@ -5,12 +5,17 @@
 //     them greedily. O(E log E). The textbook baseline.
 //   * locally_dominant_matching — the candidate-mate (pointer) algorithm of
 //     Preis / Hoepman / Manne-Bisseling that the paper parallelizes
-//     (Section 3.1). O(E log Δ) after per-vertex sorting; O(E) expected for
-//     uniform random weights.
+//     (Section 3.1), and the reference every distributed matching is checked
+//     against. O(E log Δ) for the per-row sorts, then O(E) for the pointer
+//     walk. Scratch: 4 bytes per arc (each row's sorted positions) and 12
+//     bytes per vertex (pointer and candidate), plus a worklist of the
+//     matched vertices still to visit.
 //
-// With a consistent total order on edges (weight, then endpoint labels) both
-// produce the same matching; ties are broken by the smallest vertex label,
-// exactly as the paper prescribes.
+// Ties are broken by the smallest vertex label, exactly as the paper
+// prescribes, which makes the edge order total (weight, then endpoint
+// labels). Under a total order both constructions produce the same
+// matching: an edge that is both endpoints' heaviest live edge is matched
+// whatever order such edges are found in, so the worklist's order is free.
 #pragma once
 
 #include "graph/csr_graph.hpp"

@@ -19,13 +19,18 @@ TEST(ColoringVerify, DetectsImproperColorings) {
   Coloring uncolored;
   uncolored.color = {0, kNoColor, 0};
   EXPECT_FALSE(is_proper_coloring(g, uncolored, &why));
-  EXPECT_NE(why.find("uncolored"), std::string::npos);
+  EXPECT_EQ(why, "vertex 1 is uncolored");
 
   Coloring conflict;
   conflict.color = {0, 0, 1};
   EXPECT_FALSE(is_proper_coloring(g, conflict, &why));
-  EXPECT_NE(why.find("monochromatic"), std::string::npos);
+  EXPECT_EQ(why, "edge (0, 1) is monochromatic with color 0");
   EXPECT_EQ(count_conflicts(g, conflict), 1);
+
+  Coloring short_coloring;
+  short_coloring.color = {0, 1};
+  EXPECT_FALSE(is_proper_coloring(g, short_coloring, &why));
+  EXPECT_EQ(why, "coloring size does not equal vertex count");
 
   Coloring good;
   good.color = {0, 1, 0};

@@ -52,7 +52,11 @@ TEST(Distance2, VerifierCatchesDistance2Violation) {
   EXPECT_TRUE(is_proper_coloring(g, c));
   std::string why;
   EXPECT_FALSE(is_proper_distance2_coloring(g, c, &why));
-  EXPECT_NE(why.find("common neighbor"), std::string::npos);
+  EXPECT_EQ(why, "vertices 0 and 2 share color through common neighbor 1");
+  // A distance-1 conflict is reported by the distance-1 check first.
+  c.color = {0, 1, 1};
+  EXPECT_FALSE(is_proper_distance2_coloring(g, c, &why));
+  EXPECT_EQ(why, "edge (1, 2) is monochromatic with color 1");
 }
 
 TEST(Distance2, WorksWithAllStaticOrderings) {

@@ -3,7 +3,10 @@
 // guarantee against brute force.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -49,6 +52,33 @@ TEST(MatchingVerify, NonEdgePairRejected) {
   std::string why;
   EXPECT_FALSE(is_valid_matching(g, m, &why));
   EXPECT_NE(why.find("not an edge"), std::string::npos);
+}
+
+/// The reason `is_valid_matching` gives for rejecting `mate` on g.
+std::string invalid_reason(const Graph& g, std::vector<VertexId> mate) {
+  Matching m;
+  m.mate = std::move(mate);
+  std::string why;
+  EXPECT_FALSE(is_valid_matching(g, m, &why));
+  return why;
+}
+
+TEST(MatchingVerify, PinsEveryMessage) {
+  const Graph g = fig31_triangle();
+  EXPECT_EQ(invalid_reason(g, {kNoVertex}),
+            "matching size does not equal vertex count");
+  EXPECT_EQ(invalid_reason(g, {5, kNoVertex, kNoVertex}),
+            "mate(0) = 5 out of range");
+  EXPECT_EQ(invalid_reason(g, {kNoVertex, -2, kNoVertex}),
+            "mate(1) = -2 out of range");
+  EXPECT_EQ(invalid_reason(g, {0, kNoVertex, kNoVertex}),
+            "vertex 0 matched to itself");
+  EXPECT_EQ(invalid_reason(g, {1, kNoVertex, kNoVertex}),
+            "asymmetric mates: mate(0)=1 but mate(1)=-1");
+  EXPECT_EQ(invalid_reason(g, {1, 2, 1}),
+            "asymmetric mates: mate(0)=1 but mate(1)=2");
+  EXPECT_EQ(invalid_reason(path(4), {3, kNoVertex, kNoVertex, 0}),
+            "matched pair (0, 3) is not an edge");
 }
 
 TEST(LocallyDominant, MatchesHeaviestEdgeOfTriangle) {
@@ -108,6 +138,26 @@ TEST(Greedy, AgreesWithLocallyDominantOnDistinctWeights) {
   }
 }
 
+// The candidate-mate algorithm may find the locally dominant edges in any
+// order: with the tie-break making the edge order total, its matching is the
+// greedy one. Unit and integral weights put many ties into every row.
+TEST(Greedy, AgreesWithLocallyDominantOnTiedWeights) {
+  for (const WeightKind kind : {WeightKind::kUnit, WeightKind::kIntegral}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const Graph graphs[] = {
+          grid_2d(24, 31, kind, seed),
+          erdos_renyi(400, 1600, kind, seed),
+          circuit_like(600, 1300, 6, kind, seed),
+      };
+      for (const Graph& g : graphs) {
+        EXPECT_EQ(locally_dominant_matching(g).mate, greedy_matching(g).mate)
+            << "weights " << static_cast<int>(kind) << " seed " << seed
+            << " n " << g.num_vertices();
+      }
+    }
+  }
+}
+
 TEST(Greedy, ProducesValidMaximalMatchingWithTies) {
   const Graph g = erdos_renyi(200, 700, WeightKind::kIntegral, 7);
   const Matching m = greedy_matching(g);
@@ -120,6 +170,18 @@ TEST(MaximalCheck, DetectsNonMaximal) {
   Matching empty;
   empty.mate = {kNoVertex, kNoVertex};
   EXPECT_FALSE(is_maximal_matching(g, empty));
+  std::string why;
+  EXPECT_FALSE(is_maximal_matching(g, empty, &why));
+  EXPECT_EQ(why, "edge (0, 1) could be added: both endpoints are unmatched");
+}
+
+TEST(MaximalCheck, RejectsShortMatching) {
+  const Graph g = path(4);
+  Matching m;
+  m.mate = {1, 0};
+  std::string why;
+  EXPECT_FALSE(is_maximal_matching(g, m, &why));
+  EXPECT_EQ(why, "matching size does not equal vertex count");
 }
 
 TEST(DominanceCertificate, FailsForPoorMatching) {
@@ -131,7 +193,39 @@ TEST(DominanceCertificate, FailsForPoorMatching) {
   EXPECT_TRUE(is_valid_matching(g, m));
   std::string why;
   EXPECT_FALSE(has_dominance_certificate(g, m, &why));
-  EXPECT_NE(why.find("not dominated"), std::string::npos);
+  EXPECT_EQ(why,
+            "edge (1, 2) with weight 5 is not dominated by any adjacent "
+            "matched edge");
+  const Graph h =
+      graph_from_edges(4, {{0, 1, 0.25}, {1, 2, 2.5}, {2, 3, 0.75}});
+  EXPECT_FALSE(has_dominance_certificate(h, m, &why));
+  EXPECT_EQ(why,
+            "edge (1, 2) with weight 2.5 is not dominated by any adjacent "
+            "matched edge");
+}
+
+TEST(DominanceCertificate, RejectsShortMatching) {
+  const Graph g = path(4);
+  Matching m;
+  m.mate = {1, 0};
+  std::string why;
+  EXPECT_FALSE(has_dominance_certificate(g, m, &why));
+  EXPECT_EQ(why, "matching size does not equal vertex count");
+}
+
+TEST(DominanceCertificate, RejectsMateThatIsNotANeighbour) {
+  const Graph g = graph_from_edges(4, {{0, 1, 1.0}, {1, 2, 5.0}, {2, 3, 1.0}});
+  Matching m;
+  std::string why;
+  m.mate = {3, kNoVertex, kNoVertex, 0};
+  EXPECT_FALSE(has_dominance_certificate(g, m, &why));
+  EXPECT_EQ(why, "matched pair (0, 3) is not an edge");
+  m.mate = {kNoVertex, 1, kNoVertex, kNoVertex};
+  EXPECT_FALSE(has_dominance_certificate(g, m, &why));
+  EXPECT_EQ(why, "matched pair (1, 1) is not an edge");
+  m.mate = {kNoVertex, kNoVertex, 9, kNoVertex};
+  EXPECT_FALSE(has_dominance_certificate(g, m, &why));
+  EXPECT_EQ(why, "mate(2) = 9 out of range");
 }
 
 TEST(WorkStats, LinearishWorkOnRandomWeights) {
@@ -141,6 +235,21 @@ TEST(WorkStats, LinearishWorkOnRandomWeights) {
   // Expected O(|E|) pointer advances for uniform random weights.
   EXPECT_LT(stats.pointer_advances, 8 * g.num_arcs());
   EXPECT_GT(stats.arc_touches, 0);
+}
+
+// Both counters depend on the matching alone: each pointer ends at its
+// vertex's mate (or past its row when unmatched), and each matched vertex's
+// row is walked once. Any drain order of the matched vertices gives these.
+TEST(WorkStats, PinnedCounters) {
+  SequentialMatchingStats stats;
+  (void)locally_dominant_matching_with_stats(
+      erdos_renyi(500, 3000, WeightKind::kUniformRandom, 11), stats);
+  EXPECT_EQ(stats.pointer_advances, 823);
+  EXPECT_EQ(stats.arc_touches, 5609);
+  (void)locally_dominant_matching_with_stats(
+      grid_2d(32, 32, WeightKind::kIntegral, 9), stats);
+  EXPECT_EQ(stats.pointer_advances, 756);
+  EXPECT_EQ(stats.arc_touches, 3644);
 }
 
 /// Property sweep: half-approximation bound against brute force on tiny
