@@ -136,6 +136,57 @@ void BM_DistGraphRefresh(benchmark::State& state) {
 }
 BENCHMARK(BM_DistGraphRefresh)->Unit(benchmark::kMillisecond);
 
+// The global-to-local resolution every decoded record pays: each rank looks
+// up every global id it holds, owned and ghost, plus as many it does not,
+// in a seeded random order so a branchy search cannot learn the pattern.
+void BM_LocalIdLookup(benchmark::State& state) {
+  const Graph& g = shared_grid();
+  const VertexId n = g.num_vertices();
+  const DistGraph dist =
+      DistGraph::build(g, grid_2d_partition(256, 256, 16, 16));
+  std::vector<std::vector<VertexId>> queries(
+      static_cast<std::size_t>(dist.num_ranks()));
+  std::vector<char> held(static_cast<std::size_t>(n));
+  std::size_t total = 0;
+  for (Rank r = 0; r < dist.num_ranks(); ++r) {
+    const LocalGraph& lg = dist.local(r);
+    std::vector<VertexId> ids;
+    std::fill(held.begin(), held.end(), 0);
+    for (VertexId l = 0; l < lg.num_local(); ++l) {
+      ids.push_back(lg.global_id(l));
+      held[static_cast<std::size_t>(lg.global_id(l))] = 1;
+    }
+    // Absent ids spread over the whole range (the stride is odd, so the
+    // walk visits every vertex before repeating).
+    for (VertexId k = 0, absent = 0; absent < lg.num_local(); ++k) {
+      const VertexId v = (lg.global_id(0) + k * 40503) % n;
+      if (held[static_cast<std::size_t>(v)] == 0) {
+        ids.push_back(v);
+        ++absent;
+      }
+    }
+    auto& q = queries[static_cast<std::size_t>(r)];
+    for (const VertexId i : random_permutation(
+             static_cast<VertexId>(ids.size()), static_cast<std::uint64_t>(r))) {
+      q.push_back(ids[static_cast<std::size_t>(i)]);
+    }
+    total += q.size();
+  }
+  for (auto _ : state) {
+    VertexId sum = 0;
+    for (Rank r = 0; r < dist.num_ranks(); ++r) {
+      const LocalGraph& lg = dist.local(r);
+      for (const VertexId v : queries[static_cast<std::size_t>(r)]) {
+        sum += lg.local_id(v);
+      }
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(total));
+}
+BENCHMARK(BM_LocalIdLookup)->Unit(benchmark::kMillisecond);
+
 void BM_DistributedMatchingSim(benchmark::State& state) {
   const Graph& g = shared_grid();
   const Partition p = grid_2d_partition(256, 256, 8, 8);

@@ -49,7 +49,7 @@ lost_tracking_color_sender(LostColorSets& lost, bool faults_on,
                auto& lost_src = lost[static_cast<std::size_t>(src)];
                for_each_record<ColorRecord>(
                    bytes, [&](const ColorRecord& rec) {
-                     lost_src.insert(rec.id);
+                     lost_src.push_back(rec.id);
                    });
              });
   };

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "coloring/coloring.hpp"
@@ -31,8 +30,10 @@ void apply_color_records(const LocalGraph& lg, std::vector<Color>& color,
                          std::vector<VertexId>* changed = nullptr);
 
 /// Global ids whose color announcement was dropped or corrupted in flight,
-/// per sending rank; the repair phase resets and re-enters them.
-using LostColorSets = std::vector<std::unordered_set<VertexId>>;
+/// per sending rank, in receipt order and possibly repeated; the repair
+/// phase sorts a rank's list once, then probes it to reset and re-enter
+/// those vertices.
+using LostColorSets = std::vector<std::vector<VertexId>>;
 
 /// Send callable for color frames from `ctx`: forwards to ctx.send and,
 /// when faults are on, decodes the sender-side copy of every dropped or

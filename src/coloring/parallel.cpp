@@ -250,6 +250,7 @@ DistColoringResult color_distributed(const DistGraph& dist,
       RankState& st = states[static_cast<std::size_t>(r)];
       const LocalGraph& lg = *st.lg;
       auto& lost_r = lost[static_cast<std::size_t>(r)];
+      std::sort(lost_r.begin(), lost_r.end());
       st.to_color.clear();
       for (const VertexId v : st.colored_boundary) {
         // Both distances' charges are pinned, and they differ: distance 1
@@ -258,7 +259,8 @@ DistColoringResult color_distributed(const DistGraph& dist,
         if (!two_hop) {
           ctx.charge(static_cast<double>(lg.degree(v)), WorkPhase::kBoundary);
         }
-        if (faults_on && lost_r.count(lg.global_id(v)) != 0) {
+        if (faults_on && std::binary_search(lost_r.begin(), lost_r.end(),
+                                            lg.global_id(v))) {
           // Some receiver never learned v's color; re-enter unconditionally
           // (it will recolor — and re-announce — next round).
           st.color[static_cast<std::size_t>(v)] = kNoColor;

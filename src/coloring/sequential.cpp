@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
 
 #include "graph/algorithms.hpp"
 #include "support/error.hpp"
+#include "support/hash_set.hpp"
 #include "support/rng.hpp"
 
 namespace pmc {
@@ -238,8 +238,7 @@ Coloring color_saturation(const Graph& g, const SeqColoringOptions& options) {
   auto* usage_ptr =
       options.strategy == ColorStrategy::kLeastUsed ? &usage : nullptr;
   // Distinct neighbor colors per vertex (saturation).
-  std::vector<std::unordered_set<Color>> adjacent_colors(
-      static_cast<std::size_t>(n));
+  std::vector<HashSet<Color>> adjacent_colors(static_cast<std::size_t>(n));
   for (VertexId done = 0; done < n; ++done) {
     const VertexId v = queue.pop();
     PMC_CHECK(v != kNoVertex, "DSATUR queue drained early");
@@ -251,7 +250,7 @@ Coloring color_saturation(const Graph& g, const SeqColoringOptions& options) {
     result.color[static_cast<std::size_t>(v)] = cv;
     for (VertexId u : g.neighbors(v)) {
       if (result.color[static_cast<std::size_t>(u)] == kNoColor &&
-          adjacent_colors[static_cast<std::size_t>(u)].insert(cv).second) {
+          adjacent_colors[static_cast<std::size_t>(u)].insert(cv)) {
         queue.increase(u, adjacent_colors[static_cast<std::size_t>(u)].size());
       }
     }

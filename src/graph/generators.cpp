@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "graph/builder.hpp"
 #include "support/error.hpp"
+#include "support/hash_set.hpp"
 #include "support/rng.hpp"
 
 namespace pmc {
@@ -107,7 +107,7 @@ Graph erdos_renyi(VertexId n, EdgeId m, WeightKind weights,
               "edge count " << m << " exceeds maximum " << max_edges);
   Rng rng(derive_seed(seed, 0xE2D05));
   EdgeAccumulator acc(n, weights, seed);
-  std::unordered_set<std::uint64_t> used;
+  HashSet<std::uint64_t> used;
   used.reserve(static_cast<std::size_t>(m) * 2);
   EdgeId added = 0;
   while (added < m) {
@@ -117,7 +117,7 @@ Graph erdos_renyi(VertexId n, EdgeId m, WeightKind weights,
     if (u > v) std::swap(u, v);
     const std::uint64_t key = static_cast<std::uint64_t>(u) << 32 |
                               static_cast<std::uint64_t>(v);
-    if (!used.insert(key).second) continue;
+    if (!used.insert(key)) continue;
     acc.add(u, v);
     ++added;
   }
@@ -309,7 +309,7 @@ Graph random_bipartite(VertexId left, VertexId right, EdgeId m,
               "edge count " << m << " exceeds bipartite maximum " << max_edges);
   Rng rng(derive_seed(seed, 0xB1BA));
   EdgeAccumulator acc(left + right, weights, seed);
-  std::unordered_set<std::uint64_t> used;
+  HashSet<std::uint64_t> used;
   used.reserve(static_cast<std::size_t>(m) * 2);
   EdgeId added = 0;
   while (added < m) {
@@ -317,7 +317,7 @@ Graph random_bipartite(VertexId left, VertexId right, EdgeId m,
     const VertexId v = left + rng.uniform_int(0, right - 1);
     const std::uint64_t key = static_cast<std::uint64_t>(u) << 32 |
                               static_cast<std::uint64_t>(v);
-    if (!used.insert(key).second) continue;
+    if (!used.insert(key)) continue;
     acc.add(u, v);
     ++added;
   }

@@ -1,17 +1,15 @@
 #include "runtime/dist_graph.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "support/error.hpp"
 
 namespace pmc {
 
-void LocalGraph::fill(const Graph& g, const Partition& p) {
+void LocalGraph::fill(const Graph& g, const Partition& p,
+                      std::vector<VertexId>& marker) {
   // Forget the previous fill's ghosts; the owned ids stay.
-  for (std::size_t i = static_cast<std::size_t>(num_owned_);
-       i < global_ids_.size(); ++i) {
-    global_to_local_.erase(global_ids_[i]);
-  }
   global_ids_.resize(static_cast<std::size_t>(num_owned_));
   ghost_owner_.clear();
   boundary_ranks_.clear();
@@ -19,6 +17,23 @@ void LocalGraph::fill(const Graph& g, const Partition& p) {
   cross_edges_ = 0;
 
   const auto owned = static_cast<std::size_t>(num_owned_);
+  for (std::size_t lv = 0; lv < owned; ++lv) {
+    marker[static_cast<std::size_t>(global_ids_[lv])] =
+        static_cast<VertexId>(lv);
+  }
+  // Local id of u, numbering it as the next ghost on first sight.
+  const auto resolve = [&](VertexId u, Rank ru) {
+    VertexId& slot = marker[static_cast<std::size_t>(u)];
+    if (slot == kNoVertex) {
+      PMC_CHECK(ru != rank_, "rank " << rank_ << " owns vertex " << u
+                                     << " but did not number it");
+      slot = static_cast<VertexId>(global_ids_.size());
+      global_ids_.push_back(u);
+      ghost_owner_.push_back(ru);
+    }
+    return slot;
+  };
+
   offsets_.assign(owned + 1, 0);
   rank_offsets_.assign(owned + 1, 0);
   for (std::size_t lv = 0; lv < owned; ++lv) {
@@ -50,23 +65,11 @@ void LocalGraph::fill(const Graph& g, const Partition& p) {
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const VertexId u = nbrs[i];
       const Rank ru = p.owner(u);
-      VertexId lu;
-      if (ru == rank_) {
-        lu = global_to_local_.at(u);
-      } else {
-        const auto it = global_to_local_.find(u);
-        if (it != global_to_local_.end()) {
-          lu = it->second;
-        } else {
-          lu = static_cast<VertexId>(global_ids_.size());
-          global_ids_.push_back(u);
-          global_to_local_.emplace(u, lu);
-          ghost_owner_.push_back(ru);
-        }
+      adj_[cursor] = resolve(u, ru);
+      if (ru != rank_) {
         ranks.push_back(ru);
         ++cross_edges_;
       }
-      adj_[cursor] = lu;
       if (g.has_weights()) weights_[cursor] = ws[i];
       ++cursor;
     }
@@ -83,14 +86,7 @@ void LocalGraph::fill(const Graph& g, const Partition& p) {
       const auto nbrs = g.neighbors(u);
       const auto ws = g.weights(u);
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const VertexId w = nbrs[i];
-        const auto [it, first_sight] = global_to_local_.try_emplace(
-            w, static_cast<VertexId>(global_ids_.size()));
-        if (first_sight) {
-          global_ids_.push_back(w);
-          ghost_owner_.push_back(p.owner(w));
-        }
-        adj_.push_back(it->second);
+        adj_.push_back(resolve(nbrs[i], p.owner(nbrs[i])));
         if (g.has_weights()) weights_.push_back(ws[i]);
       }
       offsets_.push_back(static_cast<EdgeId>(adj_.size()));
@@ -105,6 +101,19 @@ void LocalGraph::fill(const Graph& g, const Partition& p) {
       }
       close_ranks(lv);
     }
+  }
+
+  // Clear the marker for the next fill, and index the ghosts by global id.
+  for (const VertexId v : global_ids_) {
+    marker[static_cast<std::size_t>(v)] = kNoVertex;
+  }
+  ghost_locals_.resize(global_ids_.size() - owned);
+  std::iota(ghost_locals_.begin(), ghost_locals_.end(), num_owned_);
+  std::sort(ghost_locals_.begin(), ghost_locals_.end(),
+            [&](VertexId a, VertexId b) { return global_id(a) < global_id(b); });
+  ghost_keys_.resize(ghost_locals_.size());
+  for (std::size_t i = 0; i < ghost_locals_.size(); ++i) {
+    ghost_keys_[i] = global_id(ghost_locals_[i]);
   }
 
   // Derived structures.
@@ -134,14 +143,13 @@ DistGraph DistGraph::build(const Graph& g, const Partition& p, int halo) {
     dist.locals_[static_cast<std::size_t>(r)].halo_ = halo;
   }
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    auto& lg = dist.locals_[static_cast<std::size_t>(p.owner(v))];
-    const auto local = static_cast<VertexId>(lg.global_ids_.size());
-    lg.global_ids_.push_back(v);
-    lg.global_to_local_.emplace(v, local);
+    dist.locals_[static_cast<std::size_t>(p.owner(v))].global_ids_.push_back(v);
   }
+  std::vector<VertexId> marker(static_cast<std::size_t>(g.num_vertices()),
+                               kNoVertex);
   for (auto& lg : dist.locals_) {
     lg.num_owned_ = static_cast<VertexId>(lg.global_ids_.size());
-    lg.fill(g, p);
+    lg.fill(g, p, marker);
   }
   return dist;
 }
@@ -163,9 +171,11 @@ void DistGraph::refresh(const Graph& g, const Partition& p,
                 "touched vertex " << v << " out of range");
     stale[static_cast<std::size_t>(p.owner(v))] = true;
   }
+  std::vector<VertexId> marker(static_cast<std::size_t>(num_global_vertices_),
+                               kNoVertex);
   for (Rank r = 0; r < num_ranks(); ++r) {
     if (stale[static_cast<std::size_t>(r)]) {
-      locals_[static_cast<std::size_t>(r)].fill(g, p);
+      locals_[static_cast<std::size_t>(r)].fill(g, p, marker);
     }
   }
 }
@@ -178,6 +188,16 @@ void DistGraph::validate(const Graph& g, const Partition& p) const {
   for (Rank r = 0; r < num_ranks(); ++r) {
     const LocalGraph& lg = local(r);
     owned_total += lg.num_owned();
+    // Owned ids ascend in global order, and the lookup inverts global_id.
+    for (VertexId l = 0; l < lg.num_local(); ++l) {
+      PMC_CHECK(l == 0 || l >= lg.num_owned() ||
+                    lg.global_id(l - 1) < lg.global_id(l),
+                "owned global ids out of order at rank " << r << " local "
+                                                         << l);
+      PMC_CHECK(lg.local_id(lg.global_id(l)) == l,
+                "local_id does not invert global_id at rank "
+                    << r << " local " << l);
+    }
     for (VertexId lv = 0; lv < lg.num_owned(); ++lv) {
       arcs_total += lg.degree(lv);
       // A vertex of another rank within the halo: a ghost neighbor, or at

@@ -21,16 +21,23 @@
 // other rank owning a vertex within two hops of it — what a distance-2
 // coloring must see and tell.
 //
+// A rank's ids are dense, and global ids resolve without hashing. Owned
+// vertices are numbered in global-id order, so global_id() over [0,
+// num_owned) ascends; ghosts are numbered in order of first sight and carry
+// a second, sorted index of their global ids. local_id() is a branch-free
+// binary search of each.
+//
 // A rank's view is a function of its owned rows alone (and, at halo 2, its
 // distance-1 ghosts' rows), so construction is two passes: DistGraph::build
-// numbers every rank's owned vertices, then fills each LocalGraph. When only
-// some rows of the graph change (service mode's edge-update batches),
-// DistGraph::refresh re-runs that same fill for the owners of the changed
-// rows only; it serves halo 1.
+// numbers every rank's owned vertices, then fills each LocalGraph. The fill
+// resolves targets through one global-id-indexed marker, shared by every
+// rank's fill and left clear by each. When only some rows of the graph
+// change (service mode's edge-update batches), DistGraph::refresh re-runs
+// that same fill for the owners of the changed rows only; it serves halo 1.
 #pragma once
 
+#include <cstddef>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -67,9 +74,14 @@ class LocalGraph {
   }
 
   /// Local id of a global vertex; kNoVertex when not present on this rank.
-  [[nodiscard]] VertexId local_id(VertexId global) const {
-    const auto it = global_to_local_.find(global);
-    return it == global_to_local_.end() ? kNoVertex : it->second;
+  [[nodiscard]] VertexId local_id(VertexId global) const noexcept {
+    const std::span<const VertexId> owned(
+        global_ids_.data(), static_cast<std::size_t>(num_owned_));
+    if (const std::ptrdiff_t i = find_sorted(owned, global); i >= 0) {
+      return static_cast<VertexId>(i);
+    }
+    const std::ptrdiff_t i = find_sorted(ghost_keys_, global);
+    return i >= 0 ? ghost_locals_[static_cast<std::size_t>(i)] : kNoVertex;
   }
 
   /// Owning rank of a local ghost vertex.
@@ -144,17 +156,34 @@ class LocalGraph {
  private:
   friend class DistGraph;
 
+  /// Position of `key` in the ascending `keys`, or -1. Branch-free: the
+  /// loop runs ceil(log2 n) times whatever the key, and each step is a
+  /// conditional move, so lookups in random order cost no mispredictions.
+  [[nodiscard]] static std::ptrdiff_t find_sorted(
+      std::span<const VertexId> keys, VertexId key) noexcept {
+    if (keys.empty()) return -1;
+    const VertexId* base = keys.data();
+    for (std::size_t n = keys.size(); n > 1;) {
+      const std::size_t half = n / 2;
+      base = base[half] <= key ? base + half : base;
+      n -= half;
+    }
+    return *base == key ? base - keys.data() : -1;
+  }
+
   /// (Re)builds everything but the owned ids from this rank's owned rows
   /// of `g` (and its distance-1 ghosts' rows at halo 2): drops the previous
-  /// ghosts, then rebuilds the CSR, ghosts, boundary ranks and derived
-  /// lists.
-  void fill(const Graph& g, const Partition& p);
+  /// ghosts, then rebuilds the CSR, ghosts, ghost index, boundary ranks and
+  /// derived lists. `marker` is indexed by global id and all kNoVertex on
+  /// entry and on return.
+  void fill(const Graph& g, const Partition& p, std::vector<VertexId>& marker);
 
   Rank rank_ = 0;
   int halo_ = 1;
   VertexId num_owned_ = 0;
   std::vector<VertexId> global_ids_;
-  std::unordered_map<VertexId, VertexId> global_to_local_;
+  std::vector<VertexId> ghost_keys_;    // ghost global ids, ascending
+  std::vector<VertexId> ghost_locals_;  // their local ids, aligned
   std::vector<EdgeId> offsets_;   // over the rows: [0, num_rows())
   std::vector<VertexId> adj_;     // local ids (owned or ghost)
   std::vector<Weight> weights_;
@@ -193,9 +222,10 @@ class DistGraph {
     return num_global_vertices_;
   }
 
-  /// Re-checks the distribution invariants (ghost symmetry, edge
-  /// conservation, ownership consistency, boundary flags at the halo, and
-  /// at halo 2 the ghost rows) against the original inputs.
+  /// Re-checks the distribution invariants (owned ids in global order,
+  /// local_id inverting global_id, ghost symmetry, edge conservation,
+  /// ownership consistency, boundary flags at the halo, and at halo 2 the
+  /// ghost rows) against the original inputs.
   void validate(const Graph& g, const Partition& p) const;
 
  private:

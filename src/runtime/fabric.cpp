@@ -73,6 +73,7 @@ double CommFabric::stall_clear(Rank r, double t) const {
 Rank CommFabric::add_rank() {
   clocks_.push_back(0.0);
   compute_seconds_.push_back(0.0);
+  channel_arrivals_.emplace_back();
   trace_.add_rank();
   return static_cast<Rank>(clocks_.size()) - 1;
 }
@@ -87,6 +88,7 @@ CommFabric::SendReceipt CommFabric::post_send_at(Rank src, Rank dst,
                                                  std::int64_t records,
                                                  SendTime send,
                                                  bool fault_exempt) {
+  PMC_REQUIRE(src >= 0 && src < num_ranks(), "send from invalid rank " << src);
   PMC_REQUIRE(dst >= 0 && dst < num_ranks(), "send to invalid rank " << dst);
   PMC_REQUIRE(dst != src, "send to self (rank " << src << ")");
   const double send_time = send.seconds();
@@ -137,13 +139,15 @@ CommFabric::SendReceipt CommFabric::post_send_at(Rank src, Rank dst,
   // artifact outside the FIFO guarantee (they may overtake later sends) but
   // never precede their own original.
   if (!receipt.dropped) {
-    const std::uint64_t channel =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-        static_cast<std::uint32_t>(dst);
-    auto [it, inserted] = channel_last_arrival_.try_emplace(channel, arrival);
-    if (!inserted) {
-      arrival = std::max(arrival, it->second);
-      it->second = arrival;
+    auto& channels = channel_arrivals_[static_cast<std::size_t>(src)];
+    auto it = std::lower_bound(
+        channels.begin(), channels.end(), dst,
+        [](const ChannelArrival& c, Rank d) { return c.dst < d; });
+    if (it == channels.end() || it->dst != dst) {
+      channels.insert(it, ChannelArrival{dst, arrival});
+    } else {
+      arrival = std::max(arrival, it->arrival);
+      it->arrival = arrival;
     }
     if (receipt.duplicated) {
       receipt.duplicate_arrival =

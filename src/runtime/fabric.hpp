@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -304,10 +303,16 @@ class CommFabric {
   std::vector<double> clocks_;
   /// Charged compute seconds per rank (load-balance statistics).
   std::vector<double> compute_seconds_;
-  /// Last scheduled arrival per (src, dst) channel, enforcing FIFO order.
-  /// Sparse map: rank pairs that actually communicate are few (graph
-  /// neighbors), while a dense P*P array would not scale to 16k ranks.
-  std::unordered_map<std::uint64_t, double> channel_last_arrival_;
+  /// The last scheduled arrival on one (src, dst) channel.
+  struct ChannelArrival {
+    Rank dst = kNoRank;
+    double arrival = 0.0;
+  };
+  /// Per source rank, its channels' last arrivals sorted by destination,
+  /// enforcing FIFO order. Sparse: rank pairs that actually communicate are
+  /// few (graph neighbors), while a dense P*P array would not scale to 16k
+  /// ranks.
+  std::vector<std::vector<ChannelArrival>> channel_arrivals_;
   std::uint64_t send_seq_ = 0;
   CommStats comm_;
   CommTrace trace_;

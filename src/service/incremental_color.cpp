@@ -228,10 +228,14 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
       if (faults_on && !lost_r.empty()) {
         // Some receiver missed an announcement: reset and re-enter those
         // vertices (they recolor — and re-announce — next round). The scan
-        // runs over the deterministic announcement list; the unordered set
-        // is only probed.
+        // runs over the deterministic announcement list; the lost list is
+        // only probed.
+        std::sort(lost_r.begin(), lost_r.end());
         for (const VertexId v : st.announced) {
-          if (lost_r.count(lg.global_id(v)) == 0) continue;
+          if (!std::binary_search(lost_r.begin(), lost_r.end(),
+                                  lg.global_id(v))) {
+            continue;
+          }
           st.color[static_cast<std::size_t>(v)] = kNoColor;
           st.to_color.push_back(v);
           ++reentries[static_cast<std::size_t>(r)];

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "support/error.hpp"
-#include "support/sorted.hpp"
 #include "support/text.hpp"
 
 namespace pmc {
@@ -147,11 +146,11 @@ const Graph& DynamicGraph::snapshot() {
               weights.begin() + static_cast<std::ptrdiff_t>(out));
     out += end_arc - begin_arc;
   };
-  // Only the touched row ids are sorted, never the edges.
-  for (const VertexId v : sorted_keys(pending_)) {
+  // Touched rows come up in id order; the edges are never sorted.
+  for (const auto& [v, row] : pending_) {
     copy_rows(v);
     offsets[static_cast<std::size_t>(v)] = out;
-    for (const auto& [u, w] : pending_.at(v)) {
+    for (const auto& [u, w] : row) {
       adj[static_cast<std::size_t>(out)] = u;
       weights[static_cast<std::size_t>(out)] = w;
       ++out;

@@ -23,7 +23,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -56,9 +55,9 @@ struct EdgeUpdate {
 /// A mutable undirected weighted graph over a fixed vertex set: a CSR
 /// Graph plus the rows touched since the last fold. apply() edits a private,
 /// sorted copy of each endpoint's row; snapshot() folds those rows back into
-/// the CSR, copying every untouched row range wholesale. A batch therefore
-/// costs O(touched rows), a sort of the touched row ids and one bulk copy of
-/// the CSR; edges are never sorted.
+/// the CSR in row order, copying every untouched row range wholesale. A
+/// batch therefore costs one ordered-map entry per touched row and one bulk
+/// copy of the CSR; edges are never sorted.
 /// Weights are always stored: an unweighted initial graph gets unit weights.
 class DynamicGraph {
  public:
@@ -102,7 +101,7 @@ class DynamicGraph {
 
   Graph graph_;
   EdgeId m_ = 0;
-  std::unordered_map<VertexId, Row> pending_;  // rows touched, by vertex
+  std::map<VertexId, Row> pending_;  // rows touched, by vertex
 };
 
 /// Configuration of the random update stream.

@@ -171,6 +171,26 @@ TEST(DistGraph, BoundaryRanksOnMultilevelPartition) {
   EXPECT_GE(expect_boundary_ranks_match_scan(g, p, dist), 2u);
 }
 
+/// local_id is kNoVertex for every global vertex a rank does not hold,
+/// found by a scan of the ids it does hold. (validate() covers the held
+/// ones: local_id inverts global_id.)
+void expect_absent_ids_unknown(const DistGraph& dist) {
+  std::vector<char> held(static_cast<std::size_t>(dist.num_global_vertices()));
+  for (Rank r = 0; r < dist.num_ranks(); ++r) {
+    const LocalGraph& lg = dist.local(r);
+    std::fill(held.begin(), held.end(), 0);
+    for (VertexId l = 0; l < lg.num_local(); ++l) {
+      held[static_cast<std::size_t>(lg.global_id(l))] = 1;
+    }
+    for (VertexId gv = 0; gv < dist.num_global_vertices(); ++gv) {
+      if (held[static_cast<std::size_t>(gv)] == 0) {
+        EXPECT_EQ(lg.local_id(gv), kNoVertex)
+            << "rank " << r << " global " << gv;
+      }
+    }
+  }
+}
+
 /// Every field of every rank of `got` equals `want`'s, and local_id agrees
 /// on every global id (a stale ghost left in the lookup table shows here).
 void expect_same_distribution(const DistGraph& got, const DistGraph& want) {
@@ -247,6 +267,15 @@ TEST(DistGraph, RefreshOfHalo2Throws) {
   EXPECT_THROW(dist.refresh(g, p, touched), Error);
 }
 
+TEST(DistGraph, RefreshWithAnotherOwnerThrows) {
+  // Vertex 1 moves to rank 1 between build and refresh: rank 1's fill meets
+  // a target the partition says it owns but it never numbered.
+  const Graph g = path(4);
+  DistGraph dist = DistGraph::build(g, Partition(2, {0, 0, 1, 1}));
+  const std::vector<VertexId> touched{2};
+  EXPECT_THROW(dist.refresh(g, Partition(2, {0, 1, 1, 1}), touched), Error);
+}
+
 TEST(DistGraph, HaloMustBeOneOrTwo) {
   const Graph g = path(4);
   const Partition p(2, {0, 0, 1, 1});
@@ -274,6 +303,7 @@ TEST_P(DistGraphSweep, InvariantsAcrossGraphsAndParts) {
     SCOPED_TRACE("halo " + std::to_string(halo));
     const DistGraph dist = DistGraph::build(g, p, halo);
     dist.validate(g, p);
+    expect_absent_ids_unknown(dist);
     (void)expect_boundary_ranks_match_scan(g, p, dist);
   }
 
@@ -290,6 +320,7 @@ TEST_P(DistGraphSweep, InvariantsAcrossGraphsAndParts) {
     const Graph& current = dyn.snapshot();
     live.refresh(current, p, touched_vertices(updates));
     live.validate(current, p);
+    expect_absent_ids_unknown(live);
     expect_same_distribution(live, DistGraph::build(current, p));
   }
 }

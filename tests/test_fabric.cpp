@@ -110,6 +110,63 @@ TEST(CommFabric, FifoNonOvertakingHoldsUnderJitter) {
   }
 }
 
+TEST(CommFabric, FifoHoldsOnChannelsOpenedInAnyOrder) {
+  // Nine sources first open their channels in descending destination order;
+  // then a tenth rank joins and every source sends again in interleaved
+  // order, reusing old channels and opening new ones before, between and
+  // after them. The jitter dwarfs the transfer costs, so later sends keep
+  // trying to overtake earlier ones.
+  FabricConfig config;
+  config.jitter_seconds = 1e-4;
+  config.jitter_seed = 7;
+  CommFabric fabric(MachineModel::blue_gene_p(), config);
+  for (int r = 0; r < 9; ++r) fabric.add_rank();
+  std::vector<double> arrivals;
+  std::map<std::pair<Rank, Rank>, double> last_arrival;
+  const auto send = [&](Rank src, Rank dst) {
+    if (src == dst) return;
+    const std::size_t bytes = (arrivals.size() * 97) % 3000;
+    const double arrival = send_via_lane(fabric, src, dst, bytes, 1).arrival;
+    const auto [it, first] = last_arrival.try_emplace({src, dst}, arrival);
+    EXPECT_GE(arrival, it->second) << "channel " << src << "->" << dst;
+    it->second = arrival;
+    arrivals.push_back(arrival);
+  };
+  for (Rank src = 0; src < 9; ++src) {
+    for (const Rank dst : {8, 5, 2}) send(src, dst);
+  }
+  fabric.add_rank();
+  for (Rank src = 0; src < 10; ++src) {
+    for (const Rank dst : {4, 9, 2, 0, 8}) send(src, dst);
+  }
+  // Recorded before the channel state moved off a hash map.
+  const std::vector<double> want = {
+      0x1.74cc29082b3e9p-15, 0x1.bfadee2bd5ca1p-15, 0x1.4545da25a5581p-16,
+      0x1.958fc4e0fefcdp-14, 0x1.1ccbdd252992ep-15, 0x1.111e787f2cc54p-14,
+      0x1.8b2ad43d40129p-16, 0x1.0573a749cb36p-15, 0x1.71c04cf9305eep-14,
+      0x1.01528ae79bd97p-14, 0x1.76957b141fac6p-14, 0x1.6dc216bac0b62p-16,
+      0x1.1f5f331b9e02fp-14, 0x1.9e6784639db72p-14, 0x1.a7950686f1ae1p-14,
+      0x1.5c68c10d977f2p-14, 0x1.20d6f1d94931cp-14, 0x1.8e5400d77f864p-15,
+      0x1.48b8c657725e2p-14, 0x1.376acc9cc2516p-15, 0x1.80db84334db26p-15,
+      0x1.8d34d5fc41071p-14, 0x1.ebd80ead7434ap-15, 0x1.6b08de63aa21ap-15,
+      0x1.b249d96a38007p-14, 0x1.763633c94489ep-14, 0x1.cfa7ed837425p-15,
+      0x1.0465beb4c6c1bp-14, 0x1.bde5c68b89e3dp-15, 0x1.53b5ac9d42bd6p-15,
+      0x1.111e787f2cc54p-14, 0x1.a5feaf709fbf2p-15, 0x1.958fc4e0fefcdp-14,
+      0x1.4407907e94824p-17, 0x1.63516112b5ad7p-14, 0x1.b77590c9300e9p-16,
+      0x1.031679b1bc1aep-14, 0x1.b489ad00c76eap-15, 0x1.f67108162c0b1p-17,
+      0x1.76957b141fac6p-14, 0x1.c37c507734ce9p-15, 0x1.8234f53fd6389p-14,
+      0x1.61d22e25713fep-16, 0x1.9e6784639db72p-14, 0x1.9efd2fddb6fadp-14,
+      0x1.62ff248d13934p-15, 0x1.c9606ac78e2a8p-16, 0x1.c2f7077bcc574p-16,
+      0x1.5c68c10d977f2p-14, 0x1.81f11758f05e4p-14, 0x1.a7950686f1ae1p-14,
+      0x1.835eddb85999p-15, 0x1.61c45269bbcf8p-14, 0x1.48b8c657725e2p-14,
+      0x1.060953bcb6b98p-15, 0x1.405104d99919bp-14, 0x1.7f7a00deeda32p-14,
+      0x1.482cc8ad77b2p-15, 0x1.8d34d5fc41071p-14, 0x1.40b14b705d8a2p-15,
+      0x1.35e07e730cb82p-14, 0x1.906ab2f844c5fp-16, 0x1.efc6b594bfcdbp-15,
+      0x1.95df787aba17p-14, 0x1.adc6f2c695d89p-14, 0x1.03df83e73604ap-15,
+      0x1.31a237412affcp-17, 0x1.66afcff1b52e8p-15, 0x1.410fc77b29b57p-14};
+  EXPECT_EQ(arrivals, want);
+}
+
 TEST(CommFabric, CollectiveAdvancesEveryClockToCommonHorizon) {
   const MachineModel m = MachineModel::blue_gene_p();
   CommFabric fabric(m);

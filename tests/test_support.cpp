@@ -6,13 +6,16 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <ranges>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "runtime/exec/backend.hpp"
 #include "support/csv.hpp"
 #include "support/error.hpp"
+#include "support/hash_set.hpp"
 #include "support/options.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -42,6 +45,32 @@ TEST(Error, RequirePassesWhenTrue) {
 
 TEST(Error, FailAlwaysThrows) {
   EXPECT_THROW(PMC_FAIL("unreachable"), Error);
+}
+
+// ---- HashSet ---------------------------------------------------------------
+
+// Hash order must never reach a send or a floating-point sum, so the one hash
+// container in src/ cannot be walked: it has no begin() or end(), so neither
+// a range-for nor a range algorithm compiles over it.
+template <typename S>
+concept HasBegin = requires(S& s) { s.begin(); };
+template <typename S>
+concept HasEnd = requires(S& s) { s.end(); };
+static_assert(std::ranges::range<std::unordered_set<int>> &&
+                  HasBegin<std::unordered_set<int>> &&
+                  HasEnd<std::unordered_set<int>>,
+              "the checks must see a hash set's iterators");
+static_assert(!std::ranges::range<HashSet<int>>);
+static_assert(!HasBegin<HashSet<int>>);
+static_assert(!HasEnd<HashSet<int>>);
+
+TEST(HashSet, InsertReportsFirstSight) {
+  HashSet<std::uint64_t> s;
+  s.reserve(4);
+  EXPECT_TRUE(s.insert(7));
+  EXPECT_FALSE(s.insert(7));
+  EXPECT_TRUE(s.insert(8));
+  EXPECT_EQ(s.size(), 2u);
 }
 
 // ---- RNG -------------------------------------------------------------------

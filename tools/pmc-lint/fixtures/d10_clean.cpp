@@ -1,13 +1,9 @@
 // Fixture: D10 must stay silent — the allow() is consumed by a live
-// (suppressed) D1 hit. Scan fodder for the lint suite, not compiled.
+// (suppressed) D2 hit. Scan fodder for the lint suite, not compiled.
 #include <cstdint>
-#include <unordered_map>
+#include <random>
 
-using Rank = std::int32_t;
-
-std::int64_t consumed_allow(const std::unordered_map<Rank, std::int64_t>& m) {
-  std::int64_t total = 0;
-  // pmc-lint: allow(D1): order-independent integer sum, no sends
-  for (const auto& [dst, records] : m) total += records;
-  return total;
+std::uint64_t replay_seed() {
+  // pmc-lint: allow(D2): printed for replay, never fed to a run
+  return std::random_device{}();
 }

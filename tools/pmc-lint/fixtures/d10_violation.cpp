@@ -2,7 +2,7 @@
 // diagnostic. Scan fodder for the lint fixture suite, not compiled.
 #include <cstdint>
 
-// pmc-lint: allow(D1): was load-bearing before the sorted-snapshot refactor
+// pmc-lint: allow(D1): was load-bearing before the map became a HashSet
 std::int64_t plain_sum(const std::int64_t* xs, std::int64_t n) {
   std::int64_t total = 0;
   for (std::int64_t i = 0; i < n; ++i) total += xs[i];

@@ -1,21 +1,17 @@
-// Fixture: D1 must stay silent — the staging map is walked through the
-// sorted-snapshot helper, and a plain vector iteration is never flagged.
+// Fixture: D1 must stay silent — membership goes through pmc::HashSet, and
+// what is walked is a std::map. Scan fodder for the lint fixture suite.
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
+#include <map>
 
-#include "support/sorted.hpp"
+#include "support/hash_set.hpp"
 
 struct FrameWriter {};
 using Rank = std::int32_t;
 
 void ship(void (*send)(Rank, FrameWriter&)) {
-  std::unordered_map<Rank, FrameWriter> out;
-  for (const Rank dst : pmc::sorted_keys(out)) {
-    send(dst, out.at(dst));
-  }
-  std::vector<Rank> touched;
-  for (const Rank dst : touched) {
-    send(dst, out.at(dst));
+  std::map<Rank, FrameWriter> out;
+  pmc::HashSet<Rank> seen;
+  for (auto& [dst, w] : out) {
+    if (seen.insert(dst)) send(dst, w);
   }
 }

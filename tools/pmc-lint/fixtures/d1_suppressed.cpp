@@ -2,20 +2,13 @@
 // comment must be reported as suppressed, and an allow() without a
 // justification must not count.
 #include <cstdint>
+// pmc-lint: allow(D1): membership only, never iterated
 #include <unordered_map>
 
 using Rank = std::int32_t;
 
-std::int64_t total_records(const std::unordered_map<Rank, std::int64_t>& m) {
-  std::int64_t total = 0;
-  // pmc-lint: allow(D1): order-independent integer sum, no sends
-  for (const auto& [dst, records] : m) total += records;
-  return total;
-}
-
-std::int64_t bad_suppression(const std::unordered_map<Rank, std::int64_t>& m) {
-  std::int64_t total = 0;
-  // pmc-lint: allow(D1)
-  for (const auto& [dst, records] : m) total += records;
-  return total;
+// pmc-lint: allow(D1)
+std::int64_t records_of(const std::unordered_map<Rank, std::int64_t>& m) {
+  const auto it = m.find(0);
+  return it == m.end() ? 0 : it->second;
 }

@@ -4,16 +4,36 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <unordered_set>
 
-#include "internal.hpp"
-
 namespace pmc_lint {
-namespace internal {
 namespace {
+
+// ---- source view ----------------------------------------------------------
+
+/// One suppression comment: which rules it allows and the justification.
+struct Allow {
+  std::set<std::string> rules;
+  std::string justification;
+};
+
+/// The comment/string-stripped view of a translation unit plus the
+/// allow() suppressions found while stripping.
+struct SourceView {
+  std::string code;  ///< Same length/lines as the input; literals blanked.
+  /// Suppressions keyed by the line their comment starts on (1-based).
+  std::map<int, Allow> allows;
+};
+
+struct Token {
+  std::string text;
+  int line = 0;
+  bool is_ident = false;
+};
 
 std::string trim(const std::string& s) {
   std::size_t b = 0, e = s.size();
@@ -50,8 +70,6 @@ bool ident_start(char c) {
 bool ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
-
-}  // namespace
 
 /// Blanks comments and string/char literals (preserving newlines so line
 /// numbers survive) and records pmc-lint allow() comments.
@@ -173,13 +191,10 @@ std::vector<Token> tokenize(const std::string& code) {
       i = j;
       continue;
     }
-    // Multi-char operators the rules care about; everything else is emitted
-    // one char at a time (deliberately including > > so template-angle
-    // balancing never sees a fused >>).
+    // The two multi-char operators the rules read (qualification and member
+    // access); everything else is emitted one char at a time.
     const char next = i + 1 < code.size() ? code[i + 1] : '\0';
-    if ((c == ':' && next == ':') || (c == '-' && next == '>') ||
-        (c == '+' && next == '=') || (c == '-' && next == '=') ||
-        (c == '*' && next == '=') || (c == '/' && next == '=')) {
+    if ((c == ':' && next == ':') || (c == '-' && next == '>')) {
       out.push_back({std::string{c, next}, line, false});
       i += 2;
       continue;
@@ -190,19 +205,8 @@ std::vector<Token> tokenize(const std::string& code) {
   return out;
 }
 
-std::string normalize_path(const std::string& path) {
-  std::string p = path;
-  const std::size_t src = p.rfind("/src/");
-  if (src != std::string::npos) {
-    p = p.substr(src + 1);
-  } else if (p.rfind("./", 0) == 0) {
-    p = p.substr(2);
-  }
-  return p;
-}
-
-void apply_allows(Diagnostic& d,
-                  const std::unordered_map<int, Allow>& allows) {
+/// Applies the file's allow() comments to one diagnostic.
+void apply_allows(Diagnostic& d, const std::map<int, Allow>& allows) {
   // A well-formed allow() on the diagnostic's line or the line above it
   // suppresses — but only with a justification. A matching comment without
   // one is still recorded (allow_line) so the D10 audit does not call a
@@ -222,8 +226,6 @@ void apply_allows(Diagnostic& d,
   }
 }
 
-namespace {
-
 // ---- per-file rule engine --------------------------------------------------
 
 class Analyzer {
@@ -236,14 +238,9 @@ class Analyzer {
         tokens_(tokens) {}
 
   std::vector<Diagnostic> run() {
-    collect_declared_vars();
-    check_banned_calls();
-    check_range_loops();
-    std::sort(diags_.begin(), diags_.end(),
-              [](const Diagnostic& a, const Diagnostic& b) {
-                if (a.line != b.line) return a.line < b.line;
-                return a.rule < b.rule;
-              });
+    for (std::size_t i = 0; i < tokens_.size(); ++i) {
+      if (tokens_[i].is_ident) check_token(i);
+    }
     return diags_;
   }
 
@@ -263,92 +260,59 @@ class Analyzer {
     diags_.push_back(std::move(d));
   }
 
-  /// Balances template angle brackets starting at tokens_[i] == "<";
-  /// returns the index just past the matching ">".
-  std::size_t skip_angles(std::size_t i) {
-    int depth = 0;
-    while (i < tokens_.size()) {
-      const std::string& t = tokens_[i].text;
-      if (t == "<") ++depth;
-      if (t == ">" && --depth == 0) return i + 1;
-      // A template argument list never contains ; or { — bail on malformed
-      // input instead of eating the rest of the file.
-      if (t == ";" || t == "{") return i;
-      ++i;
+  /// D1 (hash containers), D2 (hidden entropy), D3 (raw serialization) on
+  /// the identifier tokens_[i].
+  void check_token(std::size_t i) {
+    const Token& t = tokens_[i];
+    const std::string& prev = i > 0 ? tokens_[i - 1].text : std::string();
+    const bool member = prev == "." || prev == "->";
+    // "chrono" counts as a std qualifier so std::chrono::system_clock is
+    // caught; foo::time() in some other namespace is not ours to police.
+    const bool qualified_non_std =
+        prev == "::" && i >= 2 && tokens_[i - 2].text != "std" &&
+        tokens_[i - 2].text != "chrono";
+    if (scope_.d1 &&
+        (t.text == "unordered_map" || t.text == "unordered_set" ||
+         t.text == "unordered_multimap" || t.text == "unordered_multiset")) {
+      report("D1", t.line,
+             "'" + t.text +
+                 "' — hash order is not a protocol order; use pmc::HashSet "
+                 "(src/support/hash_set.hpp) for membership, a sorted vector "
+                 "or std::map for anything walked");
     }
-    return i;
-  }
-
-  /// Variable names declared with an unordered container type, and names
-  /// declared float/double (for the D5 accumulation check).
-  void collect_declared_vars() {
-    for (std::size_t i = 0; i < tokens_.size(); ++i) {
-      const Token& t = tokens_[i];
-      if (!t.is_ident) continue;
-      if (t.text == "unordered_map" || t.text == "unordered_set" ||
-          t.text == "unordered_multimap" || t.text == "unordered_multiset") {
-        std::size_t j = i + 1;
-        if (tok(j).text != "<") continue;  // e.g. #include <unordered_map>
-        j = skip_angles(j);
-        // Close any enclosing template (vector<unordered_set<T>> lost) and
-        // skip ref/pointer decorations before the declared name.
-        while (tok(j).text == ">" || tok(j).text == "&" ||
-               tok(j).text == "*" || tok(j).text == "const") {
-          ++j;
+    if (scope_.d2) {
+      if ((t.text == "rand" || t.text == "srand" || t.text == "time") &&
+          tok(i + 1).text == "(") {
+        // Skip member calls (engine.time()), non-std qualified names, and
+        // declarations (`double time() const` — preceded by a type name).
+        const bool declaration =
+            i > 0 && tokens_[i - 1].is_ident && !call_context_word(prev);
+        if (!member && !qualified_non_std && !declaration) {
+          report("D2", t.line,
+                 "call to '" + t.text +
+                     "' — hidden entropy; all randomness must flow "
+                     "through pmc::Rng (src/support/rng.hpp) and wall "
+                     "time through WallTimer");
         }
-        if (tok(j).is_ident) unordered_vars_.insert(tok(j).text);
-      } else if (t.text == "double" || t.text == "float") {
-        if (tok(i + 1).is_ident) float_vars_.insert(tok(i + 1).text);
+      } else if (t.text == "random_device" || t.text == "system_clock") {
+        if (!member && !qualified_non_std) {
+          report("D2", t.line,
+                 "use of 'std::" + t.text +
+                     "' — nondeterministic source; use pmc::Rng / "
+                     "WallTimer (steady_clock) instead");
+        }
       }
     }
-  }
-
-  /// D2 (hidden entropy), D3 (raw serialization).
-  void check_banned_calls() {
-    for (std::size_t i = 0; i < tokens_.size(); ++i) {
-      const Token& t = tokens_[i];
-      if (!t.is_ident) continue;
-      const std::string& prev = i > 0 ? tokens_[i - 1].text : std::string();
-      const bool member = prev == "." || prev == "->";
-      // "chrono" counts as a std qualifier so std::chrono::system_clock is
-      // caught; foo::time() in some other namespace is not ours to police.
-      const bool qualified_non_std =
-          prev == "::" && i >= 2 && tokens_[i - 2].text != "std" &&
-          tokens_[i - 2].text != "chrono";
-      if (scope_.d2) {
-        if ((t.text == "rand" || t.text == "srand" || t.text == "time") &&
-            tok(i + 1).text == "(") {
-          // Skip member calls (engine.time()), non-std qualified names, and
-          // declarations (`double time() const` — preceded by a type name).
-          const bool declaration =
-              i > 0 && tokens_[i - 1].is_ident && !call_context_word(prev);
-          if (!member && !qualified_non_std && !declaration) {
-            report("D2", t.line,
-                   "call to '" + t.text +
-                       "' — hidden entropy; all randomness must flow "
-                       "through pmc::Rng (src/support/rng.hpp) and wall "
-                       "time through WallTimer");
-          }
-        } else if (t.text == "random_device" || t.text == "system_clock") {
-          if (!member && !qualified_non_std) {
-            report("D2", t.line,
-                   "use of 'std::" + t.text +
-                       "' — nondeterministic source; use pmc::Rng / "
-                       "WallTimer (steady_clock) instead");
-          }
-        }
-      }
-      if (scope_.d3) {
-        if (t.text == "memcpy" && tok(i + 1).text == "(" && !member &&
-            !qualified_non_std) {
-          report("D3", t.line,
-                 "raw memcpy — wire traffic must go through the "
-                 "serialize.hpp frame codec, not byte copies of structs");
-        } else if (t.text == "reinterpret_cast") {
-          report("D3", t.line,
-                 "reinterpret_cast — wire traffic must go through the "
-                 "serialize.hpp frame codec, not type punning");
-        }
+    if (scope_.d3) {
+      if (t.text == "memcpy" && tok(i + 1).text == "(" && !member &&
+          !qualified_non_std) {
+        report("D3", t.line,
+               "raw memcpy — wire traffic must go through the "
+               "serialize.hpp frame codec, not byte copies of structs");
+      } else if (t.text == "reinterpret_cast") {
+        report("D3", t.line,
+               "reinterpret_cast — wire traffic must go through the "
+               "serialize.hpp frame codec, not type punning");
       }
     }
   }
@@ -358,140 +322,43 @@ class Analyzer {
     return w == "return" || w == "co_return" || w == "case" || w == "throw";
   }
 
-  /// D1 (unordered range-iteration in message-producing code) and D5
-  /// (floating-point accumulation under an unordered iteration).
-  void check_range_loops() {
-    for (std::size_t i = 0; i + 1 < tokens_.size(); ++i) {
-      if (!(tokens_[i].is_ident && tokens_[i].text == "for")) continue;
-      if (tok(i + 1).text != "(") continue;
-      // Find the matching ')' and a top-level ':' (range-for separator; '::'
-      // is a single token, so a lone ':' is unambiguous).
-      std::size_t colon = 0, close = 0;
-      int depth = 0;
-      for (std::size_t j = i + 1; j < tokens_.size(); ++j) {
-        const std::string& t = tokens_[j].text;
-        if (t == "(") ++depth;
-        if (t == ")" && --depth == 0) {
-          close = j;
-          break;
-        }
-        if (t == ":" && depth == 1 && colon == 0) colon = j;
-      }
-      if (close == 0 || colon == 0) continue;
-      bool unordered = false;
-      bool blessed = false;
-      for (std::size_t j = colon + 1; j < close; ++j) {
-        if (!tokens_[j].is_ident) continue;
-        // The sorted-snapshot helpers take the unordered container as an
-        // argument; iterating their result is the sanctioned pattern.
-        if (tokens_[j].text == "sorted_keys" ||
-            tokens_[j].text == "sorted_items") {
-          blessed = true;
-          break;
-        }
-        if (unordered_vars_.count(tokens_[j].text) != 0 ||
-            tokens_[j].text == "unordered_map" ||
-            tokens_[j].text == "unordered_set") {
-          unordered = true;
-        }
-      }
-      if (blessed || !unordered) continue;
-      if (scope_.d1) {
-        report("D1", tokens_[i].line,
-               "range-iteration over an unordered container in "
-               "message-producing code — hash order is not a protocol "
-               "order; snapshot with sorted_keys()/sorted_items() "
-               "(support/sorted.hpp)");
-      }
-      if (scope_.d5) check_float_accumulation(close);
-    }
-  }
-
-  /// Scans the loop body that starts after tokens_[close] == ")" for a
-  /// `x +=` / `x -=` on a float/double variable.
-  void check_float_accumulation(std::size_t close) {
-    std::size_t begin = close + 1;
-    std::size_t end;
-    if (tok(begin).text == "{") {
-      int depth = 0;
-      end = begin;
-      while (end < tokens_.size()) {
-        if (tokens_[end].text == "{") ++depth;
-        if (tokens_[end].text == "}" && --depth == 0) break;
-        ++end;
-      }
-    } else {  // single-statement body
-      end = begin;
-      while (end < tokens_.size() && tokens_[end].text != ";") ++end;
-    }
-    for (std::size_t j = begin; j < end; ++j) {
-      if ((tokens_[j].text == "+=" || tokens_[j].text == "-=") && j > 0 &&
-          tokens_[j - 1].is_ident &&
-          float_vars_.count(tokens_[j - 1].text) != 0) {
-        report("D5", tokens_[j].line,
-               "floating-point accumulation into '" + tokens_[j - 1].text +
-                   "' inside an unordered-container iteration — FP "
-                   "addition is order-sensitive; reduce over a sorted "
-                   "snapshot instead");
-      }
-    }
-  }
-
   std::string path_;
   RuleScope scope_;
-  const std::unordered_map<int, Allow>& allows_;
+  const std::map<int, Allow>& allows_;
   const std::vector<Token>& tokens_;
-  std::unordered_set<std::string> unordered_vars_;
-  std::unordered_set<std::string> float_vars_;
   std::vector<Diagnostic> diags_;
 };
 
-}  // namespace
-
-std::vector<Diagnostic> file_rules(const std::string& path,
-                                   const SourceView& view,
-                                   const std::vector<Token>& toks,
-                                   const RuleScope& scope) {
-  return Analyzer(path, view, toks, scope).run();
+/// The per-file rules over one file, then, when `audit` is set, the D10
+/// audit of its allow() comments: one that no diagnostic of the file
+/// matched is stale.
+std::vector<Diagnostic> lint_file(const std::string& path,
+                                  const std::string& contents,
+                                  const RuleScope& scope, bool audit) {
+  const SourceView view = strip(contents);
+  const std::vector<Token> tokens = tokenize(view.code);
+  std::vector<Diagnostic> diags = Analyzer(path, view, tokens, scope).run();
+  if (!audit) return diags;
+  std::set<int> consumed;
+  for (const Diagnostic& d : diags) consumed.insert(d.allow_line);
+  for (const auto& [line, allow] : view.allows) {
+    if (consumed.count(line) != 0) continue;
+    std::string rules;
+    for (const std::string& r : allow.rules) {
+      rules += (rules.empty() ? "" : ",") + r;
+    }
+    Diagnostic d;
+    d.rule = "D10";
+    d.file = path;
+    d.line = line;
+    d.message = "stale suppression: allow(" + rules +
+                ") no longer matches any diagnostic — delete it so the "
+                "suppression ledger stays honest";
+    apply_allows(d, view.allows);
+    diags.push_back(std::move(d));
+  }
+  return diags;
 }
-
-}  // namespace internal
-
-namespace {
-
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-}  // namespace
-
-RuleScope scope_for_path(const std::string& path) {
-  const std::string p = internal::normalize_path(path);
-  RuleScope scope;
-  if (!starts_with(p, "src/")) return scope;
-  scope.d5 = true;
-  scope.d2 = !(starts_with(p, "src/support/rng.") ||
-               p == "src/support/timer.hpp");
-  scope.d3 = !starts_with(p, "src/runtime/serialize.");
-  scope.d1 = starts_with(p, "src/matching/") ||
-             starts_with(p, "src/coloring/") ||
-             starts_with(p, "src/runtime/");
-  return scope;
-}
-
-RuleScope all_rules() {
-  return RuleScope{true, true, true, true};
-}
-
-std::vector<Diagnostic> analyze_source(const std::string& path,
-                                       const std::string& contents,
-                                       const RuleScope& scope) {
-  const internal::SourceView view = internal::strip(contents);
-  const std::vector<internal::Token> toks = internal::tokenize(view.code);
-  return internal::file_rules(path, view, toks, scope);
-}
-
-namespace {
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -501,22 +368,75 @@ std::string slurp(const std::string& path) {
   return contents.str();
 }
 
+bool starts_with(const std::string& s, const std::string& prefix) {
+  return s.rfind(prefix, 0) == 0;
+}
+
 }  // namespace
+
+std::string root_relative(const std::string& path, const std::string& root) {
+  namespace fs = std::filesystem;
+  const fs::path abs = fs::absolute(path).lexically_normal();
+  const fs::path rel =
+      abs.lexically_relative(fs::absolute(root).lexically_normal());
+  if (rel.empty() || *rel.begin() == "..") return abs.generic_string();
+  return rel.generic_string();
+}
+
+RuleScope scope_for_path(const std::string& path) {
+  RuleScope scope;
+  if (!starts_with(path, "src/")) return scope;
+  scope.d1 = path != "src/support/hash_set.hpp";
+  scope.d2 = !(starts_with(path, "src/support/rng.") ||
+               path == "src/support/timer.hpp");
+  scope.d3 = !starts_with(path, "src/runtime/serialize.");
+  return scope;
+}
+
+RuleScope all_rules() {
+  return RuleScope{true, true, true};
+}
+
+std::vector<Diagnostic> analyze_source(const std::string& path,
+                                       const std::string& contents,
+                                       const RuleScope& scope) {
+  return lint_file(path, contents, scope, /*audit=*/false);
+}
 
 std::vector<Diagnostic> analyze_file(const std::string& path,
                                      const RuleScope& scope) {
   return analyze_source(path, slurp(path), scope);
 }
 
-std::vector<Diagnostic> analyze_file(const std::string& path) {
-  return analyze_file(path, scope_for_path(path));
+ProgramReport analyze_program(const std::vector<SourceFile>& sources,
+                              const ProgramOptions& opts) {
+  ProgramReport report;
+  report.files_scanned = sources.size();
+  for (const SourceFile& f : sources) {
+    const RuleScope scope =
+        opts.all_rules ? all_rules() : scope_for_path(f.path);
+    for (Diagnostic& d :
+         lint_file(f.path, f.contents, scope, opts.audit_suppressions)) {
+      report.diagnostics.push_back(std::move(d));
+    }
+  }
+  std::sort(report.diagnostics.begin(), report.diagnostics.end(),
+            [](const Diagnostic& a, const Diagnostic& b) {
+              if (a.file != b.file) return a.file < b.file;
+              if (a.line != b.line) return a.line < b.line;
+              return a.rule < b.rule;
+            });
+  return report;
 }
 
 ProgramReport analyze_program_paths(const std::vector<std::string>& paths,
+                                    const std::string& root,
                                     const ProgramOptions& opts) {
   std::vector<SourceFile> sources;
   sources.reserve(paths.size());
-  for (const std::string& p : paths) sources.push_back({p, slurp(p)});
+  for (const std::string& p : paths) {
+    sources.push_back({root_relative(p, root), slurp(p)});
+  }
   return analyze_program(sources, opts);
 }
 
@@ -616,6 +536,29 @@ std::vector<std::string> compile_commands_sources(
   for (const std::string& p : json_paths) {
     collect_compile_commands(p, files, seen);
   }
+  return files;
+}
+
+std::vector<std::string> library_sources(
+    const std::vector<std::string>& json_paths, const std::string& root) {
+  namespace fs = std::filesystem;
+  std::vector<std::string> files;
+  for (std::string& f : compile_commands_sources(json_paths)) {
+    if (starts_with(root_relative(f, root), "src/")) {
+      files.push_back(std::move(f));
+    }
+  }
+  std::vector<std::string> headers;
+  const fs::path src = fs::path(root) / "src";
+  if (fs::is_directory(src)) {
+    for (const auto& entry : fs::recursive_directory_iterator(src)) {
+      if (entry.is_regular_file() && entry.path().extension() == ".hpp") {
+        headers.push_back(entry.path().string());
+      }
+    }
+  }
+  std::sort(headers.begin(), headers.end());
+  files.insert(files.end(), headers.begin(), headers.end());
   return files;
 }
 

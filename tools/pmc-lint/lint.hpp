@@ -1,46 +1,39 @@
 // pmc-lint — the project's determinism & protocol static-analysis pass.
 //
-// A token/AST-lite analyzer over the C++ sources that enforces invariants the
+// A token scanner over the C++ sources that enforces invariants the
 // runtime's reproducibility guarantees rest on (DESIGN.md §7). It is not a
 // compiler: rules are implemented over a comment/string-stripped token view
-// of each translation unit, tuned to this codebase's idiom, and every
+// of each file, every rule looks at one file at a time, and every
 // diagnostic can be suppressed in place with a justification:
 //
-//     // pmc-lint: allow(D1): order-independent integer sum, no sends
+//     // pmc-lint: allow(D2): seed printed for replay, never fed to a run
 //
 // on the diagnostic's line or the line directly above it. A suppression
 // without a justification text does not count.
 //
-// v2 runs in two passes. Pass 1 indexes every function definition in the
-// scanned sources (name, file:line, body). Pass 2 runs the per-file rules
-// D1-D3 and D5, lets them propagate through one level of helper
-// indirection via the call graph (a helper whose own file hides a banned
-// pattern from its scope taints every call site where the rule is live),
-// and finally runs the D10 audit over everything reported.
-//
-// Three former rules are enforced by types instead: wire records have one
+// Four former rules are enforced by types instead: wire records have one
 // field list that FrameWriter::put and for_each_record both walk, the one
-// decode loop checks done() itself, and post_send_at() takes only a
-// CommFabric::SendTime, which only Lane::begin_send() can make.
+// decode loop checks done() itself, post_send_at() takes only a
+// CommFabric::SendTime, which only Lane::begin_send() can make, and the one
+// hash container in src/ (pmc::HashSet) cannot be iterated, so hash order
+// can reach neither a send nor a floating-point sum. D1 keeps that type the
+// only hash container there.
 //
-// Rules (scopes are path predicates relative to the repo root):
+// Rules (scopes are predicates on the path relative to the repo root):
 //
-//   D1  no unordered_map/unordered_set range-iteration in message-producing
-//       code (src/matching, src/coloring, src/runtime) — hash-order
-//       traversals would tie send sequences to the standard library's
-//       bucket layout. Use the sorted-snapshot helpers (support/sorted.hpp).
+//   D1  no std::unordered_map/unordered_set/unordered_multimap/
+//       unordered_multiset anywhere in src/ except src/support/hash_set.hpp,
+//       the home of pmc::HashSet — hash order is a property of the standard
+//       library's bucket layout, not of the protocol.
 //   D2  no hidden entropy: rand, srand, std::random_device, time(),
-//       std::chrono::system_clock anywhere outside src/support/rng.* and
-//       src/support/timer.hpp. All randomness flows through pmc::Rng; all
-//       wall time through WallTimer.
-//   D3  no raw memcpy / reinterpret_cast serialization outside
+//       std::chrono::system_clock anywhere in src/ outside
+//       src/support/rng.* and src/support/timer.hpp. All randomness flows
+//       through pmc::Rng; all wall time through WallTimer.
+//   D3  no raw memcpy / reinterpret_cast serialization in src/ outside
 //       src/runtime/serialize.* — wire traffic goes through the versioned,
 //       checksummed frame codec.
-//   D5  no float/double accumulation inside an unordered-container
-//       range-iteration anywhere in src/ — FP addition is order-sensitive,
-//       so a hash-order reduction is silently nondeterministic.
-//   D10 stale-suppression audit (whole run): an allow() comment that no
-//       longer suppresses any diagnostic fails the build, keeping the
+//   D10 stale-suppression audit: an allow() comment that no longer
+//       suppresses any diagnostic in its file fails the build, keeping the
 //       suppression ledger honest.
 #pragma once
 
@@ -52,8 +45,8 @@ namespace pmc_lint {
 /// One finding. `suppressed` is true when a well-formed allow() comment with
 /// a justification covers the line.
 struct Diagnostic {
-  std::string rule;     ///< "D1".."D5", "D10".
-  std::string file;     ///< Path as given to analyze_file.
+  std::string rule;     ///< "D1".."D3", "D10".
+  std::string file;     ///< Path as given to the analysis.
   int line = 0;         ///< 1-based.
   std::string message;  ///< Human-readable explanation.
   bool suppressed = false;
@@ -64,42 +57,45 @@ struct Diagnostic {
   int allow_line = 0;
 };
 
-/// Which rule families apply to a file, derived from its path. D10 is a
-/// run-level audit, not a per-file rule, so it has no entry here.
+/// Which rules apply to a file, derived from its path. D10 audits the
+/// suppressions of whatever was scanned, so it has no entry here.
 struct RuleScope {
-  bool d1 = false;  ///< Message-producing code (matching/coloring/runtime).
-  bool d2 = false;  ///< Everything except the entropy allowlist.
-  bool d3 = false;  ///< Everything except serialize.*.
-  bool d5 = false;  ///< All of src/.
+  bool d1 = false;  ///< All of src/ except the HashSet header.
+  bool d2 = false;  ///< src/ except the entropy allowlist.
+  bool d3 = false;  ///< src/ except serialize.*.
 };
 
-/// Scope for a path as the CI lint run uses it: `path` is normalized to the
-/// repo-relative form before the src/-based predicates are applied.
+/// `path` relative to `root`, both made absolute and lexically normal
+/// ("src/runtime/fabric.hpp"). A path outside `root` comes back absolute,
+/// and so gets no rule.
+[[nodiscard]] std::string root_relative(const std::string& path,
+                                        const std::string& root);
+
+/// Scope for a path relative to the repo root (see root_relative).
 [[nodiscard]] RuleScope scope_for_path(const std::string& path);
 
 /// Scope with every rule enabled — what the fixture tests use, so each rule
 /// can be exercised regardless of where the fixture file lives.
 [[nodiscard]] RuleScope all_rules();
 
-/// Runs every in-scope *per-file* rule (D1-D3, D5) over one file's
-/// contents. `path` is used for diagnostics only; scoping is the caller's
-/// job (scope_for_path). Helper propagation and the D10 audit need the
-/// whole-program view: use analyze_program.
+/// Runs every in-scope rule over one file's contents. `path` is used for
+/// diagnostics only; scoping is the caller's job (scope_for_path). The D10
+/// audit runs in analyze_program.
 [[nodiscard]] std::vector<Diagnostic> analyze_source(
     const std::string& path, const std::string& contents,
     const RuleScope& scope);
 
 /// analyze_source over the file at `path` (throws std::runtime_error when
-/// unreadable), scoped by scope_for_path unless `scope` is provided.
-[[nodiscard]] std::vector<Diagnostic> analyze_file(const std::string& path);
+/// unreadable).
 [[nodiscard]] std::vector<Diagnostic> analyze_file(const std::string& path,
                                                    const RuleScope& scope);
 
-// ---- whole-program analysis ------------------------------------------------
+// ---- a whole run -----------------------------------------------------------
 
-/// One translation unit handed to analyze_program. `path` drives scoping
-/// (scope_for_path) and diagnostics; it does not need to exist on disk, so
-/// tests can fabricate src/-shaped paths for in-memory sources.
+/// One file handed to analyze_program. `path` is relative to the repo root;
+/// it drives scoping (scope_for_path) and diagnostics and does not need to
+/// exist on disk, so tests can fabricate src/-shaped paths for in-memory
+/// sources.
 struct SourceFile {
   std::string path;
   std::string contents;
@@ -118,16 +114,16 @@ struct ProgramReport {
   std::size_t files_scanned = 0;
 };
 
-/// The two-pass analysis: per-file rules, then one-level helper
-/// propagation over the whole-program index, then the D10 suppression
-/// audit.
+/// The rules over every file, each followed by the D10 audit of its
+/// suppressions.
 [[nodiscard]] ProgramReport analyze_program(
     const std::vector<SourceFile>& sources, const ProgramOptions& opts);
 
-/// analyze_program over on-disk files (throws std::runtime_error when one
-/// is unreadable).
+/// analyze_program over on-disk files, each scoped and reported by its path
+/// relative to `root` (throws std::runtime_error when one is unreadable).
 [[nodiscard]] ProgramReport analyze_program_paths(
-    const std::vector<std::string>& paths, const ProgramOptions& opts);
+    const std::vector<std::string>& paths, const std::string& root,
+    const ProgramOptions& opts);
 
 // ---- compile_commands ------------------------------------------------------
 
@@ -144,6 +140,13 @@ struct ProgramReport {
 /// build-asan/, build-tsan/, ...), deduplicated across all of them.
 [[nodiscard]] std::vector<std::string> compile_commands_sources(
     const std::vector<std::string>& json_paths);
+
+/// The library's files: the databases' entries whose path relative to
+/// `root` starts with src/ (the build also compiles tests, benches,
+/// examples and this tool), then every header under root/src, sorted —
+/// headers appear in no database but hold template code.
+[[nodiscard]] std::vector<std::string> library_sources(
+    const std::vector<std::string>& json_paths, const std::string& root);
 
 // ---- reports ---------------------------------------------------------------
 

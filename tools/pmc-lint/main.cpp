@@ -2,25 +2,24 @@
 //
 //   pmc-lint --compile-commands=build/compile_commands.json
 //            [--compile-commands=build-asan/compile_commands.json ...]
-//            [--json[=PATH]]
+//            [--root=DIR] [--json[=PATH]]
 //   pmc-lint [--all-rules] file.cpp [file2.cpp ...]
 //
-// With --compile-commands the tool lints every src/ translation unit the
-// build knows about, plus the headers under src/ (headers never appear in
-// compile_commands but hold template code — Bundler::flush lived in one).
+// With --compile-commands the tool lints every translation unit the build
+// knows about under the root's src/ directory, plus the headers there
+// (headers never appear in compile_commands but hold template code).
 // Several databases may be given (build/, build-asan/, build-tsan/); a
 // source listed by more than one is linted once. Explicit file arguments
-// are linted as given; --all-rules overrides the path-based scoping (the
+// are linted as given. Files are chosen, scoped and reported by their path
+// relative to --root (default: the working directory), so where the
+// checkout lives does not matter; --all-rules overrides the scoping (the
 // fixture suite's mode).
 //
-// Every run is whole-program: helper propagation and the D10
-// stale-suppression audit see all inputs at once (--no-suppression-audit
-// turns D10 off).
+// Each file's allow() comments are audited against its diagnostics (D10);
+// --no-suppression-audit turns that off.
 //
 // Exit status: 0 = clean (suppressed findings are fine), 1 = at least one
 // failing diagnostic, 2 = usage or I/O error.
-#include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -35,22 +34,6 @@ int usage() {
                "[--json[=PATH]] [--no-suppression-audit] [--all-rules] "
                "[files...]\n";
   return 2;
-}
-
-/// Headers under root/src — compile_commands only lists .cpp files, but the
-/// determinism rules bind to header code too.
-std::vector<std::string> src_headers(const std::string& root) {
-  std::vector<std::string> out;
-  const std::filesystem::path src = std::filesystem::path(root) / "src";
-  if (!std::filesystem::is_directory(src)) return out;
-  for (const auto& entry :
-       std::filesystem::recursive_directory_iterator(src)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".hpp") {
-      out.push_back(entry.path().string());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 bool write_file(const std::string& path, const std::string& content) {
@@ -103,17 +86,9 @@ int main(int argc, char** argv) {
 
   try {
     if (!compile_commands.empty()) {
-      for (const std::string& f :
-           pmc_lint::compile_commands_sources(compile_commands)) {
-        // The build also compiles tests/bench/examples and third-party
-        // fixtures; the determinism contract binds to the library tree.
-        if (f.find("/src/") != std::string::npos ||
-            f.rfind("src/", 0) == 0) {
-          files.push_back(f);
-        }
-      }
-      for (std::string& h : src_headers(root)) {
-        files.push_back(std::move(h));
+      for (std::string& f :
+           pmc_lint::library_sources(compile_commands, root)) {
+        files.push_back(std::move(f));
       }
     }
 
@@ -121,7 +96,7 @@ int main(int argc, char** argv) {
     opts.all_rules = all_rules;
     opts.audit_suppressions = audit;
     const pmc_lint::ProgramReport report =
-        pmc_lint::analyze_program_paths(files, opts);
+        pmc_lint::analyze_program_paths(files, root, opts);
 
     std::size_t suppressed = 0;
     for (const auto& d : report.diagnostics) {
