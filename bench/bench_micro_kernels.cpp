@@ -136,6 +136,56 @@ void BM_DistGraphRefresh(benchmark::State& state) {
 }
 BENCHMARK(BM_DistGraphRefresh)->Unit(benchmark::kMillisecond);
 
+/// One service-stream batch, prepared: the grid's matching and canonical
+/// coloring on 64 ranks, then one 16-update batch folded and refreshed.
+struct RepairCase {
+  DistGraph dist;
+  Matching matching;
+  Coloring coloring;
+  std::vector<VertexId> touched;
+};
+
+const RepairCase& shared_repair() {
+  static const RepairCase rc = [] {
+    const Graph& g = shared_grid();
+    const Partition p = grid_2d_partition(256, 256, 8, 8);
+    DynamicGraph dyn(g);
+    RepairCase c;
+    c.dist = DistGraph::build(dyn.folded(), p);
+    c.matching = match_distributed(c.dist).matching;
+    c.coloring = color_canonical(c.dist).coloring;
+    UpdateStreamConfig cfg;
+    cfg.seed = 74;
+    UpdateStreamGenerator gen(g, cfg);
+    const std::vector<EdgeUpdate> batch = gen.next_batch(16);
+    for (const EdgeUpdate& u : batch) dyn.apply(u);
+    c.touched = touched_vertices(batch);
+    c.dist.refresh(dyn.snapshot(), p, c.touched);
+    return c;
+  }();
+  return rc;
+}
+
+// One incremental re-matching of the prepared batch.
+void BM_MatchIncremental(benchmark::State& state) {
+  const RepairCase& rc = shared_repair();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        match_incremental(rc.dist, rc.matching, rc.touched));
+  }
+}
+BENCHMARK(BM_MatchIncremental)->Unit(benchmark::kMillisecond);
+
+// One incremental re-coloring of the prepared batch.
+void BM_ColorIncremental(benchmark::State& state) {
+  const RepairCase& rc = shared_repair();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        color_incremental(rc.dist, rc.coloring, rc.touched));
+  }
+}
+BENCHMARK(BM_ColorIncremental)->Unit(benchmark::kMillisecond);
+
 // The global-to-local resolution every decoded record pays: each rank looks
 // up every global id it holds, owned and ghost, plus as many it does not,
 // in a seeded random order so a branchy search cannot learn the pattern.

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI driver: tier-1 verify (full build + test suite), a lint stage (pmc-lint
-# determinism/protocol rules + clang-tidy when available), an ASan+UBSan
-# build of the runtime- and distributed-algorithm-facing tests, and a TSan
-# build that runs the threaded execution backend under the race detector.
+# CI driver: tier-1 verify (full build + test suite + the pipeline
+# benchmark's smoke test), a lint stage (pmc-lint determinism/protocol rules
+# + clang-tidy when available), an ASan+UBSan build of the runtime- and
+# distributed-algorithm-facing tests, and a TSan build that runs the
+# threaded execution backend under the race detector.
 #
 #   ./ci.sh          # all stages
 #   ./ci.sh tier1    # tier-1 only
@@ -49,6 +50,10 @@ tier1() {
   ./tools/check_bench_artifacts.sh --compare-baseline \
     build/BENCH_threads.json build/BENCH_threads_async.json \
     build/BENCH_threads_coloring_async.json
+  # The pipeline benchmark compiles the library on its own (under
+  # .bench_build/) and reads it directly, so build it and run every
+  # workload at --size smoke: outputs must check and repeat exactly.
+  python3 bench_pipeline/smoke_test.py
 }
 
 lint() {

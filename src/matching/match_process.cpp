@@ -33,19 +33,6 @@ void MatchProcess::sort_arcs(EventContext& ctx, VertexId v) {
   ctx.charge(static_cast<double>(e - b));
 }
 
-void MatchProcess::build_ghost_incidence() {
-  ghost_incidence_.resize(static_cast<std::size_t>(lg_.num_ghosts()));
-  for (VertexId v = 0; v < lg_.num_owned(); ++v) {
-    for (EdgeId a = lg_.offset_begin(v); a < lg_.offset_end(v); ++a) {
-      const VertexId t = lg_.arc_target(a);
-      if (lg_.is_ghost(t)) {
-        ghost_incidence_[static_cast<std::size_t>(t - lg_.num_owned())]
-            .emplace_back(v, a);
-      }
-    }
-  }
-}
-
 void MatchProcess::start(EventContext& ctx) {
   ctx.set_phase(WorkPhase::kInterior);
   const VertexId n = lg_.num_owned();
@@ -67,10 +54,6 @@ void MatchProcess::start(EventContext& ctx) {
   for (VertexId v = 0; v < n; ++v) {
     sort_arcs(ctx, v);
   }
-
-  // Ghost incidence: for each ghost, the (owned vertex, arc) pairs that
-  // reference it — lets a ghost's death cascade without scanning.
-  build_ghost_incidence();
 
   // Initial candidates; reciprocal local pairs match as soon as the second
   // endpoint initializes, and cascades run through the pending queue
@@ -219,8 +202,7 @@ void MatchProcess::ghost_died(VertexId ghost, VertexId skip) {
   const auto gidx = static_cast<std::size_t>(ghost - lg_.num_owned());
   if (ghost_dead_[gidx]) return;
   ghost_dead_[gidx] = true;
-  for (const auto& [w, arc] :
-       ghost_incidence_[static_cast<std::size_t>(ghost - lg_.num_owned())]) {
+  for (const auto& [w, arc] : lg_.ghost_incidence(ghost)) {
     (void)arc;
     if (w == skip) continue;
     if (state_[static_cast<std::size_t>(w)] == VState::kUndecided &&

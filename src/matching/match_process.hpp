@@ -10,6 +10,9 @@
 // behavior is byte-identical to the pre-refactor implementation — the
 // determinism pins in tests/test_determinism_regression.cpp hold across the
 // move.
+//
+// A ghost's death cascades through LocalGraph::ghost_incidence, which the
+// distribution builds once: a process builds no per-ghost lists of its own.
 #pragma once
 
 #include <cstdint>
@@ -137,9 +140,6 @@ class MatchProcess : public Process {
   /// Sorts vertex v's arcs by (weight desc, neighbor global id asc) — the
   /// paper's tie-breaking rule — into arc_order_ and charges deg(v).
   void sort_arcs(EventContext& ctx, VertexId v);
-  /// Builds the ghost -> (owned vertex, arc) incidence lists (uncharged
-  /// setup, like the CSR itself).
-  void build_ghost_incidence();
 
   const LocalGraph& lg_;
   Bundler bundler_;
@@ -151,7 +151,6 @@ class MatchProcess : public Process {
   std::vector<bool> ghost_dead_;
   std::vector<bool> arc_requested_;
   std::vector<std::uint32_t> arc_order_;  // per-vertex-relative positions
-  std::vector<std::vector<std::pair<VertexId, EdgeId>>> ghost_incidence_;
   std::deque<VertexId> pending_;
   std::vector<Rank> scratch_ranks_;
   VertexId undecided_ = 0;

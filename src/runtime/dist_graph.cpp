@@ -14,7 +14,6 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
   ghost_owner_.clear();
   boundary_ranks_.clear();
   boundary_.clear();
-  cross_edges_ = 0;
 
   const auto owned = static_cast<std::size_t>(num_owned_);
   for (std::size_t lv = 0; lv < owned; ++lv) {
@@ -56,7 +55,9 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
 
   // Fill adjacency; create ghosts on demand. Owned vertices come up in
   // local-id order, so each one's ghost owners append to the boundary-rank
-  // CSR in place.
+  // CSR in place, and the arcs into ghosts are met in owned-id then arc
+  // order.
+  std::vector<IncidentArc> ghost_arcs;
   for (std::size_t lv = 0; lv < owned; ++lv) {
     const VertexId v = global_ids_[lv];
     auto cursor = static_cast<std::size_t>(offsets_[lv]);
@@ -68,13 +69,15 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
       adj_[cursor] = resolve(u, ru);
       if (ru != rank_) {
         ranks.push_back(ru);
-        ++cross_edges_;
+        ghost_arcs.push_back(
+            {static_cast<VertexId>(lv), static_cast<EdgeId>(cursor)});
       }
       if (g.has_weights()) weights_[cursor] = ws[i];
       ++cursor;
     }
     close_ranks(lv);
   }
+  cross_edges_ = static_cast<EdgeId>(ghost_arcs.size());
 
   if (halo_ == 2) {
     // The distance-1 ghosts' rows, whose unseen targets become the
@@ -102,6 +105,30 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
       close_ranks(lv);
     }
   }
+
+  // Ghost incidence: the arcs into ghosts, counting-sorted by ghost so that
+  // each list keeps their order. The offsets count into slot g + 1, turn
+  // into starts, serve as cursors (ending at the next list's start) and
+  // shift back by one.
+  PMC_CHECK(ghost_arcs.size() <= UINT32_MAX,
+            "rank " << rank_ << " has too many cross edges to index");
+  const auto ghost_of = [&](const IncidentArc& in) {
+    return static_cast<std::size_t>(adj_[static_cast<std::size_t>(in.arc)] -
+                                    num_owned_);
+  };
+  incidence_offsets_.assign(global_ids_.size() - owned + 1, 0);
+  for (const IncidentArc& in : ghost_arcs) {
+    ++incidence_offsets_[ghost_of(in) + 1];
+  }
+  std::partial_sum(incidence_offsets_.begin(), incidence_offsets_.end(),
+                   incidence_offsets_.begin());
+  incidence_.resize(ghost_arcs.size());
+  for (const IncidentArc& in : ghost_arcs) {
+    incidence_[incidence_offsets_[ghost_of(in)]++] = in;
+  }
+  std::copy_backward(incidence_offsets_.begin(), incidence_offsets_.end() - 1,
+                     incidence_offsets_.end());
+  incidence_offsets_[0] = 0;
 
   // Clear the marker for the next fill, and index the ghosts by global id.
   for (const VertexId v : global_ids_) {
@@ -198,13 +225,27 @@ void DistGraph::validate(const Graph& g, const Partition& p) const {
                 "local_id does not invert global_id at rank "
                     << r << " local " << l);
     }
+    // How many of each ghost's incident arcs the owned rows have matched.
+    std::vector<std::size_t> incident(
+        static_cast<std::size_t>(lg.num_ghosts()));
     for (VertexId lv = 0; lv < lg.num_owned(); ++lv) {
       arcs_total += lg.degree(lv);
       // A vertex of another rank within the halo: a ghost neighbor, or at
       // halo 2 a ghost in a neighbor's row (every ghost neighbor has one).
       bool has_cross = false;
-      for (VertexId lu : lg.neighbors(lv)) {
-        if (lg.is_ghost(lu)) has_cross = true;
+      for (EdgeId a = lg.offset_begin(lv); a < lg.offset_end(lv); ++a) {
+        const VertexId lu = lg.arc_target(a);
+        if (lg.is_ghost(lu)) {
+          has_cross = true;
+          // The ghost's incidence lists this arc next.
+          const auto want = lg.ghost_incidence(lu);
+          std::size_t& k =
+              incident[static_cast<std::size_t>(lu - lg.num_owned())];
+          PMC_CHECK(
+              (k < want.size() && want[k] == LocalGraph::IncidentArc{lv, a}),
+              "ghost incidence mismatch at rank " << r << " arc " << a);
+          ++k;
+        }
         if (lg.halo() == 1) continue;
         PMC_CHECK(lu < lg.num_rows(), "distance-1 ghost without a row at rank "
                                           << r << " local " << lu);
@@ -227,6 +268,10 @@ void DistGraph::validate(const Graph& g, const Partition& p) const {
     }
     cross_total += lg.num_cross_edges();
     for (VertexId gi = lg.num_owned(); gi < lg.num_local(); ++gi) {
+      PMC_CHECK(incident[static_cast<std::size_t>(gi - lg.num_owned())] ==
+                    lg.ghost_incidence(gi).size(),
+                "ghost incidence lists an arc no owned row has at rank "
+                    << r << " local " << gi);
       const Rank owner = lg.ghost_owner(gi);
       PMC_CHECK(owner != r, "ghost owned by its own rank");
       PMC_CHECK(p.owner(lg.global_id(gi)) == owner,

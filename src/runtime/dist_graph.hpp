@@ -12,7 +12,10 @@
 //     and owning rank;
 //   * the interior/boundary classification of owned vertices, each boundary
 //     vertex's sorted boundary ranks, and the rank-wide sorted list of
-//     neighboring ranks.
+//     neighboring ranks;
+//   * each ghost's incidence: the owned arcs that reach it, in owned-id then
+//     arc order, so news of a ghost (its SUCCEEDED, FAILED or color) goes
+//     straight to the owned vertices it concerns.
 //
 // The halo is how far a rank sees. At halo 1 the ghosts are the owned
 // vertices' neighbors and carry no adjacency. At halo 2 the distance-1
@@ -34,6 +37,9 @@
 // rank's fill and left clear by each. When only some rows of the graph
 // change (service mode's edge-update batches), DistGraph::refresh re-runs
 // that same fill for the owners of the changed rows only; it serves halo 1.
+// A refresh pays for its marker (one entry per global vertex) and one fill
+// per stale rank, so a batch's incidence is current before any repair
+// reads it.
 #pragma once
 
 #include <cstddef>
@@ -153,6 +159,23 @@ class LocalGraph {
   /// rows are not counted).
   [[nodiscard]] EdgeId num_cross_edges() const noexcept { return cross_edges_; }
 
+  /// An owned row's arc into a ghost: arc `arc` of owned vertex `owned`.
+  struct IncidentArc {
+    VertexId owned = kNoVertex;
+    EdgeId arc = 0;
+    friend bool operator==(const IncidentArc&, const IncidentArc&) = default;
+  };
+
+  /// The owned arcs whose target is ghost `local`, in owned-id then arc
+  /// order: whom news of the ghost concerns. Empty for a distance-2 ghost.
+  [[nodiscard]] std::span<const IncidentArc> ghost_incidence(
+      VertexId local) const {
+    const auto g = static_cast<std::size_t>(local - num_owned_);
+    const auto b = static_cast<std::size_t>(incidence_offsets_[g]);
+    const auto e = static_cast<std::size_t>(incidence_offsets_[g + 1]);
+    return {incidence_.data() + b, e - b};
+  }
+
  private:
   friend class DistGraph;
 
@@ -173,9 +196,9 @@ class LocalGraph {
 
   /// (Re)builds everything but the owned ids from this rank's owned rows
   /// of `g` (and its distance-1 ghosts' rows at halo 2): drops the previous
-  /// ghosts, then rebuilds the CSR, ghosts, ghost index, boundary ranks and
-  /// derived lists. `marker` is indexed by global id and all kNoVertex on
-  /// entry and on return.
+  /// ghosts, then rebuilds the CSR, ghosts, ghost index, ghost incidence,
+  /// boundary ranks and derived lists. `marker` is indexed by global id and
+  /// all kNoVertex on entry and on return.
   void fill(const Graph& g, const Partition& p, std::vector<VertexId>& marker);
 
   Rank rank_ = 0;
@@ -192,6 +215,8 @@ class LocalGraph {
   std::vector<Rank> boundary_ranks_;
   std::vector<Rank> neighbor_ranks_;
   std::vector<VertexId> boundary_;
+  std::vector<std::uint32_t> incidence_offsets_;  // CSR over ghosts
+  std::vector<IncidentArc> incidence_;
   EdgeId cross_edges_ = 0;
 };
 
@@ -224,8 +249,8 @@ class DistGraph {
 
   /// Re-checks the distribution invariants (owned ids in global order,
   /// local_id inverting global_id, ghost symmetry, edge conservation,
-  /// ownership consistency, boundary flags at the halo, and at halo 2 the
-  /// ghost rows) against the original inputs.
+  /// ownership consistency, boundary flags at the halo, each ghost's
+  /// incidence, and at halo 2 the ghost rows) against the original inputs.
   void validate(const Graph& g, const Partition& p) const;
 
  private:

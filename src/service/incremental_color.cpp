@@ -8,6 +8,7 @@
 #include "runtime/bsp_engine.hpp"
 #include "runtime/fabric.hpp"
 #include "runtime/serialize.hpp"
+#include "service/incremental_match.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
 
@@ -51,9 +52,6 @@ struct CanonState {
   /// Boundary vertices announced this round, in announcement order — the
   /// deterministic scan list for the lost-announcement repair.
   std::vector<VertexId> announced;
-  /// For each ghost, the owned vertices adjacent to it (the re-check
-  /// frontier when the ghost's color changes).
-  std::vector<std::vector<VertexId>> ghost_incidence;
   ColorChooser chooser{ColorStrategy::kFirstFit};
   FanoutStage stage;
 };
@@ -109,15 +107,6 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
     } else {
       st.to_color.resize(static_cast<std::size_t>(lg.num_owned()));
       std::iota(st.to_color.begin(), st.to_color.end(), VertexId{0});
-    }
-    st.ghost_incidence.assign(static_cast<std::size_t>(lg.num_ghosts()), {});
-    for (VertexId v = 0; v < lg.num_owned(); ++v) {
-      for (const VertexId u : lg.neighbors(v)) {
-        if (lg.is_ghost(u)) {
-          st.ghost_incidence[static_cast<std::size_t>(u - lg.num_owned())]
-              .push_back(v);
-        }
-      }
     }
   }
 
@@ -205,10 +194,9 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
         }
       }
       for (const VertexId g : st.ghost_changed) {
-        const auto& inc =
-            st.ghost_incidence[static_cast<std::size_t>(g - lg.num_owned())];
+        const auto inc = lg.ghost_incidence(g);
         ctx.charge(static_cast<double>(inc.size()), WorkPhase::kBoundary);
-        next.insert(next.end(), inc.begin(), inc.end());
+        for (const auto& in : inc) next.push_back(in.owned);
       }
       std::sort(next.begin(), next.end());
       next.erase(std::unique(next.begin(), next.end()), next.end());
@@ -285,6 +273,7 @@ IncrementalColorResult color_incremental(const DistGraph& dist,
               "previous coloring covers "
                   << previous.color.size() << " vertices, distribution has "
                   << dist.num_global_vertices());
+  require_touched_list(touched, dist.num_global_vertices());
   return run_canonical(dist, &previous, &touched, options);
 }
 

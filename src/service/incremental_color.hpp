@@ -62,8 +62,9 @@ struct IncrementalColorResult {
 
 /// Repairs `previous` (the canonical coloring of the pre-update graph) into
 /// the canonical coloring of `dist` (the post-update distribution).
-/// `touched` lists the global endpoints of the batch's updates. The result
-/// is byte-identical to color_canonical(dist, options).coloring.
+/// `touched` lists the global endpoints of the batch's updates, strictly
+/// ascending (touched_vertices); any other list throws pmc::Error. The
+/// result is byte-identical to color_canonical(dist, options).coloring.
 [[nodiscard]] IncrementalColorResult color_incremental(
     const DistGraph& dist, const Coloring& previous,
     const std::vector<VertexId>& touched,

@@ -23,6 +23,17 @@ std::vector<VertexId> touched_vertices(const std::vector<EdgeUpdate>& updates) {
   return touched;
 }
 
+void require_touched_list(std::span<const VertexId> touched,
+                          VertexId num_vertices) {
+  VertexId last = -1;
+  for (const VertexId v : touched) {
+    PMC_REQUIRE(v > last && v < num_vertices,
+                "touched list must strictly ascend within [0, "
+                    << num_vertices << "): " << v << " after " << last);
+    last = v;
+  }
+}
+
 IncrementalMatchProcess::IncrementalMatchProcess(
     const LocalGraph& lg, const DistMatchingOptions& options,
     const std::vector<VertexId>& prev_mate,
@@ -48,21 +59,16 @@ void IncrementalMatchProcess::start(EventContext& ctx) {
   undecided_ = 0;
 
   // Seed the frozen state from the previous matching. The previous matching
-  // was maximal, so every owned vertex was either matched or failed.
+  // was maximal, so every owned vertex was either matched or failed; a
+  // matched vertex's mate stays unresolved until the closure reads it.
   for (VertexId v = 0; v < n; ++v) {
-    const VertexId pm = prev_mate_[static_cast<std::size_t>(lg_.global_id(v))];
-    if (pm == kNoVertex) {
+    if (prev_mate_[static_cast<std::size_t>(lg_.global_id(v))] == kNoVertex) {
       state_[static_cast<std::size_t>(v)] = VState::kFailed;
-      continue;
+    } else {
+      state_[static_cast<std::size_t>(v)] = VState::kMatched;
+      mate_[static_cast<std::size_t>(v)] = kUnresolved;
     }
-    state_[static_cast<std::size_t>(v)] = VState::kMatched;
-    // A matched cross neighbor may no longer be present on this rank (its
-    // last cross edge was deleted); such a vertex is necessarily a seed and
-    // is invalidated below before anything can read the placeholder.
-    mate_[static_cast<std::size_t>(v)] = lg_.local_id(pm);
   }
-
-  build_ghost_incidence();
 
   // Invalidate the owned seeds and close over them.
   for (const VertexId g : touched_) {
@@ -73,20 +79,28 @@ void IncrementalMatchProcess::start(EventContext& ctx) {
   flush(ctx);
 }
 
+VertexId IncrementalMatchProcess::frozen_mate(VertexId v) {
+  VertexId& m = mate_[static_cast<std::size_t>(v)];
+  if (m == kUnresolved) {
+    // A matched cross neighbor may no longer be present on this rank (its
+    // last cross edge was deleted): then m is kNoVertex, and v is a seed.
+    m = lg_.local_id(prev_mate_[static_cast<std::size_t>(lg_.global_id(v))]);
+  }
+  return m;
+}
+
 void IncrementalMatchProcess::invalidate(EventContext& ctx, VertexId v) {
   if (invalidated_[static_cast<std::size_t>(v)]) return;
   invalidated_[static_cast<std::size_t>(v)] = true;
-  ++invalidated_count_;
-  const VState old_state = state_[static_cast<std::size_t>(v)];
-  const VertexId old_mate = mate_[static_cast<std::size_t>(v)];
+  invalidated_ids_.push_back(v);
+  const VertexId old_mate = frozen_mate(v);
   state_[static_cast<std::size_t>(v)] = VState::kUndecided;
   mate_[static_cast<std::size_t>(v)] = kNoVertex;
   ++undecided_;
 
   // Rule (a): a matched pair dissolves as a unit. A cross mate dissolves on
   // its own rank (it is a seed, or our INVALIDATE's mate check catches it).
-  if (old_state == VState::kMatched && old_mate != kNoVertex &&
-      !lg_.is_ghost(old_mate)) {
+  if (old_mate != kNoVertex && !lg_.is_ghost(old_mate)) {
     closure_queue_.push_back(old_mate);
   }
 
@@ -111,9 +125,11 @@ bool IncrementalMatchProcess::closure_pulls(VertexId u, VertexId cause,
   if (s == VState::kFailed) return true;  // rule (b)
   PMC_CHECK(s == VState::kMatched,
             "non-invalidated vertex neither matched nor failed");
-  const VertexId m = mate_[static_cast<std::size_t>(u)];
+  const VertexId m = frozen_mate(u);
   if (m == kNoVertex) return true;  // dangling mate: doomed anyway
-  if (m == cause) return true;      // rule (a) via the neighbor loop
+  // Rule (a): the pair dissolved, on this rank or (for a cross pair, via
+  // INVALIDATE) on the mate's.
+  if (m == cause) return true;
   // Rule (c): does u prefer the revived neighbor over its mate, in the
   // protocol's arc order (weight descending, ties to the smaller id)?
   // A tolerant arc lookup: while the start() seed loop is still running, u
@@ -168,15 +184,9 @@ void IncrementalMatchProcess::handle_invalidate(EventContext& ctx,
   const auto gidx = static_cast<std::size_t>(g - lg_.num_owned());
   PMC_CHECK(ghost_dead_[gidx], "duplicate INVALIDATE for " << v_global);
   ghost_dead_[gidx] = false;  // revived: negotiable again
-  for (const auto& [u, arc] : ghost_incidence_[gidx]) {
+  for (const auto& [u, arc] : lg_.ghost_incidence(g)) {
     ctx.charge(1.0);
-    // The mate check is rule (a) for cross pairs: mate_[u] == g means the
-    // pair (u, g) dissolved on the other rank.
-    if (!invalidated_[static_cast<std::size_t>(u)] &&
-        (mate_[static_cast<std::size_t>(u)] == g ||
-         closure_pulls(u, g, lg_.arc_weight(arc)))) {
-      closure_queue_.push_back(u);
-    }
+    if (closure_pulls(u, g, lg_.arc_weight(arc))) closure_queue_.push_back(u);
   }
   drain_closure(ctx);
 }
@@ -191,16 +201,13 @@ void IncrementalMatchProcess::idle(EventContext& ctx) {
                                                   << debug_state() << ")");
   phase_ = Phase::kMatch;
   ctx.set_phase(WorkPhase::kInterior);
-  const VertexId n = lg_.num_owned();
   // The graph changed under the invalidated vertices: re-sort their arcs
   // (frozen vertices never consult their arc order), then re-enter
-  // candidate selection exactly like the one-shot start().
-  for (VertexId v = 0; v < n; ++v) {
-    if (invalidated_[static_cast<std::size_t>(v)]) sort_arcs(ctx, v);
-  }
-  for (VertexId v = 0; v < n; ++v) {
-    if (invalidated_[static_cast<std::size_t>(v)] &&
-        state_[static_cast<std::size_t>(v)] == VState::kUndecided &&
+  // candidate selection like the one-shot start(), in local-id order.
+  std::sort(invalidated_ids_.begin(), invalidated_ids_.end());
+  for (const VertexId v : invalidated_ids_) sort_arcs(ctx, v);
+  for (const VertexId v : invalidated_ids_) {
+    if (state_[static_cast<std::size_t>(v)] == VState::kUndecided &&
         !initialized_[static_cast<std::size_t>(v)]) {
       recompute_candidate(ctx, v);
       process_pending(ctx);
@@ -216,9 +223,19 @@ bool IncrementalMatchProcess::done() const {
 std::string IncrementalMatchProcess::debug_state() const {
   std::ostringstream oss;
   oss << (phase_ == Phase::kClosure ? "closure" : "re-match") << ", "
-      << invalidated_count_ << " invalidated, undecided " << undecided_ << "/"
-      << lg_.num_owned();
+      << invalidated_ids_.size() << " invalidated, undecided " << undecided_
+      << "/" << lg_.num_owned();
   return oss.str();
+}
+
+void IncrementalMatchProcess::collect(
+    std::vector<VertexId>& global_mate) const {
+  for (const VertexId v : invalidated_ids_) {
+    global_mate[static_cast<std::size_t>(lg_.global_id(v))] =
+        state_[static_cast<std::size_t>(v)] == VState::kMatched
+            ? lg_.global_id(mate_[static_cast<std::size_t>(v)])
+            : kNoVertex;
+  }
 }
 
 IncrementalMatchResult match_incremental(const DistGraph& dist,
@@ -230,6 +247,7 @@ IncrementalMatchResult match_incremental(const DistGraph& dist,
               "previous matching covers "
                   << previous.mate.size() << " vertices, distribution has "
                   << dist.num_global_vertices());
+  require_touched_list(touched, dist.num_global_vertices());
   EventEngine engine(options.model,
                      FabricConfig{options.jitter_seconds, options.jitter_seed,
                                   options.faults, options.trace},
@@ -240,8 +258,10 @@ IncrementalMatchResult match_incremental(const DistGraph& dist,
   }
   IncrementalMatchResult result;
   result.run = engine.run();
-  result.matching.mate.assign(
-      static_cast<std::size_t>(dist.num_global_vertices()), kNoVertex);
+  // Frozen pairs keep their previous mates: rule (a) invalidates both ends
+  // of every dissolved pair, so each rank overwrites only its invalidated
+  // vertices.
+  result.matching = previous;
   for (Rank r = 0; r < dist.num_ranks(); ++r) {
     const auto& proc =
         static_cast<const IncrementalMatchProcess&>(engine.process(r));

@@ -34,6 +34,15 @@
 //   invalidated vertices re-sort their arcs (the graph changed under them)
 //   and re-enter candidate selection. The frozen part of the old matching
 //   plus the re-negotiated part equals the full matching of the new graph.
+//
+// Beyond O(owned) array setup, a rank pays for what it repairs. A frozen
+// vertex's previous mate is resolved to a local id only when the closure
+// first reads it; a ghost's incident owned arcs come from the LocalGraph;
+// the re-match phase walks only the invalidated vertices, in local-id
+// order. The result starts from the previous matching, and each rank
+// overwrites only its invalidated vertices: rule (a) invalidates both ends
+// of every pair it dissolves, on either rank, so every frozen vertex's
+// previous mate is still its mate.
 #pragma once
 
 #include <span>
@@ -51,6 +60,11 @@ namespace pmc {
 [[nodiscard]] std::vector<VertexId> touched_vertices(
     const std::vector<EdgeUpdate>& updates);
 
+/// Throws pmc::Error unless `touched` strictly ascends within [0,
+/// num_vertices), the form touched_vertices returns. O(touched).
+void require_touched_list(std::span<const VertexId> touched,
+                          VertexId num_vertices);
+
 /// Result of an incremental re-matching run.
 struct IncrementalMatchResult {
   Matching matching;  ///< Matching of the *new* graph (== full recompute).
@@ -62,8 +76,9 @@ struct IncrementalMatchResult {
 
 /// Repairs `previous` (the matching of the pre-update graph) into the
 /// matching of `dist` (the distribution of the *post-update* graph).
-/// `touched` lists the global endpoints of the batch's updates. The result
-/// is byte-identical to match_distributed(dist, options).matching.
+/// `touched` lists the global endpoints of the batch's updates, strictly
+/// ascending (touched_vertices); any other list throws pmc::Error. The
+/// result is byte-identical to match_distributed(dist, options).matching.
 [[nodiscard]] IncrementalMatchResult match_incremental(
     const DistGraph& dist, const Matching& previous,
     const std::vector<VertexId>& touched,
@@ -88,8 +103,12 @@ class IncrementalMatchProcess : public MatchProcess {
   [[nodiscard]] std::string debug_state() const override;
 
   [[nodiscard]] VertexId invalidated_count() const noexcept {
-    return invalidated_count_;
+    return static_cast<VertexId>(invalidated_ids_.size());
   }
+
+  /// Writes the invalidated vertices' repaired mates into `global_mate`,
+  /// which holds the previous matching; frozen entries are already right.
+  void collect(std::vector<VertexId>& global_mate) const;
 
   /// INVALIDATE: the closure phase's cross-rank record — `vertex` was
   /// invalidated, so its ghost copies revive (REQUEST/SUCCEEDED/FAILED keep
@@ -103,12 +122,19 @@ class IncrementalMatchProcess : public MatchProcess {
  protected:
   enum class Phase : std::uint8_t { kClosure, kMatch };
 
+  /// mate_ of a frozen matched vertex until frozen_mate() resolves it.
+  static constexpr VertexId kUnresolved = kNoVertex - 1;
+
+  /// Local id of frozen vertex v's previous mate (kNoVertex when v failed,
+  /// or when the mate is no longer on this rank), resolved on first read.
+  [[nodiscard]] VertexId frozen_mate(VertexId v);
+
   /// Marks owned vertex v invalidated: dissolves its pair, announces the
   /// revival to every rank holding a ghost copy, and queues the closure
   /// checks for its local neighbors. No-op when already invalidated.
   void invalidate(EventContext& ctx, VertexId v);
-  /// True iff the closure rules (b)/(c) pull owned vertex u in, given that
-  /// its neighbor `cause` (weight w_uc on their shared edge) was just
+  /// True iff the closure rules pull owned vertex u in, given that its
+  /// neighbor `cause` (weight w_uc on their shared edge) was just
   /// invalidated.
   [[nodiscard]] bool closure_pulls(VertexId u, VertexId cause, Weight w_uc);
   /// Drains the closure worklist (invalidate() feeds it).
@@ -118,9 +144,9 @@ class IncrementalMatchProcess : public MatchProcess {
   const std::vector<VertexId>& prev_mate_;
   const std::vector<VertexId>& touched_;
   Phase phase_ = Phase::kClosure;
-  std::vector<bool> invalidated_;  // owned local ids
+  std::vector<bool> invalidated_;          // owned local ids
+  std::vector<VertexId> invalidated_ids_;  // sorted by idle()
   std::deque<VertexId> closure_queue_;
-  VertexId invalidated_count_ = 0;
 };
 
 }  // namespace pmc

@@ -102,6 +102,40 @@ TEST(DistGraph, GhostsDeduplicatedPerRank) {
   EXPECT_EQ(dist.local(0).num_ghosts(), 5);
 }
 
+TEST(DistGraph, GhostIncidenceListsOwnedArcsInOrder) {
+  // Star: rank 1's ghost of the center is reached by every leaf's one arc,
+  // in owned-id order; each of rank 0's ghosts by the center's arc to it.
+  const Graph g = star(6);
+  const Partition p(2, {0, 1, 1, 1, 1, 1});
+  for (const int halo : {1, 2}) {
+    SCOPED_TRACE("halo " + std::to_string(halo));
+    const DistGraph dist = DistGraph::build(g, p, halo);
+    const LocalGraph& leaves = dist.local(1);
+    const VertexId center = leaves.local_id(0);
+    std::vector<LocalGraph::IncidentArc> want;
+    for (VertexId lv = 0; lv < leaves.num_owned(); ++lv) {
+      want.push_back({lv, leaves.offset_begin(lv)});
+    }
+    EXPECT_TRUE(std::ranges::equal(leaves.ghost_incidence(center), want));
+
+    const LocalGraph& hub = dist.local(0);
+    for (EdgeId a = hub.offset_begin(0); a < hub.offset_end(0); ++a) {
+      const auto got = hub.ghost_incidence(hub.arc_target(a));
+      ASSERT_EQ(got.size(), 1u);
+      EXPECT_EQ(got[0], (LocalGraph::IncidentArc{0, a}));
+    }
+  }
+  // On path 0-1-2-3 over three ranks, rank 0's halo-2 view holds vertex 2
+  // two hops out: a ghost that none of its owned arcs reaches.
+  const Graph line = path(4);
+  const Partition thirds(3, {0, 1, 2, 2});
+  const DistGraph far = DistGraph::build(line, thirds, 2);
+  far.validate(line, thirds);
+  const LocalGraph& first = far.local(0);
+  ASSERT_NE(first.local_id(2), kNoVertex);
+  EXPECT_TRUE(first.ghost_incidence(first.local_id(2)).empty());
+}
+
 TEST(DistGraph, MismatchedPartitionThrows) {
   const Graph g = path(4);
   const Partition p(2, {0, 1});
@@ -191,8 +225,9 @@ void expect_absent_ids_unknown(const DistGraph& dist) {
   }
 }
 
-/// Every field of every rank of `got` equals `want`'s, and local_id agrees
-/// on every global id (a stale ghost left in the lookup table shows here).
+/// Every field of every rank of `got` equals `want`'s, each ghost's
+/// incidence included, and local_id agrees on every global id (a stale
+/// ghost left in the lookup table shows here).
 void expect_same_distribution(const DistGraph& got, const DistGraph& want) {
   ASSERT_EQ(got.num_ranks(), want.num_ranks());
   ASSERT_EQ(got.num_global_vertices(), want.num_global_vertices());
@@ -218,6 +253,11 @@ void expect_same_distribution(const DistGraph& got, const DistGraph& want) {
       }
       EXPECT_TRUE(std::ranges::equal(a.boundary_ranks(l), b.boundary_ranks(l)))
           << "local " << l;
+    }
+    for (VertexId l = a.num_owned(); l < a.num_local(); ++l) {
+      EXPECT_TRUE(
+          std::ranges::equal(a.ghost_incidence(l), b.ghost_incidence(l)))
+          << "ghost " << l;
     }
     EXPECT_EQ(a.neighbor_ranks(), b.neighbor_ranks());
     EXPECT_EQ(a.boundary_vertices(), b.boundary_vertices());

@@ -474,6 +474,108 @@ TEST_F(IncrementalDriversTest, ColorRepairEqualsRecomputeEveryBatch) {
   }
 }
 
+/// Hexfloat of a modelled time, for pins that must hold bit for bit.
+std::string hex(double seconds) {
+  std::ostringstream os;
+  os << std::hexfloat << seconds;
+  return os.str();
+}
+
+TEST_F(IncrementalDriversTest, RepairsRejectMalformedTouchedLists) {
+  const DistGraph dist = DistGraph::build(g_, p_);
+  const Matching m = match_distributed(dist).matching;
+  const Coloring c = color_canonical(dist).coloring;
+  // A duplicate, a descending pair, and ids past either end of [0, 256).
+  const std::vector<std::vector<VertexId>> malformed = {
+      {3, 3}, {5, 4}, {1, 1000000}, {-5, 2}, {0, 256}};
+  for (const std::vector<VertexId>& touched : malformed) {
+    SCOPED_TRACE(::testing::PrintToString(touched));
+    EXPECT_THROW((void)match_incremental(dist, m, touched), Error);
+    EXPECT_THROW((void)color_incremental(dist, c, touched), Error);
+  }
+  const std::vector<VertexId> ascending{0, 17, 255};
+  EXPECT_EQ(match_incremental(dist, m, ascending).matching.mate, m.mate);
+  EXPECT_EQ(color_incremental(dist, c, ascending).coloring.color, c.color);
+}
+
+TEST_F(IncrementalDriversTest, MatchRepairWhenAMatchedCrossEdgeIsDeleted) {
+  // Delete a matched cross edge (u, w): u is w's only neighbour on u's
+  // rank, so w stops being a ghost there and u's previous mate resolves to
+  // no local id. A reweight of (x, u), x < u on u's rank, invalidates x
+  // first, so the closure reads u's dangling mate through x's arc.
+  DistMatchingOptions opt;
+  opt.exec = exec_config_from_env();
+  const Matching prev =
+      match_distributed(DistGraph::build(g_, p_), opt).matching;
+  VertexId u = kNoVertex, w = kNoVertex, x = kNoVertex;
+  for (VertexId v = 0; v < g_.num_vertices() && x == kNoVertex; ++v) {
+    const VertexId m = prev.mate[static_cast<std::size_t>(v)];
+    if (m == kNoVertex || p_.owner(m) == p_.owner(v)) continue;
+    for (const VertexId y : g_.neighbors(v)) {
+      if (y < v && p_.owner(y) == p_.owner(v)) {
+        u = v;
+        w = m;
+        x = y;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(x, kNoVertex);
+  const auto on_u_rank = [&](VertexId y) {
+    return p_.owner(y) == p_.owner(u);
+  };
+  ASSERT_EQ(std::ranges::count_if(g_.neighbors(w), on_u_rank), 1);
+
+  DynamicGraph dyn(g_);
+  const std::vector<EdgeUpdate> batch = {erase(u, w), reweight(x, u, 0.5)};
+  for (const EdgeUpdate& e : batch) dyn.apply(e);
+  const DistGraph dist = DistGraph::build(dyn.snapshot(), p_);
+  ASSERT_EQ(dist.local(p_.owner(u)).local_id(w), kNoVertex);
+
+  const IncrementalMatchResult inc =
+      match_incremental(dist, prev, touched_vertices(batch), opt);
+  EXPECT_EQ(inc.matching.mate, match_distributed(dist, opt).matching.mate);
+  // Pinned while frozen mates were resolved eagerly: resolving them on
+  // demand must not move a charge.
+  EXPECT_EQ(inc.invalidated, 7);
+  EXPECT_EQ(hex(inc.run.sim_seconds), "0x1.1b6de3960e8adp-16");
+}
+
+TEST_F(IncrementalDriversTest, MatchRepairWithEveryTouchedVertexOnOneRank) {
+  // Every update joins two vertices of rank 0, two of them matched across,
+  // so the other ranks have no seeds: they only resolve frozen mates when
+  // rank 0's INVALIDATE records reach them.
+  DistMatchingOptions opt;
+  opt.exec = exec_config_from_env();
+  const Matching prev =
+      match_distributed(DistGraph::build(g_, p_), opt).matching;
+  std::vector<VertexId> crossed;  // rank 0's vertices matched across
+  for (VertexId v = 0; v < g_.num_vertices(); ++v) {
+    const VertexId m = prev.mate[static_cast<std::size_t>(v)];
+    if (p_.owner(v) == 0 && m != kNoVertex && p_.owner(m) != 0) {
+      crossed.push_back(v);
+    }
+  }
+  ASSERT_GE(crossed.size(), 2u);
+  const VertexId a = crossed[0], b = crossed[1];
+  std::vector<EdgeUpdate> batch = {erase(0, 1)};
+  batch.push_back(g_.has_edge(a, b) ? reweight(a, b, 0.99)
+                                    : insert(a, b, 0.99));
+  DynamicGraph dyn(g_);
+  for (const EdgeUpdate& e : batch) dyn.apply(e);
+  const std::vector<VertexId> touched = touched_vertices(batch);
+  for (const VertexId v : touched) ASSERT_EQ(p_.owner(v), 0) << v;
+  const DistGraph dist = DistGraph::build(dyn.snapshot(), p_);
+
+  const IncrementalMatchResult inc =
+      match_incremental(dist, prev, touched, opt);
+  EXPECT_EQ(inc.matching.mate, match_distributed(dist, opt).matching.mate);
+  // Pinned while frozen mates were resolved eagerly: resolving them on
+  // demand must not move a charge.
+  EXPECT_EQ(inc.invalidated, 11);
+  EXPECT_EQ(hex(inc.run.sim_seconds), "0x1.801289f059439p-16");
+}
+
 // ---- GraphService -----------------------------------------------------------
 
 ServiceOptions service_options(int threads, bool faults) {
