@@ -62,8 +62,7 @@ JonesPlassmannResult color_jones_plassmann(
                                std::int64_t records) {
         ctx.send(dst, std::move(payload), records);
       };
-      Bundler out(BundleMode::kBundled, lg.neighbor_ranks(), 0,
-                  options.codec);
+      Outbox out(lg.neighbor_ranks(), options.codec);
       std::vector<VertexId> still_uncolored;
       still_uncolored.reserve(st.uncolored.size());
       for (const VertexId v : st.uncolored) {
@@ -91,11 +90,11 @@ JonesPlassmannResult color_jones_plassmann(
         const Color c = st.chooser.choose(nullptr);
         st.color[static_cast<std::size_t>(v)] = c;
         for (const Rank dst : lg.boundary_ranks(v)) {
-          out.add(dst, ColorRecord{gv, c}, send);
+          out.slot(dst).put(ColorRecord{gv, c});
         }
       }
       st.uncolored = std::move(still_uncolored);
-      out.flush(send);
+      out.flush_ascending(send);
     });
     // Round barrier + ghost color application.
     engine.exchange([&](BspEngine::RankCtx& ctx,

@@ -46,9 +46,9 @@ struct RankState {
   std::vector<VertexId> colored_boundary;
   ColorChooser chooser{ColorStrategy::kFirstFit};
   std::vector<std::int64_t> usage;  // for kLeastUsed
-  /// Per-destination staging for this rank's current superstep, flushed
-  /// under the configured fabric send policy. Per rank (not shared) so
-  /// concurrent rank callbacks stay isolated.
+  /// Staging for this rank's current superstep, under the configured send
+  /// policy. Per rank (not shared) so concurrent rank callbacks stay
+  /// isolated.
   FanoutStage stage;
 };
 
@@ -141,7 +141,8 @@ DistColoringResult color_distributed(const DistGraph& dist,
     st.color.assign(static_cast<std::size_t>(lg.num_local()), kNoColor);
     st.chooser = ColorChooser(options.strategy,
                               /*stagger_base=*/static_cast<Color>(r));
-    st.stage = FanoutStage(P, lg.neighbor_ranks(), options.codec);
+    st.stage =
+        FanoutStage(options.comm_mode, P, lg.neighbor_ranks(), options.codec);
     if (options.strategy == ColorStrategy::kLeastUsed) {
       st.usage.assign(1, 0);
     }
@@ -217,18 +218,10 @@ DistColoringResult color_distributed(const DistGraph& dist,
           st.color[static_cast<std::size_t>(v)] = chosen;
           if (!boundary) continue;
           st.colored_boundary.push_back(v);
-          const VertexId global = lg.global_id(v);
-          if (options.comm_mode == CommMode::kBroadcastUnion) {
-            st.stage.stage_union(global, chosen);
-          } else {
-            for (Rank dst : lg.boundary_ranks(v)) {
-              st.stage.stage(dst, global, chosen);
-            }
-          }
+          st.stage.stage({lg.global_id(v), chosen}, lg.boundary_ranks(v));
         }
         // Send this superstep's boundary colors under the configured policy.
-        st.stage.flush(options.comm_mode, r,
-                       lost_tracking_color_sender(lost, faults_on, ctx));
+        st.stage.flush(r, lost_tracking_color_sender(lost, faults_on, ctx));
       };
       if (sync_mode) {
         engine.run_ranks(superstep);

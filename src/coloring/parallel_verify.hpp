@@ -1,14 +1,14 @@
 // Distributed verification of a coloring.
 //
 // Mirrors how an MPI code validates its result without gathering the global
-// color array: one boundary-color exchange, local checks on owned and cross
-// edges (each cross conflict counted once, by the smaller global id), and
-// an allreduce of the violation counts.
+// color array: one boundary-color exchange (runtime/dist_verify.hpp), local
+// checks on owned and cross edges (each cross conflict counted once, by the
+// smaller global id), and an allreduce of the violation counts.
 #pragma once
 
 #include "coloring/coloring.hpp"
-#include "matching/parallel_verify.hpp"  // DistVerifyResult
 #include "runtime/dist_graph.hpp"
+#include "runtime/dist_verify.hpp"
 #include "runtime/exec/backend.hpp"
 #include "runtime/machine_model.hpp"
 #include "runtime/serialize.hpp"

@@ -70,42 +70,4 @@ TextTable comm_rounds_table(const std::string& title,
   return table;
 }
 
-TextTable comm_ranks_table(const std::string& title,
-                           const CommBreakdown& breakdown) {
-  TextTable table({"rank", "messages", "records", "volume (B)", "interior (s)",
-                   "boundary (s)"},
-                  {Align::kRight, Align::kRight, Align::kRight, Align::kRight,
-                   Align::kRight, Align::kRight});
-  table.set_title(title);
-  for (std::size_t r = 0; r < breakdown.per_rank.size(); ++r) {
-    const CommStats& s = breakdown.per_rank[r];
-    const double interior =
-        r < breakdown.interior_seconds.size() ? breakdown.interior_seconds[r]
-                                              : 0.0;
-    const double boundary =
-        r < breakdown.boundary_seconds.size() ? breakdown.boundary_seconds[r]
-                                              : 0.0;
-    table.add_row({cell_count(static_cast<long long>(r)),
-                   cell_count(s.messages), cell_count(s.records),
-                   cell_count(s.bytes), cell_sci(interior),
-                   cell_sci(boundary)});
-  }
-  return table;
-}
-
-TextTable comm_size_histogram_table(const std::string& title,
-                                    const CommBreakdown& breakdown) {
-  TextTable table({"size bucket (B)", "messages"}, {Align::kLeft, Align::kRight});
-  table.set_title(title);
-  for (std::size_t i = 0; i < breakdown.message_size_histogram.size(); ++i) {
-    const std::int64_t count = breakdown.message_size_histogram[i];
-    if (count == 0) continue;
-    const long long lo = 1LL << i;
-    const long long hi = (1LL << (i + 1)) - 1;
-    table.add_row({"[" + cell_count(lo) + ", " + cell_count(hi) + "]",
-                   cell_count(count)});
-  }
-  return table;
-}
-
 }  // namespace pmc

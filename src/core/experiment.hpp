@@ -1,6 +1,6 @@
 // Shared helpers for the benchmark harness: scaling-series bookkeeping, the
-// actual-vs-ideal tables that mirror the paper's figures, and renderers for
-// the fabric's per-rank / per-round communication breakdowns.
+// actual-vs-ideal tables that mirror the paper's figures, and a renderer
+// for the fabric's per-round communication breakdown.
 #pragma once
 
 #include <string>
@@ -55,14 +55,5 @@ class ScalingSeries {
 /// distributed-matching implementations report.
 [[nodiscard]] TextTable comm_rounds_table(const std::string& title,
                                           const CommBreakdown& breakdown);
-
-/// Renders a run's per-rank traffic plus the interior/boundary split of the
-/// charged compute time.
-[[nodiscard]] TextTable comm_ranks_table(const std::string& title,
-                                         const CommBreakdown& breakdown);
-
-/// Renders the message-size histogram (non-empty power-of-two buckets).
-[[nodiscard]] TextTable comm_size_histogram_table(
-    const std::string& title, const CommBreakdown& breakdown);
 
 }  // namespace pmc

@@ -10,9 +10,8 @@ namespace pmc {
 MatchProcess::MatchProcess(const LocalGraph& lg,
                            const DistMatchingOptions& options)
     : lg_(lg),
-      bundler_(options.bundled ? BundleMode::kBundled : BundleMode::kEager,
-               lg.neighbor_ranks(), options.bundle_flush_bytes,
-               options.codec) {}
+      bundled_(options.bundled),
+      out_(lg.neighbor_ranks(), options.codec) {}
 
 void MatchProcess::sort_arcs(EventContext& ctx, VertexId v) {
   const EdgeId b = lg_.offset_begin(v);
@@ -275,19 +274,6 @@ EdgeId MatchProcess::find_arc(VertexId v, VertexId t) const {
   }
   PMC_FAIL("arc (" << v << " -> " << t << ") not found on rank "
                    << lg_.rank());
-}
-
-// ---- outgoing records ---------------------------------------------------
-// Aggregation is the runtime Bundler's job: bundled mode stages records
-// per destination until flush() (one message per neighbor rank per
-// activation, the paper's §3.3 bundling); eager mode sends each record on
-// its own (the unbundled ablation).
-
-void MatchProcess::flush(EventContext& ctx) {
-  bundler_.flush(
-      [&](Rank d, std::vector<std::byte> payload, std::int64_t records) {
-        ctx.send(d, std::move(payload), records);
-      });
 }
 
 }  // namespace pmc

@@ -3,7 +3,8 @@
 // extensions can derive from it.
 //
 // The base class implements the one-shot protocol exactly: REQUEST /
-// SUCCEEDED / FAILED records, bundled or eager, over the event engine.
+// SUCCEEDED / FAILED records, staged in one Outbox per rank and sent
+// bundled or eager, over the event engine.
 // Derived classes (e.g. the service-mode incremental re-matcher) add record
 // kinds by overriding handle() around handle_records() and reuse the
 // candidate/cascade machinery through the protected surface. The base
@@ -127,22 +128,32 @@ class MatchProcess : public Process {
 
   // ---- outgoing records ---------------------------------------------------
 
+  /// Forwards a flushed frame to ctx.send.
+  [[nodiscard]] static auto sender(EventContext& ctx) {
+    return [&ctx](Rank d, std::vector<std::byte> payload,
+                  std::int64_t records) {
+      ctx.send(d, std::move(payload), records);
+    };
+  }
+  /// Stages `record` in dst's slot of the outbox. In eager mode (the
+  /// unbundled ablation) the slot is sent at once: one single-record frame.
   template <typename R>
   void enqueue_record(EventContext& ctx, Rank dst, const R& record) {
-    bundler_.add(dst, record,
-                 [&](Rank d, std::vector<std::byte> payload,
-                     std::int64_t records) {
-                   ctx.send(d, std::move(payload), records);
-                 });
+    out_.slot(dst).put(record);
+    if (!bundled_) out_.flush_first_touched(sender(ctx));
   }
-  void flush(EventContext& ctx);
+  /// Sends every staged record, one frame per destination in ascending
+  /// rank order (the paper's §3.3 bundling: one message per neighbour rank
+  /// per activation). Nothing is staged in eager mode.
+  void flush(EventContext& ctx) { out_.flush_ascending(sender(ctx)); }
 
   /// Sorts vertex v's arcs by (weight desc, neighbor global id asc) — the
   /// paper's tie-breaking rule — into arc_order_ and charges deg(v).
   void sort_arcs(EventContext& ctx, VertexId v);
 
   const LocalGraph& lg_;
-  Bundler bundler_;
+  bool bundled_;
+  Outbox out_;
   std::vector<VState> state_;
   std::vector<VertexId> mate_;  // local ids
   std::vector<VertexId> cand_;  // local ids

@@ -11,9 +11,9 @@
 //     (vertex can never be matched).
 //   * With `bundled = true` (the paper's key scalability ingredient, §3.3)
 //     all records generated while processing one incoming message — and all
-//     records of the initial round — are aggregated into one message per
-//     destination rank, and SUCCEEDED/FAILED are emitted once per
-//     (vertex, neighbor-rank) pair rather than once per cross edge.
+//     records of the initial round — stage in the rank's Outbox and leave
+//     as one message per destination rank, and SUCCEEDED/FAILED are emitted
+//     once per (vertex, neighbor-rank) pair rather than once per cross edge.
 //     With `bundled = false` every record travels as its own message
 //     (the Manne–Bisseling-style baseline used for the ablation study).
 //
@@ -38,14 +38,10 @@ namespace pmc {
 
 /// Options for a distributed matching run.
 struct DistMatchingOptions {
-  /// Aggregate records into one message per destination per activation
-  /// (the runtime Bundler's bundled mode); false selects the eager mode
-  /// where every record travels as its own message (the ablation baseline).
+  /// Aggregate records into one message per destination per activation;
+  /// false selects the eager mode where every record travels as its own
+  /// message (the ablation baseline). Both stage through the rank's Outbox.
   bool bundled = true;
-  /// In bundled mode, auto-flush a destination's bundle once its staged
-  /// payload reaches this many bytes. 0 = flush only at activation
-  /// boundaries (the paper's behaviour).
-  std::size_t bundle_flush_bytes = 0;
   /// Wire codec for the REQUEST/SUCCEEDED/FAILED frames (kFixed is the
   /// legacy fixed-width ablation baseline).
   WireCodec codec = WireCodec::kCompact;

@@ -1,20 +1,14 @@
-// Distributed verification of a matching.
-//
-// A real MPI code cannot gather the global mate array to rank 0; it
-// verifies with one boundary exchange: every rank ships the matching status
-// of its boundary vertices to its neighbor ranks, then checks symmetry,
-// edge-validity and maximality using only local + ghost information, and an
-// allreduce combines the violation counts. This module reproduces that
-// pattern on the simulated runtime (and is itself exercised against the
-// sequential verifiers in the test suite).
+// Distributed verification of a matching: every rank ships the mate of
+// each boundary vertex to the ranks holding it as a ghost, then checks
+// symmetry, edge-validity and maximality of its owned vertices with local +
+// ghost information only (runtime/dist_verify.hpp holds the exchange).
 #pragma once
 
-#include <cstdint>
 #include <tuple>
 
 #include "matching/matching.hpp"
-#include "runtime/comm_stats.hpp"
 #include "runtime/dist_graph.hpp"
+#include "runtime/dist_verify.hpp"
 #include "runtime/exec/backend.hpp"
 #include "runtime/machine_model.hpp"
 #include "runtime/serialize.hpp"
@@ -28,12 +22,6 @@ struct MateRecord {
   VertexId mate = kNoVertex;
   static constexpr std::tuple kFields{IdField{&MateRecord::id},
                                       RelIdField{&MateRecord::mate}};
-};
-
-/// Outcome of a distributed matching verification.
-struct DistVerifyResult {
-  std::int64_t violations = 0;  ///< 0 = valid (and maximal, for matching).
-  RunResult run;                ///< Cost of the verification itself.
 };
 
 /// Verifies symmetry, edge-validity and maximality of `m` across the

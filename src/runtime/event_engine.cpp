@@ -19,6 +19,12 @@ namespace {
 constexpr std::size_t kTransportHeaderBytes = 12;
 constexpr std::size_t kAckPayloadBytes = 12;
 
+/// Retransmission timer: attempt k re-sends kRtoSeconds * kRtoBackoff^(k-1)
+/// after it was sent. Sized for blue_gene_p-scale latencies, the first
+/// timeout fires at ~7x the one-way latency.
+constexpr double kRtoSeconds = 25e-6;
+constexpr double kRtoBackoff = 2.0;
+
 }  // namespace
 
 Rank EventContext::num_ranks() const noexcept { return engine_->num_ranks(); }
@@ -64,7 +70,7 @@ EventEngine::EventEngine(MachineModel model, FabricConfig config,
   const MachineModel& m = fabric_.model();
   double lookahead = m.latency;
   if (transport_) {
-    lookahead = std::min(lookahead, fabric_.config().fault.rto_seconds);
+    lookahead = std::min(lookahead, kRtoSeconds);
   }
   lookahead += m.send_overhead;
   window_seconds_ = std::max(0.0, 0.5 * lookahead);
@@ -218,7 +224,7 @@ void EventEngine::transmit_priced(Rank src, Rank dst, std::uint64_t tseq,
     // at the sender (dst = src) and names the peer the message targets.
     push_event(EventKind::kTimer,
                send_time.seconds() +
-                   F.rto_seconds * std::pow(F.rto_backoff, attempt - 1),
+                   kRtoSeconds * std::pow(kRtoBackoff, attempt - 1),
                /*src=*/dst, /*dst=*/src, tseq);
   }
 }

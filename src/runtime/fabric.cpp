@@ -45,8 +45,6 @@ CommFabric::CommFabric(MachineModel model, Config config)
   PMC_REQUIRE(F.max_extra_delay_seconds >= 0.0, "negative fault delay bound");
   PMC_REQUIRE(F.delay_rate == 0.0 || F.max_extra_delay_seconds > 0.0,
               "delay_rate > 0 needs max_extra_delay_seconds > 0");
-  PMC_REQUIRE(F.rto_seconds > 0.0, "non-positive rto_seconds");
-  PMC_REQUIRE(F.rto_backoff >= 1.0, "rto_backoff must be >= 1");
   PMC_REQUIRE(F.max_attempts >= 1, "max_attempts must be >= 1");
   for (const StallWindow& w : F.stalls) {
     PMC_REQUIRE(w.start >= 0.0 && w.duration >= 0.0,

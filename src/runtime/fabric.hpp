@@ -7,18 +7,13 @@
 // the engines keep only their scheduling discipline (a global event queue
 // vs per-rank inboxes) and compose the fabric.
 //
-// The fabric also owns the two record-aggregation helpers the paper's
-// algorithms share, both staging through one Outbox — a FrameWriter slot
-// per rank on the sender's sorted destination list, never one per rank of
-// the machine:
-//
-//   * Bundler — per-destination record aggregation (the matching paper's
-//     §3.3 "aggressive message bundling") with eager, bundled, and
-//     flush-on-threshold modes. Eager mode is the unbundled ablation
-//     baseline: every record travels as its own message.
-//   * FanoutStage — per-source staging of boundary records, flushed under
-//     one of the coloring paper's §4.2 send policies: kBroadcastUnion
-//     (FIAB), kCustomizedAll (FIAC), or kCustomizedNeighbors (NEW).
+// Every per-destination record stages through one Outbox per sender — a
+// FrameWriter slot per rank on the sender's sorted destination list, never
+// one per rank of the machine. The matching paper's §3.3 bundling is a
+// flush per activation (eager mode, the unbundled ablation, sends each
+// slot as soon as it holds a record); FanoutStage adds the coloring
+// paper's §4.2 send policies on top: kBroadcastUnion (FIAB),
+// kCustomizedAll (FIAC), or kCustomizedNeighbors (NEW).
 //
 // ColorRecord is the one record kind that FanoutStage, the coloring
 // drivers and the coloring verifier share.
@@ -30,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -82,11 +78,8 @@ struct FaultConfig {
   std::vector<StallWindow> stalls;
 
   // Recovery protocol (used by the engines' reliable transport, not by the
-  // fabric itself). Defaults sized for blue_gene_p-scale latencies: the
-  // first timeout fires at ~7x the one-way latency.
-  double rto_seconds = 25e-6;  ///< Initial retransmission timeout.
-  double rto_backoff = 2.0;    ///< Timeout multiplier per failed attempt.
-  int max_attempts = 12;       ///< Total tries per message (1 = no retry).
+  // fabric itself; its retransmission timer is fixed in event_engine.cpp).
+  int max_attempts = 12;  ///< Total tries per message (1 = no retry).
   /// When true, the final attempt bypasses fault injection (the model for
   /// "escalate to a reliable path"), guaranteeing termination. When false,
   /// exhausting the budget on a lost message is a hard error.
@@ -321,9 +314,10 @@ class CommFabric {
 /// One rank's outgoing-record staging: a FrameWriter slot per destination
 /// on a sorted list fixed at construction — the ranks the sender can reach,
 /// which its caller already knows (LocalGraph::neighbor_ranks(), at either
-/// halo). Staging therefore costs O(neighbours), not O(ranks). Bundler and FanoutStage both stage through it; its three flush
-/// walks fix the send order, which feeds FIFO channels, jitter and fault
-/// verdicts downstream.
+/// halo). Staging therefore costs O(neighbours), not O(ranks). Its three
+/// flush walks fix the send order, which feeds FIFO channels, jitter and
+/// fault verdicts downstream. A flush sends each staged slot as one frame
+/// and resets it, delta chain included.
 class Outbox {
  public:
   Outbox() = default;
@@ -380,13 +374,6 @@ class Outbox {
     touched_.clear();
   }
 
-  /// Records currently staged across all destinations.
-  [[nodiscard]] std::int64_t staged_records() const noexcept {
-    std::int64_t total = 0;
-    for (const FrameWriter& w : slots_) total += w.records();
-    return total;
-  }
-
  private:
   /// Sends slot i's frame and resets the slot, unless nothing is staged.
   template <typename SendFn>
@@ -399,78 +386,8 @@ class Outbox {
 
   std::vector<Rank> destinations_;
   std::vector<FrameWriter> slots_;  ///< Parallel to destinations_.
-  /// Slot indices in the order they went from empty to staged (a slot a
-  /// threshold send emptied may appear again; send_staged skips repeats).
+  /// Slot indices in the order they went from empty to staged.
   std::vector<std::size_t> touched_;
-};
-
-/// How a Bundler treats appended records.
-enum class BundleMode {
-  kEager,    ///< Each record is sent immediately as its own message.
-  kBundled,  ///< Records are staged per destination until flush().
-};
-
-/// Per-destination record aggregation — the paper's §3.3 message bundling,
-/// promoted from the matching algorithm into the runtime so every algorithm
-/// (and the unbundled ablation) shares one implementation.
-///
-/// Records are appended whole (FrameWriter::put); the send callback
-/// receives (dst, framed payload, record_count) and forwards to the
-/// engine. Bundled records stage in an Outbox over `destinations`
-/// (eager mode stages nothing and holds no slots). With a non-zero flush
-/// threshold, a destination's bundle is sent as soon as its staged
-/// *payload* (pre-frame encoded bytes) reaches the threshold (bounding
-/// message size without changing record order).
-class Bundler {
- public:
-  Bundler(BundleMode mode, std::vector<Rank> destinations,
-          std::size_t flush_threshold_bytes = 0,
-          WireCodec codec = WireCodec::kCompact)
-      : mode_(mode),
-        flush_threshold_bytes_(flush_threshold_bytes),
-        codec_(codec),
-        out_(mode == BundleMode::kEager
-                 ? Outbox()
-                 : Outbox(std::move(destinations), codec)) {}
-
-  /// Appends one record for dst. SendFn is void(Rank,
-  /// std::vector<std::byte>, std::int64_t records).
-  template <typename R, typename SendFn>
-  void add(Rank dst, const R& record, SendFn&& send) {
-    if (mode_ == BundleMode::kEager) {
-      FrameWriter w(codec_);
-      w.put(record);
-      const std::int64_t records = w.records();
-      send(dst, w.take(), records);
-      return;
-    }
-    FrameWriter& w = out_.slot(dst);
-    w.put(record);
-    if (flush_threshold_bytes_ != 0 &&
-        w.payload_size() >= flush_threshold_bytes_) {
-      const std::int64_t records = w.records();
-      send(dst, w.take(), records);
-    }
-  }
-
-  /// Sends every non-empty staged bundle in ascending destination order
-  /// (bundled mode; no-op when eager).
-  template <typename SendFn>
-  void flush(SendFn&& send) {
-    if (mode_ == BundleMode::kEager) return;
-    out_.flush_ascending(send);
-  }
-
-  /// Records currently staged across all destinations.
-  [[nodiscard]] std::int64_t staged_records() const noexcept {
-    return out_.staged_records();
-  }
-
- private:
-  BundleMode mode_;
-  std::size_t flush_threshold_bytes_;
-  WireCodec codec_;
-  Outbox out_;
 };
 
 /// A boundary vertex's color — the record of every coloring driver's and
@@ -482,34 +399,38 @@ struct ColorRecord {
                                       ColorField{&ColorRecord::color}};
 };
 
-/// Per-source staging of one superstep's boundary records, flushed under a
-/// SendPolicy — the coloring paper's FIAB / FIAC / NEW comparison expressed
-/// as a fabric-level primitive. Customized records stage in an Outbox over
-/// `destinations`; only FIAC's empty frames reach the other ranks.
+/// Per-source staging of one superstep's boundary records under the
+/// SendPolicy fixed at construction — the coloring paper's FIAB / FIAC /
+/// NEW comparison expressed as a fabric-level primitive. Customized records
+/// stage in an Outbox over `destinations`; only FIAC's empty frames reach
+/// the other ranks.
 class FanoutStage {
  public:
   FanoutStage() = default;
-  FanoutStage(Rank num_ranks, std::vector<Rank> destinations,
+  FanoutStage(SendPolicy policy, Rank num_ranks,
+              std::vector<Rank> destinations,
               WireCodec codec = WireCodec::kCompact)
-      : num_ranks_(num_ranks),
+      : policy_(policy),
+        num_ranks_(num_ranks),
         out_(std::move(destinations), codec),
         union_payload_(codec) {}
 
-  /// Stages one customized ColorRecord for dst (kCustomizedNeighbors / -All).
-  void stage(Rank dst, VertexId global, Color c) {
-    out_.slot(dst).put(ColorRecord{global, c});
+  /// Stages a boundary vertex's record: once into the shared union payload
+  /// under kBroadcastUnion, otherwise for each of `ranks` (the vertex's
+  /// boundary ranks, which must be destinations).
+  void stage(const ColorRecord& record, std::span<const Rank> ranks) {
+    if (policy_ == SendPolicy::kBroadcastUnion) {
+      union_payload_.put(record);
+      return;
+    }
+    for (const Rank dst : ranks) out_.slot(dst).put(record);
   }
 
-  /// Stages one ColorRecord of the shared union payload (kBroadcastUnion).
-  void stage_union(VertexId global, Color c) {
-    union_payload_.put(ColorRecord{global, c});
-  }
-
-  /// Sends the staged records from src under `policy` and resets the stage.
-  /// SendFn is void(Rank dst, std::vector<std::byte>, std::int64_t records).
+  /// Sends the staged records from src and resets the stage. SendFn is
+  /// void(Rank dst, std::vector<std::byte>, std::int64_t records).
   template <typename SendFn>
-  void flush(SendPolicy policy, Rank src, SendFn&& send) {
-    switch (policy) {
+  void flush(Rank src, SendFn&& send) {
+    switch (policy_) {
       case SendPolicy::kCustomizedNeighbors:
         out_.flush_first_touched(send);
         break;
@@ -531,6 +452,7 @@ class FanoutStage {
   }
 
  private:
+  SendPolicy policy_ = SendPolicy::kCustomizedNeighbors;
   Rank num_ranks_ = 0;
   Outbox out_;
   FrameWriter union_payload_;

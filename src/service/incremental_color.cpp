@@ -90,7 +90,8 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
     CanonState& st = states[static_cast<std::size_t>(r)];
     const LocalGraph& lg = dist.local(r);
     st.lg = &lg;
-    st.stage = FanoutStage(P, lg.neighbor_ranks(), options.codec);
+    st.stage =
+        FanoutStage(options.comm_mode, P, lg.neighbor_ranks(), options.codec);
     st.color.assign(static_cast<std::size_t>(lg.num_local()), kNoColor);
     if (previous != nullptr) {
       // Warm start: owned and ghost colors from the previous coloring —
@@ -162,17 +163,9 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
           ++recolored[static_cast<std::size_t>(r)];
           if (!boundary) continue;
           st.announced.push_back(v);
-          const VertexId global = lg.global_id(v);
-          if (options.comm_mode == CommMode::kBroadcastUnion) {
-            st.stage.stage_union(global, fit);
-          } else {
-            for (const Rank dst : lg.boundary_ranks(v)) {
-              st.stage.stage(dst, global, fit);
-            }
-          }
+          st.stage.stage({lg.global_id(v), fit}, lg.boundary_ranks(v));
         }
-        st.stage.flush(options.comm_mode, r,
-                       lost_tracking_color_sender(lost, faults_on, ctx));
+        st.stage.flush(r, lost_tracking_color_sender(lost, faults_on, ctx));
       });
       ++result.total_supersteps;
       engine.exchange(apply_exchange);

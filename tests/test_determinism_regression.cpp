@@ -13,10 +13,10 @@
 // and — where arrival order feeds back into bundling or retries — message
 // and record counts move with them.
 //
-// Re-pinned a second time for the D1 lint migration (pmc-lint): Bundler
-// bundles and the verifiers' boundary exchanges now flush in ascending
-// destination order (sorted snapshot) instead of unordered_map bucket
-// order. Message/byte/record totals of clean runs are unchanged — only the
+// Re-pinned a second time for the D1 lint migration (pmc-lint): bundled
+// matching records and the verifiers' boundary exchanges now flush in
+// ascending destination order (sorted snapshot) instead of unordered_map
+// bucket order. Message/byte/record totals of clean runs are unchanged — only the
 // schedule (and therefore modelled times, and under faults the
 // seq-number-derived verdicts) moves. Unbundled (eager) scenarios are
 // untouched by construction.
@@ -115,24 +115,6 @@ TEST(DeterminismRegression, DistributedMatchingScenarios) {
   // Bundling and jitter change the schedule, never the matching itself.
   EXPECT_EQ(rb.matching.mate, ru.matching.mate);
   EXPECT_EQ(rb.matching.mate, rj.matching.mate);
-}
-
-// Threshold bundling: a 64-byte cap sends a destination's bundle mid-
-// activation (52 messages against plain bundling's 42), and each flush then
-// walks the remaining bundles in ascending destination order. Pinning the
-// modelled time and traffic holds both send orders fixed.
-TEST(DeterminismRegression, ThresholdBundledMatchingScenario) {
-  const Graph g = grid_2d(48, 48, WeightKind::kUniformRandom, 61);
-  Rank pr = 0, pc = 0;
-  factor_processor_grid(8, pr, pc);
-  const Partition p = grid_2d_partition(48, 48, pr, pc);
-  const DistGraph dist = DistGraph::build(g, p);
-
-  DistMatchingOptions capped;
-  capped.bundle_flush_bytes = 64;
-  const auto r = match_distributed(dist, capped);
-  expect_pinned(r.run, r.max_activations,
-                {7.0492200000003106e-05, 52, 3295, 370, 0, 10});
 }
 
 TEST(DeterminismRegression, DistributedColoringScenarios) {
@@ -429,6 +411,20 @@ TEST(DeterminismRegression, VerifierSendPathScenarios) {
   // per-record value (mate delta, color) happens to encode in one varint
   // byte, so both exchanges carry the same byte totals.
   expect_pinned(vc.run, 0, {6.4322800000000014e-05, 30, 1717, 236, 2, 0});
+}
+
+// Jones–Plassmann stages each round's boundary colors through an Outbox and
+// sends them in ascending destination order, like the verifiers. Its pin
+// holds that schedule fixed on the verifiers' input.
+TEST(DeterminismRegression, JonesPlassmannScenario) {
+  const Graph g = circuit_like(1500, 3000, 5, WeightKind::kUnit, 44);
+  const Partition p =
+      multilevel_partition(g, 6, MultilevelConfig::metis_like(2));
+  const DistGraph dist = DistGraph::build(g, p);
+
+  const auto r = color_jones_plassmann(dist);
+  expect_pinned(r.run, r.rounds,
+                {0.00023093520000000038, 110, 4916, 236, 9, 9});
 }
 
 // ---------------------------------------------------------------------------

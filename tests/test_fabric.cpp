@@ -1,8 +1,8 @@
 // Tests for the shared communication fabric (runtime/fabric.hpp): clocks and
 // cost charging, the per-channel FIFO non-overtaking invariant (with and
-// without jitter), the Bundler and FanoutStage aggregation helpers and the
-// Outbox they stage through, and the per-rank / per-round instrumentation
-// breakdowns.
+// without jitter), the Outbox every per-destination record stages through
+// and the FanoutStage send policies on top of it, and the per-rank /
+// per-round instrumentation breakdowns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -412,9 +412,9 @@ TEST(FaultInjection, RecoveryHooksChargeTheBreakdown) {
   EXPECT_EQ(b.per_round_faults[0].retries, 1);
 }
 
-// ---- Bundler ----------------------------------------------------------------
+// ---- Outbox -----------------------------------------------------------------
 
-/// Collects every (dst, payload, records) triple a Bundler emits and decodes
+/// Collects every (dst, payload, records) triple a flush emits and decodes
 /// the record ids back out for loss/duplication checks.
 struct SendLog {
   struct Sent {
@@ -446,35 +446,45 @@ struct SendLog {
     }
     return ids;
   }
+
+  [[nodiscard]] std::int64_t total_records() const {
+    std::int64_t total = 0;
+    for (const auto& s : sent) total += s.records;
+    return total;
+  }
 };
 
-std::vector<int> bundler_round_trip(BundleMode mode, std::size_t threshold,
-                                    int num_records, SendLog& log,
-                                    WireCodec codec = WireCodec::kCompact) {
-  Bundler bundler(mode, {0, 1, 2}, threshold, codec);
+TEST(Outbox, EagerPutsSendOneSingleRecordFrameEach) {
+  // The unbundled ablation: every put is sent at once. Each frame restarts
+  // the delta chain, so it is byte-for-byte a fresh writer's frame even
+  // when the same slot carried the previous record.
+  SendLog log;
+  Outbox out({0, 1, 2}, WireCodec::kCompact);
   std::vector<int> staged;
-  for (int i = 0; i < num_records; ++i) {
-    const Rank dst = static_cast<Rank>(i % 3);
-    bundler.add(dst, test::IdRecord{i}, log.sink());
+  for (int i = 0; i < 10; ++i) {
+    const int id = 100 + 7 * i;
+    out.slot(static_cast<Rank>(i % 3)).put(test::IdRecord{id});
+    out.flush_first_touched(log.sink());
+    staged.push_back(id);
+  }
+  ASSERT_EQ(log.sent.size(), staged.size());
+  for (std::size_t i = 0; i < log.sent.size(); ++i) {
+    EXPECT_EQ(log.sent[i].dst, static_cast<Rank>(i % 3));
+    EXPECT_EQ(log.sent[i].records, 1);
+    EXPECT_EQ(log.sent[i].payload, test::id_frame(staged[i]));
+  }
+  EXPECT_EQ(log.decode_ids(), staged);
+}
+
+TEST(Outbox, BundledFlushLosesAndDuplicatesNothing) {
+  SendLog log;
+  Outbox out({0, 1, 2}, WireCodec::kCompact);
+  std::vector<int> staged;
+  for (int i = 0; i < 30; ++i) {
+    out.slot(static_cast<Rank>(i % 3)).put(test::IdRecord{i});
     staged.push_back(i);
   }
-  bundler.flush(log.sink());
-  return staged;
-}
-
-TEST(Bundler, EagerSendsEachRecordAsItsOwnMessage) {
-  SendLog log;
-  const auto staged = bundler_round_trip(BundleMode::kEager, 0, 10, log);
-  EXPECT_EQ(log.sent.size(), 10u);
-  for (const auto& s : log.sent) EXPECT_EQ(s.records, 1);
-  auto ids = log.decode_ids();
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, staged);
-}
-
-TEST(Bundler, BundledFlushLosesAndDuplicatesNothing) {
-  SendLog log;
-  const auto staged = bundler_round_trip(BundleMode::kBundled, 0, 30, log);
+  out.flush_ascending(log.sink());
   // One message per destination that has records (3 destinations here).
   EXPECT_EQ(log.sent.size(), 3u);
   auto ids = log.decode_ids();
@@ -482,60 +492,48 @@ TEST(Bundler, BundledFlushLosesAndDuplicatesNothing) {
   EXPECT_EQ(ids, staged);
 }
 
-TEST(Bundler, FlushEmitsBundlesInAscendingDestinationOrder) {
-  // Determinism pin: flush order must be the sorted destination order,
-  // never the staging order — the send sequence feeds FIFO channels, jitter
-  // and fault verdicts. Stage destinations deliberately out of order.
+TEST(Outbox, FlushAscendingSendsInDestinationOrderWhateverTheStagingOrder) {
+  // Determinism pin: the bundled flush order is the sorted destination
+  // order, never the staging order — the send sequence feeds FIFO
+  // channels, jitter and fault verdicts. Stage destinations deliberately
+  // out of order.
   SendLog log;
   const Rank dsts[] = {41, 3, 29, 7, 101, 0, 57, 19, 83, 11,
                        67, 5, 97, 23, 31, 2,  89, 13, 71, 47};
-  Bundler bundler(BundleMode::kBundled, {std::begin(dsts), std::end(dsts)});
-  for (const Rank dst : dsts) {
-    bundler.add(dst, test::IdRecord{dst}, log.sink());
-  }
-  bundler.flush(log.sink());
+  Outbox out({std::begin(dsts), std::end(dsts)}, WireCodec::kCompact);
+  for (const Rank dst : dsts) out.slot(dst).put(test::IdRecord{dst});
+  out.flush_ascending(log.sink());
   ASSERT_EQ(log.sent.size(), std::size(dsts));
   for (std::size_t i = 1; i < log.sent.size(); ++i) {
     EXPECT_LT(log.sent[i - 1].dst, log.sent[i].dst);
   }
 }
 
-TEST(Bundler, SecondFlushSendsNothing) {
+TEST(Outbox, SecondFlushSendsNothing) {
   SendLog log;
-  Bundler bundler(BundleMode::kBundled, {1});
-  bundler.add(1, test::IdRecord{7}, log.sink());
-  bundler.flush(log.sink());
-  const std::size_t after_first = log.sent.size();
-  bundler.flush(log.sink());
-  EXPECT_EQ(log.sent.size(), after_first);
-  EXPECT_EQ(bundler.staged_records(), 0);
-}
-
-TEST(Bundler, ThresholdFlushBoundsStagedBytesWithoutLoss) {
-  SendLog log;
-  // With the fixed codec each record's payload is sizeof(VertexId) = 8
-  // bytes, so threshold 16 flushes every 2nd record per destination.
-  const auto staged = bundler_round_trip(BundleMode::kBundled, 16, 30, log,
-                                         WireCodec::kFixed);
-  for (const auto& s : log.sent) {
-    EXPECT_LE(s.records, 2);
-    EXPECT_GE(s.records, 1);
-  }
-  EXPECT_GT(log.sent.size(), 3u);  // more messages than plain bundling
-  auto ids = log.decode_ids();
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, staged);
+  Outbox out({1, 4}, WireCodec::kCompact);
+  out.slot(4).put(test::IdRecord{7});
+  out.slot(1).put(test::IdRecord{8});
+  out.flush_ascending(log.sink());
+  ASSERT_EQ(log.sent.size(), 2u);
+  out.flush_ascending(log.sink());
+  out.flush_first_touched(log.sink());
+  EXPECT_EQ(log.sent.size(), 2u);
 }
 
 // ---- FanoutStage ------------------------------------------------------------
 
+constexpr SendPolicy kEveryPolicy[] = {SendPolicy::kBroadcastUnion,
+                                       SendPolicy::kCustomizedAll,
+                                       SendPolicy::kCustomizedNeighbors};
+
 TEST(FanoutStage, CustomizedNeighborsSendsOnlyToTouchedRanks) {
-  FanoutStage stage(4, {1, 2, 3});
+  FanoutStage stage(SendPolicy::kCustomizedNeighbors, 4, {1, 2, 3});
   SendLog log;
-  stage.stage(1, VertexId{10}, Color{2});
-  stage.stage(3, VertexId{11}, Color{4});
-  stage.stage(1, VertexId{12}, Color{1});
-  stage.flush(SendPolicy::kCustomizedNeighbors, 0, log.sink());
+  stage.stage({10, 2}, std::vector<Rank>{1});
+  stage.stage({11, 4}, std::vector<Rank>{3});
+  stage.stage({12, 1}, std::vector<Rank>{1});
+  stage.flush(0, log.sink());
   ASSERT_EQ(log.sent.size(), 2u);
   EXPECT_EQ(log.sent[0].dst, 1);
   EXPECT_EQ(log.sent[0].records, 2);
@@ -544,10 +542,10 @@ TEST(FanoutStage, CustomizedNeighborsSendsOnlyToTouchedRanks) {
 }
 
 TEST(FanoutStage, CustomizedAllSendsPossiblyEmptyMessageToEveryOtherRank) {
-  FanoutStage stage(4, {1, 3});
+  FanoutStage stage(SendPolicy::kCustomizedAll, 4, {1, 3});
   SendLog log;
-  stage.stage(1, VertexId{10}, Color{2});
-  stage.flush(SendPolicy::kCustomizedAll, 2, log.sink());
+  stage.stage({10, 2}, std::vector<Rank>{1});
+  stage.flush(2, log.sink());
   // Three messages (every rank but the source), only one non-empty.
   ASSERT_EQ(log.sent.size(), 3u);
   std::int64_t nonempty = 0;
@@ -559,11 +557,12 @@ TEST(FanoutStage, CustomizedAllSendsPossiblyEmptyMessageToEveryOtherRank) {
 }
 
 TEST(FanoutStage, BroadcastUnionCopiesTheUnionToEveryOtherRank) {
-  FanoutStage stage(4, {0, 2});
+  // The union holds each record once, whatever its boundary ranks.
+  FanoutStage stage(SendPolicy::kBroadcastUnion, 4, {0, 2});
   SendLog log;
-  stage.stage_union(VertexId{10}, Color{2});
-  stage.stage_union(VertexId{11}, Color{3});
-  stage.flush(SendPolicy::kBroadcastUnion, 1, log.sink());
+  stage.stage({10, 2}, std::vector<Rank>{0});
+  stage.stage({11, 3}, std::vector<Rank>{0, 2});
+  stage.flush(1, log.sink());
   ASSERT_EQ(log.sent.size(), 3u);
   for (const auto& s : log.sent) {
     EXPECT_NE(s.dst, 1);
@@ -572,23 +571,56 @@ TEST(FanoutStage, BroadcastUnionCopiesTheUnionToEveryOtherRank) {
   }
 }
 
+TEST(FanoutStage, TheSameStagingServesEveryPolicy) {
+  // Drivers stage every boundary vertex the same way; the policy fixed at
+  // construction alone decides who hears what.
+  for (const SendPolicy policy : kEveryPolicy) {
+    FanoutStage stage(policy, 5, {1, 3});
+    SendLog log;
+    stage.stage({10, 2}, std::vector<Rank>{1, 3});
+    stage.stage({11, 4}, std::vector<Rank>{3});
+    stage.flush(0, log.sink());
+    std::vector<Rank> dsts;
+    for (const auto& s : log.sent) dsts.push_back(s.dst);
+    switch (policy) {
+      case SendPolicy::kBroadcastUnion:
+        EXPECT_EQ(dsts, (std::vector<Rank>{1, 2, 3, 4}));
+        EXPECT_EQ(log.total_records(), 8);  // the 2-record union, 4 times
+        break;
+      case SendPolicy::kCustomizedAll:
+        EXPECT_EQ(dsts, (std::vector<Rank>{1, 2, 3, 4}));
+        EXPECT_EQ(log.total_records(), 3);
+        break;
+      case SendPolicy::kCustomizedNeighbors:
+        EXPECT_EQ(dsts, (std::vector<Rank>{1, 3}));
+        EXPECT_EQ(log.total_records(), 3);
+        break;
+    }
+  }
+}
+
 TEST(FanoutStage, FlushResetsStateBetweenSupersteps) {
-  FanoutStage stage(3, {1, 2});
-  SendLog log;
-  stage.stage(1, VertexId{10}, Color{0});
-  stage.flush(SendPolicy::kCustomizedNeighbors, 0, log.sink());
-  stage.flush(SendPolicy::kCustomizedNeighbors, 0, log.sink());
-  EXPECT_EQ(log.sent.size(), 1u);  // nothing staged for the second flush
+  for (const SendPolicy policy : kEveryPolicy) {
+    FanoutStage stage(policy, 3, {1, 2});
+    SendLog log;
+    stage.stage({10, 0}, std::vector<Rank>{1});
+    stage.flush(0, log.sink());
+    const std::int64_t first = log.total_records();
+    EXPECT_GT(first, 0);
+    stage.flush(0, log.sink());
+    // Nothing staged for the second flush: no record travels again.
+    EXPECT_EQ(log.total_records(), first);
+  }
 }
 
 TEST(FanoutStage, CustomizedNeighborsKeepsFirstTouchOrder) {
   // NEW sends in the order destinations were first staged, not ascending.
-  FanoutStage stage(4, {1, 3});
+  FanoutStage stage(SendPolicy::kCustomizedNeighbors, 4, {1, 3});
   SendLog log;
-  stage.stage(3, VertexId{10}, Color{2});
-  stage.stage(1, VertexId{11}, Color{4});
-  stage.stage(3, VertexId{12}, Color{1});
-  stage.flush(SendPolicy::kCustomizedNeighbors, 0, log.sink());
+  stage.stage({10, 2}, std::vector<Rank>{3});
+  stage.stage({11, 4}, std::vector<Rank>{1});
+  stage.stage({12, 1}, std::vector<Rank>{3});
+  stage.flush(0, log.sink());
   ASSERT_EQ(log.sent.size(), 2u);
   EXPECT_EQ(log.sent[0].dst, 3);
   EXPECT_EQ(log.sent[0].records, 2);
@@ -601,11 +633,11 @@ TEST(FanoutStage, CustomizedAllReachesEveryRankFromTwoDestinations) {
   // ascending order, although only the two listed destinations hold a slot.
   constexpr Rank kRanks = 16384;
   constexpr Rank kSrc = 100;
-  FanoutStage stage(kRanks, {7, 9000});
+  FanoutStage stage(SendPolicy::kCustomizedAll, kRanks, {7, 9000});
   SendLog log;
-  stage.stage(9000, VertexId{10}, Color{2});
-  stage.stage(7, VertexId{11}, Color{3});
-  stage.flush(SendPolicy::kCustomizedAll, kSrc, log.sink());
+  stage.stage({10, 2}, std::vector<Rank>{9000});
+  stage.stage({11, 3}, std::vector<Rank>{7});
+  stage.flush(kSrc, log.sink());
   ASSERT_EQ(log.sent.size(), static_cast<std::size_t>(kRanks - 1));
   std::vector<Rank> nonempty;
   for (std::size_t i = 0; i < log.sent.size(); ++i) {
@@ -622,12 +654,13 @@ TEST(FanoutStage, CustomizedAllReachesEveryRankFromTwoDestinations) {
 }
 
 TEST(Outbox, StagingToAnUnlistedRankThrows) {
-  SendLog log;
-  Bundler bundler(BundleMode::kBundled, {1, 3});
-  EXPECT_THROW(bundler.add(2, test::IdRecord{7}, log.sink()), Error);
-  FanoutStage stage(4, {1, 3});
-  EXPECT_THROW(stage.stage(2, VertexId{10}, Color{0}), Error);
-  EXPECT_TRUE(log.sent.empty());
+  Outbox out({1, 3}, WireCodec::kCompact);
+  EXPECT_THROW(out.slot(2).put(test::IdRecord{7}), Error);
+  for (const SendPolicy policy : {SendPolicy::kCustomizedAll,
+                                  SendPolicy::kCustomizedNeighbors}) {
+    FanoutStage stage(policy, 4, {1, 3});
+    EXPECT_THROW(stage.stage({10, 0}, std::vector<Rank>{2}), Error);
+  }
 }
 
 // ---- JSONL sink -------------------------------------------------------------
@@ -694,22 +727,6 @@ TEST(FabricDeterminism, EventEngineRunsAreBitIdenticalAndConsistent) {
   EXPECT_EQ(a.run.comm.bytes, b.run.comm.bytes);
   EXPECT_EQ(a.run.comm.records, b.run.comm.records);
   expect_breakdown_consistent(a.run);
-}
-
-TEST(FabricDeterminism, BundleFlushThresholdNeverChangesTheMatching) {
-  const Graph g = grid_2d(24, 24, WeightKind::kUniformRandom, 5);
-  const Partition p = grid_2d_partition(24, 24, 2, 2);
-  const DistGraph dist = DistGraph::build(g, p);
-  DistMatchingOptions plain;
-  const auto base = match_distributed(dist, plain);
-  DistMatchingOptions capped;
-  capped.bundle_flush_bytes = 64;  // force mid-activation flushes
-  const auto res = match_distributed(dist, capped);
-  EXPECT_EQ(res.matching.mate, base.matching.mate);
-  // Smaller bundles mean at least as many messages for the same records.
-  EXPECT_GE(res.run.comm.messages, base.run.comm.messages);
-  EXPECT_EQ(res.run.comm.records, base.run.comm.records);
-  expect_breakdown_consistent(res.run);
 }
 
 TEST(FabricDeterminism, BspEngineRunsAreBitIdenticalAndConsistent) {

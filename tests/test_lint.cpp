@@ -6,11 +6,10 @@
 // bytes) and follow the repo root, wherever the checkout lives.
 //
 // A whole run gets the same treatment: the D10 stale-suppression audit, the
-// compile-database drivers and the JSON report plumbing.
+// listing of the library's files and the JSON report plumbing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -206,105 +205,29 @@ TEST(LintD10, AuditCanBeTurnedOff) {
 
 // ---- drivers ---------------------------------------------------------------
 
-TEST(LintDriver, CompileCommandsFilesParsesAndDeduplicates) {
-  const std::string path = testing::TempDir() + "pmc_lint_cc.json";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << R"([
-      {"directory": "/b", "command": "c++ -c a.cpp", "file": "/r/src/a.cpp"},
-      {"directory": "/b", "command": "c++ -c b.cpp", "file": "/r/src/b.cpp"},
-      {"directory": "/b", "command": "c++ -c a.cpp", "file": "/r/src/a.cpp"}
-    ])";
-  }
-  const auto files = pmc_lint::compile_commands_files(path);
-  ASSERT_EQ(files.size(), 2u);
-  EXPECT_EQ(files[0], "/r/src/a.cpp");
-  EXPECT_EQ(files[1], "/r/src/b.cpp");
-  std::remove(path.c_str());
-  EXPECT_THROW(pmc_lint::compile_commands_files("/nonexistent/cc.json"),
-               std::runtime_error);
-}
-
-TEST(LintDriver, RelativeEntriesResolveAgainstDirectoryAndJsonParent) {
-  namespace fs = std::filesystem;
-  const fs::path base = fs::path(testing::TempDir()) / "pmc_lint_cc_rel";
-  fs::create_directories(base / "bld");
-  const std::string path = (base / "bld" / "compile_commands.json").string();
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "[\n"
-        << "  {\"directory\": \".\", \"command\": \"c++ -c ../src/a.cpp\", "
-           "\"file\": \"../src/a.cpp\"},\n"
-        << "  {\"directory\": \"" << base.string()
-        << "\", \"file\": \"src/b.cpp\"},\n"
-        << "  {\"directory\": \"ignored\", \"file\": \"/abs/src/c.cpp\"}\n"
-        << "]\n";
-  }
-  const auto files = pmc_lint::compile_commands_files(path);
-  ASSERT_EQ(files.size(), 3u);
-  // Relative file against relative directory against the JSON's parent.
-  EXPECT_EQ(files[0], (base / "src" / "a.cpp").lexically_normal().string());
-  // Relative file against an absolute directory.
-  EXPECT_EQ(files[1], (base / "src" / "b.cpp").lexically_normal().string());
-  // Absolute file wins regardless of directory.
-  EXPECT_EQ(files[2], "/abs/src/c.cpp");
-  fs::remove_all(base);
-}
-
-TEST(LintDriver, MultiConfigSourcesDeduplicateAcrossDatabases) {
-  const std::string j1 = testing::TempDir() + "pmc_lint_cc1.json";
-  const std::string j2 = testing::TempDir() + "pmc_lint_cc2.json";
-  {
-    std::ofstream out(j1, std::ios::binary);
-    out << R"([
-      {"directory": "/b1", "file": "/r/src/a.cpp"},
-      {"directory": "/b1", "file": "/r/src/./b.cpp"}
-    ])";
-  }
-  {
-    std::ofstream out(j2, std::ios::binary);
-    out << R"([
-      {"directory": "/b2", "file": "/r/src/b.cpp"},
-      {"directory": "/b2", "file": "/r/src/c.cpp"}
-    ])";
-  }
-  const auto files = pmc_lint::compile_commands_sources({j1, j2});
-  // b.cpp appears in both databases (one spelling denormalized) but is
-  // linted once; order is first appearance.
-  ASSERT_EQ(files.size(), 3u);
-  EXPECT_EQ(files[0], "/r/src/a.cpp");
-  EXPECT_EQ(files[1], "/r/src/b.cpp");
-  EXPECT_EQ(files[2], "/r/src/c.cpp");
-  std::remove(j1.c_str());
-  std::remove(j2.c_str());
-}
-
 TEST(LintDriver, LibraryFilesAndScopesFollowTheRoot) {
   // A checkout inside a directory that is itself named src: only the
-  // root's own src/ is library code, and a test file gets no rule.
+  // root's own src/ is library code, only its .cpp and .hpp files are
+  // listed, and a test file gets no rule.
   namespace fs = std::filesystem;
   const fs::path outer = fs::path(testing::TempDir()) / "pmc_lint_root";
   const fs::path root = outer / "src" / "pmc";
   const std::string violation = "#include <unordered_set>\nint r = rand();\n";
-  for (const char* f : {"src/a.cpp", "src/runtime/h.hpp", "tests/x.cpp",
-                        "tools/pmc-lint/lint.cpp", "bench/b.hpp"}) {
-    fs::create_directories((root / f).parent_path());
-    std::ofstream(root / f, std::ios::binary) << violation;
+  for (const fs::path& f :
+       {root / "src/a.cpp", root / "src/runtime/h.hpp",
+        root / "src/CMakeLists.txt", root / "tests/x.cpp",
+        root / "tools/pmc-lint/lint.cpp", root / "bench/b.hpp",
+        outer / "src/other.cpp"}) {
+    fs::create_directories(f.parent_path());
+    std::ofstream(f, std::ios::binary) << violation;
   }
-  const std::string db = (root / "compile_commands.json").string();
-  {
-    std::ofstream out(db, std::ios::binary);
-    out << "[\n";
-    for (const char* f : {"tests/x.cpp", "src/a.cpp", "tools/pmc-lint/lint.cpp"}) {
-      out << "  {\"directory\": \"" << root.string() << "\", \"file\": \""
-          << (root / f).string() << "\"},\n";
-    }
-    out << "  {\"directory\": \"/b\", \"file\": \"/b/src/other.cpp\"}\n]\n";
-  }
-  const auto files = pmc_lint::library_sources({db}, root.string());
+  const auto files = pmc_lint::library_sources(root.string());
   EXPECT_EQ(files, (std::vector<std::string>{
                        (root / "src/a.cpp").string(),
                        (root / "src/runtime/h.hpp").string()}));
+  // A root without src/ is an error, not a clean run over no files.
+  EXPECT_THROW((void)pmc_lint::library_sources((root / "tests").string()),
+               std::runtime_error);
 
   const auto report = pmc_lint::analyze_program_paths(
       {(root / "src/a.cpp").string(), (root / "tests/x.cpp").string()},

@@ -1,5 +1,4 @@
-// Unit tests for the support library: errors, RNG, stats, tables, CSV,
-// options.
+// Unit tests for the support library: errors, RNG, tables, CSV, options.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,7 +17,6 @@
 #include "support/hash_set.hpp"
 #include "support/options.hpp"
 #include "support/rng.hpp"
-#include "support/stats.hpp"
 #include "support/table.hpp"
 #include "support/text.hpp"
 
@@ -141,45 +139,6 @@ TEST(Rng, DeriveSeedSeparatesStreams) {
   EXPECT_NE(derive_seed(1, 0), derive_seed(1, 1));
   EXPECT_NE(derive_seed(1, 0), derive_seed(2, 0));
   EXPECT_EQ(derive_seed(9, 4), derive_seed(9, 4));
-}
-
-// ---- stats ------------------------------------------------------------------
-
-TEST(Stats, OnlineStatsBasics) {
-  OnlineStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(Stats, VarianceOfSingleSampleIsZero) {
-  OnlineStats s;
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(Stats, QuantileInterpolates) {
-  const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(quantile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 0.5), 2.5);
-}
-
-TEST(Stats, QuantileRejectsBadInput) {
-  EXPECT_THROW((void)quantile({}, 0.5), Error);
-  const std::vector<double> v{1.0};
-  EXPECT_THROW((void)quantile(v, 1.5), Error);
-}
-
-TEST(Stats, GeometricMean) {
-  const std::vector<double> v{1.0, 4.0, 16.0};
-  EXPECT_NEAR(geometric_mean(v), 4.0, 1e-12);
-  const std::vector<double> bad{1.0, 0.0};
-  EXPECT_THROW((void)geometric_mean(bad), Error);
 }
 
 // ---- tables ------------------------------------------------------------------

@@ -8,7 +8,6 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace pmc_lint {
 namespace {
@@ -440,125 +439,20 @@ ProgramReport analyze_program_paths(const std::vector<std::string>& paths,
   return analyze_program(sources, opts);
 }
 
-namespace {
-
-/// One compile_commands entry's "directory" and "file" values, resolved to
-/// a normalized absolute-ish path. `base` is the JSON file's parent, the
-/// anchor for a relative "directory".
-std::string resolve_entry(const std::string& directory, const std::string& file,
-                          const std::string& base) {
+std::vector<std::string> library_sources(const std::string& root) {
   namespace fs = std::filesystem;
-  fs::path f(file);
-  if (!f.is_absolute()) {
-    fs::path d(directory);
-    if (!d.is_absolute() && !base.empty()) d = fs::path(base) / d;
-    f = d / f;
-  }
-  return f.lexically_normal().string();
-}
-
-/// Extracts a "key": "value" string from one JSON object span. Tolerant:
-/// returns "" when absent.
-std::string object_string_value(const std::string& text, std::size_t begin,
-                                std::size_t end, const std::string& key) {
-  const std::string quoted = "\"" + key + "\"";
-  std::size_t pos = text.find(quoted, begin);
-  if (pos == std::string::npos || pos >= end) return "";
-  std::size_t q = text.find('"', text.find(':', pos + quoted.size()));
-  if (q == std::string::npos || q >= end) return "";
-  std::string value;
-  for (++q; q < end && text[q] != '"'; ++q) {
-    if (text[q] == '\\' && q + 1 < end) ++q;
-    value += text[q];
-  }
-  return value;
-}
-
-void collect_compile_commands(const std::string& json_path,
-                              std::vector<std::string>& files,
-                              std::unordered_set<std::string>& seen) {
-  const std::string text = slurp(json_path);
-  const std::string base =
-      std::filesystem::path(json_path).parent_path().string();
-  // Walk the top-level array's object spans, skipping braces inside string
-  // values (command lines routinely contain them).
-  std::size_t i = 0;
-  while (i < text.size()) {
-    if (text[i] == '"') {  // skip a string
-      for (++i; i < text.size() && text[i] != '"'; ++i) {
-        if (text[i] == '\\' && i + 1 < text.size()) ++i;
-      }
-      ++i;
-      continue;
-    }
-    if (text[i] != '{') {
-      ++i;
-      continue;
-    }
-    // Entry span: from this '{' to its matching '}' (entries do not nest).
-    std::size_t j = i + 1;
-    int depth = 1;
-    while (j < text.size() && depth > 0) {
-      if (text[j] == '"') {
-        for (++j; j < text.size() && text[j] != '"'; ++j) {
-          if (text[j] == '\\' && j + 1 < text.size()) ++j;
-        }
-      } else if (text[j] == '{') {
-        ++depth;
-      } else if (text[j] == '}') {
-        --depth;
-      }
-      ++j;
-    }
-    const std::string file = object_string_value(text, i, j, "file");
-    if (!file.empty()) {
-      const std::string dir = object_string_value(text, i, j, "directory");
-      const std::string resolved = resolve_entry(dir, file, base);
-      if (seen.insert(resolved).second) files.push_back(resolved);
-    }
-    i = j;
-  }
-}
-
-}  // namespace
-
-std::vector<std::string> compile_commands_files(const std::string& json_path) {
-  std::vector<std::string> files;
-  std::unordered_set<std::string> seen;
-  collect_compile_commands(json_path, files, seen);
-  return files;
-}
-
-std::vector<std::string> compile_commands_sources(
-    const std::vector<std::string>& json_paths) {
-  std::vector<std::string> files;
-  std::unordered_set<std::string> seen;
-  for (const std::string& p : json_paths) {
-    collect_compile_commands(p, files, seen);
-  }
-  return files;
-}
-
-std::vector<std::string> library_sources(
-    const std::vector<std::string>& json_paths, const std::string& root) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> files;
-  for (std::string& f : compile_commands_sources(json_paths)) {
-    if (starts_with(root_relative(f, root), "src/")) {
-      files.push_back(std::move(f));
-    }
-  }
-  std::vector<std::string> headers;
   const fs::path src = fs::path(root) / "src";
-  if (fs::is_directory(src)) {
-    for (const auto& entry : fs::recursive_directory_iterator(src)) {
-      if (entry.is_regular_file() && entry.path().extension() == ".hpp") {
-        headers.push_back(entry.path().string());
-      }
+  if (!fs::is_directory(src)) {
+    throw std::runtime_error("pmc-lint: no directory " + src.string());
+  }
+  std::vector<std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(src)) {
+    const fs::path ext = entry.path().extension();
+    if (entry.is_regular_file() && (ext == ".cpp" || ext == ".hpp")) {
+      files.push_back(entry.path().string());
     }
   }
-  std::sort(headers.begin(), headers.end());
-  files.insert(files.end(), headers.begin(), headers.end());
+  std::sort(files.begin(), files.end());
   return files;
 }
 

@@ -125,28 +125,11 @@ struct ProgramReport {
     const std::vector<std::string>& paths, const std::string& root,
     const ProgramOptions& opts);
 
-// ---- compile_commands ------------------------------------------------------
-
-/// Extracts the source files of a compile_commands.json, deduplicated, in
-/// first-appearance order. Relative "file" entries are resolved against the
-/// entry's "directory"; a relative "directory" is resolved against the JSON
-/// file's own parent directory. Paths are lexically normalized so the same
-/// source listed under multiple build configs collapses to one entry.
-/// Tolerant of formatting; throws on unreadable input.
-[[nodiscard]] std::vector<std::string> compile_commands_files(
-    const std::string& json_path);
-
-/// Union of compile_commands_files over several databases (build/,
-/// build-asan/, build-tsan/, ...), deduplicated across all of them.
-[[nodiscard]] std::vector<std::string> compile_commands_sources(
-    const std::vector<std::string>& json_paths);
-
-/// The library's files: the databases' entries whose path relative to
-/// `root` starts with src/ (the build also compiles tests, benches,
-/// examples and this tool), then every header under root/src, sorted —
-/// headers appear in no database but hold template code.
+/// The library's files: every .cpp and .hpp under root/src, sorted. Every
+/// rule binds to src/, so nothing outside it needs listing. Throws
+/// std::runtime_error when root/src is not a directory.
 [[nodiscard]] std::vector<std::string> library_sources(
-    const std::vector<std::string>& json_paths, const std::string& root);
+    const std::string& root);
 
 // ---- reports ---------------------------------------------------------------
 

@@ -1,19 +1,13 @@
 // pmc-lint CLI.
 //
-//   pmc-lint --compile-commands=build/compile_commands.json
-//            [--compile-commands=build-asan/compile_commands.json ...]
-//            [--root=DIR] [--json[=PATH]]
+//   pmc-lint [--root=DIR] [--json[=PATH]]
 //   pmc-lint [--all-rules] file.cpp [file2.cpp ...]
 //
-// With --compile-commands the tool lints every translation unit the build
-// knows about under the root's src/ directory, plus the headers there
-// (headers never appear in compile_commands but hold template code).
-// Several databases may be given (build/, build-asan/, build-tsan/); a
-// source listed by more than one is linted once. Explicit file arguments
-// are linted as given. Files are chosen, scoped and reported by their path
-// relative to --root (default: the working directory), so where the
-// checkout lives does not matter; --all-rules overrides the scoping (the
-// fixture suite's mode).
+// Without file arguments the tool lints the library: every .cpp and .hpp
+// under the root's src/ directory. Explicit file arguments are linted as
+// given. Files are scoped and reported by their path relative to --root
+// (default: the working directory), so where the checkout lives does not
+// matter; --all-rules overrides the scoping (the fixture suite's mode).
 //
 // Each file's allow() comments are audited against its diagnostics (D10);
 // --no-suppression-audit turns that off.
@@ -30,9 +24,8 @@
 namespace {
 
 int usage() {
-  std::cerr << "usage: pmc-lint [--compile-commands=PATH ...] [--root=DIR] "
-               "[--json[=PATH]] [--no-suppression-audit] [--all-rules] "
-               "[files...]\n";
+  std::cerr << "usage: pmc-lint [--root=DIR] [--json[=PATH]] "
+               "[--no-suppression-audit] [--all-rules] [files...]\n";
   return 2;
 }
 
@@ -49,7 +42,6 @@ bool write_file(const std::string& path, const std::string& content) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> compile_commands;
   std::string root = ".";
   std::string json_path;
   bool json = false;
@@ -59,9 +51,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--compile-commands=", 0) == 0) {
-      compile_commands.push_back(arg.substr(19));
-    } else if (arg.rfind("--root=", 0) == 0) {
+    if (arg.rfind("--root=", 0) == 0) {
       root = arg.substr(7);
     } else if (arg == "--json") {
       json = true;
@@ -82,15 +72,8 @@ int main(int argc, char** argv) {
       files.push_back(arg);
     }
   }
-  if (compile_commands.empty() && files.empty()) return usage();
-
   try {
-    if (!compile_commands.empty()) {
-      for (std::string& f :
-           pmc_lint::library_sources(compile_commands, root)) {
-        files.push_back(std::move(f));
-      }
-    }
+    if (files.empty()) files = pmc_lint::library_sources(root);
 
     pmc_lint::ProgramOptions opts;
     opts.all_rules = all_rules;
