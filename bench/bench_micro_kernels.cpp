@@ -123,6 +123,24 @@ void BM_DistGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_DistGraphBuild)->Unit(benchmark::kMillisecond);
 
+// Service mode's fold alone: one 16-update batch applied untimed, then one
+// snapshot() that splices the touched rows into the CSR.
+void BM_DynamicGraphFold(benchmark::State& state) {
+  const Graph& g = shared_grid();
+  DynamicGraph dyn(g);
+  UpdateStreamConfig cfg;
+  cfg.seed = 73;
+  UpdateStreamGenerator gen(g, cfg);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (const EdgeUpdate& u : gen.next_batch(16)) dyn.apply(u);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(dyn.snapshot());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DynamicGraphFold)->Unit(benchmark::kMillisecond);
+
 // Service mode's per-batch distribution upkeep: apply one 16-update batch,
 // fold it into the CSR and refresh the ranks owning a touched vertex.
 void BM_DistGraphRefresh(benchmark::State& state) {

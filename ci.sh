@@ -29,6 +29,12 @@ tier1() {
   # The codec ablation self-checks: identical results under both codecs,
   # compact payload <= fixed payload per row, and >= 30% total reduction.
   ./build/bench/bench_ablation_codec --json=build/BENCH_codec.json
+  # Service mode's per-batch micro-benchmarks (fold, distribution build and
+  # refresh, both repairs) run once briefly: one that throws or crashes
+  # fails this stage. No timing is gated.
+  ./build/bench/bench_micro_kernels \
+    --benchmark_filter='DynamicGraphFold|DistGraph|Incremental' \
+    --benchmark_min_time=0.01
   # Committed BENCH_*.json baselines must stay well-formed and keep each
   # workload's modelled time bit-identical across the thread sweep.
   ./tools/check_bench_artifacts.sh

@@ -5,7 +5,9 @@
 // undirected edge are stored (u in adj(v) iff v in adj(u), with equal
 // weights), adjacency lists are sorted by neighbor id, and self-loops and
 // parallel edges are disallowed — the class invariants are established by
-// GraphBuilder and re-checkable via validate().
+// GraphBuilder and re-checkable via validate(). A Graph never changes once
+// built, with one exception: service mode's DynamicGraph (a friend) splices
+// a batch's touched rows into its own Graph's arrays in place.
 #pragma once
 
 #include <span>
@@ -16,7 +18,7 @@
 
 namespace pmc {
 
-/// Immutable undirected graph in CSR form.
+/// Immutable undirected graph in CSR form (except to DynamicGraph's fold).
 class Graph {
  public:
   /// Empty graph.
@@ -125,6 +127,8 @@ class Graph {
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
+  friend class DynamicGraph;  // DynamicGraph::snapshot() folds in place
+
   std::vector<EdgeId> offsets_;
   std::vector<VertexId> adj_;
   std::vector<Weight> weights_;

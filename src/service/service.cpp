@@ -24,6 +24,17 @@ GraphService::GraphService(const Graph& initial, Partition partition,
   IncrementalColorResult c = color_canonical(dist_, options_.coloring);
   coloring_ = std::move(c.coloring);
   initial_color_sim_ = c.run.sim_seconds;
+  pair_weight_.resize(matching_.mate.size());
+  for (VertexId v = 0; v < matching_.num_vertices(); ++v) {
+    keep_pair_weight(dynamic_.folded(), matching_.mate, v);
+  }
+}
+
+void GraphService::keep_pair_weight(const Graph& g,
+                                    const std::vector<VertexId>& mate,
+                                    VertexId v) {
+  const auto i = static_cast<std::size_t>(v);
+  pair_weight_[i] = mate[i] > v ? g.edge_weight(v, mate[i]) : Weight{0};
 }
 
 std::optional<BatchReport> GraphService::push(const EdgeUpdate& update) {
@@ -71,9 +82,21 @@ BatchReport GraphService::refresh() {
     report.full_color_sim_seconds = fc.run.sim_seconds;
   }
 
+  // Only a vertex whose mate changed, or a touched one (a reweight can keep
+  // its pair), can have a new pair weight.
+  const std::vector<VertexId>& mate = im.matching.mate;
+  for (std::size_t i = 0; i < mate.size(); ++i) {
+    if (mate[i] != matching_.mate[i]) {
+      keep_pair_weight(graph, mate, static_cast<VertexId>(i));
+    }
+  }
+  for (const VertexId v : touched) keep_pair_weight(graph, mate, v);
   matching_ = std::move(im.matching);
   coloring_ = std::move(ic.coloring);
-  report.matching_weight = matching_weight(graph, matching_);
+  // The additions matching_weight() makes, in its order, plus a +0 for
+  // every other vertex: a sum that starts at +0 never becomes -0, and
+  // adding +0 to anything else keeps its bits.
+  for (const Weight w : pair_weight_) report.matching_weight += w;
   report.num_colors = coloring_.num_colors();
   history_.push_back(report);
   buffer_.clear();

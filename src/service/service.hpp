@@ -11,10 +11,13 @@
 // folds the batch into the CSR, refreshes the distribution of the ranks
 // owning a touched vertex, and repairs both solutions via the incremental
 // drivers (service/incremental_match.hpp, service/incremental_color.hpp).
-// Each batch yields a BatchReport with the modelled repair times; with
+// Each batch yields a BatchReport with the modelled repair times and the
+// matching's weight, summed from pair weights the service keeps current for
+// the vertices whose mate changed or that the batch touched. With
 // `verify_batches` the service also runs full recomputes and asserts
-// byte-identical agreement — the service's self-check, on by default in
-// tests and the bench.
+// byte-identical agreement — the service's self-check. It is off by
+// default; the service tests and bench_service turn it on, and
+// bench_pipeline's service-stream leaves it off.
 #pragma once
 
 #include <cstdint>
@@ -108,12 +111,20 @@ class GraphService {
   }
 
  private:
+  /// Sets `pair_weight_[v]` from v's pair under `mate`.
+  void keep_pair_weight(const Graph& g, const std::vector<VertexId>& mate,
+                        VertexId v);
+
   ServiceOptions options_;
   Partition partition_;
   DynamicGraph dynamic_;
   DistGraph dist_;
   Matching matching_;
   Coloring coloring_;
+  /// Weight of v's matched edge when v is the smaller end of its pair
+  /// (matching_.mate[v] > v), else 0: the terms matching_weight() sums,
+  /// kept across batches so a report pays no search per vertex.
+  std::vector<Weight> pair_weight_;
   std::vector<EdgeUpdate> buffer_;
   std::vector<BatchReport> history_;
   double initial_match_sim_ = 0.0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -124,42 +125,63 @@ void DynamicGraph::edit_row(VertexId a, VertexId b, const EdgeUpdate& update) {
 
 const Graph& DynamicGraph::snapshot() {
   if (pending_.empty()) return graph_;
-  const VertexId n = num_vertices();
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1);
-  std::vector<VertexId> adj(static_cast<std::size_t>(2 * m_));
-  std::vector<Weight> weights(adj.size());
-  EdgeId out = 0;       // next arc slot of the folded CSR
-  VertexId next = 0;    // first row not yet folded
-  // Untouched rows [next, end) move as one block, shifted by a constant.
-  const auto copy_rows = [&](VertexId end) {
-    const EdgeId begin_arc = graph_.offset_begin(next);
-    const EdgeId end_arc = graph_.offset_begin(end);
-    const EdgeId shift = out - begin_arc;
-    for (VertexId v = next; v < end; ++v) {
-      offsets[static_cast<std::size_t>(v)] = graph_.offset_begin(v) + shift;
-    }
-    const auto targets = graph_.arc_targets(begin_arc, end_arc);
-    const auto ws = graph_.arc_weights(begin_arc, end_arc);
-    std::copy(targets.begin(), targets.end(),
-              adj.begin() + static_cast<std::ptrdiff_t>(out));
-    std::copy(ws.begin(), ws.end(),
-              weights.begin() + static_cast<std::ptrdiff_t>(out));
-    out += end_arc - begin_arc;
+  // The untouched rows after touched row v, up to the next touched row,
+  // form one block whose arcs shift by the net growth of the touched rows
+  // up to v; so do the block's offsets and the next touched row's begin.
+  struct Block {
+    VertexId first;  // v + 1
+    VertexId last;   // the next touched row, or n
+    EdgeId shift;
   };
-  // Touched rows come up in id order; the edges are never sorted.
+  std::vector<Block> blocks;
+  blocks.reserve(pending_.size());
+  EdgeId shift = 0;
+  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+    const VertexId v = it->first;
+    shift += static_cast<EdgeId>(it->second.size()) - graph_.degree(v);
+    const auto next = std::next(it);
+    blocks.push_back(
+        {v + 1, next == pending_.end() ? num_vertices() : next->first, shift});
+  }
+  const auto arcs = static_cast<std::size_t>(2 * m_);
+  if (arcs > graph_.adj_.size()) {
+    graph_.adj_.resize(arcs);
+    graph_.weights_.resize(arcs);
+  }
+  EdgeId* const offsets = graph_.offsets_.data();
+  VertexId* const targets = graph_.adj_.data();
+  Weight* const weights = graph_.weights_.data();
+  // Left-moving blocks go in ascending order, then right-moving ones in
+  // descending order, so no block lands on arcs of one not yet moved.
+  for (const Block& b : blocks) {
+    if (b.shift >= 0) continue;
+    const EdgeId begin = offsets[b.first], end = offsets[b.last];
+    std::copy(targets + begin, targets + end, targets + begin + b.shift);
+    std::copy(weights + begin, weights + end, weights + begin + b.shift);
+  }
+  for (auto b = blocks.rbegin(); b != blocks.rend(); ++b) {
+    if (b->shift <= 0) continue;
+    const EdgeId begin = offsets[b->first], end = offsets[b->last];
+    std::copy_backward(targets + begin, targets + end,
+                       targets + end + b->shift);
+    std::copy_backward(weights + begin, weights + end,
+                       weights + end + b->shift);
+  }
+  for (const Block& b : blocks) {
+    if (b.shift == 0) continue;
+    for (VertexId r = b.first; r <= b.last; ++r) offsets[r] += b.shift;
+  }
+  // Touched rows land between the moved blocks; edges are never sorted.
   for (const auto& [v, row] : pending_) {
-    copy_rows(v);
-    offsets[static_cast<std::size_t>(v)] = out;
+    EdgeId out = offsets[v];
     for (const auto& [u, w] : row) {
-      adj[static_cast<std::size_t>(out)] = u;
-      weights[static_cast<std::size_t>(out)] = w;
+      targets[out] = u;
+      weights[out] = w;
       ++out;
     }
-    next = v + 1;
   }
-  copy_rows(n);
-  offsets.back() = out;
-  graph_ = Graph(std::move(offsets), std::move(adj), std::move(weights));
+  graph_.adj_.resize(arcs);
+  graph_.weights_.resize(arcs);
   pending_.clear();
   return graph_;
 }

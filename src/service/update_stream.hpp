@@ -7,7 +7,7 @@
 //   * EdgeUpdate / UpdateOp — one insert / delete / reweight operation;
 //   * DynamicGraph — a CSR pmc::Graph plus the rows touched since the last
 //     fold: it applies updates to private copies of the touched rows and
-//     snapshot() folds them back, copying untouched row ranges wholesale;
+//     snapshot() splices them back into the CSR's own arrays in place;
 //   * UpdateStreamGenerator — a seeded, replayable random stream of valid
 //     updates against the evolving graph;
 //   * JSONL serialization — write_update_log / read_update_log, so a stream
@@ -54,10 +54,16 @@ struct EdgeUpdate {
 
 /// A mutable undirected weighted graph over a fixed vertex set: a CSR
 /// Graph plus the rows touched since the last fold. apply() edits a private,
-/// sorted copy of each endpoint's row; snapshot() folds those rows back into
-/// the CSR in row order, copying every untouched row range wholesale. A
-/// batch therefore costs one ordered-map entry per touched row and one bulk
-/// copy of the CSR; edges are never sorted.
+/// sorted copy of each endpoint's row; snapshot() splices those rows into
+/// the CSR's own arrays. The untouched rows between two touched rows form a
+/// block that moves by the net growth of the touched rows before it: the
+/// arc arrays grow first, blocks moving left go in ascending order and then
+/// blocks moving right in descending order, each moved block's offsets
+/// shift by its constant, the touched rows are written between the blocks,
+/// and the arc arrays shrink last. A batch therefore costs one ordered-map
+/// entry per touched row and moves only the arcs and offsets of blocks
+/// whose shift is not zero; nothing is copied out of the CSR, and edges are
+/// never sorted.
 /// Weights are always stored: an unweighted initial graph gets unit weights.
 class DynamicGraph {
  public:
@@ -78,8 +84,9 @@ class DynamicGraph {
   /// changes nothing.
   void apply(const EdgeUpdate& update);
 
-  /// Folds the rows touched since the last fold into the CSR and returns
-  /// the CSR. Its contents change at the next snapshot() with rows to fold.
+  /// Folds the rows touched since the last fold into the CSR in place and
+  /// returns the CSR. Its contents, and its arrays when a batch adds arcs,
+  /// change at the next snapshot() with rows to fold.
   const Graph& snapshot();
 
   /// The CSR as of the last snapshot() (before the first, the initial

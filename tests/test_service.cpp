@@ -196,30 +196,15 @@ TEST(DynamicGraphTest, SnapshotEqualsBuilderGraphAfterEveryBatch) {
   }
 }
 
-TEST(DynamicGraphTest, SnapshotFoldsEdgeCaseBatches) {
-  // Path 0-1-2-3-4-5: updates at the first and last rows leave empty
-  // bulk-copy ranges at both ends.
-  const Graph g = [] {
-    GraphBuilder b(6);
-    for (VertexId v = 0; v + 1 < 6; ++v) {
-      b.add_edge(v, v + 1, static_cast<Weight>(v + 1));
-    }
-    return std::move(b).build();
-  }();
-  const std::vector<std::vector<EdgeUpdate>> batches = {
-      // Insert and delete the same edge in one batch, at rows 0 and n-1.
-      {insert(0, 5, 9.0), reweight(2, 3, 0.5), erase(0, 5)},
-      // Vertex 0 loses its last edge.
-      {erase(0, 1)},
-      // Row n-1 swaps its only edge for one to row 0.
-      {insert(0, 5, 4.0), erase(4, 5)},
-      // Both end rows lose their last edge; an interior edge appears.
-      {erase(0, 5), insert(1, 4, 2.5)},
-  };
-  DynamicGraph dyn(g);
-  EdgeSetMirror mirror(g);
+/// Applies each batch to `dyn` and `mirror`, folds it, and requires the
+/// builder's CSR. A fold that does not add arcs keeps the arc arrays.
+void expect_folds(const char* graph, DynamicGraph& dyn,
+                  EdgeSetMirror& mirror,
+                  const std::vector<std::vector<EdgeUpdate>>& batches) {
   for (std::size_t i = 0; i < batches.size(); ++i) {
-    SCOPED_TRACE("batch " + std::to_string(i));
+    SCOPED_TRACE(std::string(graph) + " batch " + std::to_string(i));
+    const EdgeId arcs = dyn.folded().num_arcs();
+    const VertexId* storage = dyn.folded().arc_targets(0, 0).data();
     for (const EdgeUpdate& u : batches[i]) {
       dyn.apply(u);
       mirror.apply(u);
@@ -228,10 +213,73 @@ TEST(DynamicGraphTest, SnapshotFoldsEdgeCaseBatches) {
     expect_same_csr(folded, mirror.build());
     EXPECT_NO_THROW(folded.validate());
     expect_same_csr(dyn.snapshot(), mirror.build());
+    if (folded.num_arcs() <= arcs) {
+      EXPECT_EQ(folded.arc_targets(0, 0).data(), storage);
+    }
   }
+}
+
+TEST(DynamicGraphTest, SnapshotFoldsEdgeCaseBatches) {
+  // Path 0-1-2-3-4-5: updates at the first and last rows leave empty
+  // untouched blocks at both ends.
+  const Graph path = [] {
+    GraphBuilder b(6);
+    for (VertexId v = 0; v + 1 < 6; ++v) {
+      b.add_edge(v, v + 1, static_cast<Weight>(v + 1));
+    }
+    return std::move(b).build();
+  }();
+  DynamicGraph dyn(path);
+  EdgeSetMirror mirror(path);
+  expect_folds("path", dyn, mirror,
+               {
+                   // Insert and delete the same edge in one batch, at rows 0
+                   // and n-1.
+                   {insert(0, 5, 9.0), reweight(2, 3, 0.5), erase(0, 5)},
+                   // Vertex 0 loses its last edge.
+                   {erase(0, 1)},
+                   // Row n-1 swaps its only edge for one to row 0.
+                   {insert(0, 5, 4.0), erase(4, 5)},
+                   // Both end rows lose their last edge; an interior edge
+                   // appears.
+                   {erase(0, 5), insert(1, 4, 2.5)},
+               });
   EXPECT_EQ(dyn.snapshot().degree(0), 0);
   EXPECT_EQ(dyn.snapshot().degree(5), 0);
   EXPECT_EQ(dyn.edge_weight(3, 2), 0.5);
+
+  // A perfect matching on 28 vertices plus the star 12-{14, 16, 18}. Its
+  // rows of one arc sit between blocks that move the same way, so a block
+  // moved out of order lands on one not yet moved.
+  const Graph pairs = [] {
+    GraphBuilder b(28);
+    for (VertexId v = 0; v < 28; v += 2) {
+      b.add_edge(v, v + 1, static_cast<Weight>(v + 1));
+    }
+    for (const VertexId leaf : {14, 16, 18}) b.add_edge(12, leaf, 0.5);
+    return std::move(b).build();
+  }();
+  DynamicGraph shifting(pairs);
+  EdgeSetMirror shifted(pairs);
+  expect_folds(
+      "pairs", shifting, shifted,
+      {
+          // Row 1 gains two arcs and row 4 one: rows 2-3 move right by 2
+          // and rows 5-11 by 3. Row 12 loses three and its leaves one each:
+          // rows 15, 17 and 19-20 move left by 1, 2 and 3. The tail gains:
+          // rows 26-27 move right by 2.
+          {insert(1, 22, 2.5), insert(1, 24, 3.5), insert(4, 25, 4.5),
+           erase(12, 14), erase(12, 16), erase(12, 18), insert(21, 23, 5.5)},
+          // Net zero, but rows 2-5 move left by 2 and rows 8-12 by 4, past
+          // the two old arcs of rows 6-7; rows 14 and 16 move left by 3 and
+          // 1, rows 18, 20-21 and 23 right by 1, 2 and 1.
+          {erase(1, 22), erase(1, 24), erase(6, 7), insert(13, 15, 6.5),
+           insert(15, 17, 7.5), insert(17, 19, 8.25)},
+          // Adjacent touched rows 5-9, with no untouched row between them.
+          {insert(5, 6, 8.5), insert(6, 7, 9.5), erase(8, 9)},
+          // Reweights only: no block moves.
+          {reweight(10, 11, 0.25), reweight(12, 13, 0.75)},
+      });
 }
 
 // ---- UpdateStreamGenerator --------------------------------------------------
@@ -679,6 +727,69 @@ TEST(ServiceTest, PinnedFinalState) {
   std::ostringstream os;
   os << std::hexfloat << run.final_weight << '|' << run.final_colors;
   EXPECT_EQ(os.str(), kPinnedServiceFinal) << "actual: " << os.str();
+}
+
+TEST(ServiceTest, ReportedWeightIsTheGraphsWeight) {
+  // The service reports its matching's weight from pair weights it keeps
+  // across batches; after every batch it must be matching_weight() of the
+  // graph and matching, bit for bit.
+  const auto expect_graph_weight = [](const GraphService& service,
+                                      const BatchReport& report) {
+    EXPECT_EQ(hex(report.matching_weight),
+              hex(matching_weight(service.graph(), service.matching())))
+        << "batch " << report.batch;
+  };
+  {
+    SCOPED_TRACE("seed-99 stream");
+    const Graph g = grid_2d(48, 48, WeightKind::kUniformRandom, 7);
+    ServiceOptions so;
+    so.batch_window = 50;
+    GraphService service(g, grid_2d_partition(48, 48, 2, 2), so);
+    UpdateStreamConfig cfg;
+    cfg.seed = 99;
+    UpdateStreamGenerator gen(g, cfg);
+    for (const EdgeUpdate& u : gen.next_batch(500)) {
+      if (const auto report = service.push(u)) {
+        expect_graph_weight(service, *report);
+      }
+    }
+    EXPECT_EQ(service.history().size(), 10u);
+  }
+
+  SCOPED_TRACE("scripted batches");
+  const Graph g = grid_2d(6, 6, WeightKind::kUniformRandom, 2);
+  ServiceOptions manual;
+  manual.batch_window = 0;
+  GraphService service(g, grid_2d_partition(6, 6, 2, 1), manual);
+  const auto mate = [&](VertexId v) {
+    return service.matching().mate[static_cast<std::size_t>(v)];
+  };
+  const auto run_batch = [&](const EdgeUpdate& update) {
+    (void)service.push(update);
+    expect_graph_weight(service, service.refresh());
+  };
+  VertexId a = 0;
+  while (mate(a) < a) ++a;  // the smaller end of the first matched pair
+  const VertexId b = mate(a);
+  const Weight w = g.edge_weight(a, b);
+  // Reweighted up and back down, the pair holds and no mate changes, so
+  // only the touched vertices' pair weights move.
+  run_batch(reweight(a, b, w + 1.0));
+  EXPECT_EQ(mate(a), b);
+  run_batch(reweight(a, b, w));
+  EXPECT_EQ(mate(a), b);
+  // A deleted matched edge dissolves its pair.
+  run_batch(erase(a, b));
+  EXPECT_NE(mate(a), b);
+  // The heaviest edge takes y from its mate z.
+  VertexId y = 0;
+  while (mate(y) == kNoVertex) ++y;
+  const VertexId z = mate(y);
+  VertexId x = g.num_vertices() - 1;
+  while (x == z || service.graph().has_edge(x, y)) --x;
+  run_batch(insert(x, y, 2.0));
+  EXPECT_EQ(mate(y), x);
+  EXPECT_NE(mate(z), y);
 }
 
 TEST(ServiceTest, InvalidUpdateLeavesServiceUsable) {
