@@ -84,8 +84,11 @@ lint() {
 
 asan() {
   echo "==== sanitizers: ASan+UBSan on runtime + distributed tests ===="
+  # ASan cannot see an index past a vector's size() that stays within its
+  # capacity(), the mistake an in-place splice that shrinks an array can
+  # make; _GLIBCXX_ASSERTIONS makes operator[] past size() abort.
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   # The fabric/engine layer and every simulated distributed algorithm —
   # the code that moves raw bytes around and is worth sanitizing hardest.

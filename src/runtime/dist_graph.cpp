@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "graph/csr_splice.hpp"
 #include "support/error.hpp"
 
 namespace pmc {
@@ -13,7 +14,6 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
   global_ids_.resize(static_cast<std::size_t>(num_owned_));
   ghost_owner_.clear();
   boundary_ranks_.clear();
-  boundary_.clear();
 
   const auto owned = static_cast<std::size_t>(num_owned_);
   for (std::size_t lv = 0; lv < owned; ++lv) {
@@ -77,7 +77,6 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
     }
     close_ranks(lv);
   }
-  cross_edges_ = static_cast<EdgeId>(ghost_arcs.size());
 
   if (halo_ == 2) {
     // The distance-1 ghosts' rows, whose unseen targets become the
@@ -106,6 +105,137 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
     }
   }
 
+  for (const VertexId v : global_ids_) {
+    marker[static_cast<std::size_t>(v)] = kNoVertex;
+  }
+  derive(ghost_arcs);
+}
+
+void LocalGraph::patch(const Graph& g, const Partition& p,
+                       std::span<const VertexId> touched) {
+  const std::span<const VertexId> owned(
+      global_ids_.data(), static_cast<std::size_t>(num_owned_));
+  const auto old_ghosts = static_cast<std::size_t>(num_ghosts());
+
+  // Each touched row's new length and sorted boundary ranks, and the
+  // vertices the touched rows reach that this rank has not seen: those
+  // take provisional local ids after the old ghosts, in global-id order.
+  std::vector<RowLength> arc_rows;
+  std::vector<RowLength> rank_rows;
+  std::vector<Rank> ranks;
+  std::vector<VertexId> fresh;
+  arc_rows.reserve(touched.size());
+  rank_rows.reserve(touched.size());
+  for (const VertexId v : touched) {
+    const std::ptrdiff_t lv = find_sorted(owned, v);
+    PMC_CHECK(lv >= 0,
+              "rank " << rank_ << " does not own touched vertex " << v);
+    const std::size_t row_ranks = ranks.size();
+    for (const VertexId u : g.neighbors(v)) {
+      const Rank ru = p.owner(u);
+      if (ru == rank_) continue;
+      ranks.push_back(ru);
+      if (find_sorted(ghost_keys_, u) < 0) fresh.push_back(u);
+    }
+    const auto mine = ranks.begin() + static_cast<std::ptrdiff_t>(row_ranks);
+    std::sort(mine, ranks.end());
+    ranks.erase(std::unique(mine, ranks.end()), ranks.end());
+    arc_rows.push_back({lv, g.degree(v)});
+    rank_rows.push_back({lv, static_cast<EdgeId>(ranks.size() - row_ranks)});
+  }
+  std::sort(fresh.begin(), fresh.end());
+  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+
+  // The untouched rows' arcs into ghosts, from the old incidence: each
+  // moves with its block, by the growth of the touched rows before it.
+  std::vector<EdgeId> shift_before(arc_rows.size() + 1, 0);
+  for (std::size_t i = 0; i < arc_rows.size(); ++i) {
+    shift_before[i + 1] = shift_before[i] + arc_rows[i].length -
+                          degree(arc_rows[i].row);
+  }
+  std::vector<IncidentArc> ghost_arcs;
+  ghost_arcs.reserve(incidence_.size() + ranks.size());
+  for (const IncidentArc& in : incidence_) {
+    const auto k = static_cast<std::size_t>(
+        std::ranges::lower_bound(arc_rows, in.owned, {}, &RowLength::row) -
+        arc_rows.begin());
+    if (k < arc_rows.size() && arc_rows[k].row == in.owned) continue;
+    ghost_arcs.push_back({in.owned, in.arc + shift_before[k]});
+  }
+
+  // Splice the touched rows into the owned CSR and the boundary-rank CSR,
+  // write them with resolved targets, and add their arcs into ghosts.
+  if (g.has_weights()) {
+    resize_rows(offsets_, arc_rows, adj_, weights_);
+  } else {
+    resize_rows(offsets_, arc_rows, adj_);
+  }
+  resize_rows(rank_offsets_, rank_rows, boundary_ranks_);
+  auto next_rank = ranks.begin();
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    const VertexId lv = arc_rows[i].row;
+    const EdgeId begin = offset_begin(lv);
+    EdgeId a = begin;
+    for (const VertexId u : g.neighbors(touched[i])) {
+      VertexId& target = adj_[static_cast<std::size_t>(a)];
+      if (p.owner(u) == rank_) {
+        const std::ptrdiff_t lu = find_sorted(owned, u);
+        PMC_CHECK(lu >= 0, "rank " << rank_ << " owns vertex " << u
+                                   << " but did not number it");
+        target = static_cast<VertexId>(lu);
+      } else {
+        const std::ptrdiff_t k = find_sorted(ghost_keys_, u);
+        target = k >= 0 ? ghost_locals_[static_cast<std::size_t>(k)]
+                        : num_local() + static_cast<VertexId>(
+                                            find_sorted(fresh, u));
+        ghost_arcs.push_back({lv, a});
+      }
+      ++a;
+    }
+    if (g.has_weights()) {
+      const auto ws = g.weights(touched[i]);
+      std::copy(ws.begin(), ws.end(),
+                weights_.begin() + static_cast<std::ptrdiff_t>(begin));
+    }
+    const auto row_ranks = static_cast<std::ptrdiff_t>(rank_rows[i].length);
+    std::copy(next_rank, next_rank + row_ranks,
+              boundary_ranks_.begin() +
+                  static_cast<std::ptrdiff_t>(
+                      rank_offsets_[static_cast<std::size_t>(lv)]));
+    next_rank += row_ranks;
+  }
+  std::ranges::sort(ghost_arcs, {}, &IncidentArc::arc);
+
+  // Renumber the ghosts by first sight in arc order, rewriting only the
+  // arcs into ghosts: the new ghosts append behind the old ones, which are
+  // then cut, so a ghost that no arc reaches is dropped.
+  std::vector<VertexId> renumber(old_ghosts + fresh.size(), kNoVertex);
+  VertexId next_local = num_owned_;
+  for (const IncidentArc& in : ghost_arcs) {
+    VertexId& target = adj_[static_cast<std::size_t>(in.arc)];
+    const auto old = static_cast<std::size_t>(target - num_owned_);
+    if (renumber[old] == kNoVertex) {
+      renumber[old] = next_local++;
+      const VertexId u =
+          old < old_ghosts ? global_id(target) : fresh[old - old_ghosts];
+      const Rank owner = old < old_ghosts ? ghost_owner_[old] : p.owner(u);
+      global_ids_.push_back(u);
+      ghost_owner_.push_back(owner);
+    }
+    target = renumber[old];
+  }
+  const auto first_ghost =
+      global_ids_.begin() + static_cast<std::ptrdiff_t>(num_owned_);
+  global_ids_.erase(first_ghost,
+                    first_ghost + static_cast<std::ptrdiff_t>(old_ghosts));
+  ghost_owner_.erase(ghost_owner_.begin(),
+                     ghost_owner_.begin() +
+                         static_cast<std::ptrdiff_t>(old_ghosts));
+  derive(ghost_arcs);
+}
+
+void LocalGraph::derive(std::span<const IncidentArc> ghost_arcs) {
+  cross_edges_ = static_cast<EdgeId>(ghost_arcs.size());
   // Ghost incidence: the arcs into ghosts, counting-sorted by ghost so that
   // each list keeps their order. The offsets count into slot g + 1, turn
   // into starts, serve as cursors (ending at the next list's start) and
@@ -116,7 +246,7 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
     return static_cast<std::size_t>(adj_[static_cast<std::size_t>(in.arc)] -
                                     num_owned_);
   };
-  incidence_offsets_.assign(global_ids_.size() - owned + 1, 0);
+  incidence_offsets_.assign(static_cast<std::size_t>(num_ghosts()) + 1, 0);
   for (const IncidentArc& in : ghost_arcs) {
     ++incidence_offsets_[ghost_of(in) + 1];
   }
@@ -130,11 +260,8 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
                      incidence_offsets_.end());
   incidence_offsets_[0] = 0;
 
-  // Clear the marker for the next fill, and index the ghosts by global id.
-  for (const VertexId v : global_ids_) {
-    marker[static_cast<std::size_t>(v)] = kNoVertex;
-  }
-  ghost_locals_.resize(global_ids_.size() - owned);
+  // Index the ghosts by global id.
+  ghost_locals_.resize(static_cast<std::size_t>(num_ghosts()));
   std::iota(ghost_locals_.begin(), ghost_locals_.end(), num_owned_);
   std::sort(ghost_locals_.begin(), ghost_locals_.end(),
             [&](VertexId a, VertexId b) { return global_id(a) < global_id(b); });
@@ -149,8 +276,20 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
   neighbor_ranks_.erase(
       std::unique(neighbor_ranks_.begin(), neighbor_ranks_.end()),
       neighbor_ranks_.end());
+  boundary_.clear();
   for (VertexId lv = 0; lv < num_owned_; ++lv) {
     if (is_boundary(lv)) boundary_.push_back(lv);
+  }
+}
+
+void require_touched_list(std::span<const VertexId> touched,
+                          VertexId num_vertices) {
+  VertexId last = -1;
+  for (const VertexId v : touched) {
+    PMC_REQUIRE(v > last && v < num_vertices,
+                "touched list must strictly ascend within [0, "
+                    << num_vertices << "): " << v << " after " << last);
+    last = v;
   }
 }
 
@@ -192,18 +331,18 @@ void DistGraph::refresh(const Graph& g, const Partition& p,
                               << p.num_parts() << "-part partition");
   PMC_REQUIRE(local(0).halo() == 1, "refresh of a halo-"
                                         << local(0).halo() << " distribution");
-  std::vector<bool> stale(static_cast<std::size_t>(num_ranks()), false);
-  for (const VertexId v : touched) {
-    PMC_REQUIRE(v >= 0 && v < num_global_vertices_,
-                "touched vertex " << v << " out of range");
-    stale[static_cast<std::size_t>(p.owner(v))] = true;
-  }
-  std::vector<VertexId> marker(static_cast<std::size_t>(num_global_vertices_),
-                               kNoVertex);
-  for (Rank r = 0; r < num_ranks(); ++r) {
-    if (stale[static_cast<std::size_t>(r)]) {
-      locals_[static_cast<std::size_t>(r)].fill(g, p, marker);
-    }
+  require_touched_list(touched, num_global_vertices_);
+  // Patch each owner of touched rows with its own, which stay ascending.
+  std::vector<VertexId> by_owner(touched.begin(), touched.end());
+  std::ranges::stable_sort(by_owner, {},
+                           [&](VertexId v) { return p.owner(v); });
+  for (auto first = by_owner.begin(); first != by_owner.end();) {
+    const Rank r = p.owner(*first);
+    const auto last = std::find_if(first, by_owner.end(), [&](VertexId v) {
+      return p.owner(v) != r;
+    });
+    locals_[static_cast<std::size_t>(r)].patch(g, p, std::span(first, last));
+    first = last;
   }
 }
 

@@ -34,12 +34,22 @@
 // distance-1 ghosts' rows), so construction is two passes: DistGraph::build
 // numbers every rank's owned vertices, then fills each LocalGraph. The fill
 // resolves targets through one global-id-indexed marker, shared by every
-// rank's fill and left clear by each. When only some rows of the graph
-// change (service mode's edge-update batches), DistGraph::refresh re-runs
-// that same fill for the owners of the changed rows only; it serves halo 1.
-// A refresh pays for its marker (one entry per global vertex) and one fill
-// per stale rank, so a batch's incidence is current before any repair
-// reads it.
+// rank's fill and left clear by each, and ends in one derivation of the
+// ghost side: incidence, ghost index, neighbor ranks and boundary list.
+//
+// When only some rows of the graph change (service mode's edge-update
+// batches), DistGraph::refresh patches the owners of the changed rows in
+// place; it serves halo 1. A patch resolves only the changed rows' targets
+// (a vertex the rank has not seen gets a provisional id after the old
+// ghosts) and splices those rows into the owned and boundary-rank CSRs with
+// resize_rows' block moves (graph/csr_splice.hpp). It then renumbers the
+// ghosts by first sight over the arcs into ghosts alone: the untouched
+// rows' arcs come from the old incidence, shifted with their block, and
+// the changed rows' from their new contents. Ghosts that no arc reaches
+// are dropped, and the fill's derivation closes the patch. A stale rank
+// thus costs its changed arcs, cross arcs and ghosts plus one move of the
+// arcs behind its first resized row; no per-vertex array is allocated, and
+// a batch's incidence is current before any repair reads it.
 #pragma once
 
 #include <cstddef>
@@ -194,12 +204,24 @@ class LocalGraph {
     return *base == key ? base - keys.data() : -1;
   }
 
-  /// (Re)builds everything but the owned ids from this rank's owned rows
-  /// of `g` (and its distance-1 ghosts' rows at halo 2): drops the previous
-  /// ghosts, then rebuilds the CSR, ghosts, ghost index, ghost incidence,
-  /// boundary ranks and derived lists. `marker` is indexed by global id and
-  /// all kNoVertex on entry and on return.
+  /// Builds everything but the owned ids from this rank's owned rows of `g`
+  /// (and its distance-1 ghosts' rows at halo 2): the CSR, ghosts and
+  /// boundary ranks, then derive(). `marker` is indexed by global id and all
+  /// kNoVertex on entry and on return.
   void fill(const Graph& g, const Partition& p, std::vector<VertexId>& marker);
+
+  /// Brings a halo-1 view up to date with `g`, in which only the owned rows
+  /// `touched` (global ids, ascending) changed: resolves their targets,
+  /// splices them into the owned and boundary-rank CSRs, renumbers the
+  /// ghosts by first sight over the arcs into ghosts, then derive().
+  void patch(const Graph& g, const Partition& p,
+             std::span<const VertexId> touched);
+
+  /// Derives the ghost side from the rows and the ghost list: the cross-edge
+  /// count, the ghost incidence from `ghost_arcs` (every owned arc into a
+  /// ghost, in arc order), the ghost index, the neighbor ranks and the
+  /// boundary list.
+  void derive(std::span<const IncidentArc> ghost_arcs);
 
   Rank rank_ = 0;
   int halo_ = 1;
@@ -220,6 +242,12 @@ class LocalGraph {
   EdgeId cross_edges_ = 0;
 };
 
+/// Throws pmc::Error unless `touched` strictly ascends within [0,
+/// num_vertices), the form service mode's touched_vertices returns.
+/// O(touched).
+void require_touched_list(std::span<const VertexId> touched,
+                          VertexId num_vertices);
+
 /// The complete distributed graph: all ranks' local views.
 class DistGraph {
  public:
@@ -227,11 +255,17 @@ class DistGraph {
   /// hops. The graph and partition must agree on the vertex count.
   static DistGraph build(const Graph& g, const Partition& p, int halo = 1);
 
-  /// Brings a halo-1 distribution up to date with `g` by re-filling only
-  /// the ranks that own a vertex of `touched`. Precondition: `g` differs
-  /// from the graph this distribution was last built or refreshed from only
-  /// in the rows of `touched`, and `p` is the partition it was built with.
-  /// The result equals build(g, p).
+  /// Brings a halo-1 distribution up to date with `g` by patching only the
+  /// ranks that own a vertex of `touched`, in place (see the file comment).
+  /// `touched` must strictly ascend within [0, n) (require_touched_list);
+  /// any other list throws before anything changes. Precondition: `g`
+  /// differs from the graph this distribution was last built or refreshed
+  /// from only in the rows of `touched`, and `p` is the partition it was
+  /// built with. The precondition is load-bearing: a patch keeps the
+  /// untouched rows it holds and never reads them from `g`, so a change
+  /// elsewhere goes unseen. As in the fill, a rank's weights follow
+  /// g.has_weights(), so a rank with no arcs has none. The result equals
+  /// build(g, p), field by field.
   void refresh(const Graph& g, const Partition& p,
                std::span<const VertexId> touched);
 

@@ -6,9 +6,9 @@
 #include "coloring/color_exchange.hpp"
 #include "coloring/sequential.hpp"
 #include "runtime/bsp_engine.hpp"
+#include "runtime/dist_graph.hpp"
 #include "runtime/fabric.hpp"
 #include "runtime/serialize.hpp"
-#include "service/incremental_match.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
 

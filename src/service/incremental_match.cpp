@@ -23,17 +23,6 @@ std::vector<VertexId> touched_vertices(const std::vector<EdgeUpdate>& updates) {
   return touched;
 }
 
-void require_touched_list(std::span<const VertexId> touched,
-                          VertexId num_vertices) {
-  VertexId last = -1;
-  for (const VertexId v : touched) {
-    PMC_REQUIRE(v > last && v < num_vertices,
-                "touched list must strictly ascend within [0, "
-                    << num_vertices << "): " << v << " after " << last);
-    last = v;
-  }
-}
-
 IncrementalMatchProcess::IncrementalMatchProcess(
     const LocalGraph& lg, const DistMatchingOptions& options,
     const std::vector<VertexId>& prev_mate,
@@ -228,13 +217,15 @@ std::string IncrementalMatchProcess::debug_state() const {
   return oss.str();
 }
 
-void IncrementalMatchProcess::collect(
-    std::vector<VertexId>& global_mate) const {
+void IncrementalMatchProcess::collect(std::vector<VertexId>& global_mate,
+                                      std::vector<VertexId>& ids) const {
   for (const VertexId v : invalidated_ids_) {
-    global_mate[static_cast<std::size_t>(lg_.global_id(v))] =
+    const VertexId gv = lg_.global_id(v);
+    global_mate[static_cast<std::size_t>(gv)] =
         state_[static_cast<std::size_t>(v)] == VState::kMatched
             ? lg_.global_id(mate_[static_cast<std::size_t>(v)])
             : kNoVertex;
+    ids.push_back(gv);
   }
 }
 
@@ -265,11 +256,11 @@ IncrementalMatchResult match_incremental(const DistGraph& dist,
   for (Rank r = 0; r < dist.num_ranks(); ++r) {
     const auto& proc =
         static_cast<const IncrementalMatchProcess&>(engine.process(r));
-    proc.collect(result.matching.mate);
+    proc.collect(result.matching.mate, result.invalidated_ids);
     result.max_activations =
         std::max(result.max_activations, proc.activations());
-    result.invalidated += proc.invalidated_count();
   }
+  result.invalidated = static_cast<VertexId>(result.invalidated_ids.size());
   return result;
 }
 

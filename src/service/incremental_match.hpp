@@ -60,11 +60,6 @@ namespace pmc {
 [[nodiscard]] std::vector<VertexId> touched_vertices(
     const std::vector<EdgeUpdate>& updates);
 
-/// Throws pmc::Error unless `touched` strictly ascends within [0,
-/// num_vertices), the form touched_vertices returns. O(touched).
-void require_touched_list(std::span<const VertexId> touched,
-                          VertexId num_vertices);
-
 /// Result of an incremental re-matching run.
 struct IncrementalMatchResult {
   Matching matching;  ///< Matching of the *new* graph (== full recompute).
@@ -72,6 +67,9 @@ struct IncrementalMatchResult {
   int max_activations = 0;
   /// Vertices invalidated by the closure (re-negotiated), summed over ranks.
   VertexId invalidated = 0;
+  /// Their global ids, rank by rank: the only vertices whose mate can
+  /// differ from the previous matching's.
+  std::vector<VertexId> invalidated_ids;
 };
 
 /// Repairs `previous` (the matching of the pre-update graph) into the
@@ -102,13 +100,11 @@ class IncrementalMatchProcess : public MatchProcess {
   [[nodiscard]] bool done() const override;
   [[nodiscard]] std::string debug_state() const override;
 
-  [[nodiscard]] VertexId invalidated_count() const noexcept {
-    return static_cast<VertexId>(invalidated_ids_.size());
-  }
-
   /// Writes the invalidated vertices' repaired mates into `global_mate`,
-  /// which holds the previous matching; frozen entries are already right.
-  void collect(std::vector<VertexId>& global_mate) const;
+  /// which holds the previous matching (frozen entries are already right),
+  /// and appends their global ids to `ids`.
+  void collect(std::vector<VertexId>& global_mate,
+               std::vector<VertexId>& ids) const;
 
   /// INVALIDATE: the closure phase's cross-rank record — `vertex` was
   /// invalidated, so its ghost copies revive (REQUEST/SUCCEEDED/FAILED keep

@@ -82,14 +82,10 @@ BatchReport GraphService::refresh() {
     report.full_color_sim_seconds = fc.run.sim_seconds;
   }
 
-  // Only a vertex whose mate changed, or a touched one (a reweight can keep
-  // its pair), can have a new pair weight.
+  // Only an invalidated vertex can have a new mate, and only such a vertex
+  // or a touched one (a reweight can keep its pair) a new pair weight.
   const std::vector<VertexId>& mate = im.matching.mate;
-  for (std::size_t i = 0; i < mate.size(); ++i) {
-    if (mate[i] != matching_.mate[i]) {
-      keep_pair_weight(graph, mate, static_cast<VertexId>(i));
-    }
-  }
+  for (const VertexId v : im.invalidated_ids) keep_pair_weight(graph, mate, v);
   for (const VertexId v : touched) keep_pair_weight(graph, mate, v);
   matching_ = std::move(im.matching);
   coloring_ = std::move(ic.coloring);

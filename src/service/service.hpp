@@ -13,7 +13,7 @@
 // drivers (service/incremental_match.hpp, service/incremental_color.hpp).
 // Each batch yields a BatchReport with the modelled repair times and the
 // matching's weight, summed from pair weights the service keeps current for
-// the vertices whose mate changed or that the batch touched. With
+// the vertices the repair invalidated or that the batch touched. With
 // `verify_batches` the service also runs full recomputes and asserts
 // byte-identical agreement — the service's self-check. It is off by
 // default; the service tests and bench_service turn it on, and

@@ -4,11 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string_view>
 #include <utility>
 
+#include "graph/csr_splice.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
 
@@ -125,63 +125,22 @@ void DynamicGraph::edit_row(VertexId a, VertexId b, const EdgeUpdate& update) {
 
 const Graph& DynamicGraph::snapshot() {
   if (pending_.empty()) return graph_;
-  // The untouched rows after touched row v, up to the next touched row,
-  // form one block whose arcs shift by the net growth of the touched rows
-  // up to v; so do the block's offsets and the next touched row's begin.
-  struct Block {
-    VertexId first;  // v + 1
-    VertexId last;   // the next touched row, or n
-    EdgeId shift;
-  };
-  std::vector<Block> blocks;
-  blocks.reserve(pending_.size());
-  EdgeId shift = 0;
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    const VertexId v = it->first;
-    shift += static_cast<EdgeId>(it->second.size()) - graph_.degree(v);
-    const auto next = std::next(it);
-    blocks.push_back(
-        {v + 1, next == pending_.end() ? num_vertices() : next->first, shift});
+  std::vector<RowLength> rows;
+  rows.reserve(pending_.size());
+  for (const auto& [v, row] : pending_) {
+    rows.push_back({v, static_cast<EdgeId>(row.size())});
   }
-  const auto arcs = static_cast<std::size_t>(2 * m_);
-  if (arcs > graph_.adj_.size()) {
-    graph_.adj_.resize(arcs);
-    graph_.weights_.resize(arcs);
-  }
-  EdgeId* const offsets = graph_.offsets_.data();
-  VertexId* const targets = graph_.adj_.data();
-  Weight* const weights = graph_.weights_.data();
-  // Left-moving blocks go in ascending order, then right-moving ones in
-  // descending order, so no block lands on arcs of one not yet moved.
-  for (const Block& b : blocks) {
-    if (b.shift >= 0) continue;
-    const EdgeId begin = offsets[b.first], end = offsets[b.last];
-    std::copy(targets + begin, targets + end, targets + begin + b.shift);
-    std::copy(weights + begin, weights + end, weights + begin + b.shift);
-  }
-  for (auto b = blocks.rbegin(); b != blocks.rend(); ++b) {
-    if (b->shift <= 0) continue;
-    const EdgeId begin = offsets[b->first], end = offsets[b->last];
-    std::copy_backward(targets + begin, targets + end,
-                       targets + end + b->shift);
-    std::copy_backward(weights + begin, weights + end,
-                       weights + end + b->shift);
-  }
-  for (const Block& b : blocks) {
-    if (b.shift == 0) continue;
-    for (VertexId r = b.first; r <= b.last; ++r) offsets[r] += b.shift;
-  }
+  resize_rows(graph_.offsets_, rows, graph_.adj_, graph_.weights_);
   // Touched rows land between the moved blocks; edges are never sorted.
   for (const auto& [v, row] : pending_) {
-    EdgeId out = offsets[v];
+    auto out =
+        static_cast<std::size_t>(graph_.offsets_[static_cast<std::size_t>(v)]);
     for (const auto& [u, w] : row) {
-      targets[out] = u;
-      weights[out] = w;
+      graph_.adj_[out] = u;
+      graph_.weights_[out] = w;
       ++out;
     }
   }
-  graph_.adj_.resize(arcs);
-  graph_.weights_.resize(arcs);
   pending_.clear();
   return graph_;
 }

@@ -54,16 +54,13 @@ struct EdgeUpdate {
 
 /// A mutable undirected weighted graph over a fixed vertex set: a CSR
 /// Graph plus the rows touched since the last fold. apply() edits a private,
-/// sorted copy of each endpoint's row; snapshot() splices those rows into
-/// the CSR's own arrays. The untouched rows between two touched rows form a
-/// block that moves by the net growth of the touched rows before it: the
-/// arc arrays grow first, blocks moving left go in ascending order and then
-/// blocks moving right in descending order, each moved block's offsets
-/// shift by its constant, the touched rows are written between the blocks,
-/// and the arc arrays shrink last. A batch therefore costs one ordered-map
-/// entry per touched row and moves only the arcs and offsets of blocks
-/// whose shift is not zero; nothing is copied out of the CSR, and edges are
-/// never sorted.
+/// sorted copy of each endpoint's row; snapshot() resizes those rows in the
+/// CSR's own arrays (resize_rows, graph/csr_splice.hpp), which moves the
+/// untouched rows between two touched rows as one block, and writes the
+/// touched rows between the blocks. A batch therefore costs one
+/// ordered-map entry per touched row and moves only the arcs and offsets
+/// of blocks whose shift is not zero; nothing is copied out of the CSR,
+/// and edges are never sorted.
 /// Weights are always stored: an unweighted initial graph gets unit weights.
 class DynamicGraph {
  public:

@@ -297,6 +297,135 @@ TEST(DistGraph, RefreshDropsLastCrossEdgeAndLinksNewRanks) {
   EXPECT_FALSE(dist.local(0).is_boundary(dist.local(0).local_id(1)));
 }
 
+/// The ghosts' global ids in local-id order, which is first-sight order.
+std::vector<VertexId> ghost_ids(const LocalGraph& lg) {
+  std::vector<VertexId> ids;
+  for (VertexId l = lg.num_owned(); l < lg.num_local(); ++l) {
+    ids.push_back(lg.global_id(l));
+  }
+  return ids;
+}
+
+TEST(DistGraph, RefreshRenumbersGhostsEveryWay) {
+  // Five ranks of five vertices. Rank 0's rows form the path 0-1-2-3-4 with
+  // the cross edges 2-5, 3-6, 4-5 and 4-7, so its ghosts in first-sight
+  // order are 5 (row 2), 6 (row 3) and 7 (row 4). Rank 4 has no arcs.
+  const std::vector<std::tuple<VertexId, VertexId, Weight>> edges = {
+      {0, 1, 1},   {1, 2, 2},   {2, 3, 3},   {3, 4, 4},   {2, 5, 5},
+      {3, 6, 6},   {4, 5, 7},   {4, 7, 8},   {5, 6, 1},   {6, 7, 2},
+      {7, 8, 3},   {8, 9, 4},   {9, 10, 5},  {10, 11, 6}, {11, 12, 7},
+      {12, 13, 8}, {13, 14, 9}, {14, 15, 1}, {15, 16, 2}, {16, 17, 3},
+      {17, 18, 4}, {18, 19, 5}};
+  std::vector<Rank> owner(25);
+  for (std::size_t v = 0; v < owner.size(); ++v) {
+    owner[v] = static_cast<Rank>(v / 5);
+  }
+  const Partition p(5, owner);
+  DynamicGraph dyn(graph_from_edges(25, edges));
+  DistGraph dist = DistGraph::build(dyn.folded(), p);
+  ASSERT_EQ(ghost_ids(dist.local(0)), (std::vector<VertexId>{5, 6, 7}));
+  EXPECT_FALSE(dist.local(4).has_weights());
+
+  struct Step {
+    const char* what;
+    std::vector<EdgeUpdate> batch;
+    std::vector<VertexId> ghosts;  // rank 0's, in local-id order
+    std::vector<Rank> neighbor_ranks;  // rank 0's
+  };
+  constexpr UpdateOp kInsert = UpdateOp::kInsert;
+  constexpr UpdateOp kDelete = UpdateOp::kDelete;
+  constexpr UpdateOp kReweight = UpdateOp::kReweight;
+  const std::vector<Step> steps = {
+      {"row 0 reaches ghost 7 first: 7 moves up, 5 and 6 shift",
+       {{kInsert, 0, 7, 9}},
+       {7, 5, 6},
+       {1}},
+      {"row 2 reaches rank 2's vertex 12: a new ghost mid-list",
+       {{kInsert, 2, 12, 9}},
+       {7, 5, 12, 6},
+       {1, 2}},
+      {"5 loses its first-sight arc but keeps row 4's: 5 moves down",
+       {{kDelete, 2, 5, 0}},
+       {7, 12, 6, 5},
+       {1, 2}},
+      {"12 loses its only arc: 12 and rank 2 drop out",
+       {{kDelete, 2, 12, 0}},
+       {7, 6, 5},
+       {1}},
+      {"reweights only",
+       {{kReweight, 3, 6, 0.5}, {kReweight, 0, 1, 7}},
+       {7, 6, 5},
+       {1}},
+      {"row 3 loses every arc, and ghost 6 with them",
+       {{kDelete, 2, 3, 0}, {kDelete, 3, 4, 0}, {kDelete, 3, 6, 0}},
+       {7, 5},
+       {1}},
+      {"the first and last rows of ranks 0 and 3, and rank 4's first arc",
+       {{kInsert, 0, 4, 2},
+        {kDelete, 0, 7, 0},
+        {kInsert, 4, 15, 3},
+        {kInsert, 4, 24, 4},
+        {kInsert, 15, 19, 5}},
+       {5, 7, 15, 24},
+       {1, 3, 4}},
+  };
+  for (const Step& step : steps) {
+    SCOPED_TRACE(step.what);
+    for (const EdgeUpdate& u : step.batch) dyn.apply(u);
+    const Graph& g = dyn.snapshot();
+    dist.refresh(g, p, touched_vertices(step.batch));
+    dist.validate(g, p);
+    expect_same_distribution(dist, DistGraph::build(g, p));
+    expect_absent_ids_unknown(dist);
+    EXPECT_EQ(ghost_ids(dist.local(0)), step.ghosts);
+    EXPECT_EQ(dist.local(0).neighbor_ranks(), step.neighbor_ranks);
+  }
+  EXPECT_TRUE(dist.local(4).has_weights());
+}
+
+TEST(DistGraph, RefreshRejectsMalformedTouchedLists) {
+  // A patch splices each listed row once, in order, so refresh takes only
+  // what touched_vertices returns and throws before it changes anything.
+  // The batch changes rows 1 (rank 0) and 4 (rank 2), so a rank patched
+  // before the throw would show.
+  const Partition p(3, {0, 0, 1, 1, 2, 2});
+  DynamicGraph dyn(path(6));
+  DistGraph dist = DistGraph::build(dyn.folded(), p);
+  const DistGraph before = dist;
+  dyn.apply({UpdateOp::kInsert, 1, 4, Weight{2}});
+  const Graph& after = dyn.snapshot();
+  const std::vector<std::vector<VertexId>> malformed = {
+      {1, 4, 4}, {4, 1}, {-1, 1, 4}, {1, 4, 6}};
+  for (const std::vector<VertexId>& touched : malformed) {
+    SCOPED_TRACE(::testing::PrintToString(touched));
+    EXPECT_THROW(dist.refresh(after, p, touched), Error);
+    expect_same_distribution(dist, before);
+  }
+  dist.refresh(after, p, std::vector<VertexId>{1, 4});
+  expect_same_distribution(dist, DistGraph::build(after, p));
+}
+
+TEST(DistGraph, RefreshMatchesBuildOnServiceStreamShape) {
+  // service-stream scaled down: a weighted 64x64 grid in 16x16 blocks on
+  // 16 ranks, refreshed after each of 40 batches of 16 updates.
+  const Graph g = grid_2d(64, 64, WeightKind::kUniformRandom, 3);
+  const Partition p = grid_2d_partition(64, 64, 4, 4);
+  DynamicGraph dyn(g);
+  DistGraph live = DistGraph::build(dyn.folded(), p);
+  UpdateStreamConfig cfg;
+  cfg.seed = 41;
+  UpdateStreamGenerator gen(g, cfg);
+  for (int batch = 0; batch < 40; ++batch) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    const std::vector<EdgeUpdate> updates = gen.next_batch(16);
+    for (const EdgeUpdate& u : updates) dyn.apply(u);
+    const Graph& current = dyn.snapshot();
+    live.refresh(current, p, touched_vertices(updates));
+    live.validate(current, p);
+    expect_same_distribution(live, DistGraph::build(current, p));
+  }
+}
+
 TEST(DistGraph, RefreshOfHalo2Throws) {
   // A halo-2 refresh would need the old graph's rows around the touched
   // vertices; refresh serves halo 1 only.
@@ -347,21 +476,25 @@ TEST_P(DistGraphSweep, InvariantsAcrossGraphsAndParts) {
     (void)expect_boundary_ranks_match_scan(g, p, dist);
   }
 
-  // refresh() after each update batch equals a fresh build, field by field.
-  DynamicGraph dyn(g);
-  DistGraph live = DistGraph::build(dyn.folded(), p);
-  UpdateStreamConfig cfg;
-  cfg.seed = static_cast<std::uint64_t>(10 * graph_kind + parts);
-  UpdateStreamGenerator gen(g, cfg);
-  for (int batch = 0; batch < 4; ++batch) {
-    SCOPED_TRACE("batch " + std::to_string(batch));
-    const std::vector<EdgeUpdate> updates = gen.next_batch(16);
-    for (const EdgeUpdate& u : updates) dyn.apply(u);
-    const Graph& current = dyn.snapshot();
-    live.refresh(current, p, touched_vertices(updates));
-    live.validate(current, p);
-    expect_absent_ids_unknown(live);
-    expect_same_distribution(live, DistGraph::build(current, p));
+  // refresh() after each update batch equals a fresh build, field by field,
+  // for batches of one update up to batches that touch most ranks.
+  for (const int window : {1, 16, 64}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    DynamicGraph dyn(g);
+    DistGraph live = DistGraph::build(dyn.folded(), p);
+    UpdateStreamConfig cfg;
+    cfg.seed = static_cast<std::uint64_t>(10 * graph_kind + parts);
+    UpdateStreamGenerator gen(g, cfg);
+    for (int batch = 0; batch < 12; ++batch) {
+      SCOPED_TRACE("batch " + std::to_string(batch));
+      const std::vector<EdgeUpdate> updates = gen.next_batch(window);
+      for (const EdgeUpdate& u : updates) dyn.apply(u);
+      const Graph& current = dyn.snapshot();
+      live.refresh(current, p, touched_vertices(updates));
+      live.validate(current, p);
+      expect_absent_ids_unknown(live);
+      expect_same_distribution(live, DistGraph::build(current, p));
+    }
   }
 }
 
