@@ -34,7 +34,7 @@ int run(int argc, const char** argv) {
   (void)opts.parse(argc, argv);
   const auto side = static_cast<VertexId>(opts.get_int("grid"));
   const auto nverts = static_cast<VertexId>(opts.get_int("vertices"));
-  const auto ranks = static_cast<Rank>(opts.get_int("ranks"));
+  const auto ranks = opts.get_int<Rank>("ranks");
 
   banner("Ablation A8 — wire codec (fixed vs compact)",
          "varint + delta encoding shrinks boundary traffic well over 30% "

@@ -30,9 +30,9 @@ int run(int argc, const char** argv) {
   (void)opts.parse(argc, argv);
   const auto side = static_cast<VertexId>(opts.get_int("grid"));
   const auto nverts = static_cast<VertexId>(opts.get_int("vertices"));
-  const auto ranks = static_cast<Rank>(opts.get_int("ranks"));
+  const auto ranks = opts.get_int<Rank>("ranks");
   const double dup_fraction = opts.get_double("dup-fraction");
-  const auto fault_seed = static_cast<std::uint64_t>(opts.get_int("seed"));
+  const auto fault_seed = opts.get_int<std::uint64_t>("seed");
 
   std::vector<double> drop_list;
   {

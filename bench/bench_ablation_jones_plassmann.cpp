@@ -17,7 +17,7 @@ int run(int argc, const char** argv) {
   opts.add("ranks", "64", "processor count");
   opts.add("csv", "", "optional CSV output path");
   (void)opts.parse(argc, argv);
-  const auto ranks = static_cast<Rank>(opts.get_int("ranks"));
+  const auto ranks = opts.get_int<Rank>("ranks");
 
   banner("Ablation A4 — speculative coloring vs Jones-Plassmann",
          "the speculative framework needs fewer rounds and less time than "

@@ -19,7 +19,7 @@ int run(int argc, const char** argv) {
   opts.add("csv", "", "optional CSV output path");
   (void)opts.parse(argc, argv);
   const auto n = static_cast<VertexId>(opts.get_int("vertices"));
-  const auto ranks = static_cast<Rank>(opts.get_int("ranks"));
+  const auto ranks = opts.get_int<Rank>("ranks");
 
   banner("Ablation A3 — superstep size sweep (coloring)",
          "small s: latency-dominated; large s: more conflicts/rounds; "

@@ -58,8 +58,8 @@ int run(int argc, const char** argv) {
            "async-superstep coloring sweep JSON path (empty = none)");
   (void)opts.parse(argc, argv);
   const auto side = static_cast<VertexId>(opts.get_int("grid"));
-  const auto ranks = static_cast<Rank>(opts.get_int("ranks"));
-  const int reps = std::max(1, static_cast<int>(opts.get_int("reps")));
+  const auto ranks = opts.get_int<Rank>("ranks");
+  const int reps = std::max(1, opts.get_int<int>("reps"));
 
   const std::vector<int> thread_list = opts.get_int_list("threads");
   PMC_REQUIRE(thread_list.front() == 1,

@@ -25,7 +25,7 @@ int run(int argc, const char** argv) {
   opts.add("efficiency", "0.8", "per-thread parallel efficiency");
   opts.add("csv", "", "optional CSV output path");
   (void)opts.parse(argc, argv);
-  const auto cores = static_cast<int>(opts.get_int("cores"));
+  const auto cores = opts.get_int<int>("cores");
   const auto side = static_cast<VertexId>(opts.get_int("grid"));
   const double eff = opts.get_double("efficiency");
 

@@ -70,9 +70,9 @@ int run(int argc, const char** argv) {
   opts.add("json", "BENCH_service.json", "summary JSON path (empty = none)");
   (void)opts.parse(argc, argv);
   const auto side = static_cast<VertexId>(opts.get_int("grid"));
-  const auto ranks = static_cast<Rank>(opts.get_int("ranks"));
+  const auto ranks = opts.get_int<Rank>("ranks");
   const auto updates = static_cast<std::int64_t>(opts.get_int("updates"));
-  const int reps = std::max(1, static_cast<int>(opts.get_int("reps")));
+  const int reps = std::max(1, opts.get_int<int>("reps"));
 
   const std::vector<int> windows = opts.get_int_list("windows");
   const std::vector<int> thread_list = opts.get_int_list("threads");

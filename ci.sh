@@ -30,10 +30,11 @@ tier1() {
   # compact payload <= fixed payload per row, and >= 30% total reduction.
   ./build/bench/bench_ablation_codec --json=build/BENCH_codec.json
   # Service mode's per-batch micro-benchmarks (fold, distribution build and
-  # refresh, both repairs) run once briefly: one that throws or crashes
-  # fails this stage. No timing is gated.
+  # refresh, both repairs) and the distribution's id lookup run once
+  # briefly: one that throws or crashes fails this stage. No timing is
+  # gated.
   ./build/bench/bench_micro_kernels \
-    --benchmark_filter='DynamicGraphFold|DistGraph|Incremental' \
+    --benchmark_filter='DynamicGraphFold|DistGraph|Incremental|LocalIdLookup' \
     --benchmark_min_time=0.01
   # Committed BENCH_*.json baselines must stay well-formed and keep each
   # workload's modelled time bit-identical across the thread sweep.
@@ -67,9 +68,8 @@ lint() {
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DPMC_HARDENED_WERROR=ON
   cmake --build build -j "$JOBS" --target pmc-lint
   # pmc-lint lists every .cpp and .hpp under src/ itself and exits nonzero
-  # on any unsuppressed diagnostic (including D10 stale suppressions), which
-  # fails this stage; the JSON report lands next to the other CI artifacts.
-  ./build/tools/pmc-lint/pmc-lint --root=. --json=build/LINT_report.json
+  # on any diagnostic, which fails this stage.
+  ./build/tools/pmc-lint/pmc-lint --root=.
   # clang-tidy is optional tooling (not baked into every image): run the
   # curated .clang-tidy profile when present, skip loudly when not. The
   # profile's WarningsAsErrors makes any bugprone/concurrency/performance

@@ -48,7 +48,7 @@ int main(int argc, const char** argv) {
   std::int64_t n_updates = 0;
   try {
     files = opts.parse(argc, argv);
-    ranks = static_cast<Rank>(opts.get_int("ranks"));
+    ranks = opts.get_int<Rank>("ranks");
     exec.threads = opts.get_threads();
     codec = parse_wire_codec(opts.get("codec"));
     n_updates = opts.get_int("updates");
@@ -113,8 +113,7 @@ int main(int argc, const char** argv) {
                       << " update(s) from " << replay_path << "\n";
           } else {
             UpdateStreamConfig cfg;
-            cfg.seed = static_cast<std::uint64_t>(
-                opts.get_int("update-seed"));
+            cfg.seed = opts.get_int<std::uint64_t>("update-seed");
             UpdateStreamGenerator gen(adj, cfg);
             stream = gen.next_batch(n_updates);
           }

@@ -76,25 +76,27 @@ int main(int argc, const char** argv) {
   opts.add("model", "bgp", "bgp | commodity");
   opts.add("threads", "1", "threads per rank (hybrid MPI+OpenMP model)");
   opts.add("seed", "1", "random seed");
+  std::uint64_t seed = 0;
+  int threads = 1;
+  std::vector<int> rank_list;
   try {
     (void)opts.parse(argc, argv);
+    seed = opts.get_int<std::uint64_t>("seed");
+    threads = opts.get_int<int>("threads");
+    rank_list = opts.get_int_list("ranks");
   } catch (const Error& e) {
     std::cerr << e.what() << "\n" << opts.help("scaling_explorer");
     return 2;
   }
 
-  const auto seed = static_cast<std::uint64_t>(opts.get_int("seed"));
   const Graph g =
       make_graph(opts.get("graph"), opts.get_int("size"), seed);
   std::cout << "graph: " << g.summary() << "\n";
   MachineModel model = opts.get("model") == "commodity"
                            ? MachineModel::commodity_cluster()
                            : MachineModel::blue_gene_p();
-  const auto threads = static_cast<int>(opts.get_int("threads"));
   if (threads > 1) model = model.with_threads(threads);
   std::cout << "machine: " << model.name << "\n\n";
-
-  const std::vector<int> rank_list = opts.get_int_list("ranks");
 
   const bool run_matching =
       opts.get("problem") == "matching" || opts.get("problem") == "both";

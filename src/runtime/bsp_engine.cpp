@@ -7,10 +7,6 @@
 
 namespace pmc {
 
-BspEngine::BspEngine(Rank num_ranks, MachineModel model, TraceConfig trace)
-    : BspEngine(num_ranks, std::move(model),
-                CommFabric::Config{0.0, 0, FaultConfig{}, std::move(trace)}) {}
-
 BspEngine::BspEngine(Rank num_ranks, MachineModel model, FabricConfig config,
                      ExecConfig exec)
     : fabric_(std::move(model), std::move(config)), backend_(exec) {

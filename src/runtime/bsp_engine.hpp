@@ -50,19 +50,17 @@ struct BspMessage {
 /// Simulated BSP communication layer over `num_ranks` virtual processors.
 class BspEngine {
  public:
-  BspEngine(Rank num_ranks, MachineModel model, TraceConfig trace = {});
-
-  /// Full-configuration constructor. When config.fault is enabled, a send's
-  /// receipt reports drops and duplicates: a dropped message is
-  /// never delivered (the *algorithm* recovers — e.g. the coloring re-enters
-  /// affected vertices into conflict repair), a duplicated copy is filtered
-  /// at the receiver (counted as suppressed) so a straggler cannot carry
-  /// stale state into a later superstep.
+  /// When config.fault is enabled, a send's receipt reports drops and
+  /// duplicates: a dropped message is never delivered (the *algorithm*
+  /// recovers — e.g. the coloring re-enters affected vertices into conflict
+  /// repair), a duplicated copy is filtered at the receiver (counted as
+  /// suppressed) so a straggler cannot carry stale state into a later
+  /// superstep.
   ///
   /// `exec` selects the execution backend for the rank phases: with
   /// exec.threads > 1 their callbacks run on a work-stealing pool, with
   /// exec.threads == 1 inline — bit-identically either way.
-  BspEngine(Rank num_ranks, MachineModel model, FabricConfig config,
+  BspEngine(Rank num_ranks, MachineModel model, FabricConfig config = {},
             ExecConfig exec = {});
 
   [[nodiscard]] Rank num_ranks() const noexcept { return fabric_.num_ranks(); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "graph/csr_splice.hpp"
 #include "support/error.hpp"
@@ -20,7 +21,7 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
     marker[static_cast<std::size_t>(global_ids_[lv])] =
         static_cast<VertexId>(lv);
   }
-  // Local id of u, numbering it as the next ghost on first sight.
+  // Local id of u; an unseen u gets the next provisional ghost id.
   const auto resolve = [&](VertexId u, Rank ru) {
     VertexId& slot = marker[static_cast<std::size_t>(u)];
     if (slot == kNoVertex) {
@@ -28,7 +29,6 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
                                      << " but did not number it");
       slot = static_cast<VertexId>(global_ids_.size());
       global_ids_.push_back(u);
-      ghost_owner_.push_back(ru);
     }
     return slot;
   };
@@ -77,22 +77,35 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
     }
     close_ranks(lv);
   }
+  sort_ghosts(num_owned_, ghost_arcs, p);
 
   if (halo_ == 2) {
-    // The distance-1 ghosts' rows, whose unseen targets become the
-    // distance-2 ghosts (owned targets are already numbered); then each
-    // owned vertex's ranks again, two hops out.
+    // The distance-1 ghosts' rows, read through their final ids, whose
+    // unseen targets become the distance-2 ghosts (owned targets are
+    // already numbered); then each owned vertex's ranks again, two hops
+    // out.
     const std::size_t rows = global_ids_.size();
+    for (std::size_t lu = owned; lu < rows; ++lu) {
+      marker[static_cast<std::size_t>(global_ids_[lu])] =
+          static_cast<VertexId>(lu);
+    }
+    std::vector<IncidentArc> far_arcs;
     for (std::size_t lu = owned; lu < rows; ++lu) {
       const VertexId u = global_ids_[lu];
       const auto nbrs = g.neighbors(u);
       const auto ws = g.weights(u);
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        adj_.push_back(resolve(nbrs[i], p.owner(nbrs[i])));
+        const VertexId w = resolve(nbrs[i], p.owner(nbrs[i]));
+        if (static_cast<std::size_t>(w) >= rows) {
+          far_arcs.push_back({static_cast<VertexId>(lu),
+                              static_cast<EdgeId>(adj_.size())});
+        }
+        adj_.push_back(w);
         if (g.has_weights()) weights_.push_back(ws[i]);
       }
       offsets_.push_back(static_cast<EdgeId>(adj_.size()));
     }
+    sort_ghosts(static_cast<VertexId>(rows), far_arcs, p);
     boundary_ranks_.clear();
     for (std::size_t lv = 0; lv < owned; ++lv) {
       for (const VertexId u : neighbors(static_cast<VertexId>(lv))) {
@@ -113,29 +126,20 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
 
 void LocalGraph::patch(const Graph& g, const Partition& p,
                        std::span<const VertexId> touched) {
-  const std::span<const VertexId> owned(
-      global_ids_.data(), static_cast<std::size_t>(num_owned_));
-  const auto old_ghosts = static_cast<std::size_t>(num_ghosts());
-
-  // Each touched row's new length and sorted boundary ranks, and the
-  // vertices the touched rows reach that this rank has not seen: those
-  // take provisional local ids after the old ghosts, in global-id order.
+  const VertexId old_local = num_local();
+  // Each touched row's new length and sorted boundary ranks.
   std::vector<RowLength> arc_rows;
   std::vector<RowLength> rank_rows;
   std::vector<Rank> ranks;
-  std::vector<VertexId> fresh;
   arc_rows.reserve(touched.size());
   rank_rows.reserve(touched.size());
   for (const VertexId v : touched) {
-    const std::ptrdiff_t lv = find_sorted(owned, v);
-    PMC_CHECK(lv >= 0,
+    const VertexId lv = find_in_run(0, num_owned_, v);
+    PMC_CHECK(lv != kNoVertex,
               "rank " << rank_ << " does not own touched vertex " << v);
     const std::size_t row_ranks = ranks.size();
     for (const VertexId u : g.neighbors(v)) {
-      const Rank ru = p.owner(u);
-      if (ru == rank_) continue;
-      ranks.push_back(ru);
-      if (find_sorted(ghost_keys_, u) < 0) fresh.push_back(u);
+      if (p.owner(u) != rank_) ranks.push_back(p.owner(u));
     }
     const auto mine = ranks.begin() + static_cast<std::ptrdiff_t>(row_ranks);
     std::sort(mine, ranks.end());
@@ -143,8 +147,6 @@ void LocalGraph::patch(const Graph& g, const Partition& p,
     arc_rows.push_back({lv, g.degree(v)});
     rank_rows.push_back({lv, static_cast<EdgeId>(ranks.size() - row_ranks)});
   }
-  std::sort(fresh.begin(), fresh.end());
-  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
 
   // The untouched rows' arcs into ghosts, from the old incidence: each
   // moves with its block, by the growth of the touched rows before it.
@@ -164,7 +166,8 @@ void LocalGraph::patch(const Graph& g, const Partition& p,
   }
 
   // Splice the touched rows into the owned CSR and the boundary-rank CSR,
-  // write them with resolved targets, and add their arcs into ghosts.
+  // write them with resolved targets, and add their arcs into ghosts. Each
+  // arc to a vertex the rank has not seen gets a candidate ghost of its own.
   if (g.has_weights()) {
     resize_rows(offsets_, arc_rows, adj_, weights_);
   } else {
@@ -179,15 +182,15 @@ void LocalGraph::patch(const Graph& g, const Partition& p,
     for (const VertexId u : g.neighbors(touched[i])) {
       VertexId& target = adj_[static_cast<std::size_t>(a)];
       if (p.owner(u) == rank_) {
-        const std::ptrdiff_t lu = find_sorted(owned, u);
-        PMC_CHECK(lu >= 0, "rank " << rank_ << " owns vertex " << u
-                                   << " but did not number it");
-        target = static_cast<VertexId>(lu);
+        target = find_in_run(0, num_owned_, u);
+        PMC_CHECK(target != kNoVertex, "rank " << rank_ << " owns vertex " << u
+                                                << " but did not number it");
       } else {
-        const std::ptrdiff_t k = find_sorted(ghost_keys_, u);
-        target = k >= 0 ? ghost_locals_[static_cast<std::size_t>(k)]
-                        : num_local() + static_cast<VertexId>(
-                                            find_sorted(fresh, u));
+        target = find_in_run(num_owned_, old_local, u);
+        if (target == kNoVertex) {
+          target = num_local();
+          global_ids_.push_back(u);
+        }
         ghost_arcs.push_back({lv, a});
       }
       ++a;
@@ -205,37 +208,45 @@ void LocalGraph::patch(const Graph& g, const Partition& p,
     next_rank += row_ranks;
   }
   std::ranges::sort(ghost_arcs, {}, &IncidentArc::arc);
-
-  // Renumber the ghosts by first sight in arc order, rewriting only the
-  // arcs into ghosts: the new ghosts append behind the old ones, which are
-  // then cut, so a ghost that no arc reaches is dropped.
-  std::vector<VertexId> renumber(old_ghosts + fresh.size(), kNoVertex);
-  VertexId next_local = num_owned_;
-  for (const IncidentArc& in : ghost_arcs) {
-    VertexId& target = adj_[static_cast<std::size_t>(in.arc)];
-    const auto old = static_cast<std::size_t>(target - num_owned_);
-    if (renumber[old] == kNoVertex) {
-      renumber[old] = next_local++;
-      const VertexId u =
-          old < old_ghosts ? global_id(target) : fresh[old - old_ghosts];
-      const Rank owner = old < old_ghosts ? ghost_owner_[old] : p.owner(u);
-      global_ids_.push_back(u);
-      ghost_owner_.push_back(owner);
-    }
-    target = renumber[old];
-  }
-  const auto first_ghost =
-      global_ids_.begin() + static_cast<std::ptrdiff_t>(num_owned_);
-  global_ids_.erase(first_ghost,
-                    first_ghost + static_cast<std::ptrdiff_t>(old_ghosts));
-  ghost_owner_.erase(ghost_owner_.begin(),
-                     ghost_owner_.begin() +
-                         static_cast<std::ptrdiff_t>(old_ghosts));
+  sort_ghosts(num_owned_, ghost_arcs, p);
   derive(ghost_arcs);
 }
 
+void LocalGraph::sort_ghosts(VertexId first, std::span<const IncidentArc> arcs,
+                             const Partition& p) {
+  // The candidates some arc reaches, ordered by global id, then laid out in
+  // that order, with repeats of one id merged, and the arcs pointed at them.
+  const auto base = static_cast<std::size_t>(first);
+  std::vector<VertexId> renumber(global_ids_.size() - base, kNoVertex);
+  for (const IncidentArc& in : arcs) {
+    renumber[static_cast<std::size_t>(adj_[static_cast<std::size_t>(in.arc)] -
+                                      first)] = first;
+  }
+  std::vector<std::pair<VertexId, std::size_t>> kept;
+  for (std::size_t c = 0; c < renumber.size(); ++c) {
+    if (renumber[c] != kNoVertex) kept.emplace_back(global_ids_[base + c], c);
+  }
+  // A patch's candidates are the old ghosts, already in order, then a few
+  // new ones: sort what follows the ordered prefix and merge.
+  const auto ordered_end = std::ranges::is_sorted_until(kept);
+  std::sort(ordered_end, kept.end());
+  std::inplace_merge(kept.begin(), ordered_end, kept.end());
+  global_ids_.resize(base);
+  ghost_owner_.resize(base - static_cast<std::size_t>(num_owned_));
+  for (const auto& [u, c] : kept) {
+    if (global_ids_.size() == base || global_ids_.back() != u) {
+      global_ids_.push_back(u);
+      ghost_owner_.push_back(p.owner(u));
+    }
+    renumber[c] = static_cast<VertexId>(global_ids_.size()) - 1;
+  }
+  for (const IncidentArc& in : arcs) {
+    VertexId& target = adj_[static_cast<std::size_t>(in.arc)];
+    target = renumber[static_cast<std::size_t>(target - first)];
+  }
+}
+
 void LocalGraph::derive(std::span<const IncidentArc> ghost_arcs) {
-  cross_edges_ = static_cast<EdgeId>(ghost_arcs.size());
   // Ghost incidence: the arcs into ghosts, counting-sorted by ghost so that
   // each list keeps their order. The offsets count into slot g + 1, turn
   // into starts, serve as cursors (ending at the next list's start) and
@@ -260,26 +271,11 @@ void LocalGraph::derive(std::span<const IncidentArc> ghost_arcs) {
                      incidence_offsets_.end());
   incidence_offsets_[0] = 0;
 
-  // Index the ghosts by global id.
-  ghost_locals_.resize(static_cast<std::size_t>(num_ghosts()));
-  std::iota(ghost_locals_.begin(), ghost_locals_.end(), num_owned_);
-  std::sort(ghost_locals_.begin(), ghost_locals_.end(),
-            [&](VertexId a, VertexId b) { return global_id(a) < global_id(b); });
-  ghost_keys_.resize(ghost_locals_.size());
-  for (std::size_t i = 0; i < ghost_locals_.size(); ++i) {
-    ghost_keys_[i] = global_id(ghost_locals_[i]);
-  }
-
-  // Derived structures.
   neighbor_ranks_.assign(ghost_owner_.begin(), ghost_owner_.end());
   std::sort(neighbor_ranks_.begin(), neighbor_ranks_.end());
   neighbor_ranks_.erase(
       std::unique(neighbor_ranks_.begin(), neighbor_ranks_.end()),
       neighbor_ranks_.end());
-  boundary_.clear();
-  for (VertexId lv = 0; lv < num_owned_; ++lv) {
-    if (is_boundary(lv)) boundary_.push_back(lv);
-  }
 }
 
 void require_touched_list(std::span<const VertexId> touched,
@@ -354,12 +350,13 @@ void DistGraph::validate(const Graph& g, const Partition& p) const {
   for (Rank r = 0; r < num_ranks(); ++r) {
     const LocalGraph& lg = local(r);
     owned_total += lg.num_owned();
-    // Owned ids ascend in global order, and the lookup inverts global_id.
+    // Each run (owned, ghosts with rows, ghosts without) ascends in global
+    // order, and the lookup inverts global_id.
     for (VertexId l = 0; l < lg.num_local(); ++l) {
-      PMC_CHECK(l == 0 || l >= lg.num_owned() ||
-                    lg.global_id(l - 1) < lg.global_id(l),
-                "owned global ids out of order at rank " << r << " local "
-                                                         << l);
+      const bool starts_run =
+          l == 0 || l == lg.num_owned() || l == lg.num_rows();
+      PMC_CHECK(starts_run || lg.global_id(l - 1) < lg.global_id(l),
+                "global ids out of order at rank " << r << " local " << l);
       PMC_CHECK(lg.local_id(lg.global_id(l)) == l,
                 "local_id does not invert global_id at rank "
                     << r << " local " << l);

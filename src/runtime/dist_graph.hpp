@@ -10,9 +10,8 @@
 //     CSR form referring to local ids;
 //   * ghost vertices (local ids [num_owned, num_local)) with their global id
 //     and owning rank;
-//   * the interior/boundary classification of owned vertices, each boundary
-//     vertex's sorted boundary ranks, and the rank-wide sorted list of
-//     neighboring ranks;
+//   * each owned vertex's sorted boundary ranks (empty exactly for interior
+//     vertices), and the rank-wide sorted list of neighboring ranks;
 //   * each ghost's incidence: the owned arcs that reach it, in owned-id then
 //     arc order, so news of a ghost (its SUCCEEDED, FAILED or color) goes
 //     straight to the owned vertices it concerns.
@@ -24,32 +23,33 @@
 // other rank owning a vertex within two hops of it — what a distance-2
 // coloring must see and tell.
 //
-// A rank's ids are dense, and global ids resolve without hashing. Owned
-// vertices are numbered in global-id order, so global_id() over [0,
-// num_owned) ascends; ghosts are numbered in order of first sight and carry
-// a second, sorted index of their global ids. local_id() is a branch-free
-// binary search of each.
+// A rank's ids are dense, and global ids resolve without hashing. Local ids
+// form three runs, each in ascending global id: the owned vertices [0,
+// num_owned), the ghosts with rows [num_owned, num_rows) and the rest
+// [num_rows, num_local); at halo 1 the middle run is empty. local_id() is a
+// branch-free binary search of each run of global_id().
 //
 // A rank's view is a function of its owned rows alone (and, at halo 2, its
 // distance-1 ghosts' rows), so construction is two passes: DistGraph::build
 // numbers every rank's owned vertices, then fills each LocalGraph. The fill
 // resolves targets through one global-id-indexed marker, shared by every
-// rank's fill and left clear by each, and ends in one derivation of the
-// ghost side: incidence, ghost index, neighbor ranks and boundary list.
+// rank's fill and left clear by each; an unseen vertex gets a provisional
+// ghost id, and one sort per run of ghosts gives their final ids. The fill
+// ends in one derivation of the ghost side: incidence and neighbor ranks.
 //
 // When only some rows of the graph change (service mode's edge-update
 // batches), DistGraph::refresh patches the owners of the changed rows in
 // place; it serves halo 1. A patch resolves only the changed rows' targets
-// (a vertex the rank has not seen gets a provisional id after the old
+// (a vertex the rank has not seen gets a candidate id after the old
 // ghosts) and splices those rows into the owned and boundary-rank CSRs with
-// resize_rows' block moves (graph/csr_splice.hpp). It then renumbers the
-// ghosts by first sight over the arcs into ghosts alone: the untouched
-// rows' arcs come from the old incidence, shifted with their block, and
-// the changed rows' from their new contents. Ghosts that no arc reaches
-// are dropped, and the fill's derivation closes the patch. A stale rank
-// thus costs its changed arcs, cross arcs and ghosts plus one move of the
-// arcs behind its first resized row; no per-vertex array is allocated, and
-// a batch's incidence is current before any repair reads it.
+// resize_rows' block moves (graph/csr_splice.hpp). The arcs into ghosts come
+// from the old incidence for the untouched rows, shifted with their block,
+// and from the new contents for the changed rows. The fill's ghost sort
+// over them drops the ghosts that no arc reaches, and the fill's derivation
+// closes the patch. A stale rank thus costs its changed arcs, cross arcs and
+// ghosts plus one move of the arcs behind its first resized row; no
+// per-vertex array is allocated, and a batch's incidence is current before
+// any repair reads it.
 #pragma once
 
 #include <cstddef>
@@ -91,13 +91,11 @@ class LocalGraph {
 
   /// Local id of a global vertex; kNoVertex when not present on this rank.
   [[nodiscard]] VertexId local_id(VertexId global) const noexcept {
-    const std::span<const VertexId> owned(
-        global_ids_.data(), static_cast<std::size_t>(num_owned_));
-    if (const std::ptrdiff_t i = find_sorted(owned, global); i >= 0) {
-      return static_cast<VertexId>(i);
-    }
-    const std::ptrdiff_t i = find_sorted(ghost_keys_, global);
-    return i >= 0 ? ghost_locals_[static_cast<std::size_t>(i)] : kNoVertex;
+    const VertexId rows = num_rows();
+    VertexId local = find_in_run(0, num_owned_, global);
+    if (local == kNoVertex) local = find_in_run(num_owned_, rows, global);
+    if (local == kNoVertex) local = find_in_run(rows, num_local(), global);
+    return local;
   }
 
   /// Owning rank of a local ghost vertex.
@@ -160,14 +158,11 @@ class LocalGraph {
     return neighbor_ranks_;
   }
 
-  /// Owned boundary vertices, in local-id order.
-  [[nodiscard]] const std::vector<VertexId>& boundary_vertices() const noexcept {
-    return boundary_;
-  }
-
   /// Number of cross edges incident to this rank's owned vertices (ghost
-  /// rows are not counted).
-  [[nodiscard]] EdgeId num_cross_edges() const noexcept { return cross_edges_; }
+  /// rows are not counted): the arcs the ghost incidence lists.
+  [[nodiscard]] EdgeId num_cross_edges() const noexcept {
+    return static_cast<EdgeId>(incidence_.size());
+  }
 
   /// An owned row's arc into a ghost: arc `arc` of owned vertex `owned`.
   struct IncidentArc {
@@ -189,19 +184,20 @@ class LocalGraph {
  private:
   friend class DistGraph;
 
-  /// Position of `key` in the ascending `keys`, or -1. Branch-free: the
-  /// loop runs ceil(log2 n) times whatever the key, and each step is a
-  /// conditional move, so lookups in random order cost no mispredictions.
-  [[nodiscard]] static std::ptrdiff_t find_sorted(
-      std::span<const VertexId> keys, VertexId key) noexcept {
-    if (keys.empty()) return -1;
-    const VertexId* base = keys.data();
-    for (std::size_t n = keys.size(); n > 1;) {
+  /// The local id in [first, last), a run of ascending global ids, that
+  /// holds `global`; kNoVertex when none does. Branch-free: the loop runs
+  /// ceil(log2 n) times whatever the key, and each step is a conditional
+  /// move, so lookups in random order cost no mispredictions.
+  [[nodiscard]] VertexId find_in_run(VertexId first, VertexId last,
+                                     VertexId global) const noexcept {
+    if (first == last) return kNoVertex;
+    const VertexId* base = global_ids_.data() + first;
+    for (auto n = static_cast<std::size_t>(last - first); n > 1;) {
       const std::size_t half = n / 2;
-      base = base[half] <= key ? base + half : base;
+      base = base[half] <= global ? base + half : base;
       n -= half;
     }
-    return *base == key ? base - keys.data() : -1;
+    return *base == global ? base - global_ids_.data() : kNoVertex;
   }
 
   /// Builds everything but the owned ids from this rank's owned rows of `g`
@@ -212,23 +208,28 @@ class LocalGraph {
 
   /// Brings a halo-1 view up to date with `g`, in which only the owned rows
   /// `touched` (global ids, ascending) changed: resolves their targets,
-  /// splices them into the owned and boundary-rank CSRs, renumbers the
-  /// ghosts by first sight over the arcs into ghosts, then derive().
+  /// splices them into the owned and boundary-rank CSRs, sorts the ghosts
+  /// over the arcs into them, then derive().
   void patch(const Graph& g, const Partition& p,
              std::span<const VertexId> touched);
 
-  /// Derives the ghost side from the rows and the ghost list: the cross-edge
-  /// count, the ghost incidence from `ghost_arcs` (every owned arc into a
-  /// ghost, in arc order), the ghost index, the neighbor ranks and the
-  /// boundary list.
+  /// Numbers the last run of ghosts, the candidates [first, num_local()) in
+  /// any order, by ascending global id, and sets their owners from `p`.
+  /// `arcs` are every arc whose target is a candidate (only their `arc` is
+  /// read); a candidate none of them reaches is dropped, candidates of one
+  /// global id merge, and each arc's target becomes its final id.
+  void sort_ghosts(VertexId first, std::span<const IncidentArc> arcs,
+                   const Partition& p);
+
+  /// Derives the ghost side from the rows and the ghost list: the ghost
+  /// incidence from `ghost_arcs` (every owned arc into a ghost, in arc
+  /// order) and the neighbor ranks.
   void derive(std::span<const IncidentArc> ghost_arcs);
 
   Rank rank_ = 0;
   int halo_ = 1;
   VertexId num_owned_ = 0;
-  std::vector<VertexId> global_ids_;
-  std::vector<VertexId> ghost_keys_;    // ghost global ids, ascending
-  std::vector<VertexId> ghost_locals_;  // their local ids, aligned
+  std::vector<VertexId> global_ids_;  // each run ascending
   std::vector<EdgeId> offsets_;   // over the rows: [0, num_rows())
   std::vector<VertexId> adj_;     // local ids (owned or ghost)
   std::vector<Weight> weights_;
@@ -236,10 +237,8 @@ class LocalGraph {
   std::vector<std::uint32_t> rank_offsets_;  // CSR over owned vertices
   std::vector<Rank> boundary_ranks_;
   std::vector<Rank> neighbor_ranks_;
-  std::vector<VertexId> boundary_;
   std::vector<std::uint32_t> incidence_offsets_;  // CSR over ghosts
   std::vector<IncidentArc> incidence_;
-  EdgeId cross_edges_ = 0;
 };
 
 /// Throws pmc::Error unless `touched` strictly ascends within [0,
@@ -281,10 +280,11 @@ class DistGraph {
     return num_global_vertices_;
   }
 
-  /// Re-checks the distribution invariants (owned ids in global order,
-  /// local_id inverting global_id, ghost symmetry, edge conservation,
-  /// ownership consistency, boundary flags at the halo, each ghost's
-  /// incidence, and at halo 2 the ghost rows) against the original inputs.
+  /// Re-checks the distribution invariants (each run of local ids in
+  /// global order, local_id inverting global_id, ghost symmetry, edge
+  /// conservation, ownership consistency, boundary flags at the halo, each
+  /// ghost's incidence, and at halo 2 the ghost rows) against the original
+  /// inputs.
   void validate(const Graph& g, const Partition& p) const;
 
  private:

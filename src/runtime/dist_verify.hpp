@@ -52,7 +52,8 @@ template <typename R, typename RecordOf, typename Check>
   engine.run_ranks([&](BspEngine::RankCtx& ctx) {
     const LocalGraph& lg = dist.local(ctx.rank());
     Outbox out(lg.neighbor_ranks(), codec);
-    for (const VertexId v : lg.boundary_vertices()) {
+    for (VertexId v = 0; v < lg.num_owned(); ++v) {
+      if (!lg.is_boundary(v)) continue;
       const R record = record_of(lg.global_id(v));
       ctx.charge(static_cast<double>(lg.degree(v)));
       for (const Rank dst : lg.boundary_ranks(v)) out.slot(dst).put(record);

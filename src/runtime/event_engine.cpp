@@ -76,12 +76,6 @@ EventEngine::EventEngine(MachineModel model, FabricConfig config,
   window_seconds_ = std::max(0.0, 0.5 * lookahead);
 }
 
-EventEngine::EventEngine(MachineModel model, double jitter_seconds,
-                         std::uint64_t jitter_seed, TraceConfig trace)
-    : EventEngine(std::move(model),
-                  CommFabric::Config{jitter_seconds, jitter_seed,
-                                     FaultConfig{}, std::move(trace)}) {}
-
 Rank EventEngine::add_process(std::unique_ptr<Process> process) {
   PMC_REQUIRE(process != nullptr, "null process");
   PMC_REQUIRE(!ran_, "cannot add processes after run()");

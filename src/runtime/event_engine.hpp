@@ -155,15 +155,14 @@ class Process {
 /// Discrete-event scheduler over a set of rank Processes.
 class EventEngine {
  public:
-  /// Full-configuration constructor. When config.fault is enabled the
-  /// engine layers a reliable transport over the lossy fabric: every data
-  /// message carries a per-channel transport sequence number (plus a small
-  /// modelled header), the receiver acknowledges and suppresses duplicate
-  /// sequence numbers, and the sender retransmits unacknowledged messages
-  /// on an exponential-backoff timer up to fault.max_attempts tries (the
-  /// final try escalating to a fault-exempt path when fault.reliable_tail).
-  /// With faults disabled the transport is absent and behavior is
-  /// bit-identical to the pre-fault engine.
+  /// When config.fault is enabled the engine layers a reliable transport
+  /// over the lossy fabric: every data message carries a per-channel
+  /// transport sequence number (plus a small modelled header), the receiver
+  /// acknowledges and suppresses duplicate sequence numbers, and the sender
+  /// retransmits unacknowledged messages on an exponential-backoff timer up
+  /// to fault.max_attempts tries (the final try escalating to a fault-exempt
+  /// path when fault.reliable_tail). With faults disabled the transport is
+  /// absent and behavior is bit-identical to the pre-fault engine.
   ///
   /// `exec` selects the execution backend: with exec.threads > 1 the
   /// per-rank start() and idle() fan-outs and each dispatch window's rank
@@ -171,13 +170,8 @@ class EventEngine {
   /// Either way every callback runs against a deferred context over a
   /// private fabric lane and the recorded effects merge in a fixed order, so
   /// the observable run is bit-identical at every thread count.
-  EventEngine(MachineModel model, FabricConfig config, ExecConfig exec = {});
-
-  /// `jitter_seconds` > 0 adds a deterministic pseudo-random delay in
-  /// [0, jitter_seconds) to each message arrival (per-message, derived from
-  /// `jitter_seed`), exercising alternative delivery interleavings.
-  explicit EventEngine(MachineModel model, double jitter_seconds = 0.0,
-                       std::uint64_t jitter_seed = 0, TraceConfig trace = {});
+  explicit EventEngine(MachineModel model, FabricConfig config = {},
+                       ExecConfig exec = {});
 
   /// Registers a rank process; ranks are numbered in registration order.
   Rank add_process(std::unique_ptr<Process> process);

@@ -77,7 +77,7 @@ std::int64_t parse_int(const std::string& name, std::string_view s) {
 
 }  // namespace
 
-std::int64_t Options::get_int(const std::string& name) const {
+std::int64_t Options::get_int64(const std::string& name) const {
   return parse_int(name, get(name));
 }
 

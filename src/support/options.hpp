@@ -4,11 +4,15 @@
 // options raise errors so typos in experiment scripts fail fast.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "support/error.hpp"
 
 namespace pmc {
 
@@ -27,7 +31,17 @@ class Options {
   std::vector<std::string> parse(int argc, const char* const* argv);
 
   [[nodiscard]] const std::string& get(const std::string& name) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name) const;
+  /// The integer value of option --name as a T: trailing garbage, overflow
+  /// and a value that does not fit T (--ranks=4294967298 as a Rank, -1 as
+  /// an unsigned seed) are errors naming the option.
+  template <std::integral T = std::int64_t>
+  [[nodiscard]] T get_int(const std::string& name) const {
+    const std::int64_t v = get_int64(name);
+    PMC_REQUIRE(std::in_range<T>(v), "option --" << name
+                                                 << " is out of range: '"
+                                                 << get(name) << "'");
+    return static_cast<T>(v);
+  }
   /// A comma-separated list of positive integers ("--ranks=2,8,32"). Every
   /// entry gets get_int's strict parsing; trailing garbage, entries <= 0 or
   /// beyond int, and an empty list are errors naming the option.
@@ -53,6 +67,8 @@ class Options {
     std::string help;
     bool is_flag = false;
   };
+  [[nodiscard]] std::int64_t get_int64(const std::string& name) const;
+
   std::map<std::string, Spec> specs_;
   std::map<std::string, std::string> values_;
 };

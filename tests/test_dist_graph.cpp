@@ -33,7 +33,6 @@ TEST(DistGraph, PathAcrossTwoRanks) {
   EXPECT_EQ(l0.num_cross_edges(), 1);
   EXPECT_EQ(l0.neighbor_ranks(), (std::vector<Rank>{1}));
   EXPECT_FALSE(l0.is_boundary(l0.local_id(0)));
-  EXPECT_EQ(l0.boundary_vertices().size(), 1u);
 
   // Vertex 1 (local id 1 on rank 0) is boundary; its ghost neighbor is
   // global vertex 2.
@@ -57,7 +56,9 @@ TEST(DistGraph, SingleRankHasNoGhosts) {
   dist.validate(g, p);
   EXPECT_EQ(dist.local(0).num_ghosts(), 0);
   EXPECT_EQ(dist.local(0).num_cross_edges(), 0);
-  EXPECT_EQ(dist.local(0).boundary_vertices().size(), 0u);
+  for (VertexId v = 0; v < dist.local(0).num_owned(); ++v) {
+    EXPECT_FALSE(dist.local(0).is_boundary(v));
+  }
 }
 
 TEST(DistGraph, WeightsSurviveDistribution) {
@@ -260,7 +261,6 @@ void expect_same_distribution(const DistGraph& got, const DistGraph& want) {
           << "ghost " << l;
     }
     EXPECT_EQ(a.neighbor_ranks(), b.neighbor_ranks());
-    EXPECT_EQ(a.boundary_vertices(), b.boundary_vertices());
     EXPECT_EQ(a.num_cross_edges(), b.num_cross_edges());
     for (VertexId gv = 0; gv < got.num_global_vertices(); ++gv) {
       EXPECT_EQ(a.local_id(gv), b.local_id(gv)) << "global " << gv;
@@ -297,7 +297,7 @@ TEST(DistGraph, RefreshDropsLastCrossEdgeAndLinksNewRanks) {
   EXPECT_FALSE(dist.local(0).is_boundary(dist.local(0).local_id(1)));
 }
 
-/// The ghosts' global ids in local-id order, which is first-sight order.
+/// The ghosts' global ids in local-id order.
 std::vector<VertexId> ghost_ids(const LocalGraph& lg) {
   std::vector<VertexId> ids;
   for (VertexId l = lg.num_owned(); l < lg.num_local(); ++l) {
@@ -308,8 +308,9 @@ std::vector<VertexId> ghost_ids(const LocalGraph& lg) {
 
 TEST(DistGraph, RefreshRenumbersGhostsEveryWay) {
   // Five ranks of five vertices. Rank 0's rows form the path 0-1-2-3-4 with
-  // the cross edges 2-5, 3-6, 4-5 and 4-7, so its ghosts in first-sight
-  // order are 5 (row 2), 6 (row 3) and 7 (row 4). Rank 4 has no arcs.
+  // the cross edges 2-5, 3-6, 4-5 and 4-7, so its ghosts are 5, 6 and 7,
+  // numbered in global-id order like every run of local ids. Rank 4 has no
+  // arcs.
   const std::vector<std::tuple<VertexId, VertexId, Weight>> edges = {
       {0, 1, 1},   {1, 2, 2},   {2, 3, 3},   {3, 4, 4},   {2, 5, 5},
       {3, 6, 6},   {4, 5, 7},   {4, 7, 8},   {5, 6, 1},   {6, 7, 2},
@@ -336,29 +337,30 @@ TEST(DistGraph, RefreshRenumbersGhostsEveryWay) {
   constexpr UpdateOp kDelete = UpdateOp::kDelete;
   constexpr UpdateOp kReweight = UpdateOp::kReweight;
   const std::vector<Step> steps = {
-      {"row 0 reaches ghost 7 first: 7 moves up, 5 and 6 shift",
+      {"row 0 reaches ghost 7 too: no ghost moves",
        {{kInsert, 0, 7, 9}},
-       {7, 5, 6},
+       {5, 6, 7},
        {1}},
-      {"row 2 reaches rank 2's vertex 12: a new ghost mid-list",
+      {"row 2 reaches rank 2's vertex 12, and rank 2's row 12 reaches 2: "
+       "a new ghost on each, last on rank 0 and first on rank 2",
        {{kInsert, 2, 12, 9}},
-       {7, 5, 12, 6},
+       {5, 6, 7, 12},
        {1, 2}},
-      {"5 loses its first-sight arc but keeps row 4's: 5 moves down",
+      {"5 loses row 2's arc but keeps row 4's: 5 stays",
        {{kDelete, 2, 5, 0}},
-       {7, 12, 6, 5},
+       {5, 6, 7, 12},
        {1, 2}},
       {"12 loses its only arc: 12 and rank 2 drop out",
        {{kDelete, 2, 12, 0}},
-       {7, 6, 5},
+       {5, 6, 7},
        {1}},
       {"reweights only",
        {{kReweight, 3, 6, 0.5}, {kReweight, 0, 1, 7}},
-       {7, 6, 5},
+       {5, 6, 7},
        {1}},
-      {"row 3 loses every arc, and ghost 6 with them",
+      {"row 3 loses every arc, and ghost 6 with them: 7 moves down",
        {{kDelete, 2, 3, 0}, {kDelete, 3, 4, 0}, {kDelete, 3, 6, 0}},
-       {7, 5},
+       {5, 7},
        {1}},
       {"the first and last rows of ranks 0 and 3, and rank 4's first arc",
        {{kInsert, 0, 4, 2},
@@ -381,6 +383,35 @@ TEST(DistGraph, RefreshRenumbersGhostsEveryWay) {
     EXPECT_EQ(dist.local(0).neighbor_ranks(), step.neighbor_ranks);
   }
   EXPECT_TRUE(dist.local(4).has_weights());
+}
+
+TEST(DistGraph, Halo2GhostRunsAscend) {
+  // Rank 0 owns 0 and 1, whose rows meet its distance-1 ghosts as 5, 9, 7;
+  // read in that run's order (5, 7, 9), their rows meet the distance-2
+  // ghosts as 2, 6, 3, 10. Each run is numbered in global-id order instead,
+  // the distance-1 run first.
+  const Graph g = graph_from_edges(
+      12, {{0, 5}, {0, 9}, {1, 7}, {5, 2}, {7, 6}, {9, 3}, {9, 10}});
+  const Partition p(3, {0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2});
+  const DistGraph dist = DistGraph::build(g, p, 2);
+  dist.validate(g, p);
+  const LocalGraph& lg = dist.local(0);
+  ASSERT_EQ(lg.num_rows(), 5);
+  EXPECT_EQ(ghost_ids(lg), (std::vector<VertexId>{5, 7, 9, 2, 3, 6, 10}));
+  // A distance-1 ghost's row is g's row; a distance-2 ghost has none, and
+  // no owned row reaches it.
+  const auto global = [&](VertexId u) { return lg.global_id(u); };
+  for (VertexId l = lg.num_owned(); l < lg.num_rows(); ++l) {
+    EXPECT_TRUE(std::ranges::equal(lg.neighbors(l),
+                                   g.neighbors(lg.global_id(l)), {}, global))
+        << "local " << l;
+  }
+  for (VertexId l = lg.num_rows(); l < lg.num_local(); ++l) {
+    EXPECT_TRUE(lg.ghost_incidence(l).empty()) << "local " << l;
+  }
+  for (VertexId v = 0; v < lg.num_owned(); ++v) {
+    for (const VertexId u : lg.neighbors(v)) EXPECT_LT(u, lg.num_rows());
+  }
 }
 
 TEST(DistGraph, RefreshRejectsMalformedTouchedLists) {

@@ -215,7 +215,8 @@ TEST(EventEngine, MalformedPayloadPropagatesAsError) {
 
 TEST(EventEngine, JitterIsDeterministicPerSeed) {
   auto run_once = [](std::uint64_t seed) {
-    EventEngine engine(MachineModel::blue_gene_p(), 1e-4, seed);
+    EventEngine engine(MachineModel::blue_gene_p(),
+                       FabricConfig{1e-4, seed, FaultConfig{}, TraceConfig{}});
     engine.add_process(std::make_unique<PingPong>(1, true, 4));
     engine.add_process(std::make_unique<PingPong>(0, false, 4));
     return engine.run().sim_seconds;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <optional>
@@ -346,6 +347,37 @@ TEST(Options, IntReportsOutOfRangeDistinctly) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos);
   }
+}
+
+TEST(Options, TypedIntRejectsWhatDoesNotFitItsType) {
+  // Callers used to cast get_int's int64 themselves, so --ranks=4294967298
+  // ran on 2 ranks and a negative seed wrapped.
+  const auto as_int32 = [](const Options& o) {
+    return o.get_int<std::int32_t>("x");
+  };
+  const auto as_uint64 = [](const Options& o) {
+    return o.get_int<std::uint64_t>("x");
+  };
+  const auto expect_rejected = [](const auto& get, const char* value) {
+    try {
+      (void)get(opts_with(value));
+      FAIL() << "expected pmc::Error for '" << value << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("option --x is out of range"),
+                std::string::npos)
+          << value;
+    }
+  };
+  expect_rejected(as_int32, "2147483648");
+  expect_rejected(as_int32, "-2147483649");
+  expect_rejected(as_uint64, "-1");
+  EXPECT_EQ(as_int32(opts_with("2147483647")),
+            std::numeric_limits<std::int32_t>::max());
+  EXPECT_EQ(as_int32(opts_with("-2147483648")),
+            std::numeric_limits<std::int32_t>::min());
+  EXPECT_EQ(as_uint64(opts_with("0")), 0u);
+  EXPECT_EQ(as_uint64(opts_with("9223372036854775807")),
+            std::uint64_t{9223372036854775807u});
 }
 
 TEST(Options, DoubleAcceptsCommonForms) {

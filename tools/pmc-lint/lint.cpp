@@ -4,8 +4,6 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,54 +12,11 @@ namespace {
 
 // ---- source view ----------------------------------------------------------
 
-/// One suppression comment: which rules it allows and the justification.
-struct Allow {
-  std::set<std::string> rules;
-  std::string justification;
-};
-
-/// The comment/string-stripped view of a translation unit plus the
-/// allow() suppressions found while stripping.
-struct SourceView {
-  std::string code;  ///< Same length/lines as the input; literals blanked.
-  /// Suppressions keyed by the line their comment starts on (1-based).
-  std::map<int, Allow> allows;
-};
-
 struct Token {
   std::string text;
   int line = 0;
   bool is_ident = false;
 };
-
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-/// Parses "pmc-lint: allow(D1,D2): reason" out of one comment's text.
-void parse_marker(const std::string& comment, int line, SourceView& view) {
-  const std::size_t tag = comment.find("pmc-lint:");
-  if (tag == std::string::npos) return;
-  std::size_t p = comment.find("allow(", tag);
-  if (p == std::string::npos) return;
-  p += 6;
-  const std::size_t close = comment.find(')', p);
-  if (close == std::string::npos) return;
-  Allow allow;
-  std::stringstream rules(comment.substr(p, close - p));
-  std::string rule;
-  while (std::getline(rules, rule, ',')) {
-    rule = trim(rule);
-    if (!rule.empty()) allow.rules.insert(rule);
-  }
-  std::string rest = trim(comment.substr(close + 1));
-  if (!rest.empty() && rest.front() == ':') rest = trim(rest.substr(1));
-  allow.justification = rest;
-  if (!allow.rules.empty()) view.allows[line] = allow;
-}
 
 bool ident_start(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
@@ -70,16 +25,13 @@ bool ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
-/// Blanks comments and string/char literals (preserving newlines so line
-/// numbers survive) and records pmc-lint allow() comments.
-SourceView strip(const std::string& text) {
-  SourceView view;
-  view.code.reserve(text.size());
+/// Blanks comments and string/char literals, preserving newlines so line
+/// numbers survive.
+std::string strip(const std::string& text) {
+  std::string code;
+  code.reserve(text.size());
   enum class State { kCode, kLineComment, kBlockComment, kString, kChar };
   State state = State::kCode;
-  int line = 1;
-  int comment_line = 1;
-  std::string comment;
   for (std::size_t i = 0; i < text.size(); ++i) {
     const char c = text[i];
     const char next = i + 1 < text.size() ? text[i + 1] : '\0';
@@ -87,76 +39,64 @@ SourceView strip(const std::string& text) {
       case State::kCode:
         if (c == '/' && next == '/') {
           state = State::kLineComment;
-          comment_line = line;
-          comment.clear();
-          view.code += "  ";
+          code += "  ";
           ++i;
         } else if (c == '/' && next == '*') {
           state = State::kBlockComment;
-          comment_line = line;
-          comment.clear();
-          view.code += "  ";
+          code += "  ";
           ++i;
         } else if (c == '"') {
           state = State::kString;
-          view.code += ' ';
+          code += ' ';
         } else if (c == '\'') {
           state = State::kChar;
-          view.code += ' ';
+          code += ' ';
         } else {
-          view.code += c;
+          code += c;
         }
         break;
       case State::kLineComment:
         if (c == '\n') {
-          parse_marker(comment, comment_line, view);
           state = State::kCode;
-          view.code += '\n';
+          code += '\n';
         } else {
-          comment += c;
-          view.code += ' ';
+          code += ' ';
         }
         break;
       case State::kBlockComment:
         if (c == '*' && next == '/') {
-          parse_marker(comment, comment_line, view);
           state = State::kCode;
-          view.code += "  ";
+          code += "  ";
           ++i;
         } else {
-          comment += c;
-          view.code += c == '\n' ? '\n' : ' ';
+          code += c == '\n' ? '\n' : ' ';
         }
         break;
       case State::kString:
         if (c == '\\' && next != '\0') {
-          view.code += "  ";
+          code += "  ";
           ++i;
         } else if (c == '"') {
           state = State::kCode;
-          view.code += ' ';
+          code += ' ';
         } else {
-          view.code += c == '\n' ? '\n' : ' ';
+          code += c == '\n' ? '\n' : ' ';
         }
         break;
       case State::kChar:
         if (c == '\\' && next != '\0') {
-          view.code += "  ";
+          code += "  ";
           ++i;
         } else if (c == '\'') {
           state = State::kCode;
-          view.code += ' ';
+          code += ' ';
         } else {
-          view.code += c == '\n' ? '\n' : ' ';
+          code += c == '\n' ? '\n' : ' ';
         }
         break;
     }
-    if (c == '\n') ++line;
   }
-  if (state == State::kLineComment || state == State::kBlockComment) {
-    parse_marker(comment, comment_line, view);
-  }
-  return view;
+  return code;
 }
 
 std::vector<Token> tokenize(const std::string& code) {
@@ -204,37 +144,13 @@ std::vector<Token> tokenize(const std::string& code) {
   return out;
 }
 
-/// Applies the file's allow() comments to one diagnostic.
-void apply_allows(Diagnostic& d, const std::map<int, Allow>& allows) {
-  // A well-formed allow() on the diagnostic's line or the line above it
-  // suppresses — but only with a justification. A matching comment without
-  // one is still recorded (allow_line) so the D10 audit does not call a
-  // malformed-but-matching comment stale on top of the unsuppressed finding.
-  for (const int l : {d.line, d.line - 1}) {
-    const auto it = allows.find(l);
-    if (it == allows.end()) continue;
-    if (it->second.rules.count(d.rule) == 0) continue;
-    d.allow_line = l;
-    if (it->second.justification.empty()) {
-      d.message += " [allow() found but has no justification]";
-      continue;
-    }
-    d.suppressed = true;
-    d.justification = it->second.justification;
-    break;
-  }
-}
-
 // ---- per-file rule engine --------------------------------------------------
 
 class Analyzer {
  public:
-  Analyzer(std::string path, const SourceView& view,
-           const std::vector<Token>& tokens, const RuleScope& scope)
-      : path_(std::move(path)),
-        scope_(scope),
-        allows_(view.allows),
-        tokens_(tokens) {}
+  Analyzer(std::string path, const std::vector<Token>& tokens,
+           const RuleScope& scope)
+      : path_(std::move(path)), scope_(scope), tokens_(tokens) {}
 
   std::vector<Diagnostic> run() {
     for (std::size_t i = 0; i < tokens_.size(); ++i) {
@@ -255,7 +171,6 @@ class Analyzer {
     d.file = path_;
     d.line = line;
     d.message = std::move(message);
-    apply_allows(d, allows_);
     diags_.push_back(std::move(d));
   }
 
@@ -323,41 +238,9 @@ class Analyzer {
 
   std::string path_;
   RuleScope scope_;
-  const std::map<int, Allow>& allows_;
   const std::vector<Token>& tokens_;
   std::vector<Diagnostic> diags_;
 };
-
-/// The per-file rules over one file, then, when `audit` is set, the D10
-/// audit of its allow() comments: one that no diagnostic of the file
-/// matched is stale.
-std::vector<Diagnostic> lint_file(const std::string& path,
-                                  const std::string& contents,
-                                  const RuleScope& scope, bool audit) {
-  const SourceView view = strip(contents);
-  const std::vector<Token> tokens = tokenize(view.code);
-  std::vector<Diagnostic> diags = Analyzer(path, view, tokens, scope).run();
-  if (!audit) return diags;
-  std::set<int> consumed;
-  for (const Diagnostic& d : diags) consumed.insert(d.allow_line);
-  for (const auto& [line, allow] : view.allows) {
-    if (consumed.count(line) != 0) continue;
-    std::string rules;
-    for (const std::string& r : allow.rules) {
-      rules += (rules.empty() ? "" : ",") + r;
-    }
-    Diagnostic d;
-    d.rule = "D10";
-    d.file = path;
-    d.line = line;
-    d.message = "stale suppression: allow(" + rules +
-                ") no longer matches any diagnostic — delete it so the "
-                "suppression ledger stays honest";
-    apply_allows(d, view.allows);
-    diags.push_back(std::move(d));
-  }
-  return diags;
-}
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -399,7 +282,8 @@ RuleScope all_rules() {
 std::vector<Diagnostic> analyze_source(const std::string& path,
                                        const std::string& contents,
                                        const RuleScope& scope) {
-  return lint_file(path, contents, scope, /*audit=*/false);
+  const std::vector<Token> tokens = tokenize(strip(contents));
+  return Analyzer(path, tokens, scope).run();
 }
 
 std::vector<Diagnostic> analyze_file(const std::string& path,
@@ -414,8 +298,7 @@ ProgramReport analyze_program(const std::vector<SourceFile>& sources,
   for (const SourceFile& f : sources) {
     const RuleScope scope =
         opts.all_rules ? all_rules() : scope_for_path(f.path);
-    for (Diagnostic& d :
-         lint_file(f.path, f.contents, scope, opts.audit_suppressions)) {
+    for (Diagnostic& d : analyze_source(f.path, f.contents, scope)) {
       report.diagnostics.push_back(std::move(d));
     }
   }
@@ -454,54 +337,6 @@ std::vector<std::string> library_sources(const std::string& root) {
   }
   std::sort(files.begin(), files.end());
   return files;
-}
-
-namespace {
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-}  // namespace
-
-std::string to_json(const std::vector<Diagnostic>& diags,
-                    std::size_t files_scanned) {
-  std::size_t suppressed = 0;
-  for (const auto& d : diags) suppressed += d.suppressed ? 1 : 0;
-  std::ostringstream os;
-  os << "{\n  \"tool\": \"pmc-lint\",\n  \"version\": 2,\n"
-     << "  \"files_scanned\": " << files_scanned << ",\n"
-     << "  \"total\": " << diags.size() << ",\n"
-     << "  \"suppressed\": " << suppressed << ",\n"
-     << "  \"unsuppressed\": " << diags.size() - suppressed << ",\n"
-     << "  \"diagnostics\": [";
-  for (std::size_t i = 0; i < diags.size(); ++i) {
-    const Diagnostic& d = diags[i];
-    os << (i == 0 ? "" : ",") << "\n    {\"rule\": \"" << json_escape(d.rule)
-       << "\", \"file\": \"" << json_escape(d.file)
-       << "\", \"line\": " << d.line << ", \"suppressed\": "
-       << (d.suppressed ? "true" : "false") << ", \"justification\": \""
-       << json_escape(d.justification) << "\", \"message\": \""
-       << json_escape(d.message) << "\"}";
-  }
-  os << "\n  ]\n}\n";
-  return os.str();
-}
-
-std::size_t failing_count(const ProgramReport& report) {
-  std::size_t n = 0;
-  for (const Diagnostic& d : report.diagnostics) {
-    if (!d.suppressed) ++n;
-  }
-  return n;
 }
 
 }  // namespace pmc_lint

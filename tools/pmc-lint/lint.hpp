@@ -3,13 +3,9 @@
 // A token scanner over the C++ sources that enforces invariants the
 // runtime's reproducibility guarantees rest on (DESIGN.md §7). It is not a
 // compiler: rules are implemented over a comment/string-stripped token view
-// of each file, every rule looks at one file at a time, and every
-// diagnostic can be suppressed in place with a justification:
-//
-//     // pmc-lint: allow(D2): seed printed for replay, never fed to a run
-//
-// on the diagnostic's line or the line directly above it. A suppression
-// without a justification text does not count.
+// of each file, and every rule looks at one file at a time. There are no
+// in-source suppressions: the one place a file is exempted from a rule is
+// scope_for_path, which names each rule's sanctioned homes.
 //
 // Four former rules are enforced by types instead: wire records have one
 // field list that FrameWriter::put and for_each_record both walk, the one
@@ -32,9 +28,6 @@
 //   D3  no raw memcpy / reinterpret_cast serialization in src/ outside
 //       src/runtime/serialize.* — wire traffic goes through the versioned,
 //       checksummed frame codec.
-//   D10 stale-suppression audit: an allow() comment that no longer
-//       suppresses any diagnostic in its file fails the build, keeping the
-//       suppression ledger honest.
 #pragma once
 
 #include <string>
@@ -42,23 +35,15 @@
 
 namespace pmc_lint {
 
-/// One finding. `suppressed` is true when a well-formed allow() comment with
-/// a justification covers the line.
+/// One finding; every finding fails the run.
 struct Diagnostic {
-  std::string rule;     ///< "D1".."D3", "D10".
+  std::string rule;     ///< "D1".."D3".
   std::string file;     ///< Path as given to the analysis.
   int line = 0;         ///< 1-based.
   std::string message;  ///< Human-readable explanation.
-  bool suppressed = false;
-  std::string justification;  ///< allow() comment text when suppressed.
-  /// Line of the allow() comment that matched this diagnostic's rule (even
-  /// when rejected for a missing justification); 0 when none did. The D10
-  /// audit reads consumption off this field.
-  int allow_line = 0;
 };
 
-/// Which rules apply to a file, derived from its path. D10 audits the
-/// suppressions of whatever was scanned, so it has no entry here.
+/// Which rules apply to a file, derived from its path.
 struct RuleScope {
   bool d1 = false;  ///< All of src/ except the HashSet header.
   bool d2 = false;  ///< src/ except the entropy allowlist.
@@ -79,8 +64,7 @@ struct RuleScope {
 [[nodiscard]] RuleScope all_rules();
 
 /// Runs every in-scope rule over one file's contents. `path` is used for
-/// diagnostics only; scoping is the caller's job (scope_for_path). The D10
-/// audit runs in analyze_program.
+/// diagnostics only; scoping is the caller's job (scope_for_path).
 [[nodiscard]] std::vector<Diagnostic> analyze_source(
     const std::string& path, const std::string& contents,
     const RuleScope& scope);
@@ -104,9 +88,6 @@ struct SourceFile {
 struct ProgramOptions {
   /// Every rule on for every file (fixture mode) instead of scope_for_path.
   bool all_rules = false;
-  /// Run the D10 stale-suppression audit (on for CI; fixture tests that
-  /// deliberately carry non-matching allows turn it off).
-  bool audit_suppressions = true;
 };
 
 struct ProgramReport {
@@ -114,8 +95,7 @@ struct ProgramReport {
   std::size_t files_scanned = 0;
 };
 
-/// The rules over every file, each followed by the D10 audit of its
-/// suppressions.
+/// The rules over every file.
 [[nodiscard]] ProgramReport analyze_program(
     const std::vector<SourceFile>& sources, const ProgramOptions& opts);
 
@@ -130,14 +110,5 @@ struct ProgramReport {
 /// std::runtime_error when root/src is not a directory.
 [[nodiscard]] std::vector<std::string> library_sources(
     const std::string& root);
-
-// ---- reports ---------------------------------------------------------------
-
-/// Serializes a run's findings as the machine-readable JSON report.
-[[nodiscard]] std::string to_json(const std::vector<Diagnostic>& diags,
-                                  std::size_t files_scanned);
-
-/// Unsuppressed findings — the run fails when nonzero.
-[[nodiscard]] std::size_t failing_count(const ProgramReport& report);
 
 }  // namespace pmc_lint
