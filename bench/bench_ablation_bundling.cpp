@@ -8,6 +8,7 @@
 #include "bench_common.hpp"
 
 #include <iostream>
+#include <utility>
 
 namespace pmc::bench {
 namespace {
@@ -28,19 +29,23 @@ int run(int argc, const char** argv) {
          "it the modelled time; the matching itself is unchanged");
 
   const Graph g = grid_2d(side, side, WeightKind::kUniformRandom, 61);
-  TextTable table({"procs", "variant", "messages", "records", "volume (B)",
-                   "sim (s)", "speedup"},
-                  {Align::kRight, Align::kLeft, Align::kRight, Align::kRight,
-                   Align::kRight, Align::kRight, Align::kRight});
-  table.set_title("bundled vs unbundled distributed matching");
-  CsvSink csv(opts.get("csv"), {"ranks", "variant", "messages", "records",
-                                "bytes", "sim_seconds"});
-  CsvSink rounds_csv(opts.get("rounds-csv"),
-                     {"ranks", "variant", "round", "messages", "records",
-                      "bytes"});
-  // Per-round series for the largest processor count (printed after the
-  // summary table).
-  CommBreakdown last_bundled, last_unbundled;
+  TextTable table("bundled vs unbundled distributed matching",
+                  {{"procs", "ranks", kCount},
+                   {"variant", "variant"},
+                   {"messages", "messages", kCount},
+                   {"records", "records", kCount},
+                   {"volume (B)", "bytes", kCount},
+                   {"sim (s)", "sim_seconds", kSci},
+                   {"speedup", "", fixed(2, "x")}});
+  TextTable rounds("", {{"", "ranks"},
+                        {"", "variant"},
+                        {"round", "round", kCount},
+                        {"messages", "messages", kCount},
+                        {"records", "records", kCount},
+                        {"volume (B)", "bytes", kCount},
+                        {"collectives", "", kCount}});
+  // The largest processor count's rounds are printed after the summary.
+  std::size_t last_first_round = 0;
   int last_ranks = 0;
 
   for (const int ranks : rank_list) {
@@ -57,57 +62,32 @@ int run(int argc, const char** argv) {
     PMC_CHECK(rb.matching.mate == ru.matching.mate,
               "bundling changed the matching");
 
-    table.add_row({cell_count(ranks), "bundled",
-                   cell_count(rb.run.comm.messages),
-                   cell_count(rb.run.comm.records),
-                   cell_count(rb.run.comm.bytes),
-                   cell_sci(rb.run.sim_seconds),
-                   cell(ru.run.sim_seconds / rb.run.sim_seconds, 2) + "x"});
-    table.add_row({cell_count(ranks), "unbundled",
-                   cell_count(ru.run.comm.messages),
-                   cell_count(ru.run.comm.records),
-                   cell_count(ru.run.comm.bytes),
-                   cell_sci(ru.run.sim_seconds), "1.00x"});
-    csv.row({std::to_string(ranks), "bundled",
-             std::to_string(rb.run.comm.messages),
-             std::to_string(rb.run.comm.records),
-             std::to_string(rb.run.comm.bytes),
-             std::to_string(rb.run.sim_seconds)});
-    csv.row({std::to_string(ranks), "unbundled",
-             std::to_string(ru.run.comm.messages),
-             std::to_string(ru.run.comm.records),
-             std::to_string(ru.run.comm.bytes),
-             std::to_string(ru.run.sim_seconds)});
-    for (std::size_t round = 0; round < rb.run.breakdown.per_round.size();
-         ++round) {
-      const CommStats& s = rb.run.breakdown.per_round[round];
-      rounds_csv.row({std::to_string(ranks), "bundled", std::to_string(round),
-                      std::to_string(s.messages), std::to_string(s.records),
-                      std::to_string(s.bytes)});
-    }
-    for (std::size_t round = 0; round < ru.run.breakdown.per_round.size();
-         ++round) {
-      const CommStats& s = ru.run.breakdown.per_round[round];
-      rounds_csv.row({std::to_string(ranks), "unbundled",
-                      std::to_string(round), std::to_string(s.messages),
-                      std::to_string(s.records), std::to_string(s.bytes)});
-    }
-    last_bundled = rb.run.breakdown;
-    last_unbundled = ru.run.breakdown;
+    last_first_round = rounds.rows();
     last_ranks = ranks;
+    for (const auto& [variant, r] :
+         {std::pair{"bundled", &rb.run}, std::pair{"unbundled", &ru.run}}) {
+      table.add({ranks, variant, r->comm.messages, r->comm.records,
+                 r->comm.bytes, r->sim_seconds,
+                 ru.run.sim_seconds / r->sim_seconds});
+      const auto& per_round = r->breakdown.per_round;
+      for (std::size_t round = 0; round < per_round.size(); ++round) {
+        const CommStats& s = per_round[round];
+        rounds.add({ranks, variant, round, s.messages, s.records, s.bytes,
+                    s.collectives});
+      }
+    }
   }
+  table.write_csv(opts.get("csv"));
+  rounds.write_csv(opts.get("rounds-csv"));
   table.print(std::cout);
-  if (last_ranks != 0) {
-    // The per-round view: bundling compresses the same record stream into
-    // far fewer messages at every activation depth.
-    comm_rounds_table("per-activation-depth comm, bundled, p=" +
-                          std::to_string(last_ranks),
-                      last_bundled)
-        .print(std::cout);
-    comm_rounds_table("per-activation-depth comm, unbundled, p=" +
-                          std::to_string(last_ranks),
-                      last_unbundled)
-        .print(std::cout);
+  // The per-round view: bundling compresses the same record stream into
+  // far fewer messages at every activation depth.
+  for (const char* variant : {"bundled", "unbundled"}) {
+    TextTable last = rounds.slice(last_first_round, rounds.rows())
+                         .where("variant", variant);
+    last.set_title(std::string("per-activation-depth comm, ") + variant +
+                   ", p=" + std::to_string(last_ranks));
+    last.print(std::cout);
   }
   std::cout << "(paper: bundling is the key enabler for scaling to tens of "
                "thousands of processors)\n";
@@ -118,10 +98,5 @@ int run(int argc, const char** argv) {
 }  // namespace pmc::bench
 
 int main(int argc, const char** argv) {
-  try {
-    return pmc::bench::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_ablation_bundling: " << e.what() << '\n';
-    return 1;
-  }
+  return pmc::bench::run_main(argc, argv, pmc::bench::run);
 }

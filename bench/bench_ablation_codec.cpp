@@ -10,7 +10,6 @@
 // payload bytes than the fixed one.
 #include "bench_common.hpp"
 
-#include <fstream>
 #include <iostream>
 
 namespace pmc::bench {
@@ -53,14 +52,17 @@ int run(int argc, const char** argv) {
   const Partition pcol = block_partition(gc.num_vertices(), ranks);
   const DistGraph dc = DistGraph::build(gc, pcol);
 
-  TextTable table({"algorithm", "codec", "messages", "records",
-                   "payload (B)", "total (B)", "sim (s)", "payload vs fixed"},
-                  {Align::kLeft, Align::kLeft, Align::kRight, Align::kRight,
-                   Align::kRight, Align::kRight, Align::kRight, Align::kRight});
-  table.set_title("encoded volume and modelled time per codec");
-  CsvSink csv(opts.get("csv"),
-              {"algorithm", "codec", "messages", "records", "payload_bytes",
-               "total_bytes", "sim_seconds", "payload_ratio"});
+  // The JSON summary names the algorithm "workload" and leaves the ratio
+  // out.
+  TextTable table("encoded volume and modelled time per codec",
+                  {{"algorithm", "algorithm", kText, "workload"},
+                   {"codec", "codec"},
+                   {"messages", "messages", kCount},
+                   {"records", "records", kCount},
+                   {"payload (B)", "payload_bytes", kCount},
+                   {"total (B)", "total_bytes", kCount},
+                   {"sim (s)", "sim_seconds", kSci},
+                   {"payload vs fixed", "payload_ratio", percent(1), ""}});
 
   struct Workload {
     std::string name;
@@ -91,8 +93,6 @@ int run(int argc, const char** argv) {
        }},
   };
 
-  std::ostringstream json_rows;
-  bool first_row = true;
   std::int64_t fixed_payload_total = 0;
   std::int64_t compact_payload_total = 0;
   for (const auto& w : workloads) {
@@ -122,22 +122,8 @@ int run(int argc, const char** argv) {
               ? static_cast<double>(s.payload_bytes) /
                     static_cast<double>(fixed.payload_bytes)
               : 1.0;
-      table.add_row({w.name, to_string(codec), cell_count(s.messages),
-                     cell_count(s.records), cell_count(s.payload_bytes),
-                     cell_count(s.total_bytes), cell_sci(s.sim_seconds),
-                     cell(100.0 * ratio, 1) + "%"});
-      csv.row({w.name, to_string(codec), std::to_string(s.messages),
-               std::to_string(s.records), std::to_string(s.payload_bytes),
-               std::to_string(s.total_bytes), std::to_string(s.sim_seconds),
-               std::to_string(ratio)});
-      json_rows << (first_row ? "" : ",") << "\n    {\"workload\": \""
-                << w.name << "\", \"codec\": \"" << to_string(codec)
-                << "\", \"messages\": " << s.messages
-                << ", \"records\": " << s.records
-                << ", \"payload_bytes\": " << s.payload_bytes
-                << ", \"total_bytes\": " << s.total_bytes
-                << ", \"sim_seconds\": " << s.sim_seconds << "}";
-      first_row = false;
+      table.add({w.name, to_string(codec), s.messages, s.records,
+                 s.payload_bytes, s.total_bytes, s.sim_seconds, ratio});
     }
   }
   // The encodings must decode to identical results.
@@ -146,6 +132,7 @@ int run(int argc, const char** argv) {
   PMC_CHECK(colorings[0].color == colorings[1].color,
             "codec changed the coloring");
 
+  table.write_csv(opts.get("csv"));
   table.print(std::cout);
   const double reduction =
       fixed_payload_total > 0
@@ -159,15 +146,12 @@ int run(int argc, const char** argv) {
             "compact codec saved only " << 100.0 * reduction
                                         << "% payload (expected >= 30%)");
 
-  if (const std::string json_path = opts.get("json"); !json_path.empty()) {
-    std::ofstream out(json_path);
-    PMC_REQUIRE(out.good(), "cannot open " << json_path);
-    out << "{\n  \"bench\": \"ablation_codec\",\n  \"grid\": " << side
-        << ",\n  \"vertices\": " << nverts << ",\n  \"ranks\": " << ranks
-        << ",\n  \"payload_reduction\": " << reduction
-        << ",\n  \"rows\": [" << json_rows.str() << "\n  ]\n}\n";
-    std::cout << "summary written to " << json_path << '\n';
-  }
+  write_summary(table, opts.get("json"),
+                {{"bench", "ablation_codec"},
+                 {"grid", side},
+                 {"vertices", nverts},
+                 {"ranks", ranks},
+                 {"payload_reduction", reduction}});
   std::cout << "(results are identical under both codecs; the compact "
                "encoding pays for itself in modelled time because the "
                "fabric charges encoded bytes)\n";
@@ -178,10 +162,5 @@ int run(int argc, const char** argv) {
 }  // namespace pmc::bench
 
 int main(int argc, const char** argv) {
-  try {
-    return pmc::bench::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_ablation_codec: " << e.what() << '\n';
-    return 1;
-  }
+  return pmc::bench::run_main(argc, argv, pmc::bench::run);
 }

@@ -12,7 +12,6 @@
 #include "bench_common.hpp"
 
 #include <iostream>
-#include <utility>
 
 namespace pmc::bench {
 namespace {
@@ -33,69 +32,64 @@ int run(int argc, const char** argv) {
          "neighbor-customized mode reduces both");
 
   const Graph g = circuit_like(n, n * 2, 6, WeightKind::kUnit, 62);
-  TextTable table({"procs", "mode", "messages", "volume (B)", "rounds",
-                   "colors", "sim (s)"},
-                  {Align::kRight, Align::kLeft, Align::kRight, Align::kRight,
-                   Align::kRight, Align::kRight, Align::kRight});
-  table.set_title("coloring communication-mode comparison");
-  CsvSink csv(opts.get("csv"), {"ranks", "mode", "messages", "bytes",
-                                "rounds", "colors", "sim_seconds"});
-  CsvSink rounds_csv(opts.get("rounds-csv"),
-                     {"ranks", "mode", "round", "messages", "records",
-                      "bytes", "collectives"});
-  // Per-round series for the largest processor count, one per mode.
-  std::vector<std::pair<std::string, CommBreakdown>> last_breakdowns;
+  TextTable table("coloring communication-mode comparison",
+                  {{"procs", "ranks", kCount},
+                   {"mode", "mode"},
+                   {"messages", "messages", kCount},
+                   {"volume (B)", "bytes", kCount},
+                   {"rounds", "rounds", kCount},
+                   {"colors", "colors", kCount},
+                   {"sim (s)", "sim_seconds", kSci}});
+  TextTable rounds("", {{"", "ranks"},
+                        {"", "mode"},
+                        {"round", "round", kCount},
+                        {"messages", "messages", kCount},
+                        {"records", "records", kCount},
+                        {"volume (B)", "bytes", kCount},
+                        {"collectives", "collectives", kCount}});
+  // The largest processor count's rounds are printed after the summary.
+  std::size_t last_first_round = 0;
   int last_ranks = 0;
 
+  struct ModeSpec {
+    const char* name;
+    DistColoringOptions options;
+  };
+  const ModeSpec modes[] = {
+      {"FIAB", DistColoringOptions::fiab()},
+      {"FIAC", DistColoringOptions::fiac()},
+      {"NEW", DistColoringOptions::improved()},
+  };
   for (const int ranks : rank_list) {
     const Partition p = multilevel_partition(
         g, static_cast<Rank>(ranks), MultilevelConfig::metis_like(3));
     const DistGraph dist = DistGraph::build(g, p);
-    struct ModeSpec {
-      const char* name;
-      DistColoringOptions options;
-    };
-    const ModeSpec modes[] = {
-        {"FIAB", DistColoringOptions::fiab()},
-        {"FIAC", DistColoringOptions::fiac()},
-        {"NEW", DistColoringOptions::improved()},
-    };
-    if (ranks != last_ranks) last_breakdowns.clear();
+    last_first_round = rounds.rows();
     last_ranks = ranks;
     for (const auto& mode : modes) {
       const auto res = color_distributed(dist, mode.options);
       PMC_CHECK(is_proper_coloring(g, res.coloring), "improper coloring");
-      table.add_row({cell_count(ranks), mode.name,
-                     cell_count(res.run.comm.messages),
-                     cell_count(res.run.comm.bytes),
-                     cell_count(res.rounds),
-                     cell_count(res.coloring.num_colors()),
-                     cell_sci(res.run.sim_seconds)});
-      csv.row({std::to_string(ranks), mode.name,
-               std::to_string(res.run.comm.messages),
-               std::to_string(res.run.comm.bytes),
-               std::to_string(res.rounds),
-               std::to_string(res.coloring.num_colors()),
-               std::to_string(res.run.sim_seconds)});
-      for (std::size_t round = 0; round < res.run.breakdown.per_round.size();
-           ++round) {
-        const CommStats& s = res.run.breakdown.per_round[round];
-        rounds_csv.row({std::to_string(ranks), mode.name,
-                        std::to_string(round), std::to_string(s.messages),
-                        std::to_string(s.records), std::to_string(s.bytes),
-                        std::to_string(s.collectives)});
+      table.add({ranks, mode.name, res.run.comm.messages, res.run.comm.bytes,
+                 res.rounds, res.coloring.num_colors(), res.run.sim_seconds});
+      const auto& per_round = res.run.breakdown.per_round;
+      for (std::size_t round = 0; round < per_round.size(); ++round) {
+        const CommStats& s = per_round[round];
+        rounds.add({ranks, mode.name, round, s.messages, s.records, s.bytes,
+                    s.collectives});
       }
-      last_breakdowns.emplace_back(mode.name, res.run.breakdown);
     }
   }
+  table.write_csv(opts.get("csv"));
+  rounds.write_csv(opts.get("rounds-csv"));
   table.print(std::cout);
   // Per-round curves for the largest processor count: the modes differ most
   // in the first (busiest) speculative rounds.
-  for (const auto& [name, breakdown] : last_breakdowns) {
-    comm_rounds_table("per-round comm, " + name + ", p=" +
-                          std::to_string(last_ranks),
-                      breakdown)
-        .print(std::cout);
+  for (const auto& mode : modes) {
+    TextTable last = rounds.slice(last_first_round, rounds.rows())
+                         .where("mode", mode.name);
+    last.set_title(std::string("per-round comm, ") + mode.name +
+                   ", p=" + std::to_string(last_ranks));
+    last.print(std::cout);
   }
   std::cout << "(paper §4.2: NEW < FIAC in both count and volume; "
                "FIAC < FIAB in volume only)\n";
@@ -106,10 +100,5 @@ int run(int argc, const char** argv) {
 }  // namespace pmc::bench
 
 int main(int argc, const char** argv) {
-  try {
-    return pmc::bench::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_ablation_comm_modes: " << e.what() << '\n';
-    return 1;
-  }
+  return pmc::bench::run_main(argc, argv, pmc::bench::run);
 }

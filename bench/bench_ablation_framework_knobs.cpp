@@ -52,14 +52,15 @@ int run(int argc, const char** argv) {
       multilevel_partition(g, ranks, MultilevelConfig::metis_like(3));
   const DistGraph dist = DistGraph::build(g, p);
 
-  TextTable table({"order", "strategy", "mode", "colors", "rounds",
-                   "conflicts", "sim (s)"},
-                  {Align::kLeft, Align::kLeft, Align::kLeft, Align::kRight,
-                   Align::kRight, Align::kRight, Align::kRight});
-  table.set_title("framework knob sweep at " + std::to_string(ranks) +
-                  " processors");
-  CsvSink csv(opts.get("csv"), {"order", "strategy", "mode", "colors",
-                                "rounds", "conflicts", "sim_seconds"});
+  TextTable table("framework knob sweep at " + std::to_string(ranks) +
+                      " processors",
+                  {{"order", "order"},
+                   {"strategy", "strategy"},
+                   {"mode", "mode"},
+                   {"colors", "colors", kCount},
+                   {"rounds", "rounds", kCount},
+                   {"conflicts", "conflicts", kCount},
+                   {"sim (s)", "sim_seconds", kSci}});
 
   for (const LocalOrder order :
        {LocalOrder::kInteriorFirst, LocalOrder::kBoundaryFirst,
@@ -79,17 +80,13 @@ int run(int argc, const char** argv) {
         for (EdgeId c : res.conflicts_per_round) conflicts += c;
         const char* mode_name =
             mode == SuperstepMode::kAsync ? "async" : "sync";
-        table.add_row({order_name(order), strategy_name(strategy), mode_name,
-                       cell_count(res.coloring.num_colors()),
-                       cell_count(res.rounds), cell_count(conflicts),
-                       cell_sci(res.run.sim_seconds)});
-        csv.row({order_name(order), strategy_name(strategy), mode_name,
-                 std::to_string(res.coloring.num_colors()),
-                 std::to_string(res.rounds), std::to_string(conflicts),
-                 std::to_string(res.run.sim_seconds)});
+        table.add({order_name(order), strategy_name(strategy), mode_name,
+                   res.coloring.num_colors(), res.rounds, conflicts,
+                   res.run.sim_seconds});
       }
     }
   }
+  table.write_csv(opts.get("csv"));
   table.print(std::cout);
   return 0;
 }
@@ -98,10 +95,5 @@ int run(int argc, const char** argv) {
 }  // namespace pmc::bench
 
 int main(int argc, const char** argv) {
-  try {
-    return pmc::bench::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_ablation_framework_knobs: " << e.what() << '\n';
-    return 1;
-  }
+  return pmc::bench::run_main(argc, argv, pmc::bench::run);
 }

@@ -36,14 +36,14 @@ int run(int argc, const char** argv) {
   inputs.push_back({"rmat 2^14", rmat(14, 8, 0.57, 0.19, 0.19,
                                       WeightKind::kUnit, 64)});
 
-  TextTable table({"input", "algorithm", "rounds", "messages", "colors",
-                   "sim (s)"},
-                  {Align::kLeft, Align::kLeft, Align::kRight, Align::kRight,
-                   Align::kRight, Align::kRight});
-  table.set_title("speculative framework vs Jones-Plassmann at " +
-                  std::to_string(ranks) + " processors");
-  CsvSink csv(opts.get("csv"), {"input", "algorithm", "rounds", "messages",
-                                "colors", "sim_seconds"});
+  TextTable table("speculative framework vs Jones-Plassmann at " +
+                      std::to_string(ranks) + " processors",
+                  {{"input", "input"},
+                   {"algorithm", "algorithm"},
+                   {"rounds", "rounds", kCount},
+                   {"messages", "messages", kCount},
+                   {"colors", "colors", kCount},
+                   {"sim (s)", "sim_seconds", kSci}});
 
   for (const auto& input : inputs) {
     const Partition p = multilevel_partition(
@@ -57,23 +57,13 @@ int run(int argc, const char** argv) {
     PMC_CHECK(is_proper_coloring(input.graph, jp.coloring),
               "improper JP coloring");
 
-    table.add_row({input.name, "speculative", cell_count(spec.rounds),
-                   cell_count(spec.run.comm.messages),
-                   cell_count(spec.coloring.num_colors()),
-                   cell_sci(spec.run.sim_seconds)});
-    table.add_row({input.name, "jones-plassmann", cell_count(jp.rounds),
-                   cell_count(jp.run.comm.messages),
-                   cell_count(jp.coloring.num_colors()),
-                   cell_sci(jp.run.sim_seconds)});
-    csv.row({input.name, "speculative", std::to_string(spec.rounds),
-             std::to_string(spec.run.comm.messages),
-             std::to_string(spec.coloring.num_colors()),
-             std::to_string(spec.run.sim_seconds)});
-    csv.row({input.name, "jones-plassmann", std::to_string(jp.rounds),
-             std::to_string(jp.run.comm.messages),
-             std::to_string(jp.coloring.num_colors()),
-             std::to_string(jp.run.sim_seconds)});
+    table.add({input.name, "speculative", spec.rounds,
+               spec.run.comm.messages, spec.coloring.num_colors(),
+               spec.run.sim_seconds});
+    table.add({input.name, "jones-plassmann", jp.rounds, jp.run.comm.messages,
+               jp.coloring.num_colors(), jp.run.sim_seconds});
   }
+  table.write_csv(opts.get("csv"));
   table.print(std::cout);
   std::cout << "(paper: speculative rounds <= JP rounds on every input)\n";
   return 0;
@@ -83,10 +73,5 @@ int run(int argc, const char** argv) {
 }  // namespace pmc::bench
 
 int main(int argc, const char** argv) {
-  try {
-    return pmc::bench::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_ablation_jones_plassmann: " << e.what() << '\n';
-    return 1;
-  }
+  return pmc::bench::run_main(argc, argv, pmc::bench::run);
 }

@@ -30,14 +30,14 @@ int run(int argc, const char** argv) {
       multilevel_partition(g, ranks, MultilevelConfig::metis_like(3));
   const DistGraph dist = DistGraph::build(g, p);
 
-  TextTable table({"superstep s", "rounds", "total conflicts", "messages",
-                   "colors", "sim (s)"},
-                  {Align::kRight, Align::kRight, Align::kRight, Align::kRight,
-                   Align::kRight, Align::kRight});
-  table.set_title("superstep size sweep at " + std::to_string(ranks) +
-                  " processors");
-  CsvSink csv(opts.get("csv"), {"superstep", "rounds", "conflicts",
-                                "messages", "colors", "sim_seconds"});
+  TextTable table("superstep size sweep at " + std::to_string(ranks) +
+                      " processors",
+                  {{"superstep s", "superstep", kCount},
+                   {"rounds", "rounds", kCount},
+                   {"total conflicts", "conflicts", kCount},
+                   {"messages", "messages", kCount},
+                   {"colors", "colors", kCount},
+                   {"sim (s)", "sim_seconds", kSci}});
 
   for (const VertexId s : {1, 10, 100, 1000, 10000}) {
     DistColoringOptions o = DistColoringOptions::improved();
@@ -46,17 +46,10 @@ int run(int argc, const char** argv) {
     PMC_CHECK(is_proper_coloring(g, res.coloring), "improper coloring");
     EdgeId conflicts = 0;
     for (EdgeId c : res.conflicts_per_round) conflicts += c;
-    table.add_row({cell_count(s), cell_count(res.rounds),
-                   cell_count(conflicts),
-                   cell_count(res.run.comm.messages),
-                   cell_count(res.coloring.num_colors()),
-                   cell_sci(res.run.sim_seconds)});
-    csv.row({std::to_string(s), std::to_string(res.rounds),
-             std::to_string(conflicts),
-             std::to_string(res.run.comm.messages),
-             std::to_string(res.coloring.num_colors()),
-             std::to_string(res.run.sim_seconds)});
+    table.add({s, res.rounds, conflicts, res.run.comm.messages,
+               res.coloring.num_colors(), res.run.sim_seconds});
   }
+  table.write_csv(opts.get("csv"));
   table.print(std::cout);
   std::cout << "(framework paper: s in the order of a thousand is best for "
                "well-partitioned inputs)\n";
@@ -67,10 +60,5 @@ int run(int argc, const char** argv) {
 }  // namespace pmc::bench
 
 int main(int argc, const char** argv) {
-  try {
-    return pmc::bench::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_ablation_superstep: " << e.what() << '\n';
-    return 1;
-  }
+  return pmc::bench::run_main(argc, argv, pmc::bench::run);
 }

@@ -13,11 +13,9 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <thread>
 
 namespace pmc::bench {
@@ -75,12 +73,14 @@ int run(int argc, const char** argv) {
   const Partition p = grid_2d_partition(side, side, pr, pc);
   const DistGraph dist = DistGraph::build(g, p);
 
-  TextTable table({"workload", "threads", "sim (s)", "wall (s)", "speedup"},
-                  {Align::kLeft, Align::kRight, Align::kRight, Align::kRight,
-                   Align::kRight});
-  table.set_title("wall-clock thread sweep (sim column must not move)");
-  CsvSink csv(opts.get("csv"), {"workload", "threads", "sim_seconds",
-                                "wall_seconds", "speedup", "messages"});
+  // The JSON summaries leave the message count out.
+  TextTable table("wall-clock thread sweep (sim column must not move)",
+                  {{"workload", "workload"},
+                   {"threads", "threads", kCount},
+                   {"sim (s)", "sim_seconds", kSci},
+                   {"wall (s)", "wall_seconds", kSci},
+                   {"speedup", "speedup", fixed(2, "x")},
+                   {"", "messages", kText, ""}});
 
   struct Workload {
     std::string name;
@@ -164,9 +164,9 @@ int run(int argc, const char** argv) {
        }},
   };
 
-  const auto sweep = [&](const std::vector<Workload>& workloads,
-                         std::ostringstream& json_rows) {
-    bool first_row = true;
+  // Runs one sweep and returns its rows, which make one JSON summary.
+  const auto sweep = [&](const std::vector<Workload>& workloads) {
+    const std::size_t first = table.rows();
     for (const auto& w : workloads) {
       Sample base;
       for (const int threads : thread_list) {
@@ -182,49 +182,32 @@ int run(int argc, const char** argv) {
           PMC_CHECK(s.messages == base.messages,
                     w.name << ": message count moved at threads=" << threads);
         }
-        const double speedup = base.wall_seconds / s.wall_seconds;
-        table.add_row({w.name, cell_count(threads), cell_sci(s.sim_seconds),
-                       cell_sci(s.wall_seconds), cell(speedup, 2) + "x"});
-        csv.row({w.name, std::to_string(threads),
-                 std::to_string(s.sim_seconds),
-                 std::to_string(s.wall_seconds), std::to_string(speedup),
-                 std::to_string(s.messages)});
-        json_rows << (first_row ? "" : ",") << "\n    {\"workload\": \""
-                  << w.name << "\", \"threads\": " << threads
-                  << ", \"sim_seconds\": " << s.sim_seconds
-                  << ", \"wall_seconds\": " << s.wall_seconds
-                  << ", \"speedup\": " << speedup << "}";
-        first_row = false;
+        table.add({w.name, threads, s.sim_seconds, s.wall_seconds,
+                   base.wall_seconds / s.wall_seconds, s.messages});
       }
     }
+    return table.slice(first, table.rows());
   };
 
-  std::ostringstream sync_rows;
-  std::ostringstream async_rows;
-  std::ostringstream coloring_async_rows;
-  sweep(sync_workloads, sync_rows);
-  sweep(async_workloads, async_rows);
-  sweep(coloring_async_workloads, coloring_async_rows);
+  const TextTable sync_rows = sweep(sync_workloads);
+  const TextTable async_rows = sweep(async_workloads);
+  const TextTable coloring_async_rows = sweep(coloring_async_workloads);
+  table.write_csv(opts.get("csv"));
   table.print(std::cout);
 
   const unsigned hw = std::thread::hardware_concurrency();
-  const auto write_json = [&](const std::string& json_path,
-                              const char* bench_name,
-                              const std::ostringstream& rows) {
-    if (json_path.empty()) return;
-    std::ofstream out(json_path);
-    PMC_REQUIRE(out.good(), "cannot open " << json_path);
-    out << "{\n  \"bench\": \"" << bench_name
-        << "\",\n  \"grid\": " << side << ",\n  \"ranks\": " << ranks
-        << ",\n  \"reps\": " << reps
-        << ",\n  \"hardware_concurrency\": " << hw
-        << ",\n  \"rows\": [" << rows.str() << "\n  ]\n}\n";
-    std::cout << "summary written to " << json_path << '\n';
+  const auto header = [&](const char* bench_name) {
+    return std::vector<Field>{{"bench", bench_name},
+                              {"grid", side},
+                              {"ranks", ranks},
+                              {"reps", reps},
+                              {"hardware_concurrency", hw}};
   };
-  write_json(opts.get("json"), "ablation_threads", sync_rows);
-  write_json(opts.get("async-json"), "ablation_threads_async", async_rows);
-  write_json(opts.get("coloring-async-json"), "ablation_threads_coloring_async",
-             coloring_async_rows);
+  write_summary(sync_rows, opts.get("json"), header("ablation_threads"));
+  write_summary(async_rows, opts.get("async-json"),
+                header("ablation_threads_async"));
+  write_summary(coloring_async_rows, opts.get("coloring-async-json"),
+                header("ablation_threads_coloring_async"));
   std::cout << "(host advertises " << hw
             << " hardware thread(s); wall-clock speedup is bounded by real "
                "cores, the sim column by design must not move)\n";
@@ -235,10 +218,5 @@ int run(int argc, const char** argv) {
 }  // namespace pmc::bench
 
 int main(int argc, const char** argv) {
-  try {
-    return pmc::bench::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_ablation_threads: " << e.what() << '\n';
-    return 1;
-  }
+  return pmc::bench::run_main(argc, argv, pmc::bench::run);
 }

@@ -32,13 +32,16 @@ int run(int argc, const char** argv) {
   std::cout << "input: " << g.summary()
             << "; sequential D2 colors=" << seq.num_colors() << "\n\n";
 
-  TextTable table({"procs", "variant", "colors", "rounds", "messages",
-                   "volume (B)", "sim (s)"},
-                  {Align::kRight, Align::kLeft, Align::kRight, Align::kRight,
-                   Align::kRight, Align::kRight, Align::kRight});
-  table.set_title("distance-2 coloring: native two-hop vs squared graph");
-  CsvSink csv(opts.get("csv"), {"ranks", "variant", "colors", "rounds",
-                                "messages", "bytes", "sim_seconds"});
+  // The CSV names the variants "native" and "squared".
+  TextTable table("distance-2 coloring: native two-hop vs squared graph",
+                  {{"procs", "ranks", kCount},
+                   {"variant", ""},
+                   {"", "variant"},
+                   {"colors", "colors", kCount},
+                   {"rounds", "rounds", kCount},
+                   {"messages", "messages", kCount},
+                   {"volume (B)", "bytes", kCount},
+                   {"sim (s)", "sim_seconds", kSci}});
 
   const Graph squared = square_graph(g);
   for (const int ranks : rank_list) {
@@ -48,35 +51,18 @@ int run(int argc, const char** argv) {
     const auto native = color_distance2_distributed_native(g, p);
     std::string why;
     PMC_CHECK(is_proper_distance2_coloring(g, native.coloring, &why), why);
-    table.add_row({cell_count(ranks), "native 2-hop",
-                   cell_count(native.coloring.num_colors()),
-                   cell_count(native.rounds),
-                   cell_count(native.run.comm.messages),
-                   cell_count(native.run.comm.bytes),
-                   cell_sci(native.run.sim_seconds)});
-    csv.row({std::to_string(ranks), "native",
-             std::to_string(native.coloring.num_colors()),
-             std::to_string(native.rounds),
-             std::to_string(native.run.comm.messages),
-             std::to_string(native.run.comm.bytes),
-             std::to_string(native.run.sim_seconds)});
+    table.add({ranks, "native 2-hop", "native", native.coloring.num_colors(),
+               native.rounds, native.run.comm.messages,
+               native.run.comm.bytes, native.run.sim_seconds});
 
     const auto sq =
         color_distributed(squared, p, DistColoringOptions::improved());
     PMC_CHECK(is_proper_distance2_coloring(g, sq.coloring, &why), why);
-    table.add_row({cell_count(ranks), "squared graph",
-                   cell_count(sq.coloring.num_colors()),
-                   cell_count(sq.rounds),
-                   cell_count(sq.run.comm.messages),
-                   cell_count(sq.run.comm.bytes),
-                   cell_sci(sq.run.sim_seconds)});
-    csv.row({std::to_string(ranks), "squared",
-             std::to_string(sq.coloring.num_colors()),
-             std::to_string(sq.rounds),
-             std::to_string(sq.run.comm.messages),
-             std::to_string(sq.run.comm.bytes),
-             std::to_string(sq.run.sim_seconds)});
+    table.add({ranks, "squared graph", "squared", sq.coloring.num_colors(),
+               sq.rounds, sq.run.comm.messages, sq.run.comm.bytes,
+               sq.run.sim_seconds});
   }
+  table.write_csv(opts.get("csv"));
   table.print(std::cout);
   std::cout << "(both formulations color every distance-<=2 pair distinctly; "
                "the native version avoids materializing G^2)\n";
@@ -87,10 +73,5 @@ int run(int argc, const char** argv) {
 }  // namespace pmc::bench
 
 int main(int argc, const char** argv) {
-  try {
-    return pmc::bench::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_distance2: " << e.what() << '\n';
-    return 1;
-  }
+  return pmc::bench::run_main(argc, argv, pmc::bench::run);
 }

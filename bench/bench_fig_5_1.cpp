@@ -30,14 +30,18 @@ int run(int argc, const char** argv) {
          "near-flat compute time as processors and input grow together "
          "(excellent weak scaling)");
 
-  CsvSink csv(opts.get("csv"),
-              {"problem", "ranks", "grid", "sim_seconds", "messages",
-               "bytes", "extra"});
-
-  ScalingSeries match_series("Fig 5.1 (top): matching, weak scaling",
-                             "matching weight");
-  ScalingSeries color_series("Fig 5.1 (bottom): coloring, weak scaling",
-                             "colors");
+  // The CSV keeps one row per run in run order; each curve prints its own.
+  TextTable fig("", {{"", "problem"},
+                     {"procs", "ranks", kCount.aligned(Align::kLeft)},
+                     {"input", "grid", kText.aligned(Align::kRight)},
+                     {"actual (s)", "sim_seconds", kSci},
+                     {"ideal (s)", "", kSci},
+                     {"efficiency", "", percent(2)},
+                     {"", "messages"},
+                     {"", "bytes"},
+                     {"extra", "extra", fixed(4)}});
+  ScalingLaw match_law(/*strong=*/false);
+  ScalingLaw color_law(/*strong=*/false);
 
   for (const int ranks : rank_list) {
     Rank pr = 0, pc = 0;
@@ -56,29 +60,26 @@ int run(int argc, const char** argv) {
     DistMatchingOptions mopts;  // Blue Gene/P model, bundling on
     const auto mres = match_distributed(dist, mopts);
     PMC_CHECK(is_valid_matching(g, mres.matching), "invalid matching");
-    match_series.add({ranks, label.str(), mres.run.sim_seconds,
-                      matching_weight(g, mres.matching)});
-    csv.row({"matching", std::to_string(ranks), label.str(),
-             std::to_string(mres.run.sim_seconds),
-             std::to_string(mres.run.comm.messages),
-             std::to_string(mres.run.comm.bytes),
-             std::to_string(matching_weight(g, mres.matching))});
+    const auto m = match_law.at(ranks, mres.run.sim_seconds);
+    fig.add({"matching", ranks, label.str(), mres.run.sim_seconds, m.ideal,
+             m.efficiency, mres.run.comm.messages, mres.run.comm.bytes,
+             matching_weight(g, mres.matching)});
 
     const auto cres =
         color_distributed(dist, DistColoringOptions::improved());
     PMC_CHECK(is_proper_coloring(g, cres.coloring), "improper coloring");
-    color_series.add({ranks, label.str(), cres.run.sim_seconds,
-                      static_cast<double>(cres.coloring.num_colors())});
-    csv.row({"coloring", std::to_string(ranks), label.str(),
-             std::to_string(cres.run.sim_seconds),
-             std::to_string(cres.run.comm.messages),
-             std::to_string(cres.run.comm.bytes),
-             std::to_string(cres.coloring.num_colors())});
+    const auto c = color_law.at(ranks, cres.run.sim_seconds);
+    fig.add({"coloring", ranks, label.str(), cres.run.sim_seconds, c.ideal,
+             c.efficiency, cres.run.comm.messages, cres.run.comm.bytes,
+             cres.coloring.num_colors()});
   }
 
-  match_series.to_table(/*strong=*/false).print(std::cout);
+  fig.write_csv(opts.get("csv"));
+  print_curve(fig, "matching", "Fig 5.1 (top): matching, weak scaling",
+              "matching weight");
   std::cout << '\n';
-  color_series.to_table(/*strong=*/false).print(std::cout);
+  print_curve(fig, "coloring", "Fig 5.1 (bottom): coloring, weak scaling",
+              "colors");
   std::cout << "(paper: both curves stay near the flat ideal line up to "
                "16,384 processors)\n";
   return 0;
@@ -88,10 +89,5 @@ int run(int argc, const char** argv) {
 }  // namespace pmc::bench
 
 int main(int argc, const char** argv) {
-  try {
-    return pmc::bench::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_fig_5_1: " << e.what() << '\n';
-    return 1;
-  }
+  return pmc::bench::run_main(argc, argv, pmc::bench::run);
 }

@@ -33,15 +33,18 @@ int run(int argc, const char** argv) {
   glabel << side << " x " << side;
   const Graph g = grid_2d(side, side, WeightKind::kUniformRandom, 52);
 
-  CsvSink csv(opts.get("csv"),
-              {"problem", "ranks", "sim_seconds", "messages", "bytes",
-               "extra"});
-  ScalingSeries match_series("Fig 5.2 (top): matching, strong scaling, " +
-                                 glabel.str(),
-                             "matching weight");
-  ScalingSeries color_series("Fig 5.2 (bottom): coloring, strong scaling, " +
-                                 glabel.str(),
-                             "colors");
+  // The CSV keeps one row per run in run order; each curve prints its own.
+  TextTable fig("", {{"", "problem"},
+                     {"procs", "ranks", kCount.aligned(Align::kLeft)},
+                     {"input", "", kText.aligned(Align::kRight)},
+                     {"actual (s)", "sim_seconds", kSci},
+                     {"ideal (s)", "", kSci},
+                     {"efficiency", "", percent(2)},
+                     {"", "messages"},
+                     {"", "bytes"},
+                     {"extra", "extra", fixed(4)}});
+  ScalingLaw match_law(/*strong=*/true);
+  ScalingLaw color_law(/*strong=*/true);
 
   const Weight seq_weight = matching_weight(g, locally_dominant_matching(g));
 
@@ -56,27 +59,27 @@ int run(int argc, const char** argv) {
     const Weight w = matching_weight(g, mres.matching);
     // Paper: the matching weight is identical for every processor count.
     PMC_CHECK(w == seq_weight, "matching weight changed with rank count");
-    match_series.add({ranks, glabel.str(), mres.run.sim_seconds, w});
-    csv.row({"matching", std::to_string(ranks),
-             std::to_string(mres.run.sim_seconds),
-             std::to_string(mres.run.comm.messages),
-             std::to_string(mres.run.comm.bytes), std::to_string(w)});
+    const auto m = match_law.at(ranks, mres.run.sim_seconds);
+    fig.add({"matching", ranks, glabel.str(), mres.run.sim_seconds, m.ideal,
+             m.efficiency, mres.run.comm.messages, mres.run.comm.bytes, w});
 
     const auto cres =
         color_distributed(dist, DistColoringOptions::improved());
     PMC_CHECK(is_proper_coloring(g, cres.coloring), "improper coloring");
-    color_series.add({ranks, glabel.str(), cres.run.sim_seconds,
-                      static_cast<double>(cres.coloring.num_colors())});
-    csv.row({"coloring", std::to_string(ranks),
-             std::to_string(cres.run.sim_seconds),
-             std::to_string(cres.run.comm.messages),
-             std::to_string(cres.run.comm.bytes),
-             std::to_string(cres.coloring.num_colors())});
+    const auto c = color_law.at(ranks, cres.run.sim_seconds);
+    fig.add({"coloring", ranks, glabel.str(), cres.run.sim_seconds, c.ideal,
+             c.efficiency, cres.run.comm.messages, cres.run.comm.bytes,
+             cres.coloring.num_colors()});
   }
 
-  match_series.to_table(/*strong=*/true).print(std::cout);
+  fig.write_csv(opts.get("csv"));
+  print_curve(fig, "matching",
+              "Fig 5.2 (top): matching, strong scaling, " + glabel.str(),
+              "matching weight");
   std::cout << '\n';
-  color_series.to_table(/*strong=*/true).print(std::cout);
+  print_curve(fig, "coloring",
+              "Fig 5.2 (bottom): coloring, strong scaling, " + glabel.str(),
+              "colors");
   std::cout << "(paper: actual curves hug the ideal halving line; the "
                "matching weight is identical at every processor count)\n";
   return 0;
@@ -86,10 +89,5 @@ int run(int argc, const char** argv) {
 }  // namespace pmc::bench
 
 int main(int argc, const char** argv) {
-  try {
-    return pmc::bench::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_fig_5_2: " << e.what() << '\n';
-    return 1;
-  }
+  return pmc::bench::run_main(argc, argv, pmc::bench::run);
 }

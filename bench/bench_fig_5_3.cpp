@@ -43,12 +43,22 @@ int run(int argc, const char** argv) {
   glabel << "|V|=" << g.num_vertices() << " |E|=" << g.num_edges();
   std::cout << "input: " << glabel.str() << "\n\n";
 
-  CsvSink csv(opts.get("csv"), {"ranks", "cut_fraction", "sim_seconds",
-                                "messages", "bytes", "weight"});
-  ScalingSeries series("Fig 5.3: matching, strong scaling", "cut %");
+  TextTable table("Fig 5.3: matching, strong scaling",
+                  {{"procs", "ranks", kCount.aligned(Align::kLeft)},
+                   {"input", "", kText.aligned(Align::kRight)},
+                   {"", "cut_fraction"},
+                   {"actual (s)", "sim_seconds", kSci},
+                   {"ideal (s)", "", kSci},
+                   {"efficiency", "", percent(2)},
+                   {"cut %", "", fixed(4)},
+                   {"", "messages"},
+                   {"", "bytes"},
+                   {"", "weight"}});
+  ScalingLaw law(/*strong=*/true);
 
   const Weight seq_weight = matching_weight(g, locally_dominant_matching(g));
   double max_cut = 0.0;
+
   for (const int ranks : rank_list) {
     const Partition p = multilevel_partition(
         g, static_cast<Rank>(ranks), MultilevelConfig::metis_like(7));
@@ -59,15 +69,14 @@ int run(int argc, const char** argv) {
     const auto res = match_distributed(g, p, mopts);
     const Weight w = matching_weight(g, res.matching);
     PMC_CHECK(w == seq_weight, "matching weight changed with rank count");
-    series.add({ranks, "", res.run.sim_seconds,
-                metrics.cut_fraction * 100.0});
-    csv.row({std::to_string(ranks), std::to_string(metrics.cut_fraction),
-             std::to_string(res.run.sim_seconds),
-             std::to_string(res.run.comm.messages),
-             std::to_string(res.run.comm.bytes), std::to_string(w)});
+    const auto pt = law.at(ranks, res.run.sim_seconds);
+    table.add({ranks, "", metrics.cut_fraction, res.run.sim_seconds,
+               pt.ideal, pt.efficiency, metrics.cut_fraction * 100.0,
+               res.run.comm.messages, res.run.comm.bytes, w});
   }
 
-  series.to_table(/*strong=*/true).print(std::cout);
+  table.write_csv(opts.get("csv"));
+  table.print(std::cout);
   std::cout << "max edge cut over the sweep: " << cell_pct(max_cut, 1)
             << " (paper: ~6% at 4,096 parts)\n"
             << "(paper: scaling degrades gracefully as cross edges grow but "
@@ -79,10 +88,5 @@ int run(int argc, const char** argv) {
 }  // namespace pmc::bench
 
 int main(int argc, const char** argv) {
-  try {
-    return pmc::bench::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_fig_5_3: " << e.what() << '\n';
-    return 1;
-  }
+  return pmc::bench::run_main(argc, argv, pmc::bench::run);
 }

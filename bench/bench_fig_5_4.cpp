@@ -41,11 +41,20 @@ int run(int argc, const char** argv) {
             << "]\n\n";
 
   const Coloring seq = greedy_coloring(g);
-  CsvSink csv(opts.get("csv"), {"ranks", "cut_fraction", "sim_seconds",
-                                "messages", "bytes", "colors", "rounds"});
-  ScalingSeries series("Fig 5.4: coloring, strong scaling", "colors");
-
+  TextTable table("Fig 5.4: coloring, strong scaling",
+                  {{"procs", "ranks", kCount.aligned(Align::kLeft)},
+                   {"input", "", kText.aligned(Align::kRight)},
+                   {"", "cut_fraction"},
+                   {"actual (s)", "sim_seconds", kSci},
+                   {"ideal (s)", "", kSci},
+                   {"efficiency", "", percent(2)},
+                   {"", "messages"},
+                   {"", "bytes"},
+                   {"colors", "colors", fixed(4)},
+                   {"", "rounds"}});
+  ScalingLaw law(/*strong=*/true);
   double max_cut = 0.0;
+
   for (const int ranks : rank_list) {
     const Partition p = multilevel_partition(
         g, static_cast<Rank>(ranks), MultilevelConfig::parmetis_like(7));
@@ -54,17 +63,14 @@ int run(int argc, const char** argv) {
 
     const auto res = color_distributed(g, p, DistColoringOptions::improved());
     PMC_CHECK(is_proper_coloring(g, res.coloring), "improper coloring");
-    series.add({ranks, "", res.run.sim_seconds,
-                static_cast<double>(res.coloring.num_colors())});
-    csv.row({std::to_string(ranks), std::to_string(metrics.cut_fraction),
-             std::to_string(res.run.sim_seconds),
-             std::to_string(res.run.comm.messages),
-             std::to_string(res.run.comm.bytes),
-             std::to_string(res.coloring.num_colors()),
-             std::to_string(res.rounds)});
+    const auto pt = law.at(ranks, res.run.sim_seconds);
+    table.add({ranks, "", metrics.cut_fraction, res.run.sim_seconds,
+               pt.ideal, pt.efficiency, res.run.comm.messages,
+               res.run.comm.bytes, res.coloring.num_colors(), res.rounds});
   }
 
-  series.to_table(/*strong=*/true).print(std::cout);
+  table.write_csv(opts.get("csv"));
+  table.print(std::cout);
   std::cout << "max edge cut over the sweep: " << cell_pct(max_cut, 1)
             << " (paper: ~40% at 4,096 parts)\n"
             << "sequential greedy colors: " << seq.num_colors()
@@ -76,10 +82,5 @@ int run(int argc, const char** argv) {
 }  // namespace pmc::bench
 
 int main(int argc, const char** argv) {
-  try {
-    return pmc::bench::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_fig_5_4: " << e.what() << '\n';
-    return 1;
-  }
+  return pmc::bench::run_main(argc, argv, pmc::bench::run);
 }

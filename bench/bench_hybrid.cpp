@@ -34,16 +34,15 @@ int run(int argc, const char** argv) {
          "against communication; hybrid wins once communication dominates");
 
   const Graph g = grid_2d(side, side, WeightKind::kUniformRandom, 81);
-  TextTable table({"ranks", "threads", "matching (s)", "coloring (s)",
-                   "match msgs", "color msgs"},
-                  {Align::kRight, Align::kRight, Align::kRight, Align::kRight,
-                   Align::kRight, Align::kRight});
   std::ostringstream title;
   title << "hybrid sweep at " << cores << " cores on a " << side << " x "
         << side << " grid (thread efficiency " << eff << ")";
-  table.set_title(title.str());
-  CsvSink csv(opts.get("csv"), {"ranks", "threads", "match_seconds",
-                                "color_seconds", "match_msgs", "color_msgs"});
+  TextTable table(title.str(), {{"ranks", "ranks", kCount},
+                                {"threads", "threads", kCount},
+                                {"matching (s)", "match_seconds", kSci},
+                                {"coloring (s)", "color_seconds", kSci},
+                                {"match msgs", "match_msgs", kCount},
+                                {"color msgs", "color_msgs", kCount}});
 
   for (const int threads : {1, 2, 4, 8, 16}) {
     const int ranks = cores / threads;
@@ -64,17 +63,10 @@ int run(int argc, const char** argv) {
     const auto cres = color_distributed(dist, copts);
     PMC_CHECK(is_proper_coloring(g, cres.coloring), "improper coloring");
 
-    table.add_row({cell_count(ranks), cell_count(threads),
-                   cell_sci(mres.run.sim_seconds),
-                   cell_sci(cres.run.sim_seconds),
-                   cell_count(mres.run.comm.messages),
-                   cell_count(cres.run.comm.messages)});
-    csv.row({std::to_string(ranks), std::to_string(threads),
-             std::to_string(mres.run.sim_seconds),
-             std::to_string(cres.run.sim_seconds),
-             std::to_string(mres.run.comm.messages),
-             std::to_string(cres.run.comm.messages)});
+    table.add({ranks, threads, mres.run.sim_seconds, cres.run.sim_seconds,
+               mres.run.comm.messages, cres.run.comm.messages});
   }
+  table.write_csv(opts.get("csv"));
   table.print(std::cout);
   std::cout << "(the computed matching/coloring is identical in every row — "
                "only the modelled execution differs)\n";
@@ -85,10 +77,5 @@ int run(int argc, const char** argv) {
 }  // namespace pmc::bench
 
 int main(int argc, const char** argv) {
-  try {
-    return pmc::bench::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_hybrid: " << e.what() << '\n';
-    return 1;
-  }
+  return pmc::bench::run_main(argc, argv, pmc::bench::run);
 }

@@ -18,8 +18,6 @@
 // >10% modelled-time regression against the committed baseline fails CI.
 #include "bench_common.hpp"
 
-#include <fstream>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -88,17 +86,15 @@ int run(int argc, const char** argv) {
   factor_processor_grid(ranks, pr, pc);
   const Partition p = grid_2d_partition(side, side, pr, pc);
 
-  TextTable table({"workload", "threads", "inc sim (s)", "full sim (s)",
-                   "ratio", "wall (s)"},
-                  {Align::kLeft, Align::kRight, Align::kRight, Align::kRight,
-                   Align::kRight, Align::kRight});
-  table.set_title("incremental repair vs full recompute (modelled time)");
-  CsvSink csv(opts.get("csv"),
-              {"workload", "threads", "sim_seconds", "full_sim_seconds",
-               "wall_seconds", "batches"});
+  TextTable table("incremental repair vs full recompute (modelled time)",
+                  {{"workload", "workload"},
+                   {"threads", "threads", kCount},
+                   {"inc sim (s)", "sim_seconds", kSci},
+                   {"full sim (s)", "full_sim_seconds", kSci},
+                   {"ratio", "", fixed(2)},
+                   {"wall (s)", "wall_seconds", kSci},
+                   {"", "batches"}});
 
-  std::ostringstream json_rows;
-  bool first_row = true;
   for (const int window : windows) {
     const std::string name = "service-batch" + std::to_string(window);
     Sample base;
@@ -127,34 +123,20 @@ int run(int argc, const char** argv) {
                 name << ": incremental repair (" << s.inc_sim
                      << "s) did not beat the full recompute (" << s.full_sim
                      << "s)");
-      table.add_row({name, cell_count(threads), cell_sci(s.inc_sim),
-                     cell_sci(s.full_sim), cell(s.inc_sim / s.full_sim, 2),
-                     cell_sci(s.wall_seconds)});
-      csv.row({name, std::to_string(threads), std::to_string(s.inc_sim),
-               std::to_string(s.full_sim), std::to_string(s.wall_seconds),
-               std::to_string(s.batches)});
-      json_rows << (first_row ? "" : ",") << "\n    {\"workload\": \"" << name
-                << "\", \"threads\": " << threads
-                << ", \"sim_seconds\": " << s.inc_sim
-                << ", \"full_sim_seconds\": " << s.full_sim
-                << ", \"wall_seconds\": " << s.wall_seconds
-                << ", \"batches\": " << s.batches << "}";
-      first_row = false;
+      table.add({name, threads, s.inc_sim, s.full_sim,
+                 s.inc_sim / s.full_sim, s.wall_seconds, s.batches});
     }
   }
+  table.write_csv(opts.get("csv"));
   table.print(std::cout);
-
   const unsigned hw = std::thread::hardware_concurrency();
-  const std::string json_path = opts.get("json");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    PMC_REQUIRE(out.good(), "cannot open " << json_path);
-    out << "{\n  \"bench\": \"service\",\n  \"grid\": " << side
-        << ",\n  \"ranks\": " << ranks << ",\n  \"updates\": " << updates
-        << ",\n  \"reps\": " << reps << ",\n  \"hardware_concurrency\": " << hw
-        << ",\n  \"rows\": [" << json_rows.str() << "\n  ]\n}\n";
-    std::cout << "summary written to " << json_path << '\n';
-  }
+  write_summary(table, opts.get("json"),
+                {{"bench", "service"},
+                 {"grid", side},
+                 {"ranks", ranks},
+                 {"updates", updates},
+                 {"reps", reps},
+                 {"hardware_concurrency", hw}});
   std::cout << "(every batch was verified byte-identical to its full "
                "recompute before being timed)\n";
   return 0;
@@ -164,10 +146,5 @@ int run(int argc, const char** argv) {
 }  // namespace pmc::bench
 
 int main(int argc, const char** argv) {
-  try {
-    return pmc::bench::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_service: " << e.what() << '\n';
-    return 1;
-  }
+  return pmc::bench::run_main(argc, argv, pmc::bench::run);
 }

@@ -87,11 +87,13 @@ int run(int argc, const char** argv) {
                              12000 * scale, 6));
   }
 
-  TextTable table({"Matrix", "#Vertices", "#Edges", "Quality"},
-                  {Align::kLeft, Align::kRight, Align::kRight, Align::kRight});
-  table.set_title("Table 1.1 (reproduced, synthetic stand-ins)");
-  CsvSink csv(opts.get("csv"),
-              {"matrix", "vertices", "edges", "approx", "optimal", "quality"});
+  TextTable table("Table 1.1 (reproduced, synthetic stand-ins)",
+                  {{"Matrix", "matrix"},
+                   {"#Vertices", "vertices", kCount},
+                   {"#Edges", "edges", kCount},
+                   {"", "approx"},
+                   {"", "optimal"},
+                   {"Quality", "quality", percent(2)}});
 
   for (const auto& inst : instances) {
     const Matching approx = locally_dominant_matching(inst.graph);
@@ -102,13 +104,10 @@ int run(int argc, const char** argv) {
     PMC_CHECK(we > 0, "degenerate instance");
     const double quality = wa / we;
     PMC_CHECK(quality >= 0.5 - 1e-12, "half-approximation bound violated");
-    table.add_row({inst.name, cell_count(inst.graph.num_vertices()),
-                   cell_count(inst.graph.num_edges()),
-                   cell_pct(quality, 2)});
-    csv.row({inst.name, std::to_string(inst.graph.num_vertices()),
-             std::to_string(inst.graph.num_edges()), std::to_string(wa),
-             std::to_string(we), std::to_string(quality)});
+    table.add({inst.name, inst.graph.num_vertices(), inst.graph.num_edges(),
+               wa, we, quality});
   }
+  table.write_csv(opts.get("csv"));
   table.print(std::cout);
   std::cout << "(paper: 99.36% - 100.00% on the six UF matrices)\n";
   return 0;
@@ -118,10 +117,5 @@ int run(int argc, const char** argv) {
 }  // namespace pmc::bench
 
 int main(int argc, const char** argv) {
-  try {
-    return pmc::bench::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_table_1_1: " << e.what() << '\n';
-    return 1;
-  }
+  return pmc::bench::run_main(argc, argv, pmc::bench::run);
 }

@@ -16,6 +16,58 @@ cd "$(dirname "$0")"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 STAGE="${1:-all}"
 
+# Runs each bench binary that tier1 runs nowhere else once, at a reduced
+# size, with its CSV files and stdout under build/bench_smoke/: a nonzero
+# exit, or a CSV row whose field count differs from its header, fails the
+# stage. Table 1.1 (no size below --scale=1) and Table 5.1 (no size flag)
+# take most of its ~10 s.
+bench_smoke() {
+  local out=build/bench_smoke
+  rm -rf "$out"
+  mkdir -p "$out"
+  smoke() {
+    local name=$1
+    shift
+    "./build/bench/$name" "$@" --csv="$out/$name.csv" >"$out/$name.txt"
+  }
+  smoke bench_table_1_1 --scale=1
+  smoke bench_fig_5_1 --subgrid=8 --ranks=16,64
+  smoke bench_fig_5_2 --grid=128 --ranks=16,64
+  smoke bench_fig_5_3 --rows=2000 --ranks=2,8
+  smoke bench_fig_5_4 --vertices=2000 --ranks=2,8
+  smoke bench_table_5_1
+  smoke bench_ablation_bundling --grid=64 --ranks=4,16 \
+    --rounds-csv="$out/bench_ablation_bundling_rounds.csv"
+  smoke bench_ablation_comm_modes --vertices=2000 --ranks=4,16 \
+    --rounds-csv="$out/bench_ablation_comm_modes_rounds.csv"
+  smoke bench_ablation_superstep --vertices=2000 --ranks=8
+  smoke bench_ablation_jones_plassmann --ranks=8
+  smoke bench_ablation_framework_knobs --vertices=2000 --ranks=8
+  smoke bench_ablation_faults --grid=32 --vertices=1000 --ranks=8 \
+    --drops=0,0.05
+  smoke bench_hybrid --cores=64 --grid=64
+  smoke bench_distance2 --vertices=2000 --ranks=4,16
+  python3 - "$out"/*.csv <<'EOF'
+import csv
+import sys
+
+bad = 0
+for path in sys.argv[1:]:
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    if len(rows) < 2:
+        print(f"bench_smoke: {path}: no data rows", file=sys.stderr)
+        bad += 1
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            print(f"bench_smoke: {path}:{line}: {len(row)} fields, header "
+                  f"has {len(rows[0])}", file=sys.stderr)
+            bad += 1
+print(f"bench_smoke: {len(sys.argv) - 1} CSV files, {bad} bad")
+sys.exit(1 if bad else 0)
+EOF
+}
+
 tier1() {
   echo "==== tier-1: build + full test suite ===="
   # PMC_HARDENED_WERROR promotes -Wconversion/-Wdouble-promotion/
@@ -29,6 +81,7 @@ tier1() {
   # The codec ablation self-checks: identical results under both codecs,
   # compact payload <= fixed payload per row, and >= 30% total reduction.
   ./build/bench/bench_ablation_codec --json=build/BENCH_codec.json
+  bench_smoke
   # Service mode's per-batch micro-benchmarks (fold, distribution build and
   # refresh, both repairs) and the distribution's id lookup run once
   # briefly: one that throws or crashes fails this stage. No timing is

@@ -46,12 +46,19 @@ int main(int argc, const char** argv) {
   Rank ranks = 0;
   WireCodec codec = WireCodec::kCompact;
   std::int64_t n_updates = 0;
+  std::int64_t update_batch = 0;
+  std::uint64_t update_seed = 0;
   try {
     files = opts.parse(argc, argv);
     ranks = opts.get_int<Rank>("ranks");
     exec.threads = opts.get_threads();
     codec = parse_wire_codec(opts.get("codec"));
     n_updates = opts.get_int("updates");
+    update_batch = opts.get_int("update-batch");
+    update_seed = opts.get_int<std::uint64_t>("update-seed");
+    PMC_REQUIRE(n_updates >= 0, "option --updates must not be negative");
+    PMC_REQUIRE(update_batch >= 0,
+                "option --update-batch must not be negative");
   } catch (const Error& e) {
     std::cerr << e.what() << "\n" << opts.help("mtx_tool");
     return 2;
@@ -113,7 +120,7 @@ int main(int argc, const char** argv) {
                       << " update(s) from " << replay_path << "\n";
           } else {
             UpdateStreamConfig cfg;
-            cfg.seed = opts.get_int<std::uint64_t>("update-seed");
+            cfg.seed = update_seed;
             UpdateStreamGenerator gen(adj, cfg);
             stream = gen.next_batch(n_updates);
           }
@@ -124,7 +131,7 @@ int main(int argc, const char** argv) {
           }
 
           ServiceOptions so;
-          so.batch_window = opts.get_int("update-batch");
+          so.batch_window = update_batch;
           so.verify_batches = opts.get_flag("update-verify");
           so.matching.exec = exec;
           so.matching.codec = codec;

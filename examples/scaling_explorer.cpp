@@ -14,6 +14,7 @@
 #include "core/experiment.hpp"
 #include "core/pmc.hpp"
 #include "support/options.hpp"
+#include "support/table.hpp"
 
 namespace {
 
@@ -103,12 +104,20 @@ int main(int argc, const char** argv) {
   const bool run_coloring =
       opts.get("problem") == "coloring" || opts.get("problem") == "both";
 
-  ScalingSeries match_series("matching strong scaling (" + opts.get("graph") +
-                                 ", " + opts.get("partition") + ")",
-                             "imbalance");
-  ScalingSeries color_series("coloring strong scaling (" + opts.get("graph") +
-                                 ", " + opts.get("partition") + ")",
-                             "colors");
+  const auto curve = [&](const std::string& problem, const char* extra) {
+    return TextTable(problem + " strong scaling (" + opts.get("graph") +
+                         ", " + opts.get("partition") + ")",
+                     {{"procs", "", kCount.aligned(Align::kLeft)},
+                      {"input", "", kText.aligned(Align::kRight)},
+                      {"actual (s)", "", kSci},
+                      {"ideal (s)", "", kSci},
+                      {"efficiency", "", percent(2)},
+                      {extra, "", fixed(4)}});
+  };
+  TextTable match_table = curve("matching", "imbalance");
+  TextTable color_table = curve("coloring", "colors");
+  ScalingLaw match_law(/*strong=*/true);
+  ScalingLaw color_law(/*strong=*/true);
 
   for (const int ranks : rank_list) {
     const Partition p = make_partition(opts.get("partition"), g,
@@ -123,25 +132,27 @@ int main(int argc, const char** argv) {
       mo.model = model;
       const auto res = match_distributed(dist, mo);
       PMC_CHECK(is_valid_matching(g, res.matching), "invalid matching");
-      match_series.add({ranks, "", res.run.sim_seconds,
-                        res.run.load.imbalance()});
+      const auto pt = match_law.at(ranks, res.run.sim_seconds);
+      match_table.add({ranks, "", res.run.sim_seconds, pt.ideal,
+                       pt.efficiency, res.run.load.imbalance()});
     }
     if (run_coloring) {
       DistColoringOptions co = DistColoringOptions::improved();
       co.model = model;
       const auto res = color_distributed(dist, co);
       PMC_CHECK(is_proper_coloring(g, res.coloring), "improper coloring");
-      color_series.add({ranks, "", res.run.sim_seconds,
-                        static_cast<double>(res.coloring.num_colors())});
+      const auto pt = color_law.at(ranks, res.run.sim_seconds);
+      color_table.add({ranks, "", res.run.sim_seconds, pt.ideal,
+                       pt.efficiency, res.coloring.num_colors()});
     }
   }
   std::cout << '\n';
   if (run_matching) {
-    match_series.to_table(/*strong=*/true).print(std::cout);
+    match_table.print(std::cout);
     std::cout << '\n';
   }
   if (run_coloring) {
-    color_series.to_table(/*strong=*/true).print(std::cout);
+    color_table.print(std::cout);
   }
   return 0;
 }

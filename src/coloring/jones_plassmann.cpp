@@ -117,10 +117,8 @@ JonesPlassmannResult color_jones_plassmann(
           st.color[static_cast<std::size_t>(v)];
     }
   }
-  result.run.sim_seconds = engine.time();
+  engine.fabric().export_into(result.run);
   result.run.wall_seconds = wall.seconds();
-  result.run.comm = engine.comm();
-  result.run.load = engine.load_stats();
   result.run.rounds = result.rounds;
   return result;
 }

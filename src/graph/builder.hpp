@@ -32,11 +32,6 @@ class GraphBuilder {
   /// diagonal entries).
   void add_edge(VertexId u, VertexId v, Weight w = Weight{1});
 
-  /// Number of edges added so far (pre-deduplication).
-  [[nodiscard]] EdgeId pending_edges() const noexcept {
-    return static_cast<EdgeId>(edges_.size());
-  }
-
   /// Sorts, deduplicates and freezes into a Graph. The builder is consumed.
   [[nodiscard]] Graph build() &&;
 

@@ -99,10 +99,8 @@ template <typename R, typename RecordOf, typename Check>
 
   DistVerifyResult result;
   for (const std::int64_t n : violations) result.violations += n;
-  result.run.sim_seconds = engine.time();
+  engine.fabric().export_into(result.run);
   result.run.wall_seconds = wall.seconds();
-  result.run.comm = engine.comm();
-  result.run.load = engine.load_stats();
   return result;
 }
 

@@ -18,12 +18,8 @@ GraphService::GraphService(const Graph& initial, Partition partition,
   PMC_REQUIRE(options_.batch_window >= 0,
               "negative batch_window " << options_.batch_window);
   dist_ = DistGraph::build(dynamic_.folded(), partition_);
-  DistMatchingResult m = match_distributed(dist_, options_.matching);
-  matching_ = std::move(m.matching);
-  initial_match_sim_ = m.run.sim_seconds;
-  IncrementalColorResult c = color_canonical(dist_, options_.coloring);
-  coloring_ = std::move(c.coloring);
-  initial_color_sim_ = c.run.sim_seconds;
+  matching_ = match_distributed(dist_, options_.matching).matching;
+  coloring_ = color_canonical(dist_, options_.coloring).coloring;
   pair_weight_.resize(matching_.mate.size());
   for (VertexId v = 0; v < matching_.num_vertices(); ++v) {
     keep_pair_weight(dynamic_.folded(), matching_.mate, v);

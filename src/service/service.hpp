@@ -102,13 +102,6 @@ class GraphService {
   [[nodiscard]] const std::vector<BatchReport>& history() const noexcept {
     return history_;
   }
-  /// Modelled seconds of the initial cold matching + coloring runs.
-  [[nodiscard]] double initial_match_sim_seconds() const noexcept {
-    return initial_match_sim_;
-  }
-  [[nodiscard]] double initial_color_sim_seconds() const noexcept {
-    return initial_color_sim_;
-  }
 
  private:
   /// Sets `pair_weight_[v]` from v's pair under `mate`.
@@ -127,8 +120,6 @@ class GraphService {
   std::vector<Weight> pair_weight_;
   std::vector<EdgeUpdate> buffer_;
   std::vector<BatchReport> history_;
-  double initial_match_sim_ = 0.0;
-  double initial_color_sim_ = 0.0;
 };
 
 }  // namespace pmc

@@ -1,44 +1,144 @@
-// ASCII table rendering for benchmark reports.
+// The row sink of the benchmark reports.
 //
-// The benchmark harness prints the rows of each paper table / figure series
-// with this formatter so that bench output is directly comparable with the
-// paper's artifacts.
+// A TextTable holds typed rows under named columns. The same rows print as
+// a box table that mirrors the paper's artifacts, and write as CSV and as a
+// JSON summary. A column names itself in the outputs it belongs to: a
+// table label, a data key (the CSV header and the JSON key), or both. The
+// table prints each value in its column's format; the CSV and the JSON
+// write every value in full, a real in the shortest form that reads back
+// to the same double.
 #pragma once
 
+#include <concepts>
+#include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 namespace pmc {
 
-/// Column alignment for TextTable.
+/// Column alignment in the printed table.
 enum class Align { kLeft, kRight };
 
-/// Simple monospace table with a header row, column alignment and an optional
-/// title. All cells are strings; use the cell() helpers for numbers.
+/// How the printed table shows a column's values. The CSV and the JSON
+/// ignore it.
+struct Format {
+  enum class Style {
+    kText,     ///< the value as the CSV writes it
+    kCount,    ///< an integer with thousands separators ("1,365,724")
+    kFixed,    ///< fixed notation with `precision` decimals
+    kSci,      ///< scientific notation, like the paper's axes ("3.13E-02")
+    kPercent,  ///< a ratio times 100, fixed notation with `precision` decimals
+  };
+  Style style = Style::kText;
+  int precision = 0;
+  std::string_view suffix;  ///< appended to every value present ("x", "%")
+  Align align = Align::kLeft;
+
+  /// The same format under another alignment.
+  [[nodiscard]] constexpr Format aligned(Align a) const {
+    Format f = *this;
+    f.align = a;
+    return f;
+  }
+};
+
+inline constexpr Format kText{};
+inline constexpr Format kCount{Format::Style::kCount, 0, {}, Align::kRight};
+inline constexpr Format kSci{Format::Style::kSci, 2, {}, Align::kRight};
+
+[[nodiscard]] constexpr Format fixed(int precision,
+                                     std::string_view suffix = {}) {
+  return {Format::Style::kFixed, precision, suffix, Align::kRight};
+}
+
+[[nodiscard]] constexpr Format percent(int precision) {
+  return {Format::Style::kPercent, precision, "%", Align::kRight};
+}
+
+/// One column: its name in each output and its printed format.
+struct Column {
+  std::string label;  ///< table header; empty: the column is data only
+  std::string key;    ///< CSV header and JSON key; empty: table only
+  Format format = kText;
+  /// The JSON key where it differs from `key`; an empty string leaves the
+  /// column out of the JSON.
+  std::optional<std::string> json = std::nullopt;
+};
+
+/// One value of a row: an integer, a real, a text, or absent. An absent
+/// value prints "-" in the table, an empty CSV field and null in the JSON.
+class Cell {
+ public:
+  Cell() = default;
+  template <std::integral T>
+  Cell(T value) : value_(static_cast<std::int64_t>(value)) {}
+  Cell(double value) : value_(value) {}
+  Cell(std::string value) : value_(std::move(value)) {}
+  Cell(const char* value) : value_(std::string(value)) {}
+
+  [[nodiscard]] bool operator==(const Cell&) const = default;
+
+  [[nodiscard]] const std::variant<std::monostate, std::int64_t, double,
+                                   std::string>&
+  value() const noexcept {
+    return value_;
+  }
+
+ private:
+  std::variant<std::monostate, std::int64_t, double, std::string> value_;
+};
+
+/// One entry of a JSON summary's header ("bench", "grid", ...).
+struct Field {
+  std::string key;
+  Cell value;
+};
+
 class TextTable {
  public:
-  explicit TextTable(std::vector<std::string> header,
-                     std::vector<Align> align = {});
+  TextTable(std::string title, std::vector<Column> columns);
 
-  /// Appends a data row; must have the same arity as the header.
-  void add_row(std::vector<std::string> row);
-
-  void set_title(std::string title) { title_ = std::move(title); }
+  /// Appends a row: one value per column, in column order.
+  void add(std::vector<Cell> row);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
 
-  /// Renders the table (with box-drawing rules) to the stream.
+  /// The table's rows [first, last), under the same title and columns.
+  [[nodiscard]] TextTable slice(std::size_t first, std::size_t last) const;
+
+  /// The rows whose value under data key `key` equals `value`.
+  [[nodiscard]] TextTable where(std::string_view key, const Cell& value) const;
+
+  void set_title(std::string title) { title_ = std::move(title); }
+
+  /// Renames the table header of the column keyed `key`.
+  void set_label(std::string_view key, std::string label);
+
+  /// Prints the title and the labelled columns with box-drawing rules.
   void print(std::ostream& os) const;
 
   /// Renders to a string (convenience for tests).
   [[nodiscard]] std::string to_string() const;
 
+  /// Writes the keyed columns as CSV: a header line, then one line per row.
+  /// An empty path writes nothing.
+  void write_csv(const std::string& path) const;
+
+  /// Writes a JSON object: the `header` entries, then "rows" holding one
+  /// object per row. An empty path writes nothing.
+  void write_json(const std::string& path,
+                  const std::vector<Field>& header) const;
+
  private:
+  [[nodiscard]] std::size_t column_of(std::string_view key) const;
+
   std::string title_;
-  std::vector<std::string> header_;
-  std::vector<Align> align_;
-  std::vector<std::vector<std::string>> rows_;
+  std::vector<Column> columns_;
+  std::vector<std::vector<Cell>> rows_;
 };
 
 /// Formats a double with the given precision (fixed notation).

@@ -1,5 +1,4 @@
-// Tests for the benchmark-harness helpers (scaling series, ideal laws) and
-// the high-level core API.
+// Tests for the scaling studies' ideal line and the high-level core API.
 #include <gtest/gtest.h>
 
 #include "core/api.hpp"
@@ -10,43 +9,36 @@
 namespace pmc {
 namespace {
 
-TEST(ScalingSeries, WeakIdealIsConstant) {
-  ScalingSeries s("weak");
-  s.add({1024, "8k x 8k", 0.05, 0.0});
-  s.add({4096, "16k x 16k", 0.055, 0.0});
-  s.add({16384, "32k x 32k", 0.06, 0.0});
-  const auto ideal = s.ideal_weak();
-  EXPECT_DOUBLE_EQ(ideal[0], 0.05);
-  EXPECT_DOUBLE_EQ(ideal[2], 0.05);
-  EXPECT_NEAR(s.final_efficiency(false), 0.05 / 0.06, 1e-12);
+TEST(ScalingLaw, WeakIdealIsConstant) {
+  ScalingLaw weak(/*strong=*/false);
+  EXPECT_DOUBLE_EQ(weak.at(1024, 0.05).ideal, 0.05);
+  EXPECT_DOUBLE_EQ(weak.at(4096, 0.055).ideal, 0.05);
+  const auto last = weak.at(16384, 0.06);
+  EXPECT_DOUBLE_EQ(last.ideal, 0.05);
+  EXPECT_NEAR(last.efficiency, 0.05 / 0.06, 1e-12);
 }
 
-TEST(ScalingSeries, StrongIdealHalvesPerDoubling) {
-  ScalingSeries s("strong");
-  s.add({512, "grid", 2.0, 0.0});
-  s.add({1024, "grid", 1.1, 0.0});
-  s.add({2048, "grid", 0.7, 0.0});
-  const auto ideal = s.ideal_strong();
-  EXPECT_DOUBLE_EQ(ideal[0], 2.0);
-  EXPECT_DOUBLE_EQ(ideal[1], 1.0);
-  EXPECT_DOUBLE_EQ(ideal[2], 0.5);
+TEST(ScalingLaw, StrongIdealHalvesPerDoubling) {
+  ScalingLaw strong(/*strong=*/true);
+  const auto first = strong.at(512, 2.0);
+  EXPECT_DOUBLE_EQ(first.ideal, 2.0);
+  EXPECT_DOUBLE_EQ(first.efficiency, 1.0);
+  EXPECT_DOUBLE_EQ(strong.at(1024, 1.1).ideal, 1.0);
+  const auto third = strong.at(2048, 0.7);
+  EXPECT_DOUBLE_EQ(third.ideal, 0.5);
+  EXPECT_DOUBLE_EQ(third.efficiency, 0.5 / 0.7);
 }
 
-TEST(ScalingSeries, TableRendersAllPoints) {
-  ScalingSeries s("title", "colors");
-  s.add({2, "a", 1.0, 4.0});
-  s.add({4, "b", 0.5, 4.0});
-  const TextTable t = s.to_table(/*strong=*/true);
-  EXPECT_EQ(t.rows(), 2u);
-  const std::string out = t.to_string();
-  EXPECT_NE(out.find("title"), std::string::npos);
-  EXPECT_NE(out.find("colors"), std::string::npos);
+TEST(ScalingLaw, ZeroTimeCountsAsFullEfficiency) {
+  ScalingLaw strong(/*strong=*/true);
+  (void)strong.at(2, 1.0);
+  EXPECT_DOUBLE_EQ(strong.at(4, 0.0).efficiency, 1.0);
 }
 
-TEST(ScalingSeries, RejectsEmptyAndBadPoints) {
-  ScalingSeries s("x");
-  EXPECT_THROW((void)s.ideal_weak(), Error);
-  EXPECT_THROW(s.add({0, "bad", 1.0, 0.0}), Error);
+TEST(ScalingLaw, RejectsNonPositiveRankCounts) {
+  ScalingLaw law(/*strong=*/true);
+  EXPECT_THROW((void)law.at(0, 1.0), Error);
+  EXPECT_THROW((void)law.at(-4, 1.0), Error);
 }
 
 TEST(CoreApi, MatchAndColorOneCall) {

@@ -729,6 +729,22 @@ TEST(FabricDeterminism, EventEngineRunsAreBitIdenticalAndConsistent) {
   expect_breakdown_consistent(a.run);
 }
 
+TEST(FabricDeterminism, JonesPlassmannAndVerifiersExportTheirBreakdown) {
+  const Graph g = circuit_like(600, 1200, 5, WeightKind::kUnit, 9);
+  const Partition p = block_partition(g.num_vertices(), 4);
+  const DistGraph dist = DistGraph::build(g, p);
+  const auto jp = color_jones_plassmann(dist, JonesPlassmannOptions{});
+  ASSERT_GT(jp.run.comm.messages, 0);
+  expect_breakdown_consistent(jp.run);
+  const auto matching = match_distributed(dist, DistMatchingOptions{});
+  const auto mv = verify_matching_distributed(dist, matching.matching);
+  ASSERT_GT(mv.run.comm.messages, 0);
+  expect_breakdown_consistent(mv.run);
+  const auto cv = verify_coloring_distributed(dist, jp.coloring);
+  ASSERT_GT(cv.run.comm.messages, 0);
+  expect_breakdown_consistent(cv.run);
+}
+
 TEST(FabricDeterminism, BspEngineRunsAreBitIdenticalAndConsistent) {
   const Graph g = circuit_like(600, 1200, 5, WeightKind::kUnit, 9);
   const Partition p = block_partition(g.num_vertices(), 4);

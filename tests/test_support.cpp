@@ -1,19 +1,21 @@
-// Unit tests for the support library: errors, RNG, tables, CSV, options.
+// Unit tests for the support library: errors, RNG, the row sink, options.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <ranges>
 #include <set>
+#include <sstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "runtime/exec/backend.hpp"
-#include "support/csv.hpp"
 #include "support/error.hpp"
 #include "support/hash_set.hpp"
 #include "support/options.hpp"
@@ -144,19 +146,29 @@ TEST(Rng, DeriveSeedSeparatesStreams) {
 
 // ---- tables ------------------------------------------------------------------
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "/pmc_table_" + name;
+}
+
 TEST(Table, RendersAlignedCells) {
-  TextTable t({"name", "value"}, {Align::kLeft, Align::kRight});
-  t.add_row({"alpha", "1"});
-  t.add_row({"b", "12345"});
+  TextTable t("", {{"name", "name"}, {"value", "value", kCount}});
+  t.add({"alpha", 1});
+  t.add({"b", 12345});
   const std::string out = t.to_string();
   EXPECT_NE(out.find("| alpha |"), std::string::npos);
-  EXPECT_NE(out.find("| 12345 |"), std::string::npos);
+  EXPECT_NE(out.find("| 12,345 |"), std::string::npos);
   EXPECT_EQ(t.rows(), 2u);
 }
 
 TEST(Table, RejectsArityMismatch) {
-  TextTable t({"a", "b"});
-  EXPECT_THROW(t.add_row({"only-one"}), Error);
+  TextTable t("", {{"a", "a"}, {"b", "b"}});
+  EXPECT_THROW(t.add({"only-one"}), Error);
+  EXPECT_THROW(TextTable("", {{"", ""}}), Error);
 }
 
 TEST(Table, CellFormatters) {
@@ -170,27 +182,158 @@ TEST(Table, CellFormatters) {
   EXPECT_EQ(cell_sci(0.0313, 2), "3.13E-02");
 }
 
-// ---- CSV ---------------------------------------------------------------------
-
-TEST(Csv, EscapesSpecialCharacters) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+TEST(Table, ColumnFormatsMatchTheCellFormatters) {
+  TextTable t("title", {{"n", "", kCount},
+                        {"f", "", fixed(2, "x")},
+                        {"s", "", kSci},
+                        {"p", "", percent(1)}});
+  t.add({1365724, 1.254, 0.0313, 0.71327});
+  EXPECT_EQ(t.to_string(),
+            "title\n"
+            "+-----------+-------+----------+-------+\n"
+            "|         n |     f |        s |     p |\n"
+            "+-----------+-------+----------+-------+\n"
+            "| 1,365,724 | 1.25x | 3.13E-02 | 71.3% |\n"
+            "+-----------+-------+----------+-------+\n");
 }
 
-TEST(Csv, WritesRowsToFile) {
-  const std::string path = ::testing::TempDir() + "/pmc_test.csv";
-  {
-    CsvWriter w(path);
-    w.write_row({"a", "b,c"});
-    w.write_row({"1", "2"});
+TEST(TableSink, TextWithCommaQuoteAndNewlineIsQuotedAndEscaped) {
+  TextTable t("", {{"name", "name"}, {"n", "n", kCount}});
+  t.add({"a,b \"c\"\nd", 7});
+  const std::string csv = temp_path("quote.csv");
+  const std::string json = temp_path("quote.json");
+  t.write_csv(csv);
+  t.write_json(json, {{"bench", "quote"}});
+  EXPECT_EQ(slurp(csv), "name,n\n\"a,b \"\"c\"\"\nd\",7\n");
+  EXPECT_EQ(slurp(json),
+            "{\n"
+            "  \"bench\": \"quote\",\n"
+            "  \"rows\": [\n"
+            "    {\"name\": \"a,b \\\"c\\\"\\u000ad\", \"n\": 7}\n"
+            "  ]\n"
+            "}\n");
+}
+
+TEST(TableSink, TableOnlyColumnIsAbsentFromCsvAndJson) {
+  TextTable t("", {{"procs", "ranks", kCount}, {"speedup", "", fixed(2)}});
+  t.add({16, 1.5});
+  const std::string csv = temp_path("table_only.csv");
+  const std::string json = temp_path("table_only.json");
+  t.write_csv(csv);
+  t.write_json(json, {});
+  EXPECT_EQ(slurp(csv), "ranks\n16\n");
+  EXPECT_EQ(slurp(json), "{\n  \"rows\": [\n    {\"ranks\": 16}\n  ]\n}\n");
+  EXPECT_NE(t.to_string().find("| speedup |"), std::string::npos);
+}
+
+TEST(TableSink, DataOnlyColumnIsAbsentFromTable) {
+  TextTable t("", {{"procs", "ranks", kCount}, {"", "bytes"}});
+  t.add({16, 987654321});
+  const std::string out = t.to_string();
+  EXPECT_EQ(out.find("bytes"), std::string::npos);
+  EXPECT_EQ(out.find("987654321"), std::string::npos);
+  const std::string csv = temp_path("data_only.csv");
+  t.write_csv(csv);
+  EXPECT_EQ(slurp(csv), "ranks,bytes\n16,987654321\n");
+}
+
+TEST(TableSink, AbsentValuePrintsDashEmptyFieldAndNull) {
+  TextTable t("", {{"algorithm", "algorithm"},
+                   {"retries", "retries", kCount},
+                   {"sim (s)", "sim_seconds", kSci}});
+  t.add({"coloring", Cell{}, 0.5});
+  EXPECT_NE(t.to_string().find("| coloring  |       - | 5.00E-01 |"),
+            std::string::npos);
+  const std::string csv = temp_path("absent.csv");
+  const std::string json = temp_path("absent.json");
+  t.write_csv(csv);
+  t.write_json(json, {});
+  EXPECT_EQ(slurp(csv), "algorithm,retries,sim_seconds\ncoloring,,0.5\n");
+  EXPECT_NE(slurp(json).find("\"retries\": null"), std::string::npos);
+}
+
+TEST(TableSink, JsonKeyRenamesOrDropsAColumn) {
+  TextTable t("", {{"algorithm", "algorithm", kText, "workload"},
+                   {"", "messages", kText, ""},
+                   {"sim (s)", "sim_seconds", kSci}});
+  t.add({"matching", 118, 0.25});
+  const std::string csv = temp_path("json_key.csv");
+  const std::string json = temp_path("json_key.json");
+  t.write_csv(csv);
+  t.write_json(json, {});
+  EXPECT_EQ(slurp(csv), "algorithm,messages,sim_seconds\nmatching,118,0.25\n");
+  EXPECT_NE(slurp(json).find(
+                "{\"workload\": \"matching\", \"sim_seconds\": 0.25}"),
+            std::string::npos);
+}
+
+TEST(TableSink, RealsReadBackExactly) {
+  // std::to_string's six fixed decimals would read back 0.000054 or 0 for
+  // most of these.
+  const std::vector<double> reals = {
+      1.0 / 3.0,         5.4123456789e-05, 0.1,     7.672340000000234e-05,
+      1e300,             5e-324,           -2.5e-17, 123456.789,
+      0.000035123456789, 1.0,              -0.0,    88231.73714309075};
+  TextTable t("", {{"", "i"}, {"", "x"}});
+  for (std::size_t i = 0; i < reals.size(); ++i) t.add({i, reals[i]});
+  const std::string csv = temp_path("reals.csv");
+  const std::string json = temp_path("reals.json");
+  t.write_csv(csv);
+  t.write_json(json, {});
+  const auto hex = [](double v) {
+    std::ostringstream oss;
+    oss << std::hexfloat << v;
+    return oss.str();
+  };
+
+  std::istringstream lines(slurp(csv));
+  std::string line;
+  std::getline(lines, line);
+  EXPECT_EQ(line, "i,x");
+  for (const double want : reals) {
+    ASSERT_TRUE(std::getline(lines, line));
+    const std::string field = line.substr(line.find(',') + 1);
+    EXPECT_EQ(hex(std::strtod(field.c_str(), nullptr)), hex(want)) << field;
   }
-  std::ifstream in(path);
-  std::string line1, line2;
-  std::getline(in, line1);
-  std::getline(in, line2);
-  EXPECT_EQ(line1, "a,\"b,c\"");
-  EXPECT_EQ(line2, "1,2");
+
+  const std::string doc = slurp(json);
+  std::size_t at = 0;
+  for (const double want : reals) {
+    at = doc.find("\"x\": ", at);
+    ASSERT_NE(at, std::string::npos);
+    at += 5;
+    EXPECT_EQ(hex(std::strtod(doc.c_str() + at, nullptr)), hex(want));
+  }
+}
+
+TEST(TableSink, SliceWhereAndRelabelCopyTheColumns) {
+  TextTable t("all", {{"", "problem"}, {"value", "extra", kCount}});
+  t.add({"matching", 1});
+  t.add({"coloring", 2});
+  t.add({"matching", 3});
+  const TextTable m = t.where("problem", "matching");
+  EXPECT_EQ(m.rows(), 2u);
+  EXPECT_EQ(t.slice(1, 3).rows(), 2u);
+  EXPECT_THROW((void)t.slice(2, 4), Error);
+  EXPECT_THROW((void)t.where("missing", 1), Error);
+  TextTable c = t.where("problem", "coloring");
+  c.set_title("colors");
+  c.set_label("extra", "colors");
+  EXPECT_EQ(c.to_string(),
+            "colors\n"
+            "+--------+\n"
+            "| colors |\n"
+            "+--------+\n"
+            "|      2 |\n"
+            "+--------+\n");
+}
+
+TEST(TableSink, EmptyPathWritesNothing) {
+  TextTable t("", {{"a", "a"}});
+  t.add({1});
+  EXPECT_NO_THROW(t.write_csv(""));
+  EXPECT_NO_THROW(t.write_json("", {}));
+  EXPECT_THROW(t.write_csv(temp_path("no/such/dir/x.csv")), Error);
 }
 
 // ---- options -------------------------------------------------------------------
