@@ -33,13 +33,7 @@ int run(int argc, const char** argv) {
   const auto ranks = opts.get_int<Rank>("ranks");
   const double dup_fraction = opts.get_double("dup-fraction");
   const auto fault_seed = opts.get_int<std::uint64_t>("seed");
-
-  std::vector<double> drop_list;
-  {
-    std::istringstream iss(opts.get("drops"));
-    std::string tok;
-    while (std::getline(iss, tok, ',')) drop_list.push_back(std::stod(tok));
-  }
+  const std::vector<double> drop_list = opts.get_double_list("drops");
 
   banner("Ablation A6 — fault injection (matching + coloring)",
          "the ack/retry transport and repair re-entry recover every injected "

@@ -327,13 +327,14 @@ void BM_ExactBipartiteMatching(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactBipartiteMatching)->Unit(benchmark::kMillisecond);
 
-void BM_Grid2DGeneration(benchmark::State& state) {
+// grid-4k's input: one 1024x1024 grid with its weights.
+void BM_Grid2d(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        grid_2d(256, 256, WeightKind::kUniformRandom, 74));
+        grid_2d(1024, 1024, WeightKind::kUniformRandom, 51));
   }
 }
-BENCHMARK(BM_Grid2DGeneration)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Grid2d)->Unit(benchmark::kMillisecond);
 
 // ≈100k weighted entries, written with 17 significant digits as the
 // circuit workload's matrix is.

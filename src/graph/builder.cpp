@@ -23,6 +23,10 @@ void GraphBuilder::add_edge(VertexId u, VertexId v, Weight w) {
   edges_.push_back(RawEdge{u, v, w});
 }
 
+void GraphBuilder::reserve(EdgeId edges) {
+  edges_.reserve(static_cast<std::size_t>(edges));
+}
+
 namespace {
 
 /// Rows up to this long are sorted by insertion, in place.

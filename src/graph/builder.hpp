@@ -32,6 +32,11 @@ class GraphBuilder {
   /// diagonal entries).
   void add_edge(VertexId u, VertexId v, Weight w = Weight{1});
 
+  /// Makes room for `edges` add_edge calls. Pass a count that is already in
+  /// memory (a matrix's entries, a graph's edges), never one read from a
+  /// file header, which a malformed input could forge.
+  void reserve(EdgeId edges);
+
   /// Sorts, deduplicates and freezes into a Graph. The builder is consumed.
   [[nodiscard]] Graph build() &&;
 

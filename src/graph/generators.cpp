@@ -53,40 +53,87 @@ class EdgeAccumulator {
   std::uint64_t seed_;
 };
 
+/// Writes a lattice's CSR arrays straight into place, row by row. The
+/// caller gives each row's neighbours in ascending id order and the
+/// lattice's arc count, so each array is allocated once and nothing is
+/// sorted. An arc's weight is the hash of its edge's endpoints, the weight
+/// GraphBuilder would store for that edge, so the arrays are the builder's.
+class LatticeWriter {
+ public:
+  LatticeWriter(VertexId n, EdgeId arcs, WeightKind kind, std::uint64_t seed)
+      : arcs_(arcs), kind_(kind), seed_(seed) {
+    offsets_.reserve(static_cast<std::size_t>(n) + 1);
+    adj_.reserve(static_cast<std::size_t>(arcs));
+    weights_.reserve(static_cast<std::size_t>(arcs));
+    offsets_.push_back(0);
+  }
+
+  void arc(VertexId v, VertexId u) {
+    adj_.push_back(u);
+    weights_.push_back(edge_weight_for(kind_, seed_, v, u));
+  }
+
+  void end_row() { offsets_.push_back(static_cast<EdgeId>(adj_.size())); }
+
+  [[nodiscard]] Graph build() && {
+    PMC_CHECK(static_cast<EdgeId>(adj_.size()) == arcs_,
+              "lattice wrote " << adj_.size() << " arcs, counted " << arcs_);
+    return Graph(std::move(offsets_), std::move(adj_), std::move(weights_));
+  }
+
+ private:
+  EdgeId arcs_;
+  WeightKind kind_;
+  std::uint64_t seed_;
+  std::vector<EdgeId> offsets_;
+  std::vector<VertexId> adj_;
+  std::vector<Weight> weights_;
+};
+
 }  // namespace
 
 Graph grid_2d(VertexId rows, VertexId cols, WeightKind weights,
               std::uint64_t seed) {
   PMC_REQUIRE(rows >= 1 && cols >= 1,
               "grid dimensions must be positive, got " << rows << "x" << cols);
-  EdgeAccumulator acc(rows * cols, weights, seed);
+  LatticeWriter out(rows * cols, 2 * (rows * (cols - 1) + (rows - 1) * cols),
+                    weights, seed);
   for (VertexId i = 0; i < rows; ++i) {
     for (VertexId j = 0; j < cols; ++j) {
       const VertexId v = i * cols + j;
-      if (j + 1 < cols) acc.add(v, v + 1);        // east
-      if (i + 1 < rows) acc.add(v, v + cols);     // south
+      if (i > 0) out.arc(v, v - cols);         // north
+      if (j > 0) out.arc(v, v - 1);            // west
+      if (j + 1 < cols) out.arc(v, v + 1);     // east
+      if (i + 1 < rows) out.arc(v, v + cols);  // south
+      out.end_row();
     }
   }
-  return acc.build();
+  return std::move(out).build();
 }
 
 Graph grid_3d(VertexId nx, VertexId ny, VertexId nz, WeightKind weights,
               std::uint64_t seed) {
   PMC_REQUIRE(nx >= 1 && ny >= 1 && nz >= 1, "grid dims must be positive");
-  EdgeAccumulator acc(nx * ny * nz, weights, seed);
-  auto id = [nx, ny](VertexId x, VertexId y, VertexId z) {
-    return (z * ny + y) * nx + x;
-  };
+  const VertexId plane = nx * ny;
+  LatticeWriter out(plane * nz,
+                    2 * ((nx - 1) * ny * nz + nx * (ny - 1) * nz +
+                         plane * (nz - 1)),
+                    weights, seed);
+  VertexId v = 0;
   for (VertexId z = 0; z < nz; ++z) {
     for (VertexId y = 0; y < ny; ++y) {
-      for (VertexId x = 0; x < nx; ++x) {
-        if (x + 1 < nx) acc.add(id(x, y, z), id(x + 1, y, z));
-        if (y + 1 < ny) acc.add(id(x, y, z), id(x, y + 1, z));
-        if (z + 1 < nz) acc.add(id(x, y, z), id(x, y, z + 1));
+      for (VertexId x = 0; x < nx; ++x, ++v) {
+        if (z > 0) out.arc(v, v - plane);
+        if (y > 0) out.arc(v, v - nx);
+        if (x > 0) out.arc(v, v - 1);
+        if (x + 1 < nx) out.arc(v, v + 1);
+        if (y + 1 < ny) out.arc(v, v + nx);
+        if (z + 1 < nz) out.arc(v, v + plane);
+        out.end_row();
       }
     }
   }
-  return acc.build();
+  return std::move(out).build();
 }
 
 Graph erdos_renyi(VertexId n, EdgeId m, WeightKind weights,
@@ -329,6 +376,7 @@ Graph bipartite_double_cover(const Graph& g, BipartiteInfo& info,
                              bool with_diagonal, std::uint64_t seed) {
   const VertexId n = g.num_vertices();
   GraphBuilder builder(2 * n, /*weighted=*/true);
+  builder.reserve(g.num_arcs() + (with_diagonal ? n : 0));
   Rng rng(derive_seed(seed, 0xD1A6));
   for (VertexId v = 0; v < n; ++v) {
     const auto nbrs = g.neighbors(v);
@@ -346,6 +394,7 @@ Graph bipartite_double_cover(const Graph& g, BipartiteInfo& info,
 
 Graph reweight(const Graph& g, WeightKind weights, std::uint64_t seed) {
   GraphBuilder builder(g.num_vertices(), /*weighted=*/true);
+  builder.reserve(g.num_edges());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     for (VertexId u : g.neighbors(v)) {
       if (u > v) {

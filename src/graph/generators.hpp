@@ -12,7 +12,13 @@
 //   * erdos_renyi, rmat, random_geometric, and small structured graphs —
 //     used by the test suite's property sweeps.
 //
-// Every generator is deterministic given its seed.
+// Every generator is deterministic given its seed. An edge's weight is a
+// hash of the seed and its endpoints, so it does not depend on the order in
+// which a generator visits edges. The lattices (grid_2d, grid_3d) are
+// written in place: each row's neighbours go straight into the final CSR
+// arrays in ascending order, and the hashed weights make those arrays the
+// bytes GraphBuilder would give for the same edges. The other generators
+// feed GraphBuilder, since their edges arrive unordered and repeated.
 #pragma once
 
 #include <cstdint>

@@ -143,6 +143,7 @@ void write_matrix_market(std::ostream& out, const SparseMatrix& m) {
 Graph matrix_to_bipartite(const SparseMatrix& m, BipartiteInfo& info) {
   GraphBuilder builder(m.rows + m.cols, /*weighted=*/true,
                        DuplicatePolicy::kKeepMax);
+  builder.reserve(m.symmetric ? 2 * m.num_entries() : m.num_entries());
   // Smallest positive weight used for structurally present but zero-valued
   // entries: keeps them matchable without letting them dominate real values.
   constexpr Weight kEpsilonWeight = 1e-12;
@@ -166,6 +167,7 @@ Graph matrix_to_adjacency(const SparseMatrix& m) {
               "adjacency representation requires a square matrix");
   GraphBuilder builder(m.rows, /*weighted=*/false,
                        DuplicatePolicy::kKeepFirst);
+  builder.reserve(m.num_entries());
   for (EdgeId k = 0; k < m.num_entries(); ++k) {
     const VertexId r = m.row_index[static_cast<std::size_t>(k)];
     const VertexId c = m.col_index[static_cast<std::size_t>(k)];

@@ -16,6 +16,13 @@ constexpr std::uint32_t kFnvPrime = 0x01000193u;
 /// Longest LEB128 encoding of a 64-bit value.
 constexpr std::size_t kMaxVarintBytes = 10;
 
+/// Length of v's LEB128 encoding.
+constexpr std::size_t uvarint_size(std::uint64_t v) noexcept {
+  std::size_t bytes = 1;
+  for (; v >= 0x80; v >>= 7) ++bytes;
+  return bytes;
+}
+
 enum class VarintStatus : std::uint8_t { kOk, kTruncated, kOverlong };
 
 /// Decodes the LEB128 varint at bytes[pos], advancing pos. A tenth byte
@@ -67,14 +74,16 @@ std::vector<std::byte> FrameWriter::take() {
     payload_.clear();
     return {};
   }
+  const auto records = static_cast<std::uint64_t>(records_);
+  const std::size_t payload = payload_.size();
   VarintWriter frame;
+  frame.reserve(1 + uvarint_size(records) + uvarint_size(payload) + payload +
+                kFrameChecksumBytes);
   frame.put_u8(static_cast<std::uint8_t>(
       (kWireFormatVersion << 4) | static_cast<std::uint8_t>(codec_)));
-  frame.put_uvarint(static_cast<std::uint64_t>(records_));
-  frame.put_uvarint(static_cast<std::uint64_t>(payload_.size()));
-  for (const std::byte b : payload_.bytes()) {
-    frame.put_u8(static_cast<std::uint8_t>(b));
-  }
+  frame.put_uvarint(records);
+  frame.put_uvarint(payload);
+  frame.put_bytes(payload_.bytes());
   const std::uint32_t sum = fnv1a32(frame.bytes());
   frame.put_raw(sum);
   payload_.clear();

@@ -102,6 +102,12 @@ class VarintWriter {
 
   void put_svarint(std::int64_t v) { put_uvarint(zigzag_encode(v)); }
 
+  void put_bytes(std::span<const std::byte> bytes) {
+    bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
+  }
+
+  void reserve(std::size_t bytes) { bytes_.reserve(bytes); }
+
   template <typename T>
   void put_raw(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>,

@@ -75,6 +75,37 @@ std::int64_t parse_int(const std::string& name, std::string_view s) {
   return out;
 }
 
+/// Strict floating-point parse of `s`, one value of option --name. A
+/// magnitude problem ("1e999") and junk ("1.5x", "", "nope") get distinct
+/// messages.
+double parse_double(const std::string& name, std::string_view s) {
+  double out = 0.0;
+  const std::errc ec = parse_number(s, out);
+  PMC_REQUIRE(ec != std::errc::result_out_of_range,
+              "option --" << name << " is out of range: '" << s << "'");
+  PMC_REQUIRE(ec == std::errc{},
+              "option --" << name << " expects a number, got '" << s << "'");
+  return out;
+}
+
+/// The comma-separated entries of `s`, the value of option --name, whose
+/// entries are `what`: an empty value is an error; an empty entry is kept
+/// for the entry parser to reject.
+std::vector<std::string_view> split_list(const std::string& name,
+                                         std::string_view s,
+                                         const char* what) {
+  PMC_REQUIRE(!s.empty(), "option --" << name
+                              << " expects a comma-separated list of "
+                              << what << ", got ''");
+  std::vector<std::string_view> out;
+  while (true) {
+    const std::size_t comma = s.find(',');
+    out.push_back(s.substr(0, comma));
+    if (comma == std::string_view::npos) return out;
+    s.remove_prefix(comma + 1);
+  }
+}
+
 }  // namespace
 
 std::int64_t Options::get_int64(const std::string& name) const {
@@ -82,15 +113,9 @@ std::int64_t Options::get_int64(const std::string& name) const {
 }
 
 std::vector<int> Options::get_int_list(const std::string& name) const {
-  const std::string& s = get(name);
-  PMC_REQUIRE(!s.empty(), "option --" << name
-                              << " expects a comma-separated list of "
-                                 "positive integers, got ''");
   std::vector<int> out;
-  std::string_view rest = s;
-  while (true) {
-    const std::size_t comma = rest.find(',');
-    const std::string_view entry = rest.substr(0, comma);
+  for (const std::string_view entry :
+       split_list(name, get(name), "positive integers")) {
     const std::int64_t v = parse_int(name, entry);
     PMC_REQUIRE(v >= 1, "option --" << name
                             << " entries must be positive, got '" << entry
@@ -98,23 +123,19 @@ std::vector<int> Options::get_int_list(const std::string& name) const {
     PMC_REQUIRE(v <= std::numeric_limits<int>::max(),
                 "option --" << name << " is out of range: '" << entry << "'");
     out.push_back(static_cast<int>(v));
-    if (comma == std::string_view::npos) break;
-    rest.remove_prefix(comma + 1);
   }
   return out;
 }
 
 double Options::get_double(const std::string& name) const {
-  const std::string& s = get(name);
-  double out = 0.0;
-  const std::errc ec = parse_number(s, out);
-  // Distinguish magnitude problems ("1e999") from junk ("1.5x", "", "nope"):
-  // the old std::stod path caught both as std::logic_error and misreported
-  // overflow as "expects a number".
-  PMC_REQUIRE(ec != std::errc::result_out_of_range,
-              "option --" << name << " is out of range: '" << s << "'");
-  PMC_REQUIRE(ec == std::errc{},
-              "option --" << name << " expects a number, got '" << s << "'");
+  return parse_double(name, get(name));
+}
+
+std::vector<double> Options::get_double_list(const std::string& name) const {
+  std::vector<double> out;
+  for (const std::string_view entry : split_list(name, get(name), "numbers")) {
+    out.push_back(parse_double(name, entry));
+  }
   return out;
 }
 

@@ -47,6 +47,12 @@ class Options {
   /// beyond int, and an empty list are errors naming the option.
   [[nodiscard]] std::vector<int> get_int_list(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
+  /// A comma-separated list of numbers ("--drops=0,0.05"). Every entry gets
+  /// get_double's strict parsing; an empty list or entry, trailing garbage
+  /// and a value beyond a double's range are errors naming the option and
+  /// the entry.
+  [[nodiscard]] std::vector<double> get_double_list(
+      const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
 
   /// Resolves the execution-backend thread count: the explicitly supplied

@@ -1,7 +1,13 @@
 // Unit and property tests for the synthetic graph generators.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "graph/algorithms.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "support/error.hpp"
 
@@ -51,6 +57,88 @@ TEST(Grid3D, SevenPointStructure) {
   EXPECT_EQ(g.num_edges(), 3 * (2 * 3 * 3));  // 3 directions * 2*9 each
   EXPECT_EQ(g.max_degree(), 6);
   EXPECT_EQ(g.min_degree(), 3);
+}
+
+// The lattices are written straight into their CSR arrays; GraphBuilder
+// fed their edges and weighted by reweight (the same per-edge hash) must
+// give the same offsets, targets and weight bits.
+constexpr WeightKind kAllWeightKinds[] = {
+    WeightKind::kUnit, WeightKind::kUniformRandom, WeightKind::kIntegral};
+constexpr std::uint64_t kLatticeSeed = 29;
+
+using EdgeList = std::vector<std::pair<VertexId, VertexId>>;
+
+void expect_same_csr(const Graph& got, const Graph& want) {
+  ASSERT_EQ(got.num_vertices(), want.num_vertices());
+  ASSERT_EQ(got.num_arcs(), want.num_arcs());
+  ASSERT_EQ(got.has_weights(), want.has_weights());
+  for (VertexId v = 0; v <= got.num_vertices(); ++v) {
+    ASSERT_EQ(got.offset_begin(v), want.offset_begin(v)) << "row " << v;
+  }
+  const auto got_targets = got.arc_targets(0, got.num_arcs());
+  const auto want_targets = want.arc_targets(0, want.num_arcs());
+  for (std::size_t e = 0; e < got_targets.size(); ++e) {
+    ASSERT_EQ(got_targets[e], want_targets[e]) << "arc " << e;
+  }
+  if (!got.has_weights()) return;  // no arcs
+  const auto got_weights = got.arc_weights(0, got.num_arcs());
+  const auto want_weights = want.arc_weights(0, want.num_arcs());
+  for (std::size_t e = 0; e < got_weights.size(); ++e) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got_weights[e]),
+              std::bit_cast<std::uint64_t>(want_weights[e]))
+        << "arc " << e << ": " << got_weights[e] << " vs " << want_weights[e];
+  }
+}
+
+TEST(Grid2D, EqualsTheBuildersGraphBitForBit) {
+  const std::pair<VertexId, VertexId> shapes[] = {
+      {1, 1}, {1, 7}, {7, 1}, {2, 2}, {5, 9}, {33, 17}};
+  for (const auto& [rows, cols] : shapes) {
+    EdgeList edges;
+    for (VertexId i = 0; i < rows; ++i) {
+      for (VertexId j = 0; j < cols; ++j) {
+        const VertexId v = i * cols + j;
+        if (j + 1 < cols) edges.emplace_back(v, v + 1);
+        if (i + 1 < rows) edges.emplace_back(v, v + cols);
+      }
+    }
+    const Graph lattice = graph_from_edges(rows * cols, edges);
+    for (const WeightKind kind : kAllWeightKinds) {
+      SCOPED_TRACE(::testing::Message() << rows << "x" << cols << " kind "
+                                        << static_cast<int>(kind));
+      expect_same_csr(grid_2d(rows, cols, kind, kLatticeSeed),
+                      reweight(lattice, kind, kLatticeSeed));
+    }
+  }
+}
+
+TEST(Grid3D, EqualsTheBuildersGraphBitForBit) {
+  struct Shape {
+    VertexId nx, ny, nz;
+  };
+  const Shape shapes[] = {{1, 1, 1}, {1, 1, 6}, {2, 3, 4}, {5, 4, 3}};
+  for (const auto& [nx, ny, nz] : shapes) {
+    EdgeList edges;
+    auto id = [&](VertexId x, VertexId y, VertexId z) {
+      return (z * ny + y) * nx + x;
+    };
+    for (VertexId z = 0; z < nz; ++z) {
+      for (VertexId y = 0; y < ny; ++y) {
+        for (VertexId x = 0; x < nx; ++x) {
+          if (x + 1 < nx) edges.emplace_back(id(x, y, z), id(x + 1, y, z));
+          if (y + 1 < ny) edges.emplace_back(id(x, y, z), id(x, y + 1, z));
+          if (z + 1 < nz) edges.emplace_back(id(x, y, z), id(x, y, z + 1));
+        }
+      }
+    }
+    const Graph lattice = graph_from_edges(nx * ny * nz, edges);
+    for (const WeightKind kind : kAllWeightKinds) {
+      SCOPED_TRACE(::testing::Message() << nx << "x" << ny << "x" << nz
+                                        << " kind " << static_cast<int>(kind));
+      expect_same_csr(grid_3d(nx, ny, nz, kind, kLatticeSeed),
+                      reweight(lattice, kind, kLatticeSeed));
+    }
+  }
 }
 
 TEST(ErdosRenyi, ExactEdgeCount) {

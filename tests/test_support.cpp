@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "runtime/exec/backend.hpp"
@@ -566,6 +567,38 @@ TEST(Options, IntListRejectsGarbageNonPositiveAndEmpty) {
       EXPECT_NE(std::string(e.what()).find("option --x"), std::string::npos)
           << bad;
     }
+  }
+}
+
+TEST(Options, DoubleListParsesEveryEntry) {
+  EXPECT_EQ(opts_with("0,0.05,1e-3").get_double_list("x"),
+            (std::vector<double>{0.0, 0.05, 1e-3}));
+  EXPECT_EQ(opts_with("+2.5").get_double_list("x"),
+            (std::vector<double>{2.5}));
+}
+
+TEST(Options, DoubleListRejectsGarbageEmptyAndOutOfRange) {
+  // Each failure names the flag and the entry (the bare std::stod loop it
+  // replaces ran "0.05x" as 0.05 and failed on "abc" with only "stod").
+  const std::pair<const char*, const char*> cases[] = {
+      {"0.05x", "'0.05x'"},   {"abc", "'abc'"},   {"0,,0.1", "''"},
+      {"0.1,", "''"},         {",0.1", "''"},     {"", "''"},
+      {"0,1e999", "'1e999'"}, {"0,nan", "'nan'"}, {"0.1 ", "'0.1 '"}};
+  for (const auto& [bad, entry] : cases) {
+    try {
+      (void)opts_with(bad).get_double_list("x");
+      FAIL() << "expected pmc::Error for '" << bad << "'";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("option --x"), std::string::npos) << bad;
+      EXPECT_NE(what.find(entry), std::string::npos) << bad << ": " << what;
+    }
+  }
+  try {
+    (void)opts_with("0,1e999").get_double_list("x");
+    FAIL() << "expected pmc::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos);
   }
 }
 
