@@ -217,6 +217,30 @@ void BM_ColorIncremental(benchmark::State& state) {
 }
 BENCHMARK(BM_ColorIncremental)->Unit(benchmark::kMillisecond);
 
+// One service-stream batch: 16 updates, drawn untimed, pushed through
+// GraphService::push on the grid with 64 ranks; the last push folds the
+// batch, refreshes the distribution, repairs both solutions and reports.
+// The count is fixed, as in BM_DistGraphRefresh, because the stream keeps
+// changing the graph.
+void BM_ServiceBatch(benchmark::State& state) {
+  const Graph& g = shared_grid();
+  ServiceOptions options;
+  options.batch_window = 16;
+  GraphService service(g, grid_2d_partition(256, 256, 8, 8), options);
+  UpdateStreamConfig cfg;
+  cfg.seed = 75;
+  UpdateStreamGenerator gen(g, cfg);
+  for (auto _ : state) {
+    state.PauseTiming();
+    const std::vector<EdgeUpdate> batch = gen.next_batch(16);
+    state.ResumeTiming();
+    for (const EdgeUpdate& u : batch) {
+      benchmark::DoNotOptimize(service.push(u));
+    }
+  }
+}
+BENCHMARK(BM_ServiceBatch)->Iterations(100)->Unit(benchmark::kMillisecond);
+
 // The global-to-local resolution every decoded record pays: each rank looks
 // up every global id it holds, owned and ghost, plus as many it does not,
 // in a seeded random order so a branchy search cannot learn the pattern.

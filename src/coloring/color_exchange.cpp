@@ -4,26 +4,13 @@
 #include <utility>
 
 #include "runtime/fabric.hpp"
-#include "support/error.hpp"
 
 namespace pmc {
 
 void apply_color_records(const LocalGraph& lg, std::vector<Color>& color,
-                         const BspMessage& msg, SendPolicy policy,
-                         std::vector<VertexId>* changed) {
-  for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
-    const VertexId local = lg.local_id(rec.id);
-    if (local == kNoVertex) {
-      // The broadcast delivers records for vertices this rank has never
-      // heard of; that waste is exactly what the customized modes eliminate.
-      PMC_CHECK(policy == SendPolicy::kBroadcastUnion,
-                "rank " << lg.rank() << " got a color record for vertex "
-                        << rec.id << ", which it does not hold");
-      return;
-    }
-    auto& slot = color[static_cast<std::size_t>(local)];
-    if (changed != nullptr && slot != rec.color) changed->push_back(local);
-    slot = rec.color;
+                         const BspMessage& msg, SendPolicy policy) {
+  for_each_held_color(lg, msg, policy, [&color](VertexId local, Color c) {
+    color[static_cast<std::size_t>(local)] = c;
   });
 }
 

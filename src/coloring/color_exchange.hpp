@@ -14,20 +14,39 @@
 #include "runtime/bsp_engine.hpp"
 #include "runtime/dist_graph.hpp"
 #include "runtime/fabric.hpp"
+#include "runtime/serialize.hpp"
+#include "support/error.hpp"
 #include "support/types.hpp"
 
 namespace pmc {
 
+/// Calls fn(local, color) for each record of one boundary-color message,
+/// sent under `policy`, in payload order. A record names a vertex its
+/// sender owns, so the receiver holds it as a ghost or not at all. A record
+/// for a vertex `lg` does not hold is the broadcast's waste under
+/// kBroadcastUnion and skipped; under the customized policies the sender
+/// chose this rank for it, so it is a pmc::Error.
+template <typename Fn>
+void for_each_held_color(const LocalGraph& lg, const BspMessage& msg,
+                         SendPolicy policy, Fn&& fn) {
+  for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
+    const VertexId local = lg.ghost_id(rec.id);
+    if (local == kNoVertex) {
+      // The broadcast delivers records for vertices this rank has never
+      // heard of; that waste is exactly what the customized modes eliminate.
+      PMC_CHECK(policy == SendPolicy::kBroadcastUnion,
+                "rank " << lg.rank() << " got a color record for vertex "
+                        << rec.id << ", which it does not hold");
+      return;
+    }
+    fn(local, rec.color);
+  });
+}
+
 /// Applies one boundary-color message, sent under `policy`, to `color`
-/// (indexed by local id). A record for a vertex `lg` does not hold is the
-/// broadcast's waste under kBroadcastUnion and skipped; under the
-/// customized policies the sender chose this rank for it, so it is a
-/// pmc::Error. When `changed` is non-null, appends the local ids whose
-/// stored color actually changed — the incremental driver's re-check
-/// frontier.
+/// (indexed by local id); see for_each_held_color.
 void apply_color_records(const LocalGraph& lg, std::vector<Color>& color,
-                         const BspMessage& msg, SendPolicy policy,
-                         std::vector<VertexId>* changed = nullptr);
+                         const BspMessage& msg, SendPolicy policy);
 
 /// Global ids whose color announcement was dropped or corrupted in flight,
 /// per sending rank, in receipt order and possibly repeated; the repair

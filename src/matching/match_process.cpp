@@ -19,7 +19,7 @@ void MatchProcess::sort_arcs(EventContext& ctx, VertexId v) {
   for (EdgeId a = b; a < e; ++a) {
     arc_order_[static_cast<std::size_t>(a)] = static_cast<std::uint32_t>(a - b);
   }
-  std::sort(arc_order_.begin() + b, arc_order_.begin() + e,
+  std::sort(arc_order_.get() + b, arc_order_.get() + e,
             [this, b](std::uint32_t x, std::uint32_t y) {
               const EdgeId ax = b + x;
               const EdgeId ay = b + y;
@@ -41,15 +41,14 @@ void MatchProcess::start(EventContext& ctx) {
   ptr_.assign(static_cast<std::size_t>(n), 0);
   initialized_.assign(static_cast<std::size_t>(n), false);
   ghost_dead_.assign(static_cast<std::size_t>(lg_.num_ghosts()), false);
-  arc_requested_.assign(static_cast<std::size_t>(
-                            n > 0 ? lg_.offset_end(n - 1) : 0),
-                        false);
+  const auto arcs = static_cast<std::size_t>(n > 0 ? lg_.offset_end(n - 1) : 0);
+  arc_requested_.assign(arcs, false);
   undecided_ = n;
 
   // Per-vertex arc order: weight descending, ties by smallest global label
   // of the neighbor (the paper's tie-breaking rule). Positions are stored
   // relative to the vertex's arc range to keep them 32-bit.
-  arc_order_.resize(arc_requested_.size());
+  arc_order_ = std::make_unique_for_overwrite<std::uint32_t[]>(arcs);
   for (VertexId v = 0; v < n; ++v) {
     sort_arcs(ctx, v);
   }
@@ -228,11 +227,10 @@ void MatchProcess::process_pending(EventContext& ctx) {
 // ---- message handling ---------------------------------------------------
 
 void MatchProcess::on_record(EventContext& ctx, const Request& request) {
-  const VertexId gu = lg_.local_id(request.from);
-  const VertexId v = lg_.local_id(request.to);
-  PMC_CHECK(gu != kNoVertex && lg_.is_ghost(gu),
-            "REQUEST names unknown ghost " << request.from);
-  PMC_CHECK(v != kNoVertex && !lg_.is_ghost(v),
+  const VertexId gu = lg_.ghost_id(request.from);
+  const VertexId v = lg_.owned_id(request.to);
+  PMC_CHECK(gu != kNoVertex, "REQUEST names unknown ghost " << request.from);
+  PMC_CHECK(v != kNoVertex,
             "REQUEST targets non-owned vertex " << request.to);
   // Record the incoming preference on the (v, gu) arc — the R(v) set.
   const EdgeId arc = find_arc(v, gu);
@@ -249,22 +247,20 @@ void MatchProcess::on_record(EventContext& ctx, const Request& request) {
 
 void MatchProcess::on_record(EventContext& ctx, const Succeeded& succeeded) {
   (void)ctx;
-  const VertexId gx = lg_.local_id(succeeded.vertex);
-  PMC_CHECK(gx != kNoVertex && lg_.is_ghost(gx),
+  const VertexId gx = lg_.ghost_id(succeeded.vertex);
+  PMC_CHECK(gx != kNoVertex,
             "SUCCEEDED names unknown ghost " << succeeded.vertex);
-  const VertexId mate_local = lg_.local_id(succeeded.mate);
   // The mate can never be one of our owned vertices: the owner excludes
   // the mate's rank from SUCCEEDED (the handshake covers it).
-  PMC_CHECK(mate_local == kNoVertex || lg_.is_ghost(mate_local),
+  PMC_CHECK(lg_.owned_id(succeeded.mate) == kNoVertex,
             "unexpected SUCCEEDED for handshake mate " << succeeded.mate);
   ghost_died(gx, kNoVertex);
 }
 
 void MatchProcess::on_record(EventContext& ctx, const Failed& failed) {
   (void)ctx;
-  const VertexId gx = lg_.local_id(failed.vertex);
-  PMC_CHECK(gx != kNoVertex && lg_.is_ghost(gx),
-            "FAILED names unknown ghost " << failed.vertex);
+  const VertexId gx = lg_.ghost_id(failed.vertex);
+  PMC_CHECK(gx != kNoVertex, "FAILED names unknown ghost " << failed.vertex);
   ghost_died(gx, kNoVertex);
 }
 

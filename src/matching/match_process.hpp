@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <span>
 #include <string>
 #include <tuple>
@@ -161,7 +162,9 @@ class MatchProcess : public Process {
   std::vector<bool> initialized_;
   std::vector<bool> ghost_dead_;
   std::vector<bool> arc_requested_;
-  std::vector<std::uint32_t> arc_order_;  // per-vertex-relative positions
+  /// Per-vertex-relative arc positions, one per arc; sort_arcs writes a
+  /// row before anything reads it, so the array is never zero-filled.
+  std::unique_ptr<std::uint32_t[]> arc_order_;
   std::deque<VertexId> pending_;
   std::vector<Rank> scratch_ranks_;
   VertexId undecided_ = 0;

@@ -27,7 +27,10 @@
 // form three runs, each in ascending global id: the owned vertices [0,
 // num_owned), the ghosts with rows [num_owned, num_rows) and the rest
 // [num_rows, num_local); at halo 1 the middle run is empty. local_id() is a
-// branch-free binary search of each run of global_id().
+// branch-free binary search of each run of global_id(); owned_id() and
+// ghost_id() search only the owned run or only the ghost runs, for callers
+// that know which kind an id must be (a record names a ghost or an owned
+// vertex of its receiver).
 //
 // A rank's view is a function of its owned rows alone (and, at halo 2, its
 // distance-1 ghosts' rows), so construction is two passes: DistGraph::build
@@ -91,11 +94,21 @@ class LocalGraph {
 
   /// Local id of a global vertex; kNoVertex when not present on this rank.
   [[nodiscard]] VertexId local_id(VertexId global) const noexcept {
+    const VertexId local = owned_id(global);
+    return local != kNoVertex ? local : ghost_id(global);
+  }
+
+  /// Local id of a global vertex this rank owns; kNoVertex otherwise.
+  [[nodiscard]] VertexId owned_id(VertexId global) const noexcept {
+    return find_in_run(0, num_owned_, global);
+  }
+
+  /// Local id of a global vertex this rank holds as a ghost; kNoVertex
+  /// otherwise (an owned vertex included).
+  [[nodiscard]] VertexId ghost_id(VertexId global) const noexcept {
     const VertexId rows = num_rows();
-    VertexId local = find_in_run(0, num_owned_, global);
-    if (local == kNoVertex) local = find_in_run(num_owned_, rows, global);
-    if (local == kNoVertex) local = find_in_run(rows, num_local(), global);
-    return local;
+    const VertexId local = find_in_run(num_owned_, rows, global);
+    return local != kNoVertex ? local : find_in_run(rows, num_local(), global);
   }
 
   /// Owning rank of a local ghost vertex.

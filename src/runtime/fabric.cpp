@@ -183,27 +183,6 @@ CommFabric::Lane::Lane(const CommFabric& fabric, Rank r)
           fabric.breakdown().other_seconds[static_cast<std::size_t>(r)]),
       phase_(fabric.trace_.phase(r)) {}
 
-void CommFabric::Lane::charge(double work_units) {
-  charge(work_units, phase_);
-}
-
-void CommFabric::Lane::charge(double work_units, WorkPhase phase) {
-  const double seconds = fabric_->model_.compute_seconds(work_units);
-  clock_ += seconds;
-  compute_seconds_ += seconds;
-  switch (phase) {
-    case WorkPhase::kInterior:
-      interior_seconds_ += seconds;
-      break;
-    case WorkPhase::kBoundary:
-      boundary_seconds_ += seconds;
-      break;
-    case WorkPhase::kOther:
-      other_seconds_ += seconds;
-      break;
-  }
-}
-
 CommFabric::SendTime CommFabric::Lane::begin_send(bool fault_exempt) {
   // A stalled sender cannot inject into the network until the window clears
   // (stalls also cover the exempt path: the rank itself is down, not just

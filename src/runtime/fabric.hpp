@@ -239,9 +239,25 @@ class CommFabric {
     [[nodiscard]] double now() const noexcept { return clock_; }
 
     /// Charges work_units of compute (attributed to the lane's current
-    /// phase, or to an explicit one-shot phase).
-    void charge(double work_units);
-    void charge(double work_units, WorkPhase phase);
+    /// phase, or to an explicit one-shot phase). Inline: handlers charge
+    /// per record and per arc.
+    void charge(double work_units) { charge(work_units, phase_); }
+    void charge(double work_units, WorkPhase phase) {
+      const double seconds = fabric_->model_.compute_seconds(work_units);
+      clock_ += seconds;
+      compute_seconds_ += seconds;
+      switch (phase) {
+        case WorkPhase::kInterior:
+          interior_seconds_ += seconds;
+          break;
+        case WorkPhase::kBoundary:
+          boundary_seconds_ += seconds;
+          break;
+        case WorkPhase::kOther:
+          other_seconds_ += seconds;
+          break;
+      }
+    }
 
     /// Sets the phase later charges count toward (absorbed into the trace at
     /// merge).

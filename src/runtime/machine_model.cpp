@@ -47,12 +47,6 @@ double MachineModel::message_seconds(double payload_bytes) const {
   return latency + (payload_bytes + header_bytes) * seconds_per_byte;
 }
 
-double MachineModel::compute_seconds(double work_units) const {
-  const double speedup =
-      1.0 + (threads_per_rank - 1) * thread_efficiency;
-  return work_units * seconds_per_work / speedup;
-}
-
 MachineModel MachineModel::with_threads(int threads, double efficiency) const {
   MachineModel m = *this;
   m.threads_per_rank = threads;

@@ -64,8 +64,12 @@ struct MachineModel {
   [[nodiscard]] double message_seconds(double payload_bytes) const;
 
   /// Cost in seconds of `work_units` of local computation, accounting for
-  /// hybrid threads: work / (1 + (threads-1) * efficiency).
-  [[nodiscard]] double compute_seconds(double work_units) const;
+  /// hybrid threads: work / (1 + (threads-1) * efficiency). Inline: every
+  /// charge prices through it.
+  [[nodiscard]] double compute_seconds(double work_units) const {
+    const double speedup = 1.0 + (threads_per_rank - 1) * thread_efficiency;
+    return work_units * seconds_per_work / speedup;
+  }
 
   /// Returns a copy of this model with `threads` threads per rank.
   [[nodiscard]] MachineModel with_threads(int threads,

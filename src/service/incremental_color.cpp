@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "coloring/color_exchange.hpp"
 #include "coloring/sequential.hpp"
@@ -41,6 +42,8 @@ namespace {
 /// Per-rank working state of the canonical chaotic iteration.
 struct CanonState {
   const LocalGraph* lg = nullptr;
+  /// Whether color and stage are built (see warm in run_canonical).
+  bool warm = false;
   /// Colors of owned and ghost vertices (local ids).
   std::vector<Color> color;
   /// Owned vertices to (re)color this round, sorted by local id.
@@ -72,8 +75,7 @@ Color canonical_fit(CanonState& st, VertexId v, std::uint64_t seed,
   return st.chooser.choose(nullptr);
 }
 
-IncrementalColorResult run_canonical(const DistGraph& dist,
-                                     const Coloring* previous,
+IncrementalColorResult run_canonical(const DistGraph& dist, Coloring* previous,
                                      const std::vector<VertexId>* touched,
                                      const DistColoringOptions& options) {
   PMC_REQUIRE(options.superstep_size >= 1, "superstep size must be >= 1");
@@ -85,30 +87,45 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
   const bool faults_on = engine.faults_enabled();
   const std::uint64_t seed = options.seed;
 
+  // Builds a rank's state: its owned and ghost colors from `previous` (none
+  // on a cold start) and its send stage. A repair warms only the ranks it
+  // reaches: one with a vertex to recolor, or one that a boundary record
+  // names a held vertex of. Until then no vertex it holds changed color, so
+  // warming late finds the state warming early would have kept.
+  const auto warm = [&](CanonState& st) {
+    if (st.warm) return;
+    st.warm = true;
+    const LocalGraph& lg = *st.lg;
+    st.stage =
+        FanoutStage(options.comm_mode, P, lg.neighbor_ranks(), options.codec);
+    if (previous == nullptr) {
+      st.color.assign(static_cast<std::size_t>(lg.num_local()), kNoColor);
+      return;
+    }
+    st.color.resize(static_cast<std::size_t>(lg.num_local()));
+    for (VertexId v = 0; v < lg.num_local(); ++v) {
+      st.color[static_cast<std::size_t>(v)] =
+          previous->color[static_cast<std::size_t>(lg.global_id(v))];
+    }
+  };
+
   std::vector<CanonState> states(static_cast<std::size_t>(P));
   for (Rank r = 0; r < P; ++r) {
     CanonState& st = states[static_cast<std::size_t>(r)];
     const LocalGraph& lg = dist.local(r);
     st.lg = &lg;
-    st.stage =
-        FanoutStage(options.comm_mode, P, lg.neighbor_ranks(), options.codec);
-    st.color.assign(static_cast<std::size_t>(lg.num_local()), kNoColor);
-    if (previous != nullptr) {
-      // Warm start: owned and ghost colors from the previous coloring —
-      // every rank sees the same globally consistent state.
-      for (VertexId v = 0; v < lg.num_local(); ++v) {
-        st.color[static_cast<std::size_t>(v)] =
-            previous->color[static_cast<std::size_t>(lg.global_id(v))];
-      }
-      for (const VertexId g : *touched) {
-        const VertexId v = lg.local_id(g);
-        if (v != kNoVertex && !lg.is_ghost(v)) st.to_color.push_back(v);
-      }
-      std::sort(st.to_color.begin(), st.to_color.end());
-    } else {
+    if (previous == nullptr) {
       st.to_color.resize(static_cast<std::size_t>(lg.num_owned()));
       std::iota(st.to_color.begin(), st.to_color.end(), VertexId{0});
+      warm(st);
+      continue;
     }
+    // Ascending: touched and the owned run both ascend in global id.
+    for (const VertexId g : *touched) {
+      const VertexId v = lg.owned_id(g);
+      if (v != kNoVertex) st.to_color.push_back(v);
+    }
+    if (!st.to_color.empty()) warm(st);
   }
 
   IncrementalColorResult result;
@@ -116,12 +133,19 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
   std::vector<std::int64_t> recolored(static_cast<std::size_t>(P), 0);
   std::vector<std::int64_t> reentries(static_cast<std::size_t>(P), 0);
 
+  // Applies the boundary colors; a ghost whose stored color changed joins
+  // the re-check frontier.
   const auto apply_exchange = [&](BspEngine::RankCtx& ctx,
                                   std::vector<BspMessage> msgs) {
     CanonState& st = states[static_cast<std::size_t>(ctx.rank())];
     for (const BspMessage& msg : msgs) {
-      apply_color_records(*st.lg, st.color, msg, options.comm_mode,
-                          &st.ghost_changed);
+      for_each_held_color(
+          *st.lg, msg, options.comm_mode, [&](VertexId local, Color c) {
+            warm(st);
+            auto& slot = st.color[static_cast<std::size_t>(local)];
+            if (slot != c) st.ghost_changed.push_back(local);
+            slot = c;
+          });
     }
   };
 
@@ -237,14 +261,22 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
     engine.barrier();
   }
 
-  result.coloring.color.assign(
-      static_cast<std::size_t>(dist.num_global_vertices()), kNoColor);
+  // A rank left cold still holds the previous colors.
+  if (previous != nullptr) {
+    result.coloring = std::move(*previous);
+  } else {
+    result.coloring.color.assign(
+        static_cast<std::size_t>(dist.num_global_vertices()), kNoColor);
+  }
   for (Rank r = 0; r < P; ++r) {
     const CanonState& st = states[static_cast<std::size_t>(r)];
     const LocalGraph& lg = *st.lg;
-    for (VertexId v = 0; v < lg.num_owned(); ++v) {
-      result.coloring.color[static_cast<std::size_t>(lg.global_id(v))] =
-          st.color[static_cast<std::size_t>(v)];
+    if (st.warm) {
+      ++result.ranks_reached;
+      for (VertexId v = 0; v < lg.num_owned(); ++v) {
+        result.coloring.color[static_cast<std::size_t>(lg.global_id(v))] =
+            st.color[static_cast<std::size_t>(v)];
+      }
     }
     result.recolored += recolored[static_cast<std::size_t>(r)];
     result.fault_reentries += reentries[static_cast<std::size_t>(r)];
@@ -258,7 +290,7 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
 }  // namespace
 
 IncrementalColorResult color_incremental(const DistGraph& dist,
-                                         const Coloring& previous,
+                                         Coloring previous,
                                          const std::vector<VertexId>& touched,
                                          const DistColoringOptions& options) {
   PMC_REQUIRE(static_cast<VertexId>(previous.color.size()) ==

@@ -15,16 +15,23 @@
 // order computes it sequentially (canonical_coloring below).
 //
 // The incremental driver is a chaotic-iteration solver for that fixed
-// point on the synchronous BSP runtime: warm-start every rank with the
-// previous batch's colors (owned and ghost), re-enter only the updated
-// edges' endpoints, recolor them canonically in supersteps, exchange the
-// boundary colors that actually changed, and re-enter any neighbor whose
-// stored color no longer equals its canonical fit. Because the dependency
-// order (priority) is acyclic, the iteration terminates in the unique fixed
+// point on the synchronous BSP runtime: re-enter only the updated edges'
+// endpoints, recolor them canonically in supersteps, exchange the boundary
+// colors that actually changed, and re-enter any neighbor whose stored
+// color no longer equals its canonical fit. Because the dependency order
+// (priority) is acyclic, the iteration terminates in the unique fixed
 // point from *any* starting state — so the warm run, the cold run and the
 // sequential reference all agree exactly, at every thread count, with or
-// without fault injection (dropped announcements reuse PR 2's
-// lost-tracking re-entry from coloring/color_exchange.hpp).
+// without fault injection (dropped announcements reuse the lost-tracking
+// re-entry from coloring/color_exchange.hpp).
+//
+// A rank is warm-started with the previous batch's colors (owned and
+// ghost) and given its send stage only when the repair reaches it: when it
+// owns a vertex to recolor, or a boundary record names a vertex it holds.
+// Before that none of its colors changed, so a late warm start sees what an
+// early one would have kept. A rank the repair never reaches builds
+// nothing, and the result starts from the previous coloring, which only the
+// reached ranks overwrite. The cold driver warms every rank.
 #pragma once
 
 #include <cstdint>
@@ -55,18 +62,22 @@ struct IncrementalColorResult {
   std::int64_t total_supersteps = 0;
   /// Color assignments that changed a vertex's stored color.
   std::int64_t recolored = 0;
-  /// Vertices re-entered because their announcement was dropped (PR 2's
-  /// repair machinery; 0 without fault injection).
+  /// Vertices re-entered because their announcement was dropped (the
+  /// lost-tracking repair; 0 without fault injection).
   std::int64_t fault_reentries = 0;
+  /// Ranks that built coloring state: those the repair reached, or every
+  /// rank on a cold start.
+  Rank ranks_reached = 0;
 };
 
 /// Repairs `previous` (the canonical coloring of the pre-update graph) into
-/// the canonical coloring of `dist` (the post-update distribution).
-/// `touched` lists the global endpoints of the batch's updates, strictly
-/// ascending (touched_vertices); any other list throws pmc::Error. The
-/// result is byte-identical to color_canonical(dist, options).coloring.
+/// the canonical coloring of `dist` (the post-update distribution), in
+/// place: pass it by move to copy nothing. `touched` lists the global
+/// endpoints of the batch's updates, strictly ascending (touched_vertices);
+/// any other list throws pmc::Error. The result is byte-identical to
+/// color_canonical(dist, options).coloring.
 [[nodiscard]] IncrementalColorResult color_incremental(
-    const DistGraph& dist, const Coloring& previous,
+    const DistGraph& dist, Coloring previous,
     const std::vector<VertexId>& touched,
     const DistColoringOptions& options = {});
 

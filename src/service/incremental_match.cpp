@@ -31,9 +31,23 @@ IncrementalMatchProcess::IncrementalMatchProcess(
 
 void IncrementalMatchProcess::start(EventContext& ctx) {
   ctx.set_phase(WorkPhase::kInterior);
+  // Invalidate the owned seeds and close over them.
+  for (const VertexId g : touched_) {
+    const VertexId v = lg_.owned_id(g);
+    if (v == kNoVertex) continue;
+    reach();
+    invalidate(ctx, v);
+  }
+  drain_closure(ctx);
+  flush(ctx);
+}
+
+void IncrementalMatchProcess::reach() {
+  if (reached_) return;
+  reached_ = true;
   const VertexId n = lg_.num_owned();
-  state_.assign(static_cast<std::size_t>(n), VState::kUndecided);
-  mate_.assign(static_cast<std::size_t>(n), kNoVertex);
+  state_.reserve(static_cast<std::size_t>(n));
+  mate_.reserve(static_cast<std::size_t>(n));
   cand_.assign(static_cast<std::size_t>(n), kNoVertex);
   ptr_.assign(static_cast<std::size_t>(n), 0);
   initialized_.assign(static_cast<std::size_t>(n), false);
@@ -41,31 +55,21 @@ void IncrementalMatchProcess::start(EventContext& ctx) {
   // only revived (invalidated) neighbors are negotiable. INVALIDATE records
   // revive them.
   ghost_dead_.assign(static_cast<std::size_t>(lg_.num_ghosts()), true);
-  arc_requested_.assign(
-      static_cast<std::size_t>(n > 0 ? lg_.offset_end(n - 1) : 0), false);
-  arc_order_.resize(arc_requested_.size());  // sorted lazily, per invalidated
+  const auto arcs = static_cast<std::size_t>(n > 0 ? lg_.offset_end(n - 1) : 0);
+  arc_requested_.assign(arcs, false);
+  // Sorted lazily: sort_arcs writes each invalidated row before it is read.
+  arc_order_ = std::make_unique_for_overwrite<std::uint32_t[]>(arcs);
   invalidated_.assign(static_cast<std::size_t>(n), false);
-  undecided_ = 0;
 
   // Seed the frozen state from the previous matching. The previous matching
   // was maximal, so every owned vertex was either matched or failed; a
   // matched vertex's mate stays unresolved until the closure reads it.
   for (VertexId v = 0; v < n; ++v) {
-    if (prev_mate_[static_cast<std::size_t>(lg_.global_id(v))] == kNoVertex) {
-      state_[static_cast<std::size_t>(v)] = VState::kFailed;
-    } else {
-      state_[static_cast<std::size_t>(v)] = VState::kMatched;
-      mate_[static_cast<std::size_t>(v)] = kUnresolved;
-    }
+    const bool matched =
+        prev_mate_[static_cast<std::size_t>(lg_.global_id(v))] != kNoVertex;
+    state_.push_back(matched ? VState::kMatched : VState::kFailed);
+    mate_.push_back(matched ? kUnresolved : kNoVertex);
   }
-
-  // Invalidate the owned seeds and close over them.
-  for (const VertexId g : touched_) {
-    const VertexId v = lg_.local_id(g);
-    if (v != kNoVertex && !lg_.is_ghost(v)) invalidate(ctx, v);
-  }
-  drain_closure(ctx);
-  flush(ctx);
 }
 
 VertexId IncrementalMatchProcess::frozen_mate(VertexId v) {
@@ -148,6 +152,7 @@ void IncrementalMatchProcess::drain_closure(EventContext& ctx) {
 void IncrementalMatchProcess::handle(EventContext& ctx, Rank src,
                                      std::span<const std::byte> payload) {
   (void)src;
+  reach();
   handle_records<Request, Succeeded, Failed, Invalidate>(
       ctx, payload, [&](const auto& record) {
         if constexpr (std::is_same_v<std::decay_t<decltype(record)>,
@@ -167,9 +172,8 @@ void IncrementalMatchProcess::handle(EventContext& ctx, Rank src,
 
 void IncrementalMatchProcess::handle_invalidate(EventContext& ctx,
                                                 VertexId v_global) {
-  const VertexId g = lg_.local_id(v_global);
-  PMC_CHECK(g != kNoVertex && lg_.is_ghost(g),
-            "INVALIDATE names unknown ghost " << v_global);
+  const VertexId g = lg_.ghost_id(v_global);
+  PMC_CHECK(g != kNoVertex, "INVALIDATE names unknown ghost " << v_global);
   const auto gidx = static_cast<std::size_t>(g - lg_.num_owned());
   PMC_CHECK(ghost_dead_[gidx], "duplicate INVALIDATE for " << v_global);
   ghost_dead_[gidx] = false;  // revived: negotiable again
@@ -230,7 +234,7 @@ void IncrementalMatchProcess::collect(std::vector<VertexId>& global_mate,
 }
 
 IncrementalMatchResult match_incremental(const DistGraph& dist,
-                                         const Matching& previous,
+                                         Matching previous,
                                          const std::vector<VertexId>& touched,
                                          const DistMatchingOptions& options) {
   PMC_REQUIRE(static_cast<VertexId>(previous.mate.size()) ==
@@ -249,16 +253,17 @@ IncrementalMatchResult match_incremental(const DistGraph& dist,
   }
   IncrementalMatchResult result;
   result.run = engine.run();
-  // Frozen pairs keep their previous mates: rule (a) invalidates both ends
-  // of every dissolved pair, so each rank overwrites only its invalidated
-  // vertices.
-  result.matching = previous;
+  // The processes read the previous mates until the run ends. Frozen pairs
+  // keep them: rule (a) invalidates both ends of every dissolved pair, so
+  // each rank overwrites only its invalidated vertices.
+  result.matching = std::move(previous);
   for (Rank r = 0; r < dist.num_ranks(); ++r) {
     const auto& proc =
         static_cast<const IncrementalMatchProcess&>(engine.process(r));
     proc.collect(result.matching.mate, result.invalidated_ids);
     result.max_activations =
         std::max(result.max_activations, proc.activations());
+    if (proc.reached()) ++result.ranks_reached;
   }
   result.invalidated = static_cast<VertexId>(result.invalidated_ids.size());
   return result;

@@ -35,14 +35,17 @@
 //   and re-enter candidate selection. The frozen part of the old matching
 //   plus the re-negotiated part equals the full matching of the new graph.
 //
-// Beyond O(owned) array setup, a rank pays for what it repairs. A frozen
-// vertex's previous mate is resolved to a local id only when the closure
-// first reads it; a ghost's incident owned arcs come from the LocalGraph;
-// the re-match phase walks only the invalidated vertices, in local-id
-// order. The result starts from the previous matching, and each rank
-// overwrites only its invalidated vertices: rule (a) invalidates both ends
-// of every pair it dissolves, on either rank, so every frozen vertex's
-// previous mate is still its mate.
+// A rank pays for what it repairs. It builds its per-vertex arrays and
+// seeds the frozen state from the previous matching only when the repair
+// first reaches it: an owned seed in start(), or any record; a rank the
+// closure never reaches allocates nothing and only flips phase at idle().
+// A frozen vertex's previous mate is resolved to a local id only when the
+// closure first reads it; a ghost's incident owned arcs come from the
+// LocalGraph; the re-match phase walks only the invalidated vertices, in
+// local-id order. The result is the previous matching, updated in place:
+// each rank overwrites only its invalidated vertices, since rule (a)
+// invalidates both ends of every pair it dissolves, on either rank, so
+// every frozen vertex's previous mate is still its mate.
 #pragma once
 
 #include <span>
@@ -70,15 +73,18 @@ struct IncrementalMatchResult {
   /// Their global ids, rank by rank: the only vertices whose mate can
   /// differ from the previous matching's.
   std::vector<VertexId> invalidated_ids;
+  /// Ranks the repair reached, which built repair state.
+  Rank ranks_reached = 0;
 };
 
 /// Repairs `previous` (the matching of the pre-update graph) into the
-/// matching of `dist` (the distribution of the *post-update* graph).
-/// `touched` lists the global endpoints of the batch's updates, strictly
-/// ascending (touched_vertices); any other list throws pmc::Error. The
-/// result is byte-identical to match_distributed(dist, options).matching.
+/// matching of `dist` (the distribution of the *post-update* graph), in
+/// place: pass it by move to copy nothing. `touched` lists the global
+/// endpoints of the batch's updates, strictly ascending (touched_vertices);
+/// any other list throws pmc::Error. The result is byte-identical to
+/// match_distributed(dist, options).matching.
 [[nodiscard]] IncrementalMatchResult match_incremental(
-    const DistGraph& dist, const Matching& previous,
+    const DistGraph& dist, Matching previous,
     const std::vector<VertexId>& touched,
     const DistMatchingOptions& options = {});
 
@@ -106,6 +112,9 @@ class IncrementalMatchProcess : public MatchProcess {
   void collect(std::vector<VertexId>& global_mate,
                std::vector<VertexId>& ids) const;
 
+  /// Whether the repair reached this rank (see reach()).
+  [[nodiscard]] bool reached() const noexcept { return reached_; }
+
   /// INVALIDATE: the closure phase's cross-rank record — `vertex` was
   /// invalidated, so its ghost copies revive (REQUEST/SUCCEEDED/FAILED keep
   /// their base meaning in the re-match phase).
@@ -120,6 +129,10 @@ class IncrementalMatchProcess : public MatchProcess {
 
   /// mate_ of a frozen matched vertex until frozen_mate() resolves it.
   static constexpr VertexId kUnresolved = kNoVertex - 1;
+
+  /// Sizes the per-vertex arrays and seeds the frozen state from the
+  /// previous matching, once: the first time the repair reaches this rank.
+  void reach();
 
   /// Local id of frozen vertex v's previous mate (kNoVertex when v failed,
   /// or when the mate is no longer on this rank), resolved on first read.
@@ -140,6 +153,7 @@ class IncrementalMatchProcess : public MatchProcess {
   const std::vector<VertexId>& prev_mate_;
   const std::vector<VertexId>& touched_;
   Phase phase_ = Phase::kClosure;
+  bool reached_ = false;
   std::vector<bool> invalidated_;          // owned local ids
   std::vector<VertexId> invalidated_ids_;  // sorted by idle()
   std::deque<VertexId> closure_queue_;

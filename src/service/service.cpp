@@ -49,10 +49,11 @@ BatchReport GraphService::refresh() {
   const Graph& graph = dynamic_.snapshot();
   dist_.refresh(graph, partition_, touched);
 
-  IncrementalMatchResult im =
-      match_incremental(dist_, matching_, touched, options_.matching);
-  IncrementalColorResult ic =
-      color_incremental(dist_, coloring_, touched, options_.coloring);
+  // Both solutions are repaired in place and moved back below.
+  IncrementalMatchResult im = match_incremental(dist_, std::move(matching_),
+                                                touched, options_.matching);
+  IncrementalColorResult ic = color_incremental(dist_, std::move(coloring_),
+                                                touched, options_.coloring);
 
   BatchReport report;
   report.batch = static_cast<std::int64_t>(history_.size());

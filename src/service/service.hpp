@@ -85,7 +85,9 @@ class GraphService {
   std::optional<BatchReport> push(const EdgeUpdate& update);
 
   /// Repairs the solutions for all buffered updates as one batch. Requires
-  /// a non-empty buffer.
+  /// a non-empty buffer. The solutions are moved into the repairs, so a
+  /// repair that throws (a failed internal check) leaves none behind, and
+  /// every later batch throws.
   BatchReport refresh();
 
   [[nodiscard]] std::int64_t pending_updates() const noexcept {

@@ -591,12 +591,15 @@ TEST_F(IncrementalDriversTest, MatchRepairWhenAMatchedCrossEdgeIsDeleted) {
 
 TEST_F(IncrementalDriversTest, MatchRepairWithEveryTouchedVertexOnOneRank) {
   // Every update joins two vertices of rank 0, two of them matched across,
-  // so the other ranks have no seeds: they only resolve frozen mates when
-  // rank 0's INVALIDATE records reach them.
+  // so the other ranks have no seeds: they only build repair state and
+  // resolve frozen mates when rank 0's INVALIDATE records reach them.
   DistMatchingOptions opt;
   opt.exec = exec_config_from_env();
-  const Matching prev =
-      match_distributed(DistGraph::build(g_, p_), opt).matching;
+  DistColoringOptions copt;
+  copt.exec = opt.exec;
+  const DistGraph before = DistGraph::build(g_, p_);
+  const Matching prev = match_distributed(before, opt).matching;
+  const Coloring prev_coloring = color_canonical(before, copt).coloring;
   std::vector<VertexId> crossed;  // rank 0's vertices matched across
   for (VertexId v = 0; v < g_.num_vertices(); ++v) {
     const VertexId m = prev.mate[static_cast<std::size_t>(v)];
@@ -622,6 +625,92 @@ TEST_F(IncrementalDriversTest, MatchRepairWithEveryTouchedVertexOnOneRank) {
   // demand must not move a charge.
   EXPECT_EQ(inc.invalidated, 11);
   EXPECT_EQ(hex(inc.run.sim_seconds), "0x1.801289f059439p-16");
+  // Rank 0 and rank 1, which holds a's and b's mates: the other two ranks
+  // build no matching state.
+  EXPECT_EQ(inc.ranks_reached, 2);
+
+  const IncrementalColorResult ic =
+      color_incremental(dist, prev_coloring, touched, copt);
+  EXPECT_EQ(ic.coloring.color, color_canonical(dist, copt).coloring.color);
+  // No boundary vertex changes color, so only rank 0 builds coloring state.
+  EXPECT_EQ(ic.ranks_reached, 1);
+}
+
+TEST(LazyRepairTest, RepairsEqualRecomputeWhenMostRanksStayUnreached) {
+  // 16x16 vertices on 4x4 ranks, one or two updates per batch: most ranks
+  // hold no seed and hear no record, so they build no repair state and keep
+  // their previous solutions. Each batch is repaired in place, as
+  // GraphService does, on a carried distribution. With faults on, a
+  // dropped record reaches a cold rank only when it is sent again.
+  const Graph g0 = grid_2d(16, 16, WeightKind::kUniformRandom, 7);
+  const Partition p = grid_2d_partition(16, 16, 4, 4);
+  constexpr int kBatches = 24;
+  for (const bool faults : {false, true}) {
+    // Per thread count and batch: modelled times and reached ranks.
+    std::vector<std::string> transcripts[2];
+    for (const int threads : {1, 3}) {
+      SCOPED_TRACE("faults=" + std::to_string(faults) +
+                   " threads=" + std::to_string(threads));
+      DistMatchingOptions mopt;
+      mopt.exec.threads = threads;
+      DistColoringOptions copt;
+      copt.exec.threads = threads;
+      if (faults) {
+        mopt.faults.drop_rate = 0.2;
+        mopt.faults.duplicate_rate = 0.1;
+        mopt.faults.seed = 5;
+        copt.faults = mopt.faults;
+        copt.faults.seed = 6;
+      }
+      DynamicGraph dyn(g0);
+      DistGraph carried = DistGraph::build(dyn.folded(), p);
+      Matching matching = match_distributed(carried, mopt).matching;
+      Coloring coloring = color_canonical(carried, copt).coloring;
+      UpdateStreamConfig cfg;
+      cfg.seed = 31;
+      UpdateStreamGenerator gen(g0, cfg);
+      Rank match_reached = 0, color_reached = 0;
+      std::int64_t drops = 0, reentries = 0;
+      std::vector<std::string>& transcript = transcripts[threads == 1 ? 0 : 1];
+      for (int batch = 0; batch < kBatches; ++batch) {
+        SCOPED_TRACE("batch " + std::to_string(batch));
+        const std::vector<EdgeUpdate> updates = gen.next_batch(1 + batch % 2);
+        for (const EdgeUpdate& u : updates) dyn.apply(u);
+        const Graph& g = dyn.snapshot();
+        const std::vector<VertexId> touched = touched_vertices(updates);
+        carried.refresh(g, p, touched);
+        IncrementalMatchResult im =
+            match_incremental(carried, std::move(matching), touched, mopt);
+        IncrementalColorResult ic =
+            color_incremental(carried, std::move(coloring), touched, copt);
+        const DistGraph fresh = DistGraph::build(g, p);
+        ASSERT_EQ(im.matching.mate,
+                  match_distributed(fresh, mopt).matching.mate);
+        ASSERT_EQ(ic.coloring.color,
+                  color_canonical(fresh, copt).coloring.color);
+        EXPECT_LT(im.ranks_reached, 16);
+        EXPECT_LT(ic.ranks_reached, 16);
+        match_reached += im.ranks_reached;
+        color_reached += ic.ranks_reached;
+        drops += im.run.breakdown.total_faults().drops;
+        reentries += ic.fault_reentries;
+        transcript.push_back(hex(im.run.sim_seconds) + "|" +
+                             hex(ic.run.sim_seconds) + "|" +
+                             std::to_string(im.ranks_reached) + "|" +
+                             std::to_string(ic.ranks_reached));
+        matching = std::move(im.matching);
+        coloring = std::move(ic.coloring);
+      }
+      // Most ranks stay unreached in most batches.
+      EXPECT_LT(match_reached, kBatches * 16 / 2);
+      EXPECT_LT(color_reached, kBatches * 16 / 2);
+      if (faults) {
+        EXPECT_GT(drops, 0);
+        EXPECT_GT(reentries, 0);
+      }
+    }
+    EXPECT_EQ(transcripts[1], transcripts[0]);
+  }
 }
 
 // ---- GraphService -----------------------------------------------------------
