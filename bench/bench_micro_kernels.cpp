@@ -106,6 +106,24 @@ void BM_MultilevelPartition(benchmark::State& state) {
 }
 BENCHMARK(BM_MultilevelPartition)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
+// The shape circuit-1k partitions with metis_like(7), at a quarter of its
+// size and parts: the bipartite double cover of a circuit graph, about 300
+// vertices per part, coarsened through several levels.
+void BM_MultilevelPartitionCircuit(benchmark::State& state) {
+  static const Graph g = [] {
+    BipartiteInfo info;
+    return bipartite_double_cover(
+        circuit_like(40000, 80000, 6, WeightKind::kUniformRandom, 74), info,
+        /*with_diagonal=*/true, 74);
+  }();
+  const auto parts = static_cast<Rank>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        multilevel_partition(g, parts, MultilevelConfig::metis_like(7)));
+  }
+}
+BENCHMARK(BM_MultilevelPartitionCircuit)->Arg(256)->Unit(benchmark::kMillisecond);
+
 void BM_DistGraphBuild(benchmark::State& state) {
   const Graph& g = shared_grid();
   const Partition p = grid_2d_partition(256, 256, 8, 8);

@@ -1,6 +1,7 @@
 #include "graph/builder.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <tuple>
 
 #include "support/error.hpp"
@@ -32,8 +33,18 @@ namespace {
 /// Rows up to this long are sorted by insertion, in place.
 constexpr std::size_t kInsertionSortMax = 16;
 
-}  // namespace
+/// One arc of a long weighted row while sort_row sorts it.
+struct RowSortKey {
+  VertexId neighbor;
+  std::size_t position;
+  Weight weight;
+};
 
+/// Sorts the `len` arcs of one adjacency row by neighbour, stably, carrying
+/// `weights` along (null for an unweighted row): equal neighbours keep their
+/// order. Short rows sort in place by insertion; long weighted rows sort
+/// (neighbour, position) keys in `scratch`, which build() reuses from row
+/// to row so that no row allocates.
 void sort_row(VertexId* adj, Weight* weights, std::size_t len,
               std::vector<RowSortKey>& scratch) {
   if (len <= kInsertionSortMax) {
@@ -66,6 +77,8 @@ void sort_row(VertexId* adj, Weight* weights, std::size_t len,
     }
   }
 }
+
+}  // namespace
 
 Graph GraphBuilder::build() && {
   const auto n = static_cast<std::size_t>(num_vertices_);

@@ -5,7 +5,6 @@
 // self-loops, and emits a sorted, symmetric CSR graph.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -52,21 +51,6 @@ class GraphBuilder {
   DuplicatePolicy policy_;
   std::vector<RawEdge> edges_;
 };
-
-/// One arc of a long weighted row while sort_row sorts it.
-struct RowSortKey {
-  VertexId neighbor;
-  std::size_t position;
-  Weight weight;
-};
-
-/// Sorts the `len` arcs of one adjacency row by neighbour, stably, carrying
-/// `weights` along (null for an unweighted row): equal neighbours keep their
-/// order. Short rows sort in place by insertion; long weighted rows sort
-/// (neighbour, position) keys in `scratch`, which callers reuse from row to
-/// row so that no row allocates.
-void sort_row(VertexId* adj, Weight* weights, std::size_t len,
-              std::vector<RowSortKey>& scratch);
 
 /// Convenience: builds a graph straight from an edge list.
 [[nodiscard]] Graph graph_from_edges(

@@ -1,12 +1,14 @@
 #include "partition/multilevel.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
+#include <limits>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "graph/builder.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -14,145 +16,142 @@ namespace pmc {
 
 namespace {
 
-/// Internal weighted graph used on the coarse levels: vertex weights count
-/// collapsed fine vertices, edge weights count collapsed fine edges.
-struct Level {
-  std::vector<EdgeId> offsets;
-  std::vector<VertexId> adj;
-  std::vector<double> edge_w;
-  std::vector<VertexId> vertex_w;
-  /// Map from this level's fine vertices to the next (coarser) level's ids.
-  std::vector<VertexId> coarse_map;
+/// Level ids, offsets and weights are 32-bit: multilevel_partition takes
+/// only graphs whose vertex and arc counts fit in 31 bits, and a coarse
+/// weight counts the fine vertices or fine arcs it stands for.
+using LevelId = std::uint32_t;
+constexpr LevelId kUnmatched = std::numeric_limits<LevelId>::max();
+constexpr VertexId kMaxInputSize = std::numeric_limits<std::int32_t>::max();
 
-  [[nodiscard]] VertexId n() const noexcept {
-    return static_cast<VertexId>(vertex_w.size());
+/// One arc of a level: its head and the count of fine arcs it stands for.
+struct Arc {
+  LevelId to;
+  LevelId weight;
+};
+
+/// Internal weighted graph used on the coarse levels: vertex weights count
+/// collapsed fine vertices, arc weights count collapsed fine arcs (every
+/// arc of level 0 has structural weight 1).
+struct Level {
+  std::vector<LevelId> offsets;
+  std::vector<Arc> arcs;
+  std::vector<LevelId> vertex_w;
+  /// Map from this level's fine vertices to the next (coarser) level's ids.
+  std::vector<LevelId> coarse_map;
+
+  [[nodiscard]] LevelId n() const noexcept {
+    return static_cast<LevelId>(vertex_w.size());
+  }
+  [[nodiscard]] std::span<const Arc> row(LevelId v) const {
+    return {arcs.data() + offsets[v], arcs.data() + offsets[v + 1]};
   }
 };
 
 Level level_from_graph(const Graph& g) {
+  const auto n = static_cast<std::size_t>(g.num_vertices());
   Level lvl;
-  lvl.offsets.resize(static_cast<std::size_t>(g.num_vertices()) + 1);
-  lvl.adj.resize(static_cast<std::size_t>(g.num_arcs()));
-  lvl.edge_w.resize(static_cast<std::size_t>(g.num_arcs()));
-  lvl.vertex_w.assign(static_cast<std::size_t>(g.num_vertices()), 1);
-  lvl.offsets[0] = 0;
-  std::size_t cursor = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (VertexId u : g.neighbors(v)) {
-      lvl.adj[cursor] = u;
-      lvl.edge_w[cursor] = 1.0;  // partitioning uses structural weight
-      ++cursor;
-    }
-    lvl.offsets[static_cast<std::size_t>(v) + 1] = static_cast<EdgeId>(cursor);
+  lvl.offsets.resize(n + 1);
+  for (std::size_t v = 0; v <= n; ++v) {
+    lvl.offsets[v] = static_cast<LevelId>(
+        v < n ? g.offset_begin(static_cast<VertexId>(v)) : g.num_arcs());
   }
+  const auto targets = g.arc_targets(0, g.num_arcs());
+  lvl.arcs.resize(targets.size());
+  // Partitioning uses structural weight.
+  std::ranges::transform(targets, lvl.arcs.begin(), [](VertexId u) {
+    return Arc{static_cast<LevelId>(u), 1};
+  });
+  lvl.vertex_w.assign(n, 1);
   return lvl;
 }
 
 /// Heavy-edge matching: each unmatched vertex matches its heaviest-edge
 /// unmatched neighbor. Returns the fine-to-coarse map and the coarse count.
-VertexId heavy_edge_matching(const Level& lvl, Rng& rng,
-                             std::vector<VertexId>& coarse_map) {
-  const VertexId n = lvl.n();
-  coarse_map.assign(static_cast<std::size_t>(n), kNoVertex);
-  std::vector<VertexId> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), VertexId{0});
+LevelId heavy_edge_matching(const Level& lvl, Rng& rng,
+                            std::vector<LevelId>& coarse_map) {
+  const LevelId n = lvl.n();
+  coarse_map.assign(n, kUnmatched);
+  std::vector<LevelId> order(n);
+  std::iota(order.begin(), order.end(), LevelId{0});
   // Random visit order avoids systematic bias across levels.
-  for (VertexId i = n - 1; i > 0; --i) {
-    const VertexId j = rng.uniform_int(0, i);
-    std::swap(order[static_cast<std::size_t>(i)],
-              order[static_cast<std::size_t>(j)]);
+  for (auto i = static_cast<std::int64_t>(n) - 1; i > 0; --i) {
+    const auto j = static_cast<std::size_t>(rng.uniform_int(0, i));
+    std::swap(order[static_cast<std::size_t>(i)], order[j]);
   }
-  VertexId next_coarse = 0;
-  for (VertexId v : order) {
-    if (coarse_map[static_cast<std::size_t>(v)] != kNoVertex) continue;
-    VertexId best = kNoVertex;
-    double best_w = -1.0;
-    for (EdgeId e = lvl.offsets[static_cast<std::size_t>(v)];
-         e < lvl.offsets[static_cast<std::size_t>(v) + 1]; ++e) {
-      const VertexId u = lvl.adj[static_cast<std::size_t>(e)];
-      if (coarse_map[static_cast<std::size_t>(u)] != kNoVertex) continue;
-      const double w = lvl.edge_w[static_cast<std::size_t>(e)];
-      if (w > best_w) {
-        best_w = w;
-        best = u;
+  LevelId next_coarse = 0;
+  for (const LevelId v : order) {
+    if (coarse_map[v] != kUnmatched) continue;
+    LevelId best = kUnmatched;
+    LevelId best_w = 0;  // every arc weight is at least 1
+    for (const Arc& a : lvl.row(v)) {
+      if (coarse_map[a.to] == kUnmatched && a.weight > best_w) {
+        best_w = a.weight;
+        best = a.to;
       }
     }
-    const VertexId c = next_coarse++;
-    coarse_map[static_cast<std::size_t>(v)] = c;
-    if (best != kNoVertex) {
-      coarse_map[static_cast<std::size_t>(best)] = c;
-    }
+    const LevelId c = next_coarse++;
+    coarse_map[v] = c;
+    if (best != kUnmatched) coarse_map[best] = c;
   }
   return next_coarse;
 }
 
-/// Contracts lvl according to coarse_map into a new Level, in linear
-/// passes. A counting pass groups the fine arcs by the coarse id of their
-/// tail, each head already mapped to its coarse id. Each coarse row then
-/// folds its group in place: it drops self arcs, sums the weights of arcs to
-/// the same coarse neighbour through `slot`, sorts by neighbour and moves
-/// left. The weights are sums of whole numbers, so the order of summation
-/// does not matter.
-Level contract(const Level& lvl, const std::vector<VertexId>& coarse_map,
-               VertexId coarse_n) {
-  const auto n = static_cast<std::size_t>(lvl.n());
-  const auto cn = static_cast<std::size_t>(coarse_n);
+/// Contracts lvl along its coarse_map into a new Level, in linear passes.
+/// A counting pass groups the fine arcs by the coarse id of their tail,
+/// each head already mapped to its coarse id. Each coarse row then folds
+/// its group in place: it drops self arcs, sums the weights of arcs to the
+/// same coarse neighbour through `slot`, sorts by neighbour and moves left.
+/// The folded neighbours are unique, so the sort needs no tie-break. The
+/// weights are sums of whole numbers, so the order of summation does not
+/// matter.
+Level contract(const Level& lvl, LevelId coarse_n) {
+  const std::vector<LevelId>& coarse_map = lvl.coarse_map;
   Level out;
-  out.vertex_w.assign(cn, 0);
-  out.offsets.assign(cn + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto c = static_cast<std::size_t>(coarse_map[v]);
-    out.offsets[c + 1] += lvl.offsets[v + 1] - lvl.offsets[v];
-    out.vertex_w[c] += lvl.vertex_w[v];
+  out.vertex_w.assign(coarse_n, 0);
+  out.offsets.assign(static_cast<std::size_t>(coarse_n) + 1, 0);
+  for (LevelId v = 0; v < lvl.n(); ++v) {
+    out.offsets[coarse_map[v] + std::size_t{1}] +=
+        lvl.offsets[v + 1] - lvl.offsets[v];
+    out.vertex_w[coarse_map[v]] += lvl.vertex_w[v];
   }
-  for (std::size_t c = 1; c <= cn; ++c) out.offsets[c] += out.offsets[c - 1];
-  out.adj.resize(lvl.adj.size());
-  out.edge_w.resize(lvl.adj.size());
+  for (LevelId c = 1; c <= coarse_n; ++c) out.offsets[c] += out.offsets[c - 1];
+  out.arcs.resize(lvl.arcs.size());
   {
-    std::vector<EdgeId> cursor(out.offsets.begin(), out.offsets.end() - 1);
-    for (std::size_t v = 0; v < n; ++v) {
-      auto at = static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(coarse_map[v])]);
-      for (auto e = static_cast<std::size_t>(lvl.offsets[v]);
-           e < static_cast<std::size_t>(lvl.offsets[v + 1]); ++e, ++at) {
-        out.adj[at] = coarse_map[static_cast<std::size_t>(lvl.adj[e])];
-        out.edge_w[at] = lvl.edge_w[e];
+    std::vector<LevelId> cursor(out.offsets.begin(), out.offsets.end() - 1);
+    for (LevelId v = 0; v < lvl.n(); ++v) {
+      LevelId& at = cursor[coarse_map[v]];
+      for (const Arc& a : lvl.row(v)) {
+        out.arcs[at++] = Arc{coarse_map[a.to], a.weight};
       }
-      cursor[static_cast<std::size_t>(coarse_map[v])] =
-          static_cast<EdgeId>(at);
     }
   }
 
   // slot[c] is one past where neighbour c sits in the output: in the row
   // being folded iff it is past that row's start.
-  std::vector<std::size_t> slot(cn, 0);
-  std::vector<RowSortKey> scratch;
-  std::size_t end = 0;
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < cn; ++c) {
-    const auto group_end = static_cast<std::size_t>(out.offsets[c + 1]);
-    const std::size_t row = end;
-    for (std::size_t i = begin; i < group_end; ++i) {
-      const auto cu = static_cast<std::size_t>(out.adj[i]);
-      if (cu == c) continue;
-      if (slot[cu] > row) {
-        out.edge_w[slot[cu] - 1] += out.edge_w[i];
+  std::vector<LevelId> slot(coarse_n, 0);
+  LevelId end = 0;
+  LevelId begin = 0;
+  for (LevelId c = 0; c < coarse_n; ++c) {
+    const LevelId group_end = out.offsets[c + 1];
+    const LevelId row = end;
+    for (LevelId i = begin; i < group_end; ++i) {
+      const Arc a = out.arcs[i];
+      if (a.to == c) continue;
+      if (slot[a.to] > row) {
+        out.arcs[slot[a.to] - 1].weight += a.weight;
       } else {
-        out.adj[end] = out.adj[i];
-        out.edge_w[end] = out.edge_w[i];
-        slot[cu] = ++end;
+        out.arcs[end] = a;
+        slot[a.to] = ++end;
       }
     }
-    sort_row(out.adj.data() + row, out.edge_w.data() + row, end - row,
-             scratch);
-    out.offsets[c] = static_cast<EdgeId>(row);
+    std::sort(out.arcs.begin() + row, out.arcs.begin() + end,
+              [](const Arc& x, const Arc& y) { return x.to < y.to; });
+    out.offsets[c] = row;
     begin = group_end;
   }
-  out.offsets[cn] = static_cast<EdgeId>(end);
-  out.adj.resize(end);
-  out.adj.shrink_to_fit();
-  out.edge_w.resize(end);
-  out.edge_w.shrink_to_fit();
+  out.offsets[coarse_n] = end;
+  out.arcs.resize(end);
+  out.arcs.shrink_to_fit();
   return out;
 }
 
@@ -164,99 +163,116 @@ Level contract(const Level& lvl, const std::vector<VertexId>& coarse_map,
 /// refinement then polishes (the classic "BFS band" / graph-growing
 /// bisection generalized to k-way).
 std::vector<Rank> initial_partition(const Level& lvl, Rank parts, Rng& rng) {
-  const VertexId n = lvl.n();
-  std::vector<Rank> part(static_cast<std::size_t>(n), kNoRank);
+  const LevelId n = lvl.n();
+  std::vector<Rank> part(n, kNoRank);
   double total_w = 0.0;
-  for (VertexId w : lvl.vertex_w) total_w += static_cast<double>(w);
+  for (LevelId w : lvl.vertex_w) total_w += static_cast<double>(w);
   const double target = total_w / static_cast<double>(parts);
 
   // Global BFS order with component restarts; random start decorrelates
   // repeated invocations.
-  std::vector<VertexId> order;
-  order.reserve(static_cast<std::size_t>(n));
-  std::vector<bool> visited(static_cast<std::size_t>(n), false);
-  std::deque<VertexId> frontier;
-  VertexId scan = 0;
-  const VertexId start = n > 0 ? rng.uniform_int(0, n - 1) : 0;
-  auto visit = [&](VertexId v) {
-    if (!visited[static_cast<std::size_t>(v)]) {
-      visited[static_cast<std::size_t>(v)] = true;
+  std::vector<LevelId> order;
+  order.reserve(n);
+  std::vector<bool> visited(n, false);
+  std::deque<LevelId> frontier;
+  LevelId scan = 0;
+  const auto start = static_cast<LevelId>(
+      n > 0 ? rng.uniform_int(0, static_cast<std::int64_t>(n) - 1) : 0);
+  auto visit = [&](LevelId v) {
+    if (!visited[v]) {
+      visited[v] = true;
       frontier.push_back(v);
     }
   };
   visit(start);
-  while (static_cast<VertexId>(order.size()) < n) {
+  while (order.size() < n) {
     if (frontier.empty()) {
-      while (visited[static_cast<std::size_t>(scan)]) ++scan;
+      while (visited[scan]) ++scan;
       visit(scan);
     }
-    const VertexId v = frontier.front();
+    const LevelId v = frontier.front();
     frontier.pop_front();
     order.push_back(v);
-    for (EdgeId e = lvl.offsets[static_cast<std::size_t>(v)];
-         e < lvl.offsets[static_cast<std::size_t>(v) + 1]; ++e) {
-      visit(lvl.adj[static_cast<std::size_t>(e)]);
-    }
+    for (const Arc& a : lvl.row(v)) visit(a.to);
   }
 
   // Slice the order into weight-balanced chunks.
   Rank current = 0;
   double load = 0.0;
-  for (const VertexId v : order) {
+  for (const LevelId v : order) {
     if (load >= target && current + 1 < parts) {
       ++current;
       load = 0.0;
     }
-    part[static_cast<std::size_t>(v)] = current;
-    load += static_cast<double>(lvl.vertex_w[static_cast<std::size_t>(v)]);
+    part[v] = current;
+    load += static_cast<double>(lvl.vertex_w[v]);
   }
   return part;
 }
 
-/// One pass of greedy boundary refinement: move boundary vertices to the
-/// neighboring part with the best positive gain, subject to balance.
+/// What refinement knows about a vertex of the level it refines. Only an
+/// open vertex can move, so a pass evaluates only those.
+enum class Standing : std::uint8_t {
+  kOpen,      ///< not known to be unable to move
+  kInterior,  ///< every neighbour is in the vertex's part
+  kSettled,   ///< no neighbouring part offers a positive gain
+};
+
+/// One pass of greedy boundary refinement: visit the open vertices in
+/// ascending order and move each to the neighbouring part with the best
+/// positive gain, subject to balance. A vertex found interior or settled
+/// is marked so, and a move reopens the mover's neighbours. Loads only rule
+/// candidates out, so an interior or settled vertex cannot move before it
+/// or a neighbour does: skipping it changes no move of the pass.
 /// Returns the number of moves applied.
 std::size_t refine_pass(const Level& lvl, Rank parts, std::vector<Rank>& part,
-                        std::vector<double>& load, double max_load) {
+                        std::vector<double>& load, double max_load,
+                        std::vector<Standing>& standing) {
   std::size_t moves = 0;
   // Scratch: connectivity of v to each candidate part.
-  std::vector<double> conn(static_cast<std::size_t>(parts), 0.0);
+  std::vector<std::int64_t> conn(static_cast<std::size_t>(parts), 0);
   std::vector<Rank> touched;
-  for (VertexId v = 0; v < lvl.n(); ++v) {
-    const Rank pv = part[static_cast<std::size_t>(v)];
+  for (LevelId v = 0; v < lvl.n(); ++v) {
+    if (standing[v] != Standing::kOpen) continue;
+    const Rank pv = part[v];
+    const std::span<const Arc> row = lvl.row(v);
     bool boundary = false;
     touched.clear();
-    for (EdgeId e = lvl.offsets[static_cast<std::size_t>(v)];
-         e < lvl.offsets[static_cast<std::size_t>(v) + 1]; ++e) {
-      const Rank pu = part[static_cast<std::size_t>(
-          lvl.adj[static_cast<std::size_t>(e)])];
-      if (conn[static_cast<std::size_t>(pu)] == 0.0) touched.push_back(pu);
-      conn[static_cast<std::size_t>(pu)] += lvl.edge_w[static_cast<std::size_t>(e)];
+    for (const Arc& a : row) {
+      const Rank pu = part[a.to];
+      if (conn[static_cast<std::size_t>(pu)] == 0) touched.push_back(pu);
+      conn[static_cast<std::size_t>(pu)] += a.weight;
       if (pu != pv) boundary = true;
     }
     if (boundary) {
-      const double internal = conn[static_cast<std::size_t>(pv)];
+      const std::int64_t internal = conn[static_cast<std::size_t>(pv)];
       Rank best = kNoRank;
-      double best_gain = 0.0;
-      const double vw =
-          static_cast<double>(lvl.vertex_w[static_cast<std::size_t>(v)]);
-      for (Rank cand : touched) {
-        if (cand == pv) continue;
+      std::int64_t best_gain = 0;
+      bool improvable = false;
+      const auto vw = static_cast<double>(lvl.vertex_w[v]);
+      for (const Rank cand : touched) {
+        const std::int64_t gain =
+            conn[static_cast<std::size_t>(cand)] - internal;
+        if (gain <= 0) continue;  // cand == pv has gain 0
+        improvable = true;
         if (load[static_cast<std::size_t>(cand)] + vw > max_load) continue;
-        const double gain = conn[static_cast<std::size_t>(cand)] - internal;
         if (gain > best_gain) {
           best_gain = gain;
           best = cand;
         }
       }
+      if (!improvable) standing[v] = Standing::kSettled;
       if (best != kNoRank) {
-        part[static_cast<std::size_t>(v)] = best;
+        part[v] = best;
         load[static_cast<std::size_t>(pv)] -= vw;
         load[static_cast<std::size_t>(best)] += vw;
         ++moves;
+        for (const Arc& a : row) standing[a.to] = Standing::kOpen;
       }
+    } else {
+      standing[v] = Standing::kInterior;
     }
-    for (Rank t : touched) conn[static_cast<std::size_t>(t)] = 0.0;
+    for (const Rank t : touched) conn[static_cast<std::size_t>(t)] = 0;
   }
   return moves;
 }
@@ -291,6 +307,12 @@ Partition multilevel_partition(const Graph& g, Rank parts,
   PMC_REQUIRE(static_cast<VertexId>(parts) <= std::max<VertexId>(1, g.num_vertices()),
               "more parts (" << parts << ") than vertices ("
                              << g.num_vertices() << ")");
+  PMC_REQUIRE(g.num_vertices() <= kMaxInputSize &&
+                  g.num_arcs() <= kMaxInputSize,
+              "graph too large to partition: " << g.num_vertices()
+                                               << " vertices and "
+                                               << g.num_arcs()
+                                               << " arcs (at most 2^31 - 1)");
   if (parts == 1) {
     return Partition(1, std::vector<Rank>(
         static_cast<std::size_t>(g.num_vertices()), 0));
@@ -304,16 +326,16 @@ Partition multilevel_partition(const Graph& g, Rank parts,
   const VertexId stop_n =
       std::max<VertexId>(static_cast<VertexId>(parts),
                          static_cast<VertexId>(parts) * config.coarsen_to_per_part);
-  while (levels.back().n() > stop_n) {
+  while (static_cast<VertexId>(levels.back().n()) > stop_n) {
     Level& cur = levels.back();
-    std::vector<VertexId> coarse_map;
-    const VertexId coarse_n = heavy_edge_matching(cur, rng, coarse_map);
+    std::vector<LevelId> coarse_map;
+    const LevelId coarse_n = heavy_edge_matching(cur, rng, coarse_map);
     // Bail out if matching stops shrinking the graph (e.g. star graphs).
     if (static_cast<double>(coarse_n) > 0.95 * static_cast<double>(cur.n())) {
       break;
     }
     cur.coarse_map = std::move(coarse_map);
-    levels.push_back(contract(cur, cur.coarse_map, coarse_n));
+    levels.push_back(contract(cur, coarse_n));
   }
 
   // ---- Phase 2: initial partition on the coarsest level ----
@@ -321,28 +343,39 @@ Partition multilevel_partition(const Graph& g, Rank parts,
 
   // ---- Phase 3: uncoarsen + refine ----
   double total_w = 0.0;
-  for (VertexId w : levels.back().vertex_w) total_w += static_cast<double>(w);
+  for (LevelId w : levels.back().vertex_w) total_w += static_cast<double>(w);
+  const double max_load =
+      config.max_imbalance * total_w / static_cast<double>(parts);
+  // Every vertex of the coarsest level starts open.
+  std::vector<Standing> standing(levels.back().n(), Standing::kOpen);
   for (std::size_t li = levels.size(); li-- > 0;) {
-    Level& lvl = levels[li];
+    const Level& lvl = levels[li];
     std::vector<double> load(static_cast<std::size_t>(parts), 0.0);
-    for (VertexId v = 0; v < lvl.n(); ++v) {
-      load[static_cast<std::size_t>(part[static_cast<std::size_t>(v)])] +=
-          static_cast<double>(lvl.vertex_w[static_cast<std::size_t>(v)]);
+    for (LevelId v = 0; v < lvl.n(); ++v) {
+      load[static_cast<std::size_t>(part[v])] +=
+          static_cast<double>(lvl.vertex_w[v]);
     }
-    const double max_load =
-        config.max_imbalance * total_w / static_cast<double>(parts);
     for (int pass = 0; pass < config.refine_passes; ++pass) {
-      if (refine_pass(lvl, parts, part, load, max_load) == 0) break;
+      if (refine_pass(lvl, parts, part, load, max_load, standing) == 0) break;
     }
     if (li > 0) {
-      // Project to the next finer level.
+      // Project to the next finer level. A fine vertex of an interior
+      // coarse vertex is interior too: its neighbours lie in that coarse
+      // vertex or its neighbours, all in one part. Settled does not carry
+      // over (a fine vertex's own gains may be positive), so every other
+      // fine vertex starts open.
       const Level& finer = levels[li - 1];
-      std::vector<Rank> fine_part(static_cast<std::size_t>(finer.n()));
-      for (VertexId v = 0; v < finer.n(); ++v) {
-        fine_part[static_cast<std::size_t>(v)] = part[static_cast<std::size_t>(
-            finer.coarse_map[static_cast<std::size_t>(v)])];
+      std::vector<Rank> fine_part(finer.n());
+      std::vector<Standing> fine_standing(finer.n());
+      for (LevelId v = 0; v < finer.n(); ++v) {
+        const LevelId c = finer.coarse_map[v];
+        fine_part[v] = part[c];
+        fine_standing[v] = standing[c] == Standing::kInterior
+                               ? Standing::kInterior
+                               : Standing::kOpen;
       }
       part = std::move(fine_part);
+      standing = std::move(fine_standing);
     }
   }
 

@@ -5,7 +5,14 @@
 //      each level contracted by per-coarse-vertex aggregation;
 //   2. initial partition of the coarsest graph by BFS bands: one
 //      breadth-first order sliced into weight-balanced chunks;
-//   3. uncoarsening with greedy boundary refinement at every level.
+//   3. uncoarsening with greedy boundary refinement at every level. A
+//      pass evaluates only the vertices that can move: it skips a vertex
+//      whose neighbours all share its part, or to which no neighbouring
+//      part offers a positive gain, until it or a neighbour moves.
+//
+// Levels hold 32-bit ids and integer weights (vertex weights count fine
+// vertices, arc weights count fine arcs), so the input's vertex and arc
+// counts must each fit in 31 bits.
 //
 // The paper's circuit-graph experiments depend only on partition *quality*:
 // METIS produced a ~6 % edge cut and ParMETIS a ~40 % cut at 4,096 parts,
@@ -47,7 +54,8 @@ struct MultilevelConfig {
   [[nodiscard]] static MultilevelConfig parmetis_like(std::uint64_t seed = 0);
 };
 
-/// Partitions g into `parts` pieces. Requires parts <= num_vertices.
+/// Partitions g into `parts` pieces. Requires parts <= num_vertices and
+/// fewer than 2^31 vertices and arcs.
 [[nodiscard]] Partition multilevel_partition(const Graph& g, Rank parts,
                                              const MultilevelConfig& config = {});
 

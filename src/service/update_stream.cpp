@@ -1,9 +1,11 @@
 #include "service/update_stream.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -161,12 +163,58 @@ UpdateStreamGenerator::UpdateStreamGenerator(const Graph& initial,
   edges_.reserve(static_cast<std::size_t>(initial.num_edges()));
   for (VertexId u = 0; u < n_; ++u) {
     for (const VertexId v : initial.neighbors(u)) {
-      if (u < v) {
-        edge_index_.emplace(std::make_pair(u, v), edges_.size());
-        edges_.emplace_back(u, v);
-      }
+      if (u < v) edges_.emplace_back(u, v);
     }
   }
+  reindex();
+}
+
+namespace {
+
+constexpr std::size_t kFreeSlot = std::numeric_limits<std::size_t>::max();
+
+std::size_t edge_hash(VertexId u, VertexId v) {
+  return static_cast<std::size_t>(
+      splitmix64(splitmix64(static_cast<std::uint64_t>(u)) +
+                 static_cast<std::uint64_t>(v)));
+}
+
+}  // namespace
+
+std::size_t UpdateStreamGenerator::slot_of(const Edge& key) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t s = edge_hash(key.first, key.second) & mask;
+  while (slots_[s] != kFreeSlot && edges_[slots_[s]] != key) {
+    s = (s + 1) & mask;
+  }
+  return s;
+}
+
+bool UpdateStreamGenerator::contains(VertexId u, VertexId v) const {
+  return slots_[slot_of({u, v})] != kFreeSlot;
+}
+
+void UpdateStreamGenerator::reindex() {
+  slots_.assign(std::bit_ceil(std::max<std::size_t>(16, 2 * edges_.size())),
+                kFreeSlot);
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    slots_[slot_of(edges_[i])] = i;
+  }
+}
+
+void UpdateStreamGenerator::unindex(std::size_t hole) {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = (hole + 1) & mask; slots_[j] != kFreeSlot;
+       j = (j + 1) & mask) {
+    const auto [u, v] = edges_[slots_[j]];
+    // The entry at j stays unless the hole lies between its home and j.
+    const std::size_t home = edge_hash(u, v) & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = kFreeSlot;
 }
 
 Weight UpdateStreamGenerator::draw_weight() {
@@ -196,7 +244,7 @@ EdgeUpdate UpdateStreamGenerator::make_insert() {
     v = rng_.uniform_int(0, n_ - 2);
     if (v >= u) ++v;
     if (u > v) std::swap(u, v);
-    if (!edge_index_.contains({u, v})) {
+    if (!contains(u, v)) {
       found = true;
       break;
     }
@@ -208,7 +256,7 @@ EdgeUpdate UpdateStreamGenerator::make_insert() {
     for (VertexId i = 0; i < n_ && !found; ++i) {
       const VertexId a = (start + i) % n_;
       for (VertexId b = a + 1; b < n_; ++b) {
-        if (!edge_index_.contains({a, b})) {
+        if (!contains(a, b)) {
           u = a;
           v = b;
           found = true;
@@ -238,19 +286,25 @@ EdgeUpdate UpdateStreamGenerator::make_reweight() {
 }
 
 void UpdateStreamGenerator::apply_to_mirror(const EdgeUpdate& update) {
-  const auto key = std::make_pair(update.u, update.v);
+  const Edge key{update.u, update.v};
   switch (update.op) {
     case UpdateOp::kInsert:
-      edge_index_.emplace(key, edges_.size());
       edges_.push_back(key);
+      if (2 * edges_.size() > slots_.size()) {
+        reindex();
+      } else {
+        slots_[slot_of(key)] = edges_.size() - 1;
+      }
       return;
     case UpdateOp::kDelete: {
-      const auto it = edge_index_.find(key);
-      const std::size_t idx = it->second;
-      edge_index_.erase(it);
+      const std::size_t slot = slot_of(key);
+      const std::size_t idx = slots_[slot];
+      PMC_CHECK(idx != kFreeSlot, "delete of absent edge (" << update.u << ", "
+                                                          << update.v << ")");
+      unindex(slot);
       if (idx + 1 != edges_.size()) {
+        slots_[slot_of(edges_.back())] = idx;
         edges_[idx] = edges_.back();
-        edge_index_[edges_[idx]] = idx;
       }
       edges_.pop_back();
       return;

@@ -142,13 +142,27 @@ class UpdateStreamGenerator {
   [[nodiscard]] Weight draw_weight();
   void apply_to_mirror(const EdgeUpdate& update);
 
+  using Edge = std::pair<VertexId, VertexId>;
+  /// The slot of `slots_` that holds `key`'s position in edges_, or the
+  /// free slot where it would go.
+  [[nodiscard]] std::size_t slot_of(const Edge& key) const;
+  [[nodiscard]] bool contains(VertexId u, VertexId v) const;
+  /// Refills `slots_` from edges_, with at least twice as many slots as
+  /// edges.
+  void reindex();
+  /// Frees slot `hole`, shifting back the entries probed past it.
+  void unindex(std::size_t hole);
+
   UpdateStreamConfig config_;
   Rng rng_;
   VertexId n_;
-  /// Present edges as normalized (u, v) pairs, with an index map enabling
-  /// O(log m) uniform sampling and swap-pop removal.
-  std::vector<std::pair<VertexId, VertexId>> edges_;
-  std::map<std::pair<VertexId, VertexId>, std::size_t> edge_index_;
+  /// Present edges as normalized (u, v) pairs, for O(1) uniform sampling
+  /// and swap-pop removal.
+  std::vector<Edge> edges_;
+  /// Open-addressing index of edges_: a power-of-two table of positions in
+  /// edges_, at most half full, probed linearly from a hash of the edge.
+  /// It is only probed, never iterated, so its layout reaches no output.
+  std::vector<std::size_t> slots_;
 };
 
 /// Writes one update per line as JSON ({"op":"insert","u":1,"v":2,"w":0.5});

@@ -849,6 +849,12 @@ TEST(DeterminismRegression, MultilevelPartitionFingerprints) {
        8, 0x63984bb8a65a922dULL, 0xabdc1d170786cc0cULL},
       {"grid", grid_2d(64, 64), 16, 0x93b0ac552d2ffb74ULL,
        0x1792c89e42ffc65dULL},
+      // Seven levels at 64 parts, with refinement moves on every level.
+      {"deep-double-cover",
+       bipartite_double_cover(
+           circuit_like(20000, 40000, 6, WeightKind::kUniformRandom, 63),
+           info, /*with_diagonal=*/true, 63),
+       64, 0x1908514fc3eff29aULL, 0x685b507dc7d7456bULL},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);

@@ -85,6 +85,31 @@ TEST(MetisIo, RejectsMalformedInputs) {
     std::istringstream in("3 1\n2\n1\n");  // missing adjacency line
     EXPECT_THROW((void)read_metis_graph(in), Error);
   }
+  // Asymmetric adjacency whose arc count matches the header: each error
+  // names the vertices whose listings disagree.
+  struct Asymmetric {
+    const char* text;
+    const char* names;
+  };
+  for (const Asymmetric& c : {
+           // 1 lists 2 and 3 lists 1, but 2 lists nothing.
+           Asymmetric{"3 1\n2\n\n1\n", "vertex 1 lists 2"},
+           // The two listings of edge (1, 2) disagree on its weight.
+           Asymmetric{"2 1 1\n2 5\n1 7\n", "vertices 1 and 2"},
+           // 1 lists 2 twice, 2 lists 1 twice.
+           Asymmetric{"2 2\n2 2\n1 1\n", "lists neighbor 1 more than once"},
+           // 1 lists 2 twice; 2 lists 1 once and 3 once; 3 lists nothing.
+           Asymmetric{"3 2\n2 2\n1 3\n\n", "vertex 1 lists neighbor 2 more"},
+       }) {
+    std::istringstream in(c.text);
+    try {
+      (void)read_metis_graph(in);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.names), std::string::npos)
+          << c.text << " -> " << e.what();
+    }
+  }
 }
 
 // A header needs both counts, and every token is one whole number: a
