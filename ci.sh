@@ -84,11 +84,12 @@ tier1() {
   bench_smoke
   # Service mode's per-batch micro-benchmarks (fold, distribution build and
   # refresh, both repairs, one whole batch through GraphService::push), the
-  # distribution's id lookup, the grid generator and the multilevel
-  # partitioner run once briefly: one that throws or crashes fails this
-  # stage. No timing is gated.
+  # distribution's id lookup, the grid generator, the multilevel
+  # partitioner and the event engine under eager-faults' fault mix run once
+  # briefly: one that throws or crashes fails this stage. No timing is
+  # gated.
   ./build/bench/bench_micro_kernels \
-    --benchmark_filter='DynamicGraphFold|DistGraph|Incremental|ServiceBatch|LocalIdLookup|Grid2d|Multilevel' \
+    --benchmark_filter='DynamicGraphFold|DistGraph|Incremental|ServiceBatch|LocalIdLookup|Grid2d|Multilevel|EventEngine' \
     --benchmark_min_time=0.01
   # Committed BENCH_*.json baselines must stay well-formed and keep each
   # workload's modelled time bit-identical across the thread sweep.

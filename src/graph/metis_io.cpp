@@ -88,6 +88,12 @@ MetisRows parse_metis_graph(std::string_view text) {
     }
     out.offsets.push_back(static_cast<EdgeId>(out.adj.size()));
   }
+  // Only blank lines and comments may follow the n-th adjacency line.
+  while (next_line(text, line)) {
+    PMC_REQUIRE(is_blank(line) || line.front() == '%',
+                "line after the " << n << " adjacency lines: '" << line
+                                  << "'");
+  }
   // Compared without forming 2 * m, which a huge header would overflow.
   const auto arcs = static_cast<EdgeId>(out.adj.size());
   PMC_REQUIRE(arcs % 2 == 0 && arcs / 2 == m,

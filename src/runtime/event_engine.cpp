@@ -1,6 +1,7 @@
 #include "runtime/event_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <sstream>
@@ -19,22 +20,14 @@ namespace {
 constexpr std::size_t kTransportHeaderBytes = 12;
 constexpr std::size_t kAckPayloadBytes = 12;
 
-/// Retransmission timer: attempt k re-sends kRtoSeconds * kRtoBackoff^(k-1)
-/// after it was sent. Sized for blue_gene_p-scale latencies, the first
-/// timeout fires at ~7x the one-way latency.
+/// Retransmission timer: attempt k re-sends kRtoSeconds * 2^(k-1) after it
+/// was sent. Sized for blue_gene_p-scale latencies, the first timeout fires
+/// at ~7x the one-way latency.
 constexpr double kRtoSeconds = 25e-6;
-constexpr double kRtoBackoff = 2.0;
 
 }  // namespace
 
 Rank EventContext::num_ranks() const noexcept { return engine_->num_ranks(); }
-
-EventContext::DeferredOp& EventContext::record(DeferredOp::Kind kind) {
-  DeferredOp& op = ops_->emplace_back();
-  op.kind = kind;
-  op.time = lane_->now();
-  return op;
-}
 
 void EventContext::send(Rank dst, std::vector<std::byte> payload,
                         std::int64_t records) {
@@ -84,37 +77,57 @@ Rank EventEngine::add_process(std::unique_ptr<Process> process) {
   return fabric_.add_rank();
 }
 
-void EventEngine::push_event(EventKind kind, double time, Rank src, Rank dst,
-                             std::uint64_t tseq,
-                             std::vector<std::byte> payload, bool corrupted) {
+void EventEngine::push_event(const Event& ev) {
   // Event times are never negative, so truncation is floor; and with a zero
   // window the bit pattern orders like the value (+ 0.0 folds -0.0 into 0).
   const std::int64_t key =
       window_seconds_ > 0.0
-          ? static_cast<std::int64_t>(time / window_seconds_)
-          : std::bit_cast<std::int64_t>(time + 0.0);
-  buckets_[key].push_back(
-      Event{time, tseq, std::move(payload), src, dst, kind, corrupted});
+          ? static_cast<std::int64_t>(ev.time / window_seconds_)
+          : std::bit_cast<std::int64_t>(ev.time + 0.0);
+  // Descending keys: the buckets above `key` come first.
+  auto it = std::partition_point(
+      calendar_.begin(), calendar_.end(),
+      [key](const Bucket& b) { return b.key > key; });
+  if (it == calendar_.end() || it->key != key) {
+    it = calendar_.insert(it, Bucket{key, std::exchange(spare_, {})});
+  }
+  it->events.push_back(ev);
   ++events_posted_;
+}
+
+EventEngine::Pending& EventEngine::Channel::issue() {
+  if (next - base == ring.size()) {
+    // Full: double the ring, re-placing each live tseq by the wider mask.
+    std::vector<Pending> wider(std::max<std::size_t>(4, 2 * ring.size()));
+    for (std::uint64_t t = base; t < next; ++t) {
+      wider[t & (wider.size() - 1)] = ring[t & (ring.size() - 1)];
+    }
+    ring = std::move(wider);
+  }
+  Pending& entry = ring[next++ & (ring.size() - 1)];
+  entry = Pending{};
+  return entry;
 }
 
 EventEngine::Pending* EventEngine::Channel::pending(
     std::uint64_t tseq) noexcept {
-  if (tseq < base || tseq - base >= unacked.size()) return nullptr;
-  Pending& entry = unacked[tseq - base];
-  return entry.gone ? nullptr : &entry;
+  if (settled(tseq)) return nullptr;
+  return &ring[tseq & (ring.size() - 1)];
 }
 
-void EventEngine::Channel::retire(std::uint64_t tseq) noexcept {
+bool EventEngine::Channel::settled(std::uint64_t tseq) const noexcept {
+  return tseq < base || tseq >= next ||
+         ring[tseq & (ring.size() - 1)].frame == FrameStore::kNone;
+}
+
+FrameStore::Handle EventEngine::Channel::retire(std::uint64_t tseq) noexcept {
   Pending* entry = pending(tseq);
-  if (entry == nullptr) return;
-  entry->gone = true;
-  // The entry may wait behind an older one; its bytes need not.
-  entry->payload = {};
-  while (!unacked.empty() && unacked.front().gone) {
-    unacked.pop_front();
-    ++base;
-  }
+  if (entry == nullptr) return FrameStore::kNone;
+  // The entry may wait behind an older one; its frame need not.
+  const FrameStore::Handle frame =
+      std::exchange(entry->frame, FrameStore::kNone);
+  while (base != next && settled(base)) ++base;
+  return frame;
 }
 
 bool EventEngine::Channel::deliver(std::uint64_t tseq) {
@@ -148,40 +161,55 @@ EventEngine::Channel& EventEngine::channel(Rank rank, Rank peer) {
   return *it;
 }
 
+const EventEngine::Channel* EventEngine::find_channel(Rank rank,
+                                                      Rank peer) const {
+  const std::vector<Channel>& list = channels_[static_cast<std::size_t>(rank)];
+  const auto it = std::lower_bound(
+      list.begin(), list.end(), peer,
+      [](const Channel& c, Rank p) { return c.peer < p; });
+  return it == list.end() || it->peer != peer ? nullptr : &*it;
+}
+
 void EventEngine::enqueue_at(Rank src, Rank dst,
                              std::vector<std::byte> payload,
                              std::int64_t records,
                              CommFabric::SendTime send_time) {
+  const std::size_t bytes = payload.size();
+  const FrameStore::Handle frame = store_.add(std::move(payload));
   if (!transport_) {
+    // The data event is the frame's one holder.
     const auto receipt =
-        fabric_.post_send_at(src, dst, payload.size(), records, send_time);
-    push_event(EventKind::kData, receipt.arrival, src, dst, 0,
-               std::move(payload));
+        fabric_.post_send_at(src, dst, bytes, records, send_time);
+    push_event({receipt.arrival, 0, frame, src, dst, EventKind::kData, false});
     return;
   }
+  // The retransmission entry is the frame's first holder; each delivered
+  // copy adds one.
   Channel& chan = channel(src, dst);
-  const std::uint64_t tseq = chan.next_tseq();
-  Pending& entry = chan.unacked.emplace_back();
-  entry.payload = std::move(payload);
+  const std::uint64_t tseq = chan.next;
+  Pending& entry = chan.issue();
+  entry.frame = frame;
   entry.records = records;
   entry.attempt = 1;
-  transmit_priced(src, dst, tseq, entry.payload, entry.records, entry.attempt,
-                  send_time);
+  transmit_priced(src, dst, tseq, frame, records, 1, send_time);
   // A final try arms no timer, so nothing reads its entry again: the
   // retransmission state goes now (a late ack finds it gone harmlessly).
-  if (entry.attempt >= fabric_.config().fault.max_attempts) chan.retire(tseq);
+  if (fabric_.config().fault.max_attempts <= 1) {
+    store_.release(chan.retire(tseq));
+  }
 }
 
 void EventEngine::transmit_priced(Rank src, Rank dst, std::uint64_t tseq,
-                                  const std::vector<std::byte>& payload,
+                                  FrameStore::Handle frame,
                                   std::int64_t records, int attempt,
                                   CommFabric::SendTime send_time) {
   const FaultConfig& F = fabric_.config().fault;
   const bool final_attempt = attempt >= F.max_attempts;
   const bool exempt = final_attempt && F.reliable_tail;
+  const std::size_t bytes = store_.size(frame);
   const auto receipt =
-      fabric_.post_send_at(src, dst, payload.size() + kTransportHeaderBytes,
-                           records, send_time, exempt);
+      fabric_.post_send_at(src, dst, bytes + kTransportHeaderBytes, records,
+                           send_time, exempt);
   if (receipt.dropped) {
     if (final_attempt) {
       // reliable_tail is off and the last try was lost: no further recovery
@@ -199,27 +227,31 @@ void EventEngine::transmit_priced(Rank src, Rank dst, std::uint64_t tseq,
                << " tseq " << tseq << " garbled after " << attempt
                << " attempts");
     }
-    std::vector<std::byte> delivered = payload;  // keep the original
-    // Physically garble the delivered copy (never the retransmission
-    // source) so the receiver's checksum check rejects it honestly.
-    if (receipt.corrupted && !delivered.empty()) {
-      corrupt_one_bit(delivered, receipt.seq);
+    // Physically garble a private copy of the delivered bytes (never the
+    // shared frame a retransmission or duplicate reads) so the receiver's
+    // checksum check rejects it honestly; an empty frame has no bit to
+    // flip.
+    FrameStore::Handle delivered = frame;
+    if (receipt.corrupted && bytes != 0) {
+      delivered = store_.corrupted_copy(frame, receipt.seq);
+    } else {
+      store_.reference(frame);
     }
-    push_event(EventKind::kData, receipt.arrival, src, dst, tseq,
-               std::move(delivered), receipt.corrupted);
+    push_event({receipt.arrival, tseq, delivered, src, dst, EventKind::kData,
+                receipt.corrupted});
     if (receipt.duplicated) {
-      push_event(EventKind::kData, receipt.duplicate_arrival, src, dst, tseq,
-                 payload);
+      store_.reference(frame);
+      push_event({receipt.duplicate_arrival, tseq, frame, src, dst,
+                  EventKind::kData, false});
     }
   }
   if (!final_attempt) {
     // The timer is armed at the send time: the recorded lane send time, not
     // the live clock, which has already absorbed the whole lane. It fires
     // at the sender (dst = src) and names the peer the message targets.
-    push_event(EventKind::kTimer,
-               send_time.seconds() +
-                   kRtoSeconds * std::pow(kRtoBackoff, attempt - 1),
-               /*src=*/dst, /*dst=*/src, tseq);
+    push_event({send_time.seconds() + std::ldexp(kRtoSeconds, attempt - 1),
+                tseq, FrameStore::kNone, /*src=*/dst, /*dst=*/src,
+                EventKind::kTimer, false});
   }
 }
 
@@ -232,10 +264,11 @@ void EventEngine::replay_ack(Rank from, Rank to, std::uint64_t tseq,
   if (receipt.dropped) return;
   // An ack's payload is modelled-only (no bytes to flip): the corrupted
   // flag alone marks it for rejection at the sender.
-  push_event(EventKind::kAck, receipt.arrival, from, to, tseq, {},
-             receipt.corrupted);
+  push_event({receipt.arrival, tseq, FrameStore::kNone, from, to,
+              EventKind::kAck, receipt.corrupted});
   if (receipt.duplicated) {
-    push_event(EventKind::kAck, receipt.duplicate_arrival, from, to, tseq);
+    push_event({receipt.duplicate_arrival, tseq, FrameStore::kNone, from, to,
+                EventKind::kAck, false});
   }
 }
 
@@ -245,11 +278,12 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
   switch (ev.kind) {
     case EventKind::kData: {
       lane.advance_to(ev.time);
+      const std::span<const std::byte> payload = store_.bytes(ev.frame);
       if (ev.corrupted) {
         // Honest detection: the delivered bytes themselves must fail frame
         // validation (empty payloads have nothing to flip and are rejected
         // outright). No ack — the sender's retry timer recovers.
-        PMC_CHECK(ev.payload.empty() || !FrameReader(ev.payload).valid(),
+        PMC_CHECK(payload.empty() || !FrameReader(payload).valid(),
                   "garbled frame passed checksum validation");
         ctx.record(Kind::kNoteCorruptDetected);
         return;
@@ -269,7 +303,7 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
         }
       }
       processes_[static_cast<std::size_t>(ev.dst)]->handle(ctx, ev.src,
-                                                           ev.payload);
+                                                           payload);
       return;
     }
     case EventKind::kAck: {
@@ -280,7 +314,7 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
         ctx.record(Kind::kNoteCorruptDetected);
         return;
       }
-      channel(ev.dst, ev.src).retire(ev.tseq);
+      release_at_merge(ctx, channel(ev.dst, ev.src).retire(ev.tseq));
       return;
     }
     case EventKind::kTimer: {
@@ -301,21 +335,27 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
       const bool final_attempt = entry->attempt >= F.max_attempts;
       const bool exempt = final_attempt && F.reliable_tail;
       const CommFabric::SendTime send_time = lane.begin_send(exempt);
-      // Snapshot the message: a later ack in the same window (processed by
-      // this same shard) may erase the entry before the merge replays the
-      // retransmission.
+      // The resend names the entry's frame. A later ack in the same window
+      // (processed by this same shard) may retire the entry, but the
+      // release it records replays after this resend.
       EventContext::DeferredOp& resend = ctx.record(Kind::kRetransmit);
       resend.peer = peer;
-      resend.payload = entry->payload;
+      resend.frame = entry->frame;
       resend.records = entry->records;
       resend.attempt = entry->attempt;
       resend.tseq = ev.tseq;
       resend.time = send_time;
       // See enqueue_at(): after the final try the entry goes now.
-      if (final_attempt) chan.retire(ev.tseq);
+      if (final_attempt) release_at_merge(ctx, chan.retire(ev.tseq));
       return;
     }
   }
+}
+
+void EventEngine::release_at_merge(EventContext& ctx,
+                                   FrameStore::Handle frame) {
+  if (frame == FrameStore::kNone) return;
+  ctx.record(EventContext::DeferredOp::Kind::kRelease).frame = frame;
 }
 
 void EventEngine::dispatch_window() {
@@ -324,21 +364,25 @@ void EventEngine::dispatch_window() {
   // of their successors can join it (DESIGN.md §5c): a successor lands in a
   // later bucket or — with a zero window — in a fresh bucket for the same
   // instant, which is then the lowest one.
-  const auto lowest = buckets_.begin();
-  window_ = std::move(lowest->second);
-  buckets_.erase(lowest);
+  spare_ = std::move(window_);
+  spare_.clear();
+  window_ = std::move(calendar_.back().events);
+  calendar_.pop_back();
+  if (transport_) {
+    // A timer whose entry is already gone can only no-op: dispatch would
+    // return before touching its lane or recording anything. Gone is
+    // permanent, so it is dropped here, before the sort and the shards.
+    // The drop keeps push order (seq order) among the rest.
+    std::erase_if(window_, [this](const Event& ev) {
+      if (ev.kind != EventKind::kTimer) return false;
+      const Channel* chan = find_channel(ev.dst, ev.src);
+      return chan == nullptr || chan->settled(ev.tseq);
+    });
+    if (window_.empty()) return;
+  }
   const auto n = static_cast<std::uint32_t>(window_.size());
 
-  // Replay order: (time, seq). A bucket fills in push order, so an event's
-  // index in it ranks its seq.
-  replay_order_.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    replay_order_[i] = {window_[i].time, i};
-  }
-  std::sort(replay_order_.begin(), replay_order_.end(),
-            [](const TimeKey& a, const TimeKey& b) {
-              return a.time < b.time || (a.time == b.time && a.index < b.index);
-            });
+  sort_window();
 
   // Shard by destination rank (each event mutates only its destination's
   // clock, process and transport channels): a counting sort of the replay
@@ -371,12 +415,12 @@ void EventEngine::dispatch_window() {
   // private lane, recording one op frame per event, indexed by replay
   // position. The shared fabric and other ranks' channels are only read.
   std::vector<CommFabric::Lane> lanes(shards);
-  if (frames_.size() < n) frames_.resize(n);
+  if (op_frames_.size() < n) op_frames_.resize(n);
   backend_.parallel_for(shards, [this, &lanes](std::size_t s) {
     lanes[s] = fabric_.make_lane(shard_rank_[s]);
     for (std::size_t k = shard_begin_[s]; k < shard_begin_[s + 1]; ++k) {
       const std::uint32_t pos = by_shard_[k];
-      EventContext ctx(*this, lanes[s], frames_[pos]);
+      EventContext ctx(*this, lanes[s], op_frames_[pos]);
       dispatch(window_[replay_order_[pos].index], ctx);
     }
   });
@@ -387,7 +431,42 @@ void EventEngine::dispatch_window() {
   // all land exactly as under one-at-a-time dispatch.
   for (const CommFabric::Lane& lane : lanes) fabric_.absorb_lane(lane);
   for (std::uint32_t k = 0; k < n; ++k) {
-    replay_ops(window_[replay_order_[k].index].dst, frames_[k]);
+    replay_ops(window_[replay_order_[k].index].dst, op_frames_[k]);
+  }
+  // The dispatched data events drop their hold on the frames they carried.
+  for (const Event& ev : window_) {
+    if (ev.frame != FrameStore::kNone) store_.release(ev.frame);
+  }
+}
+
+void EventEngine::sort_window() {
+  // Replay order: (time, seq). A bucket fills in push order, so an event's
+  // index in it ranks its seq, and a stable sort by time alone keeps equal
+  // times in seq order. A non-negative double's bit pattern orders like its
+  // value (+ 0.0 folds -0.0 into 0), so an LSD radix sort of the patterns
+  // does it: one stable counting pass per byte in which they differ.
+  const auto n = static_cast<std::uint32_t>(window_.size());
+  replay_order_.resize(n);
+  std::uint64_t any = 0;
+  std::uint64_t all = ~std::uint64_t{0};
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto bits = std::bit_cast<std::uint64_t>(window_[i].time + 0.0);
+    replay_order_[i] = {bits, i};
+    any |= bits;
+    all &= bits;
+  }
+  sort_buffer_.resize(n);
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((any ^ all) >> shift & 0xff) == 0) continue;
+    std::array<std::uint32_t, 257> start{};
+    for (const TimeKey& key : replay_order_) {
+      ++start[(key.time_bits >> shift & 0xff) + 1];
+    }
+    for (std::size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+    for (const TimeKey& key : replay_order_) {
+      sort_buffer_[start[key.time_bits >> shift & 0xff]++] = key;
+    }
+    replay_order_.swap(sort_buffer_);
   }
 }
 
@@ -408,8 +487,11 @@ void EventEngine::replay_ops(Rank rank,
         replay_ack(rank, op.peer, op.tseq, std::get<SendTime>(op.time));
         break;
       case Kind::kRetransmit:
-        transmit_priced(rank, op.peer, op.tseq, op.payload, op.records,
+        transmit_priced(rank, op.peer, op.tseq, op.frame, op.records,
                         op.attempt, std::get<SendTime>(op.time));
+        break;
+      case Kind::kRelease:
+        store_.release(op.frame);
         break;
       case Kind::kNoteBackoff:
         fabric_.note_backoff(rank, op.seconds);
@@ -432,12 +514,12 @@ void EventEngine::replay_ops(Rank rank,
 void EventEngine::fan_out(const std::vector<Rank>& ranks, FanPhase phase) {
   std::vector<CommFabric::Lane> lanes;
   lanes.reserve(ranks.size());
-  if (frames_.size() < ranks.size()) frames_.resize(ranks.size());
+  if (op_frames_.size() < ranks.size()) op_frames_.resize(ranks.size());
   std::vector<EventContext> ctxs;
   ctxs.reserve(ranks.size());
   for (std::size_t i = 0; i < ranks.size(); ++i) {
     lanes.push_back(fabric_.make_lane(ranks[i]));
-    ctxs.push_back(EventContext(*this, lanes.back(), frames_[i]));
+    ctxs.push_back(EventContext(*this, lanes.back(), op_frames_[i]));
   }
   // Callbacks run against their lanes (concurrently with a threaded
   // backend; the shared fabric is only read); the rank-ordered merge below
@@ -453,7 +535,7 @@ void EventEngine::fan_out(const std::vector<Rank>& ranks, FanPhase phase) {
   });
   for (std::size_t i = 0; i < ctxs.size(); ++i) {
     fabric_.absorb_lane(lanes[i]);
-    replay_ops(ranks[i], frames_[i]);
+    replay_ops(ranks[i], op_frames_[i]);
   }
 }
 
@@ -472,7 +554,7 @@ RunResult EventEngine::run() {
   }
 
   while (true) {
-    while (!buckets_.empty()) dispatch_window();
+    while (!calendar_.empty()) dispatch_window();
     bool all_done = true;
     for (const auto& p : processes_) {
       if (!p->done()) {
@@ -498,7 +580,7 @@ RunResult EventEngine::run() {
     for (const auto& p : processes_) {
       if (p->done()) ++done_after;
     }
-    if (buckets_.empty() && events_posted_ == posted_before &&
+    if (calendar_.empty() && events_posted_ == posted_before &&
         done_after == done_before) {
       std::ostringstream oss;
       oss << "distributed computation deadlocked; unfinished ranks:";

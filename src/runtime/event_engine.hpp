@@ -25,6 +25,10 @@
 //     handlers run against private fabric lanes), and the recorded effects
 //     are merged back in (time, seq) order — bit-identical to one-at-a-time
 //     dispatch (DESIGN.md §5c).
+//   * Each transmission's bytes are stored once, in the engine's
+//     FrameStore (runtime/frame_store.hpp): events, retransmission entries
+//     and duplicates refer to them by handle, and only the sequential merge
+//     adds or releases a frame.
 //   * When the queue drains and some rank reports !done(), the engine calls
 //     Process::idle once per such rank; if that generates no messages and
 //     ranks are still unfinished, the run aborts with a deadlock diagnostic.
@@ -34,17 +38,17 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
 #include "runtime/comm_stats.hpp"
 #include "runtime/exec/backend.hpp"
 #include "runtime/fabric.hpp"
+#include "runtime/frame_store.hpp"
 #include "runtime/machine_model.hpp"
 #include "support/types.hpp"
 
@@ -86,7 +90,8 @@ class EventContext {
 
   /// One recorded deferred action; ops must replay in their original program
   /// order (a round label attributes the sends that follow it, a transport
-  /// ack precedes the handler it unblocked, and so on). Handler-level ops
+  /// ack precedes the handler it unblocked, a retransmission precedes the
+  /// release of the frame it resends, and so on). Handler-level ops
   /// (kSend/kRound) and engine-level transport ops share one list so a
   /// window merge reproduces each event's full effect sequence.
   struct DeferredOp {
@@ -95,6 +100,7 @@ class EventContext {
       kRound,                ///< Trace round label.
       kAck,                  ///< Transport ack for a delivered data message.
       kRetransmit,           ///< Retry-timer resend of an unacked message.
+      kRelease,              ///< A retired transport entry's frame.
       kNoteBackoff,          ///< Sender sat out a retry timeout.
       kNoteRetry,            ///< Retry trace/accounting line.
       kNoteDupSuppressed,    ///< Receiver suppressed a duplicate delivery.
@@ -102,7 +108,10 @@ class EventContext {
     };
     Kind kind = Kind::kSend;
     Rank peer = kNoRank;             ///< Send/ack target or retry peer.
-    std::vector<std::byte> payload;  ///< kSend; kRetransmit (snapshot).
+    std::vector<std::byte> payload;  ///< kSend: the frame, stored at replay.
+    /// kRetransmit, kRelease: the stored frame (a shard only reads the
+    /// store; the merge references or releases it in replay order).
+    FrameStore::Handle frame = FrameStore::kNone;
     std::int64_t records = 0;
     /// kNote*: the clock value the note reads; kSend/kAck/kRetransmit: the
     /// lane-priced send time.
@@ -122,7 +131,12 @@ class EventContext {
 
   /// Appends an op of `kind` stamped with the lane clock (the value a note
   /// reads); the caller fills in the kind-specific fields.
-  DeferredOp& record(DeferredOp::Kind kind);
+  DeferredOp& record(DeferredOp::Kind kind) {
+    DeferredOp& op = ops_->emplace_back();
+    op.kind = kind;
+    op.time = lane_->now();
+    return op;
+  }
 
   EventEngine* engine_;
   CommFabric::Lane* lane_;
@@ -205,21 +219,25 @@ class EventEngine {
   struct Event {
     double time = 0.0;
     std::uint64_t tseq = 0;  ///< Transport sequence on the (src,dst) channel.
-    std::vector<std::byte> payload;
+    /// kData: the delivered bytes, one holder of them until the window that
+    /// dispatches the event has merged.
+    FrameStore::Handle frame = FrameStore::kNone;
     Rank src = kNoRank;
     Rank dst = kNoRank;
     EventKind kind = EventKind::kData;
-    /// The fabric garbled this copy in flight: the payload carries a flipped
-    /// bit and the receiver's checksum validation must reject it.
+    /// The fabric garbled this copy in flight: its frame is a private copy
+    /// with a flipped bit, which the receiver's checksum must reject.
     bool corrupted = false;
   };
+  static_assert(std::is_trivially_copyable_v<Event> && sizeof(Event) <= 32);
 
   /// An unacknowledged data message kept for retransmission.
   struct Pending {
-    std::vector<std::byte> payload;
     std::int64_t records = 0;
-    int attempt = 0;    ///< Tries made so far.
-    bool gone = false;  ///< Acked, or its final try is out: never read again.
+    /// One holder of the message's bytes; kNone once the entry is gone
+    /// (acked, or its final try is out), never to be read again.
+    FrameStore::Handle frame = FrameStore::kNone;
+    int attempt = 0;  ///< Tries made so far.
   };
 
   /// One rank's reliable-transport state toward one peer, both directions.
@@ -232,22 +250,28 @@ class EventEngine {
   /// ranks' channels.
   struct Channel {
     Rank peer = kNoRank;
-    /// Sender side (this rank -> peer): unacked[i] is tseq base + i, from
-    /// the oldest entry not yet gone to the last tseq issued.
+    /// Sender side (this rank -> peer): the entries of tseqs [base, next),
+    /// from the oldest not yet gone to the last issued, in a ring indexed
+    /// by tseq (its size a power of two, doubled when full).
     std::uint64_t base = 0;
-    std::deque<Pending> unacked;
+    std::uint64_t next = 0;
+    std::vector<Pending> ring;
     /// Receiver side (peer -> this rank): every tseq below `floor` was
     /// delivered, and so were the ones in `above` (sorted, all > floor).
     std::uint64_t floor = 0;
     std::vector<std::uint64_t> above;
 
-    [[nodiscard]] std::uint64_t next_tseq() const noexcept {
-      return base + unacked.size();
-    }
+    /// Issues the next tseq and returns its (blank) entry.
+    Pending& issue();
     /// tseq's retransmission entry, or nullptr once it is gone.
     [[nodiscard]] Pending* pending(std::uint64_t tseq) noexcept;
-    /// Marks tseq's entry gone and drops gone entries off the front.
-    void retire(std::uint64_t tseq) noexcept;
+    /// True once tseq's entry is gone: `base` only grows and a gone entry
+    /// never gets its frame back, so a settled tseq stays settled.
+    [[nodiscard]] bool settled(std::uint64_t tseq) const noexcept;
+    /// Marks tseq's entry gone, drops gone entries off the front, and hands
+    /// back the frame it held for its caller to release (kNone if the entry
+    /// was already gone).
+    [[nodiscard]] FrameStore::Handle retire(std::uint64_t tseq) noexcept;
     /// Records a delivery of tseq; false if it was delivered before.
     bool deliver(std::uint64_t tseq);
   };
@@ -257,30 +281,36 @@ class EventEngine {
   void enqueue_at(Rank src, Rank dst, std::vector<std::byte> payload,
                   std::int64_t records, CommFabric::SendTime send_time);
   /// Queues an event in the bucket its time falls in.
-  void push_event(EventKind kind, double time, Rank src, Rank dst,
-                  std::uint64_t tseq, std::vector<std::byte> payload = {},
-                  bool corrupted = false);
+  void push_event(const Event& ev);
   /// `rank`'s transport channel to `peer`, opened on first use.
   Channel& channel(Rank rank, Rank peer);
-  /// Prices and schedules one (re)transmission of `payload` whose
+  /// `rank`'s transport channel to `peer`, or nullptr if it was never
+  /// opened (never opens one).
+  [[nodiscard]] const Channel* find_channel(Rank rank, Rank peer) const;
+  /// Prices and schedules one (re)transmission of stored `frame` whose
   /// sender-side clock costs are already paid (send_time is the priced send
   /// instant), arming the next retry timer unless `attempt` exhausted the
   /// budget. Shared by first transmissions and retransmissions.
   void transmit_priced(Rank src, Rank dst, std::uint64_t tseq,
-                       const std::vector<std::byte>& payload,
-                       std::int64_t records, int attempt,
-                       CommFabric::SendTime send_time);
+                       FrameStore::Handle frame, std::int64_t records,
+                       int attempt, CommFabric::SendTime send_time);
   /// Prices and schedules one transport ack whose sender-side clock costs
   /// are already paid. Acks ride the same lossy fabric but never retry.
   void replay_ack(Rank from, Rank to, std::uint64_t tseq,
                   CommFabric::SendTime send_time);
   /// Dispatches one event through `ctx`, recording its effects for the
-  /// window merge.
+  /// window merge. Runs on a shard: it may read the frame store but records
+  /// every reference or release as an op.
   void dispatch(const Event& ev, EventContext& ctx);
-  /// Pops the lowest bucket as one window, dispatches it sharded by
-  /// destination rank on the backend, then merges: absorbs the shard lanes
-  /// and replays every event's recorded ops in (time, seq) order.
+  /// Records the release of a frame a shard retired (nothing for kNone).
+  static void release_at_merge(EventContext& ctx, FrameStore::Handle frame);
+  /// Pops the lowest bucket as one window, drops its settled retry timers,
+  /// dispatches the rest sharded by destination rank on the backend, then
+  /// merges: absorbs the shard lanes, replays every event's recorded ops in
+  /// (time, seq) order, and releases the window's frames.
   void dispatch_window();
+  /// Fills replay_order_ with the window's events in (time, index) order.
+  void sort_window();
   /// Replays one recorded op frame against the live fabric and empties it.
   void replay_ops(Rank rank, std::vector<EventContext::DeferredOp>& ops);
   /// Runs start() (phase == kStart) or idle() over `ranks` on the backend,
@@ -291,33 +321,48 @@ class EventEngine {
   CommFabric fabric_;
   ExecutionBackend backend_;
   std::vector<std::unique_ptr<Process>> processes_;
-  /// The event queue: bucket k holds the events with
-  /// floor(time / window_seconds_) == k, in push order — which is seq order,
-  /// the tie-breaker among equal times. With a zero window the key is the
-  /// time's bit pattern instead (one bucket per instant). The map is ordered
-  /// because start() and idle kicks can fill a bucket below the last one
-  /// dispatched.
-  std::map<std::int64_t, std::vector<Event>> buckets_;
+  /// The event queue, a calendar of buckets: the bucket keyed k holds the
+  /// events with floor(time / window_seconds_) == k, in push order — which
+  /// is seq order, the tie-breaker among equal times. With a zero window the
+  /// key is the time's bit pattern instead (one bucket per instant). The
+  /// calendar is one vector sorted by descending key, so the lowest bucket
+  /// pops off the back; it stays ordered because start() and idle kicks can
+  /// fill a bucket below the last one dispatched.
+  struct Bucket {
+    std::int64_t key = 0;
+    std::vector<Event> events;
+  };
+  std::vector<Bucket> calendar_;
+  /// The last dispatched window's storage, emptied, for the next bucket the
+  /// calendar opens (one window's worth at most: the next pop frees it if
+  /// no bucket took it).
+  std::vector<Event> spare_;
   std::uint64_t events_posted_ = 0;
   bool ran_ = false;
 
+  /// Every transmission's bytes (see runtime/frame_store.hpp). Shards only
+  /// read it; the merge adds, references and releases frames.
+  FrameStore store_;
+
   /// Per-window scratch, kept across windows so its storage is reused: the
-  /// window's (time, index) replay order; its shards — each one's rank,
-  /// first slot in by_shard_ (replay positions grouped by rank), and the
-  /// per-rank counters that place them; and one op frame per event in
-  /// replay order (per rank during a fan-out). The window's events
-  /// themselves are the popped bucket, freed with the next one.
+  /// window's (time, index) replay order and its sorting buffer; its shards
+  /// — each one's rank, first slot in by_shard_ (replay positions grouped
+  /// by rank), and the per-rank counters that place them; and one op frame
+  /// per event in replay order (per rank during a fan-out). The window's
+  /// events themselves are the popped bucket, whose storage becomes the
+  /// spare.
   struct TimeKey {
-    double time = 0.0;
+    std::uint64_t time_bits = 0;  ///< A non-negative time's bit pattern.
     std::uint32_t index = 0;
   };
   std::vector<Event> window_;
   std::vector<TimeKey> replay_order_;
+  std::vector<TimeKey> sort_buffer_;
   std::vector<Rank> shard_rank_;
   std::vector<std::uint32_t> shard_begin_;
   std::vector<std::uint32_t> shard_fill_;
   std::vector<std::uint32_t> by_shard_;
-  std::vector<std::vector<EventContext::DeferredOp>> frames_;
+  std::vector<std::vector<EventContext::DeferredOp>> op_frames_;
 
   /// Windowed-dispatch bucket width: half the minimum spacing between an
   /// event and any successor it generates, so a successor always lands in a

@@ -186,7 +186,7 @@ Color FrameReader::read_color() {
   return static_cast<Color>(c);
 }
 
-void corrupt_one_bit(std::vector<std::byte>& bytes, std::uint64_t seed) {
+void corrupt_one_bit(std::span<std::byte> bytes, std::uint64_t seed) {
   PMC_REQUIRE(!bytes.empty(), "cannot corrupt an empty buffer");
   const std::uint64_t h = splitmix64(seed ^ 0xC0DEC0DEC0DEC0DEULL);
   const std::size_t bit = static_cast<std::size_t>(h % (bytes.size() * 8));

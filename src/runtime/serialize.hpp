@@ -336,6 +336,6 @@ void for_each_record(std::span<const std::byte> payload, Fn&& fn) {
 /// engines' physical model of an in-flight corruption (the fabric issues
 /// the verdict; the engine garbles the bytes and lets the checksum catch
 /// it honestly).
-void corrupt_one_bit(std::vector<std::byte>& bytes, std::uint64_t seed);
+void corrupt_one_bit(std::span<std::byte> bytes, std::uint64_t seed);
 
 }  // namespace pmc

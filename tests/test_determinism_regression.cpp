@@ -268,6 +268,68 @@ TEST(DeterminismRegression, HeavyReorderingEagerMatchingScenario) {
   }
 }
 
+// The eager-faults workload's mix on an eager matching: drops, duplicates,
+// corruption and jitter, so garbled data and acks are rejected and recovered
+// by retries. The second run gives each message one attempt: every first try
+// is the fault-exempt final one, retired when it is sent, and arms no timer
+// (acks still cross the lossy fabric). Every FaultStats field is pinned.
+TEST(DeterminismRegression, EagerFaultsMixMatchingScenario) {
+  const Graph g = grid_2d(64, 64, WeightKind::kUniformRandom, 66);
+  const Partition p = grid_2d_partition(64, 64, 4, 4);
+  const DistGraph dist = DistGraph::build(g, p);
+
+  DistMatchingOptions mix;
+  mix.bundled = false;
+  mix.jitter_seconds = 2e-6;
+  mix.jitter_seed = 29;
+  mix.faults.drop_rate = 0.05;
+  mix.faults.duplicate_rate = 0.02;
+  mix.faults.corrupt_rate = 0.01;
+  mix.faults.seed = 29;
+  DistMatchingOptions one_try = mix;
+  one_try.faults.max_attempts = 1;
+
+  struct Pin {
+    double sim_seconds;
+    std::int64_t messages;
+    std::int64_t bytes;
+    FaultStats faults;
+  };
+  const Pin kMix{0.00045029673747981944,
+                 3040,
+                 151222,
+                 {157, 46, 757, 28, 28, 821, 0.00010732795289283061}};
+  // Data is never lost, duplicated or garbled here; what faults remain
+  // struck acks, and no ack is awaited.
+  const Pin kOneTry{0.00023956378865615247, 1464, 72655,
+                    {43, 6, 0, 2, 2, 0, 0.0}};
+  const auto clean = match_distributed(dist, DistMatchingOptions{});
+  for (const int threads : {1, 3}) {
+    for (const auto& [opts, pin] :
+         {std::pair{mix, kMix}, std::pair{one_try, kOneTry}}) {
+      DistMatchingOptions run_opts = opts;
+      run_opts.exec.threads = threads;
+      const auto r = match_distributed(dist, run_opts);
+      const FaultStats f = r.run.breakdown.total_faults();
+      const std::string where =
+          "threads=" + std::to_string(threads) +
+          " max_attempts=" + std::to_string(opts.faults.max_attempts);
+      EXPECT_EQ(r.run.sim_seconds, pin.sim_seconds) << where;
+      EXPECT_EQ(r.run.comm.messages, pin.messages) << where;
+      EXPECT_EQ(r.run.comm.bytes, pin.bytes) << where;
+      EXPECT_EQ(f.drops, pin.faults.drops) << where;
+      EXPECT_EQ(f.duplicates, pin.faults.duplicates) << where;
+      EXPECT_EQ(f.dup_suppressed, pin.faults.dup_suppressed) << where;
+      EXPECT_EQ(f.corruptions, pin.faults.corruptions) << where;
+      EXPECT_EQ(f.corruptions_detected, pin.faults.corruptions_detected)
+          << where;
+      EXPECT_EQ(f.retries, pin.faults.retries) << where;
+      EXPECT_EQ(f.backoff_seconds, pin.faults.backoff_seconds) << where;
+      EXPECT_EQ(r.matching.mate, clean.matching.mate) << where;
+    }
+  }
+}
+
 TEST(DeterminismRegression, FaultInjectedColoringScenario) {
   const Graph g = circuit_like(2000, 4000, 6, WeightKind::kUnit, 62);
   const Partition p =

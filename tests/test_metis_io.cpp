@@ -3,6 +3,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -41,6 +42,13 @@ TEST(MetisIo, ParsesEdgeWeightedGraph) {
   EXPECT_TRUE(g.has_weights());
   EXPECT_DOUBLE_EQ(g.edge_weight(0, 1), 5.0);
   EXPECT_DOUBLE_EQ(g.edge_weight(0, 2), 7.0);
+}
+
+TEST(MetisIo, AcceptsBlankLinesAndCommentsAfterTheLastVertex) {
+  std::istringstream in("2 1\n2\n1\n\n\n% c\n");
+  const Graph g = read_metis_graph(in);
+  EXPECT_EQ(g.num_vertices(), 2);
+  EXPECT_EQ(g.num_edges(), 1);
 }
 
 TEST(MetisIo, HandlesIsolatedVertices) {
@@ -84,6 +92,21 @@ TEST(MetisIo, RejectsMalformedInputs) {
   {
     std::istringstream in("3 1\n2\n1\n");  // missing adjacency line
     EXPECT_THROW((void)read_metis_graph(in), Error);
+  }
+  // Only blank lines and comments may follow the n-th adjacency line; the
+  // error quotes the first line that is neither.
+  for (const auto& [text, quoted] : {
+           std::pair{"2 1\n2\n1\ngarbage here\n", "'garbage here'"},
+           std::pair{"3 1\n2\n1\n\n5 6 7\n", "'5 6 7'"},
+       }) {
+    std::istringstream in(text);
+    try {
+      (void)read_metis_graph(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(quoted), std::string::npos)
+          << text << " -> " << e.what();
+    }
   }
   // Asymmetric adjacency whose arc count matches the header: each error
   // names the vertices whose listings disagree.

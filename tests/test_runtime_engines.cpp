@@ -8,6 +8,7 @@
 
 #include "runtime/bsp_engine.hpp"
 #include "runtime/event_engine.hpp"
+#include "runtime/frame_store.hpp"
 #include "runtime/machine_model.hpp"
 #include "runtime/serialize.hpp"
 #include "support/error.hpp"
@@ -15,6 +16,61 @@
 
 namespace pmc {
 namespace {
+
+// ---- frame store -----------------------------------------------------------
+
+std::vector<std::byte> bytes_of(std::size_t n, int first) {
+  std::vector<std::byte> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<std::byte>(first + static_cast<int>(i));
+  }
+  return v;
+}
+
+std::vector<std::byte> stored(const FrameStore& store, FrameStore::Handle h) {
+  const std::span<const std::byte> b = store.bytes(h);
+  return {b.begin(), b.end()};
+}
+
+TEST(FrameStore, KeepsShortAndLongFramesByHandle) {
+  FrameStore store;
+  const FrameStore::Handle empty = store.add({});
+  const FrameStore::Handle short_frame = store.add(bytes_of(16, 1));
+  const FrameStore::Handle long_frame = store.add(bytes_of(17, 50));
+  EXPECT_EQ(store.size(empty), 0U);
+  EXPECT_EQ(stored(store, short_frame), bytes_of(16, 1));
+  EXPECT_EQ(stored(store, long_frame), bytes_of(17, 50));
+}
+
+TEST(FrameStore, LastReleaseFreesTheSlotForReuse) {
+  FrameStore store;
+  const FrameStore::Handle h = store.add(bytes_of(40, 3));
+  store.reference(h);
+  store.release(h);
+  EXPECT_EQ(stored(store, h), bytes_of(40, 3));  // one holder left
+  store.release(h);
+  EXPECT_THROW((void)store.bytes(h), Error);  // read after the release
+  EXPECT_THROW(store.release(h), Error);      // released twice
+  EXPECT_THROW(store.reference(h), Error);
+  const FrameStore::Handle again = store.add(bytes_of(5, 9));
+  EXPECT_EQ(again, h);
+  EXPECT_EQ(stored(store, again), bytes_of(5, 9));
+}
+
+TEST(FrameStore, CorruptedCopyLeavesTheSharedFrameIntact) {
+  for (const std::size_t n : {std::size_t{12}, std::size_t{64}}) {
+    FrameStore store;
+    const FrameStore::Handle h = store.add(bytes_of(n, 7));
+    const FrameStore::Handle copy = store.corrupted_copy(h, 42);
+    EXPECT_NE(copy, h);
+    std::vector<std::byte> expected = bytes_of(n, 7);
+    corrupt_one_bit(expected, 42);
+    EXPECT_EQ(stored(store, copy), expected) << n;
+    EXPECT_EQ(stored(store, h), bytes_of(n, 7)) << n;
+    store.release(copy);
+    EXPECT_EQ(stored(store, h), bytes_of(n, 7)) << n;
+  }
+}
 
 // ---- machine model ---------------------------------------------------------
 
