@@ -26,6 +26,7 @@ int run(int argc, const char** argv) {
   opts.add("csv", "", "optional CSV output path");
   (void)opts.parse(argc, argv);
   const auto cores = opts.get_int<int>("cores");
+  PMC_REQUIRE(cores >= 1, "option --cores must be at least 1, got " << cores);
   const auto side = static_cast<VertexId>(opts.get_int("grid"));
   const double eff = opts.get_double("efficiency");
 
@@ -47,12 +48,12 @@ int run(int argc, const char** argv) {
   for (const int threads : {1, 2, 4, 8, 16}) {
     const int ranks = cores / threads;
     if (ranks < 1) break;
+    const MachineModel model =
+        MachineModel::blue_gene_p().with_threads(threads, eff);
     Rank pr = 0, pc = 0;
     factor_processor_grid(static_cast<Rank>(ranks), pr, pc);
     const Partition p = grid_2d_partition(side, side, pr, pc);
     const DistGraph dist = DistGraph::build(g, p);
-    const MachineModel model =
-        MachineModel::blue_gene_p().with_threads(threads, eff);
 
     DistMatchingOptions mopts;
     mopts.model = model;

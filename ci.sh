@@ -68,6 +68,44 @@ sys.exit(1 if bad else 0)
 EOF
 }
 
+# Shows that the baseline gate sees a one-ulp drift: a copy of
+# build/BENCH_service.json whose first workload's sim_seconds are each moved
+# up by one ulp must fail --compare-baseline, and the failure must name that
+# workload.
+gate_check() {
+  local dir=build/gate_check
+  rm -rf "$dir"
+  mkdir -p "$dir"
+  local workload
+  workload=$(python3 - build/BENCH_service.json "$dir/BENCH_service.json" <<'EOF'
+import json
+import math
+import sys
+
+with open(sys.argv[1], encoding="utf-8") as f:
+    doc = json.load(f)
+workload = doc["rows"][0]["workload"]
+for row in doc["rows"]:
+    if row["workload"] == workload:
+        row["sim_seconds"] = math.nextafter(row["sim_seconds"], math.inf)
+with open(sys.argv[2], "w", encoding="utf-8") as f:
+    json.dump(doc, f, indent=2)
+print(workload)
+EOF
+)
+  if ./tools/check_bench_artifacts.sh --compare-baseline \
+      "$dir/BENCH_service.json" >"$dir/gate.log" 2>&1; then
+    echo "gate_check: '$workload' one ulp higher passed the gate" >&2
+    return 1
+  fi
+  if ! grep -q "workload '$workload'" "$dir/gate.log"; then
+    echo "gate_check: the gate failed without naming '$workload'" >&2
+    cat "$dir/gate.log" >&2
+    return 1
+  fi
+  echo "gate_check: '$workload' one ulp higher fails the gate"
+}
+
 tier1() {
   echo "==== tier-1: build + full test suite ===="
   # PMC_HARDENED_WERROR promotes -Wconversion/-Wdouble-promotion/
@@ -94,11 +132,12 @@ tier1() {
   # Committed BENCH_*.json baselines must stay well-formed and keep each
   # workload's modelled time bit-identical across the thread sweep.
   ./tools/check_bench_artifacts.sh
-  # Perf-regression gate: regenerate the service-mode artifact (every batch
-  # self-verifies incremental == full recompute) and fail on a >10%
-  # modelled-time regression against the committed BENCH_service.json.
+  # Modelled-time gate: regenerate the service-mode artifact (every batch
+  # self-verifies incremental == full recompute) and fail unless every
+  # modelled time equals the committed BENCH_service.json's exactly.
   ./build/bench/bench_service --json=build/BENCH_service.json
   ./tools/check_bench_artifacts.sh --compare-baseline build/BENCH_service.json
+  gate_check
   # The same gate for the three thread sweeps (their distance-2 rows run the
   # halo-2 coloring), regenerated at their committed settings: 64 ranks,
   # grid 128 for the sync and event-engine sweeps, grid 192 for the
@@ -161,7 +200,6 @@ asan() {
     test_graph
     test_matrix_market
     test_metis_io
-    test_partition_io
     test_multilevel
     test_reader_fuzz
     test_wire_codec

@@ -123,10 +123,4 @@ JonesPlassmannResult color_jones_plassmann(
   return result;
 }
 
-JonesPlassmannResult color_jones_plassmann(
-    const Graph& g, const Partition& p, const JonesPlassmannOptions& options) {
-  const DistGraph dist = DistGraph::build(g, p);
-  return color_jones_plassmann(dist, options);
-}
-
 }  // namespace pmc

@@ -15,8 +15,6 @@
 #include <cstdint>
 
 #include "coloring/coloring.hpp"
-#include "graph/csr_graph.hpp"
-#include "partition/partition.hpp"
 #include "runtime/comm_stats.hpp"
 #include "runtime/dist_graph.hpp"
 #include "runtime/exec/backend.hpp"
@@ -47,10 +45,5 @@ struct JonesPlassmannResult {
 /// Runs Jones–Plassmann coloring on a pre-built distribution.
 [[nodiscard]] JonesPlassmannResult color_jones_plassmann(
     const DistGraph& dist, const JonesPlassmannOptions& options = {});
-
-/// Convenience overload building the distribution from (g, p).
-[[nodiscard]] JonesPlassmannResult color_jones_plassmann(
-    const Graph& g, const Partition& p,
-    const JonesPlassmannOptions& options = {});
 
 }  // namespace pmc

@@ -31,14 +31,11 @@
 #include "graph/generators.hpp"         // IWYU pragma: export
 #include "graph/matrix_market.hpp"      // IWYU pragma: export
 #include "graph/metis_io.hpp"           // IWYU pragma: export
-#include "matching/cardinality.hpp"    // IWYU pragma: export
 #include "matching/exact_bipartite.hpp" // IWYU pragma: export
 #include "matching/matching.hpp"        // IWYU pragma: export
 #include "matching/parallel.hpp"        // IWYU pragma: export
 #include "matching/parallel_verify.hpp" // IWYU pragma: export
 #include "matching/sequential.hpp"      // IWYU pragma: export
-#include "matching/vertex_weighted.hpp" // IWYU pragma: export
-#include "partition/io.hpp"             // IWYU pragma: export
 #include "partition/multilevel.hpp"     // IWYU pragma: export
 #include "partition/partition.hpp"      // IWYU pragma: export
 #include "partition/simple.hpp"         // IWYU pragma: export

@@ -5,37 +5,11 @@
 #include <algorithm>
 #include <deque>
 #include <numeric>
-#include <sstream>
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace pmc {
-
-std::string GraphStats::to_string() const {
-  std::ostringstream oss;
-  oss << "|V|=" << num_vertices << " |E|=" << num_edges << " deg=["
-      << min_degree << ", " << max_degree << "] avg=" << avg_degree
-      << " isolated=" << num_isolated << " components=" << num_components;
-  return oss.str();
-}
-
-GraphStats compute_stats(const Graph& g) {
-  GraphStats s;
-  s.num_vertices = g.num_vertices();
-  s.num_edges = g.num_edges();
-  s.min_degree = g.min_degree();
-  s.max_degree = g.max_degree();
-  s.avg_degree = s.num_vertices == 0
-                     ? 0.0
-                     : 2.0 * static_cast<double>(s.num_edges) /
-                           static_cast<double>(s.num_vertices);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (g.degree(v) == 0) ++s.num_isolated;
-  }
-  (void)connected_components(g, s.num_components);
-  return s;
-}
 
 std::vector<VertexId> connected_components(const Graph& g,
                                            VertexId& num_components) {
@@ -81,46 +55,6 @@ std::vector<VertexId> bfs_distances(const Graph& g, VertexId source) {
   return dist;
 }
 
-Graph permute(const Graph& g, const std::vector<VertexId>& perm) {
-  const VertexId n = g.num_vertices();
-  PMC_REQUIRE(static_cast<VertexId>(perm.size()) == n,
-              "permutation size mismatch");
-  std::vector<bool> seen(static_cast<std::size_t>(n), false);
-  for (VertexId v : perm) {
-    PMC_REQUIRE(v >= 0 && v < n && !seen[static_cast<std::size_t>(v)],
-                "perm is not a bijection");
-    seen[static_cast<std::size_t>(v)] = true;
-  }
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    offsets[static_cast<std::size_t>(perm[static_cast<std::size_t>(v)]) + 1] =
-        g.degree(v);
-  }
-  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-  std::vector<VertexId> adj(static_cast<std::size_t>(offsets.back()));
-  std::vector<Weight> weights;
-  if (g.has_weights()) weights.resize(adj.size());
-  for (VertexId v = 0; v < n; ++v) {
-    const VertexId pv = perm[static_cast<std::size_t>(v)];
-    auto cursor = static_cast<std::size_t>(offsets[static_cast<std::size_t>(pv)]);
-    const auto nbrs = g.neighbors(v);
-    const auto ws = g.weights(v);
-    std::vector<std::pair<VertexId, Weight>> mapped;
-    mapped.reserve(nbrs.size());
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      mapped.emplace_back(perm[static_cast<std::size_t>(nbrs[i])],
-                          g.has_weights() ? ws[i] : Weight{1});
-    }
-    std::sort(mapped.begin(), mapped.end());
-    for (const auto& [u, w] : mapped) {
-      adj[cursor] = u;
-      if (g.has_weights()) weights[cursor] = w;
-      ++cursor;
-    }
-  }
-  return Graph(std::move(offsets), std::move(adj), std::move(weights));
-}
-
 std::vector<VertexId> random_permutation(VertexId n, std::uint64_t seed) {
   std::vector<VertexId> perm(static_cast<std::size_t>(n));
   std::iota(perm.begin(), perm.end(), VertexId{0});
@@ -141,87 +75,6 @@ bool respects_bipartition(const Graph& g, const BipartiteInfo& info) {
     }
   }
   return true;
-}
-
-namespace {
-
-/// BFS from `source`; returns the last vertex dequeued (an eccentric
-/// vertex) and its distance.
-std::pair<VertexId, VertexId> bfs_far_vertex(const Graph& g, VertexId source) {
-  const auto dist = bfs_distances(g, source);
-  VertexId far = source;
-  VertexId far_dist = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const VertexId d = dist[static_cast<std::size_t>(v)];
-    if (d > far_dist) {
-      far_dist = d;
-      far = v;
-    }
-  }
-  return {far, far_dist};
-}
-
-}  // namespace
-
-std::vector<VertexId> reverse_cuthill_mckee(const Graph& g) {
-  const VertexId n = g.num_vertices();
-  std::vector<VertexId> order;  // visit order (Cuthill-McKee)
-  order.reserve(static_cast<std::size_t>(n));
-  std::vector<bool> visited(static_cast<std::size_t>(n), false);
-  std::vector<VertexId> scratch;
-
-  for (VertexId root = 0; root < n; ++root) {
-    if (visited[static_cast<std::size_t>(root)]) continue;
-    // Pseudo-peripheral start: two BFS hops from the component's first
-    // vertex (George-Liu style, one refinement round).
-    auto [far1, d1] = bfs_far_vertex(g, root);
-    auto [start, d2] = bfs_far_vertex(g, far1);
-    (void)d1;
-    (void)d2;
-    if (visited[static_cast<std::size_t>(start)]) start = root;
-
-    std::deque<VertexId> frontier{start};
-    visited[static_cast<std::size_t>(start)] = true;
-    while (!frontier.empty()) {
-      const VertexId v = frontier.front();
-      frontier.pop_front();
-      order.push_back(v);
-      scratch.clear();
-      for (VertexId u : g.neighbors(v)) {
-        if (!visited[static_cast<std::size_t>(u)]) {
-          visited[static_cast<std::size_t>(u)] = true;
-          scratch.push_back(u);
-        }
-      }
-      std::sort(scratch.begin(), scratch.end(),
-                [&g](VertexId a, VertexId b) {
-                  if (g.degree(a) != g.degree(b)) {
-                    return g.degree(a) < g.degree(b);
-                  }
-                  return a < b;
-                });
-      for (VertexId u : scratch) frontier.push_back(u);
-    }
-  }
-  PMC_CHECK(static_cast<VertexId>(order.size()) == n, "RCM missed vertices");
-
-  // Reverse and convert visit order to a permutation perm[old] = new.
-  std::vector<VertexId> perm(static_cast<std::size_t>(n));
-  for (VertexId i = 0; i < n; ++i) {
-    perm[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] =
-        n - 1 - i;
-  }
-  return perm;
-}
-
-VertexId bandwidth(const Graph& g) {
-  VertexId best = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (VertexId u : g.neighbors(v)) {
-      best = std::max(best, u > v ? u - v : v - u);
-    }
-  }
-  return best;
 }
 
 Graph square_graph(const Graph& g) {

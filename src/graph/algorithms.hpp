@@ -1,31 +1,14 @@
-// Basic graph algorithms and statistics shared by the partitioner, the
-// verifiers and the test suite.
+// Basic graph algorithms shared by the colorings, the examples and the test
+// suite.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
 #include "support/types.hpp"
 
 namespace pmc {
-
-/// Degree and size statistics of a graph.
-struct GraphStats {
-  VertexId num_vertices = 0;
-  EdgeId num_edges = 0;
-  EdgeId min_degree = 0;
-  EdgeId max_degree = 0;
-  double avg_degree = 0.0;
-  VertexId num_isolated = 0;
-  VertexId num_components = 0;
-
-  [[nodiscard]] std::string to_string() const;
-};
-
-/// Computes GraphStats (runs a full connected-components pass).
-[[nodiscard]] GraphStats compute_stats(const Graph& g);
 
 /// Connected components; returns component id per vertex (0-based, dense)
 /// and sets `num_components`.
@@ -35,11 +18,6 @@ struct GraphStats {
 /// BFS distances from `source` (-1 for unreachable vertices).
 [[nodiscard]] std::vector<VertexId> bfs_distances(const Graph& g,
                                                   VertexId source);
-
-/// Returns a permuted copy of g: vertex v becomes perm[v]. `perm` must be a
-/// bijection on [0, n).
-[[nodiscard]] Graph permute(const Graph& g,
-                            const std::vector<VertexId>& perm);
 
 /// Returns a uniformly random permutation of [0, n).
 [[nodiscard]] std::vector<VertexId> random_permutation(VertexId n,
@@ -54,17 +32,6 @@ struct GraphStats {
 /// each of `attempts` seed vertices and returns the best size found.
 [[nodiscard]] VertexId clique_lower_bound(const Graph& g, int attempts = 16,
                                           std::uint64_t seed = 0);
-
-/// Reverse Cuthill–McKee ordering: returns perm with perm[old] = new such
-/// that permute(g, perm) has small bandwidth. Starts each component from a
-/// pseudo-peripheral vertex (double-BFS heuristic); neighbors are visited
-/// in increasing-degree order and the final order is reversed. Classic
-/// preprocessing for banded solvers and locality-friendly distributions.
-[[nodiscard]] std::vector<VertexId> reverse_cuthill_mckee(const Graph& g);
-
-/// Bandwidth of the graph under its current numbering:
-/// max over edges (u, v) of |u - v| (0 for edgeless graphs).
-[[nodiscard]] VertexId bandwidth(const Graph& g);
 
 /// Square graph G²: an edge between every pair of distinct vertices at
 /// distance 1 or 2 in g (unweighted). A distance-1 coloring of G² is a

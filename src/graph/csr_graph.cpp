@@ -113,10 +113,4 @@ std::string Graph::summary() const {
   return oss.str();
 }
 
-std::size_t Graph::memory_bytes() const noexcept {
-  return offsets_.capacity() * sizeof(EdgeId) +
-         adj_.capacity() * sizeof(VertexId) +
-         weights_.capacity() * sizeof(Weight);
-}
-
 }  // namespace pmc

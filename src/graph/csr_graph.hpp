@@ -123,9 +123,6 @@ class Graph {
   /// Human-readable one-line summary ("|V|=..., |E|=..., ...").
   [[nodiscard]] std::string summary() const;
 
-  /// Approximate heap footprint in bytes.
-  [[nodiscard]] std::size_t memory_bytes() const noexcept;
-
  private:
   friend class DynamicGraph;  // DynamicGraph::snapshot() folds in place
 

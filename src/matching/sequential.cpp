@@ -44,10 +44,7 @@ Matching greedy_matching(const Graph& g) {
   return m;
 }
 
-namespace {
-
-/// Shared implementation of the candidate-mate (pointer) algorithm.
-Matching locally_dominant_impl(const Graph& g, SequentialMatchingStats* stats) {
+Matching locally_dominant_matching(const Graph& g) {
   const VertexId n = g.num_vertices();
   Matching m;
   m.mate.assign(static_cast<std::size_t>(n), kNoVertex);
@@ -84,10 +81,7 @@ Matching locally_dominant_impl(const Graph& g, SequentialMatchingStats* stats) {
     const std::uint32_t* row = order.data() + g.offset_begin(v);
     const auto deg = static_cast<std::uint32_t>(nbrs.size());
     std::uint32_t p = ptr[static_cast<std::size_t>(v)];
-    while (p < deg && !alive(nbrs[row[p]])) {
-      ++p;
-      if (stats != nullptr) ++stats->pointer_advances;
-    }
+    while (p < deg && !alive(nbrs[row[p]])) ++p;
     ptr[static_cast<std::size_t>(v)] = p;
     const VertexId c = p < deg ? nbrs[row[p]] : kNoVertex;
     cand[static_cast<std::size_t>(v)] = c;
@@ -111,7 +105,6 @@ Matching locally_dominant_impl(const Graph& g, SequentialMatchingStats* stats) {
       const VertexId x = matched.back();
       matched.pop_back();
       for (VertexId u : g.neighbors(x)) {
-        if (stats != nullptr) ++stats->arc_touches;
         if (!alive(u) || cand[static_cast<std::size_t>(u)] != x) continue;
         const VertexId c = recompute(u);
         if (c != kNoVertex && cand[static_cast<std::size_t>(c)] == u) {
@@ -133,18 +126,6 @@ Matching locally_dominant_impl(const Graph& g, SequentialMatchingStats* stats) {
     }
   }
   return m;
-}
-
-}  // namespace
-
-Matching locally_dominant_matching(const Graph& g) {
-  return locally_dominant_impl(g, nullptr);
-}
-
-Matching locally_dominant_matching_with_stats(const Graph& g,
-                                              SequentialMatchingStats& stats) {
-  stats = SequentialMatchingStats{};
-  return locally_dominant_impl(g, &stats);
 }
 
 }  // namespace pmc

@@ -29,15 +29,4 @@ namespace pmc {
 /// Candidate-mate locally-dominant matching (the algorithm of paper §3.1).
 [[nodiscard]] Matching locally_dominant_matching(const Graph& g);
 
-/// Work counters for the locally-dominant algorithm (used to calibrate the
-/// simulated cost model and by the microbenchmarks).
-struct SequentialMatchingStats {
-  std::int64_t pointer_advances = 0;
-  std::int64_t arc_touches = 0;
-};
-
-/// As locally_dominant_matching, also reporting work counters.
-[[nodiscard]] Matching locally_dominant_matching_with_stats(
-    const Graph& g, SequentialMatchingStats& stats);
-
 }  // namespace pmc

@@ -1,7 +1,6 @@
 #include "partition/partition.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "support/error.hpp"
 
@@ -28,14 +27,6 @@ std::vector<VertexId> Partition::part_sizes() const {
   std::vector<VertexId> sizes(static_cast<std::size_t>(num_parts_), 0);
   for (Rank r : owner_) ++sizes[static_cast<std::size_t>(r)];
   return sizes;
-}
-
-std::string PartitionMetrics::to_string() const {
-  std::ostringstream oss;
-  oss << "parts=" << num_parts << " cut=" << edge_cut << " ("
-      << cut_fraction * 100.0 << "%) boundary=" << boundary_vertices << " ("
-      << boundary_fraction * 100.0 << "%) imbalance=" << imbalance;
-  return oss.str();
 }
 
 PartitionMetrics compute_metrics(const Graph& g, const Partition& p) {

@@ -8,7 +8,6 @@
 // quality metrics the paper quotes (edge cut %, boundary fraction, balance).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -58,8 +57,6 @@ struct PartitionMetrics {
   VertexId boundary_vertices = 0;
   double boundary_fraction = 0.0;
   double imbalance = 1.0;       ///< max part size / average part size.
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Computes the metrics above in one pass over the arcs.

@@ -83,8 +83,6 @@ std::vector<BspMessage> BspEngine::drain(Rank r) {
 BspEngine::RankCtx::RankCtx(BspEngine& engine, Rank r)
     : rank_(r), lane_(engine.fabric_.make_lane(r)) {}
 
-double BspEngine::RankCtx::now() const { return lane_.now(); }
-
 void BspEngine::RankCtx::charge(double work_units) {
   dirty_ = true;
   lane_.charge(work_units);

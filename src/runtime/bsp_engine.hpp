@@ -96,7 +96,6 @@ class BspEngine {
   class RankCtx {
    public:
     [[nodiscard]] Rank rank() const noexcept { return rank_; }
-    [[nodiscard]] double now() const;
 
     void charge(double work_units);
     void charge(double work_units, WorkPhase phase);

@@ -13,15 +13,6 @@ std::string CommStats::to_string() const {
   return oss.str();
 }
 
-std::string FaultStats::to_string() const {
-  std::ostringstream oss;
-  oss << "drops=" << drops << " dups=" << duplicates << " suppressed="
-      << dup_suppressed << " corrupt=" << corruptions << " corrupt_detected="
-      << corruptions_detected << " retries=" << retries << " backoff="
-      << backoff_seconds << "s";
-  return oss.str();
-}
-
 std::size_t CommBreakdown::size_bucket(std::int64_t bytes) noexcept {
   // Degenerate sizes (empty payloads, defensive negative inputs) land in the
   // first bucket; bit_width on the sign-extended cast would otherwise index
@@ -36,30 +27,6 @@ FaultStats CommBreakdown::total_faults() const noexcept {
   FaultStats total;
   for (const FaultStats& f : per_rank_faults) total += f;
   return total;
-}
-
-std::string CommBreakdown::to_string() const {
-  std::ostringstream oss;
-  oss << "ranks=" << per_rank.size() << " rounds=" << per_round.size()
-      << " histogram=[";
-  bool first = true;
-  for (std::size_t i = 0; i < message_size_histogram.size(); ++i) {
-    if (message_size_histogram[i] == 0) continue;
-    if (!first) oss << ' ';
-    first = false;
-    oss << (std::int64_t{1} << i) << "B:" << message_size_histogram[i];
-  }
-  oss << ']';
-  const FaultStats faults = total_faults();
-  if (faults.any()) oss << " faults=[" << faults.to_string() << ']';
-  return oss.str();
-}
-
-std::string RunResult::to_string() const {
-  std::ostringstream oss;
-  oss << "sim=" << sim_seconds << "s wall=" << wall_seconds << "s rounds="
-      << rounds << " [" << comm.to_string() << "]";
-  return oss.str();
 }
 
 }  // namespace pmc

@@ -68,8 +68,6 @@ struct FaultStats {
            corruptions != 0 || corruptions_detected != 0 || retries != 0 ||
            backoff_seconds != 0.0;
   }
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Fine-grained view of a run's communication, filled by the fabric's
@@ -100,8 +98,6 @@ struct CommBreakdown {
 
   /// Sum of the per-rank fault counters (whole-run fault totals).
   [[nodiscard]] FaultStats total_faults() const noexcept;
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Distribution of per-rank *compute* time (charged work only, excluding
@@ -125,8 +121,6 @@ struct RunResult {
   LoadStats load;             ///< Per-rank compute-time distribution.
   int rounds = 0;             ///< Algorithm-level outer rounds (if meaningful).
   CommBreakdown breakdown;    ///< Per-rank / per-round instrumentation.
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 }  // namespace pmc

@@ -27,8 +27,6 @@ constexpr double kRtoSeconds = 25e-6;
 
 }  // namespace
 
-Rank EventContext::num_ranks() const noexcept { return engine_->num_ranks(); }
-
 void EventContext::send(Rank dst, std::vector<std::byte> payload,
                         std::int64_t records) {
   // With the reliable transport, a one-attempt budget makes the very first

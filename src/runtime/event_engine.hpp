@@ -68,7 +68,6 @@ class EventEngine;
 class EventContext {
  public:
   [[nodiscard]] Rank rank() const noexcept { return lane_->rank(); }
-  [[nodiscard]] Rank num_ranks() const noexcept;
 
   /// Advances this rank's virtual clock by work_units * seconds_per_work.
   void charge(double work_units) noexcept { lane_->charge(work_units); }

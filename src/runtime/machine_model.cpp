@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "support/error.hpp"
+
 namespace pmc {
 
 MachineModel MachineModel::blue_gene_p() {
@@ -48,6 +50,11 @@ double MachineModel::message_seconds(double payload_bytes) const {
 }
 
 MachineModel MachineModel::with_threads(int threads, double efficiency) const {
+  PMC_REQUIRE(threads >= 1,
+              "need at least one thread per rank, got " << threads);
+  // Written so that a NaN efficiency fails too.
+  PMC_REQUIRE(efficiency >= 0.0 && efficiency <= 1.0,
+              "thread efficiency must lie in [0, 1], got " << efficiency);
   MachineModel m = *this;
   m.threads_per_rank = threads;
   m.thread_efficiency = efficiency;

@@ -71,7 +71,8 @@ struct MachineModel {
     return work_units * seconds_per_work / speedup;
   }
 
-  /// Returns a copy of this model with `threads` threads per rank.
+  /// Returns a copy of this model with `threads` threads per rank. Throws
+  /// pmc::Error unless threads >= 1 and 0 <= efficiency <= 1.
   [[nodiscard]] MachineModel with_threads(int threads,
                                           double efficiency = 0.8) const;
 };

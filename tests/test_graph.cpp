@@ -177,41 +177,6 @@ TEST(Algorithms, ConnectedComponentsCounts) {
   EXPECT_NE(comp[0], comp[2]);
 }
 
-TEST(Algorithms, StatsOnGrid) {
-  const Graph g = grid_2d(4, 5);
-  const GraphStats s = compute_stats(g);
-  EXPECT_EQ(s.num_vertices, 20);
-  EXPECT_EQ(s.num_edges, 4 * 4 + 3 * 5);  // horizontal + vertical
-  EXPECT_EQ(s.min_degree, 2);
-  EXPECT_EQ(s.max_degree, 4);
-  EXPECT_EQ(s.num_components, 1);
-  EXPECT_EQ(s.num_isolated, 0);
-}
-
-TEST(Algorithms, PermutePreservesStructure) {
-  const Graph g = erdos_renyi(50, 120, WeightKind::kUniformRandom, 7);
-  const auto perm = random_permutation(50, 3);
-  const Graph h = permute(g, perm);
-  h.validate();
-  EXPECT_EQ(h.num_edges(), g.num_edges());
-  EXPECT_EQ(h.max_degree(), g.max_degree());
-  // Edge weights travel with the permutation.
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (VertexId u : g.neighbors(v)) {
-      EXPECT_DOUBLE_EQ(
-          h.edge_weight(perm[static_cast<std::size_t>(v)],
-                        perm[static_cast<std::size_t>(u)]),
-          g.edge_weight(v, u));
-    }
-  }
-}
-
-TEST(Algorithms, PermuteRejectsNonBijection) {
-  const Graph g = path(3);
-  EXPECT_THROW((void)permute(g, {0, 0, 1}), Error);
-  EXPECT_THROW((void)permute(g, {0, 1}), Error);
-}
-
 TEST(Algorithms, RandomPermutationIsBijection) {
   const auto perm = random_permutation(100, 9);
   std::vector<bool> seen(100, false);

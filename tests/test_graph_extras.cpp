@@ -1,58 +1,11 @@
-// Tests for the graph-algorithm extensions: Reverse Cuthill-McKee,
-// bandwidth, and the square graph.
+// Tests for the square graph.
 #include <gtest/gtest.h>
 
 #include "graph/algorithms.hpp"
-#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 
 namespace pmc {
 namespace {
-
-TEST(Bandwidth, PathAndStar) {
-  EXPECT_EQ(bandwidth(path(10)), 1);
-  EXPECT_EQ(bandwidth(star(10)), 9);
-  EXPECT_EQ(bandwidth(Graph{}), 0);
-}
-
-TEST(Rcm, IsAPermutation) {
-  const Graph g = erdos_renyi(200, 600, WeightKind::kUnit, 1);
-  const auto perm = reverse_cuthill_mckee(g);
-  std::vector<bool> seen(200, false);
-  for (VertexId v : perm) {
-    ASSERT_GE(v, 0);
-    ASSERT_LT(v, 200);
-    ASSERT_FALSE(seen[static_cast<std::size_t>(v)]);
-    seen[static_cast<std::size_t>(v)] = true;
-  }
-}
-
-TEST(Rcm, ReducesBandwidthOfShuffledPath) {
-  // A path renumbered randomly has huge bandwidth; RCM restores ~1.
-  const Graph shuffled = permute(path(300), random_permutation(300, 5));
-  ASSERT_GT(bandwidth(shuffled), 10);
-  const Graph restored = permute(shuffled, reverse_cuthill_mckee(shuffled));
-  restored.validate();
-  EXPECT_EQ(bandwidth(restored), 1);
-}
-
-TEST(Rcm, ReducesBandwidthOfShuffledGrid) {
-  const Graph g = permute(grid_2d(20, 20), random_permutation(400, 7));
-  const VertexId before = bandwidth(g);
-  const Graph after = permute(g, reverse_cuthill_mckee(g));
-  EXPECT_LT(bandwidth(after), before / 2);
-  // Optimal grid bandwidth is min(rows, cols); RCM should get close.
-  EXPECT_LE(bandwidth(after), 3 * 20);
-}
-
-TEST(Rcm, HandlesDisconnectedGraphs) {
-  GraphBuilder b(10, false);
-  b.add_edge(0, 1);
-  b.add_edge(5, 6);
-  const Graph g = std::move(b).build();
-  const auto perm = reverse_cuthill_mckee(g);
-  EXPECT_EQ(perm.size(), 10u);  // isolated vertices included
-}
 
 TEST(SquareGraph, PathSquared) {
   // Path 0-1-2-3: square adds (0,2), (1,3).

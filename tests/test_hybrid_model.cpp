@@ -3,11 +3,14 @@
 // changing results.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "coloring/parallel.hpp"
 #include "graph/generators.hpp"
 #include "matching/parallel.hpp"
 #include "partition/simple.hpp"
 #include "runtime/machine_model.hpp"
+#include "support/error.hpp"
 
 namespace pmc {
 namespace {
@@ -32,6 +35,22 @@ TEST(HybridModel, WithThreadsCopiesAndRenames) {
   EXPECT_EQ(base.threads_per_rank, 1);  // original untouched
   EXPECT_NE(hybrid.name, base.name);
   EXPECT_DOUBLE_EQ(hybrid.latency, base.latency);
+}
+
+// A thread count below 1 or a negative efficiency can make the speedup
+// 1 + (threads - 1) * efficiency zero or negative, and the modelled times
+// infinite or negative; an efficiency above 1 would be superlinear.
+TEST(HybridModel, WithThreadsRejectsInvalidArguments) {
+  const MachineModel base = MachineModel::blue_gene_p();
+  EXPECT_THROW((void)base.with_threads(0), Error);
+  EXPECT_THROW((void)base.with_threads(-4), Error);
+  EXPECT_THROW((void)base.with_threads(2, -1.0), Error);
+  EXPECT_THROW((void)base.with_threads(2, 1.5), Error);
+  EXPECT_THROW(
+      (void)base.with_threads(2, std::numeric_limits<double>::quiet_NaN()),
+      Error);
+  EXPECT_NO_THROW((void)base.with_threads(1, 0.0));
+  EXPECT_NO_THROW((void)base.with_threads(16, 1.0));
 }
 
 TEST(HybridModel, MatchingResultUnchangedTimeReduced) {

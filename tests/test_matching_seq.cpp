@@ -228,30 +228,6 @@ TEST(DominanceCertificate, RejectsMateThatIsNotANeighbour) {
   EXPECT_EQ(why, "mate(2) = 9 out of range");
 }
 
-TEST(WorkStats, LinearishWorkOnRandomWeights) {
-  const Graph g = erdos_renyi(500, 3000, WeightKind::kUniformRandom, 11);
-  SequentialMatchingStats stats;
-  (void)locally_dominant_matching_with_stats(g, stats);
-  // Expected O(|E|) pointer advances for uniform random weights.
-  EXPECT_LT(stats.pointer_advances, 8 * g.num_arcs());
-  EXPECT_GT(stats.arc_touches, 0);
-}
-
-// Both counters depend on the matching alone: each pointer ends at its
-// vertex's mate (or past its row when unmatched), and each matched vertex's
-// row is walked once. Any drain order of the matched vertices gives these.
-TEST(WorkStats, PinnedCounters) {
-  SequentialMatchingStats stats;
-  (void)locally_dominant_matching_with_stats(
-      erdos_renyi(500, 3000, WeightKind::kUniformRandom, 11), stats);
-  EXPECT_EQ(stats.pointer_advances, 823);
-  EXPECT_EQ(stats.arc_touches, 5609);
-  (void)locally_dominant_matching_with_stats(
-      grid_2d(32, 32, WeightKind::kIntegral, 9), stats);
-  EXPECT_EQ(stats.pointer_advances, 756);
-  EXPECT_EQ(stats.arc_touches, 3644);
-}
-
 /// Property sweep: half-approximation bound against brute force on tiny
 /// graphs (the guarantee the paper's algorithm inherits from Preis).
 class HalfApproxSweep

@@ -6,28 +6,8 @@
 namespace pmc {
 namespace {
 
-TEST(GraphMisc, MemoryBytesGrowsWithSize) {
-  const Graph small = grid_2d(4, 4);
-  const Graph big = grid_2d(32, 32);
-  EXPECT_GT(big.memory_bytes(), small.memory_bytes());
-  EXPECT_GT(small.memory_bytes(), 0u);
-}
-
-TEST(GraphMisc, StatsToStringMentionsComponents) {
-  const GraphStats s = compute_stats(path(5));
-  EXPECT_NE(s.to_string().find("components=1"), std::string::npos);
-}
-
 TEST(GraphMisc, MinDegreeOnEmptyGraph) {
   EXPECT_EQ(Graph{}.min_degree(), 0);
-}
-
-TEST(PartitionMisc, MetricsToStringRoundTrip) {
-  const Graph g = path(4);
-  const Partition p(2, {0, 0, 1, 1});
-  const std::string s = compute_metrics(g, p).to_string();
-  EXPECT_NE(s.find("parts=2"), std::string::npos);
-  EXPECT_NE(s.find("cut=1"), std::string::npos);
 }
 
 TEST(GridPartitionMisc, NonDivisibleDimensionsStayValid) {
@@ -37,15 +17,6 @@ TEST(GridPartitionMisc, NonDivisibleDimensionsStayValid) {
   for (VertexId s : sizes) EXPECT_GT(s, 0);
   const Graph g = grid_2d(7, 5);
   EXPECT_NO_THROW(DistGraph::build(g, p).validate(g, p));
-}
-
-TEST(RunResultMisc, ToStringIncludesCommStats) {
-  RunResult r;
-  r.sim_seconds = 1.5;
-  r.comm.messages = 7;
-  const std::string s = r.to_string();
-  EXPECT_NE(s.find("msgs=7"), std::string::npos);
-  EXPECT_NE(s.find("1.5"), std::string::npos);
 }
 
 TEST(LoadStatsMisc, ImbalanceOfEmptyRunIsOne) {

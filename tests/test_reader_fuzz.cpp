@@ -1,6 +1,6 @@
-// Seeded mutation fuzzing of the text readers (Matrix Market, METIS .graph
-// and METIS .part files, JSONL update logs, and command lines through
-// Options) and of the wire-frame decode loop.
+// Seeded mutation fuzzing of the text readers (Matrix Market and METIS
+// .graph files, JSONL update logs, and command lines through Options) and of
+// the wire-frame decode loop.
 //
 // Small generated texts are mutated a few bytes at a time: a byte flipped,
 // deleted or duplicated; whitespace, '%', '+', 'e' or junk inserted; the text
@@ -29,7 +29,6 @@
 #include "graph/metis_io.hpp"
 #include "matching/match_process.hpp"
 #include "matching/parallel_verify.hpp"
-#include "partition/io.hpp"
 #include "runtime/fabric.hpp"
 #include "runtime/serialize.hpp"
 #include "service/incremental_match.hpp"
@@ -56,14 +55,6 @@ std::string metis_text(const Graph& g) {
   std::ostringstream out;
   out << std::setprecision(17);
   write_metis_graph(out, g);
-  return out.str();
-}
-
-/// The part count is not written: it reads back as the largest id plus one,
-/// which is what read_partition inferred the first time too.
-std::string partition_text(const Partition& p) {
-  std::ostringstream out;
-  write_partition(out, p);
   return out.str();
 }
 
@@ -108,10 +99,6 @@ std::vector<std::string> metis_seeds() {
       "\n");
   seeds.push_back("3 2 1\r\n2 +5 3 7\r\n1 5\r\n1\t7\r\n");
   return seeds;
-}
-
-std::vector<std::string> partition_seeds() {
-  return {"0\n2\n1\n1\n0\n3\n", "% owners\n+1\r\n\t0\n\n2\r\n"};
 }
 
 /// `text` with one random mutation applied.
@@ -230,12 +217,6 @@ TEST(ReaderFuzz, Metis) {
         return g;
       },
       metis_text);
-}
-
-TEST(ReaderFuzz, Partition) {
-  fuzz_reader(
-      partition_seeds(), 0x9A7,
-      [](std::istream& in) { return read_partition(in); }, partition_text);
 }
 
 std::string update_log_text(const std::vector<EdgeUpdate>& updates) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Perf-regression guard over the committed BENCH_*.json baselines.
+# Modelled-time guard over the committed BENCH_*.json baselines.
 #
 # Each committed artifact must (a) parse as JSON, (b) carry the sweep
 # metadata (bench name, hardware_concurrency, rows), (c) have every row
@@ -19,11 +19,11 @@
 #
 # Each candidate is validated as above, then matched (by basename) to the
 # committed BENCH_*.json at the repo root and compared per
-# (workload, threads): a missing row or a modelled sim_seconds more than
-# 10% above the baseline fails the check. Modelled time is deterministic,
-# so the tolerance absorbs only intentional cost-model drift, not noise;
-# a justified regression is handled by regenerating the committed baseline
-# in the same change.
+# (workload, threads): a missing row, or a modelled sim_seconds that differs
+# from the baseline's in any bit, in either direction, fails the check.
+# Modelled time is deterministic, so there is no tolerance: a change that
+# moves it on purpose regenerates the committed baseline in the same
+# change.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,7 +57,6 @@ import os
 import sys
 
 REQUIRED_ROW_KEYS = ("workload", "threads", "sim_seconds", "wall_seconds")
-REGRESSION_TOLERANCE = 0.10  # >10% modelled-time growth fails
 failures = 0
 
 
@@ -146,16 +145,17 @@ def compare(path, candidate):
                        f"'{baseline_path}' but missing from the candidate")
             continue
         cand_sim = candidate[(w, t)]
-        if base_sim > 0 and cand_sim > base_sim * (1 + REGRESSION_TOLERANCE):
-            fail(path,
-                 f"workload '{w}' threads={t}: modelled time regressed "
-                 f"{cand_sim / base_sim - 1:+.1%} over the committed "
-                 f"baseline ({cand_sim} vs {base_sim}); regenerate "
-                 f"'{baseline_path}' in the same change if intentional")
-        else:
-            delta = (cand_sim / base_sim - 1) if base_sim > 0 else 0.0
+        if cand_sim == base_sim:
             print(f"check_bench_artifacts: {path}: '{w}' threads={t} "
-                  f"within baseline ({delta:+.1%})")
+                  f"identical")
+            continue
+        rel = (f"{cand_sim / base_sim - 1:+.3e}" if base_sim != 0
+               else "undefined")
+        fail(path,
+             f"workload '{w}' threads={t}: modelled time {cand_sim!r} "
+             f"differs from the committed baseline's {base_sim!r} "
+             f"(relative difference {rel}); regenerate '{baseline_path}' "
+             f"in the same change if intentional")
 
 
 compare_mode = sys.argv[1] == "1"
