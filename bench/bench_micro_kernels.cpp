@@ -310,15 +310,22 @@ void BM_LocalIdLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalIdLookup)->Unit(benchmark::kMillisecond);
 
+/// Argument: ranks per side of the processor grid. 64 puts grid-4k's 4,096
+/// ranks on the grid, with 4x4 vertices each.
 void BM_DistributedMatchingSim(benchmark::State& state) {
   const Graph& g = shared_grid();
-  const Partition p = grid_2d_partition(256, 256, 8, 8);
+  const auto side = static_cast<Rank>(state.range(0));
+  const Partition p = grid_2d_partition(256, 256, side, side);
   const DistGraph dist = DistGraph::build(g, p);
   for (auto _ : state) {
     benchmark::DoNotOptimize(match_distributed(dist, DistMatchingOptions{}));
   }
 }
-BENCHMARK(BM_DistributedMatchingSim)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DistributedMatchingSim)
+    ->Arg(8)
+    ->Arg(64)
+    ->ArgName("ranks_per_side")
+    ->Unit(benchmark::kMillisecond);
 
 /// Eager (one message per record) matching under the eager-faults workload's
 /// fault mix — drops, duplicates, corruption and jitter — on 256 ranks: the

@@ -68,42 +68,50 @@ sys.exit(1 if bad else 0)
 EOF
 }
 
-# Shows that the baseline gate sees a one-ulp drift: a copy of
-# build/BENCH_service.json whose first workload's sim_seconds are each moved
-# up by one ulp must fail --compare-baseline, and the failure must name that
-# workload.
+# Shows that the baseline gate sees a one-ulp drift in each modelled field
+# of BENCH_service.json: for sim_seconds and for full_sim_seconds, a copy of
+# build/BENCH_service.json whose first workload's values of that field are
+# each moved up by one ulp must fail --compare-baseline, and the failure must
+# name that workload and that field.
 gate_check() {
-  local dir=build/gate_check
-  rm -rf "$dir"
-  mkdir -p "$dir"
-  local workload
-  workload=$(python3 - build/BENCH_service.json "$dir/BENCH_service.json" <<'EOF'
+  local field
+  for field in sim_seconds full_sim_seconds; do
+    local dir=build/gate_check/$field
+    rm -rf "$dir"
+    mkdir -p "$dir"
+    local workload
+    workload=$(python3 - build/BENCH_service.json "$dir/BENCH_service.json" \
+        "$field" <<'EOF'
 import json
 import math
 import sys
 
 with open(sys.argv[1], encoding="utf-8") as f:
     doc = json.load(f)
+field = sys.argv[3]
 workload = doc["rows"][0]["workload"]
 for row in doc["rows"]:
     if row["workload"] == workload:
-        row["sim_seconds"] = math.nextafter(row["sim_seconds"], math.inf)
+        row[field] = math.nextafter(row[field], math.inf)
 with open(sys.argv[2], "w", encoding="utf-8") as f:
     json.dump(doc, f, indent=2)
 print(workload)
 EOF
 )
-  if ./tools/check_bench_artifacts.sh --compare-baseline \
-      "$dir/BENCH_service.json" >"$dir/gate.log" 2>&1; then
-    echo "gate_check: '$workload' one ulp higher passed the gate" >&2
-    return 1
-  fi
-  if ! grep -q "workload '$workload'" "$dir/gate.log"; then
-    echo "gate_check: the gate failed without naming '$workload'" >&2
-    cat "$dir/gate.log" >&2
-    return 1
-  fi
-  echo "gate_check: '$workload' one ulp higher fails the gate"
+    if ./tools/check_bench_artifacts.sh --compare-baseline \
+        "$dir/BENCH_service.json" >"$dir/gate.log" 2>&1; then
+      echo "gate_check: '$workload' $field one ulp higher passed the gate" >&2
+      return 1
+    fi
+    if ! grep -q "workload '$workload' threads=[0-9]*: $field " \
+        "$dir/gate.log"; then
+      echo "gate_check: the gate failed without naming '$workload' and" \
+        "$field" >&2
+      cat "$dir/gate.log" >&2
+      return 1
+    fi
+    echo "gate_check: '$workload' $field one ulp higher fails the gate"
+  done
 }
 
 tier1() {
@@ -123,11 +131,11 @@ tier1() {
   # Service mode's per-batch micro-benchmarks (fold, distribution build and
   # refresh, both repairs, one whole batch through GraphService::push), the
   # distribution's id lookup, the grid generator, the multilevel
-  # partitioner and the event engine under eager-faults' fault mix run once
-  # briefly: one that throws or crashes fails this stage. No timing is
-  # gated.
+  # partitioner, the event engine under eager-faults' fault mix, and the
+  # matching and coloring on 64 and 4,096 ranks run once briefly: one that
+  # throws or crashes fails this stage. No timing is gated.
   ./build/bench/bench_micro_kernels \
-    --benchmark_filter='DynamicGraphFold|DistGraph|Incremental|ServiceBatch|LocalIdLookup|Grid2d|Multilevel|EventEngine' \
+    --benchmark_filter='DynamicGraphFold|DistGraph|Incremental|ServiceBatch|LocalIdLookup|Grid2d|Multilevel|EventEngine|DistributedMatchingSim|DistributedColoringSim' \
     --benchmark_min_time=0.01
   # Committed BENCH_*.json baselines must stay well-formed and keep each
   # workload's modelled time bit-identical across the thread sweep.

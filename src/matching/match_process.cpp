@@ -1,6 +1,7 @@
 #include "matching/match_process.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -11,54 +12,36 @@ MatchProcess::MatchProcess(const LocalGraph& lg,
                            const DistMatchingOptions& options)
     : lg_(lg),
       bundled_(options.bundled),
-      out_(lg.neighbor_ranks(), options.codec) {}
-
-void MatchProcess::sort_arcs(EventContext& ctx, VertexId v) {
-  const EdgeId b = lg_.offset_begin(v);
-  const EdgeId e = lg_.offset_end(v);
-  for (EdgeId a = b; a < e; ++a) {
-    arc_order_[static_cast<std::size_t>(a)] = static_cast<std::uint32_t>(a - b);
-  }
-  std::sort(arc_order_.get() + b, arc_order_.get() + e,
-            [this, b](std::uint32_t x, std::uint32_t y) {
-              const EdgeId ax = b + x;
-              const EdgeId ay = b + y;
-              const Weight wx = lg_.arc_weight(ax);
-              const Weight wy = lg_.arc_weight(ay);
-              if (wx != wy) return wx > wy;
-              return lg_.global_id(lg_.arc_target(ax)) <
-                     lg_.global_id(lg_.arc_target(ay));
-            });
-  ctx.charge(static_cast<double>(e - b));
+      out_(lg.neighbor_ranks(), options.codec) {
+  PMC_REQUIRE(lg.num_local() <= std::numeric_limits<LocalVertex>::max(),
+              "rank " << lg.rank() << " holds " << lg.num_local()
+                      << " vertices, more than the matcher's 32-bit local "
+                         "ids address");
 }
 
 void MatchProcess::start(EventContext& ctx) {
   ctx.set_phase(WorkPhase::kInterior);
   const VertexId n = lg_.num_owned();
   state_.assign(static_cast<std::size_t>(n), VState::kUndecided);
-  mate_.assign(static_cast<std::size_t>(n), kNoVertex);
-  cand_.assign(static_cast<std::size_t>(n), kNoVertex);
+  mate_.assign(static_cast<std::size_t>(n), narrow(kNoVertex));
+  cand_.assign(static_cast<std::size_t>(n), narrow(kNoVertex));
   ptr_.assign(static_cast<std::size_t>(n), 0);
-  initialized_.assign(static_cast<std::size_t>(n), false);
   ghost_dead_.assign(static_cast<std::size_t>(lg_.num_ghosts()), false);
   const auto arcs = static_cast<std::size_t>(n > 0 ? lg_.offset_end(n - 1) : 0);
   arc_requested_.assign(arcs, false);
   undecided_ = n;
 
-  // Per-vertex arc order: weight descending, ties by smallest global label
-  // of the neighbor (the paper's tie-breaking rule). Positions are stored
-  // relative to the vertex's arc range to keep them 32-bit.
-  arc_order_ = std::make_unique_for_overwrite<std::uint32_t[]>(arcs);
-  for (VertexId v = 0; v < n; ++v) {
-    sort_arcs(ctx, v);
-  }
+  // Each row is ordered by weight descending, ties by the smallest global
+  // label of the neighbor (the paper's tie-breaking rule), before any
+  // proposal: deg(v) per row.
+  for (VertexId v = 0; v < n; ++v) charge_row(ctx, v);
 
   // Initial candidates; reciprocal local pairs match as soon as the second
   // endpoint initializes, and cascades run through the pending queue
   // (the paper's inner loop over interior work).
   for (VertexId v = 0; v < n; ++v) {
     if (state_[static_cast<std::size_t>(v)] == VState::kUndecided &&
-        !initialized_[static_cast<std::size_t>(v)]) {
+        cand_[static_cast<std::size_t>(v)] == kNoVertex) {
       recompute_candidate(ctx, v);
       process_pending(ctx);
     }
@@ -99,28 +82,39 @@ bool MatchProcess::target_dead(VertexId t) const {
   return state_[static_cast<std::size_t>(t)] != VState::kUndecided;
 }
 
-void MatchProcess::recompute_candidate(EventContext& ctx, VertexId v) {
-  initialized_[static_cast<std::size_t>(v)] = true;
+EdgeId MatchProcess::scan_row(EventContext& ctx, VertexId v) {
   const EdgeId b = lg_.offset_begin(v);
-  const EdgeId deg = lg_.offset_end(v) - b;
-  auto& p = ptr_[static_cast<std::size_t>(v)];
-  while (p < deg) {
-    const VertexId t =
-        lg_.arc_target(b + arc_order_[static_cast<std::size_t>(b + p)]);
-    if (!target_dead(t)) break;
-    ++p;
-    ctx.charge(1.0);
+  const EdgeId e = lg_.offset_end(v);
+  EdgeId best = -1;
+  for (EdgeId a = b; a < e; ++a) {
+    if (!target_dead(lg_.arc_target(a)) && (best < 0 || precedes(a, best))) {
+      best = a;
+    }
   }
-  if (p == deg) {
+  // Every arc that beats the best live one is dead, and stays dead: these
+  // are the arcs the sorted walk passes, ptr_ of them already.
+  auto beaten = static_cast<std::uint32_t>(e - b);
+  if (best >= 0) {
+    beaten = 0;
+    for (EdgeId a = b; a < e; ++a) beaten += precedes(a, best) ? 1U : 0U;
+  }
+  auto& p = ptr_[static_cast<std::size_t>(v)];
+  PMC_CHECK(beaten >= p, "vertex " << lg_.global_id(v)
+                                   << "'s candidate moved up its order");
+  for (; p < beaten; ++p) ctx.charge(1.0);
+  return best;
+}
+
+void MatchProcess::recompute_candidate(EventContext& ctx, VertexId v) {
+  const EdgeId arc = scan_row(ctx, v);
+  if (arc < 0) {
     fail_vertex(ctx, v);
     return;
   }
-  const EdgeId arc = b + arc_order_[static_cast<std::size_t>(b + p)];
   const VertexId c = lg_.arc_target(arc);
-  cand_[static_cast<std::size_t>(v)] = c;
+  cand_[static_cast<std::size_t>(v)] = narrow(c);
   if (!lg_.is_ghost(c)) {
-    if (initialized_[static_cast<std::size_t>(c)] &&
-        state_[static_cast<std::size_t>(c)] == VState::kUndecided &&
+    if (state_[static_cast<std::size_t>(c)] == VState::kUndecided &&
         cand_[static_cast<std::size_t>(c)] == v) {
       match_local(ctx, v, c);
     }
@@ -139,7 +133,7 @@ void MatchProcess::recompute_candidate(EventContext& ctx, VertexId v) {
 
 void MatchProcess::fail_vertex(EventContext& ctx, VertexId v) {
   state_[static_cast<std::size_t>(v)] = VState::kFailed;
-  cand_[static_cast<std::size_t>(v)] = kNoVertex;
+  cand_[static_cast<std::size_t>(v)] = narrow(kNoVertex);
   --undecided_;
   notify_decided(ctx, v, Failed{lg_.global_id(v)}, kNoRank);
 }
@@ -147,8 +141,8 @@ void MatchProcess::fail_vertex(EventContext& ctx, VertexId v) {
 void MatchProcess::match_local(EventContext& ctx, VertexId a, VertexId b) {
   state_[static_cast<std::size_t>(a)] = VState::kMatched;
   state_[static_cast<std::size_t>(b)] = VState::kMatched;
-  mate_[static_cast<std::size_t>(a)] = b;
-  mate_[static_cast<std::size_t>(b)] = a;
+  mate_[static_cast<std::size_t>(a)] = narrow(b);
+  mate_[static_cast<std::size_t>(b)] = narrow(a);
   undecided_ -= 2;
   notify_decided(ctx, a, Succeeded{lg_.global_id(a), lg_.global_id(b)},
                  kNoRank);
@@ -158,7 +152,7 @@ void MatchProcess::match_local(EventContext& ctx, VertexId a, VertexId b) {
 
 void MatchProcess::match_cross(EventContext& ctx, VertexId v, VertexId ghost) {
   state_[static_cast<std::size_t>(v)] = VState::kMatched;
-  mate_[static_cast<std::size_t>(v)] = ghost;
+  mate_[static_cast<std::size_t>(v)] = narrow(ghost);
   --undecided_;
   // The ghost is now matched (to us): it is dead for every other owned
   // vertex. Its owner reaches the same conclusion from our REQUEST, so no
@@ -182,9 +176,8 @@ void MatchProcess::notify_decided(EventContext& ctx, VertexId x,
       const Rank r = lg_.ghost_owner(t);
       if (r != exclude_rank) scratch_ranks_.push_back(r);
     } else if (state_[static_cast<std::size_t>(t)] == VState::kUndecided &&
-               initialized_[static_cast<std::size_t>(t)] &&
                cand_[static_cast<std::size_t>(t)] == x) {
-      pending_.push_back(t);
+      pending_.push_back(narrow(t));
     }
   }
   std::sort(scratch_ranks_.begin(), scratch_ranks_.end());
@@ -204,17 +197,16 @@ void MatchProcess::ghost_died(VertexId ghost, VertexId skip) {
     (void)arc;
     if (w == skip) continue;
     if (state_[static_cast<std::size_t>(w)] == VState::kUndecided &&
-        initialized_[static_cast<std::size_t>(w)] &&
         cand_[static_cast<std::size_t>(w)] == ghost) {
-      pending_.push_back(w);
+      pending_.push_back(narrow(w));
     }
   }
 }
 
 void MatchProcess::process_pending(EventContext& ctx) {
-  while (!pending_.empty()) {
-    const VertexId v = pending_.front();
-    pending_.pop_front();
+  // A recompute may queue more vertices behind the one it serves.
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    const VertexId v = pending_[i];
     if (state_[static_cast<std::size_t>(v)] != VState::kUndecided) continue;
     // Only recompute when the current candidate is actually dead; the
     // vertex may have been re-queued after already moving on.
@@ -222,25 +214,42 @@ void MatchProcess::process_pending(EventContext& ctx) {
     if (c != kNoVertex && !target_dead(c)) continue;
     recompute_candidate(ctx, v);
   }
+  pending_.clear();
 }
 
 // ---- message handling ---------------------------------------------------
 
 void MatchProcess::on_record(EventContext& ctx, const Request& request) {
   const VertexId gu = lg_.ghost_id(request.from);
-  const VertexId v = lg_.owned_id(request.to);
   PMC_CHECK(gu != kNoVertex, "REQUEST names unknown ghost " << request.from);
-  PMC_CHECK(v != kNoVertex,
-            "REQUEST targets non-owned vertex " << request.to);
-  // Record the incoming preference on the (v, gu) arc — the R(v) set.
-  const EdgeId arc = find_arc(v, gu);
+  // Record the incoming preference on the (v, gu) arc — the R(v) set. The
+  // ghost's incidence is in owned-id order, so in ascending global id, and
+  // a vertex's first entry is its first arc into gu, the one find_arc
+  // returns.
+  const auto incidence = lg_.ghost_incidence(gu);
+  const auto it = std::partition_point(
+      incidence.begin(), incidence.end(),
+      [&](const LocalGraph::IncidentArc& entry) {
+        return lg_.global_id(entry.owned) < request.to;
+      });
+  VertexId v = kNoVertex;
+  EdgeId arc = -1;
+  if (it != incidence.end() && lg_.global_id(it->owned) == request.to) {
+    v = it->owned;
+    arc = it->arc;
+  } else {
+    // No owned arc into gu names `to`: raise why.
+    v = lg_.owned_id(request.to);
+    PMC_CHECK(v != kNoVertex,
+              "REQUEST targets non-owned vertex " << request.to);
+    arc = find_arc(v, gu);
+  }
   arc_requested_[static_cast<std::size_t>(arc)] = true;
   if (state_[static_cast<std::size_t>(v)] != VState::kUndecided) {
     // v already decided; the sender learns from our earlier notification.
     return;
   }
-  if (initialized_[static_cast<std::size_t>(v)] &&
-      cand_[static_cast<std::size_t>(v)] == gu) {
+  if (cand_[static_cast<std::size_t>(v)] == gu) {
     match_cross(ctx, v, gu);  // handshake: two symmetric REQUESTs
   }
 }

@@ -14,11 +14,17 @@
 //
 // A ghost's death cascades through LocalGraph::ghost_incidence, which the
 // distribution builds once: a process builds no per-ghost lists of its own.
+//
+// Candidates come in the paper's arc order (weight descending, then the
+// neighbor's global id ascending) without sorting any row: a recompute
+// finds the row's best live arc by a scan and counts the arcs that beat
+// it, which are dead, since death is permanent within a match phase. ptr_
+// counts them, so each recompute charges one unit per arc a walk of the
+// sorted row would have skipped. A scan costs deg(v) per recompute: a row
+// whose neighbors die in its own order pays deg(v)^2 (DESIGN.md §3c).
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <span>
 #include <string>
 #include <tuple>
@@ -81,6 +87,13 @@ class MatchProcess : public Process {
     kMatched = 1,
     kFailed = 2
   };
+
+  /// A local id (owned or ghost) as the per-vertex arrays hold it. The
+  /// constructor checks that every local id fits; kNoVertex stays -1.
+  using LocalVertex = std::int32_t;
+  [[nodiscard]] static constexpr LocalVertex narrow(VertexId local) noexcept {
+    return static_cast<LocalVertex>(local);
+  }
 
   /// One activation: decodes the payload's records of kinds R..., and for
   /// each charges one unit, calls on_record(record), then drains the
@@ -148,24 +161,40 @@ class MatchProcess : public Process {
   /// per activation). Nothing is staged in eager mode.
   void flush(EventContext& ctx) { out_.flush_ascending(sender(ctx)); }
 
-  /// Sorts vertex v's arcs by (weight desc, neighbor global id asc) — the
-  /// paper's tie-breaking rule — into arc_order_ and charges deg(v).
-  void sort_arcs(EventContext& ctx, VertexId v);
+  /// Charges deg(v): the paper's pass that orders v's arcs before its first
+  /// proposal. recompute_candidate produces the order itself.
+  void charge_row(EventContext& ctx, VertexId v) {
+    ctx.charge(static_cast<double>(lg_.offset_end(v) - lg_.offset_begin(v)));
+  }
+
+  /// Whether arc a comes before arc c in the paper's order: weight
+  /// descending, then the neighbor's global id ascending.
+  [[nodiscard]] bool precedes(EdgeId a, EdgeId c) const {
+    const Weight wa = lg_.arc_weight(a);
+    const Weight wc = lg_.arc_weight(c);
+    if (wa != wc) return wa > wc;
+    return lg_.global_id(lg_.arc_target(a)) < lg_.global_id(lg_.arc_target(c));
+  }
+
+  /// Row v's best live arc, found by a scan, with ptr_ moved past the arcs
+  /// before it and one unit charged per arc passed; -1 (ptr_ at the row's
+  /// end) when every arc is dead.
+  [[nodiscard]] EdgeId scan_row(EventContext& ctx, VertexId v);
 
   const LocalGraph& lg_;
   bool bundled_;
   Outbox out_;
   std::vector<VState> state_;
-  std::vector<VertexId> mate_;  // local ids
-  std::vector<VertexId> cand_;  // local ids
-  std::vector<EdgeId> ptr_;     // position within sorted arc order
-  std::vector<bool> initialized_;
+  std::vector<LocalVertex> mate_;
+  /// An undecided vertex's candidate; kNoVertex until its first recompute.
+  std::vector<LocalVertex> cand_;
+  /// How many arcs of the row come before the current candidate in the
+  /// paper's order; all of them are dead.
+  std::vector<std::uint32_t> ptr_;
   std::vector<bool> ghost_dead_;
   std::vector<bool> arc_requested_;
-  /// Per-vertex-relative arc positions, one per arc; sort_arcs writes a
-  /// row before anything reads it, so the array is never zero-filled.
-  std::unique_ptr<std::uint32_t[]> arc_order_;
-  std::deque<VertexId> pending_;
+  /// Owned vertices whose candidate may have died, in FIFO order.
+  std::vector<LocalVertex> pending_;
   std::vector<Rank> scratch_ranks_;
   VertexId undecided_ = 0;
   int activations_ = 0;

@@ -173,6 +173,8 @@ CommFabric::SendReceipt CommFabric::post_send_at(Rank src, Rank dst,
 CommFabric::Lane::Lane(const CommFabric& fabric, Rank r)
     : fabric_(&fabric),
       rank_(r),
+      seconds_per_work_(fabric.model_.seconds_per_work),
+      speedup_(fabric.model_.thread_speedup()),
       clock_(fabric.now(r)),
       compute_seconds_(fabric.compute_seconds_[static_cast<std::size_t>(r)]),
       interior_seconds_(

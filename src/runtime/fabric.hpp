@@ -240,10 +240,12 @@ class CommFabric {
 
     /// Charges work_units of compute (attributed to the lane's current
     /// phase, or to an explicit one-shot phase). Inline: handlers charge
-    /// per record and per arc.
+    /// per record and per arc. Prices exactly as
+    /// MachineModel::compute_seconds, from the model's fields cached at
+    /// construction.
     void charge(double work_units) { charge(work_units, phase_); }
     void charge(double work_units, WorkPhase phase) {
-      const double seconds = fabric_->model_.compute_seconds(work_units);
+      const double seconds = work_units * seconds_per_work_ / speedup_;
       clock_ += seconds;
       compute_seconds_ += seconds;
       switch (phase) {
@@ -277,6 +279,8 @@ class CommFabric {
 
     const CommFabric* fabric_ = nullptr;
     Rank rank_ = -1;
+    double seconds_per_work_ = 0.0;  ///< The model's, cached for charge().
+    double speedup_ = 1.0;           ///< The model's thread_speedup().
     double clock_ = 0.0;
     double compute_seconds_ = 0.0;
     double interior_seconds_ = 0.0;

@@ -63,12 +63,17 @@ struct MachineModel {
   /// Cost in seconds of transferring one message with `payload_bytes`.
   [[nodiscard]] double message_seconds(double payload_bytes) const;
 
+  /// How much faster a rank's threads compute than one thread:
+  /// 1 + (threads - 1) * efficiency.
+  [[nodiscard]] double thread_speedup() const {
+    return 1.0 + (threads_per_rank - 1) * thread_efficiency;
+  }
+
   /// Cost in seconds of `work_units` of local computation, accounting for
-  /// hybrid threads: work / (1 + (threads-1) * efficiency). Inline: every
-  /// charge prices through it.
+  /// hybrid threads: work * seconds_per_work / thread_speedup().
+  /// CommFabric::Lane::charge prices the same way.
   [[nodiscard]] double compute_seconds(double work_units) const {
-    const double speedup = 1.0 + (threads_per_rank - 1) * thread_efficiency;
-    return work_units * seconds_per_work / speedup;
+    return work_units * seconds_per_work / thread_speedup();
   }
 
   /// Returns a copy of this model with `threads` threads per rank. Throws

@@ -48,17 +48,14 @@ void IncrementalMatchProcess::reach() {
   const VertexId n = lg_.num_owned();
   state_.reserve(static_cast<std::size_t>(n));
   mate_.reserve(static_cast<std::size_t>(n));
-  cand_.assign(static_cast<std::size_t>(n), kNoVertex);
+  cand_.assign(static_cast<std::size_t>(n), narrow(kNoVertex));
   ptr_.assign(static_cast<std::size_t>(n), 0);
-  initialized_.assign(static_cast<std::size_t>(n), false);
   // Every ghost starts dead: the previous matching decided every vertex, so
   // only revived (invalidated) neighbors are negotiable. INVALIDATE records
   // revive them.
   ghost_dead_.assign(static_cast<std::size_t>(lg_.num_ghosts()), true);
   const auto arcs = static_cast<std::size_t>(n > 0 ? lg_.offset_end(n - 1) : 0);
   arc_requested_.assign(arcs, false);
-  // Sorted lazily: sort_arcs writes each invalidated row before it is read.
-  arc_order_ = std::make_unique_for_overwrite<std::uint32_t[]>(arcs);
   invalidated_.assign(static_cast<std::size_t>(n), false);
 
   // Seed the frozen state from the previous matching. The previous matching
@@ -68,16 +65,17 @@ void IncrementalMatchProcess::reach() {
     const bool matched =
         prev_mate_[static_cast<std::size_t>(lg_.global_id(v))] != kNoVertex;
     state_.push_back(matched ? VState::kMatched : VState::kFailed);
-    mate_.push_back(matched ? kUnresolved : kNoVertex);
+    mate_.push_back(narrow(matched ? kUnresolved : kNoVertex));
   }
 }
 
 VertexId IncrementalMatchProcess::frozen_mate(VertexId v) {
-  VertexId& m = mate_[static_cast<std::size_t>(v)];
+  LocalVertex& m = mate_[static_cast<std::size_t>(v)];
   if (m == kUnresolved) {
     // A matched cross neighbor may no longer be present on this rank (its
     // last cross edge was deleted): then m is kNoVertex, and v is a seed.
-    m = lg_.local_id(prev_mate_[static_cast<std::size_t>(lg_.global_id(v))]);
+    m = narrow(
+        lg_.local_id(prev_mate_[static_cast<std::size_t>(lg_.global_id(v))]));
   }
   return m;
 }
@@ -88,7 +86,7 @@ void IncrementalMatchProcess::invalidate(EventContext& ctx, VertexId v) {
   invalidated_ids_.push_back(v);
   const VertexId old_mate = frozen_mate(v);
   state_[static_cast<std::size_t>(v)] = VState::kUndecided;
-  mate_[static_cast<std::size_t>(v)] = kNoVertex;
+  mate_[static_cast<std::size_t>(v)] = narrow(kNoVertex);
   ++undecided_;
 
   // Rule (a): a matched pair dissolves as a unit. A cross mate dissolves on
@@ -194,14 +192,15 @@ void IncrementalMatchProcess::idle(EventContext& ctx) {
                                                   << debug_state() << ")");
   phase_ = Phase::kMatch;
   ctx.set_phase(WorkPhase::kInterior);
-  // The graph changed under the invalidated vertices: re-sort their arcs
-  // (frozen vertices never consult their arc order), then re-enter
-  // candidate selection like the one-shot start(), in local-id order.
+  // The graph changed under the invalidated vertices: each orders its arcs
+  // again, charged as in the one-shot start() (frozen vertices never
+  // consult their order), then re-enters candidate selection, in local-id
+  // order.
   std::sort(invalidated_ids_.begin(), invalidated_ids_.end());
-  for (const VertexId v : invalidated_ids_) sort_arcs(ctx, v);
+  for (const VertexId v : invalidated_ids_) charge_row(ctx, v);
   for (const VertexId v : invalidated_ids_) {
     if (state_[static_cast<std::size_t>(v)] == VState::kUndecided &&
-        !initialized_[static_cast<std::size_t>(v)]) {
+        cand_[static_cast<std::size_t>(v)] == kNoVertex) {
       recompute_candidate(ctx, v);
       process_pending(ctx);
     }

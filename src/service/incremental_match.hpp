@@ -31,9 +31,10 @@
 //   Phase 2 (re-match). At global quiescence the engine's idle fan-out
 //   flips every rank into the ordinary §3.2 protocol restricted to the
 //   invalidated region: frozen vertices and non-revived ghosts are dead,
-//   invalidated vertices re-sort their arcs (the graph changed under them)
-//   and re-enter candidate selection. The frozen part of the old matching
-//   plus the re-negotiated part equals the full matching of the new graph.
+//   invalidated vertices order their arcs again (the graph changed under
+//   them) and re-enter candidate selection. The frozen part of the old
+//   matching plus the re-negotiated part equals the full matching of the
+//   new graph.
 //
 // A rank pays for what it repairs. It builds its per-vertex arrays and
 // seeds the frozen state from the previous matching only when the repair
@@ -48,6 +49,7 @@
 // every frozen vertex's previous mate is still its mate.
 #pragma once
 
+#include <deque>
 #include <span>
 #include <tuple>
 #include <vector>
@@ -129,6 +131,8 @@ class IncrementalMatchProcess : public MatchProcess {
 
   /// mate_ of a frozen matched vertex until frozen_mate() resolves it.
   static constexpr VertexId kUnresolved = kNoVertex - 1;
+  static_assert(narrow(kUnresolved) == kUnresolved,
+                "kUnresolved must survive the 32-bit mate_ as itself");
 
   /// Sizes the per-vertex arrays and seeds the frozen state from the
   /// previous matching, once: the first time the repair reaches this rank.

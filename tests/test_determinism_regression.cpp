@@ -330,6 +330,96 @@ TEST(DeterminismRegression, EagerFaultsMixMatchingScenario) {
   }
 }
 
+// Rows far longer than the benchmark workloads' (at most 7 arcs):
+// complete(17)'s rows hold 16 arcs, complete(18)'s 17, star(50)'s centre 49,
+// and rmat(10, 8) mixes hub rows with short ones. Each graph runs bundled,
+// eager, and eager under eager-faults' fault mix on four ranks; one service
+// batch on the rmat graph repairs to the full recompute. Captured while
+// every row was sorted: a scan must charge exactly what the sorted walk
+// charged.
+TEST(DeterminismRegression, LongRowMatchingScenarios) {
+  DistMatchingOptions bundled;
+  DistMatchingOptions eager;
+  eager.bundled = false;
+  DistMatchingOptions faulty = eager;
+  faulty.jitter_seconds = 2e-6;
+  faulty.jitter_seed = 31;
+  faulty.faults.drop_rate = 0.05;
+  faulty.faults.duplicate_rate = 0.02;
+  faulty.faults.corrupt_rate = 0.01;
+  faulty.faults.seed = 31;
+
+  struct Case {
+    const char* name;
+    Graph graph;
+    Pinned bundled, eager, faulty;
+    double faulty_mean_charge;  ///< Charged compute per rank, faulty run.
+  };
+  const Case cases[] = {
+      {"complete(17)",
+       complete(17),
+       {3.6383200000000001e-05, 42, 1809, 57, 0, 11},
+       {3.7613600000000124e-05, 55, 2310, 55, 0, 15},
+       {7.0450077094669954e-05, 119, 5826, 59, 0, 15},
+       3.1549999999999884e-06},
+      {"complete(18)",
+       complete(18),
+       {3.7271300000000037e-05, 39, 1701, 60, 0, 11},
+       {4.1347000000000063e-05, 61, 2562, 61, 0, 16},
+       {6.7871652018527766e-05, 141, 6914, 71, 0, 16},
+       3.4799999999999853e-06},
+      {"star(50)",
+       star(50),
+       {1.4755899999999973e-05, 6, 354, 40, 0, 3},
+       {2.3393399999999995e-05, 40, 1680, 40, 0, 37},
+       {0.00010610755947728943, 128, 6282, 65, 0, 37},
+       1.419999999999997e-06},
+      {"rmat(10, 8)",
+       rmat(10, 8),
+       {0.00038103489999991957, 210, 15730, 1702, 0, 66},
+       {0.0010558349000000028, 1711, 74878, 1711, 0, 723},
+       {0.005876029455131361, 9752, 487922, 4999, 0, 699},
+       0.00013911499999998603},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Partition p = cyclic_partition(c.graph.num_vertices(), 4);
+    const DistGraph dist = DistGraph::build(c.graph, p);
+    const Matching reference = locally_dominant_matching(c.graph);
+    const auto rb = match_distributed(dist, bundled);
+    expect_pinned(rb.run, rb.max_activations, c.bundled);
+    EXPECT_EQ(rb.matching.mate, reference.mate);
+    const auto re = match_distributed(dist, eager);
+    expect_pinned(re.run, re.max_activations, c.eager);
+    EXPECT_EQ(re.matching.mate, reference.mate);
+    const auto rf = match_distributed(dist, faulty);
+    expect_pinned(rf.run, rf.max_activations, c.faulty);
+    EXPECT_EQ(rf.run.load.mean_seconds, c.faulty_mean_charge);
+    EXPECT_EQ(rf.matching.mate, reference.mate);
+  }
+
+  // One 16-update batch on the rmat graph: the invalidated hub rows are
+  // ordered again and re-enter candidate selection.
+  const Graph& g = cases[3].graph;
+  const Partition p = cyclic_partition(g.num_vertices(), 4);
+  const Matching before =
+      match_distributed(DistGraph::build(g, p), bundled).matching;
+  UpdateStreamConfig stream;
+  stream.seed = 31;
+  UpdateStreamGenerator updates(g, stream);
+  const std::vector<EdgeUpdate> batch = updates.next_batch(16);
+  DynamicGraph dyn(g);
+  for (const EdgeUpdate& e : batch) dyn.apply(e);
+  const DistGraph after = DistGraph::build(dyn.snapshot(), p);
+  const IncrementalMatchResult inc =
+      match_incremental(after, before, touched_vertices(batch), bundled);
+  EXPECT_EQ(inc.matching.mate,
+            match_distributed(after, bundled).matching.mate);
+  expect_pinned(inc.run, inc.max_activations,
+                {0.00026961249999997764, 211, 12811, 1307, 0, 63});
+  EXPECT_EQ(inc.invalidated, 375);
+}
+
 TEST(DeterminismRegression, FaultInjectedColoringScenario) {
   const Graph g = circuit_like(2000, 4000, 6, WeightKind::kUnit, 62);
   const Partition p =

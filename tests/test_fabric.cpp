@@ -181,6 +181,30 @@ TEST(CommFabric, CollectiveAdvancesEveryClockToCommonHorizon) {
   EXPECT_EQ(fabric.comm().collectives, 1);
 }
 
+// A lane prices a charge exactly as MachineModel::compute_seconds does, from
+// the model's fields it cached, at one thread per rank and at hybrid
+// speedups.
+TEST(CommFabric, LaneChargeIsComputeSecondsExactly) {
+  std::vector<MachineModel> models = {MachineModel::blue_gene_p()};
+  for (const int threads : {2, 4, 16}) {
+    for (const double efficiency : {0.8, 0.9, 1.0}) {
+      models.push_back(
+          MachineModel::blue_gene_p().with_threads(threads, efficiency));
+    }
+  }
+  for (const MachineModel& m : models) {
+    CommFabric fabric(m);
+    fabric.add_rank();
+    for (const double w : {0.0, 1.0, 2.5, 7.0, 1e6}) {
+      CommFabric::Lane lane = fabric.make_lane(0);
+      lane.charge(w);
+      EXPECT_EQ(lane.now(), m.compute_seconds(w))
+          << m.name << " threads=" << m.threads_per_rank
+          << " efficiency=" << m.thread_efficiency << " w=" << w;
+    }
+  }
+}
+
 TEST(CommFabric, ChargeAttributesPhasesInBreakdown) {
   MachineModel m = MachineModel::zero_cost();
   m.seconds_per_work = 1.0;

@@ -66,6 +66,8 @@ TEST(HybridModel, MatchingResultUnchangedTimeReduced) {
   // Message *count* may differ: faster local compute changes how records
   // coalesce into bundles. The matching itself must not.
   EXPECT_LT(b.run.sim_seconds, a.run.sim_seconds);
+  // Every hybrid charge divides by the speedup; the modelled time is pinned.
+  EXPECT_EQ(b.run.sim_seconds, 0x1.d0815eb6c118dp-16);
 }
 
 TEST(HybridModel, ColoringResultUnchangedTimeReduced) {
@@ -78,6 +80,7 @@ TEST(HybridModel, ColoringResultUnchangedTimeReduced) {
   const auto b = color_distributed(g, p, hybrid);
   EXPECT_EQ(a.coloring.color, b.coloring.color);
   EXPECT_LT(b.run.sim_seconds, a.run.sim_seconds);
+  EXPECT_EQ(b.run.sim_seconds, 0x1.d7ffc91fa8136p-14);
 }
 
 TEST(HybridModel, FewerFatterRanksCutCommunication) {

@@ -19,11 +19,14 @@
 #
 # Each candidate is validated as above, then matched (by basename) to the
 # committed BENCH_*.json at the repo root and compared per
-# (workload, threads): a missing row, or a modelled sim_seconds that differs
-# from the baseline's in any bit, in either direction, fails the check.
-# Modelled time is deterministic, so there is no tolerance: a change that
-# moves it on purpose regenerates the committed baseline in the same
-# change.
+# (workload, threads) on every modelled field: sim_seconds, and
+# full_sim_seconds and batches wherever the baseline row has them. A missing
+# row or field, or a value that differs from the baseline's in any bit, in
+# either direction, fails the check, naming the workload and the field.
+# Modelled outputs are deterministic, so there is no tolerance: a change
+# that moves one on purpose regenerates the committed baseline in the same
+# change. wall_seconds, speedup and hardware_concurrency are host
+# measurements and stay ungated.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,6 +60,9 @@ import os
 import sys
 
 REQUIRED_ROW_KEYS = ("workload", "threads", "sim_seconds", "wall_seconds")
+# Modelled fields compared exactly against the baseline: sim_seconds in every
+# row, the others wherever the baseline row carries them.
+GATED_KEYS = ("sim_seconds", "full_sim_seconds", "batches")
 failures = 0
 
 
@@ -76,7 +82,7 @@ def load(path):
 
 
 def validate(path, doc):
-    """Structural checks; returns {(workload, threads): sim_seconds}."""
+    """Structural checks; returns {(workload, threads): row}."""
     failures_before = failures
     for key in ("bench", "hardware_concurrency", "rows"):
         if key not in doc:
@@ -85,7 +91,7 @@ def validate(path, doc):
     if not isinstance(rows, list) or not rows:
         fail(path, "'rows' must be a non-empty list")
         return None
-    sim_by_key = {}
+    row_by_key = {}
     sim_by_workload = {}
     threads_by_workload = {}
     for i, row in enumerate(rows):
@@ -95,10 +101,10 @@ def validate(path, doc):
             continue
         w = row["workload"]
         key = (w, row["threads"])
-        if key in sim_by_key:
+        if key in row_by_key:
             fail(path, f"duplicate row for workload '{w}' "
                        f"threads={row['threads']}")
-        sim_by_key[key] = row["sim_seconds"]
+        row_by_key[key] = row
         threads_by_workload.setdefault(w, set()).add(row["threads"])
         sim_by_workload.setdefault(w, set()).add(row["sim_seconds"])
     for w, sims in sim_by_workload.items():
@@ -119,7 +125,7 @@ def validate(path, doc):
     print(f"check_bench_artifacts: {path}: OK "
           f"({n} rows, {len(sim_by_workload)} workload(s), "
           f"hardware_concurrency={hw})")
-    return sim_by_key
+    return row_by_key
 
 
 def compare(path, candidate):
@@ -139,23 +145,35 @@ def compare(path, candidate):
     baseline = validate(baseline_path, doc)
     if baseline is None:
         return
-    for (w, t), base_sim in sorted(baseline.items()):
+    for (w, t), base_row in sorted(baseline.items()):
         if (w, t) not in candidate:
             fail(path, f"workload '{w}' threads={t}: present in baseline "
                        f"'{baseline_path}' but missing from the candidate")
             continue
-        cand_sim = candidate[(w, t)]
-        if cand_sim == base_sim:
+        cand_row = candidate[(w, t)]
+        same = True
+        for field in GATED_KEYS:
+            if field not in base_row:
+                continue
+            if field not in cand_row:
+                same = False
+                fail(path, f"workload '{w}' threads={t}: {field} is in "
+                           f"baseline '{baseline_path}' but missing from "
+                           f"the candidate")
+                continue
+            base, cand = base_row[field], cand_row[field]
+            if cand == base:
+                continue
+            same = False
+            rel = (f"{cand / base - 1:+.3e}" if base != 0 else "undefined")
+            fail(path,
+                 f"workload '{w}' threads={t}: {field} {cand!r} differs "
+                 f"from the committed baseline's {base!r} (relative "
+                 f"difference {rel}); regenerate '{baseline_path}' in the "
+                 f"same change if intentional")
+        if same:
             print(f"check_bench_artifacts: {path}: '{w}' threads={t} "
                   f"identical")
-            continue
-        rel = (f"{cand_sim / base_sim - 1:+.3e}" if base_sim != 0
-               else "undefined")
-        fail(path,
-             f"workload '{w}' threads={t}: modelled time {cand_sim!r} "
-             f"differs from the committed baseline's {base_sim!r} "
-             f"(relative difference {rel}); regenerate '{baseline_path}' "
-             f"in the same change if intentional")
 
 
 compare_mode = sys.argv[1] == "1"
@@ -163,9 +181,9 @@ for path in sys.argv[2:]:
     doc = load(path)
     if doc is None:
         continue
-    sims = validate(path, doc)
-    if sims is not None and compare_mode:
-        compare(path, sims)
+    rows = validate(path, doc)
+    if rows is not None and compare_mode:
+        compare(path, rows)
 
 sys.exit(1 if failures else 0)
 EOF
