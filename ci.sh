@@ -163,6 +163,30 @@ tier1() {
   # .bench_build/) and reads it directly, so build it and run every
   # workload at --size smoke: outputs must check and repeat exactly.
   python3 bench_pipeline/smoke_test.py
+  # Its traced mode writes each workload's JSONL trace and every per-layer
+  # metric; run.py exits nonzero when a check fails or a metric is missing.
+  # The traces' sizes at seed 1 are pinned as well.
+  python3 bench_pipeline/run.py --workload all --size smoke --seconds 0 \
+    --trace 1 --out build/pipeline_traced.json
+  python3 - build/pipeline_traced.json <<'EOF'
+import json
+import sys
+
+expected = {"grid-4k": 53611, "circuit-1k": 22430, "eager-faults": 403726,
+            "service-stream": 3389}
+with open(sys.argv[1], encoding="utf-8") as f:
+    workloads = json.load(f)["workloads"]
+bad = 0
+for name, want in expected.items():
+    metric = workloads.get(name, {}).get("metrics", {}).get("trace.jsonl_bytes")
+    got = metric["median"] if metric else None
+    if got != want:
+        print(f"pipeline_traced: {name}: trace.jsonl_bytes {got}, expected "
+              f"{want}", file=sys.stderr)
+        bad += 1
+print(f"pipeline_traced: {len(expected)} traces, {bad} of unexpected size")
+sys.exit(1 if bad else 0)
+EOF
 }
 
 lint() {

@@ -68,13 +68,10 @@ JonesPlassmannResult color_jones_plassmann(
       for (const VertexId v : st.uncolored) {
         ctx.charge(static_cast<double>(lg.degree(v)) + 1.0);
         const VertexId gv = lg.global_id(v);
-        const std::uint64_t pv = vertex_priority(gv, options.seed);
         bool is_max = true;
         for (VertexId u : lg.neighbors(v)) {
           if (st.color[static_cast<std::size_t>(u)] != kNoColor) continue;
-          const VertexId gu = lg.global_id(u);
-          const std::uint64_t pu = vertex_priority(gu, options.seed);
-          if (pu > pv || (pu == pv && gu > gv)) {
+          if (wins_priority(lg.global_id(u), gv, options.seed)) {
             is_max = false;
             break;
           }

@@ -24,7 +24,9 @@ void BspEngine::reject_corrupted(Rank dst,
   if (!payload.empty()) corrupt_one_bit(payload, receipt.seq);
   PMC_CHECK(payload.empty() || !FrameReader(payload).valid(),
             "garbled frame passed checksum validation");
-  fabric_.note_corruption_detected(dst);
+  fabric_.note({.kind = CommEvent::Kind::kCorruptDetected,
+                .rank = dst,
+                .time = fabric_.now(dst)});
 }
 
 void BspEngine::deliver(Rank dst, Rank src, double arrival,
@@ -230,7 +232,11 @@ void BspEngine::merge(RankCtx& ctx) {
     // could make conflict detection asymmetric. (The event engine's
     // transport does the same by sequence number; here the round structure
     // stands in for it.)
-    if (receipt.duplicated) fabric_.note_dup_suppressed(s.dst);
+    if (receipt.duplicated) {
+      fabric_.note({.kind = CommEvent::Kind::kDupSuppressed,
+                    .rank = s.dst,
+                    .time = fabric_.now(s.dst)});
+    }
     // Detection precedes the receipt callback; the callback still sees the
     // *original* bytes, so only a copy is garbled.
     if (!receipt.dropped && receipt.corrupted) {

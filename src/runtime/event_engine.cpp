@@ -42,7 +42,7 @@ void EventContext::send(Rank dst, std::vector<std::byte> payload,
 }
 
 void EventContext::set_round(int round) {
-  record(DeferredOp::Kind::kRound).round = round;
+  note(CommEvent::Kind::kRound).value = round;
 }
 
 EventEngine::EventEngine(MachineModel model, FabricConfig config,
@@ -283,7 +283,7 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
         // outright). No ack — the sender's retry timer recovers.
         PMC_CHECK(payload.empty() || !FrameReader(payload).valid(),
                   "garbled frame passed checksum validation");
-        ctx.record(Kind::kNoteCorruptDetected);
+        ctx.note(CommEvent::Kind::kCorruptDetected);
         return;
       }
       if (transport_) {
@@ -296,7 +296,7 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
         ack.tseq = ev.tseq;
         ack.time = ack_time;
         if (!fresh) {
-          ctx.record(Kind::kNoteDupSuppressed);
+          ctx.note(CommEvent::Kind::kDupSuppressed);
           return;
         }
       }
@@ -309,7 +309,7 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
       if (ev.corrupted) {
         // A garbled ack is rejected, not trusted: the pending entry stays
         // and the data message will be retransmitted (then re-acked).
-        ctx.record(Kind::kNoteCorruptDetected);
+        ctx.note(CommEvent::Kind::kCorruptDetected);
         return;
       }
       release_at_merge(ctx, channel(ev.dst, ev.src).retire(ev.tseq));
@@ -323,12 +323,12 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
       if (entry == nullptr) return;  // acked meanwhile: timer no-ops
       // Still unacknowledged: the rank sat out the timeout, then retries.
       const double waited = ev.time - lane.now();
-      if (waited > 0.0) ctx.record(Kind::kNoteBackoff).seconds = waited;
+      if (waited > 0.0) ctx.note(CommEvent::Kind::kBackoff).seconds = waited;
       lane.advance_to(ev.time);
       entry->attempt += 1;
-      EventContext::DeferredOp& retry = ctx.record(Kind::kNoteRetry);
+      EventContext::DeferredOp& retry = ctx.note(CommEvent::Kind::kRetry);
       retry.peer = peer;
-      retry.attempt = entry->attempt;
+      retry.value = entry->attempt;
       const FaultConfig& F = fabric_.config().fault;
       const bool final_attempt = entry->attempt >= F.max_attempts;
       const bool exempt = final_attempt && F.reliable_tail;
@@ -340,7 +340,7 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
       resend.peer = peer;
       resend.frame = entry->frame;
       resend.records = entry->records;
-      resend.attempt = entry->attempt;
+      resend.value = entry->attempt;
       resend.tseq = ev.tseq;
       resend.time = send_time;
       // See enqueue_at(): after the final try the entry goes now.
@@ -478,31 +478,23 @@ void EventEngine::replay_ops(Rank rank,
         enqueue_at(rank, op.peer, std::move(op.payload), op.records,
                    std::get<SendTime>(op.time));
         break;
-      case Kind::kRound:
-        fabric_.set_round(rank, op.round);
-        break;
       case Kind::kAck:
         replay_ack(rank, op.peer, op.tseq, std::get<SendTime>(op.time));
         break;
       case Kind::kRetransmit:
         transmit_priced(rank, op.peer, op.tseq, op.frame, op.records,
-                        op.attempt, std::get<SendTime>(op.time));
+                        op.value, std::get<SendTime>(op.time));
         break;
       case Kind::kRelease:
         store_.release(op.frame);
         break;
-      case Kind::kNoteBackoff:
-        fabric_.note_backoff(rank, op.seconds);
-        break;
-      case Kind::kNoteRetry:
-        fabric_.note_retry_at(std::get<double>(op.time), rank, op.peer,
-                              op.attempt);
-        break;
-      case Kind::kNoteDupSuppressed:
-        fabric_.note_dup_suppressed_at(std::get<double>(op.time), rank);
-        break;
-      case Kind::kNoteCorruptDetected:
-        fabric_.note_corruption_detected_at(std::get<double>(op.time), rank);
+      case Kind::kNote:
+        fabric_.note({.kind = op.note,
+                      .rank = rank,
+                      .peer = op.peer,
+                      .value = op.value,
+                      .time = std::get<double>(op.time),
+                      .seconds = op.seconds});
         break;
     }
   }

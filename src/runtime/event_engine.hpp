@@ -90,36 +90,37 @@ class EventContext {
   /// One recorded deferred action; ops must replay in their original program
   /// order (a round label attributes the sends that follow it, a transport
   /// ack precedes the handler it unblocked, a retransmission precedes the
-  /// release of the frame it resends, and so on). Handler-level ops
-  /// (kSend/kRound) and engine-level transport ops share one list so a
-  /// window merge reproduces each event's full effect sequence.
+  /// release of the frame it resends, and so on). Handler-level ops (kSend
+  /// and round notes) and engine-level transport ops share one list so a
+  /// window merge reproduces each event's full effect sequence. One op is
+  /// written per send, ack, retransmission, release and note, so it stays
+  /// small.
   struct DeferredOp {
     enum class Kind : std::uint8_t {
-      kSend,                 ///< Handler ctx.send (first transmission).
-      kRound,                ///< Trace round label.
-      kAck,                  ///< Transport ack for a delivered data message.
-      kRetransmit,           ///< Retry-timer resend of an unacked message.
-      kRelease,              ///< A retired transport entry's frame.
-      kNoteBackoff,          ///< Sender sat out a retry timeout.
-      kNoteRetry,            ///< Retry trace/accounting line.
-      kNoteDupSuppressed,    ///< Receiver suppressed a duplicate delivery.
-      kNoteCorruptDetected,  ///< Receiver rejected a garbled frame.
+      kSend,        ///< Handler ctx.send (first transmission).
+      kAck,         ///< Transport ack for a delivered data message.
+      kRetransmit,  ///< Retry-timer resend of an unacked message.
+      kRelease,     ///< A retired transport entry's frame.
+      kNote,        ///< A trace event of kind `note` at this rank.
     };
     Kind kind = Kind::kSend;
+    CommEvent::Kind note = CommEvent::Kind::kRound;  ///< kNote: its kind.
     Rank peer = kNoRank;             ///< Send/ack target or retry peer.
     std::vector<std::byte> payload;  ///< kSend: the frame, stored at replay.
     /// kRetransmit, kRelease: the stored frame (a shard only reads the
     /// store; the merge references or releases it in replay order).
     FrameStore::Handle frame = FrameStore::kNone;
+    /// kRetransmit: the attempt number; kNote: the event's value (a round
+    /// label or a retry's attempt).
+    int value = 0;
     std::int64_t records = 0;
-    /// kNote*: the clock value the note reads; kSend/kAck/kRetransmit: the
+    /// kNote: the clock value the note reads; kSend/kAck/kRetransmit: the
     /// lane-priced send time.
     std::variant<double, CommFabric::SendTime> time;
-    double seconds = 0.0;    ///< kNoteBackoff: waited seconds.
-    int round = 0;           ///< kRound label.
-    int attempt = 0;         ///< kRetransmit/kNoteRetry: attempt number.
+    double seconds = 0.0;    ///< kNote of a backoff: waited seconds.
     std::uint64_t tseq = 0;  ///< kAck/kRetransmit: transport sequence.
   };
+  static_assert(sizeof(DeferredOp) <= 80);
 
   /// Context over a borrowed lane (owned by the engine's fan-out or window
   /// shard; one lane may serve many per-event contexts in sequence) that
@@ -134,6 +135,12 @@ class EventContext {
     DeferredOp& op = ops_->emplace_back();
     op.kind = kind;
     op.time = lane_->now();
+    return op;
+  }
+  /// Appends a note of trace event `kind` at this rank.
+  DeferredOp& note(CommEvent::Kind kind) {
+    DeferredOp& op = record(DeferredOp::Kind::kNote);
+    op.note = kind;
     return op;
   }
 

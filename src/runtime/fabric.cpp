@@ -153,17 +153,22 @@ CommFabric::SendReceipt CommFabric::post_send_at(Rank src, Rank dst,
     }
   }
 
-  const auto total_bytes = static_cast<std::int64_t>(payload_bytes) +
-                           static_cast<std::int64_t>(model_.header_bytes);
-  comm_.messages += 1;
-  comm_.bytes += total_bytes;
-  comm_.payload_bytes += static_cast<std::int64_t>(payload_bytes);
-  comm_.records += records;
-  trace_.on_send(send_time, src, dst, total_bytes,
-                 static_cast<std::int64_t>(payload_bytes), records);
-  if (receipt.dropped) trace_.on_drop(send_time, src, dst, total_bytes);
-  if (receipt.corrupted) trace_.on_corrupt(send_time, src, dst, total_bytes);
-  if (receipt.duplicated) trace_.on_duplicate(send_time, src, dst, total_bytes);
+  CommEvent event{.kind = CommEvent::Kind::kSend,
+                  .rank = src,
+                  .peer = dst,
+                  .time = send_time,
+                  .bytes = static_cast<std::int64_t>(payload_bytes) +
+                           static_cast<std::int64_t>(model_.header_bytes),
+                  .payload = static_cast<std::int64_t>(payload_bytes),
+                  .records = records};
+  trace_.record(event);
+  // A message gets at most one verdict: one more event on the same message.
+  if (receipt.dropped || receipt.corrupted || receipt.duplicated) {
+    event.kind = receipt.dropped     ? CommEvent::Kind::kDrop
+                 : receipt.corrupted ? CommEvent::Kind::kCorrupt
+                                     : CommEvent::Kind::kDuplicate;
+    trace_.record(event);
+  }
 
   receipt.arrival = arrival;
   receipt.seq = send_seq_++;
@@ -211,8 +216,7 @@ void CommFabric::absorb_lane(const Lane& lane) {
 void CommFabric::complete_collective(double horizon) {
   horizon += model_.collective_seconds(num_ranks());
   std::fill(clocks_.begin(), clocks_.end(), horizon);
-  comm_.collectives += 1;
-  trace_.on_collective(horizon);
+  trace_.record({.kind = CommEvent::Kind::kCollective, .time = horizon});
 }
 
 LoadStats CommFabric::load_stats() const {
@@ -228,9 +232,10 @@ LoadStats CommFabric::load_stats() const {
   return load;
 }
 
-void CommFabric::export_into(RunResult& run) const {
+void CommFabric::export_into(RunResult& run) {
+  trace_.flush();
   run.sim_seconds = max_time();
-  run.comm = comm_;
+  run.comm = trace_.comm();
   run.load = load_stats();
   run.breakdown = trace_.breakdown();
 }

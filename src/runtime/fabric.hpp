@@ -161,8 +161,9 @@ class CommFabric {
   /// Lane::begin_send(), which priced `send_time` — so this never reads or
   /// moves src's live clock. It prices the message with the alpha-beta
   /// model (+ optional deterministic jitter), enforces FIFO non-overtaking
-  /// on the (src, dst) channel, and accounts the message in CommStats and
-  /// the trace; the engine schedules delivery at the returned arrival time.
+  /// on the (src, dst) channel, and records the send and its fault verdicts
+  /// in the trace; the engine schedules delivery at the returned arrival
+  /// time.
   /// Replaying a phase's recorded sends in rank order therefore fixes
   /// sequence numbers, jitter and fault verdicts, channel FIFO state and
   /// trace events at every thread count.
@@ -183,37 +184,17 @@ class CommFabric {
   /// cost for the current rank count.
   void complete_collective(double horizon);
 
-  // ---- instrumentation passthrough ---------------------------------------
+  // ---- instrumentation -----------------------------------------------------
 
-  void set_round(Rank r, int round) { trace_.set_round(r, round); }
-  void set_round_all(int round) { trace_.set_round_all(round); }
+  /// Hands one event to the trace. The fabric records its own sends and
+  /// collectives; the engines post round labels and their transports'
+  /// recovery events (suppressed duplicates, rejected frames, retries,
+  /// backoff) here.
+  void note(const CommEvent& event) { trace_.record(event); }
 
-  /// Recovery-protocol accounting hooks for the engines (the fabric injects
-  /// faults; the engines recover and report here). The receiver-clock
-  /// variants read dst's live clock — the BSP merge reports at the point
-  /// where that clock is final for lower ranks and pre-phase for higher.
-  void note_backoff(Rank src, double seconds) {
-    trace_.on_backoff(src, seconds);
-  }
-  void note_dup_suppressed(Rank dst) {
-    trace_.on_dup_suppressed(now(dst), dst);
-  }
-  /// Receiver-side checksum validation rejected a garbled frame.
-  void note_corruption_detected(Rank dst) {
-    trace_.on_corruption_detected(now(dst), dst);
-  }
-
-  /// Time-explicit variants of the recovery hooks, for replaying an event
-  /// window's recorded notes: a dispatch records its lane clock at the
-  /// moment of the note and the merge reports it here verbatim.
-  void note_retry_at(double time, Rank src, Rank dst, int attempt) {
-    trace_.on_retry(time, src, dst, attempt);
-  }
-  void note_dup_suppressed_at(double time, Rank dst) {
-    trace_.on_dup_suppressed(time, dst);
-  }
-  void note_corruption_detected_at(double time, Rank dst) {
-    trace_.on_corruption_detected(time, dst);
+  /// Sets every rank's round label (BSP-style global rounds).
+  void set_round_all(int round) {
+    note({.kind = CommEvent::Kind::kRound, .rank = kNoRank, .value = round});
   }
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
@@ -230,7 +211,7 @@ class CommFabric {
   /// only *reading* shared fabric state (model, config, stall windows). At
   /// the merge the engine absorbs every lane and replays the recorded sends
   /// in a fixed order, which fixes the global order of the shared counters
-  /// (send_seq_, channel FIFO, CommStats, trace sink).
+  /// (send_seq_, channel FIFO, the trace).
   class Lane {
    public:
     Lane() = default;
@@ -299,7 +280,9 @@ class CommFabric {
 
   // ---- results -------------------------------------------------------------
 
-  [[nodiscard]] const CommStats& comm() const noexcept { return comm_; }
+  [[nodiscard]] const CommStats& comm() const noexcept {
+    return trace_.comm();
+  }
   [[nodiscard]] const CommBreakdown& breakdown() const noexcept {
     return trace_.breakdown();
   }
@@ -307,8 +290,10 @@ class CommFabric {
   /// Per-rank charged-compute distribution (load balance).
   [[nodiscard]] LoadStats load_stats() const;
 
-  /// Fills run with sim_seconds (max clock), comm, load and breakdown.
-  void export_into(RunResult& run) const;
+  /// Fills run with sim_seconds (max clock), comm, load and breakdown, and
+  /// flushes the trace sink: a trace that could not be written throws
+  /// pmc::Error naming its path.
+  void export_into(RunResult& run);
 
  private:
   MachineModel model_;
@@ -327,7 +312,6 @@ class CommFabric {
   /// ranks.
   std::vector<std::vector<ChannelArrival>> channel_arrivals_;
   std::uint64_t send_seq_ = 0;
-  CommStats comm_;
   CommTrace trace_;
 };
 

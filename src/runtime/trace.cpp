@@ -1,25 +1,56 @@
 #include "runtime/trace.hpp"
 
-#include <fstream>
-#include <sstream>
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <concepts>
+#include <string_view>
 
 #include "support/error.hpp"
 
 namespace pmc {
 
+namespace {
+
+/// One JSONL line, formatted in place. 256 bytes hold the longest: a send
+/// line with every number at its widest.
+struct Line {
+  std::array<char, 256> buf{};
+  char* end = buf.data();
+
+  Line& operator<<(std::string_view text) {
+    end = std::copy(text.begin(), text.end(), end);
+    return *this;
+  }
+  template <std::integral T>
+  Line& operator<<(T value) {
+    end = std::to_chars(end, buf.data() + buf.size(), value).ptr;
+    return *this;
+  }
+  /// Prints what `std::ostream << double` prints by default (%.6g).
+  Line& operator<<(double value) {
+    end = std::to_chars(end, buf.data() + buf.size(), value,
+                        std::chars_format::general, 6)
+              .ptr;
+    return *this;
+  }
+};
+
+/// The `ev` value of each event kind's line (a backoff writes none).
+constexpr std::array<std::string_view, 10> kLineNames = {
+    "round",          "send",             "drop",  "dup", "corrupt",
+    "dup_suppressed", "corrupt_detected", "retry", "",    "collective"};
+
+}  // namespace
+
 CommTrace::CommTrace(TraceConfig config) : config_(std::move(config)) {
   breakdown_.message_size_histogram.assign(kMessageSizeBuckets, 0);
   if (!config_.jsonl_path.empty()) {
-    sink_ = std::make_unique<std::ofstream>(config_.jsonl_path,
-                                            std::ios::out | std::ios::trunc);
-    PMC_REQUIRE(sink_->good(),
+    sink_.open(config_.jsonl_path, std::ios::out | std::ios::trunc);
+    PMC_REQUIRE(sink_.good(),
                 "cannot open trace sink " << config_.jsonl_path);
   }
 }
-
-CommTrace::~CommTrace() = default;
-CommTrace::CommTrace(CommTrace&&) noexcept = default;
-CommTrace& CommTrace::operator=(CommTrace&&) noexcept = default;
 
 void CommTrace::add_rank() {
   breakdown_.per_rank.emplace_back();
@@ -29,28 +60,6 @@ void CommTrace::add_rank() {
   breakdown_.other_seconds.push_back(0.0);
   rank_round_.push_back(0);
   rank_phase_.push_back(WorkPhase::kOther);
-}
-
-void CommTrace::set_round(Rank r, int round) {
-  PMC_REQUIRE(round >= 0, "negative round label " << round);
-  rank_round_[static_cast<std::size_t>(r)] = round;
-  if (round > global_round_) global_round_ = round;
-  if (sink_) {
-    std::ostringstream oss;
-    oss << R"({"ev":"round","rank":)" << r << R"(,"round":)" << round << '}';
-    emit_json(oss.str());
-  }
-}
-
-void CommTrace::set_round_all(int round) {
-  PMC_REQUIRE(round >= 0, "negative round label " << round);
-  for (auto& r : rank_round_) r = round;
-  if (round > global_round_) global_round_ = round;
-  if (sink_) {
-    std::ostringstream oss;
-    oss << R"({"ev":"round","rank":-1,"round":)" << round << '}';
-    emit_json(oss.str());
-  }
 }
 
 void CommTrace::absorb_rank_compute(Rank r, double interior_seconds,
@@ -72,137 +81,120 @@ CommStats& CommTrace::round_slot(int round) {
   return breakdown_.per_round[idx];
 }
 
-void CommTrace::on_send(double time, Rank src, Rank dst,
-                        std::int64_t total_bytes, std::int64_t payload_bytes,
-                        std::int64_t records) {
-  auto& rank_stats = breakdown_.per_rank[static_cast<std::size_t>(src)];
-  rank_stats.messages += 1;
-  rank_stats.bytes += total_bytes;
-  rank_stats.payload_bytes += payload_bytes;
-  rank_stats.records += records;
-
-  const int round = rank_round_[static_cast<std::size_t>(src)];
-  auto& round_stats = round_slot(round);
-  round_stats.messages += 1;
-  round_stats.bytes += total_bytes;
-  round_stats.payload_bytes += payload_bytes;
-  round_stats.records += records;
-
-  breakdown_.message_size_histogram[CommBreakdown::size_bucket(total_bytes)] +=
-      1;
-
-  if (sink_) {
-    std::ostringstream oss;
-    oss << R"({"ev":"send","t":)" << time << R"(,"src":)" << src
-        << R"(,"dst":)" << dst << R"(,"bytes":)" << total_bytes
-        << R"(,"payload":)" << payload_bytes << R"(,"records":)" << records
-        << R"(,"round":)" << round << '}';
-    emit_json(oss.str());
+template <typename T>
+void CommTrace::add_fault(Rank r, T FaultStats::*field, T amount) {
+  const auto i = static_cast<std::size_t>(r);
+  breakdown_.per_rank_faults[i].*field += amount;
+  const auto round = static_cast<std::size_t>(rank_round_[i]);
+  if (round >= breakdown_.per_round_faults.size()) {
+    breakdown_.per_round_faults.resize(round + 1);
   }
+  breakdown_.per_round_faults[round].*field += amount;
 }
 
-FaultStats& CommTrace::fault_round_slot(int round) {
-  const auto idx = static_cast<std::size_t>(round);
-  if (idx >= breakdown_.per_round_faults.size()) {
-    breakdown_.per_round_faults.resize(idx + 1);
+void CommTrace::record(const CommEvent& event) {
+  using Kind = CommEvent::Kind;
+  const auto r = static_cast<std::size_t>(event.rank);
+  switch (event.kind) {
+    case Kind::kRound:
+      PMC_REQUIRE(event.value >= 0, "negative round label " << event.value);
+      if (event.rank == kNoRank) {
+        std::fill(rank_round_.begin(), rank_round_.end(), event.value);
+      } else {
+        rank_round_[r] = event.value;
+      }
+      global_round_ = std::max(global_round_, event.value);
+      break;
+    case Kind::kSend: {
+      const CommStats sent{.messages = 1,
+                           .bytes = event.bytes,
+                           .payload_bytes = event.payload,
+                           .records = event.records};
+      breakdown_.per_rank[r] += sent;
+      round_slot(rank_round_[r]) += sent;
+      comm_ += sent;
+      breakdown_.message_size_histogram[CommBreakdown::size_bucket(
+          event.bytes)] += 1;
+      break;
+    }
+    case Kind::kCollective:
+      for (CommStats& stats : breakdown_.per_rank) stats.collectives += 1;
+      round_slot(global_round_).collectives += 1;
+      comm_.collectives += 1;
+      break;
+    case Kind::kDrop:
+      add_fault(event.rank, &FaultStats::drops, std::int64_t{1});
+      break;
+    case Kind::kDuplicate:
+      add_fault(event.rank, &FaultStats::duplicates, std::int64_t{1});
+      break;
+    case Kind::kCorrupt:
+      add_fault(event.rank, &FaultStats::corruptions, std::int64_t{1});
+      break;
+    case Kind::kDupSuppressed:
+      add_fault(event.rank, &FaultStats::dup_suppressed, std::int64_t{1});
+      break;
+    case Kind::kCorruptDetected:
+      add_fault(event.rank, &FaultStats::corruptions_detected,
+                std::int64_t{1});
+      break;
+    case Kind::kRetry:
+      add_fault(event.rank, &FaultStats::retries, std::int64_t{1});
+      break;
+    case Kind::kBackoff:
+      add_fault(event.rank, &FaultStats::backoff_seconds, event.seconds);
+      return;  // no line
   }
-  return breakdown_.per_round_faults[idx];
+  if (sink_.is_open()) write_line(event);
 }
 
-FaultStats& CommTrace::fault_rank_slot(Rank r) {
-  return breakdown_.per_rank_faults[static_cast<std::size_t>(r)];
-}
-
-void CommTrace::on_drop(double time, Rank src, Rank dst,
-                        std::int64_t total_bytes) {
-  fault_rank_slot(src).drops += 1;
-  fault_round_slot(rank_round_[static_cast<std::size_t>(src)]).drops += 1;
-  if (sink_) {
-    std::ostringstream oss;
-    oss << R"({"ev":"drop","t":)" << time << R"(,"src":)" << src
-        << R"(,"dst":)" << dst << R"(,"bytes":)" << total_bytes << '}';
-    emit_json(oss.str());
+void CommTrace::write_line(const CommEvent& event) {
+  using Kind = CommEvent::Kind;
+  Line line;
+  line << R"({"ev":")" << kLineNames[static_cast<std::size_t>(event.kind)]
+       << R"(")";
+  if (event.kind == Kind::kRound) {
+    line << R"(,"rank":)" << event.rank << R"(,"round":)" << event.value;
+  } else {
+    line << R"(,"t":)" << event.time;
   }
-}
-
-void CommTrace::on_duplicate(double time, Rank src, Rank dst,
-                             std::int64_t total_bytes) {
-  fault_rank_slot(src).duplicates += 1;
-  fault_round_slot(rank_round_[static_cast<std::size_t>(src)]).duplicates += 1;
-  if (sink_) {
-    std::ostringstream oss;
-    oss << R"({"ev":"dup","t":)" << time << R"(,"src":)" << src
-        << R"(,"dst":)" << dst << R"(,"bytes":)" << total_bytes << '}';
-    emit_json(oss.str());
+  switch (event.kind) {
+    case Kind::kSend:
+      line << R"(,"src":)" << event.rank << R"(,"dst":)" << event.peer
+           << R"(,"bytes":)" << event.bytes << R"(,"payload":)"
+           << event.payload << R"(,"records":)" << event.records
+           << R"(,"round":)"
+           << rank_round_[static_cast<std::size_t>(event.rank)];
+      break;
+    case Kind::kDrop:
+    case Kind::kDuplicate:
+    case Kind::kCorrupt:
+      line << R"(,"src":)" << event.rank << R"(,"dst":)" << event.peer
+           << R"(,"bytes":)" << event.bytes;
+      break;
+    case Kind::kDupSuppressed:
+    case Kind::kCorruptDetected:
+      line << R"(,"rank":)" << event.rank;
+      break;
+    case Kind::kRetry:
+      line << R"(,"src":)" << event.rank << R"(,"dst":)" << event.peer
+           << R"(,"attempt":)" << event.value;
+      break;
+    case Kind::kCollective:
+      line << R"(,"round":)" << global_round_;
+      break;
+    case Kind::kRound:
+    case Kind::kBackoff:
+      break;
   }
+  line << "}\n";
+  sink_.write(line.buf.data(), line.end - line.buf.data());
+  PMC_REQUIRE(sink_.good(), "cannot write trace sink " << config_.jsonl_path);
 }
 
-void CommTrace::on_corrupt(double time, Rank src, Rank dst,
-                           std::int64_t total_bytes) {
-  fault_rank_slot(src).corruptions += 1;
-  fault_round_slot(rank_round_[static_cast<std::size_t>(src)]).corruptions += 1;
-  if (sink_) {
-    std::ostringstream oss;
-    oss << R"({"ev":"corrupt","t":)" << time << R"(,"src":)" << src
-        << R"(,"dst":)" << dst << R"(,"bytes":)" << total_bytes << '}';
-    emit_json(oss.str());
-  }
-}
-
-void CommTrace::on_corruption_detected(double time, Rank dst) {
-  fault_rank_slot(dst).corruptions_detected += 1;
-  fault_round_slot(rank_round_[static_cast<std::size_t>(dst)])
-      .corruptions_detected += 1;
-  if (sink_) {
-    std::ostringstream oss;
-    oss << R"({"ev":"corrupt_detected","t":)" << time << R"(,"rank":)" << dst
-        << '}';
-    emit_json(oss.str());
-  }
-}
-
-void CommTrace::on_dup_suppressed(double time, Rank dst) {
-  fault_rank_slot(dst).dup_suppressed += 1;
-  fault_round_slot(rank_round_[static_cast<std::size_t>(dst)]).dup_suppressed +=
-      1;
-  if (sink_) {
-    std::ostringstream oss;
-    oss << R"({"ev":"dup_suppressed","t":)" << time << R"(,"rank":)" << dst
-        << '}';
-    emit_json(oss.str());
-  }
-}
-
-void CommTrace::on_retry(double time, Rank src, Rank dst, int attempt) {
-  fault_rank_slot(src).retries += 1;
-  fault_round_slot(rank_round_[static_cast<std::size_t>(src)]).retries += 1;
-  if (sink_) {
-    std::ostringstream oss;
-    oss << R"({"ev":"retry","t":)" << time << R"(,"src":)" << src
-        << R"(,"dst":)" << dst << R"(,"attempt":)" << attempt << '}';
-    emit_json(oss.str());
-  }
-}
-
-void CommTrace::on_backoff(Rank src, double seconds) {
-  fault_rank_slot(src).backoff_seconds += seconds;
-  fault_round_slot(rank_round_[static_cast<std::size_t>(src)])
-      .backoff_seconds += seconds;
-}
-
-void CommTrace::on_collective(double time) {
-  for (auto& stats : breakdown_.per_rank) stats.collectives += 1;
-  round_slot(global_round_).collectives += 1;
-  if (sink_) {
-    std::ostringstream oss;
-    oss << R"({"ev":"collective","t":)" << time << R"(,"round":)"
-        << global_round_ << '}';
-    emit_json(oss.str());
-  }
-}
-
-void CommTrace::emit_json(const std::string& line) {
-  *sink_ << line << '\n';
+void CommTrace::flush() {
+  sink_.flush();
+  PMC_REQUIRE(sink_.good(), "cannot write trace sink " << config_.jsonl_path);
 }
 
 }  // namespace pmc

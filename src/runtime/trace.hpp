@@ -1,12 +1,13 @@
 // Instrumentation layer of the simulated comm fabric.
 //
-// CommTrace turns the fabric's raw event stream (sends, collectives, charged
-// compute) into the per-rank × per-round CommStats breakdowns, message-size
-// histograms and interior/boundary phase timers that RunResult::breakdown
-// surfaces — the per-phase counts related distributed-matching codes (Azad
-// et al., Birn et al.) report and that the aggregate-only CommStats could
-// not produce. An optional JSONL sink appends one trace event per line for
-// offline analysis.
+// Every fabric event reaches CommTrace as one CommEvent record, through
+// CommTrace::record. The trace folds it into the per-rank × per-round
+// CommStats breakdowns, the message-size histogram and the fault counters
+// that RunResult::breakdown surfaces — the per-phase counts related
+// distributed-matching codes (Azad et al., Birn et al.) report and that the
+// aggregate-only CommStats could not produce — and into the run's CommStats
+// totals. An optional JSONL sink appends one line per event for offline
+// analysis (DESIGN.md §5b lists the line kinds).
 //
 // Round and phase are *attribution labels* set by the algorithm (or engine)
 // driving the fabric:
@@ -18,8 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <memory>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -34,32 +34,49 @@ enum class WorkPhase : std::uint8_t { kInterior, kBoundary, kOther };
 
 /// Instrumentation options threaded through engine/algorithm options.
 struct TraceConfig {
-  /// When non-empty, every send / collective / round event is appended to
-  /// this file as one JSON object per line.
+  /// When non-empty, every send, collective and round event, and every
+  /// fault and recovery event but backoff, is appended to this file as one
+  /// JSON object per line.
   std::string jsonl_path;
+};
+
+/// One fabric event. `rank` is the rank it counts against (DESIGN.md §5b
+/// lists each kind's); a kind reads only the fields its JSONL line prints,
+/// and a backoff, which prints none, reads `rank` and `seconds`.
+struct CommEvent {
+  enum class Kind : std::uint8_t {
+    kRound, kSend, kDrop, kDuplicate, kCorrupt, kDupSuppressed,
+    kCorruptDetected, kRetry, kBackoff, kCollective
+  };
+  Kind kind = Kind::kRound;
+  Rank rank = kNoRank;       ///< A round event's kNoRank labels every rank.
+  Rank peer = kNoRank;       ///< A message's other end.
+  int value = 0;             ///< A round label, or a retry's attempt.
+  double time = 0.0;         ///< Modelled seconds.
+  double seconds = 0.0;      ///< The time a backoff waited.
+  std::int64_t bytes = 0;    ///< Payload plus envelope.
+  std::int64_t payload = 0;  ///< The encoded payload alone.
+  std::int64_t records = 0;
 };
 
 /// Accumulates a run's instrumentation; owned by the CommFabric.
 class CommTrace {
  public:
+  /// Opens the JSONL sink when config names one; a path that cannot be
+  /// opened throws pmc::Error.
   explicit CommTrace(TraceConfig config = {});
-  ~CommTrace();
-
-  CommTrace(CommTrace&&) noexcept;
-  CommTrace& operator=(CommTrace&&) noexcept;
 
   /// Registers one more rank (per-rank vectors grow).
   void add_rank();
 
-  /// Sets the round label future sends from rank r are attributed to.
-  void set_round(Rank r, int round);
+  /// Folds one event into the breakdown and the totals, and writes its JSONL
+  /// line when a sink is open.
+  void record(const CommEvent& event);
 
-  /// Sets every rank's round label (BSP-style global rounds).
-  void set_round_all(int round);
-
-  [[nodiscard]] int round(Rank r) const noexcept {
-    return rank_round_[static_cast<std::size_t>(r)];
-  }
+  /// Flushes the sink. This and record() throw pmc::Error naming the path
+  /// once any of the trace could not be written; as the sink buffers its
+  /// lines, a short trace shows an error only here.
+  void flush();
 
   [[nodiscard]] WorkPhase phase(Rank r) const noexcept {
     return rank_phase_[static_cast<std::size_t>(r)];
@@ -72,43 +89,28 @@ class CommTrace {
                            double boundary_seconds, double other_seconds,
                            WorkPhase phase) noexcept;
 
-  /// One point-to-point message; `total_bytes` includes the envelope,
-  /// `payload_bytes` is the encoded payload alone.
-  void on_send(double time, Rank src, Rank dst, std::int64_t total_bytes,
-               std::int64_t payload_bytes, std::int64_t records);
-
-  /// One barrier / allreduce completing at `time`.
-  void on_collective(double time);
-
-  /// Fault-layer events; attribution follows FaultStats' documented charging
-  /// (drop/duplicate to the sender, suppression to the receiver, retry and
-  /// backoff to the retransmitting rank) at that rank's current round label.
-  void on_drop(double time, Rank src, Rank dst, std::int64_t total_bytes);
-  void on_duplicate(double time, Rank src, Rank dst, std::int64_t total_bytes);
-  void on_corrupt(double time, Rank src, Rank dst, std::int64_t total_bytes);
-  void on_dup_suppressed(double time, Rank dst);
-  void on_corruption_detected(double time, Rank dst);
-  void on_retry(double time, Rank src, Rank dst, int attempt);
-  void on_backoff(Rank src, double seconds);
-
   [[nodiscard]] const CommBreakdown& breakdown() const noexcept {
     return breakdown_;
   }
+  /// The run's message and collective totals.
+  [[nodiscard]] const CommStats& comm() const noexcept { return comm_; }
 
  private:
   CommStats& round_slot(int round);
-  FaultStats& fault_round_slot(int round);
-  FaultStats& fault_rank_slot(Rank r);
-  void emit_json(const std::string& line);
+  /// Adds `amount` to one fault counter of rank r and of r's round label.
+  template <typename T>
+  void add_fault(Rank r, T FaultStats::*field, T amount);
+  void write_line(const CommEvent& event);
 
   TraceConfig config_;
   CommBreakdown breakdown_;
+  CommStats comm_;
   std::vector<int> rank_round_;
   std::vector<WorkPhase> rank_phase_;
   /// Highest round label seen; collectives are attributed to it (they are
   /// global events, meaningful only for the BSP engine's global rounds).
   int global_round_ = 0;
-  std::unique_ptr<std::ofstream> sink_;
+  std::ofstream sink_;
 };
 
 }  // namespace pmc

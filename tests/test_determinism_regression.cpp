@@ -30,17 +30,21 @@
 // small-superstep boundary-first schedule where polls do deliver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pmc.hpp"
 #include "partition/simple.hpp"
+#include "runtime/serialize.hpp"
 
 namespace pmc {
 namespace {
@@ -902,6 +906,66 @@ TEST(ThreadInvariance, AsyncColoringTraceIsByteIdentical) {
       }
     }
     ++scenario;
+  }
+}
+
+/// A trace file's line count and the FNV-1a of its bytes.
+std::pair<std::int64_t, std::uint32_t> trace_pin(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  const std::string text = contents.str();
+  return {std::count(text.begin(), text.end(), '\n'),
+          fnv1a32(std::as_bytes(std::span(text)))};
+}
+
+// The JSONL trace's bytes, pinned: a line kind, field order or number
+// format that moves changes them. The eager matching writes every line
+// kind but `collective`; the async coloring adds collectives and the BSP
+// engine's own suppression and rejection notes. Captured while each line
+// was built in its own std::ostringstream.
+TEST(DeterminismRegression, TraceFilesArePinned) {
+  const Graph grid = grid_2d(64, 64, WeightKind::kUniformRandom, 66);
+  const DistGraph grid_dist =
+      DistGraph::build(grid, grid_2d_partition(64, 64, 4, 4));
+  DistMatchingOptions eager;
+  eager.bundled = false;
+  eager.jitter_seconds = 2e-6;
+  eager.jitter_seed = 29;
+  eager.faults.drop_rate = 0.05;
+  eager.faults.duplicate_rate = 0.02;
+  eager.faults.corrupt_rate = 0.01;
+  eager.faults.delay_rate = 0.1;
+  eager.faults.max_extra_delay_seconds = 5e-6;
+  eager.faults.stalls.push_back(StallWindow{3, 1e-5, 2e-5});
+  eager.faults.seed = 29;
+
+  const Graph circuit = circuit_like(2000, 4000, 6, WeightKind::kUnit, 62);
+  const DistGraph circuit_dist = DistGraph::build(
+      circuit,
+      multilevel_partition(circuit, 8, MultilevelConfig::metis_like(3)));
+  auto async = DistColoringOptions::improved();
+  async.superstep_size = 16;
+  async.local_order = LocalOrder::kBoundaryFirst;
+  async.faults.drop_rate = 0.05;
+  async.faults.duplicate_rate = 0.02;
+  async.faults.corrupt_rate = 0.02;
+  async.faults.seed = 14;
+
+  for (const int threads : {1, 3}) {
+    const std::string where = "threads=" + std::to_string(threads);
+    eager.exec.threads = threads;
+    eager.trace.jsonl_path = testing::TempDir() + "pmc_pinned_eager.jsonl";
+    (void)match_distributed(grid_dist, eager);
+    EXPECT_EQ(trace_pin(eager.trace.jsonl_path),
+              std::pair(std::int64_t{5627}, std::uint32_t{0x94e5544d}))
+        << where;
+    async.exec.threads = threads;
+    async.trace.jsonl_path = testing::TempDir() + "pmc_pinned_async.jsonl";
+    (void)color_distributed(circuit_dist, async);
+    EXPECT_EQ(trace_pin(async.trace.jsonl_path),
+              std::pair(std::int64_t{150}, std::uint32_t{0x1a7dd462}))
+        << where;
   }
 }
 

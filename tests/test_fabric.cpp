@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -234,9 +235,9 @@ TEST(CommFabric, BreakdownAttributesSendsToRankAndRound) {
   CommFabric fabric(MachineModel::blue_gene_p());
   fabric.add_rank();
   fabric.add_rank();
-  fabric.set_round(0, 0);
+  fabric.note({.kind = CommEvent::Kind::kRound, .rank = 0, .value = 0});
   (void)send_via_lane(fabric, 0, 1, 8, 2);
-  fabric.set_round(0, 3);
+  fabric.note({.kind = CommEvent::Kind::kRound, .rank = 0, .value = 3});
   (void)send_via_lane(fabric, 0, 1, 8, 1);
   const CommBreakdown& b = fabric.breakdown();
   ASSERT_EQ(b.per_rank.size(), 2u);
@@ -421,9 +422,11 @@ TEST(FaultInjection, RecoveryHooksChargeTheBreakdown) {
   CommFabric fabric(MachineModel::blue_gene_p(), fault_config(0.5, 0.0));
   fabric.add_rank();
   fabric.add_rank();
-  fabric.note_retry_at(fabric.now(0), 0, 1, 2);
-  fabric.note_backoff(0, 1e-4);
-  fabric.note_dup_suppressed(1);
+  fabric.note({.kind = CommEvent::Kind::kRetry, .rank = 0, .peer = 1,
+               .value = 2});
+  fabric.note({.kind = CommEvent::Kind::kBackoff, .rank = 0,
+               .seconds = 1e-4});
+  fabric.note({.kind = CommEvent::Kind::kDupSuppressed, .rank = 1});
   const CommBreakdown& b = fabric.breakdown();
   EXPECT_EQ(b.per_rank_faults[0].retries, 1);
   EXPECT_DOUBLE_EQ(b.per_rank_faults[0].backoff_seconds, 1e-4);
@@ -689,6 +692,13 @@ TEST(Outbox, StagingToAnUnlistedRankThrows) {
 
 // ---- JSONL sink -------------------------------------------------------------
 
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
 TEST(CommTrace, JsonlSinkRecordsSendsAndCollectives) {
   FabricConfig config;
   config.trace.jsonl_path = testing::TempDir() + "pmc_fabric_trace.jsonl";
@@ -696,19 +706,83 @@ TEST(CommTrace, JsonlSinkRecordsSendsAndCollectives) {
     CommFabric fabric(MachineModel::blue_gene_p(), config);
     fabric.add_rank();
     fabric.add_rank();
-    fabric.set_round(0, 1);
+    fabric.note({.kind = CommEvent::Kind::kRound, .rank = 0, .value = 1});
     (void)send_via_lane(fabric, 0, 1, 16, 2);
     fabric.complete_collective(fabric.max_time());
   }  // closes the sink
-  std::ifstream in(config.trace.jsonl_path);
-  ASSERT_TRUE(in.good());
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const std::vector<std::string> lines = read_lines(config.trace.jsonl_path);
   ASSERT_EQ(lines.size(), 3u);  // round, send, collective
   EXPECT_NE(lines[0].find(R"("ev":"round")"), std::string::npos);
   EXPECT_NE(lines[1].find(R"("ev":"send")"), std::string::npos);
   EXPECT_NE(lines[1].find(R"("records":2)"), std::string::npos);
   EXPECT_NE(lines[2].find(R"("ev":"collective")"), std::string::npos);
+}
+
+// One line of each of the nine kinds, to the byte: field order, and times
+// printed as `std::ostream << double` prints them by default (%.6g). A
+// backoff counts but writes no line.
+TEST(CommTrace, EveryLineKindHasItsExactText) {
+  using Kind = CommEvent::Kind;
+  const TraceConfig config{testing::TempDir() + "pmc_trace_lines.jsonl"};
+  {
+    CommTrace trace(config);
+    for (int r = 0; r < 3; ++r) trace.add_rank();
+    trace.record({.kind = Kind::kRound, .rank = 1, .value = 3});
+    trace.record({.kind = Kind::kSend, .rank = 1, .peer = 2, .time = 1.5e-5,
+                  .bytes = 40, .payload = 24, .records = 3});
+    trace.record({.kind = Kind::kDrop, .rank = 1, .peer = 0,
+                  .time = 0.000123456789, .bytes = 28});
+    trace.record({.kind = Kind::kDuplicate, .rank = 2, .peer = 1,
+                  .time = 2.5, .bytes = 16});
+    trace.record({.kind = Kind::kCorrupt, .rank = 0, .peer = 2,
+                  .time = 1234567.0, .bytes = 1000});
+    trace.record({.kind = Kind::kDupSuppressed, .rank = 2, .time = 0.0});
+    trace.record({.kind = Kind::kCorruptDetected, .rank = 0, .time = 1e-300});
+    trace.record({.kind = Kind::kBackoff, .rank = 1, .seconds = 2.5e-5});
+    trace.record({.kind = Kind::kRetry, .rank = 1, .peer = 2, .value = 2,
+                  .time = 7.25e-5});
+    trace.record({.kind = Kind::kRound, .rank = kNoRank, .value = 5});
+    trace.record({.kind = Kind::kCollective, .time = 0.1});
+    trace.flush();
+    EXPECT_EQ(trace.breakdown().per_rank_faults[1].backoff_seconds, 2.5e-5);
+    EXPECT_EQ(trace.breakdown().per_round_faults[3].backoff_seconds, 2.5e-5);
+  }
+  const std::vector<std::string> expected = {
+      R"({"ev":"round","rank":1,"round":3})",
+      R"({"ev":"send","t":1.5e-05,"src":1,"dst":2,"bytes":40,"payload":24,)"
+      R"("records":3,"round":3})",
+      R"({"ev":"drop","t":0.000123457,"src":1,"dst":0,"bytes":28})",
+      R"({"ev":"dup","t":2.5,"src":2,"dst":1,"bytes":16})",
+      R"({"ev":"corrupt","t":1.23457e+06,"src":0,"dst":2,"bytes":1000})",
+      R"({"ev":"dup_suppressed","t":0,"rank":2})",
+      R"({"ev":"corrupt_detected","t":1e-300,"rank":0})",
+      R"({"ev":"retry","t":7.25e-05,"src":1,"dst":2,"attempt":2})",
+      R"({"ev":"round","rank":-1,"round":5})",
+      R"({"ev":"collective","t":0.1,"round":5})",
+  };
+  EXPECT_EQ(read_lines(config.jsonl_path), expected);
+}
+
+// A trace that cannot be written fails the run, also one small enough to
+// wait in the stream's buffer until the fabric exports its results.
+TEST(CommTrace, UnwritableSinkIsAnError) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "this system has no /dev/full";
+  }
+  for (const auto& [side, ranks_per_side] : {std::pair{64, 4}, {8, 2}}) {
+    const Graph g = grid_2d(side, side, WeightKind::kUniformRandom, 5);
+    const DistGraph dist = DistGraph::build(
+        g, grid_2d_partition(side, side, ranks_per_side, ranks_per_side));
+    DistMatchingOptions options;
+    options.trace.jsonl_path = "/dev/full";
+    try {
+      (void)match_distributed(dist, options);
+      ADD_FAILURE() << side << "^2 grid: the run returned normally";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---- cross-engine determinism and breakdown consistency --------------------
