@@ -131,11 +131,12 @@ tier1() {
   # Service mode's per-batch micro-benchmarks (fold, distribution build and
   # refresh, both repairs, one whole batch through GraphService::push), the
   # distribution's id lookup, the grid generator, the multilevel
-  # partitioner, the event engine under eager-faults' fault mix, and the
-  # matching and coloring on 64 and 4,096 ranks run once briefly: one that
-  # throws or crashes fails this stage. No timing is gated.
+  # partitioner, the event engine under eager-faults' fault mix, the
+  # matching and coloring on 64 and 4,096 ranks, and both distributed
+  # verifiers run once briefly: one that throws or crashes fails this
+  # stage. No timing is gated.
   ./build/bench/bench_micro_kernels \
-    --benchmark_filter='DynamicGraphFold|DistGraph|Incremental|ServiceBatch|LocalIdLookup|Grid2d|Multilevel|EventEngine|DistributedMatchingSim|DistributedColoringSim' \
+    --benchmark_filter='DynamicGraphFold|DistGraph|Incremental|ServiceBatch|LocalIdLookup|Grid2d|Multilevel|EventEngine|DistributedMatchingSim|DistributedColoringSim|VerifyMatchingDistributed|VerifyColoringDistributed' \
     --benchmark_min_time=0.01
   # Committed BENCH_*.json baselines must stay well-formed and keep each
   # workload's modelled time bit-identical across the thread sweep.

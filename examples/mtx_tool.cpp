@@ -56,6 +56,7 @@ int main(int argc, const char** argv) {
     n_updates = opts.get_int("updates");
     update_batch = opts.get_int("update-batch");
     update_seed = opts.get_int<std::uint64_t>("update-seed");
+    PMC_REQUIRE(ranks >= 1, "option --ranks must be at least 1");
     PMC_REQUIRE(n_updates >= 0, "option --updates must not be negative");
     PMC_REQUIRE(update_batch >= 0,
                 "option --update-batch must not be negative");

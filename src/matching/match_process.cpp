@@ -1,7 +1,6 @@
 #include "matching/match_process.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -12,12 +11,7 @@ MatchProcess::MatchProcess(const LocalGraph& lg,
                            const DistMatchingOptions& options)
     : lg_(lg),
       bundled_(options.bundled),
-      out_(lg.neighbor_ranks(), options.codec) {
-  PMC_REQUIRE(lg.num_local() <= std::numeric_limits<LocalVertex>::max(),
-              "rank " << lg.rank() << " holds " << lg.num_local()
-                      << " vertices, more than the matcher's 32-bit local "
-                         "ids address");
-}
+      out_(lg.neighbor_ranks(), options.codec) {}
 
 void MatchProcess::start(EventContext& ctx) {
   ctx.set_phase(WorkPhase::kInterior);

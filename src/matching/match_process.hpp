@@ -88,11 +88,11 @@ class MatchProcess : public Process {
     kFailed = 2
   };
 
-  /// A local id (owned or ghost) as the per-vertex arrays hold it. The
-  /// constructor checks that every local id fits; kNoVertex stays -1.
-  using LocalVertex = std::int32_t;
-  [[nodiscard]] static constexpr LocalVertex narrow(VertexId local) noexcept {
-    return static_cast<LocalVertex>(local);
+  /// A local id (owned or ghost) as the per-vertex arrays hold it, in the
+  /// distribution's width; the distribution checks that every local id fits.
+  [[nodiscard]] static constexpr LocalGraph::LocalId narrow(
+      VertexId local) noexcept {
+    return static_cast<LocalGraph::LocalId>(local);
   }
 
   /// One activation: decodes the payload's records of kinds R..., and for
@@ -185,16 +185,16 @@ class MatchProcess : public Process {
   bool bundled_;
   Outbox out_;
   std::vector<VState> state_;
-  std::vector<LocalVertex> mate_;
+  std::vector<LocalGraph::LocalId> mate_;
   /// An undecided vertex's candidate; kNoVertex until its first recompute.
-  std::vector<LocalVertex> cand_;
+  std::vector<LocalGraph::LocalId> cand_;
   /// How many arcs of the row come before the current candidate in the
   /// paper's order; all of them are dead.
   std::vector<std::uint32_t> ptr_;
   std::vector<bool> ghost_dead_;
   std::vector<bool> arc_requested_;
   /// Owned vertices whose candidate may have died, in FIFO order.
-  std::vector<LocalVertex> pending_;
+  std::vector<LocalGraph::LocalId> pending_;
   std::vector<Rank> scratch_ranks_;
   VertexId undecided_ = 0;
   int activations_ = 0;

@@ -35,10 +35,13 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
 
   offsets_.assign(owned + 1, 0);
   rank_offsets_.assign(owned + 1, 0);
+  EdgeId arcs = 0;
   for (std::size_t lv = 0; lv < owned; ++lv) {
-    offsets_[lv + 1] = offsets_[lv] + g.degree(global_ids_[lv]);
+    arcs += g.degree(global_ids_[lv]);
+    offsets_[lv + 1] = static_cast<std::uint32_t>(arcs);
   }
-  adj_.resize(static_cast<std::size_t>(offsets_.back()));
+  require_fits(owned, arcs);
+  adj_.resize(static_cast<std::size_t>(arcs));
   weights_.resize(g.has_weights() ? adj_.size() : 0);
 
   // Appends owned vertex lv's boundary ranks, sorted and unique, to the CSR.
@@ -66,17 +69,18 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const VertexId u = nbrs[i];
       const Rank ru = p.owner(u);
-      adj_[cursor] = resolve(u, ru);
+      adj_[cursor] = static_cast<LocalId>(resolve(u, ru));
       if (ru != rank_) {
         ranks.push_back(ru);
         ghost_arcs.push_back(
-            {static_cast<VertexId>(lv), static_cast<EdgeId>(cursor)});
+            {static_cast<LocalId>(lv), static_cast<std::uint32_t>(cursor)});
       }
       if (g.has_weights()) weights_[cursor] = ws[i];
       ++cursor;
     }
     close_ranks(lv);
   }
+  require_fits(global_ids_.size(), arcs);
   sort_ghosts(num_owned_, ghost_arcs, p);
 
   if (halo_ == 2) {
@@ -97,14 +101,15 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
         const VertexId w = resolve(nbrs[i], p.owner(nbrs[i]));
         if (static_cast<std::size_t>(w) >= rows) {
-          far_arcs.push_back({static_cast<VertexId>(lu),
-                              static_cast<EdgeId>(adj_.size())});
+          far_arcs.push_back({static_cast<LocalId>(lu),
+                              static_cast<std::uint32_t>(adj_.size())});
         }
-        adj_.push_back(w);
+        adj_.push_back(static_cast<LocalId>(w));
         if (g.has_weights()) weights_.push_back(ws[i]);
       }
-      offsets_.push_back(static_cast<EdgeId>(adj_.size()));
+      offsets_.push_back(static_cast<std::uint32_t>(adj_.size()));
     }
+    require_fits(global_ids_.size(), static_cast<EdgeId>(adj_.size()));
     sort_ghosts(static_cast<VertexId>(rows), far_arcs, p);
     boundary_ranks_.clear();
     for (std::size_t lv = 0; lv < owned; ++lv) {
@@ -155,6 +160,8 @@ void LocalGraph::patch(const Graph& g, const Partition& p,
     shift_before[i + 1] = shift_before[i] + arc_rows[i].length -
                           degree(arc_rows[i].row);
   }
+  require_fits(global_ids_.size(),
+               static_cast<EdgeId>(adj_.size()) + shift_before.back());
   std::vector<IncidentArc> ghost_arcs;
   ghost_arcs.reserve(incidence_.size() + ranks.size());
   for (const IncidentArc& in : incidence_) {
@@ -162,7 +169,8 @@ void LocalGraph::patch(const Graph& g, const Partition& p,
         std::ranges::lower_bound(arc_rows, in.owned, {}, &RowLength::row) -
         arc_rows.begin());
     if (k < arc_rows.size() && arc_rows[k].row == in.owned) continue;
-    ghost_arcs.push_back({in.owned, in.arc + shift_before[k]});
+    ghost_arcs.push_back(
+        {in.owned, static_cast<std::uint32_t>(in.arc + shift_before[k])});
   }
 
   // Splice the touched rows into the owned CSR and the boundary-rank CSR,
@@ -180,7 +188,7 @@ void LocalGraph::patch(const Graph& g, const Partition& p,
     const EdgeId begin = offset_begin(lv);
     EdgeId a = begin;
     for (const VertexId u : g.neighbors(touched[i])) {
-      VertexId& target = adj_[static_cast<std::size_t>(a)];
+      VertexId target = kNoVertex;
       if (p.owner(u) == rank_) {
         target = find_in_run(0, num_owned_, u);
         PMC_CHECK(target != kNoVertex, "rank " << rank_ << " owns vertex " << u
@@ -191,8 +199,10 @@ void LocalGraph::patch(const Graph& g, const Partition& p,
           target = num_local();
           global_ids_.push_back(u);
         }
-        ghost_arcs.push_back({lv, a});
+        ghost_arcs.push_back(
+            {static_cast<LocalId>(lv), static_cast<std::uint32_t>(a)});
       }
+      adj_[static_cast<std::size_t>(a)] = static_cast<LocalId>(target);
       ++a;
     }
     if (g.has_weights()) {
@@ -207,6 +217,7 @@ void LocalGraph::patch(const Graph& g, const Partition& p,
                       rank_offsets_[static_cast<std::size_t>(lv)]));
     next_rank += row_ranks;
   }
+  require_fits(global_ids_.size(), static_cast<EdgeId>(adj_.size()));
   std::ranges::sort(ghost_arcs, {}, &IncidentArc::arc);
   sort_ghosts(num_owned_, ghost_arcs, p);
   derive(ghost_arcs);
@@ -241,9 +252,17 @@ void LocalGraph::sort_ghosts(VertexId first, std::span<const IncidentArc> arcs,
     renumber[c] = static_cast<VertexId>(global_ids_.size()) - 1;
   }
   for (const IncidentArc& in : arcs) {
-    VertexId& target = adj_[static_cast<std::size_t>(in.arc)];
-    target = renumber[static_cast<std::size_t>(target - first)];
+    LocalId& target = adj_[static_cast<std::size_t>(in.arc)];
+    target = static_cast<LocalId>(
+        renumber[static_cast<std::size_t>(target - first)]);
   }
+}
+
+void LocalGraph::require_fits(std::size_t locals, EdgeId arcs) const {
+  PMC_REQUIRE(std::in_range<LocalId>(locals) &&
+                  std::in_range<std::uint32_t>(arcs),
+              "rank " << rank_ << " holds " << locals << " local ids and "
+                      << arcs << " arcs, more than its 32-bit layout indexes");
 }
 
 void LocalGraph::derive(std::span<const IncidentArc> ghost_arcs) {
@@ -251,8 +270,6 @@ void LocalGraph::derive(std::span<const IncidentArc> ghost_arcs) {
   // each list keeps their order. The offsets count into slot g + 1, turn
   // into starts, serve as cursors (ending at the next list's start) and
   // shift back by one.
-  PMC_CHECK(ghost_arcs.size() <= UINT32_MAX,
-            "rank " << rank_ << " has too many cross edges to index");
   const auto ghost_of = [&](const IncidentArc& in) {
     return static_cast<std::size_t>(adj_[static_cast<std::size_t>(in.arc)] -
                                     num_owned_);
@@ -377,9 +394,8 @@ void DistGraph::validate(const Graph& g, const Partition& p) const {
           const auto want = lg.ghost_incidence(lu);
           std::size_t& k =
               incident[static_cast<std::size_t>(lu - lg.num_owned())];
-          PMC_CHECK(
-              (k < want.size() && want[k] == LocalGraph::IncidentArc{lv, a}),
-              "ghost incidence mismatch at rank " << r << " arc " << a);
+          PMC_CHECK(k < want.size() && want[k].owned == lv && want[k].arc == a,
+                    "ghost incidence mismatch at rank " << r << " arc " << a);
           ++k;
         }
         if (lg.halo() == 1) continue;

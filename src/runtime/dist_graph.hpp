@@ -32,6 +32,13 @@
 // that know which kind an id must be (a record names a ghost or an owned
 // vertex of its receiver).
 //
+// A rank indexes only its own vertices and arcs, so it stores those
+// indices in 32 bits: row targets are LocalIds (int32_t), the row,
+// boundary-rank and incidence offsets are uint32_t, and an IncidentArc is 8
+// bytes. Global ids and weights stay 64-bit. The fill and the patch throw
+// pmc::Error naming the rank when its local ids or arcs do not fit
+// (require_fits), before any narrowed value is read.
+//
 // A rank's view is a function of its owned rows alone (and, at halo 2, its
 // distance-1 ghosts' rows), so construction is two passes: DistGraph::build
 // numbers every rank's owned vertices, then fills each LocalGraph. The fill
@@ -56,6 +63,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -68,6 +76,10 @@ namespace pmc {
 /// One rank's share of a distributed graph.
 class LocalGraph {
  public:
+  /// A local id as the rank stores it (see the file comment on the 32-bit
+  /// layout); kNoVertex is -1 in either width.
+  using LocalId = std::int32_t;
+
   [[nodiscard]] Rank rank() const noexcept { return rank_; }
   /// How many hops this view reaches: 1 or 2 (see the file comment).
   [[nodiscard]] int halo() const noexcept { return halo_; }
@@ -138,7 +150,7 @@ class LocalGraph {
   }
 
   /// Neighbors (as local ids) of a vertex with a row (local < num_rows()).
-  [[nodiscard]] std::span<const VertexId> neighbors(VertexId local) const {
+  [[nodiscard]] std::span<const LocalId> neighbors(VertexId local) const {
     const auto b = static_cast<std::size_t>(offsets_[static_cast<std::size_t>(local)]);
     const auto e = static_cast<std::size_t>(offsets_[static_cast<std::size_t>(local) + 1]);
     return {adj_.data() + b, e - b};
@@ -179,8 +191,8 @@ class LocalGraph {
 
   /// An owned row's arc into a ghost: arc `arc` of owned vertex `owned`.
   struct IncidentArc {
-    VertexId owned = kNoVertex;
-    EdgeId arc = 0;
+    LocalId owned = -1;
+    std::uint32_t arc = 0;
     friend bool operator==(const IncidentArc&, const IncidentArc&) = default;
   };
 
@@ -234,6 +246,10 @@ class LocalGraph {
   void sort_ghosts(VertexId first, std::span<const IncidentArc> arcs,
                    const Partition& p);
 
+  /// Throws pmc::Error naming this rank unless `locals` local ids and
+  /// `arcs` arcs fit the 32-bit layout.
+  void require_fits(std::size_t locals, EdgeId arcs) const;
+
   /// Derives the ghost side from the rows and the ghost list: the ghost
   /// incidence from `ghost_arcs` (every owned arc into a ghost, in arc
   /// order) and the neighbor ranks.
@@ -243,8 +259,8 @@ class LocalGraph {
   int halo_ = 1;
   VertexId num_owned_ = 0;
   std::vector<VertexId> global_ids_;  // each run ascending
-  std::vector<EdgeId> offsets_;   // over the rows: [0, num_rows())
-  std::vector<VertexId> adj_;     // local ids (owned or ghost)
+  std::vector<std::uint32_t> offsets_;  // over the rows: [0, num_rows())
+  std::vector<LocalId> adj_;            // local ids (owned or ghost)
   std::vector<Weight> weights_;
   std::vector<Rank> ghost_owner_;
   std::vector<std::uint32_t> rank_offsets_;  // CSR over owned vertices

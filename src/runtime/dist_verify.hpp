@@ -73,10 +73,10 @@ template <typename R, typename RecordOf, typename Check>
     std::vector<char> heard(ghost.size(), 0);
     for (const BspMessage& msg : msgs) {
       for_each_record<R>(msg.payload, [&](const R& rec) {
-        const VertexId local = lg.local_id(rec.id);
-        PMC_CHECK(local != kNoVertex && lg.is_ghost(local),
-                  "boundary record for " << rec.id
-                                         << ", not a ghost of rank " << r);
+        const VertexId local = lg.ghost_id(rec.id);
+        PMC_CHECK(local != kNoVertex, "boundary record for "
+                                          << rec.id << ", not a ghost of rank "
+                                          << r);
         const std::size_t slot = static_cast<std::size_t>(local) - num_owned;
         ghost[slot] = rec;
         heard[slot] = 1;

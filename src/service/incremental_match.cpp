@@ -70,7 +70,7 @@ void IncrementalMatchProcess::reach() {
 }
 
 VertexId IncrementalMatchProcess::frozen_mate(VertexId v) {
-  LocalVertex& m = mate_[static_cast<std::size_t>(v)];
+  LocalGraph::LocalId& m = mate_[static_cast<std::size_t>(v)];
   if (m == kUnresolved) {
     // A matched cross neighbor may no longer be present on this rank (its
     // last cross edge was deleted): then m is kNoVertex, and v is a seed.

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -115,7 +119,8 @@ TEST(DistGraph, GhostIncidenceListsOwnedArcsInOrder) {
     const VertexId center = leaves.local_id(0);
     std::vector<LocalGraph::IncidentArc> want;
     for (VertexId lv = 0; lv < leaves.num_owned(); ++lv) {
-      want.push_back({lv, leaves.offset_begin(lv)});
+      want.push_back({static_cast<LocalGraph::LocalId>(lv),
+                      static_cast<std::uint32_t>(leaves.offset_begin(lv))});
     }
     EXPECT_TRUE(std::ranges::equal(leaves.ghost_incidence(center), want));
 
@@ -123,7 +128,8 @@ TEST(DistGraph, GhostIncidenceListsOwnedArcsInOrder) {
     for (EdgeId a = hub.offset_begin(0); a < hub.offset_end(0); ++a) {
       const auto got = hub.ghost_incidence(hub.arc_target(a));
       ASSERT_EQ(got.size(), 1u);
-      EXPECT_EQ(got[0], (LocalGraph::IncidentArc{0, a}));
+      EXPECT_EQ(got[0],
+                (LocalGraph::IncidentArc{0, static_cast<std::uint32_t>(a)}));
     }
   }
   // On path 0-1-2-3 over three ranks, rank 0's halo-2 view holds vertex 2
@@ -135,6 +141,15 @@ TEST(DistGraph, GhostIncidenceListsOwnedArcsInOrder) {
   const LocalGraph& first = far.local(0);
   ASSERT_NE(first.local_id(2), kNoVertex);
   EXPECT_TRUE(first.ghost_incidence(first.local_id(2)).empty());
+}
+
+// A rank stores its local ids, row offsets and ghost incidence in 32 bits:
+// rows list 32-bit local ids, and an incident arc takes 8 bytes.
+TEST(DistGraph, LocalLayoutIs32Bits) {
+  using Row = decltype(std::declval<const LocalGraph&>().neighbors(0));
+  EXPECT_TRUE((std::is_same_v<Row, std::span<const std::int32_t>>));
+  EXPECT_TRUE((std::is_same_v<LocalGraph::LocalId, std::int32_t>));
+  EXPECT_EQ(sizeof(LocalGraph::IncidentArc), 8U);
 }
 
 TEST(DistGraph, MismatchedPartitionThrows) {

@@ -308,6 +308,36 @@ TEST(DistVerify, NegativeTwoAtABoundaryVertexIsAViolation) {
   }
 }
 
+// At halo 2 a rank's boundary records also name the ghosts two hops out,
+// which sit in its second ghost run; both verifiers read as at halo 1.
+TEST(DistVerify, Halo2ReadsAsHalo1) {
+  const Graph g = grid_2d(14, 14);
+  const Partition p = grid_2d_partition(14, 14, 2, 2);
+  const Matching m = locally_dominant_matching(g);
+  const Coloring c = greedy_coloring(g);
+  // Vertex (6, 0) takes the color of (7, 0), below it on another rank, and
+  // so clashes with all three of its neighbours.
+  const VertexId v = 6 * 14;
+  const VertexId below = 7 * 14;
+  ASSERT_NE(p.owner(v), p.owner(below));
+  Coloring clash = c;
+  clash.color[static_cast<std::size_t>(v)] =
+      c.color[static_cast<std::size_t>(below)];
+  ASSERT_EQ(count_conflicts(g, clash), 3);
+  for (const int halo : {1, 2}) {
+    const DistGraph dist = DistGraph::build(g, p, halo);
+    if (halo == 2) {
+      ASSERT_LT(dist.local(0).num_rows(), dist.local(0).num_local());
+    }
+    EXPECT_EQ(verify_matching_distributed(dist, m).violations, 0)
+        << "halo " << halo;
+    EXPECT_EQ(verify_coloring_distributed(dist, c).violations, 0)
+        << "halo " << halo;
+    EXPECT_EQ(verify_coloring_distributed(dist, clash).violations, 3)
+        << "halo " << halo;
+  }
+}
+
 TEST(DistVerify, CostScalesWithBoundarySize) {
   // Verification traffic should reflect the cut, not the graph size.
   const Graph g = grid_2d(32, 32);
