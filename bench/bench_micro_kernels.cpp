@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/pmc.hpp"
@@ -141,8 +142,8 @@ void BM_DistGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_DistGraphBuild)->Unit(benchmark::kMillisecond);
 
-// Service mode's fold alone: one 16-update batch applied untimed, then one
-// snapshot() that splices the touched rows into the CSR.
+// One snapshot() alone: one 16-update batch applied untimed, then its
+// commit and a fold that splices the changed rows into the CSR.
 void BM_DynamicGraphFold(benchmark::State& state) {
   const Graph& g = shared_grid();
   DynamicGraph dyn(g);
@@ -159,11 +160,33 @@ void BM_DynamicGraphFold(benchmark::State& state) {
 }
 BENCHMARK(BM_DynamicGraphFold)->Unit(benchmark::kMillisecond);
 
+// Service mode's end of a batch in the dynamic graph: one 16-update batch
+// applied untimed, then the commit that returns its changed rows. Every run
+// times the same 100 batches, as many as service-stream pushes, whose rows
+// hold far fewer arcs than the CSR, so no commit folds.
+void BM_DynamicGraphCommit(benchmark::State& state) {
+  const Graph& g = shared_grid();
+  DynamicGraph dyn(g);
+  UpdateStreamConfig cfg;
+  cfg.seed = 73;
+  UpdateStreamGenerator gen(g, cfg);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (const EdgeUpdate& u : gen.next_batch(16)) dyn.apply(u);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(dyn.commit());
+  }
+}
+BENCHMARK(BM_DynamicGraphCommit)
+    ->Iterations(100)
+    ->Unit(benchmark::kMillisecond);
+
 // Service mode's per-batch distribution upkeep alone: one 16-update batch
-// applied and folded into the CSR untimed, then one refresh of the ranks
-// owning a touched vertex. Every run times the same 100 batches, as many as
-// service-stream pushes: the stream keeps adding cross edges, so a run that
-// chose its own iteration count would give a faster refresh more ghosts.
+// applied and committed untimed, then one refresh of the ranks owning a
+// changed row, from the committed rows. Every run times the same 100
+// batches, as many as service-stream pushes: the stream keeps adding cross
+// edges, so a run that chose its own iteration count would give a faster
+// refresh more ghosts.
 void BM_DistGraphRefresh(benchmark::State& state) {
   const Graph& g = shared_grid();
   const Partition p = grid_2d_partition(256, 256, 8, 8);
@@ -174,19 +197,17 @@ void BM_DistGraphRefresh(benchmark::State& state) {
   UpdateStreamGenerator gen(g, cfg);
   for (auto _ : state) {
     state.PauseTiming();
-    const std::vector<EdgeUpdate> batch = gen.next_batch(16);
-    for (const EdgeUpdate& u : batch) dyn.apply(u);
-    const Graph& folded = dyn.snapshot();
-    const std::vector<VertexId> touched = touched_vertices(batch);
+    for (const EdgeUpdate& u : gen.next_batch(16)) dyn.apply(u);
+    const ChangedRows rows = dyn.commit();
     state.ResumeTiming();
-    dist.refresh(folded, p, touched);
+    dist.refresh(rows, p);
     benchmark::DoNotOptimize(dist);
   }
 }
 BENCHMARK(BM_DistGraphRefresh)->Iterations(100)->Unit(benchmark::kMillisecond);
 
 /// One service-stream batch, prepared: the grid's matching and canonical
-/// coloring on 64 ranks, then one 16-update batch folded and refreshed.
+/// coloring on 64 ranks, then one 16-update batch committed and refreshed.
 struct RepairCase {
   DistGraph dist;
   Matching matching;
@@ -206,10 +227,10 @@ const RepairCase& shared_repair() {
     UpdateStreamConfig cfg;
     cfg.seed = 74;
     UpdateStreamGenerator gen(g, cfg);
-    const std::vector<EdgeUpdate> batch = gen.next_batch(16);
-    for (const EdgeUpdate& u : batch) dyn.apply(u);
-    c.touched = touched_vertices(batch);
-    c.dist.refresh(dyn.snapshot(), p, c.touched);
+    for (const EdgeUpdate& u : gen.next_batch(16)) dyn.apply(u);
+    ChangedRows rows = dyn.commit();
+    c.dist.refresh(rows, p);
+    c.touched = std::move(rows.ids);
     return c;
   }();
   return rc;
@@ -236,7 +257,7 @@ void BM_ColorIncremental(benchmark::State& state) {
 BENCHMARK(BM_ColorIncremental)->Unit(benchmark::kMillisecond);
 
 // One service-stream batch: 16 updates, drawn untimed, pushed through
-// GraphService::push on the grid with 64 ranks; the last push folds the
+// GraphService::push on the grid with 64 ranks; the last push commits the
 // batch, refreshes the distribution, repairs both solutions and reports.
 // The count is fixed, as in BM_DistGraphRefresh, because the stream keeps
 // changing the graph.

@@ -128,15 +128,16 @@ tier1() {
   # compact payload <= fixed payload per row, and >= 30% total reduction.
   ./build/bench/bench_ablation_codec --json=build/BENCH_codec.json
   bench_smoke
-  # Service mode's per-batch micro-benchmarks (fold, distribution build and
-  # refresh, both repairs, one whole batch through GraphService::push), the
+  # Service mode's per-batch micro-benchmarks (fold, commit, distribution
+  # build and refresh, both repairs, one whole batch through
+  # GraphService::push), the
   # distribution's id lookup, the grid generator, the multilevel
   # partitioner, the event engine under eager-faults' fault mix, the
   # matching and coloring on 64 and 4,096 ranks, and both distributed
   # verifiers run once briefly: one that throws or crashes fails this
   # stage. No timing is gated.
   ./build/bench/bench_micro_kernels \
-    --benchmark_filter='DynamicGraphFold|DistGraph|Incremental|ServiceBatch|LocalIdLookup|Grid2d|Multilevel|EventEngine|DistributedMatchingSim|DistributedColoringSim|VerifyMatchingDistributed|VerifyColoringDistributed' \
+    --benchmark_filter='DynamicGraphFold|DynamicGraphCommit|DistGraph|Incremental|ServiceBatch|LocalIdLookup|Grid2d|Multilevel|EventEngine|DistributedMatchingSim|DistributedColoringSim|VerifyMatchingDistributed|VerifyColoringDistributed' \
     --benchmark_min_time=0.01
   # Committed BENCH_*.json baselines must stay well-formed and keep each
   # workload's modelled time bit-identical across the thread sweep.

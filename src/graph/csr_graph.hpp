@@ -6,8 +6,9 @@
 // weights), adjacency lists are sorted by neighbor id, and self-loops and
 // parallel edges are disallowed — the class invariants are established by
 // GraphBuilder and re-checkable via validate(). A Graph never changes once
-// built, with one exception: service mode's DynamicGraph (a friend) splices
-// a batch's touched rows into its own Graph's arrays in place.
+// built, with one exception: service mode's DynamicGraph (a friend) folds
+// its committed rows into its own Graph's arrays in place, when the graph
+// is read or the unfolded rows hold as many arcs as the Graph.
 #pragma once
 
 #include <span>
@@ -124,7 +125,7 @@ class Graph {
   [[nodiscard]] std::string summary() const;
 
  private:
-  friend class DynamicGraph;  // DynamicGraph::snapshot() folds in place
+  friend class DynamicGraph;  // DynamicGraph's fold splices in place
 
   std::vector<EdgeId> offsets_;
   std::vector<VertexId> adj_;

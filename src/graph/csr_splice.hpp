@@ -1,6 +1,11 @@
-// Resizing rows of a CSR in place, for the two places that patch a CSR
-// instead of rebuilding it: service mode's DynamicGraph::snapshot() and
-// DistGraph::refresh().
+// Changed rows of a CSR, and resizing rows of a CSR in place.
+//
+// Service mode hands a batch's edits around as the rows they changed:
+// DynamicGraph::commit() returns them as a ChangedRows, a small CSR of its
+// own, and DistGraph::refresh() patches a distribution from it, so neither
+// reads nor rewrites the whole graph. resize_rows serves the two places that
+// patch a CSR instead of rebuilding it: DynamicGraph's fold of its committed
+// rows and DistGraph::refresh()'s patch of a rank.
 #pragma once
 
 #include <algorithm>
@@ -14,6 +19,33 @@
 #include "support/types.hpp"
 
 namespace pmc {
+
+/// Rows of an undirected weighted graph that changed, each in full: row i
+/// is vertex ids[i], whose neighbours are
+/// targets[offsets[i], offsets[i + 1]) in ascending order, with the weights
+/// aligned. The ids strictly ascend. The rows of one batch are symmetric:
+/// an edge that changed appears in the rows of both its endpoints.
+struct ChangedRows {
+  std::vector<VertexId> ids;
+  std::vector<EdgeId> offsets{0};  // ids.size() + 1 entries
+  std::vector<VertexId> targets;
+  std::vector<Weight> weights;
+
+  [[nodiscard]] std::size_t size() const noexcept { return ids.size(); }
+  [[nodiscard]] EdgeId degree(std::size_t i) const {
+    return offsets[i + 1] - offsets[i];
+  }
+  [[nodiscard]] std::span<const VertexId> neighbors(std::size_t i) const {
+    return std::span<const VertexId>(targets).subspan(
+        static_cast<std::size_t>(offsets[i]),
+        static_cast<std::size_t>(degree(i)));
+  }
+  [[nodiscard]] std::span<const Weight> weights_of(std::size_t i) const {
+    return std::span<const Weight>(weights).subspan(
+        static_cast<std::size_t>(offsets[i]),
+        static_cast<std::size_t>(degree(i)));
+  }
+};
 
 /// A CSR row and the number of entries it is to hold.
 struct RowLength {

@@ -85,7 +85,11 @@ class MatchProcess : public Process {
   enum class VState : std::uint8_t {
     kUndecided = 0,
     kMatched = 1,
-    kFailed = 2
+    kFailed = 2,
+    /// Decided by a previous matching that a service repair has not
+    /// invalidated: matched or failed as that matching says, which the
+    /// repair reads only when it needs to (IncrementalMatchProcess).
+    kFrozen = 3
   };
 
   /// A local id (owned or ghost) as the per-vertex arrays hold it, in the

@@ -129,27 +129,38 @@ void LocalGraph::fill(const Graph& g, const Partition& p,
   derive(ghost_arcs);
 }
 
-void LocalGraph::patch(const Graph& g, const Partition& p,
-                       std::span<const VertexId> touched) {
+std::span<const VertexId> LocalGraph::within_owned_range(
+    std::span<const VertexId> ids) const {
+  if (num_owned_ == 0) return {};
+  const auto first = std::ranges::lower_bound(ids, global_ids_.front());
+  const auto last = std::upper_bound(
+      first, ids.end(), global_ids_[static_cast<std::size_t>(num_owned_) - 1]);
+  return {first, last};
+}
+
+void LocalGraph::patch(const ChangedRows& rows,
+                       std::span<const std::size_t> mine,
+                       const Partition& p) {
   const VertexId old_local = num_local();
-  // Each touched row's new length and sorted boundary ranks.
+  // Each changed row's new length and sorted boundary ranks.
   std::vector<RowLength> arc_rows;
   std::vector<RowLength> rank_rows;
   std::vector<Rank> ranks;
-  arc_rows.reserve(touched.size());
-  rank_rows.reserve(touched.size());
-  for (const VertexId v : touched) {
+  arc_rows.reserve(mine.size());
+  rank_rows.reserve(mine.size());
+  for (const std::size_t i : mine) {
+    const VertexId v = rows.ids[i];
     const VertexId lv = find_in_run(0, num_owned_, v);
     PMC_CHECK(lv != kNoVertex,
-              "rank " << rank_ << " does not own touched vertex " << v);
+              "rank " << rank_ << " does not own changed row " << v);
     const std::size_t row_ranks = ranks.size();
-    for (const VertexId u : g.neighbors(v)) {
+    for (const VertexId u : rows.neighbors(i)) {
       if (p.owner(u) != rank_) ranks.push_back(p.owner(u));
     }
-    const auto mine = ranks.begin() + static_cast<std::ptrdiff_t>(row_ranks);
-    std::sort(mine, ranks.end());
-    ranks.erase(std::unique(mine, ranks.end()), ranks.end());
-    arc_rows.push_back({lv, g.degree(v)});
+    const auto first = ranks.begin() + static_cast<std::ptrdiff_t>(row_ranks);
+    std::sort(first, ranks.end());
+    ranks.erase(std::unique(first, ranks.end()), ranks.end());
+    arc_rows.push_back({lv, rows.degree(i)});
     rank_rows.push_back({lv, static_cast<EdgeId>(ranks.size() - row_ranks)});
   }
 
@@ -173,21 +184,18 @@ void LocalGraph::patch(const Graph& g, const Partition& p,
         {in.owned, static_cast<std::uint32_t>(in.arc + shift_before[k])});
   }
 
-  // Splice the touched rows into the owned CSR and the boundary-rank CSR,
+  // Splice the changed rows into the owned CSR and the boundary-rank CSR,
   // write them with resolved targets, and add their arcs into ghosts. Each
   // arc to a vertex the rank has not seen gets a candidate ghost of its own.
-  if (g.has_weights()) {
-    resize_rows(offsets_, arc_rows, adj_, weights_);
-  } else {
-    resize_rows(offsets_, arc_rows, adj_);
-  }
+  resize_rows(offsets_, arc_rows, adj_, weights_);
   resize_rows(rank_offsets_, rank_rows, boundary_ranks_);
   auto next_rank = ranks.begin();
-  for (std::size_t i = 0; i < touched.size(); ++i) {
-    const VertexId lv = arc_rows[i].row;
+  for (std::size_t k = 0; k < mine.size(); ++k) {
+    const std::size_t i = mine[k];
+    const VertexId lv = arc_rows[k].row;
     const EdgeId begin = offset_begin(lv);
     EdgeId a = begin;
-    for (const VertexId u : g.neighbors(touched[i])) {
+    for (const VertexId u : rows.neighbors(i)) {
       VertexId target = kNoVertex;
       if (p.owner(u) == rank_) {
         target = find_in_run(0, num_owned_, u);
@@ -205,12 +213,10 @@ void LocalGraph::patch(const Graph& g, const Partition& p,
       adj_[static_cast<std::size_t>(a)] = static_cast<LocalId>(target);
       ++a;
     }
-    if (g.has_weights()) {
-      const auto ws = g.weights(touched[i]);
-      std::copy(ws.begin(), ws.end(),
-                weights_.begin() + static_cast<std::ptrdiff_t>(begin));
-    }
-    const auto row_ranks = static_cast<std::ptrdiff_t>(rank_rows[i].length);
+    const auto ws = rows.weights_of(i);
+    std::copy(ws.begin(), ws.end(),
+              weights_.begin() + static_cast<std::ptrdiff_t>(begin));
+    const auto row_ranks = static_cast<std::ptrdiff_t>(rank_rows[k].length);
     std::copy(next_rank, next_rank + row_ranks,
               boundary_ranks_.begin() +
                   static_cast<std::ptrdiff_t>(
@@ -306,6 +312,40 @@ void require_touched_list(std::span<const VertexId> touched,
   }
 }
 
+namespace {
+
+/// Throws pmc::Error unless `rows` is well formed over [0, num_vertices):
+/// ids as require_touched_list takes them, offsets that ascend from 0 to
+/// the target count, weights aligned with the targets, and each row's
+/// targets strictly ascending, in range and never the row itself.
+void require_changed_rows(const ChangedRows& rows, VertexId num_vertices) {
+  require_touched_list(rows.ids, num_vertices);
+  const auto arcs = static_cast<EdgeId>(rows.targets.size());
+  PMC_REQUIRE(rows.offsets.size() == rows.ids.size() + 1 &&
+                  rows.offsets.front() == 0 && rows.offsets.back() == arcs &&
+                  std::ranges::is_sorted(rows.offsets),
+              "changed rows: offsets must ascend from 0 to the "
+                  << arcs << " targets, one per row and one more, got "
+                  << rows.offsets.size() << " for " << rows.ids.size()
+                  << " rows");
+  PMC_REQUIRE(rows.weights.size() == rows.targets.size(),
+              "changed rows: " << rows.weights.size() << " weights for "
+                               << arcs << " targets");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    VertexId last = -1;
+    for (const VertexId u : rows.neighbors(i)) {
+      PMC_REQUIRE(u > last && u < num_vertices && u != rows.ids[i],
+                  "changed row " << rows.ids[i]
+                                 << ": targets must strictly ascend within [0, "
+                                 << num_vertices << ") and skip the row, got "
+                                 << u << " after " << last);
+      last = u;
+    }
+  }
+}
+
+}  // namespace
+
 DistGraph DistGraph::build(const Graph& g, const Partition& p, int halo) {
   PMC_REQUIRE(p.num_vertices() == g.num_vertices(),
               "graph/partition size mismatch: " << g.num_vertices() << " vs "
@@ -333,28 +373,34 @@ DistGraph DistGraph::build(const Graph& g, const Partition& p, int halo) {
   return dist;
 }
 
-void DistGraph::refresh(const Graph& g, const Partition& p,
-                        std::span<const VertexId> touched) {
-  PMC_REQUIRE(g.num_vertices() == num_global_vertices_ &&
-                  p.num_vertices() == num_global_vertices_ &&
+void DistGraph::refresh(const ChangedRows& rows, const Partition& p) {
+  PMC_REQUIRE(p.num_vertices() == num_global_vertices_ &&
                   p.num_parts() == num_ranks(),
               "refresh of a " << num_global_vertices_ << "-vertex, "
                               << num_ranks() << "-rank distribution with a "
-                              << g.num_vertices() << "-vertex graph and a "
+                              << p.num_vertices() << "-vertex, "
                               << p.num_parts() << "-part partition");
   PMC_REQUIRE(local(0).halo() == 1, "refresh of a halo-"
                                         << local(0).halo() << " distribution");
-  require_touched_list(touched, num_global_vertices_);
-  // Patch each owner of touched rows with its own, which stay ascending.
-  std::vector<VertexId> by_owner(touched.begin(), touched.end());
-  std::ranges::stable_sort(by_owner, {},
-                           [&](VertexId v) { return p.owner(v); });
+  require_changed_rows(rows, num_global_vertices_);
+  // Each owner's changed rows, which stay ascending.
+  std::vector<std::size_t> by_owner(rows.size());
+  std::iota(by_owner.begin(), by_owner.end(), std::size_t{0});
+  const auto owner = [&](std::size_t i) { return p.owner(rows.ids[i]); };
+  std::ranges::stable_sort(by_owner, {}, owner);
+  // The rows carry weights; so must every rank they patch that holds arcs.
+  for (const std::size_t i : by_owner) {
+    const LocalGraph& lg = local(owner(i));
+    PMC_REQUIRE(lg.has_weights() || lg.adj_.empty(),
+                "refresh of rank " << lg.rank()
+                                   << ", which holds arcs without weights");
+  }
   for (auto first = by_owner.begin(); first != by_owner.end();) {
-    const Rank r = p.owner(*first);
-    const auto last = std::find_if(first, by_owner.end(), [&](VertexId v) {
-      return p.owner(v) != r;
-    });
-    locals_[static_cast<std::size_t>(r)].patch(g, p, std::span(first, last));
+    const Rank r = owner(*first);
+    const auto last = std::find_if(
+        first, by_owner.end(), [&](std::size_t i) { return owner(i) != r; });
+    locals_[static_cast<std::size_t>(r)].patch(rows, std::span(first, last),
+                                               p);
     first = last;
   }
 }

@@ -49,17 +49,19 @@
 //
 // When only some rows of the graph change (service mode's edge-update
 // batches), DistGraph::refresh patches the owners of the changed rows in
-// place; it serves halo 1. A patch resolves only the changed rows' targets
-// (a vertex the rank has not seen gets a candidate id after the old
-// ghosts) and splices those rows into the owned and boundary-rank CSRs with
-// resize_rows' block moves (graph/csr_splice.hpp). The arcs into ghosts come
-// from the old incidence for the untouched rows, shifted with their block,
-// and from the new contents for the changed rows. The fill's ghost sort
-// over them drops the ghosts that no arc reaches, and the fill's derivation
-// closes the patch. A stale rank thus costs its changed arcs, cross arcs and
-// ghosts plus one move of the arcs behind its first resized row; no
-// per-vertex array is allocated, and a batch's incidence is current before
-// any repair reads it.
+// place, from those rows alone (a ChangedRows, graph/csr_splice.hpp, as
+// DynamicGraph::commit returns them); it never reads the whole graph, and
+// serves halo 1. A patch resolves only the changed rows' targets (a vertex
+// the rank has not seen gets a candidate id after the old ghosts) and
+// splices those rows into the owned and boundary-rank CSRs with
+// resize_rows' block moves. The arcs into ghosts come from the old
+// incidence for the untouched rows, shifted with their block, and from the
+// new contents for the changed rows. The fill's ghost sort over them drops
+// the ghosts that no arc reaches, and the fill's derivation closes the
+// patch. A stale rank thus costs its changed arcs, cross arcs and ghosts
+// plus one move of the arcs behind its first resized row; no per-vertex
+// array is allocated, and a batch's incidence is current before any repair
+// reads it.
 #pragma once
 
 #include <cstddef>
@@ -68,6 +70,7 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
+#include "graph/csr_splice.hpp"
 #include "partition/partition.hpp"
 #include "support/types.hpp"
 
@@ -114,6 +117,12 @@ class LocalGraph {
   [[nodiscard]] VertexId owned_id(VertexId global) const noexcept {
     return find_in_run(0, num_owned_, global);
   }
+
+  /// The part of `ids` (ascending global ids) between the least and the
+  /// greatest owned global id: the only entries owned_id can find. Two
+  /// binary searches.
+  [[nodiscard]] std::span<const VertexId> within_owned_range(
+      std::span<const VertexId> ids) const;
 
   /// Local id of a global vertex this rank holds as a ghost; kNoVertex
   /// otherwise (an owned vertex included).
@@ -231,12 +240,12 @@ class LocalGraph {
   /// kNoVertex on entry and on return.
   void fill(const Graph& g, const Partition& p, std::vector<VertexId>& marker);
 
-  /// Brings a halo-1 view up to date with `g`, in which only the owned rows
-  /// `touched` (global ids, ascending) changed: resolves their targets,
-  /// splices them into the owned and boundary-rank CSRs, sorts the ghosts
-  /// over the arcs into them, then derive().
-  void patch(const Graph& g, const Partition& p,
-             std::span<const VertexId> touched);
+  /// Brings a halo-1 view up to date with the rows `mine` of `rows` (indices
+  /// of this rank's owned rows, ascending), the only ones that changed:
+  /// resolves their targets, splices them into the owned and boundary-rank
+  /// CSRs, sorts the ghosts over the arcs into them, then derive().
+  void patch(const ChangedRows& rows, std::span<const std::size_t> mine,
+             const Partition& p);
 
   /// Numbers the last run of ghosts, the candidates [first, num_local()) in
   /// any order, by ascending global id, and sets their owners from `p`.
@@ -271,8 +280,8 @@ class LocalGraph {
 };
 
 /// Throws pmc::Error unless `touched` strictly ascends within [0,
-/// num_vertices), the form service mode's touched_vertices returns.
-/// O(touched).
+/// num_vertices), the form of the ids of a ChangedRows (a batch's touched
+/// vertices). O(touched).
 void require_touched_list(std::span<const VertexId> touched,
                           VertexId num_vertices);
 
@@ -283,19 +292,20 @@ class DistGraph {
   /// hops. The graph and partition must agree on the vertex count.
   static DistGraph build(const Graph& g, const Partition& p, int halo = 1);
 
-  /// Brings a halo-1 distribution up to date with `g` by patching only the
-  /// ranks that own a vertex of `touched`, in place (see the file comment).
-  /// `touched` must strictly ascend within [0, n) (require_touched_list);
-  /// any other list throws before anything changes. Precondition: `g`
-  /// differs from the graph this distribution was last built or refreshed
-  /// from only in the rows of `touched`, and `p` is the partition it was
-  /// built with. The precondition is load-bearing: a patch keeps the
-  /// untouched rows it holds and never reads them from `g`, so a change
-  /// elsewhere goes unseen. As in the fill, a rank's weights follow
-  /// g.has_weights(), so a rank with no arcs has none. The result equals
-  /// build(g, p), field by field.
-  void refresh(const Graph& g, const Partition& p,
-               std::span<const VertexId> touched);
+  /// Brings a halo-1 distribution up to date with the graph g' that `rows`
+  /// lead to, by patching only the ranks that own one of them, in place
+  /// (see the file comment). `rows` must be well formed over [0, n): ids
+  /// as require_touched_list takes them, offsets ascending from 0 to the
+  /// target count, weights aligned with the targets, and each row's targets
+  /// strictly ascending within [0, n) without the row's own id; every rank
+  /// they patch that holds arcs must hold weights. Anything else throws
+  /// before any rank changes. Precondition: g' differs from the graph this
+  /// distribution was last built or refreshed from only in the rows of
+  /// `rows`, and `p` is the partition it was built with. The precondition
+  /// is load-bearing: a patch keeps the rows it holds that are not listed,
+  /// so a change elsewhere goes unseen. The result equals build(g', p),
+  /// field by field; as in the fill, a rank with no arcs holds no weights.
+  void refresh(const ChangedRows& rows, const Partition& p);
 
   [[nodiscard]] Rank num_ranks() const noexcept {
     return static_cast<Rank>(locals_.size());

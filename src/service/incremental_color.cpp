@@ -121,7 +121,7 @@ IncrementalColorResult run_canonical(const DistGraph& dist, Coloring* previous,
       continue;
     }
     // Ascending: touched and the owned run both ascend in global id.
-    for (const VertexId g : *touched) {
+    for (const VertexId g : lg.within_owned_range(*touched)) {
       const VertexId v = lg.owned_id(g);
       if (v != kNoVertex) st.to_color.push_back(v);
     }

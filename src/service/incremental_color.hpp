@@ -27,7 +27,8 @@
 //
 // A rank is warm-started with the previous batch's colors (owned and
 // ghost) and given its send stage only when the repair reaches it: when it
-// owns a vertex to recolor, or a boundary record names a vertex it holds.
+// owns a vertex to recolor (it looks up only the touched ids within its
+// owned global-id range), or a boundary record names a vertex it holds.
 // Before that none of its colors changed, so a late warm start sees what an
 // early one would have kept. A rank the repair never reaches builds
 // nothing, and the result starts from the previous coloring, which only the
@@ -73,9 +74,9 @@ struct IncrementalColorResult {
 /// Repairs `previous` (the canonical coloring of the pre-update graph) into
 /// the canonical coloring of `dist` (the post-update distribution), in
 /// place: pass it by move to copy nothing. `touched` lists the global
-/// endpoints of the batch's updates, strictly ascending (touched_vertices);
-/// any other list throws pmc::Error. The result is byte-identical to
-/// color_canonical(dist, options).coloring.
+/// endpoints of the batch's updates, strictly ascending (the ids of the
+/// batch's DynamicGraph::commit()); any other list throws pmc::Error. The
+/// result is byte-identical to color_canonical(dist, options).coloring.
 [[nodiscard]] IncrementalColorResult color_incremental(
     const DistGraph& dist, Coloring previous,
     const std::vector<VertexId>& touched,

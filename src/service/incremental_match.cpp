@@ -11,18 +11,6 @@
 
 namespace pmc {
 
-std::vector<VertexId> touched_vertices(const std::vector<EdgeUpdate>& updates) {
-  std::vector<VertexId> touched;
-  touched.reserve(updates.size() * 2);
-  for (const EdgeUpdate& e : updates) {
-    touched.push_back(e.u);
-    touched.push_back(e.v);
-  }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  return touched;
-}
-
 IncrementalMatchProcess::IncrementalMatchProcess(
     const LocalGraph& lg, const DistMatchingOptions& options,
     const std::vector<VertexId>& prev_mate,
@@ -32,7 +20,7 @@ IncrementalMatchProcess::IncrementalMatchProcess(
 void IncrementalMatchProcess::start(EventContext& ctx) {
   ctx.set_phase(WorkPhase::kInterior);
   // Invalidate the owned seeds and close over them.
-  for (const VertexId g : touched_) {
+  for (const VertexId g : lg_.within_owned_range(touched_)) {
     const VertexId v = lg_.owned_id(g);
     if (v == kNoVertex) continue;
     reach();
@@ -46,8 +34,10 @@ void IncrementalMatchProcess::reach() {
   if (reached_) return;
   reached_ = true;
   const VertexId n = lg_.num_owned();
-  state_.reserve(static_cast<std::size_t>(n));
-  mate_.reserve(static_cast<std::size_t>(n));
+  // Every owned vertex starts frozen, its previous mate unread: the
+  // previous matching decided it, and frozen_mate() reads how on demand.
+  state_.assign(static_cast<std::size_t>(n), VState::kFrozen);
+  mate_.assign(static_cast<std::size_t>(n), narrow(kUnresolved));
   cand_.assign(static_cast<std::size_t>(n), narrow(kNoVertex));
   ptr_.assign(static_cast<std::size_t>(n), 0);
   // Every ghost starts dead: the previous matching decided every vertex, so
@@ -56,33 +46,21 @@ void IncrementalMatchProcess::reach() {
   ghost_dead_.assign(static_cast<std::size_t>(lg_.num_ghosts()), true);
   const auto arcs = static_cast<std::size_t>(n > 0 ? lg_.offset_end(n - 1) : 0);
   arc_requested_.assign(arcs, false);
-  invalidated_.assign(static_cast<std::size_t>(n), false);
-
-  // Seed the frozen state from the previous matching. The previous matching
-  // was maximal, so every owned vertex was either matched or failed; a
-  // matched vertex's mate stays unresolved until the closure reads it.
-  for (VertexId v = 0; v < n; ++v) {
-    const bool matched =
-        prev_mate_[static_cast<std::size_t>(lg_.global_id(v))] != kNoVertex;
-    state_.push_back(matched ? VState::kMatched : VState::kFailed);
-    mate_.push_back(narrow(matched ? kUnresolved : kNoVertex));
-  }
 }
 
 VertexId IncrementalMatchProcess::frozen_mate(VertexId v) {
   LocalGraph::LocalId& m = mate_[static_cast<std::size_t>(v)];
   if (m == kUnresolved) {
-    // A matched cross neighbor may no longer be present on this rank (its
-    // last cross edge was deleted): then m is kNoVertex, and v is a seed.
-    m = narrow(
-        lg_.local_id(prev_mate_[static_cast<std::size_t>(lg_.global_id(v))]));
+    // kNoVertex when v failed, or when its matched cross neighbor is no
+    // longer present on this rank (their edge was deleted, so v is a seed).
+    const VertexId g = prev_mate_[static_cast<std::size_t>(lg_.global_id(v))];
+    m = narrow(g == kNoVertex ? kNoVertex : lg_.local_id(g));
   }
   return m;
 }
 
 void IncrementalMatchProcess::invalidate(EventContext& ctx, VertexId v) {
-  if (invalidated_[static_cast<std::size_t>(v)]) return;
-  invalidated_[static_cast<std::size_t>(v)] = true;
+  if (state_[static_cast<std::size_t>(v)] != VState::kFrozen) return;
   invalidated_ids_.push_back(v);
   const VertexId old_mate = frozen_mate(v);
   state_[static_cast<std::size_t>(v)] = VState::kUndecided;
@@ -111,21 +89,17 @@ void IncrementalMatchProcess::invalidate(EventContext& ctx, VertexId v) {
 
 bool IncrementalMatchProcess::closure_pulls(VertexId u, VertexId cause,
                                             Weight w_uc) {
-  if (invalidated_[static_cast<std::size_t>(u)]) return false;
-  const VState s = state_[static_cast<std::size_t>(u)];
-  if (s == VState::kFailed) return true;  // rule (b)
-  PMC_CHECK(s == VState::kMatched,
-            "non-invalidated vertex neither matched nor failed");
+  // Only a frozen vertex can be pulled in; the rest are invalidated.
+  if (state_[static_cast<std::size_t>(u)] != VState::kFrozen) return false;
   const VertexId m = frozen_mate(u);
-  if (m == kNoVertex) return true;  // dangling mate: doomed anyway
   // Rule (a): the pair dissolved, on this rank or (for a cross pair, via
   // INVALIDATE) on the mate's.
   if (m == cause) return true;
-  // Rule (c): does u prefer the revived neighbor over its mate, in the
-  // protocol's arc order (weight descending, ties to the smaller id)?
-  // A tolerant arc lookup: while the start() seed loop is still running, u
-  // may be a not-yet-processed seed whose matched edge was deleted — then
-  // the arc (u, m) no longer exists and the pair is doomed regardless.
+  // u's arc to its mate. There is none when u failed (m is kNoVertex):
+  // rule (b), its "all neighbors dead" may no longer hold. Nor when u's
+  // matched edge was deleted, its mate then perhaps gone from this rank:
+  // u is a seed, doomed anyway, which the start() seed loop may not have
+  // reached yet.
   EdgeId arc_um = EdgeId{-1};
   for (EdgeId a = lg_.offset_begin(u); a < lg_.offset_end(u); ++a) {
     if (lg_.arc_target(a) == m) {
@@ -134,6 +108,8 @@ bool IncrementalMatchProcess::closure_pulls(VertexId u, VertexId cause,
     }
   }
   if (arc_um < 0) return true;
+  // Rule (c): does u prefer the revived neighbor over its mate, in the
+  // protocol's arc order (weight descending, ties to the smaller id)?
   const Weight w_um = lg_.arc_weight(arc_um);
   if (w_uc != w_um) return w_uc > w_um;
   return lg_.global_id(cause) < lg_.global_id(m);

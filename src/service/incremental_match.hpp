@@ -36,17 +36,19 @@
 //   matching plus the re-negotiated part equals the full matching of the
 //   new graph.
 //
-// A rank pays for what it repairs. It builds its per-vertex arrays and
-// seeds the frozen state from the previous matching only when the repair
-// first reaches it: an owned seed in start(), or any record; a rank the
-// closure never reaches allocates nothing and only flips phase at idle().
-// A frozen vertex's previous mate is resolved to a local id only when the
-// closure first reads it; a ghost's incident owned arcs come from the
-// LocalGraph; the re-match phase walks only the invalidated vertices, in
-// local-id order. The result is the previous matching, updated in place:
-// each rank overwrites only its invalidated vertices, since rule (a)
-// invalidates both ends of every pair it dissolves, on either rank, so
-// every frozen vertex's previous mate is still its mate.
+// A rank pays for what it repairs. It builds its per-vertex arrays only
+// when the repair first reaches it: an owned seed in start(), or any
+// record; a rank the closure never reaches allocates nothing and only
+// flips phase at idle(). start() looks up only the touched ids within the
+// rank's owned global-id range. Reaching a rank marks all its owned
+// vertices frozen at once; a frozen vertex's previous mate (none when it
+// failed) is read and resolved to a local id only when the closure first
+// needs it. A ghost's incident owned arcs come from the LocalGraph; the
+// re-match phase walks only the invalidated vertices, in local-id order.
+// The result is the previous matching, updated in place: each rank
+// overwrites only its invalidated vertices, since rule (a) invalidates both
+// ends of every pair it dissolves, on either rank, so every frozen vertex's
+// previous mate is still its mate.
 #pragma once
 
 #include <deque>
@@ -56,14 +58,8 @@
 
 #include "matching/match_process.hpp"
 #include "matching/parallel.hpp"
-#include "service/update_stream.hpp"
 
 namespace pmc {
-
-/// Global vertex ids incident to any update in the batch (sorted, unique) —
-/// the invalidation seeds for incremental re-matching and re-coloring.
-[[nodiscard]] std::vector<VertexId> touched_vertices(
-    const std::vector<EdgeUpdate>& updates);
 
 /// Result of an incremental re-matching run.
 struct IncrementalMatchResult {
@@ -82,9 +78,9 @@ struct IncrementalMatchResult {
 /// Repairs `previous` (the matching of the pre-update graph) into the
 /// matching of `dist` (the distribution of the *post-update* graph), in
 /// place: pass it by move to copy nothing. `touched` lists the global
-/// endpoints of the batch's updates, strictly ascending (touched_vertices);
-/// any other list throws pmc::Error. The result is byte-identical to
-/// match_distributed(dist, options).matching.
+/// endpoints of the batch's updates, strictly ascending (the ids of the
+/// batch's DynamicGraph::commit()); any other list throws pmc::Error. The
+/// result is byte-identical to match_distributed(dist, options).matching.
 [[nodiscard]] IncrementalMatchResult match_incremental(
     const DistGraph& dist, Matching previous,
     const std::vector<VertexId>& touched,
@@ -129,22 +125,23 @@ class IncrementalMatchProcess : public MatchProcess {
  protected:
   enum class Phase : std::uint8_t { kClosure, kMatch };
 
-  /// mate_ of a frozen matched vertex until frozen_mate() resolves it.
+  /// mate_ of a frozen vertex until frozen_mate() reads it.
   static constexpr VertexId kUnresolved = kNoVertex - 1;
   static_assert(narrow(kUnresolved) == kUnresolved,
                 "kUnresolved must survive the 32-bit mate_ as itself");
 
-  /// Sizes the per-vertex arrays and seeds the frozen state from the
-  /// previous matching, once: the first time the repair reaches this rank.
+  /// Sizes the per-vertex arrays and marks every owned vertex frozen,
+  /// once: the first time the repair reaches this rank.
   void reach();
 
   /// Local id of frozen vertex v's previous mate (kNoVertex when v failed,
-  /// or when the mate is no longer on this rank), resolved on first read.
+  /// or when the mate is no longer on this rank), read from the previous
+  /// matching on first use.
   [[nodiscard]] VertexId frozen_mate(VertexId v);
 
   /// Marks owned vertex v invalidated: dissolves its pair, announces the
   /// revival to every rank holding a ghost copy, and queues the closure
-  /// checks for its local neighbors. No-op when already invalidated.
+  /// checks for its local neighbors. No-op unless v is frozen.
   void invalidate(EventContext& ctx, VertexId v);
   /// True iff the closure rules pull owned vertex u in, given that its
   /// neighbor `cause` (weight w_uc on their shared edge) was just
@@ -158,7 +155,6 @@ class IncrementalMatchProcess : public MatchProcess {
   const std::vector<VertexId>& touched_;
   Phase phase_ = Phase::kClosure;
   bool reached_ = false;
-  std::vector<bool> invalidated_;          // owned local ids
   std::vector<VertexId> invalidated_ids_;  // sorted by idle()
   std::deque<VertexId> closure_queue_;
 };

@@ -22,32 +22,33 @@ GraphService::GraphService(const Graph& initial, Partition partition,
   coloring_ = color_canonical(dist_, options_.coloring).coloring;
   pair_weight_.resize(matching_.mate.size());
   for (VertexId v = 0; v < matching_.num_vertices(); ++v) {
-    keep_pair_weight(dynamic_.folded(), matching_.mate, v);
+    keep_pair_weight(matching_.mate, v);
   }
 }
 
-void GraphService::keep_pair_weight(const Graph& g,
-                                    const std::vector<VertexId>& mate,
+void GraphService::keep_pair_weight(const std::vector<VertexId>& mate,
                                     VertexId v) {
   const auto i = static_cast<std::size_t>(v);
-  pair_weight_[i] = mate[i] > v ? g.edge_weight(v, mate[i]) : Weight{0};
+  pair_weight_[i] =
+      mate[i] > v ? dynamic_.edge_weight(v, mate[i]) : Weight{0};
 }
 
 std::optional<BatchReport> GraphService::push(const EdgeUpdate& update) {
   dynamic_.apply(update);
-  buffer_.push_back(update);
+  ++pending_updates_;
   if (options_.batch_window > 0 &&
-      static_cast<std::int64_t>(buffer_.size()) >= options_.batch_window) {
+      pending_updates_ >= options_.batch_window) {
     return refresh();
   }
   return std::nullopt;
 }
 
 BatchReport GraphService::refresh() {
-  PMC_REQUIRE(!buffer_.empty(), "refresh() with no buffered updates");
-  const std::vector<VertexId> touched = touched_vertices(buffer_);
-  const Graph& graph = dynamic_.snapshot();
-  dist_.refresh(graph, partition_, touched);
+  PMC_REQUIRE(pending_updates_ > 0, "refresh() with no buffered updates");
+  // The changed rows are the updates' endpoints: the touched vertices.
+  const ChangedRows rows = dynamic_.commit();
+  dist_.refresh(rows, partition_);
+  const std::vector<VertexId>& touched = rows.ids;
 
   // Both solutions are repaired in place and moved back below.
   IncrementalMatchResult im = match_incremental(dist_, std::move(matching_),
@@ -57,7 +58,7 @@ BatchReport GraphService::refresh() {
 
   BatchReport report;
   report.batch = static_cast<std::int64_t>(history_.size());
-  report.updates = static_cast<std::int64_t>(buffer_.size());
+  report.updates = pending_updates_;
   report.touched = static_cast<std::int64_t>(touched.size());
   report.match_invalidated = im.invalidated;
   report.color_recolored = ic.recolored;
@@ -82,8 +83,8 @@ BatchReport GraphService::refresh() {
   // Only an invalidated vertex can have a new mate, and only such a vertex
   // or a touched one (a reweight can keep its pair) a new pair weight.
   const std::vector<VertexId>& mate = im.matching.mate;
-  for (const VertexId v : im.invalidated_ids) keep_pair_weight(graph, mate, v);
-  for (const VertexId v : touched) keep_pair_weight(graph, mate, v);
+  for (const VertexId v : im.invalidated_ids) keep_pair_weight(mate, v);
+  for (const VertexId v : touched) keep_pair_weight(mate, v);
   matching_ = std::move(im.matching);
   coloring_ = std::move(ic.coloring);
   // The additions matching_weight() makes, in its order, plus a +0 for
@@ -92,7 +93,7 @@ BatchReport GraphService::refresh() {
   for (const Weight w : pair_weight_) report.matching_weight += w;
   report.num_colors = coloring_.num_colors();
   history_.push_back(report);
-  buffer_.clear();
+  pending_updates_ = 0;
   return report;
 }
 

@@ -8,12 +8,16 @@
 // dynamic graph at once, so an invalid update throws at its own push and
 // changes nothing. Updates are coalesced by a batching front-end: once
 // `batch_window` updates are buffered (or refresh() is called), the service
-// folds the batch into the CSR, refreshes the distribution of the ranks
-// owning a touched vertex, and repairs both solutions via the incremental
-// drivers (service/incremental_match.hpp, service/incremental_color.hpp).
-// Each batch yields a BatchReport with the modelled repair times and the
-// matching's weight, summed from pair weights the service keeps current for
-// the vertices the repair invalidated or that the batch touched. With
+// commits the batch, which returns the rows it changed and leaves the CSR
+// as it is, patches the distribution of the ranks owning a changed row from
+// those rows, and repairs both solutions via the incremental drivers
+// (service/incremental_match.hpp, service/incremental_color.hpp). No batch
+// folds its rows into the CSR: graph() does, when it is read, and so does a
+// commit once the unfolded rows hold as many arcs as the CSR. Each batch
+// yields a BatchReport with the modelled repair times and the matching's
+// weight, summed from pair weights the service keeps current for the
+// vertices the repair invalidated or that the batch touched, read through
+// the dynamic graph. With
 // `verify_batches` the service also runs full recomputes and asserts
 // byte-identical agreement — the service's self-check. It is off by
 // default; the service tests and bench_service turn it on, and
@@ -91,13 +95,13 @@ class GraphService {
   BatchReport refresh();
 
   [[nodiscard]] std::int64_t pending_updates() const noexcept {
-    return static_cast<std::int64_t>(buffer_.size());
+    return pending_updates_;
   }
 
-  /// The graph as of the last refresh (buffered updates not included).
-  [[nodiscard]] const Graph& graph() const noexcept {
-    return dynamic_.folded();
-  }
+  /// The graph as of the last refresh (buffered updates not included). It
+  /// folds the batches committed since the last read into the CSR first,
+  /// so it must not run concurrently with any other member.
+  [[nodiscard]] const Graph& graph() const { return dynamic_.folded(); }
   [[nodiscard]] const Matching& matching() const noexcept { return matching_; }
   [[nodiscard]] const Coloring& coloring() const noexcept { return coloring_; }
   /// Reports of all completed batches, in order.
@@ -107,8 +111,7 @@ class GraphService {
 
  private:
   /// Sets `pair_weight_[v]` from v's pair under `mate`.
-  void keep_pair_weight(const Graph& g, const std::vector<VertexId>& mate,
-                        VertexId v);
+  void keep_pair_weight(const std::vector<VertexId>& mate, VertexId v);
 
   ServiceOptions options_;
   Partition partition_;
@@ -120,7 +123,7 @@ class GraphService {
   /// (matching_.mate[v] > v), else 0: the terms matching_weight() sums,
   /// kept across batches so a report pays no search per vertex.
   std::vector<Weight> pair_weight_;
-  std::vector<EdgeUpdate> buffer_;
+  std::int64_t pending_updates_ = 0;  // applied since the last refresh
   std::vector<BatchReport> history_;
 };
 

@@ -42,14 +42,26 @@ DynamicGraph::DynamicGraph(const Graph& initial)
                                    : reweight(initial, WeightKind::kUnit, 0)),
       m_(initial.num_edges()) {}
 
+const DynamicGraph::Row* DynamicGraph::changed_row(VertexId v) const {
+  if (const auto row = pending_.find(v); row != pending_.end()) {
+    return &row->second;
+  }
+  if (const auto row = committed_.find(v); row != committed_.end()) {
+    return &row->second;
+  }
+  return nullptr;
+}
+
 std::optional<Weight> DynamicGraph::find_edge(VertexId u, VertexId v) const {
-  if (const auto row = pending_.find(u); row != pending_.end()) {
-    const auto it = find_arc(row->second, v);
-    if (it == row->second.end() || it->first != v) return std::nullopt;
+  if (const Row* row = changed_row(u)) {
+    const auto it = find_arc(*row, v);
+    if (it == row->end() || it->first != v) return std::nullopt;
     return it->second;
   }
-  if (!graph_.has_edge(u, v)) return std::nullopt;
-  return graph_.edge_weight(u, v);
+  const auto nbrs = graph_.neighbors(u);
+  const auto it = std::ranges::lower_bound(nbrs, v);
+  if (it == nbrs.end() || *it != v) return std::nullopt;
+  return graph_.weights(u)[static_cast<std::size_t>(it - nbrs.begin())];
 }
 
 bool DynamicGraph::has_edge(VertexId u, VertexId v) const {
@@ -110,11 +122,18 @@ void DynamicGraph::edit_row(VertexId a, VertexId b, const EdgeUpdate& update) {
   const auto [pos, first_touch] = pending_.try_emplace(a);
   Row& row = pos->second;
   if (first_touch) {
-    const auto nbrs = graph_.neighbors(a);
-    const auto ws = graph_.weights(a);
-    row.reserve(nbrs.size() + 1);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      row.emplace_back(nbrs[i], ws[i]);
+    // The committed row stays as it is until the batch commits: folded()
+    // must not see the batch.
+    if (const auto c = committed_.find(a); c != committed_.end()) {
+      row.reserve(c->second.size() + 1);
+      row = c->second;
+    } else {
+      const auto nbrs = graph_.neighbors(a);
+      const auto ws = graph_.weights(a);
+      row.reserve(nbrs.size() + 1);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        row.emplace_back(nbrs[i], ws[i]);
+      }
     }
   }
   const auto it = find_arc(row, b);
@@ -125,16 +144,48 @@ void DynamicGraph::edit_row(VertexId a, VertexId b, const EdgeUpdate& update) {
   }
 }
 
+ChangedRows DynamicGraph::commit() {
+  ChangedRows rows;
+  rows.ids.reserve(pending_.size());
+  rows.offsets.reserve(pending_.size() + 1);
+  for (auto& [v, row] : pending_) {
+    rows.ids.push_back(v);
+    for (const auto& [u, w] : row) {
+      rows.targets.push_back(u);
+      rows.weights.push_back(w);
+    }
+    rows.offsets.push_back(static_cast<EdgeId>(rows.targets.size()));
+    const auto [pos, fresh] = committed_.try_emplace(v);
+    committed_arcs_ += static_cast<EdgeId>(row.size()) -
+                       (fresh ? 0 : static_cast<EdgeId>(pos->second.size()));
+    pos->second = std::move(row);
+  }
+  pending_.clear();
+  if (committed_arcs_ >= graph_.num_arcs()) fold();
+  return rows;
+}
+
 const Graph& DynamicGraph::snapshot() {
-  if (pending_.empty()) return graph_;
+  (void)commit();
+  fold();
+  return graph_;
+}
+
+const Graph& DynamicGraph::folded() const {
+  fold();
+  return graph_;
+}
+
+void DynamicGraph::fold() const {
+  if (committed_.empty()) return;
   std::vector<RowLength> rows;
-  rows.reserve(pending_.size());
-  for (const auto& [v, row] : pending_) {
+  rows.reserve(committed_.size());
+  for (const auto& [v, row] : committed_) {
     rows.push_back({v, static_cast<EdgeId>(row.size())});
   }
   resize_rows(graph_.offsets_, rows, graph_.adj_, graph_.weights_);
-  // Touched rows land between the moved blocks; edges are never sorted.
-  for (const auto& [v, row] : pending_) {
+  // Changed rows land between the moved blocks; edges are never sorted.
+  for (const auto& [v, row] : committed_) {
     auto out =
         static_cast<std::size_t>(graph_.offsets_[static_cast<std::size_t>(v)]);
     for (const auto& [u, w] : row) {
@@ -143,8 +194,8 @@ const Graph& DynamicGraph::snapshot() {
       ++out;
     }
   }
-  pending_.clear();
-  return graph_;
+  committed_.clear();
+  committed_arcs_ = 0;
 }
 
 // ---- UpdateStreamGenerator ------------------------------------------------

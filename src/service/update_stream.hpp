@@ -5,9 +5,11 @@
 // batch. This header provides the three stream-side pieces:
 //
 //   * EdgeUpdate / UpdateOp — one insert / delete / reweight operation;
-//   * DynamicGraph — a CSR pmc::Graph plus the rows touched since the last
-//     fold: it applies updates to private copies of the touched rows and
-//     snapshot() splices them back into the CSR's own arrays in place;
+//   * DynamicGraph — a CSR pmc::Graph plus the rows changed since the last
+//     fold: it applies updates to private copies of the touched rows,
+//     commit() ends a batch and hands its rows out as a ChangedRows, and the
+//     committed rows are spliced into the CSR's own arrays only when the CSR
+//     is read (folded()) or they hold as many arcs as it does;
 //   * UpdateStreamGenerator — a seeded, replayable random stream of valid
 //     updates against the evolving graph;
 //   * JSONL serialization — write_update_log / read_update_log, so a stream
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
+#include "graph/csr_splice.hpp"
 #include "graph/generators.hpp"
 #include "support/rng.hpp"
 #include "support/types.hpp"
@@ -53,14 +56,17 @@ struct EdgeUpdate {
 };
 
 /// A mutable undirected weighted graph over a fixed vertex set: a CSR
-/// Graph plus the rows touched since the last fold. apply() edits a private,
-/// sorted copy of each endpoint's row; snapshot() resizes those rows in the
-/// CSR's own arrays (resize_rows, graph/csr_splice.hpp), which moves the
-/// untouched rows between two touched rows as one block, and writes the
-/// touched rows between the blocks. A batch therefore costs one
-/// ordered-map entry per touched row and moves only the arcs and offsets
-/// of blocks whose shift is not zero; nothing is copied out of the CSR,
-/// and edges are never sorted.
+/// Graph plus the rows changed since it was last folded. apply() edits a
+/// private, sorted copy of each endpoint's row, made on the row's first
+/// touch in a batch. commit() ends the batch: it returns the batch's rows
+/// as a ChangedRows and keeps them as committed rows, leaving the CSR as it
+/// is. A fold resizes the committed rows in the CSR's own arrays
+/// (resize_rows, graph/csr_splice.hpp), which moves the untouched rows
+/// between two changed rows as one block, and writes the changed rows
+/// between the blocks. It runs only when folded() reads the CSR, or when
+/// commit() finds that the committed rows hold as many arcs as the CSR, so
+/// a batch costs its own rows, and a fold's block moves are shared by every
+/// batch since the last one. Edges are never sorted.
 /// Weights are always stored: an unweighted initial graph gets unit weights.
 class DynamicGraph {
  public:
@@ -81,31 +87,48 @@ class DynamicGraph {
   /// changes nothing.
   void apply(const EdgeUpdate& update);
 
-  /// Folds the rows touched since the last fold into the CSR in place and
-  /// returns the CSR. Its contents, and its arrays when a batch adds arcs,
-  /// change at the next snapshot() with rows to fold.
+  /// Ends a batch: returns the current rows of the vertices the updates
+  /// applied since the last commit touched (both endpoints of each), and
+  /// commits them. The CSR's arrays do not change, unless the committed rows
+  /// now hold at least as many arcs as the CSR; then they are folded.
+  [[nodiscard]] ChangedRows commit();
+
+  /// Commits, then folds every committed row into the CSR in place, and
+  /// returns the CSR. Its contents, and its arrays when a fold adds arcs,
+  /// change at the next fold.
   const Graph& snapshot();
 
-  /// The CSR as of the last snapshot() (before the first, the initial
-  /// graph with unit weights if it had none); updates applied since then
-  /// are pending.
-  [[nodiscard]] const Graph& folded() const noexcept { return graph_; }
+  /// The graph of every committed update (before the first commit, the
+  /// initial graph with unit weights if it had none); updates applied
+  /// since the last commit are not in it. It folds the committed rows into
+  /// the CSR first, which changes how the graph is stored, not which graph
+  /// it is. Not to be called concurrently with any other member.
+  [[nodiscard]] const Graph& folded() const;
 
  private:
-  /// Current adjacency of a row touched since the last fold, sorted by
+  /// Current adjacency of a row changed since the last fold, sorted by
   /// neighbor.
   using Row = std::vector<std::pair<VertexId, Weight>>;
 
   void require_valid_endpoints(const EdgeUpdate& update) const;
+  /// The current row of v when it changed since the last fold (the batch's
+  /// copy, else the committed one); nullptr when the CSR holds it.
+  [[nodiscard]] const Row* changed_row(VertexId v) const;
   /// Weight of edge (u, v) in the current edge set, or nullopt if absent.
   [[nodiscard]] std::optional<Weight> find_edge(VertexId u, VertexId v) const;
   /// Applies `update`'s change to the row of `a` (whose other endpoint is
-  /// `b`), copying the row out of the CSR on its first touch.
+  /// `b`), copying the row on its first touch in the batch.
   void edit_row(VertexId a, VertexId b, const EdgeUpdate& update);
+  /// Splices the committed rows into the CSR's arrays in place.
+  void fold() const;
 
-  Graph graph_;
+  // The CSR and the committed rows not yet folded into it change together,
+  // on a fold, which a const read of the graph may run (folded()).
+  mutable Graph graph_;
+  mutable std::map<VertexId, Row> committed_;
+  mutable EdgeId committed_arcs_ = 0;  // over committed_'s rows
   EdgeId m_ = 0;
-  std::map<VertexId, Row> pending_;  // rows touched, by vertex
+  std::map<VertexId, Row> pending_;  // rows touched since the last commit
 };
 
 /// Configuration of the random update stream.

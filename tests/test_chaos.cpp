@@ -492,9 +492,9 @@ TEST_F(ServiceChaos, IncrementalDriversRecoverDropsAndCorruptionDirectly) {
   const std::vector<EdgeUpdate> batch = gen.next_batch(40);
   DynamicGraph dyn(g_);
   for (const EdgeUpdate& u : batch) dyn.apply(u);
-  const Graph g1 = dyn.snapshot();
+  const std::vector<VertexId> touched = dyn.commit().ids;
+  const Graph g1 = dyn.folded();
   const DistGraph dist1 = DistGraph::build(g1, p_);
-  const std::vector<VertexId> touched = touched_vertices(batch);
 
   for (FaultConfig* f : {&match_opt.faults, &color_opt.faults}) {
     f->drop_rate = 0.20;

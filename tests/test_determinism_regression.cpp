@@ -414,9 +414,10 @@ TEST(DeterminismRegression, LongRowMatchingScenarios) {
   const std::vector<EdgeUpdate> batch = updates.next_batch(16);
   DynamicGraph dyn(g);
   for (const EdgeUpdate& e : batch) dyn.apply(e);
-  const DistGraph after = DistGraph::build(dyn.snapshot(), p);
+  const std::vector<VertexId> touched = dyn.commit().ids;
+  const DistGraph after = DistGraph::build(dyn.folded(), p);
   const IncrementalMatchResult inc =
-      match_incremental(after, before, touched_vertices(batch), bundled);
+      match_incremental(after, before, touched, bundled);
   EXPECT_EQ(inc.matching.mate,
             match_distributed(after, bundled).matching.mate);
   expect_pinned(inc.run, inc.max_activations,

@@ -18,7 +18,6 @@
 #include "partition/multilevel.hpp"
 #include "partition/simple.hpp"
 #include "runtime/dist_graph.hpp"
-#include "service/incremental_match.hpp"
 #include "service/update_stream.hpp"
 #include "support/error.hpp"
 
@@ -298,8 +297,8 @@ TEST(DistGraph, RefreshDropsLastCrossEdgeAndLinksNewRanks) {
       {UpdateOp::kInsert, 0, 5, Weight{3}},
   };
   for (const EdgeUpdate& u : batch) dyn.apply(u);
-  const Graph& after = dyn.snapshot();
-  dist.refresh(after, p, touched_vertices(batch));
+  dist.refresh(dyn.commit(), p);
+  const Graph& after = dyn.folded();
   dist.validate(after, p);
   expect_same_distribution(dist, DistGraph::build(after, p));
 
@@ -389,8 +388,8 @@ TEST(DistGraph, RefreshRenumbersGhostsEveryWay) {
   for (const Step& step : steps) {
     SCOPED_TRACE(step.what);
     for (const EdgeUpdate& u : step.batch) dyn.apply(u);
-    const Graph& g = dyn.snapshot();
-    dist.refresh(g, p, touched_vertices(step.batch));
+    dist.refresh(dyn.commit(), p);
+    const Graph& g = dyn.folded();
     dist.validate(g, p);
     expect_same_distribution(dist, DistGraph::build(g, p));
     expect_absent_ids_unknown(dist);
@@ -429,47 +428,118 @@ TEST(DistGraph, Halo2GhostRunsAscend) {
   }
 }
 
-TEST(DistGraph, RefreshRejectsMalformedTouchedLists) {
-  // A patch splices each listed row once, in order, so refresh takes only
-  // what touched_vertices returns and throws before it changes anything.
-  // The batch changes rows 1 (rank 0) and 4 (rank 2), so a rank patched
-  // before the throw would show.
+/// Rows `ids` of `g` as a ChangedRows, weights included (1 when `g` has
+/// none).
+ChangedRows rows_of(const Graph& g, const std::vector<VertexId>& ids) {
+  ChangedRows rows;
+  for (const VertexId v : ids) {
+    rows.ids.push_back(v);
+    for (EdgeId a = g.offset_begin(v); a < g.offset_end(v); ++a) {
+      rows.targets.push_back(g.arc_target(a));
+      rows.weights.push_back(g.arc_weight(a));
+    }
+    rows.offsets.push_back(static_cast<EdgeId>(rows.targets.size()));
+  }
+  return rows;
+}
+
+TEST(DistGraph, RefreshRejectsMalformedRows) {
+  // A patch splices each listed row once, in order, from its targets and
+  // weights, so refresh takes only rows as DynamicGraph::commit returns
+  // them and throws before it changes any rank. The batch changes rows 1
+  // (rank 0) and 4 (rank 2), so a rank patched before the throw would show.
   const Partition p(3, {0, 0, 1, 1, 2, 2});
   DynamicGraph dyn(path(6));
   DistGraph dist = DistGraph::build(dyn.folded(), p);
   const DistGraph before = dist;
   dyn.apply({UpdateOp::kInsert, 1, 4, Weight{2}});
-  const Graph& after = dyn.snapshot();
-  const std::vector<std::vector<VertexId>> malformed = {
-      {1, 4, 4}, {4, 1}, {-1, 1, 4}, {1, 4, 6}};
-  for (const std::vector<VertexId>& touched : malformed) {
-    SCOPED_TRACE(::testing::PrintToString(touched));
-    EXPECT_THROW(dist.refresh(after, p, touched), Error);
+  const ChangedRows rows = dyn.commit();
+  // Row 1 is {0, 2, 4} and row 4 is {1, 3, 5}.
+  ASSERT_EQ(rows.ids, (std::vector<VertexId>{1, 4}));
+  ASSERT_EQ(rows.offsets, (std::vector<EdgeId>{0, 3, 6}));
+  ASSERT_EQ(rows.targets, (std::vector<VertexId>{0, 2, 4, 1, 3, 5}));
+
+  struct Case {
+    const char* what;
+    void (*spoil)(ChangedRows&);
+  };
+  const std::vector<Case> cases = {
+      {"duplicate id", [](ChangedRows& r) { r.ids = {1, 1}; }},
+      {"descending ids", [](ChangedRows& r) { r.ids = {4, 1}; }},
+      {"negative id", [](ChangedRows& r) { r.ids = {-1, 4}; }},
+      {"id past the end", [](ChangedRows& r) { r.ids = {1, 6}; }},
+      {"an offset too few", [](ChangedRows& r) { r.offsets = {0, 6}; }},
+      {"an offset too many", [](ChangedRows& r) { r.offsets.push_back(6); }},
+      {"offsets not from 0", [](ChangedRows& r) { r.offsets = {1, 3, 6}; }},
+      {"offsets past the targets",
+       [](ChangedRows& r) { r.offsets = {0, 7, 6}; }},
+      {"offsets short of the targets",
+       [](ChangedRows& r) { r.offsets = {0, 3, 5}; }},
+      {"descending offsets", [](ChangedRows& r) { r.offsets = {0, 4, 3}; }},
+      {"unsorted targets",
+       [](ChangedRows& r) { std::swap(r.targets[0], r.targets[1]); }},
+      {"duplicate target", [](ChangedRows& r) { r.targets[1] = 0; }},
+      {"target past the end", [](ChangedRows& r) { r.targets[5] = 6; }},
+      {"negative target", [](ChangedRows& r) { r.targets[0] = -1; }},
+      {"row's own id", [](ChangedRows& r) { r.targets[1] = 1; }},
+      {"a weight short", [](ChangedRows& r) { r.weights.pop_back(); }},
+      {"a weight over", [](ChangedRows& r) { r.weights.push_back(1.0); }},
+      {"no weights", [](ChangedRows& r) { r.weights.clear(); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    ChangedRows spoiled = rows;
+    c.spoil(spoiled);
+    EXPECT_THROW(dist.refresh(spoiled, p), Error);
     expect_same_distribution(dist, before);
   }
-  dist.refresh(after, p, std::vector<VertexId>{1, 4});
-  expect_same_distribution(dist, DistGraph::build(after, p));
+
+  // Weighted rows cannot patch a rank that holds arcs without weights.
+  const Graph unweighted =
+      graph_from_edges(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
+  ASSERT_FALSE(unweighted.has_weights());
+  DistGraph bare = DistGraph::build(unweighted, p);
+  const DistGraph bare_before = bare;
+  EXPECT_THROW(bare.refresh(rows, p), Error);
+  expect_same_distribution(bare, bare_before);
+
+  dist.refresh(rows, p);
+  expect_same_distribution(dist, DistGraph::build(dyn.folded(), p));
 }
 
 TEST(DistGraph, RefreshMatchesBuildOnServiceStreamShape) {
   // service-stream scaled down: a weighted 64x64 grid in 16x16 blocks on
-  // 16 ranks, refreshed after each of 40 batches of 16 updates.
+  // 16 ranks, refreshed from each of 40 batches of 16 updates as commit()
+  // returns them, with nothing folded, as GraphService does. `committed`
+  // replays the stream and folds every batch: the committed graph.
   const Graph g = grid_2d(64, 64, WeightKind::kUniformRandom, 3);
   const Partition p = grid_2d_partition(64, 64, 4, 4);
   DynamicGraph dyn(g);
+  DynamicGraph committed(g);
   DistGraph live = DistGraph::build(dyn.folded(), p);
+  // The CSR itself, read without folding.
+  const Graph& csr = dyn.folded();
+  const VertexId* storage = csr.arc_targets(0, 0).data();
   UpdateStreamConfig cfg;
   cfg.seed = 41;
   UpdateStreamGenerator gen(g, cfg);
   for (int batch = 0; batch < 40; ++batch) {
     SCOPED_TRACE("batch " + std::to_string(batch));
     const std::vector<EdgeUpdate> updates = gen.next_batch(16);
-    for (const EdgeUpdate& u : updates) dyn.apply(u);
-    const Graph& current = dyn.snapshot();
-    live.refresh(current, p, touched_vertices(updates));
+    for (const EdgeUpdate& u : updates) {
+      dyn.apply(u);
+      committed.apply(u);
+    }
+    live.refresh(dyn.commit(), p);
+    const Graph& current = committed.snapshot();
     live.validate(current, p);
     expect_same_distribution(live, DistGraph::build(current, p));
   }
+  // 40 batches' rows hold far fewer arcs than the CSR: none was folded.
+  EXPECT_EQ(csr.arc_targets(0, 0).data(), storage);
+  EXPECT_TRUE(std::ranges::equal(csr.arc_targets(0, csr.num_arcs()),
+                                 g.arc_targets(0, g.num_arcs())));
+  expect_same_distribution(live, DistGraph::build(dyn.folded(), p));
 }
 
 TEST(DistGraph, RefreshOfHalo2Throws) {
@@ -478,17 +548,17 @@ TEST(DistGraph, RefreshOfHalo2Throws) {
   const Graph g = path(6);
   const Partition p(3, {0, 0, 1, 1, 2, 2});
   DistGraph dist = DistGraph::build(g, p, 2);
-  const std::vector<VertexId> touched{2};
-  EXPECT_THROW(dist.refresh(g, p, touched), Error);
+  EXPECT_THROW(dist.refresh(rows_of(g, {2}), p), Error);
 }
 
 TEST(DistGraph, RefreshWithAnotherOwnerThrows) {
   // Vertex 1 moves to rank 1 between build and refresh: rank 1's fill meets
   // a target the partition says it owns but it never numbered.
   const Graph g = path(4);
+  ASSERT_TRUE(g.has_weights());
   DistGraph dist = DistGraph::build(g, Partition(2, {0, 0, 1, 1}));
-  const std::vector<VertexId> touched{2};
-  EXPECT_THROW(dist.refresh(g, Partition(2, {0, 1, 1, 1}), touched), Error);
+  EXPECT_THROW(dist.refresh(rows_of(g, {2}), Partition(2, {0, 1, 1, 1})),
+               Error);
 }
 
 TEST(DistGraph, HaloMustBeOneOrTwo) {
@@ -535,8 +605,8 @@ TEST_P(DistGraphSweep, InvariantsAcrossGraphsAndParts) {
       SCOPED_TRACE("batch " + std::to_string(batch));
       const std::vector<EdgeUpdate> updates = gen.next_batch(window);
       for (const EdgeUpdate& u : updates) dyn.apply(u);
-      const Graph& current = dyn.snapshot();
-      live.refresh(current, p, touched_vertices(updates));
+      live.refresh(dyn.commit(), p);
+      const Graph& current = dyn.folded();
       live.validate(current, p);
       expect_absent_ids_unknown(live);
       expect_same_distribution(live, DistGraph::build(current, p));

@@ -282,6 +282,87 @@ TEST(DynamicGraphTest, SnapshotFoldsEdgeCaseBatches) {
       });
 }
 
+TEST(DynamicGraphTest, CommitLeavesTheCsrUntouched) {
+  // A commit returns the batch's rows and folds nothing: the CSR keeps the
+  // initial graph's arrays, bytes and storage, while lookups see every
+  // update; folded() then folds all the committed batches at once.
+  const Graph g = grid_2d(16, 16, WeightKind::kUniformRandom, 4);
+  DynamicGraph dyn(g);
+  EdgeSetMirror mirror(g);
+  const Graph& csr = dyn.folded();
+  const VertexId* storage = csr.arc_targets(0, 0).data();
+  UpdateStreamConfig cfg;
+  cfg.seed = 32;
+  UpdateStreamGenerator gen(g, cfg);
+  for (int batch = 0; batch < 5; ++batch) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    const std::vector<EdgeUpdate> updates = gen.next_batch(8);
+    for (const EdgeUpdate& u : updates) {
+      dyn.apply(u);
+      mirror.apply(u);
+    }
+    const ChangedRows rows = dyn.commit();
+    const Graph want = mirror.build();
+    // The rows of the updates' endpoints, each once, ascending.
+    std::vector<VertexId> ends;
+    for (const EdgeUpdate& u : updates) {
+      ends.push_back(u.u);
+      ends.push_back(u.v);
+    }
+    std::ranges::sort(ends);
+    ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
+    ASSERT_EQ(rows.ids, ends);
+    ASSERT_EQ(rows.offsets.size(), rows.ids.size() + 1);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_TRUE(
+          std::ranges::equal(rows.neighbors(i), want.neighbors(rows.ids[i])));
+      EXPECT_TRUE(
+          std::ranges::equal(rows.weights_of(i), want.weights(rows.ids[i])));
+    }
+    for (const EdgeUpdate& u : updates) {
+      EXPECT_EQ(dyn.has_edge(u.u, u.v), want.has_edge(u.u, u.v));
+      if (want.has_edge(u.u, u.v)) {
+        EXPECT_EQ(dyn.edge_weight(u.v, u.u), want.edge_weight(u.u, u.v));
+      }
+    }
+    EXPECT_EQ(dyn.num_edges(), want.num_edges());
+    expect_same_csr(csr, g);
+    EXPECT_EQ(csr.arc_targets(0, 0).data(), storage);
+  }
+  expect_same_csr(dyn.folded(), mirror.build());
+}
+
+TEST(DynamicGraphTest, CommittedRowsFoldOnceTheyHoldAsManyArcsAsTheCsr) {
+  // A path of 10 arcs. Reweights keep every row's length, so the committed
+  // rows hold 3, 7, 7 and then 10 arcs: the fourth commit folds them.
+  const Graph g = path(6, WeightKind::kUniformRandom, 3);
+  ASSERT_EQ(g.num_arcs(), 10);
+  DynamicGraph dyn(g);
+  EdgeSetMirror mirror(g);
+  const Graph& csr = dyn.folded();
+  struct Step {
+    EdgeUpdate update;
+    bool folds;
+  };
+  const std::vector<Step> steps = {
+      {reweight(0, 1, 0.5), false},  // rows 0 and 1: 1 + 2 arcs
+      {reweight(2, 3, 1.5), false},  // rows 2 and 3: 7
+      {reweight(1, 0, 2.5), false},  // rows 0 and 1 again: still 7
+      {reweight(4, 5, 3.5), true},   // rows 4 and 5: 10
+      {reweight(1, 2, 4.5), false},  // a fresh start: 4
+  };
+  Graph folded_last = g;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    dyn.apply(steps[i].update);
+    mirror.apply(steps[i].update);
+    (void)dyn.commit();
+    if (steps[i].folds) folded_last = mirror.build();
+    expect_same_csr(csr, folded_last);
+  }
+  expect_same_csr(dyn.folded(), mirror.build());
+}
+
 // ---- UpdateStreamGenerator --------------------------------------------------
 
 TEST(UpdateStreamTest, GeneratorIsSeededAndProducesValidStreams) {
@@ -461,9 +542,10 @@ TEST_F(IncrementalDriversTest, MatchRepairEqualsRecomputeEveryBatch) {
     SCOPED_TRACE("batch " + std::to_string(batch));
     const std::vector<EdgeUpdate> updates = gen.next_batch(16);
     for (const EdgeUpdate& u : updates) dyn.apply(u);
-    const Graph& g = dyn.snapshot();
-    const std::vector<VertexId> touched = touched_vertices(updates);
-    carried.refresh(g, p_, touched);
+    const ChangedRows rows = dyn.commit();
+    carried.refresh(rows, p_);
+    const Graph& g = dyn.folded();
+    const std::vector<VertexId>& touched = rows.ids;
     const DistGraph dist = DistGraph::build(g, p_);
 
     const IncrementalMatchResult inc =
@@ -500,9 +582,10 @@ TEST_F(IncrementalDriversTest, ColorRepairEqualsRecomputeEveryBatch) {
     SCOPED_TRACE("batch " + std::to_string(batch));
     const std::vector<EdgeUpdate> updates = gen.next_batch(16);
     for (const EdgeUpdate& u : updates) dyn.apply(u);
-    const Graph& g = dyn.snapshot();
-    const std::vector<VertexId> touched = touched_vertices(updates);
-    carried.refresh(g, p_, touched);
+    const ChangedRows rows = dyn.commit();
+    carried.refresh(rows, p_);
+    const Graph& g = dyn.folded();
+    const std::vector<VertexId>& touched = rows.ids;
     const DistGraph dist = DistGraph::build(g, p_);
 
     const IncrementalColorResult inc =
@@ -577,11 +660,12 @@ TEST_F(IncrementalDriversTest, MatchRepairWhenAMatchedCrossEdgeIsDeleted) {
   DynamicGraph dyn(g_);
   const std::vector<EdgeUpdate> batch = {erase(u, w), reweight(x, u, 0.5)};
   for (const EdgeUpdate& e : batch) dyn.apply(e);
-  const DistGraph dist = DistGraph::build(dyn.snapshot(), p_);
+  const std::vector<VertexId> touched = dyn.commit().ids;
+  const DistGraph dist = DistGraph::build(dyn.folded(), p_);
   ASSERT_EQ(dist.local(p_.owner(u)).local_id(w), kNoVertex);
 
   const IncrementalMatchResult inc =
-      match_incremental(dist, prev, touched_vertices(batch), opt);
+      match_incremental(dist, prev, touched, opt);
   EXPECT_EQ(inc.matching.mate, match_distributed(dist, opt).matching.mate);
   // Pinned while frozen mates were resolved eagerly: resolving them on
   // demand must not move a charge.
@@ -614,9 +698,9 @@ TEST_F(IncrementalDriversTest, MatchRepairWithEveryTouchedVertexOnOneRank) {
                                     : insert(a, b, 0.99));
   DynamicGraph dyn(g_);
   for (const EdgeUpdate& e : batch) dyn.apply(e);
-  const std::vector<VertexId> touched = touched_vertices(batch);
+  const std::vector<VertexId> touched = dyn.commit().ids;
   for (const VertexId v : touched) ASSERT_EQ(p_.owner(v), 0) << v;
-  const DistGraph dist = DistGraph::build(dyn.snapshot(), p_);
+  const DistGraph dist = DistGraph::build(dyn.folded(), p_);
 
   const IncrementalMatchResult inc =
       match_incremental(dist, prev, touched, opt);
@@ -676,9 +760,10 @@ TEST(LazyRepairTest, RepairsEqualRecomputeWhenMostRanksStayUnreached) {
         SCOPED_TRACE("batch " + std::to_string(batch));
         const std::vector<EdgeUpdate> updates = gen.next_batch(1 + batch % 2);
         for (const EdgeUpdate& u : updates) dyn.apply(u);
-        const Graph& g = dyn.snapshot();
-        const std::vector<VertexId> touched = touched_vertices(updates);
-        carried.refresh(g, p, touched);
+        const ChangedRows rows = dyn.commit();
+        carried.refresh(rows, p);
+        const Graph& g = dyn.folded();
+        const std::vector<VertexId>& touched = rows.ids;
         IncrementalMatchResult im =
             match_incremental(carried, std::move(matching), touched, mopt);
         IncrementalColorResult ic =
@@ -879,6 +964,41 @@ TEST(ServiceTest, ReportedWeightIsTheGraphsWeight) {
   run_batch(insert(x, y, 2.0));
   EXPECT_EQ(mate(y), x);
   EXPECT_NE(mate(z), y);
+}
+
+TEST(ServiceTest, GraphHoldsTheCommittedBatchesOnly) {
+  // Three batches commit without a fold: the CSR keeps the initial graph's
+  // bytes. graph() folds them when it is read, and leaves out the update
+  // still buffered, which the next refresh commits.
+  const Graph g = grid_2d(8, 8, WeightKind::kUniformRandom, 2);
+  const Partition p = grid_2d_partition(8, 8, 2, 2);
+  ServiceOptions so;
+  so.batch_window = 4;
+  GraphService service(g, p, so);
+  const Graph& csr = service.graph();
+  EdgeSetMirror mirror(g);
+  UpdateStreamConfig cfg;
+  cfg.seed = 9;
+  UpdateStreamGenerator gen(g, cfg);
+  for (int i = 0; i < 12; ++i) {
+    const EdgeUpdate u = gen.next();
+    mirror.apply(u);
+    EXPECT_EQ(service.push(u).has_value(), i % 4 == 3);
+  }
+  ASSERT_EQ(service.history().size(), 3u);
+  expect_same_csr(csr, g);
+  const Graph committed = mirror.build();
+  const EdgeUpdate buffered = gen.next();
+  EXPECT_FALSE(service.push(buffered).has_value());
+  EXPECT_EQ(service.pending_updates(), 1);
+  expect_same_csr(service.graph(), committed);
+  const DistGraph dist = DistGraph::build(service.graph(), p);
+  EXPECT_EQ(service.matching().mate, match_distributed(dist).matching.mate);
+  EXPECT_EQ(service.coloring().color, color_canonical(dist).coloring.color);
+
+  mirror.apply(buffered);
+  EXPECT_EQ(service.refresh().updates, 1);
+  expect_same_csr(service.graph(), mirror.build());
 }
 
 TEST(ServiceTest, InvalidUpdateLeavesServiceUsable) {
